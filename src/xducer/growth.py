@@ -8,6 +8,7 @@ partition of the states.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +17,7 @@ from .machines import (
     NAutomaton,
     Reg,
     SST,
+    explore,
 )
 
 Word = tuple
@@ -37,15 +39,7 @@ def _support_edges(m: NAutomaton) -> dict:
 
 
 def _reachable(succ: dict, sources) -> set:
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        q = stack.pop()
-        for r in succ.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return seen
+    return set(explore(sources, succ.__getitem__, len(succ), "reachability"))
 
 
 def _lex_bfs(m: NAutomaton, starts: dict, step, is_target,
@@ -301,9 +295,9 @@ def _topological_order(g: BarbellGraph) -> list:
     for (_, q2) in g.edges:
         indeg[q2] += 1
     order = [q for q in g.vertices if indeg[q] == 0]
-    queue = list(order)
+    queue = deque(order)
     while queue:
-        q = queue.pop(0)
+        q = queue.popleft()
         for (q1, q2) in g.edges:
             if q1 == q:
                 indeg[q2] -= 1

@@ -9,11 +9,12 @@ parallel product.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .growth import GrowthReport, classify, flow_automaton, is_simple, trim
+from .growth import GrowthReport, classify, flow_automaton, is_simple
 from .machines import (
     DFA,
     Fun,
@@ -26,11 +27,17 @@ from .machines import (
     Substitution,
     check_layer_order,
     check_layered,
+    explore,
     find_copy_bound,
     register_occurrences,
 )
 
 SINK = "__sink"
+
+# Resource limits; each raises a MachineError naming its stage.
+VALUATION_STATE_LIMIT = 20000      # remove_bounded_layer
+PROFILE_LIMIT = 200000             # bounded_sstf_to_unambiguous
+DETERMINIZATION_STATE_LIMIT = 200000  # determinize_nsstf
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +93,13 @@ def _fresh(base: str, taken) -> str:
     return name
 
 
-def _state_eliminate(m: SST, keep_letters: bool) -> SST:
+def _state_eliminate(m: SST) -> SST:
     """Collapse a total machine to a single state.
 
     Register (q, x) holds the value of x when q is the current state and the
     empty word otherwise, so per-letter updates concatenate the relabelled
     updates of all predecessors of q; at most one term is nonempty along a
-    run.  The output map must already be letter-free (letters there would
+    run.  Updates and output must already be letter-free (letters would
     leak into inactive branches).
     """
     if not is_total(m):
@@ -116,15 +123,8 @@ def _state_eliminate(m: SST, keep_letters: bool) -> SST:
             for x in m.registers:
                 rhs: list = []
                 for p in sorted(preds.get((q, a), ())):
-                    for tok in m.update[(p, a)][x]:
-                        if isinstance(tok, Reg):
-                            rhs.append(Reg(rename(p, tok.name)))
-                        elif isinstance(tok, Lit) and keep_letters:
-                            rhs.append(tok)
-                        elif isinstance(tok, Lit):
-                            raise MachineError("letters not allowed here")
-                        else:
-                            rhs.append(tok)
+                    rhs.extend(Reg(rename(p, tok.name))
+                               for tok in m.update[(p, a)][x])
                 sub[rename(q, x)] = tuple(rhs)
         update[(s0, a)] = sub
     out_tokens: list = []
@@ -144,16 +144,14 @@ def _state_eliminate(m: SST, keep_letters: bool) -> SST:
     )
 
 
-def _route_letters(m: SST, in_updates: bool, in_output: bool) -> SST:
+def _route_letters(m: SST) -> SST:
     """Replace output letters by constant registers (one per used letter)."""
     used = set()
-    if in_updates:
-        for s in m.update.values():
-            for rhs in s.values():
-                used.update(t.sym for t in rhs if isinstance(t, Lit))
-    if in_output:
-        for rhs in m.output.values():
+    for s in m.update.values():
+        for rhs in s.values():
             used.update(t.sym for t in rhs if isinstance(t, Lit))
+    for rhs in m.output.values():
+        used.update(t.sym for t in rhs if isinstance(t, Lit))
     if not used:
         return m
     taken = set(m.registers)
@@ -162,21 +160,20 @@ def _route_letters(m: SST, in_updates: bool, in_output: bool) -> SST:
         const[b] = _fresh("k.%s" % b, taken)
         taken.add(const[b])
 
-    def rewrite(rhs, active):
-        return tuple(Reg(const[t.sym]) if isinstance(t, Lit) and active and t.sym in const
-                     else t for t in rhs)
+    def rewrite(rhs):
+        return tuple(Reg(const[t.sym]) if isinstance(t, Lit) else t for t in rhs)
 
     registers = m.registers + tuple(const[b] for b in sorted(used))
     update = {}
     for key, s in m.update.items():
-        sub = {x: rewrite(rhs, in_updates) for x, rhs in s.items()}
+        sub = {x: rewrite(rhs) for x, rhs in s.items()}
         for b in sorted(used):
             sub[const[b]] = (Reg(const[b]),)
         update[key] = sub
     init = dict(m.init_valuation)
     for b in sorted(used):
         init[const[b]] = (b,)
-    output = {q: rewrite(rhs, in_output) for q, rhs in m.output.items()}
+    output = {q: rewrite(rhs) for q, rhs in m.output.items()}
     return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=m.states, registers=registers, initial=m.initial,
@@ -191,7 +188,7 @@ def to_simple(m: SST) -> SST:
         raise MachineError("cannot simplify a machine with external functions")
     if not is_total(m):
         raise MachineError("simplification requires a total machine")
-    return _state_eliminate(_route_letters(m, True, True), keep_letters=False)
+    return _state_eliminate(_route_letters(m))
 
 
 def prune_sst_registers(m: SST, layers: Optional[tuple] = None) -> tuple:
@@ -202,37 +199,22 @@ def prune_sst_registers(m: SST, layers: Optional[tuple] = None) -> tuple:
     layer partition, when given, is filtered alongside (pruning preserves
     the layer discipline).
     """
-    nonempty = set()
-    for x in m.registers:
-        if m.init_valuation[x]:
-            nonempty.add(x)
+    filled = [x for x in m.registers if m.init_valuation[x]]
+    feeds = {x: set() for x in m.registers}   # y -> registers updated from y
+    reads = {x: set() for x in m.registers}   # x -> registers x is updated from
     for s in m.update.values():
         for x, rhs in s.items():
-            if any(isinstance(t, (Lit, Fun)) for t in rhs):
-                nonempty.add(x)
-    changed = True
-    while changed:
-        changed = False
-        for s in m.update.values():
-            for x, rhs in s.items():
-                if x not in nonempty and any(
-                        isinstance(t, Reg) and t.name in nonempty for t in rhs):
-                    nonempty.add(x)
-                    changed = True
-    useful = set()
-    for rhs in m.output.values():
-        useful.update(t.name for t in rhs if isinstance(t, Reg))
-    changed = True
-    while changed:
-        changed = False
-        for s in m.update.values():
-            for x, rhs in s.items():
-                if x in useful:
-                    for t in rhs:
-                        if isinstance(t, Reg) and t.name not in useful:
-                            useful.add(t.name)
-                            changed = True
-    keep = useful & nonempty
+            for t in rhs:
+                if isinstance(t, Reg):
+                    feeds[t.name].add(x)
+                    reads[x].add(t.name)
+                else:
+                    filled.append(x)
+    outputs = [t.name for rhs in m.output.values() for t in rhs
+               if isinstance(t, Reg)]
+    limit = len(m.registers)
+    keep = (set(explore(filled, feeds.__getitem__, limit, "register pruning"))
+            & set(explore(outputs, reads.__getitem__, limit, "register pruning")))
 
     def strip(rhs):
         return tuple(t for t in rhs
@@ -257,32 +239,11 @@ def prune_sst_registers(m: SST, layers: Optional[tuple] = None) -> tuple:
 
 
 def prune_dead_registers(m: SST) -> SST:
-    """Drop registers that never hold anything or never reach the output.
-
-    Registers with an everywhere-empty value are erased from all right-hand
-    sides; registers that never flow into the output are deleted outright
-    (no kept update can mention them).
-    """
+    """prune_sst_registers for a simple machine, whose kept registers are
+    exactly the states of its trimmed flow automaton."""
     if not is_simple(m):
         raise MachineError("register pruning expects a simple machine")
-    flow = trim(flow_automaton(m))
-    keep = set(flow.states)
-    q = m.states[0]
-
-    def strip(rhs):
-        return tuple(t for t in rhs if t.name in keep)
-
-    registers = tuple(x for x in m.registers if x in keep)
-    update = {}
-    for a in m.input_alphabet:
-        update[(q, a)] = {x: strip(m.update[(q, a)][x]) for x in registers}
-    return SST(
-        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=m.states, registers=registers, initial=m.initial,
-        init_valuation={x: m.init_valuation[x] for x in registers},
-        delta=dict(m.delta), update=update,
-        output={q: strip(m.output[q])},
-    )
+    return prune_sst_registers(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +251,7 @@ def prune_dead_registers(m: SST) -> SST:
 # ---------------------------------------------------------------------------
 
 
-def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]],
-                         max_states: int = 20000) -> tuple:
+def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> tuple:
     """Hardcode the bottom height class into states.
 
     The new states are the reachable valuations of the bottom-class
@@ -307,41 +267,6 @@ def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]],
     rest_layers = tuple(tuple(layer) for layer in partition[1:])
     rest = tuple(x for layer in rest_layers for x in layer)
 
-    def val_key(val):
-        return tuple((x, val[x]) for x in s0)
-
-    init_val = {x: tuple(m.init_valuation[x]) for x in s0}
-    names = {val_key(init_val): "v0"}
-    vals = {val_key(init_val): init_val}
-    order = [val_key(init_val)]
-    frontier = [val_key(init_val)]
-    delta = {}
-    while frontier:
-        if len(names) > max_states:
-            raise MachineError(
-                "bottom-layer valuation closure exceeded %d states "
-                "(partition is probably wrong)" % max_states)
-        key = frontier.pop(0)
-        val = vals[key]
-        for a in sorted(m.input_alphabet):
-            new = {}
-            for x in s0:
-                parts: list = []
-                for tok in m.update[(q0, a)][x]:
-                    if tok.name not in val:
-                        raise MachineError(
-                            "bottom-class register %r depends on %r outside the class"
-                            % (x, tok.name))
-                    parts.extend(val[tok.name])
-                new[x] = tuple(parts)
-            nk = val_key(new)
-            if nk not in names:
-                names[nk] = "v%d" % len(names)
-                vals[nk] = new
-                order.append(nk)
-                frontier.append(nk)
-            delta[(names[key], a)] = names[nk]
-
     def inline(rhs, val):
         out: list = []
         for tok in rhs:
@@ -351,15 +276,35 @@ def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]],
                 out.append(tok)
         return tuple(out)
 
-    update = {}
-    output = {}
-    for key in order:
-        val = vals[key]
-        for a in m.input_alphabet:
-            update[(names[key], a)] = {
-                y: inline(m.update[(q0, a)][y], val) for y in rest
-            }
-        output[names[key]] = inline(m.output[q0], val)
+    # A valuation is the tuple of (register, value) pairs over s0.
+    init_key = tuple((x, tuple(m.init_valuation[x])) for x in s0)
+    names = {init_key: "v0"}
+    letters = sorted(m.input_alphabet)
+    delta, update, output = {}, {}, {}
+
+    def successors(key):
+        val = dict(key)
+        here = names[key]
+        output[here] = inline(m.output[q0], val)
+        for a in letters:
+            s = m.update[(q0, a)]
+            new = []
+            for x in s0:
+                parts: list = []
+                for tok in s[x]:
+                    if tok.name not in val:
+                        raise MachineError(
+                            "bottom-class register %r depends on %r outside the class"
+                            % (x, tok.name))
+                    parts.extend(val[tok.name])
+                new.append((x, tuple(parts)))
+            nk = tuple(new)
+            delta[(here, a)] = names.setdefault(nk, "v%d" % len(names))
+            update[(here, a)] = {y: inline(s[y], val) for y in rest}
+            yield nk
+
+    order = explore([init_key], successors, VALUATION_STATE_LIMIT,
+                    "bottom-layer valuation closure")
     machine = SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=tuple(names[k] for k in order), registers=rest,
@@ -490,20 +435,14 @@ def compose_skebegfol(p: SkeBegFol, c: SkeBegFol) -> SkeBegFol:
 
 
 def _prev_value_sst(m: SST, x: str, lower: tuple) -> SST:
-    """Total machine computing the value x held before the last input letter."""
+    """Total machine computing the value x held before the last input letter:
+    value_sst plus a shadow register copying x on every letter."""
+    cur = value_sst(m, x, lower)
     shadow = _fresh("%s.prev" % x, set(lower))
-    registers = lower + (shadow,)
-    update = {}
-    for key, s in m.update.items():
-        sub = {u: s[u] for u in lower}
-        sub[shadow] = (Reg(x),)
-        update[key] = sub
-    init = {u: tuple(m.init_valuation[u]) for u in lower}
-    init[shadow] = tuple(m.init_valuation[x])
-    return SST(
-        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=m.states, registers=registers, initial=m.initial,
-        init_valuation=init, delta=dict(m.delta), update=update,
+    return replace(
+        cur, registers=lower + (shadow,),
+        init_valuation={**cur.init_valuation, shadow: tuple(m.init_valuation[x])},
+        update={key: {**s, shadow: (Reg(x),)} for key, s in cur.update.items()},
         output={q: (Reg(shadow),) for q in m.states},
     )
 
@@ -599,8 +538,7 @@ def _copy_reg(x: str, i: int) -> str:
     return "%s@%d" % (x, i)
 
 
-def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None,
-                                max_profiles: int = 200000) -> NSSTF:
+def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
     """Guess, per step, how often each register still reaches the output.
 
     States pair the original state with an occurrence profile; registers are
@@ -621,8 +559,9 @@ def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None,
         if counts:
             fmult = max(fmult, max(counts.values()))
     bound *= fmult
-    if (bound + 1) ** len(m.registers) > max_profiles:
-        raise MachineError("profile space too large")
+    if (bound + 1) ** len(m.registers) > PROFILE_LIMIT:
+        raise MachineError("profile space too large: over %d occurrence profiles"
+                           % PROFILE_LIMIT)
     regs = tuple(sorted(m.registers))
     profiles = list(_profiles(regs, bound))
 
@@ -702,24 +641,14 @@ def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None,
 def trim_nsstf(m: NSSTF) -> NSSTF:
     """Keep only states both reachable from an initial state and co-reachable
     from a final one."""
-    fwd: dict = {}
-    bwd: dict = {}
+    fwd: dict = {q: set() for q in m.states}
+    bwd: dict = {q: set() for q in m.states}
     for (q, _a, q2) in m.transitions:
-        fwd.setdefault(q, set()).add(q2)
-        bwd.setdefault(q2, set()).add(q)
-
-    def closure(seed, edges):
-        seen = set(seed)
-        stack = list(seed)
-        while stack:
-            q = stack.pop()
-            for r in edges.get(q, ()):
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return seen
-
-    keep = closure(set(m.initial), fwd) & closure(set(m.output), bwd)
+        fwd[q].add(q2)
+        bwd[q2].add(q)
+    n = len(m.states)
+    keep = (set(explore(m.initial, fwd.__getitem__, n, "NSST-F trimming"))
+            & set(explore(m.output, bwd.__getitem__, n, "NSST-F trimming")))
     transitions = tuple(t for t in m.transitions if t[0] in keep and t[2] in keep)
     return NSSTF(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
@@ -757,15 +686,6 @@ def _tree_min_leaf(tree):
     return min(_tree_min_leaf(c) for c in _tree_children(tree))
 
 
-def _tree_leaves(tree):
-    if tree[0] == "leaf":
-        return [tree[1]]
-    out = []
-    for c in _tree_children(tree):
-        out.extend(_tree_leaves(c))
-    return out
-
-
 def _slot_regs(slot: int, x: str):
     return "s%d.%s.beg" % (slot, x), "s%d.%s.fol" % (slot, x)
 
@@ -781,7 +701,7 @@ def _slot_sbf(slot: int, ske_items) -> SkeBegFol:
     return SkeBegFol(ske, beg, fol)
 
 
-def determinize_nsstf(m: NSSTF, max_states: int = 200000) -> SST:
+def determinize_nsstf(m: NSSTF) -> SST:
     """Deterministic copyless machine tracking all surviving runs.
 
     The state stores the shape of the alive forest of initial runs with the
@@ -977,27 +897,24 @@ def determinize_nsstf(m: NSSTF, max_states: int = 200000) -> SST:
         )
 
     names = {init_forest: "d0"}
-    order = [init_forest]
-    frontier = [init_forest]
+    letters = sorted(m.input_alphabet)
     delta = {}
     update = {}
     output = {}
-    while frontier:
-        if len(names) > max_states:
-            raise MachineError("determinization exceeded %d states" % max_states)
-        forest = frontier.pop(0)
-        for a in sorted(m.input_alphabet):
-            new_forest, sub = extend(forest, a)
-            if new_forest not in names:
-                names[new_forest] = "d%d" % len(names)
-                order.append(new_forest)
-                frontier.append(new_forest)
-            delta[(names[forest], a)] = names[new_forest]
-            update[(names[forest], a)] = sub
-    for forest in order:
+
+    def successors(forest):
+        here = names[forest]
         toks = output_of(forest)
         if toks is not None:
-            output[names[forest]] = toks
+            output[here] = toks
+        for a in letters:
+            new_forest, sub = extend(forest, a)
+            delta[(here, a)] = names.setdefault(new_forest, "d%d" % len(names))
+            update[(here, a)] = sub
+            yield new_forest
+
+    order = explore([init_forest], successors, DETERMINIZATION_STATE_LIMIT,
+                    "determinization")
     return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=tuple(names[f] for f in order), registers=registers,
@@ -1011,6 +928,39 @@ def determinize_nsstf(m: NSSTF, max_states: int = 200000) -> SST:
 # ---------------------------------------------------------------------------
 
 
+def _lockstep(parts: Sequence, name, update_of, output_of, **fields) -> SST:
+    """Synchronized product of deterministic parts reading letters together.
+
+    ``parts`` are an SST followed by SSTs or DFAs; a letter is skipped when
+    some part has no transition on it.  ``name`` renders a tuple of part
+    states, ``update_of(states, letter)`` gives the product update and
+    ``output_of(states)`` its output (None where undefined); ``fields`` give
+    the remaining SST fields.
+    """
+    letters = sorted(parts[0].input_alphabet)
+    delta, update, output = {}, {}, {}
+
+    def successors(combo):
+        here = name(combo)
+        out = output_of(combo)
+        if out is not None:
+            output[here] = out
+        for a in letters:
+            if all((q, a) in p.delta for p, q in zip(parts, combo)):
+                nxt = tuple(p.delta[(q, a)] for p, q in zip(parts, combo))
+                delta[(here, a)] = name(nxt)
+                update[(here, a)] = update_of(combo, a)
+                yield nxt
+
+    order = explore([tuple(p.initial for p in parts)], successors,
+                    math.prod(len(p.states) for p in parts),
+                    "synchronized product")
+    states = tuple(name(c) for c in order)
+    return SST(input_alphabet=parts[0].input_alphabet, states=states,
+               initial=states[0], delta=delta, update=update, output=output,
+               **fields)
+
+
 def product_ssts(components: dict) -> tuple:
     """Parallel product of total machines computing all of them at once.
 
@@ -1021,7 +971,6 @@ def product_ssts(components: dict) -> tuple:
     names = sorted(components)
     machines = {n: components[n][0] for n in names}
     layer_lists = {n: components[n][1] for n in names}
-    alphabet = machines[names[0]].input_alphabet
 
     def rereg(n, x):
         return "%s/%s" % (n, x)
@@ -1034,58 +983,35 @@ def product_ssts(components: dict) -> tuple:
               for x in (layer_lists[n][i] if i < len(layer_lists[n]) else ()))
         for i in range(depth)
     )
-    init_tuple = tuple(machines[n].initial for n in names)
     state_name = "&".join
 
     def rename_tokens(n, rhs):
         return tuple(Reg(rereg(n, t.name)) if isinstance(t, Reg) else t for t in rhs)
 
-    seen = {init_tuple: state_name(init_tuple)}
-    order = [init_tuple]
-    frontier = [init_tuple]
-    delta, update = {}, {}
-    while frontier:
-        combo = frontier.pop(0)
-        for a in sorted(alphabet):
-            nxt = []
-            ok = True
-            for n, q in zip(names, combo):
-                if (q, a) not in machines[n].delta:
-                    ok = False
-                    break
-                nxt.append(machines[n].delta[(q, a)])
-            if not ok:
-                continue
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                seen[nxt] = state_name(nxt)
-                order.append(nxt)
-                frontier.append(nxt)
-            sub = {}
-            for n, q in zip(names, combo):
-                for x, rhs in machines[n].update[(q, a)].items():
-                    sub[rereg(n, x)] = rename_tokens(n, rhs)
-            delta[(seen[combo], a)] = seen[nxt]
-            update[(seen[combo], a)] = sub
-    init_val = {}
-    for n in names:
-        for x in machines[n].registers:
-            init_val[rereg(n, x)] = tuple(machines[n].init_valuation[x])
+    def update_of(combo, a):
+        sub = {}
+        for n, q in zip(names, combo):
+            for x, rhs in machines[n].update[(q, a)].items():
+                sub[rereg(n, x)] = rename_tokens(n, rhs)
+        return sub
+
     expr = {n: {} for n in names}
-    for combo in order:
+
+    def output_of(combo):
         for n, q in zip(names, combo):
             out = machines[n].output.get(q)
             if out is None:
                 raise MachineError("component %r is not total at %r" % (n, q))
-            expr[n][seen[combo]] = rename_tokens(n, out)
-    product = SST(
-        input_alphabet=alphabet,
-        output_alphabet=machines[names[0]].output_alphabet,
-        states=tuple(seen[c] for c in order), registers=registers,
-        initial=state_name(init_tuple), init_valuation=init_val,
-        delta=delta, update=update,
-        output={seen[c]: () for c in order},
-    )
+            expr[n][state_name(combo)] = rename_tokens(n, out)
+        return ()
+
+    init_val = {}
+    for n in names:
+        for x in machines[n].registers:
+            init_val[rereg(n, x)] = tuple(machines[n].init_valuation[x])
+    product = _lockstep([machines[n] for n in names], state_name, update_of,
+                        output_of, output_alphabet=machines[names[0]].output_alphabet,
+                        registers=registers, init_valuation=init_val)
     return product, layers, expr
 
 
@@ -1113,51 +1039,30 @@ def splice_layers(top: SST, lower: SST, lower_layers: tuple,
     for x in top.registers:
         init_val[t_reg(x)] = tuple(top.init_valuation[x])
 
-    def pair_name(qt, ql):
-        return "%s&&%s" % (qt, ql)
+    def update_of(pair, a):
+        qt, ql = pair
+        sub = dict(lower.update[(ql, a)])
+        for y, rhs in top.update[(qt, a)].items():
+            toks: list = []
+            for t in rhs:
+                if isinstance(t, Fun):
+                    toks.extend(fun_expr[t.name][ql])
+                elif isinstance(t, Reg):
+                    toks.append(Reg(t_reg(t.name)))
+                else:
+                    toks.append(t)
+            sub[t_reg(y)] = tuple(toks)
+        return sub
 
-    init = (top.initial, lower.initial)
-    seen = {init: pair_name(*init)}
-    order = [init]
-    frontier = [init]
-    delta, update, output = {}, {}, {}
-    while frontier:
-        qt, ql = frontier.pop(0)
-        for a in sorted(top.input_alphabet):
-            if (qt, a) not in top.delta or (ql, a) not in lower.delta:
-                continue
-            nxt = (top.delta[(qt, a)], lower.delta[(ql, a)])
-            if nxt not in seen:
-                seen[nxt] = pair_name(*nxt)
-                order.append(nxt)
-                frontier.append(nxt)
-            sub = {}
-            for x, rhs in lower.update[(ql, a)].items():
-                sub[x] = rhs
-            for y, rhs in top.update[(qt, a)].items():
-                toks: list = []
-                for t in rhs:
-                    if isinstance(t, Fun):
-                        toks.extend(fun_expr[t.name][ql])
-                    elif isinstance(t, Reg):
-                        toks.append(Reg(t_reg(t.name)))
-                    else:
-                        toks.append(t)
-                sub[t_reg(y)] = tuple(toks)
-            delta[(seen[(qt, ql)], a)] = seen[nxt]
-            update[(seen[(qt, ql)], a)] = sub
-    for (qt, ql) in order:
-        if qt in top.output:
-            output[seen[(qt, ql)]] = tuple(
-                Reg(t_reg(t.name)) if isinstance(t, Reg) else t
-                for t in top.output[qt]
-            )
-    machine = SST(
-        input_alphabet=top.input_alphabet, output_alphabet=top.output_alphabet,
-        states=tuple(seen[c] for c in order), registers=registers,
-        initial=pair_name(*init), init_valuation=init_val,
-        delta=delta, update=update, output=output,
-    )
+    def output_of(pair):
+        if pair[0] not in top.output:
+            return None
+        return tuple(Reg(t_reg(t.name)) if isinstance(t, Reg) else t
+                     for t in top.output[pair[0]])
+
+    machine = _lockstep((top, lower), lambda pair: "%s&&%s" % pair, update_of,
+                        output_of, output_alphabet=top.output_alphabet,
+                        registers=registers, init_valuation=init_val)
     return machine, layers
 
 
@@ -1180,38 +1085,15 @@ def reimpose_domain(m: SST, dfa: DFA) -> SST:
     if set(dfa.accepting) == set(dfa.states):
         return m
 
-    def name(q, d):
-        return "%s##%s" % (q, d)
-
-    init = (m.initial, dfa.initial)
-    seen = {init: name(*init)}
-    order = [init]
-    frontier = [init]
-    delta, update, output = {}, {}, {}
-    while frontier:
-        q, d = frontier.pop(0)
-        for a in sorted(m.input_alphabet):
-            if (q, a) not in m.delta or (d, a) not in dfa.delta:
-                continue
-            nxt = (m.delta[(q, a)], dfa.delta[(d, a)])
-            if nxt not in seen:
-                seen[nxt] = name(*nxt)
-                order.append(nxt)
-                frontier.append(nxt)
-            delta[(seen[(q, d)], a)] = seen[nxt]
-            update[(seen[(q, d)], a)] = m.update[(q, a)]
-    for (q, d) in order:
-        if d in dfa.accepting and q in m.output:
-            output[seen[(q, d)]] = m.output[q]
-    return SST(
-        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=tuple(seen[c] for c in order), registers=m.registers,
-        initial=name(*init), init_valuation=dict(m.init_valuation),
-        delta=delta, update=update, output=output, funs=m.funs,
-    )
+    return _lockstep(
+        (m, dfa), lambda pair: "%s##%s" % pair,
+        lambda pair, a: m.update[(pair[0], a)],
+        lambda pair: m.output.get(pair[0]) if pair[1] in dfa.accepting else None,
+        output_alphabet=m.output_alphabet, registers=m.registers,
+        init_valuation=dict(m.init_valuation), funs=m.funs)
 
 
-def _bounded_to_layered(m: SST, layers: tuple, dump=None, depth: int = 0) -> tuple:
+def _bounded_to_layered(m: SST, layers: tuple, dump=None) -> tuple:
     """Per-word-bounded layers to copyless layers, bottom-up.
 
     The spliced-in components compute the *current* lower-register values:
@@ -1222,7 +1104,7 @@ def _bounded_to_layered(m: SST, layers: tuple, dump=None, depth: int = 0) -> tup
     top_bound = find_copy_bound(top, (top.registers,)) if top.registers else 1
     nsst = bounded_sstf_to_unambiguous(top, top_bound)
     det = determinize_nsstf(nsst)
-    _dump(dump, "det-layer%d" % depth, det)
+    _dump(dump, "det-layer0", det)
     if len(layers) == 1:
         return det, (det.registers,)
     lower = tuple(x for layer in layers[:-1] for x in layer)
@@ -1256,9 +1138,10 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
         raise MachineError("layer minimization expects a plain machine")
     total, dfa = make_total(m)
     _dump(dump, "total", total)
-    simple = prune_dead_registers(to_simple(total))
-    _dump(dump, "simple", simple)
+    simple = to_simple(total)
     report = classify(flow_automaton(simple))
+    simple = prune_dead_registers(simple)
+    _dump(dump, "simple", simple)
     if report.kind == "exponential":
         return LayeredResult("exponential", report)
     degree = report.degree

@@ -9,7 +9,7 @@ construction.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -33,6 +33,28 @@ class MachineError(Exception):
     """Raised on malformed machines or violated preconditions."""
 
 
+def explore(starts, successors, limit: int, stage: str) -> list:
+    """Every node reachable from ``starts``, in breadth-first discovery order.
+
+    ``successors(node)`` returns an iterable of the node's successors; it is
+    fully consumed before the next node is expanded, so callers may record
+    edges and labels while yielding.  Raises a MachineError naming ``stage``
+    once more than ``limit`` nodes have been found.
+    """
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    queue = deque(order)
+    while queue:
+        for node in successors(queue.popleft()):
+            if node not in seen:
+                seen.add(node)
+                order.append(node)
+                if len(order) > limit:
+                    raise MachineError("%s exceeded %d states" % (stage, limit))
+                queue.append(node)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Words and tokens
 # ---------------------------------------------------------------------------
@@ -42,13 +64,7 @@ Word = tuple  # tuple[str, ...]
 
 def as_word(w) -> Word:
     """Coerce a str (one symbol per character) or iterable of symbols."""
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
-
-
-def word_text(w: Word) -> str:
-    return "".join(w)
 
 
 @dataclass(frozen=True)
@@ -76,11 +92,6 @@ Token = Union[Lit, Reg, Fun]
 
 # A substitution maps each register to a sequence of tokens.
 Substitution = dict  # dict[str, tuple[Token, ...]]
-
-
-def lits(w) -> tuple:
-    """Word -> tuple of Lit tokens."""
-    return tuple(Lit(s) for s in as_word(w))
 
 
 def identity_substitution(registers: Iterable[str]) -> Substitution:
@@ -489,9 +500,7 @@ def _validate_nautomaton(m: NAutomaton, report: list) -> None:
 
 
 def _update_items(m) -> list:
-    if isinstance(m, SST):
-        return sorted(m.update.items(), key=lambda kv: kv[0])
-    if isinstance(m, NSSTF):
+    if isinstance(m, (SST, NSSTF)):
         return sorted(m.update.items(), key=lambda kv: kv[0])
     raise MachineError("expected an SST or NSSTF, got %s" % type(m).__name__)
 
@@ -575,8 +584,17 @@ class BoundedCheck:
     witness: Optional[Word]  # word whose composed update exceeds the bound
 
 
-def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int,
-                  max_states: int = 200000) -> BoundedCheck:
+# Reachable (state, occurrence matrices) nodes check_bounded may explore.
+BOUNDED_CHECK_STATE_LIMIT = 200000
+# Largest per-word copy bound find_copy_bound probes.
+COPY_BOUND_LIMIT = 64
+
+
+class _Exceeded(Exception):
+    """Carries the first word whose composed update breaks the bound."""
+
+
+def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int) -> BoundedCheck:
     """Decide whether every layer is per-word copy-bounded by ``bound``.
 
     Explores the reachable per-layer occurrence matrices of composed updates,
@@ -631,34 +649,33 @@ def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int,
               for i in range(len(regs)))
         for regs in layer_regs
     )
-    start = [(q, identity) for q in m.states]
-    seen = set(start)
-    frontier = [(node, ()) for node in start]
-    while frontier:
-        if len(seen) > max_states:
-            raise MachineError("bounded-copy closure exceeded %d states" % max_states)
-        nxt = []
-        for (q, mats), word in frontier:
-            for a in sorted(m.input_alphabet):
-                if (q, a) not in m.delta:
-                    continue
-                q2 = m.delta[(q, a)]
-                mats2 = step(mats, q, a)
-                w2 = word + (a,)
-                if exceeded(mats2):
-                    return BoundedCheck(False, w2)
-                node = (q2, mats2)
-                if node not in seen:
-                    seen.add(node)
-                    nxt.append((node, w2))
-        frontier = nxt
+    words = {(q, identity): () for q in m.states}
+    letters = sorted(m.input_alphabet)
+
+    def successors(node):
+        q, mats = node
+        for a in letters:
+            if (q, a) not in m.delta:
+                continue
+            mats2 = step(mats, q, a)
+            if exceeded(mats2):
+                raise _Exceeded(words[node] + (a,))
+            node2 = (m.delta[(q, a)], mats2)
+            words.setdefault(node2, words[node] + (a,))
+            yield node2
+
+    try:
+        explore(list(words), successors, BOUNDED_CHECK_STATE_LIMIT,
+                "bounded-copy closure")
+    except _Exceeded as found:
+        return BoundedCheck(False, found.args[0])
     return BoundedCheck(True, None)
 
 
-def find_copy_bound(m: SST, layers: Sequence[Sequence[str]],
-                    max_bound: int = 64) -> int:
+def find_copy_bound(m: SST, layers: Sequence[Sequence[str]]) -> int:
     """Smallest B such that check_bounded passes, probing upward."""
-    for b in range(1, max_bound + 1):
+    for b in range(1, COPY_BOUND_LIMIT + 1):
         if check_bounded(m, layers, b).bounded:
             return b
-    raise MachineError("no copy bound found up to %d" % max_bound)
+    raise MachineError("find_copy_bound: no copy bound found up to %d"
+                       % COPY_BOUND_LIMIT)

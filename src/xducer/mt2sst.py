@@ -19,6 +19,7 @@ from .machines import (
     Reg,
     RIGHT_END,
     SST,
+    explore,
     validate,
 )
 
@@ -170,6 +171,8 @@ def boundary_summary(t: MarbleTransducer, q: str):
 
 
 FIRST_REG = "first"
+# Reachable crossing summaries marble_to_sst may build.
+CROSSING_STATE_LIMIT = 50000
 
 
 def _next_reg(q: str) -> str:
@@ -186,7 +189,7 @@ def _transcribe(tokens) -> tuple:
     return tuple(out)
 
 
-def marble_to_sst(t: MarbleTransducer, max_states: int = 50000) -> SST:
+def marble_to_sst(t: MarbleTransducer) -> SST:
     """Equivalent one-way register transducer for a marble transducer.
 
     States are the reachable crossing summaries (first-crossing state plus
@@ -209,19 +212,21 @@ def marble_to_sst(t: MarbleTransducer, max_states: int = 50000) -> SST:
         init_valuation[_next_reg(q)] = base[q][1]
 
     names = {init_state: "cs0"}
-    order = [init_state]
+    letters = sorted(t.input_alphabet)
     delta: dict = {}
     update: dict = {}
     output: dict = {}
-    frontier = [init_state]
     deriv_cache: dict = {}
-    while frontier:
-        if len(names) > max_states:
-            raise MachineError("crossing-state space exceeded %d states" % max_states)
-        state = frontier.pop(0)
+
+    def successors(state):
         first, next_items = state
         f = dict(next_items)
-        for a in sorted(t.input_alphabet):
+        here = names[state]
+        if first is not None:
+            res, toks = exit_fixpoint(t, f).entries[(first, None)]
+            if res is not None:
+                output[here] = (Reg(FIRST_REG),) + _transcribe(toks)
+        for a in letters:
             key = (next_items, a)
             if key not in deriv_cache:
                 deriv_cache[key] = crossing_fixpoint(t, f, a)
@@ -229,10 +234,6 @@ def marble_to_sst(t: MarbleTransducer, max_states: int = 50000) -> SST:
             new_next = tuple((q, deriv.result(q, None)) for q in t.states)
             new_first = deriv.result(first, None) if first is not None else None
             target = (new_first, new_next)
-            if target not in names:
-                names[target] = "cs%d" % len(names)
-                order.append(target)
-                frontier.append(target)
             sub = {}
             if first is not None and new_first is not None:
                 sub[FIRST_REG] = (Reg(FIRST_REG),) + _transcribe(deriv.tokens(first, None))
@@ -241,18 +242,12 @@ def marble_to_sst(t: MarbleTransducer, max_states: int = 50000) -> SST:
             for q in t.states:
                 res = deriv.result(q, None)
                 sub[_next_reg(q)] = _transcribe(deriv.tokens(q, None)) if res is not None else ()
-            delta[(names[state], a)] = names[target]
-            update[(names[state], a)] = sub
+            delta[(here, a)] = names.setdefault(target, "cs%d" % len(names))
+            update[(here, a)] = sub
+            yield target
 
-    for state in order:
-        first, next_items = state
-        if first is None:
-            continue
-        exit_deriv = exit_fixpoint(t, dict(next_items))
-        res, toks = exit_deriv.entries[(first, None)]
-        if res is not None:
-            output[names[state]] = (Reg(FIRST_REG),) + _transcribe(toks)
-
+    order = explore([init_state], successors, CROSSING_STATE_LIMIT,
+                    "crossing-state space")
     return SST(
         input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,
         states=tuple(names[s] for s in order), registers=registers,

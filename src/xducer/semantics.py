@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .machines import (
-    Fun,
     FunctionRegistry,
     LEFT_END,
     Lit,
@@ -18,6 +17,7 @@ from .machines import (
     Reg,
     RIGHT_END,
     SST,
+    Substitution,
     TwoWayTransducer,
     Word,
     as_word,
@@ -247,14 +247,15 @@ def eval_fun(registry: Optional[FunctionRegistry], name: str, prefix: Word) -> W
     return res.output
 
 
-def _apply_update(m: SST, val: dict, q: str, a: str, prefix: Word,
+def _apply_update(s: Substitution, val: dict, prefix: Word,
                   registry: Optional[FunctionRegistry]) -> dict:
-    s = m.update[(q, a)]
+    """Valuation after substitution ``s``; Fun tokens are evaluated on
+    ``prefix``, the input read so far including the current letter."""
     fun_cache: dict = {}
     new = {}
-    for x in m.registers:
+    for x, rhs in s.items():
         parts: list = []
-        for tok in s[x]:
+        for tok in rhs:
             if isinstance(tok, Lit):
                 parts.append(tok.sym)
             elif isinstance(tok, Reg):
@@ -265,6 +266,12 @@ def _apply_update(m: SST, val: dict, q: str, a: str, prefix: Word,
                 parts.extend(fun_cache[tok.name])
         new[x] = tuple(parts)
     return new
+
+
+def _output_word(rhs, val: dict) -> Word:
+    """Value of an output expression; without a registry, function tokens
+    raise."""
+    return _apply_update({"": rhs}, val, (), None)[""]
 
 
 def register_values(m: SST, prefix, registry: Optional[FunctionRegistry] = None) -> dict:
@@ -279,7 +286,7 @@ def register_values(m: SST, prefix, registry: Optional[FunctionRegistry] = None)
     for i, a in enumerate(prefix):
         if (q, a) not in m.delta:
             raise MachineError("one-way run undefined at letter %d" % (i + 1))
-        val = _apply_update(m, val, q, a, prefix[: i + 1], registry)
+        val = _apply_update(m.update[(q, a)], val, prefix[: i + 1], registry)
         q = m.delta[(q, a)]
     return val
 
@@ -297,21 +304,14 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
     for i, a in enumerate(w):
         if (q, a) not in m.delta:
             return RunResult(REJECT, None, i, 0, tuple(tr) if trace else None)
-        val = _apply_update(m, val, q, a, w[: i + 1], registry)
+        val = _apply_update(m.update[(q, a)], val, w[: i + 1], registry)
         q = m.delta[(q, a)]
         if trace:
             tr.append(_trace_entry(i + 1, q, i + 1, (), ()))
     if q not in m.output:
         return RunResult(REJECT, None, len(w), 0, tuple(tr) if trace else None)
-    parts: list = []
-    for tok in m.output[q]:
-        if isinstance(tok, Lit):
-            parts.append(tok.sym)
-        elif isinstance(tok, Reg):
-            parts.extend(val[tok.name])
-        else:
-            raise MachineError("function token in output map")
-    return RunResult(ACCEPT, tuple(parts), len(w), 0, tuple(tr) if trace else None)
+    return RunResult(ACCEPT, _output_word(m.output[q], val), len(w), 0,
+                     tuple(tr) if trace else None)
 
 
 def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunResult:
@@ -347,31 +347,11 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
             raise MachineError("branching limit exceeded (%d)" % max_branches)
         if i == len(w):
             if q in m.output:
-                parts: list = []
-                for tok in m.output[q]:
-                    if isinstance(tok, Lit):
-                        parts.append(tok.sym)
-                    else:
-                        parts.extend(val[tok.name])
-                results.append((tuple(states), tuple(parts)))
+                results.append((tuple(states), _output_word(m.output[q], val)))
             return
         a = w[i]
         for q2 in succ.get((q, a), ()):
-            s = m.update[(q, a, q2)]
-            fun_cache: dict = {}
-            new = {}
-            for x in m.registers:
-                parts = []
-                for tok in s[x]:
-                    if isinstance(tok, Lit):
-                        parts.append(tok.sym)
-                    elif isinstance(tok, Reg):
-                        parts.extend(val[tok.name])
-                    else:
-                        if tok.name not in fun_cache:
-                            fun_cache[tok.name] = eval_fun(registry, tok.name, w[: i + 1])
-                        parts.extend(fun_cache[tok.name])
-                new[x] = tuple(parts)
+            new = _apply_update(m.update[(q, a, q2)], val, w[: i + 1], registry)
             go(q2, i + 1, states + [q2], new)
 
     for q0 in sorted(m.initial):

@@ -29,10 +29,13 @@ from .machines import (
     TwoWayTransducer,
     act_drop,
     check_layered,
+    explore,
 )
 from .layering import make_total
 
 DOT = "dot"
+# Walker states _build_walker may create.
+WALKER_STATE_LIMIT = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -106,32 +109,23 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound, prefix_mode: str,
         raise MachineError("prefix mode 'known' needs a single state")
     letters = tuple(sorted(m.input_alphabet))
 
-    colors = {}  # (q, a, x, j) -> color id
-    for (q, a) in m.update:
-        s = m.update[(q, a)]
-        for x in s:
-            for j, t in enumerate(s[x]):
-                if isinstance(t, Reg):
-                    if layer_of is not None and layer_of[t.name] == layer_of[x]:
-                        continue
-                    colors[(q, a, x, j)] = MarkedSubstitutionColor(
-                        q, a, x, j, tuple(s[x])).color_id
+    # (q, a, x, j) -> color id; same-layer references need no marker
+    colors = {
+        (c.state, c.letter, c.register, c.index): c.color_id
+        for c in marked_colors(m)
+        if layer_of is None
+        or layer_of[c.body[c.index].name] != layer_of[c.register]
+    }
 
     delta: dict = {}
     out: dict = {}
-    worklist: list = []
-    seen = set()
-
-    def ensure(state: tuple) -> str:
-        if state not in seen:
-            seen.add(state)
-            worklist.append(state)
-        return _render(state)
+    targets: list = []
 
     def put(state, symbol, color, action, target, emit=()):
         key = (_render(state), symbol, color)
-        delta[key] = (ensure(target), action)
+        delta[key] = (_render(target), action)
         out[key] = tuple(emit)
+        targets.append(target)
 
     def act_step(q, a, x, i0, fctx):
         """Emit pending letters and pick the move for the next token."""
@@ -169,7 +163,7 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound, prefix_mode: str,
             return tuple(lits), ("preacc",)
         return tuple(lits), ("cmp", toks[j].name, intern_suffix(toks[j + 1:]))
 
-    def fscan_step(qf, _i0=0):
+    def fscan_step(qf):
         lits, target = scan_output(m.output[qf])
         return lits, ACT_LEFT, target
 
@@ -213,13 +207,13 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound, prefix_mode: str,
                     put(state, a, None, ACT_RIGHT, ("dom", dom.delta[(d, a)]))
             if d in dom.accepting:
                 if prefix_mode == "known":
-                    emit, action, target = fscan_step(m.states[0], 0)
+                    emit, action, target = fscan_step(m.states[0])
                     put(state, RIGHT_END, None, action, target, emit)
                 else:
                     recover(state, RIGHT_END, ("f",))
         elif kind == "fscan":
             qf = state[1]
-            emit, action, target = fscan_step(qf, 0)
+            emit, action, target = fscan_step(qf)
             put(state, RIGHT_END, None, action, target, emit)
         elif kind == "cmp":
             _, x, fctx = state
@@ -315,21 +309,16 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound, prefix_mode: str,
         else:
             raise MachineError("unknown walker state kind %r" % kind)
 
-    init = ("dom", dom.initial)
-    ensure(init)
-    done = set()
-    while worklist:
-        state = worklist.pop(0)
-        if state in done:
-            continue
-        done.add(state)
+    def successors(state: tuple) -> list:
+        targets.clear()
         process(state)
+        return list(targets)
 
-    use_dot = any(k[0] == "dseek" for k in done)
+    init = ("dom", dom.initial)
+    found = explore([init], successors, WALKER_STATE_LIMIT, "walker build")
+    use_dot = any(k[0] == "dseek" for k in found)
     color_list = tuple(sorted(set(colors.values()))) + ((DOT,) if use_dot else ())
-    states = tuple(sorted({q for (q, _s, _c) in delta}
-                          | {q2 for (q2, _a) in delta.values()}
-                          | {_render(init), _render(("acc",))}))
+    states = tuple(sorted({_render(s) for s in found} | {_render(("acc",))}))
     return MarbleTransducer(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=states, initial=_render(init),

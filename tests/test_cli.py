@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -152,6 +153,61 @@ def test_optimize_dump_stages(tmp_path, capsys):
     assert "total.json" in names and "simple.json" in names
     for name in names:
         parse_machine(str(stages / name))
+    marble_stages = tmp_path / "marble_stages"
+    assert main(["optimize", corpus_path("pow2_marble"), "-o", str(out),
+                 "--dump-stages", str(marble_stages)]) == 0
+    capsys.readouterr()
+    names = sorted(os.listdir(marble_stages))
+    assert "crossing-sst.json" in names and "marble.json" in names
+    for name in names:
+        parse_machine(str(marble_stages / name))
+
+
+# Exit code and sha256 of the `optimize -o` machine for each corpus file (None:
+# no machine is written), so pipeline refactors keep the emitted bytes.
+# mul_marble is left out: its 56 MB output takes seconds to build.
+OPTIMIZED = {
+    "bounded_pair_sst": (0, "754385bf994358dc9873903b314801bf0e3f3a4e0226496f9fcf5a2972e1b98b"),
+    "chain_flow": (1, None),
+    "copy_two_way": (0, "6ec94cd70bb58a63076579f7d3f5d1939795a6a6b324dc76871801d23c521131"),
+    "exp_flow": (1, None),
+    "exp_marble": (4, None),
+    "exp_sst": (4, None),
+    "identity_sst": (0, "22eff83ea5a8bdd986a92040408db70a91cc2aa23de52928b5583c3a5b4f66f2"),
+    "mul_sst": (0, "526129e0c93d58eb00e76cd20bed8cde095236576e0ec71a0a4456ab2709d931"),
+    "mul_sst_copyful": (0, "526129e0c93d58eb00e76cd20bed8cde095236576e0ec71a0a4456ab2709d931"),
+    "pow2_marble": (0, "b8aa8029e691ec429e0a51d0737a746d4a9ca42d7bf6b259ed10c3c13a7ff89f"),
+    "pow2_marble_wasteful": (0, "acfd8e09a47774929abfbe44e495dbd355e65e3a7a9c90c4135c08f55416d7c1"),
+    "reverse_sst": (0, "0a342a28fc209d62ac1e8e4921cc1d96538c2b0d8db08774bb0688a26dcd458b"),
+    "reverse_sst_copyful": (0, "375187e8abb4605739d6b65e476cc05b22db2b7a56f06e44669a55281ea7c870"),
+    "reverse_two_way": (0, "3d58d1c4bfa8f0e710ea96668701193402ac4ebf127789f49a48e17ef39a76e3"),
+}
+
+
+def test_optimize_output_bytes_are_pinned(tmp_path, capsys):
+    assert set(OPTIMIZED) | {"mul_marble"} == {
+        f[:-5] for f in os.listdir(CORPUS_DIR) if f.endswith(".json")}
+    for name, (code, digest) in sorted(OPTIMIZED.items()):
+        out = tmp_path / ("%s.json" % name)
+        assert main(["optimize", corpus_path(name), "-o", str(out)]) == code, name
+        capsys.readouterr()
+        if digest is None:
+            assert not out.exists(), name
+        else:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+def test_optimize_growth_report_matches_analyze(tmp_path, capsys):
+    for name, (code, _digest) in sorted(OPTIMIZED.items()):
+        if code == 1:
+            continue  # weighted automata have no machine to optimize
+        assert main(["analyze", corpus_path(name)]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        expected.pop("minimal_marbles", None)
+        assert main(["optimize", corpus_path(name),
+                     "-o", str(tmp_path / "opt.json")]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.get("growth", doc) == expected, name
 
 
 def test_equiv_exit_codes(capsys):

@@ -15,6 +15,7 @@ from xducer.machines import (
     check_copyless,
     check_layered,
     compose_substitutions,
+    explore,
     find_copy_bound,
     identity_substitution,
     register_occurrences,
@@ -129,6 +130,20 @@ def test_bounded_witness_is_sound():
         q = m.delta[(q, a)]
     counts = register_occurrences(s)
     assert any(c > 1 for c in counts.values())
+
+
+EDGES = {0: (2, 1), 1: (3,), 2: (3, 4), 3: (0,), 4: ()}
+
+
+def test_explore_returns_breadth_first_discovery_order():
+    assert explore([0], EDGES.__getitem__, 5, "toy") == [0, 2, 1, 3, 4]
+    assert explore([1, 1, 4], EDGES.__getitem__, 5, "toy") == [1, 4, 3, 0, 2]
+
+
+def test_explore_limit_names_stage_and_limit():
+    with pytest.raises(MachineError) as exc:
+        explore([0], EDGES.__getitem__, 3, "toy closure")
+    assert "toy closure" in str(exc.value) and "3" in str(exc.value)
 
 
 def test_random_layered_iff_one_bounded():
