@@ -32,7 +32,7 @@ commands:
   validate <file>                      check structural invariants (exit 1 on violations)
   run <file> <word> [--budget N]       run the machine; prints the output word
   trace <file> <word> [--budget N]     run and print one line per step
-  convert --to {sst,marble} <file> [-o OUT] [--strategy {exact,aux}]
+  convert --to {sst,marble} <file> [-o OUT]
   analyze <file>                       growth classification as JSON
   optimize <file> [-o OUT] [--dump-stages DIR]
   equiv <a> <b> --maxlen L             bounded equivalence check
@@ -116,7 +116,7 @@ def cmd_convert(args) -> int:
             converted, out_layers = machine, None
         elif isinstance(machine, SST) and not machine.is_sstf:
             if layers is not None:
-                converted = layered_to_marble(machine, layers, strategy=args.strategy)
+                converted = layered_to_marble(machine, layers)
             else:
                 converted = sst_to_marble(machine)
             out_layers = None
@@ -228,7 +228,6 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
         p.add_argument("--to", required=True, choices=("sst", "marble"))
         p.add_argument("file")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--strategy", choices=("exact", "aux"), default="exact")
     elif command == "analyze":
         p.add_argument("file")
     elif command == "optimize":

@@ -291,19 +291,19 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
 
 
 def _topological_order(g: BarbellGraph) -> list:
+    succ: dict = {q: [] for q in g.vertices}
     indeg = {q: 0 for q in g.vertices}
-    for (_, q2) in g.edges:
+    for (q1, q2) in g.edges:
+        succ[q1].append(q2)
         indeg[q2] += 1
     order = [q for q in g.vertices if indeg[q] == 0]
     queue = deque(order)
     while queue:
-        q = queue.popleft()
-        for (q1, q2) in g.edges:
-            if q1 == q:
-                indeg[q2] -= 1
-                if indeg[q2] == 0:
-                    order.append(q2)
-                    queue.append(q2)
+        for q2 in succ[queue.popleft()]:
+            indeg[q2] -= 1
+            if indeg[q2] == 0:
+                order.append(q2)
+                queue.append(q2)
     if len(order) != len(g.vertices):
         raise MachineError("internal error: heavy cycle missed (barbell graph cyclic)")
     return order
@@ -388,20 +388,11 @@ def classify(m: NAutomaton) -> GrowthReport:
 def _polynomial_witness(t: NAutomaton, g: BarbellGraph, h: dict, k: int) -> dict:
     if k == 0:
         return {"left": (), "loops": [], "links": [], "right": ()}
-    preds: dict = {q: [] for q in g.vertices}
-    for (q1, q2) in g.edges:
-        preds[q2].append(q1)
-    parent = {}
-    for q in _topological_order(g):
-        best = None
-        for p in sorted(preds[q]):
-            if h[p] + 1 == h[q] and (best is None):
-                best = p
-        parent[q] = best
-    top = next(q for q in t.states if h[q] == k)
-    path = [top]
-    while parent[path[0]] is not None:
-        path.insert(0, parent[path[0]])
+    # walk down from a top vertex, each step to the least predecessor one lower
+    path = [next(q for q in t.states if h[q] == k)]
+    while h[path[0]] > 0:
+        path.insert(0, min(p for (p, q) in g.edges
+                           if q == path[0] and h[p] + 1 == h[q]))
     # path[0] .. path[k], one barbell per edge
     loops, links = [], []
     edge_wits = [g.edges[(path[i], path[i + 1])] for i in range(k)]

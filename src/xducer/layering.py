@@ -1184,6 +1184,6 @@ def minimize_marbles(t, dump=None) -> MarbleResult:
     res = to_k_layered(sst, dump=dump)
     if res.kind == "exponential":
         return MarbleResult("exponential", res.report)
-    machine = layered_to_marble(res.machine, res.layers, strategy="exact")
+    machine = layered_to_marble(res.machine, res.layers)
     _dump(dump, "marble", machine)
     return MarbleResult("marble", res.report, k_min=res.k, machine=machine)

@@ -19,7 +19,10 @@ from xducer.layering import (
     to_simple,
 )
 from xducer.machines import (
+    ACT_LEFT,
+    ACT_RIGHT,
     DFA,
+    LEFT_END,
     Lit,
     NAutomaton,
     Reg,
@@ -38,13 +41,7 @@ from xducer.semantics import (
     run_sst,
     run_two_way,
 )
-from xducer.sst2mt import (
-    EXACT,
-    layered_to_marble,
-    prefix_state_gadget,
-    run_gadget,
-    sst_to_marble,
-)
+from xducer.sst2mt import layered_to_marble, lookbehind_step, sst_to_marble
 
 
 def report(number, text):
@@ -119,7 +116,7 @@ def test_criterion_02_conversion_round_trips():
 
 def test_criterion_03_layered_conversion_depths():
     mul = corpus.mul_sst()
-    machine = layered_to_marble(mul, corpus.MUL_LAYERS, strategy=EXACT)
+    machine = layered_to_marble(mul, corpus.MUL_LAYERS)
     assert equiv_check(machine, mul, 5).equivalent
     depth = 0
     for w in words_up_to(mul.input_alphabet, 5, cap=3000):
@@ -129,7 +126,7 @@ def test_criterion_03_layered_conversion_depths():
     assert depth <= 1
 
     rev = corpus.reverse_sst()
-    flat = layered_to_marble(rev, (rev.registers,), strategy=EXACT)
+    flat = layered_to_marble(rev, (rev.registers,))
     assert equiv_check(flat, rev, 5).equivalent
     for w in words_up_to(rev.input_alphabet, 5, cap=3000):
         r = run_marble(flat, w)
@@ -277,7 +274,7 @@ def test_criterion_08_membership_end_to_end():
     assert res.kind == "layered" and res.k == 1
     assert check_layered(res.machine, res.layers) == []
     assert equiv_check(res.machine, corpus.mul_sst_copyful(), 5).equivalent
-    marble = layered_to_marble(res.machine, res.layers, strategy=EXACT)
+    marble = layered_to_marble(res.machine, res.layers)
     assert equiv_check(marble, corpus.mul_sst_copyful(), 5).equivalent
     for w in words_up_to(("a", "b", "#", "0"), 5, cap=3000):
         r = run_marble(marble, w)
@@ -290,7 +287,7 @@ def test_criterion_08_membership_end_to_end():
     assert res.kind == "layered" and res.k == 0
     assert check_copyless(res.machine) == []
     assert equiv_check(res.machine, corpus.reverse_sst_copyful(), 5).equivalent
-    marble = layered_to_marble(res.machine, res.layers, strategy=EXACT)
+    marble = layered_to_marble(res.machine, res.layers)
     assert equiv_check(marble, corpus.reverse_sst_copyful(), 5).equivalent
     assert not any(action[0] == "drop" for _t, action in marble.delta.values())
     assert time.monotonic() - start < 120
@@ -327,24 +324,35 @@ def test_criterion_09_external_function_chain():
 
 
 def test_criterion_10_prefix_gadget_contract():
+    """The walker's lookbehind recovers the one-way state at every landing
+    position of every word, never moving right of it."""
     rng = random.Random(1013)
     dfas = []
-    while len(dfas) < 3:
+    while len(dfas) < 6:
         n = rng.randint(1, 4)
         states = tuple("s%d" % i for i in range(n))
         delta = {(q, a): rng.choice(states)
                  for q in states for a in ("a", "b")}
         dfas.append(DFA(("a", "b"), states, states[0], delta,
                         frozenset({states[-1]})))
-    pairs = 0
+    long_words = ["".join(rng.choice("ab") for _ in range(rng.randint(200, 300)))
+                  for _ in range(2)]
+    pairs = starts = 0
     for d in dfas:
-        gadget = prefix_state_gadget(d, max_len=64)
-        for w in words_up_to(("a", "b"), 8, cap=10 ** 6):
-            for m in range(1, len(w) + 2):
-                got, _lo, hi, _steps = run_gadget(gadget, w, m)
-                want = d.initial
-                for a in w[:m - 1]:
-                    want = d.delta[(want, a)]
-                assert got == want and hi <= m, (w, m)
+        for w in list(words_up_to(("a", "b"), 8, cap=10 ** 6)) + long_words:
+            for pos in range(1, len(w) + 1):
+                state = ("land", d.run(w[:pos]))
+                head = pos
+                while True:
+                    move, state = lookbehind_step(
+                        d, state, w[head - 1] if head else LEFT_END)
+                    if move is None:
+                        break
+                    head += 1 if move == ACT_RIGHT else -1
+                    starts += head == 0
+                    assert move in (ACT_LEFT, ACT_RIGHT) and 0 <= head <= pos, (w, pos)
+                assert head == pos and state == d.run(w[:pos - 1]), (w, pos)
                 pairs += 1
-    report(10, "gadget contract verified on %d (word, position) pairs" % pairs)
+    assert starts > 0, "no walk went back to the left endmarker"
+    report(10, "lookbehind contract verified on %d (word, position) pairs, "
+               "%d walks back to the tape start" % (pairs, starts))

@@ -2,8 +2,8 @@
 
 These are the heaviest regression guards: every randomly generated machine
 must survive layer minimization (equivalent, layered, with the degree-derived
-layer count), and a sample is walked back to marble machines under both
-strategies with their depth bounds checked.
+layer count), and a sample is walked back to marble machines with their depth
+bounds checked on short words and their outputs on long ones.
 """
 
 import random
@@ -25,8 +25,8 @@ from xducer.machines import (
 )
 from xducer.mt2sst import marble_to_sst
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import run_marble
-from xducer.sst2mt import AUX_MARBLE, EXACT, layered_to_marble
+from xducer.semantics import run_marble, run_sst
+from xducer.sst2mt import layered_to_marble
 
 
 def random_sst(rng) -> SST:
@@ -81,24 +81,31 @@ def test_random_layered_machines_walk_back_to_marbles():
     rng = random.Random(777)
     walked = 0
     trial = 0
-    while walked < 12 and trial < 200:
+    while walked < 24 and trial < 200:
         trial += 1
         m = random_sst(rng)
         res = to_k_layered(m)
-        if res.kind != "layered" or len(res.machine.states) > 40:
+        if res.kind != "layered":
             continue
         walked += 1
         k = len(res.layers) - 1
-        for strategy, slack in ((EXACT, 0), (AUX_MARBLE, 1)):
-            machine = layered_to_marble(res.machine, res.layers,
-                                        strategy=strategy)
-            verdict = equiv_check(machine, m, 3)
-            assert verdict.equivalent, (trial, strategy, verdict.counterexample)
-            for w in words_up_to(m.input_alphabet, 3, cap=100):
-                r = run_marble(machine, w)
-                if r.accepted:
-                    assert r.max_stack_depth <= k + slack, (trial, strategy, w)
-    assert walked == 12
+        machine = layered_to_marble(res.machine, res.layers)
+        verdict = equiv_check(machine, m, 3)
+        assert verdict.equivalent, (trial, verdict.counterexample)
+        for w in words_up_to(m.input_alphabet, 3, cap=100):
+            r = run_marble(machine, w)
+            if r.accepted:
+                assert r.max_stack_depth <= k, (trial, w)
+        # long words, against the layered machine: the source may carry
+        # exponentially growing dead registers
+        for _ in range(2):
+            w = [rng.choice(m.input_alphabet) for _ in range(rng.randint(70, 120))]
+            want = run_sst(res.machine, w)
+            got = run_marble(machine, w, budget=10 ** 8)
+            assert got.verdict == want.verdict, (trial, len(w))
+            assert got.output == want.output, (trial, len(w))
+            assert got.max_stack_depth <= k, (trial, len(w))
+    assert walked == 24
 
 
 def random_marble(rng) -> MarbleTransducer:

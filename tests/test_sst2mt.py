@@ -1,20 +1,25 @@
-import random
-
 import pytest
 
 from xducer import corpus
-from xducer.machines import DFA, Lit, MachineError, Reg, validate
+from xducer.layering import minimize_marbles
+from xducer.machines import (
+    ACT_LEFT,
+    ACT_RIGHT,
+    DFA,
+    LEFT_END,
+    Lit,
+    MachineError,
+    Reg,
+    validate,
+)
 from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import run_marble, run_two_way
 from xducer.sst2mt import (
-    AUX_MARBLE,
-    EXACT,
     as_two_way,
     layered_to_marble,
+    lookbehind_step,
     marked_colors,
     marked_variants,
-    prefix_state_gadget,
-    run_gadget,
     sst_to_marble,
 )
 
@@ -73,20 +78,14 @@ def max_depth(machine, maxlen, cap=4000):
 
 
 def test_layered_exact_mul():
-    mm = layered_to_marble(corpus.mul_sst(), corpus.MUL_LAYERS, strategy=EXACT)
+    mm = layered_to_marble(corpus.mul_sst(), corpus.MUL_LAYERS)
     assert equiv_check(mm, corpus.mul_sst(), 5).equivalent
     assert max_depth(mm, 5) <= 1
 
 
-def test_layered_aux_mul():
-    mm = layered_to_marble(corpus.mul_sst(), corpus.MUL_LAYERS, strategy=AUX_MARBLE)
-    assert equiv_check(mm, corpus.mul_sst(), 5).equivalent
-    assert max_depth(mm, 5) <= 2
-
-
 def test_layered_exact_copyless_reverse_is_two_way():
     rev = corpus.reverse_sst()
-    mm = layered_to_marble(rev, (rev.registers,), strategy=EXACT)
+    mm = layered_to_marble(rev, (rev.registers,))
     assert equiv_check(mm, rev, 4).equivalent
     assert max_depth(mm, 4) == 0
     assert not any(action[0] == "drop" for _t, action in mm.delta.values())
@@ -95,16 +94,21 @@ def test_layered_exact_copyless_reverse_is_two_way():
 
 
 def test_layered_exact_long_inputs_until_counter_bound():
-    mm = layered_to_marble(corpus.mul_sst(), corpus.MUL_LAYERS, strategy=EXACT)
-    from xducer.semantics import run_sst
-
-    for w in ("ab#" + "0" * 30, "abbaab#" + "0" * 20, "ab#" + "0" * 60):
-        want = run_sst(corpus.mul_sst(), w)
-        got = run_marble(mm, w, budget=10 ** 7)
-        assert got.accepted and got.output == want.output
-        assert got.max_stack_depth <= 1
-    # beyond the counting bound: reject, never a wrong answer
-    assert run_marble(mm, "ab#" + "0" * 80, budget=10 ** 7).verdict == "reject"
+    """Minimized walkers match their sources far beyond any fixed length,
+    within the minimal mark count."""
+    cases = [
+        (corpus.mul_marble(), ["ab#" + "0" * n for n in
+                               list(range(13)) + list(range(60, 67)) + [100, 200]]),
+        (corpus.pow2_marble(), ["a" * n for n in (63, 64, 65, 70, 100)]),
+    ]
+    for source, words in cases:
+        res = minimize_marbles(source)
+        for w in words:
+            want = run_marble(source, w, budget=10 ** 7)
+            got = run_marble(res.machine, w, budget=10 ** 7)
+            assert want.accepted and got.accepted, len(w)
+            assert got.output == want.output, len(w)
+            assert got.max_stack_depth <= res.k_min, len(w)
 
 
 def test_layered_requires_valid_partition():
@@ -117,44 +121,21 @@ def test_as_two_way_refuses_marble_users():
         as_two_way(corpus.mul_marble())
 
 
-def random_dfas(count, seed=31):
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, 4)
-        states = tuple("s%d" % i for i in range(n))
-        alphabet = ("a", "b")
-        delta = {(q, a): rng.choice(states) for q in states for a in alphabet}
-        yield DFA(alphabet, states, states[0], delta, frozenset({states[-1]}))
-
-
-def test_prefix_state_gadget_contract():
-    for d in random_dfas(3):
-        gadget = prefix_state_gadget(d, max_len=64)
-        for w in words_up_to(d.alphabet, 8, cap=10 ** 6):
-            for m in range(1, len(w) + 2):
-                got, lo, hi, _steps = run_gadget(gadget, w, m)
-                want = d.initial
-                for a in w[:m - 1]:
-                    want = d.delta[(want, a)]
-                assert got == want, (w, m)
-                assert hi <= m, "gadget moved right of its entry point"
-                assert lo >= 0
-
-
-def test_prefix_state_gadget_trivial_cases():
-    d = DFA(("a",), ("only",), "only", {("only", "a"): "only"},
-            frozenset({"only"}))
-    g = prefix_state_gadget(d)
-    assert run_gadget(g, "aaa", 3)[0] == "only"
-    d2 = next(iter(random_dfas(1)))
-    g2 = prefix_state_gadget(d2)
-    assert run_gadget(g2, "ab", 1)[0] == d2.initial  # empty strict prefix
-
-
-def test_prefix_state_gadget_length_bound():
-    d = DFA(("a",), ("e", "o"), "e",
-            {("e", "a"): "o", ("o", "a"): "e"}, frozenset({"e"}))
-    g = prefix_state_gadget(d, max_len=4)
-    assert run_gadget(g, "aaa", 4)[0] == "o"
-    with pytest.raises(MachineError):
-        run_gadget(g, "a" * 10, 9)
+def test_lookbehind_trivial_cases():
+    only = DFA(("a",), ("o",), "o", {("o", "a"): "o"}, frozenset({"o"}))
+    # a single state is its own only pre-image: resolved without moving
+    assert lookbehind_step(only, ("land", "o"), "a") == (None, "o")
+    assert lookbehind_step(only, ("land", "o"), LEFT_END) is None
+    # a swaps e and o, b sends both to e: landing on the b of "aab" leaves two
+    # candidates, and the a's never narrow them, so the walk reaches the start
+    flip = DFA(("a", "b"), ("e", "o"), "e",
+               {("e", "a"): "o", ("o", "a"): "e", ("e", "b"): "e", ("o", "b"): "e"},
+               frozenset({"e"}))
+    state = ("land", "e")
+    steps = [(ACT_LEFT, "b"), (ACT_LEFT, "a"), (ACT_LEFT, "a"),
+             (ACT_RIGHT, LEFT_END), (ACT_RIGHT, "a"), (ACT_RIGHT, "a")]
+    for move, symbol in steps:
+        got, state = lookbehind_step(flip, state, symbol)
+        assert got == move, (symbol, state)
+    assert state[0] == "fwd"
+    assert lookbehind_step(flip, state, "b") == (None, flip.run("aa"))
