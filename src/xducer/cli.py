@@ -68,6 +68,14 @@ def _print_json(doc, pretty: bool) -> None:
         print(json.dumps(doc, sort_keys=True, ensure_ascii=False))
 
 
+def _load(path: str):
+    """Parse a machine file; a two-way transducer becomes a marble machine."""
+    machine, layers = parse_machine(path)
+    if isinstance(machine, TwoWayTransducer):
+        machine = two_way_to_marble(machine)
+    return machine, layers
+
+
 def cmd_validate(args) -> int:
     try:
         machine, _layers = parse_machine(args.file, check=False)
@@ -98,10 +106,8 @@ def cmd_run(args, trace: bool = False) -> int:
 
 
 def cmd_convert(args) -> int:
-    machine, layers = parse_machine(args.file)
+    machine, layers = _load(args.file)
     if args.to == "sst":
-        if isinstance(machine, TwoWayTransducer):
-            machine = two_way_to_marble(machine)
         if isinstance(machine, MarbleTransducer):
             converted, out_layers = marble_to_sst(machine), None
         elif isinstance(machine, SST):
@@ -110,9 +116,7 @@ def cmd_convert(args) -> int:
             raise MachineError("cannot convert %s to a register machine"
                                % type(machine).__name__)
     else:
-        if isinstance(machine, TwoWayTransducer):
-            converted, out_layers = two_way_to_marble(machine), None
-        elif isinstance(machine, MarbleTransducer):
+        if isinstance(machine, MarbleTransducer):
             converted, out_layers = machine, None
         elif isinstance(machine, SST) and not machine.is_sstf:
             if layers is not None:
@@ -139,9 +143,7 @@ def _analyze(machine):
         if report.kind == "polynomial":
             doc["minimal_marbles"] = max(report.degree - 1, 0)
         return doc
-    if isinstance(machine, TwoWayTransducer):
-        machine = marble_to_sst(two_way_to_marble(machine))
-    elif isinstance(machine, MarbleTransducer):
+    if isinstance(machine, MarbleTransducer):
         machine = marble_to_sst(machine)
     if not isinstance(machine, SST) or machine.is_sstf:
         raise MachineError("cannot analyze this machine kind")
@@ -153,18 +155,16 @@ def _analyze(machine):
 
 
 def cmd_analyze(args) -> int:
-    machine, _layers = parse_machine(args.file)
+    machine, _layers = _load(args.file)
     _print_json(_analyze(machine), args.pretty)
     return 0
 
 
 def cmd_optimize(args) -> int:
-    machine, _layers = parse_machine(args.file)
+    machine, _layers = _load(args.file)
     dump = args.dump_stages
     if dump:
         os.makedirs(dump, exist_ok=True)
-    if isinstance(machine, TwoWayTransducer):
-        machine = two_way_to_marble(machine)
     if isinstance(machine, MarbleTransducer):
         res = minimize_marbles(machine, dump=dump)
         if res.kind == "exponential":

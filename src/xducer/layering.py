@@ -37,7 +37,9 @@ SINK = "__sink"
 # Resource limits; each raises a MachineError naming its stage.
 VALUATION_STATE_LIMIT = 20000      # remove_bounded_layer
 PROFILE_LIMIT = 200000             # bounded_sstf_to_unambiguous
-DETERMINIZATION_STATE_LIMIT = 200000  # determinize_nsstf
+# determinize_nsstf: states x slot registers, since every state carries a
+# substitution of all slot registers.
+DETERMINIZATION_SIZE_LIMIT = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -913,8 +915,10 @@ def determinize_nsstf(m: NSSTF) -> SST:
             update[(here, a)] = sub
             yield new_forest
 
-    order = explore([init_forest], successors, DETERMINIZATION_STATE_LIMIT,
-                    "determinization")
+    order = explore([init_forest], successors,
+                    DETERMINIZATION_SIZE_LIMIT // max(len(registers), 1),
+                    "determinization (%d slot registers, states x registers"
+                    " at most %d)" % (len(registers), DETERMINIZATION_SIZE_LIMIT))
     return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=tuple(names[f] for f in order), registers=registers,
@@ -1173,12 +1177,9 @@ class MarbleResult:
 
 def minimize_marbles(t, dump=None) -> MarbleResult:
     """Rebuild a marble transducer with the least possible mark count."""
-    from .mt2sst import marble_to_sst, two_way_to_marble
+    from .mt2sst import marble_to_sst
     from .sst2mt import layered_to_marble
-    from .machines import TwoWayTransducer
 
-    if isinstance(t, TwoWayTransducer):
-        t = two_way_to_marble(t)
     sst = marble_to_sst(t)
     _dump(dump, "crossing-sst", sst)
     res = to_k_layered(sst, dump=dump)

@@ -19,6 +19,7 @@ from .machines import (
     Reg,
     RIGHT_END,
     SST,
+    TwoWayTransducer,
     explore,
     validate,
 )
@@ -140,36 +141,6 @@ def exit_fixpoint(t: MarbleTransducer, f: dict) -> Derivation:
     return _solve(t, f, RIGHT_END, accepting_exit=True)
 
 
-def boundary_summary(t: MarbleTransducer, q: str):
-    """Run from (q, position 0, empty stack) to the first visit of position 1.
-
-    Only the left endmarker is visible; at most one marble can sit on it, so
-    configurations are (state, color-or-None) and loops are detected exactly.
-    Returns (state, output word) or (None, ()) when position 1 is never
-    reached.
-    """
-    state, color = q, None
-    out: list = []
-    seen = {(state, color)}
-    while True:
-        key = (state, LEFT_END, color)
-        if key not in t.delta:
-            return None, ()
-        q2, (akind, acolor) = t.delta[key]
-        out.extend(t.out[key])
-        if akind == "right":
-            return q2, tuple(out)
-        if akind == "left":
-            return None, ()  # blocked against the tape start
-        if akind == "drop":
-            state, color = q2, acolor
-        elif akind == "lift":
-            state, color = q2, None
-        if (state, color) in seen:
-            return None, ()
-        seen.add((state, color))
-
-
 FIRST_REG = "first"
 # Reachable crossing summaries marble_to_sst may build.
 CROSSING_STATE_LIMIT = 50000
@@ -203,13 +174,15 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
 
     registers = (FIRST_REG,) + tuple(_next_reg(q) for q in t.states)
 
-    base = {q: boundary_summary(t, q) for q in t.states}
-    first0 = base[t.initial][0]
-    next0 = tuple((q, base[q][0]) for q in t.states)
+    # The summary before any letter: first crossings from ⊢ to position 1,
+    # with nothing left of ⊢ to call into, so every token is a constant.
+    base = crossing_fixpoint(t, {q: None for q in t.states}, LEFT_END)
+    first0 = base.result(t.initial, None)
+    next0 = tuple((q, base.result(q, None)) for q in t.states)
     init_state = (first0, next0)
-    init_valuation = {FIRST_REG: base[t.initial][1]}
-    for q in t.states:
-        init_valuation[_next_reg(q)] = base[q][1]
+    init_valuation = {
+        r: tuple(b for _const, word in base.tokens(q, None) for b in word)
+        for r, q in zip(registers, (t.initial,) + t.states)}
 
     names = {init_state: "cs0"}
     letters = sorted(t.input_alphabet)
@@ -258,8 +231,6 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
 
 def two_way_to_marble(t) -> MarbleTransducer:
     """Embed a two-way transducer as a marble transducer with no colors."""
-    from .machines import TwoWayTransducer
-
     if not isinstance(t, TwoWayTransducer):
         raise MachineError("expected a two-way transducer")
     delta = {}

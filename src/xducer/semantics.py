@@ -11,7 +11,6 @@ from .machines import (
     Lit,
     MachineError,
     MarbleTransducer,
-    MOVE_RIGHT,
     NAutomaton,
     NSSTF,
     Reg,
@@ -22,6 +21,7 @@ from .machines import (
     Word,
     as_word,
 )
+from .mt2sst import two_way_to_marble
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -57,14 +57,6 @@ def default_budget(n_states: int, word_len: int) -> int:
     return min(raw, BUDGET_CAP)
 
 
-def _symbol_at(w: Word, pos: int) -> str:
-    if pos == 0:
-        return LEFT_END
-    if pos == len(w) + 1:
-        return RIGHT_END
-    return w[pos - 1]
-
-
 def _check_alphabet(m, w: Word) -> None:
     bad = [a for a in w if a not in m.input_alphabet]
     if bad:
@@ -90,54 +82,14 @@ def format_trace(result: RunResult) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Two-way transducers
+# Two-way and marble transducers
 # ---------------------------------------------------------------------------
 
 
 def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
                 trace: bool = False) -> RunResult:
-    """Run to the first configuration (q, |w|+1) with q final.
-
-    Two-way configuration spaces are finite, so revisiting a configuration is
-    reported as LOOP.  The run halts and accepts as soon as the accepting
-    configuration is reached.
-    """
-    w = as_word(w)
-    _check_alphabet(t, w)
-    if budget is None:
-        budget = default_budget(len(t.states), len(w))
-    state, pos = t.initial, 0
-    steps = 0
-    emitted: list = []
-    seen = {(state, pos)}
-    tr = [_trace_entry(0, state, pos, (), ())] if trace else None
-    while True:
-        if pos == len(w) + 1 and state in t.finals:
-            return RunResult(ACCEPT, tuple(emitted), steps, 0,
-                             tuple(tr) if trace else None)
-        if steps >= budget:
-            return RunResult(BUDGET, None, steps, 0, tuple(tr) if trace else None)
-        key = (state, _symbol_at(w, pos))
-        if key not in t.delta:
-            return RunResult(REJECT, None, steps, 0, tuple(tr) if trace else None)
-        state2, move = t.delta[key]
-        pos2 = pos + 1 if move == MOVE_RIGHT else pos - 1
-        if pos2 < 0 or pos2 > len(w) + 1:
-            return RunResult(REJECT, None, steps, 0, tuple(tr) if trace else None)
-        out = t.out[key]
-        emitted.extend(out)
-        state, pos = state2, pos2
-        steps += 1
-        if trace:
-            tr.append(_trace_entry(steps, state, pos, (), out))
-        if (state, pos) in seen:
-            return RunResult(LOOP, None, steps, 0, tuple(tr) if trace else None)
-        seen.add((state, pos))
-
-
-# ---------------------------------------------------------------------------
-# Marble transducers
-# ---------------------------------------------------------------------------
+    """Run a two-way transducer as the marble machine that drops no marbles."""
+    return run_marble(two_way_to_marble(t), w, budget=budget, trace=trace)
 
 
 def _check_stack(stack: tuple, head: int) -> None:
@@ -159,10 +111,15 @@ def marble_step(t: MarbleTransducer, w: Word, cfg: tuple):
     """
     state, pos, stack = cfg
     color = stack[0][0] if stack and stack[0][1] == pos else None
-    key = (state, _symbol_at(w, pos), color)
-    if key not in t.delta:
+    if 0 < pos <= len(w):
+        symbol = w[pos - 1]
+    else:
+        symbol = LEFT_END if pos == 0 else RIGHT_END
+    key = (state, symbol, color)
+    move = t.delta.get(key)
+    if move is None:
         return None
-    state2, (akind, acolor) = t.delta[key]
+    state2, (akind, acolor) = move
     out = t.out[key]
     if akind == "left":
         if pos - 1 < 0:
@@ -186,45 +143,55 @@ def marble_step(t: MarbleTransducer, w: Word, cfg: tuple):
 
 
 def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
-               trace: bool = False, detect_loops: bool = False) -> RunResult:
+               trace: bool = False, detect_loops: bool = True) -> RunResult:
     """Simulate the stack-disciplined transition relation.
 
     Accepts on the first configuration (q, |w|+1, empty stack) with q final.
-    Loop detection hashes every visited configuration and is opt-in, since
-    marble configuration counts are exponential; the default guard is the
-    step budget alone.
+    Every run ends in accept, reject, loop or budget.  Each stack frame keeps
+    a seen set of (state, head) pairs: a drop opens one, a lift resumes the
+    one below.  A looping run repeats the configuration of least height on
+    its cycle within one open frame, so every loop is found.
+    ``detect_loops`` is accepted for compatibility and has no effect.
     """
     w = as_word(w)
     _check_alphabet(t, w)
     if budget is None:
         budget = default_budget(len(t.states), len(w))
-    cfg = (t.initial, 0, ())
+    end = len(w) + 1
+    state, pos, stack = t.initial, 0, ()
     steps = 0
     depth = 0
     emitted: list = []
-    seen = {cfg} if detect_loops else None
-    tr = [_trace_entry(0, cfg[0], cfg[1], (), ())] if trace else None
+    seen = {(state, pos)}
+    below: list = []  # seen sets of the frames under the open one
+    tr = [_trace_entry(0, state, pos, (), ())] if trace else None
     while True:
-        state, pos, stack = cfg
-        _check_stack(stack, pos)
-        if pos == len(w) + 1 and not stack and state in t.finals:
+        if stack:
+            _check_stack(stack, pos)
+        if pos == end and not stack and state in t.finals:
             return RunResult(ACCEPT, tuple(emitted), steps, depth,
                              tuple(tr) if trace else None)
         if steps >= budget:
             return RunResult(BUDGET, None, steps, depth, tuple(tr) if trace else None)
-        res = marble_step(t, w, cfg)
+        res = marble_step(t, w, (state, pos, stack))
         if res is None:
             return RunResult(REJECT, None, steps, depth, tuple(tr) if trace else None)
-        cfg, out = res
+        (state, pos, stack2), out = res
         emitted.extend(out)
         steps += 1
-        depth = max(depth, len(cfg[2]))
+        if stack2 is not stack:
+            if len(stack2) > len(stack):
+                below.append(seen)
+                seen = set()
+                depth = max(depth, len(stack2))
+            else:
+                seen = below.pop()
+            stack = stack2
         if trace:
-            tr.append(_trace_entry(steps, cfg[0], cfg[1], cfg[2], out))
-        if seen is not None:
-            if cfg in seen:
-                return RunResult(LOOP, None, steps, depth, tuple(tr) if trace else None)
-            seen.add(cfg)
+            tr.append(_trace_entry(steps, state, pos, stack, out))
+        if (state, pos) in seen:
+            return RunResult(LOOP, None, steps, depth, tuple(tr) if trace else None)
+        seen.add((state, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +214,11 @@ def eval_fun(registry: Optional[FunctionRegistry], name: str, prefix: Word) -> W
     return res.output
 
 
-def _apply_update(s: Substitution, val: dict, prefix: Word,
+def _apply_update(s: Substitution, val: dict, w: Word, read: int,
                   registry: Optional[FunctionRegistry]) -> dict:
     """Valuation after substitution ``s``; Fun tokens are evaluated on
-    ``prefix``, the input read so far including the current letter."""
+    ``w[:read]``, the input read so far including the current letter, which
+    is sliced only when a Fun token needs it."""
     fun_cache: dict = {}
     new = {}
     for x, rhs in s.items():
@@ -262,7 +230,7 @@ def _apply_update(s: Substitution, val: dict, prefix: Word,
                 parts.extend(val[tok.name])
             else:
                 if tok.name not in fun_cache:
-                    fun_cache[tok.name] = eval_fun(registry, tok.name, prefix)
+                    fun_cache[tok.name] = eval_fun(registry, tok.name, w[:read])
                 parts.extend(fun_cache[tok.name])
         new[x] = tuple(parts)
     return new
@@ -271,7 +239,7 @@ def _apply_update(s: Substitution, val: dict, prefix: Word,
 def _output_word(rhs, val: dict) -> Word:
     """Value of an output expression; without a registry, function tokens
     raise."""
-    return _apply_update({"": rhs}, val, (), None)[""]
+    return _apply_update({"": rhs}, val, (), 0, None)[""]
 
 
 def register_values(m: SST, prefix, registry: Optional[FunctionRegistry] = None) -> dict:
@@ -286,7 +254,7 @@ def register_values(m: SST, prefix, registry: Optional[FunctionRegistry] = None)
     for i, a in enumerate(prefix):
         if (q, a) not in m.delta:
             raise MachineError("one-way run undefined at letter %d" % (i + 1))
-        val = _apply_update(m.update[(q, a)], val, prefix[: i + 1], registry)
+        val = _apply_update(m.update[(q, a)], val, prefix, i + 1, registry)
         q = m.delta[(q, a)]
     return val
 
@@ -304,7 +272,7 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
     for i, a in enumerate(w):
         if (q, a) not in m.delta:
             return RunResult(REJECT, None, i, 0, tuple(tr) if trace else None)
-        val = _apply_update(m.update[(q, a)], val, w[: i + 1], registry)
+        val = _apply_update(m.update[(q, a)], val, w, i + 1, registry)
         q = m.delta[(q, a)]
         if trace:
             tr.append(_trace_entry(i + 1, q, i + 1, (), ()))
@@ -351,7 +319,7 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
             return
         a = w[i]
         for q2 in succ.get((q, a), ()):
-            new = _apply_update(m.update[(q, a, q2)], val, w[: i + 1], registry)
+            new = _apply_update(m.update[(q, a, q2)], val, w, i + 1, registry)
             go(q2, i + 1, states + [q2], new)
 
     for q0 in sorted(m.initial):

@@ -30,7 +30,6 @@ from .machines import (
     Reg,
     RIGHT_END,
     SST,
-    TwoWayTransducer,
     act_drop,
     check_layered,
     explore,
@@ -307,18 +306,3 @@ def layered_to_marble(m: SST, layers: Sequence[Sequence[str]]) -> MarbleTransduc
     level = {x: i for i, layer in enumerate(layers) for x in layer}
     return _build_walker(total, dom, layer_of=level, bound=len(layers) - 1)
 
-
-def as_two_way(t: MarbleTransducer) -> TwoWayTransducer:
-    """Forget the marble machinery of a machine that never uses it."""
-    delta = {}
-    out = {}
-    for (q, s, c), (q2, (akind, _payload)) in t.delta.items():
-        if c is not None or akind in ("lift", "drop"):
-            raise MachineError("machine really uses marbles")
-        delta[(q, s)] = (q2, akind)
-        out[(q, s)] = t.out[(q, s, c)]
-    return TwoWayTransducer(
-        input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,
-        states=t.states, initial=t.initial, finals=t.finals,
-        delta=delta, out=out,
-    )

@@ -214,6 +214,33 @@ def test_equiv_exit_codes(capsys):
     assert code == 2 and doc["counterexample"]["word"] == ["a"]
 
 
+def looping_mul_marble(path):
+    """mul_marble with a ping-pong between ``a`` and ``#`` in state m1."""
+    m = corpus.mul_marble()
+    delta = dict(m.delta)
+    delta[("m1", "#", None)] = ("m1", ("left", None))
+    delta[("m1", "a", None)] = ("m1", ("right", None))
+    emit_machine(type(m)(
+        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
+        states=m.states, initial=m.initial, finals=m.finals, colors=m.colors,
+        delta=delta, out=m.out,
+    ), path)
+    return path
+
+
+def test_looping_runs_get_definite_answers(tmp_path, capsys):
+    looping = looping_mul_marble(str(tmp_path / "loop.json"))
+    assert main(["run", looping, "a#0"]) == 2
+    assert capsys.readouterr().err.strip() == "machine loops on this input"
+    sst = str(tmp_path / "loop.sst.json")
+    assert main(["convert", "--to", "sst", looping, "-o", sst]) == 0
+    assert main(["equiv", looping, sst, "--maxlen", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "equivalent"
+    assert main(["equiv", looping, corpus_path("mul_marble"), "--maxlen", "4"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["counterexample"] == {"word": ["#"], "first": None, "second": []}
+
+
 def test_unknown_command_and_io_errors(capsys):
     assert main(["frobnicate"]) == 64
     capsys.readouterr()

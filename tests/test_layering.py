@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xducer import corpus
+from xducer import corpus, layering
 from xducer.growth import flow_automaton, is_simple
 from xducer.layering import (
     bounded_sstf_to_unambiguous,
@@ -327,6 +327,19 @@ def test_determinize_slot_budget_respected():
     max_slots = 2 * len(n.states) - 1
     per_slot = 2 * len(n.registers)
     assert len(det.registers) <= max_slots * per_slot
+
+
+def test_determinization_size_limit(monkeypatch):
+    total, _ = make_total(corpus.bounded_pair_sst())
+    n = bounded_sstf_to_unambiguous(total, 2)
+    det = determinize_nsstf(n)
+    size = len(det.states) * len(det.registers)
+    monkeypatch.setattr(layering, "DETERMINIZATION_SIZE_LIMIT", size)
+    assert determinize_nsstf(n) == det
+    monkeypatch.setattr(layering, "DETERMINIZATION_SIZE_LIMIT", size - 1)
+    with pytest.raises(MachineError, match=r"^determinization \(%d slot registers, "
+                       r"states x registers at most %d\)" % (len(det.registers), size - 1)):
+        determinize_nsstf(n)
 
 
 # ---------------------------------------------------------------------------

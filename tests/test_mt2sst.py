@@ -14,7 +14,6 @@ from xducer.machines import (
 from xducer.mt2sst import (
     CALL,
     CONST,
-    boundary_summary,
     crossing_fixpoint,
     exit_fixpoint,
     marble_to_sst,
@@ -86,14 +85,20 @@ def test_exit_fixpoint_accepts_finals_immediately():
     assert deriv.entries[("q", None)] == ("q", ())
 
 
+def boundary(t):
+    """The first crossing from ⊢ to position 1 of every entry state."""
+    return crossing_fixpoint(t, {q: None for q in t.states}, LEFT_END)
+
+
 def test_boundary_summary():
     t = corpus.exp_marble()
-    state, out = boundary_summary(t, "s0")
-    assert state == "s1" and out == ()
+    assert boundary(t).entries[("s0", None)] == ("s1", ())
     looper = fragment({("q", LEFT_END, None): ("q2", act_drop("c"), ()),
                        ("q2", LEFT_END, "c"): ("q", ACT_LIFT, ())},
                       states=("q", "q2"))
-    assert boundary_summary(looper, "q") == (None, ())
+    assert boundary(looper).entries[("q", None)] == (None, ())
+    blocked = fragment({("q", LEFT_END, None): ("q", ACT_LEFT, ())}, states=("q",))
+    assert boundary(blocked).entries[("q", None)] == (None, ())
 
 
 CORPUS_MARBLE = [
@@ -171,16 +176,18 @@ def test_crossing_summaries_match_interpreter(name, build):
     """Each derivation entry predicts the first crossing of the next cell."""
     t = build()
     words = [w for w in words_up_to(t.input_alphabet, 3, cap=200)]
+    start = boundary(t)
     for w in words:
         for m in range(len(w)):
             f = {}
             outputs = {}
             for q in t.states:
+                got = first_crossing(t, w, (q, m, ()), m + 1)
+                f[q], outputs[q] = got if got else (None, ())
                 if m == 0:
-                    f[q], outputs[q] = boundary_summary(t, q)
-                else:
-                    got = first_crossing(t, w, (q, m, ()), m + 1)
-                    f[q], outputs[q] = got if got else (None, ())
+                    res, toks = start.entries[(q, None)]
+                    assert (res, tuple(b for _k, p in toks for b in p)) \
+                        == (f[q], outputs[q]), (name, q)
             deriv = crossing_fixpoint(t, f, w[m])
             for q in t.states:
                 for c in (None,) + tuple(t.colors):

@@ -7,6 +7,7 @@ bounds checked on short words and their outputs on long ones.
 """
 
 import random
+from collections import Counter
 
 from xducer.layering import to_k_layered
 from xducer.machines import (
@@ -25,7 +26,7 @@ from xducer.machines import (
 )
 from xducer.mt2sst import marble_to_sst
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import run_marble, run_sst
+from xducer.semantics import ACCEPT, LOOP, REJECT, marble_step, run_marble, run_sst
 from xducer.sst2mt import layered_to_marble
 
 
@@ -131,6 +132,43 @@ def random_marble(rng) -> MarbleTransducer:
                             colors, delta, out)
 
 
+def run_hashing_configurations(t, w):
+    """Reference run that stops at the first repeat of a whole configuration."""
+    cfg = (t.initial, 0, ())
+    seen = {cfg}
+    emitted = []
+    while True:
+        state, pos, stack = cfg
+        if pos == len(w) + 1 and not stack and state in t.finals:
+            return ACCEPT, tuple(emitted)
+        res = marble_step(t, w, cfg)
+        if res is None:
+            return REJECT, None
+        cfg, out = res
+        emitted.extend(out)
+        if cfg in seen:
+            return LOOP, None
+        seen.add(cfg)
+
+
+def test_frame_loop_detection_matches_configuration_hashing():
+    rng = random.Random(4242)
+    verdicts = Counter()
+    checked = 0
+    while checked < 400:
+        m = random_marble(rng)
+        if validate(m):
+            continue
+        checked += 1
+        for w in words_up_to(m.input_alphabet, 4):
+            want = run_hashing_configurations(m, w)
+            got = run_marble(m, w)
+            assert (got.verdict, got.output) == want, (checked, w)
+            verdicts[got.verdict, bool(got.max_stack_depth)] += 1
+    # loops with and without marbles on the tape, and accepting runs
+    assert verdicts[LOOP, True] and verdicts[LOOP, False] and verdicts[ACCEPT, True]
+
+
 def test_random_marble_machines_convert_to_ssts():
     rng = random.Random(31337)
     converted = 0
@@ -143,9 +181,7 @@ def test_random_marble_machines_convert_to_ssts():
         converted += 1
         sst = marble_to_sst(m)
         verdict = equiv_check(sst, m, 4, budget=200000)
-        if verdict.status == "inconclusive":
-            continue  # budget-limited word; domains may genuinely explode
-        assert verdict.equivalent, (trial, verdict.counterexample)
+        assert verdict.equivalent, (trial, verdict)
     assert converted == 60
 
 
@@ -165,7 +201,7 @@ def test_random_marble_machines_through_minimization():
             continue
         minimized += 1
         verdict = equiv_check(res.machine, m, 3, budget=200000)
-        assert verdict.status != "counterexample", (trial, verdict.counterexample)
+        assert verdict.equivalent, (trial, verdict)
         for w in words_up_to(m.input_alphabet, 3, cap=50):
             r = run_marble(res.machine, w, budget=200000)
             if r.accepted:

@@ -98,10 +98,10 @@ def test_marble_invalid_drop_on_marble_raises():
         delta=delta, out=m.out,
     )
     with pytest.raises(MachineError):
-        run_marble(broken, "aa", detect_loops=True)
+        run_marble(broken, "aa")
 
 
-def test_marble_loop_detection_opt_in():
+def test_marble_loop_detected_by_default():
     m = corpus.mul_marble()
     delta = dict(m.delta)
     delta[("m1", "#", None)] = ("m1", ("left", None))  # ping-pong forever
@@ -111,8 +111,21 @@ def test_marble_loop_detection_opt_in():
         states=m.states, initial=m.initial, finals=m.finals, colors=m.colors,
         delta=delta, out=m.out,
     )
-    assert run_marble(looping, "a#0", detect_loops=True).verdict == LOOP
-    assert run_marble(looping, "a#0", budget=500).verdict == "budget"
+    assert run_marble(looping, "a#0").verdict == LOOP
+    assert run_marble(looping, "a#0", detect_loops=False).verdict == LOOP
+    # a drop and a lift on the same cell, forever: the configuration repeats
+    # in the frame below the dropped marble
+    juggler = type(m)(
+        input_alphabet=("a",), output_alphabet=("a",), states=("q", "p"),
+        initial="q", finals=frozenset({"q"}), colors=("c",),
+        delta={("q", LEFT_END, None): ("q", ("right", None)),
+               ("q", "a", None): ("p", ("drop", "c")),
+               ("p", "a", "c"): ("q", ("lift", None))},
+        out={("q", LEFT_END, None): (), ("q", "a", None): ("a",),
+             ("p", "a", "c"): ()},
+    )
+    r = run_marble(juggler, "a")
+    assert r.verdict == LOOP and r.max_stack_depth == 1
 
 
 def test_sst_runs():

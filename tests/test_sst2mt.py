@@ -13,9 +13,8 @@ from xducer.machines import (
     validate,
 )
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import run_marble, run_two_way
+from xducer.semantics import run_marble
 from xducer.sst2mt import (
-    as_two_way,
     layered_to_marble,
     lookbehind_step,
     marked_colors,
@@ -89,8 +88,8 @@ def test_layered_exact_copyless_reverse_is_two_way():
     assert equiv_check(mm, rev, 4).equivalent
     assert max_depth(mm, 4) == 0
     assert not any(action[0] == "drop" for _t, action in mm.delta.values())
-    tw = as_two_way(mm)
-    assert run_two_way(tw, "abac").output_text == "caba"
+    assert mm.colors == ()
+    assert run_marble(mm, "abac").output_text == "caba"
 
 
 def test_layered_exact_long_inputs_until_counter_bound():
@@ -114,11 +113,6 @@ def test_layered_exact_long_inputs_until_counter_bound():
 def test_layered_requires_valid_partition():
     with pytest.raises(MachineError):
         layered_to_marble(corpus.exp_sst(), (("x",),))
-
-
-def test_as_two_way_refuses_marble_users():
-    with pytest.raises(MachineError):
-        as_two_way(corpus.mul_marble())
 
 
 def test_lookbehind_trivial_cases():
