@@ -4,6 +4,30 @@ Builds flow automata from simple register machines and classifies the
 asymptotic growth of the computed counting function as exponential or
 k-polynomial, producing machine-checkable witnesses and the height
 partition of the states.
+
+Every pattern question is asked of one search structure per automaton
+(``_Support``): the per-letter successor rows of the support graph (the
+positive-weight transitions) and its strongly connected components (SCCs),
+after Weber & Seidl (1991, *On the degree of ambiguity of finite automata*),
+who reduce such questions to the SCCs of that graph.  Three facts let the
+searches skip most of the automaton without changing any answer.
+
+* A heavy cycle at q (two distinct paths q -> q over one word) only visits
+  SCC(q), so acyclic states have none and the pair-product search stays
+  inside SCC(q) x SCC(q).  A heavy cycle at one state of an SCC gives one
+  at every state of it, so one search per SCC decides all its states.
+* In a heavy-cycle-free automaton a barbell (q, q') needs q and q' cyclic,
+  in distinct SCCs, with q' reachable from q.  Were v the barbell word and
+  q' -> q by some u, the word v.v.u would have two distinct paths q -> q
+  (q -v-> q -v-> q' -u-> q and q -v-> q' -v-> q' -u-> q).  In the triple
+  product the first run stays in SCC(q), the third in SCC(q') and the
+  middle one in reach(q) & coreach(q'); the search is cut further to the
+  pairs of the last two runs that can still end in (q', q').
+* Reachability is the same from every state of an SCC, so the edges of the
+  barbell graph only depend on the first barbell of each pair of SCCs.
+
+Barbell existence is plain reachability; the lexicographically least
+witness words are only built for the chain the report prints.
 """
 
 from __future__ import annotations
@@ -42,7 +66,112 @@ def _reachable(succ: dict, sources) -> set:
     return set(explore(sources, succ.__getitem__, len(succ), "reachability"))
 
 
-def _lex_bfs(m: NAutomaton, starts: dict, step, is_target,
+def _components(states, succ: dict) -> dict:
+    """state -> frozenset of its SCC (Tarjan's algorithm, without recursion)."""
+    index: dict = {}
+    low: dict = {}
+    comp: dict = {}
+    stack: list = []
+    for root in states:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in comp:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    i = stack.index(v)
+                    c = frozenset(stack[i:])
+                    del stack[i:]
+                    for w in c:
+                        comp[w] = c
+    return comp
+
+
+class _Support:
+    """The search structure of one automaton, shared by every pattern query.
+
+    ``rows[a][p]`` lists the states p reaches by one positive step on a and
+    ``back[a][r]`` the states that reach r so; ``heavy`` holds the (p, a, r)
+    steps of weight at least 2; ``comp`` maps a state to its SCC; ``cyclic``
+    marks states on some cycle.  Reachable sets and the ``behind`` pair sets
+    are computed on first use.
+    """
+
+    def __init__(self, m: NAutomaton):
+        self.letters = tuple(sorted(m.input_alphabet))
+        self.rows = {a: {p: [] for p in m.states} for a in self.letters}
+        self.back = {a: {p: [] for p in m.states} for a in self.letters}
+        self.heavy = set()
+        for a in self.letters:
+            for (p, r), w in m.mats.get(a, {}).items():
+                if w > 0:
+                    self.rows[a][p].append(r)
+                    self.back[a][r].append(p)
+                    if w >= 2:
+                        self.heavy.add((p, a, r))
+        self.states = frozenset(m.states)
+        self.succ = _support_edges(m)
+        self.comp = _components(m.states, self.succ)
+        self.cyclic = {q: len(self.comp[q]) > 1 or q in self.succ[q]
+                       for q in m.states}
+        self._reach: dict = {}
+        self._behind: dict = {}
+
+    def reach(self, q) -> set:
+        if q not in self._reach:
+            self._reach[q] = _reachable(self.succ, [q])
+        return self._reach[q]
+
+    def pairs(self, start, rows, keep1, keep2) -> set:
+        """Pairs reachable from ``start`` by two runs over ``rows`` reading
+        the same letters, the first kept in ``keep1``, the second in ``keep2``."""
+        def successors(node):
+            p1, p2 = node
+            return [(r1, r2) for a in self.letters
+                    for r1 in rows[a][p1] if r1 in keep1
+                    for r2 in rows[a][p2] if r2 in keep2]
+        return set(explore([start], successors, len(self.states) ** 2,
+                           "pair search"))
+
+    def behind(self, q2) -> set:
+        """Pairs (p, p') such that some word leads p to q2 and p' to q2
+        inside SCC(q2): the last two runs of a barbell ending in q2."""
+        if q2 not in self._behind:
+            self._behind[q2] = self.pairs(
+                (q2, q2), self.back, self.states, self.comp[q2])
+        return self._behind[q2]
+
+
+def _support(m: NAutomaton) -> _Support:
+    """The search structure of ``m``, built on first use and kept on ``m``.
+
+    Automata are immutable, so every question asked of one automaton shares
+    one structure.  It is stored in the instance dictionary, as
+    ``functools.cached_property`` does, so it is no dataclass field and
+    takes no part in equality or printing.
+    """
+    s = m.__dict__.get("_support")
+    if s is None:
+        s = m.__dict__["_support"] = _Support(m)
+    return s
+
+
+def _lex_bfs(letters, starts: dict, step, is_target,
              min_steps: int = 0) -> Optional[tuple]:
     """Shortest witness word by level-synchronized breadth-first search.
 
@@ -51,9 +180,10 @@ def _lex_bfs(m: NAutomaton, starts: dict, step, is_target,
     break lexicographically on the word.  Returns (node, word) or None.
     Targets are checked against every generated successor, so a cycle back
     to an already-visited node (e.g. the start) is still reported; only
-    expansion of visited nodes is pruned.
+    expansion of visited nodes is pruned.  Pruning ``step`` to nodes that
+    can still reach a target leaves the answer unchanged: a shortest path to
+    such a node only passes through such nodes.
     """
-    letters = sorted(m.input_alphabet)
     frontier = dict(starts)
     if min_steps == 0:
         hits = [(w, n) for n, w in frontier.items() if is_target(n)]
@@ -81,15 +211,10 @@ def _lex_bfs(m: NAutomaton, starts: dict, step, is_target,
 def shortest_connecting_word(m: NAutomaton, sources, targets) -> Optional[Word]:
     """Lexicographically least shortest word v with mats(v) positive from
     some source to some target (the empty word counts when the sets meet)."""
-    sources = set(sources)
+    s = _support(m)
     targets = set(targets)
-
-    def step(q, a):
-        mat = m.mats[a]
-        return [r for (p, r), w in mat.items() if p == q and w > 0]
-
-    res = _lex_bfs(m, {q: () for q in sorted(sources)}, step,
-                   lambda q: q in targets, min_steps=0)
+    res = _lex_bfs(s.letters, {q: () for q in sorted(set(sources))},
+                   lambda q, a: s.rows[a].get(q, ()), targets.__contains__)
     return None if res is None else res[1]
 
 
@@ -183,108 +308,138 @@ def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
     A weight-2 return path exists iff the pair automaton admits two distinct
     parallel runs q -> q over the same word: track (run1 state, run2 state,
     diverged?) and ask for (q, q, diverged) reachable from (q, q, plain).
-    States are scanned in declaration order; per state the breadth-first
-    lexicographically least witness is produced.
+    Both runs stay in SCC(q), so the product is cut to SCC(q) x SCC(q), and
+    a heavy cycle at one state of an SCC yields one at every state of it
+    (go to q, take both loops, come back): one search per cyclic SCC
+    decides all its states.  States are scanned in declaration order; for
+    the first state with a heavy cycle the breadth-first lexicographically
+    least witness is produced.
     """
+    s = _support(m)
+    light: set = set()  # SCCs already searched without a hit
     for q in m.states:
+        comp = s.comp[q]
+        if not s.cyclic[q] or comp in light:
+            continue
+        rows = {a: {p: [r for r in row[p] if r in comp] for p in comp}
+                for a, row in s.rows.items()}
 
-        def step(node, a):
+        def step(node, a, rows=rows):
             p1, p2, f = node
-            mat = m.mats[a]
             out = []
-            row1 = [(r, w) for (p, r), w in mat.items() if p == p1 and w > 0]
-            row2 = row1 if p2 == p1 else [
-                (r, w) for (p, r), w in mat.items() if p == p2 and w > 0
-            ]
-            for r1, w1 in row1:
-                for r2, _ in row2:
-                    f2 = f or r1 != r2 or (p1 == p2 and r1 == r2 and w1 >= 2)
-                    out.append((r1, r2, f2))
+            for r1 in rows[a][p1]:
+                w2 = p1 == p2 and (p1, a, r1) in s.heavy
+                for r2 in rows[a][p2]:
+                    out.append((r1, r2, f or r1 != r2 or w2))
             return out
 
-        res = _lex_bfs(m, {(q, q, False): ()}, step,
-                       lambda n: n == (q, q, True), min_steps=1)
+        res = _lex_bfs(s.letters, {(q, q, False): ()}, step,
+                       (q, q, True).__eq__, min_steps=1)
         if res is not None:
             return q, res[1]
+        light.add(comp)
     return None
+
+
+def _barbell_step(s: _Support, q: str, q2: str):
+    """Successors in the triple product from (q, q, q2) to (q, q2, q2): the
+    first run is kept in SCC(q), the last two in ``s.behind(q2)``."""
+    c1, behind = s.comp[q], s.behind(q2)
+
+    def step(node, a):
+        row = s.rows[a]
+        n1, n2, n3 = node
+        return [
+            (r1, r2, r3)
+            for r1 in row[n1] if r1 in c1
+            for r2 in row[n2]
+            for r3 in row[n3] if (r2, r3) in behind
+        ]
+    return step
 
 
 def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
     """Shortest v with positive weights on q->q, q->q2 and q2->q2 at once.
 
     Decided by reachability in the triple product over positive-support
-    transitions from (q, q, q2) to (q, q2, q2), path length >= 1.
+    transitions from (q, q, q2) to (q, q2, q2), path length >= 1.  The first
+    run stays in SCC(q); the last two only visit pairs from which they can
+    still end in q2 together.
     """
     if q == q2:
         raise MachineError("a barbell needs two distinct states")
-
-    succ_cache: dict = {}
-
-    def succs(p, a):
-        key = (p, a)
-        if key not in succ_cache:
-            mat = m.mats[a]
-            succ_cache[key] = [r for (s, r), w in mat.items() if s == p and w > 0]
-        return succ_cache[key]
-
-    def step(node, a):
-        n1, n2, n3 = node
-        return [
-            (r1, r2, r3)
-            for r1 in succs(n1, a)
-            for r2 in succs(n2, a)
-            for r3 in succs(n3, a)
-        ]
-
-    res = _lex_bfs(m, {(q, q, q2): ()}, step,
-                   lambda n: n == (q, q2, q2), min_steps=1)
+    s = _support(m)
+    if (q, q2) not in s.behind(q2):
+        return None
+    res = _lex_bfs(s.letters, {(q, q, q2): ()}, _barbell_step(s, q, q2),
+                   (q, q2, q2).__eq__, min_steps=1)
     return None if res is None else res[1]
-
-
-@dataclass(frozen=True)
-class BarbellWitness:
-    mid_from: str   # barbell source q
-    mid_to: str     # barbell target q'
-    loop_word: Word  # v with the three positive entries
-    left_word: Word  # edge source reaches q over this word
-    right_word: Word  # q' reaches the edge target over this word
 
 
 @dataclass(frozen=True)
 class BarbellGraph:
     vertices: tuple
-    edges: dict  # (q1, q2) -> BarbellWitness
+    # (q1, q2) -> (q, q'): the first barbell in declaration order with q1
+    # reaching q and q' reaching q2
+    edges: dict
+
+
+class _Found(Exception):
+    """Stops a barbell search once its target is generated."""
+
+
+def _has_barbell(s: _Support, q: str, q2: str) -> bool:
+    """Plain reachability of (q, q2, q2) from (q, q, q2) in the cut product."""
+    step = _barbell_step(s, q, q2)
+    target = (q, q2, q2)
+
+    def successors(node):
+        out = [n for a in s.letters for n in step(node, a)]
+        if target in out:
+            raise _Found
+        return out
+
+    try:
+        explore([(q, q, q2)], successors, len(s.succ) ** 3, "barbell search")
+    except _Found:
+        return True
+    return False
 
 
 def barbell_graph(m: NAutomaton) -> BarbellGraph:
     """Edges (q1, q2) whenever q1 can reach a barbell whose far end reaches q2.
 
-    Requires a trim automaton without heavy cycles; the result is acyclic
-    (a cycle here would betray a missed heavy cycle and raises).
+    Requires a trim automaton without heavy cycles (``classify`` has already
+    searched for one).  Barbells (q, q') are then only sought between cyclic
+    states of distinct SCCs.  One pair pass per q (first run in SCC(q)) finds
+    the q' that some word takes q to while returning to q, one backward pair
+    pass per q' (``behind``) the q that can end in q' while q' returns to
+    itself; for pairs passing both, plain reachability in the cut triple
+    product decides.  The result is acyclic (a cycle here would betray a
+    missed heavy cycle and raises).
     """
-    if has_heavy_cycle(m) is not None:
-        raise MachineError("barbell graph requires a heavy-cycle-free automaton")
-    succ = _support_edges(m)
-    reach = {q: _reachable(succ, [q]) for q in m.states}
-    barbells = []
-    for q in m.states:
-        for q2 in m.states:
-            if q == q2:
-                continue
-            v = find_barbell(m, q, q2)
-            if v is not None:
-                barbells.append((q, q2, v))
-    edges = {}
-    for q1 in m.states:
-        for q2 in m.states:
-            for (q, q2b, v) in barbells:
-                if q in reach[q1] and q2 in reach[q2b]:
-                    edges[(q1, q2)] = BarbellWitness(
-                        mid_from=q, mid_to=q2b, loop_word=v,
-                        left_word=shortest_connecting_word(m, [q1], [q]),
-                        right_word=shortest_connecting_word(m, [q2b], [q2]),
-                    )
-                    break
+    s = _support(m)
+    cyclic = [q for q in m.states if s.cyclic[q]]
+    # Reachability is the same across an SCC, so only the first barbell of
+    # each pair of SCCs (declaration order) can be the first of an edge.
+    first: dict = {}
+    for q in cyclic:
+        ahead = s.pairs((q, q), s.rows, s.comp[q], s.states)
+        for q2 in cyclic:
+            key = (s.comp[q], s.comp[q2])
+            if (key not in first and key[0] is not key[1]
+                    and (q, q2) in ahead and (q, q2) in s.behind(q2)
+                    and _has_barbell(s, q, q2)):
+                first[key] = (q, q2)
+    edges: dict = {}
+    for q, q2 in first.values():
+        for q1 in m.states:
+            if q in s.reach(q1):
+                for q3 in s.reach(q2):
+                    edges.setdefault((q1, q3), (q, q2))
+    pos = {q: i for i, q in enumerate(m.states)}
+    edges = dict(sorted(edges.items(),
+                        key=lambda e: (pos[e[0][0]], pos[e[0][1]])))
     graph = BarbellGraph(vertices=m.states, edges=edges)
     _topological_order(graph)  # raises on a cycle
     return graph
@@ -364,7 +519,7 @@ def classify(m: NAutomaton) -> GrowthReport:
     removed = tuple(q for q in m.states if q not in t.states)
     if not t.states:
         return GrowthReport("polynomial", 0, (), {}, removed)
-    hc = has_heavy_cycle(t)
+    hc = has_heavy_cycle(t)  # the only heavy-cycle search of the run
     if hc is not None:
         q, v = hc
         u = shortest_connecting_word(
@@ -393,22 +548,23 @@ def _polynomial_witness(t: NAutomaton, g: BarbellGraph, h: dict, k: int) -> dict
     while h[path[0]] > 0:
         path.insert(0, min(p for (p, q) in g.edges
                            if q == path[0] and h[p] + 1 == h[q]))
-    # path[0] .. path[k], one barbell per edge
-    loops, links = [], []
-    edge_wits = [g.edges[(path[i], path[i + 1])] for i in range(k)]
-    for i, ew in enumerate(edge_wits):
-        loops.append(ew.loop_word)
-        if i + 1 < k:
-            links.append(ew.right_word + edge_wits[i + 1].left_word)
+    # path[0] .. path[k], one barbell per edge; words only for these k edges
+    loops, lefts, rights = [], [], []
+    for i in range(k):
+        q, q2 = g.edges[(path[i], path[i + 1])]
+        loops.append(find_barbell(t, q, q2))
+        lefts.append(shortest_connecting_word(t, [path[i]], [q]))
+        rights.append(shortest_connecting_word(t, [q2], [path[i + 1]]))
+    links = [rights[i] + lefts[i + 1] for i in range(k - 1)]
     left = shortest_connecting_word(
         t, [p for p in t.states if t.alpha.get(p, 0) > 0], [path[0]])
     right = shortest_connecting_word(
         t, [path[k]], [p for p in t.states if t.beta.get(p, 0) > 0])
     return {
-        "left": left + edge_wits[0].left_word,
+        "left": left + lefts[0],
         "loops": loops,
         "links": links,
-        "right": edge_wits[k - 1].right_word + right,
+        "right": rights[k - 1] + right,
     }
 
 

@@ -602,47 +602,36 @@ def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int) -> Bounde
     from every machine state.  On failure the breadth-first witness word is
     returned.
     """
-    level = _layer_index(layers, m.registers)
     order_violations = check_layer_order(m, layers)
     if order_violations:
         raise MachineError("layer order violated: %s" % order_violations[0])
 
     layer_regs = [tuple(sorted(layer)) for layer in layers]
     cap = bound + 1
+    # (q, a) -> per layer, per register x of it, the (index, count) of each
+    # register of the layer that occurs in x's right-hand side; built once
+    # per check
+    columns: dict = {}
+
+    def cols_of(q, a):
+        if (q, a) not in columns:
+            s = m.update[(q, a)]
+            columns[(q, a)] = [
+                [tuple((zi, s[x].count(Reg(z))) for zi, z in enumerate(regs)
+                       if Reg(z) in s[x])
+                 for x in regs]
+                for regs in layer_regs]
+        return columns[(q, a)]
 
     def step(mats, q, a):
-        s = m.update[(q, a)]
-        new = []
-        for li, regs in enumerate(layer_regs):
-            cur = mats[li]
-            # occurrence counts of layer-li registers inside this letter's update
-            cols = {}
-            for x in regs:
-                c: Counter = Counter()
-                for tok in s[x]:
-                    if isinstance(tok, Reg) and level[tok.name] == li:
-                        c[tok.name] += 1
-                cols[x] = c
-            mat = {}
-            for yi, y in enumerate(regs):
-                for xi, x in enumerate(regs):
-                    total = 0
-                    for zi, z in enumerate(regs):
-                        total += cur[yi][zi] * cols[x][z]
-                        if total > cap:
-                            total = cap
-                            break
-                    mat[(yi, xi)] = min(total, cap)
-            new.append(tuple(tuple(mat[(yi, xi)] for xi in range(len(regs)))
-                             for yi in range(len(regs))))
-        return tuple(new)
+        return tuple(
+            tuple(tuple(min(cap, sum(row[zi] * k for zi, k in col))
+                        for col in cols)
+                  for row in cur)
+            for cur, cols in zip(mats, cols_of(q, a)))
 
     def exceeded(mats):
-        for li, regs in enumerate(layer_regs):
-            for yi in range(len(regs)):
-                if sum(mats[li][yi]) > bound:
-                    return True
-        return False
+        return any(sum(row) > bound for cur in mats for row in cur)
 
     identity = tuple(
         tuple(tuple(1 if i == j else 0 for j in range(len(regs)))

@@ -188,6 +188,35 @@ def test_optimize_output_bytes_are_pinned(tmp_path, capsys):
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
+# Exit code and sha256 of `analyze` stdout for each corpus file, so growth
+# refactors keep the printed report, witness words included.
+ANALYZED = {
+    "bounded_pair_sst": (0, "28c1d4e666704ac7f2d5c4af9f18c45798f2cd5f95b6715e95b8f8636d58798e"),
+    "chain_flow": (0, "522b53f899e7da8109fe18f813f2a9442670d503d644e2645f525784a38d3a3e"),
+    "copy_two_way": (0, "1f4cb9b20ae6c3c46e3e155326c05d50a17b0991a062efda8d1f5c17cccc9649"),
+    "exp_flow": (0, "04bc4609ff27832107b7fed9009a49a500bcb2eedc0830ffec654b2966a800b2"),
+    "exp_marble": (0, "8c485e725c2c8960069857e0d1993b06ad4610387935e38206be7d06b0240049"),
+    "exp_sst": (0, "c9aee5d24b3c5c8c0eb8fe96207ea3d1688488adf4bd8a76a2e9bf3d56db8d82"),
+    "identity_sst": (0, "6d14f5be55e0d4eff5b4a26d5964902598a47819feccb733196325138055e531"),
+    "mul_marble": (0, "07f9143958cddbafa0501911b80a3e080698861c16b9b4053a8ccee05e502307"),
+    "mul_sst": (0, "3e6ec0d086f8271dbfdd0cad71c2a5ce1dea88debccab98190dcb0c71f2b0ed5"),
+    "mul_sst_copyful": (0, "571347f9ba7b88d621f771168581139ff41169a7c4a61d2a230385c1e3ad11d5"),
+    "pow2_marble": (0, "b7b17e5df9eb5c2f6122e2c0df1130910cb7589071c06b545ea41bf0d7db3115"),
+    "pow2_marble_wasteful": (0, "fecd57e450f0f5d261edf0f5422f157ed46b2addca897ed223b72f716544dc8b"),
+    "reverse_sst": (0, "bf2a4b74860e05c5275d31e8e3d0aa3cca749c71a7165cb2cc0cc8929c7fbbb3"),
+    "reverse_sst_copyful": (0, "026f30f9766fbf8e8f3beea324450a78703bcad0efc1f670492af47b4287a679"),
+    "reverse_two_way": (0, "1c5a9c2ac4204fae48731217689d0b1c2bd52edd2063432b29b4d9a1df49c132"),
+}
+
+
+def test_analyze_output_bytes_are_pinned(capsys):
+    assert set(ANALYZED) == set(OPTIMIZED)
+    for name, (code, digest) in sorted(ANALYZED.items()):
+        assert main(["analyze", corpus_path(name)]) == code, name
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
+
 def test_optimize_growth_report_matches_analyze(tmp_path, capsys):
     for name, (code, _digest) in sorted(OPTIMIZED.items()):
         if code == 1:

@@ -4,6 +4,7 @@ import pytest
 
 from xducer import corpus
 from xducer.growth import (
+    GrowthReport,
     barbell_graph,
     classify,
     classify_function,
@@ -162,6 +163,23 @@ def test_barbell_graph_chain_family():
 def test_barbell_graph_edgeless():
     g = barbell_graph(IDENTITY2)
     assert g.edges == {}
+
+
+def test_classify_searches_heavy_cycles_once(monkeypatch):
+    import xducer.growth as growth
+
+    calls = []
+    original = growth.has_heavy_cycle
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(growth, "has_heavy_cycle", counting)
+    for a in (corpus.chain_nautomaton(), corpus.exp_flow_nautomaton()):
+        calls.clear()
+        classify(a)
+        assert len(calls) == 1
 
 
 def test_classify_exponential_with_pumping():
@@ -323,3 +341,230 @@ def test_classify_function_corpus():
     assert res.report.degree == 2 and res.minimal_marbles == 1
     res = classify_function(corpus.reverse_sst())
     assert res.report.degree == 1 and res.minimal_marbles == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential test against an unpruned reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_search(letters, starts, step, is_target, min_steps):
+    """Least (word, node) over the shortest words reaching a target.
+
+    Each level sorts every (word, node) it generates, so the first word
+    recorded for a node is its least one; no component pruning.
+    """
+    level = dict(starts)
+    if min_steps == 0:
+        hits = sorted((w, n) for n, w in level.items() if is_target(n))
+        if hits:
+            return hits[0]
+    seen = set(level)
+    while level:
+        nxt = {}
+        for w2, n2 in sorted((w + (a,), n2) for n, w in level.items()
+                             for a in letters for n2 in step(n, a)):
+            nxt.setdefault(n2, w2)
+        hits = sorted((w, n) for n, w in nxt.items() if is_target(n))
+        if hits:
+            return hits[0]
+        level = {n: w for n, w in nxt.items() if n not in seen}
+        seen.update(level)
+    return None
+
+
+def _reach_sets(t):
+    succ = {q: set() for q in t.states}
+    for mat in t.mats.values():
+        for (p, r), w in mat.items():
+            if w > 0:
+                succ[p].add(r)
+    reach = {}
+    for q in t.states:
+        seen, todo = {q}, [q]
+        while todo:
+            for r in succ[todo.pop()] - seen:
+                seen.add(r)
+                todo.append(r)
+        reach[q] = seen
+    return reach
+
+
+def _components(t):
+    reach = _reach_sets(t)
+    return {q: frozenset(p for p in reach[q] if q in reach[p])
+            for q in t.states}
+
+
+class _Reference:
+    """Growth search without component pruning: every product is searched in
+    full, and every ordered pair of states is tried for a barbell."""
+
+    def __init__(self, t):
+        self.t = t
+        self.letters = sorted(t.input_alphabet)
+        self.rows = {a: {p: [(r, w) for (p2, r), w in sorted(t.mats[a].items())
+                             if p2 == p and w > 0]
+                         for p in t.states}
+                     for a in t.input_alphabet}
+        self.reach = _reach_sets(t)
+        self.barbells = {(q, q2): self.barbell(q, q2) for q in t.states
+                         for q2 in t.states if q != q2}
+
+    def heavy_cycle(self):
+        rows = self.rows
+
+        def step(node, a):
+            p1, p2, f = node
+            return [(r1, r2, f or r1 != r2 or (p1 == p2 and w1 >= 2))
+                    for r1, w1 in rows[a][p1] for r2, _ in rows[a][p2]]
+
+        for q in self.t.states:
+            hit = _ref_search(self.letters, {(q, q, False): ()}, step,
+                              lambda n, q=q: n == (q, q, True), 1)
+            if hit is not None:
+                return q, hit[0]
+        return None
+
+    def barbell(self, q, q2):
+        rows = self.rows
+
+        def step(node, a):
+            return [(r1, r2, r3) for r1, _ in rows[a][node[0]]
+                    for r2, _ in rows[a][node[1]] for r3, _ in rows[a][node[2]]]
+
+        hit = _ref_search(self.letters, {(q, q, q2): ()}, step,
+                          lambda n: n == (q, q2, q2), 1)
+        return None if hit is None else hit[0]
+
+    def connect(self, sources, targets):
+        hit = _ref_search(self.letters, {q: () for q in sources},
+                          lambda q, a: [r for r, _ in self.rows[a][q]],
+                          lambda q: q in targets, 0)
+        return None if hit is None else hit[0]
+
+    def edges(self):
+        """(q1, q2) -> the first barbell (q, q') with q1 ->* q, q' ->* q2."""
+        states, reach = self.t.states, self.reach
+        found = [pair for pair, v in self.barbells.items() if v is not None]
+        edges = {}
+        for q1 in states:
+            for q2 in states:
+                for q, q2b in found:
+                    if q in reach[q1] and q2 in reach[q2b]:
+                        edges[(q1, q2)] = (q, q2b)
+                        break
+        return edges
+
+    def classify(self):
+        """GrowthReport of the trim automaton, every word from here."""
+        t = self.t
+        sources = [p for p in t.states if t.alpha.get(p, 0) > 0]
+        sinks = [p for p in t.states if t.beta.get(p, 0) > 0]
+        hc = self.heavy_cycle()
+        if hc is not None:
+            q, v = hc
+            return GrowthReport("exponential", None, (), {
+                "state": q, "u": self.connect(sources, [q]), "v": v,
+                "z": self.connect([q], sinks)}, ())
+        edges = self.edges()
+        h = {q: 0 for q in t.states}
+        for _ in t.states:
+            for (p, q) in edges:
+                h[q] = max(h[q], h[p] + 1)
+        k = max(h.values())
+        partition = tuple(tuple(q for q in t.states if h[q] == i)
+                          for i in range(k + 1))
+        if k == 0:
+            return GrowthReport("polynomial", 0, partition, {
+                "left": (), "loops": [], "links": [], "right": ()}, ())
+        path = [next(q for q in t.states if h[q] == k)]
+        while h[path[0]] > 0:
+            path.insert(0, min(p for (p, q) in edges
+                               if q == path[0] and h[p] + 1 == h[q]))
+        loops, lefts, rights = [], [], []
+        for i in range(k):
+            q, q2 = edges[(path[i], path[i + 1])]
+            loops.append(self.barbells[(q, q2)])
+            lefts.append(self.connect([path[i]], [q]))
+            rights.append(self.connect([q2], [path[i + 1]]))
+        return GrowthReport("polynomial", k, partition, {
+            "left": self.connect(sources, [path[0]]) + lefts[0],
+            "loops": loops,
+            "links": [rights[i] + lefts[i + 1] for i in range(k - 1)],
+            "right": rights[k - 1] + self.connect([path[k]], sinks),
+        }, ())
+
+
+def scc_automata(count, seed):
+    """Trim automata of 4-10 states with at least two multi-state SCCs.
+
+    States are dealt into blocks; the first letter rotates every block (so a
+    block of two or more states is strongly connected), other letters map
+    into the block at random, and edges between blocks only go forward.  A
+    third of the machines get extra in-block edges or weights 2, which
+    usually make heavy cycles.  State names are shuffled so declaration
+    order is not the block order.
+    """
+    rng = random.Random(seed)
+    produced = 0
+    while produced < count:
+        n = rng.randint(4, 10)
+        names = ["q%d" % i for i in range(n)]
+        rng.shuffle(names)
+        blocks, i = [], 0
+        while i < n:
+            size = min(n - i, rng.choice([1, 2, 2, 3, 4]))
+            blocks.append(names[i:i + size])
+            i += size
+        letters = ("a", "b")[: rng.randint(1, 2)]
+        noisy = rng.random() < 1 / 3
+        mats = {a: {} for a in letters}
+        for bi, block in enumerate(blocks):
+            for j, p in enumerate(block):
+                if len(block) > 1 or rng.random() < 0.7:
+                    mats[letters[0]][(p, block[(j + 1) % len(block)])] = 1
+                for a in letters[1:]:
+                    if rng.random() < 0.8:
+                        mats[a][(p, rng.choice(block))] = 1
+                if noisy and rng.random() < 0.3:
+                    key = (p, rng.choice(block))
+                    a = rng.choice(letters)
+                    mats[a][key] = mats[a].get(key, 0) + 1
+                for later in blocks[bi + 1:]:
+                    for q in later:
+                        if rng.random() < 0.2:
+                            mats[rng.choice(letters)][(p, q)] = 1
+        states = tuple(sorted(names, key=lambda s: int(s[1:])))
+        alpha = {q: 1 for q in blocks[0] if rng.random() < 0.7}
+        alpha[blocks[0][0]] = 1
+        beta = {q: 1 for q in blocks[-1] if rng.random() < 0.7}
+        beta[blocks[-1][-1]] = 1
+        t = trim(NAutomaton(letters, states, alpha, beta, mats))
+        comps = set(_components(t).values()) if t.states else set()
+        if len(t.states) < 4 or sum(1 for c in comps if len(c) > 1) < 2:
+            continue
+        produced += 1
+        yield t
+
+
+def test_component_pruned_search_matches_unpruned_reference():
+    kinds = {"exponential": 0, "polynomial": 0, "degree>=2": 0}
+    for t in scc_automata(100, seed=2024):
+        ref = _Reference(t)
+        assert has_heavy_cycle(t) == ref.heavy_cycle()
+        for (q, q2), v in ref.barbells.items():
+            assert find_barbell(t, q, q2) == v
+        rep = classify(t)
+        assert rep.to_json() == ref.classify().to_json(), t
+        kinds[rep.kind] += 1
+        if rep.kind == "exponential":
+            continue
+        kinds["degree>=2"] += rep.degree >= 2
+        assert barbell_graph(t).edges == ref.edges()
+        # without heavy cycles, no barbell joins two states of one SCC
+        comp = _components(t)
+        assert all(comp[q] != comp[q2]
+                   for (q, q2), v in ref.barbells.items() if v is not None)
+    assert kinds["exponential"] >= 15 and kinds["polynomial"] >= 40, kinds
+    assert kinds["degree>=2"] >= 15, kinds
