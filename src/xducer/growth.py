@@ -171,13 +171,13 @@ def _support(m: NAutomaton) -> _Support:
     return s
 
 
-def _lex_bfs(letters, starts: dict, step, is_target,
-             min_steps: int = 0) -> Optional[tuple]:
+def _lex_bfs(letters, starts: dict, step, is_target) -> Optional[tuple]:
     """Shortest witness word by level-synchronized breadth-first search.
 
     ``starts`` maps nodes to initial words; ``step(node, letter)`` yields
     successor nodes; the first level at which a target appears wins and ties
     break lexicographically on the word.  Returns (node, word) or None.
+    A start that is a target wins at once, with its own word.
     Targets are checked against every generated successor, so a cycle back
     to an already-visited node (e.g. the start) is still reported; only
     expansion of visited nodes is pruned.  Pruning ``step`` to nodes that
@@ -185,11 +185,10 @@ def _lex_bfs(letters, starts: dict, step, is_target,
     such a node only passes through such nodes.
     """
     frontier = dict(starts)
-    if min_steps == 0:
-        hits = [(w, n) for n, w in frontier.items() if is_target(n)]
-        if hits:
-            w, n = min(hits)
-            return n, w
+    hits = [(w, n) for n, w in frontier.items() if is_target(n)]
+    if hits:
+        w, n = min(hits)
+        return n, w
     visited = set(frontier)
     while frontier:
         new: dict = {}
@@ -334,7 +333,7 @@ def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
             return out
 
         res = _lex_bfs(s.letters, {(q, q, False): ()}, step,
-                       (q, q, True).__eq__, min_steps=1)
+                       (q, q, True).__eq__)
         if res is not None:
             return q, res[1]
         light.add(comp)
@@ -372,7 +371,7 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
     if (q, q2) not in s.behind(q2):
         return None
     res = _lex_bfs(s.letters, {(q, q, q2): ()}, _barbell_step(s, q, q2),
-                   (q, q2, q2).__eq__, min_steps=1)
+                   (q, q2, q2).__eq__)
     return None if res is None else res[1]
 
 

@@ -253,21 +253,20 @@ def prune_dead_registers(m: SST) -> SST:
 # ---------------------------------------------------------------------------
 
 
-def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> tuple:
+def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> SST:
     """Hardcode the bottom height class into states.
 
     The new states are the reachable valuations of the bottom-class
     registers (their values are bounded, so the closure is finite); updates
     and output of the remaining registers inline those values as letters.
-    Returns the rewritten machine and the measured per-word copy bound of
-    its layers.
+    Returns the rewritten machine; the copy bound of its top layer is
+    measured later, by ``bounded_sstf_to_unambiguous``.
     """
     if not is_simple(m):
         raise MachineError("bounded-layer removal expects a simple machine")
     q0 = m.states[0]
     s0 = tuple(partition[0])
-    rest_layers = tuple(tuple(layer) for layer in partition[1:])
-    rest = tuple(x for layer in rest_layers for x in layer)
+    rest = tuple(x for layer in partition[1:] for x in layer)
 
     def inline(rhs, val):
         out: list = []
@@ -307,15 +306,13 @@ def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> tuple:
 
     order = explore([init_key], successors, VALUATION_STATE_LIMIT,
                     "bottom-layer valuation closure")
-    machine = SST(
+    return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=tuple(names[k] for k in order), registers=rest,
         initial="v0",
         init_valuation={y: tuple(m.init_valuation[y]) for y in rest},
         delta=delta, update=update, output=output,
     )
-    bound = find_copy_bound(machine, rest_layers) if rest else 1
-    return machine, bound
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +362,6 @@ def decompose_copyless(s: Substitution) -> SkeBegFol:
             i = j
         ske[x] = tuple(names)
     return SkeBegFol(ske, beg, fol)
-
-
-def reassemble(sbf: SkeBegFol) -> Substitution:
-    s = {}
-    for x, names in sbf.ske.items():
-        rhs = list(sbf.beg[x])
-        for y in names:
-            rhs.append(Reg(y))
-            rhs.extend(sbf.fol[y])
-        s[x] = tuple(rhs)
-    return s
 
 
 def compose_skebegfol(p: SkeBegFol, c: SkeBegFol) -> SkeBegFol:
@@ -1105,9 +1091,7 @@ def _bounded_to_layered(m: SST, layers: tuple, dump=None) -> tuple:
     which cancels the one-letter shift the external-function tokens carry.
     """
     top, registry, binding = extract_sstf(m, layers)
-    top_bound = find_copy_bound(top, (top.registers,)) if top.registers else 1
-    nsst = bounded_sstf_to_unambiguous(top, top_bound)
-    det = determinize_nsstf(nsst)
+    det = determinize_nsstf(bounded_sstf_to_unambiguous(top))
     _dump(dump, "det-layer0", det)
     if len(layers) == 1:
         return det, (det.registers,)
@@ -1150,7 +1134,7 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
         return LayeredResult("exponential", report)
     degree = report.degree
     partition = report.partition if report.partition else ((),)
-    bounded, bound = remove_bounded_layer(simple, partition)
+    bounded = remove_bounded_layer(simple, partition)
     _dump(dump, "bounded", bounded)
     if degree == 0:
         machine = reimpose_domain(bounded, dfa)

@@ -31,6 +31,8 @@ def _err(path: str, msg: str):
 
 
 def _need(doc: dict, field: str, kind, path: str):
+    if not isinstance(doc, dict):
+        _err(path, "expected an object")
     if field not in doc:
         _err(path, "missing field %r" % field)
     value = doc[field]
@@ -43,6 +45,16 @@ def _word(value, path: str) -> tuple:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         _err(path, "expected a list of symbols")
     return tuple(value)
+
+
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        _err(path, "expected an integer")
+    return value
+
+
+def _weights(value: dict, path: str) -> dict:
+    return {q: _integer(v, "%s.%s" % (path, q)) for q, v in value.items()}
 
 
 def _tokens(value, path: str) -> tuple:
@@ -159,8 +171,6 @@ def machine_to_json(m) -> dict:
 
 
 def machine_from_json(doc, path: str = "$"):
-    if not isinstance(doc, dict):
-        _err(path, "expected an object")
     kind = _need(doc, "kind", str, path)
     if kind not in KINDS:
         _err("%s.kind" % path, "unknown machine kind %r" % kind)
@@ -168,8 +178,8 @@ def machine_from_json(doc, path: str = "$"):
                                  "%s.input_alphabet" % path))
     states = tuple(_word(_need(doc, "states", list, path), "%s.states" % path))
     if kind == "nautomaton":
-        alpha = {q: v for q, v in _need(doc, "alpha", dict, path).items()}
-        beta = {q: v for q, v in _need(doc, "beta", dict, path).items()}
+        alpha = _weights(_need(doc, "alpha", dict, path), "%s.alpha" % path)
+        beta = _weights(_need(doc, "beta", dict, path), "%s.beta" % path)
         mats = {}
         raw = _need(doc, "matrices", dict, path)
         for a in input_alphabet:
@@ -179,11 +189,12 @@ def machine_from_json(doc, path: str = "$"):
                 _err(where, "expected a list of entries")
             mat = {}
             for i, ent in enumerate(entries):
+                if not isinstance(ent, dict):
+                    _err("%s[%d]" % (where, i), "expected an object")
                 for field in ("from", "to", "weight"):
                     if field not in ent:
                         _err("%s[%d]" % (where, i), "missing %r" % field)
-                if not isinstance(ent["weight"], int) or isinstance(ent["weight"], bool):
-                    _err("%s[%d].weight" % (where, i), "expected an integer")
+                _integer(ent["weight"], "%s[%d].weight" % (where, i))
                 mat[(ent["from"], ent["to"])] = ent["weight"]
             mats[a] = mat
         return NAutomaton(input_alphabet, states, alpha, beta, mats)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 LEFT_END = "⊢"   # left endmarker, position 0
 RIGHT_END = "⊣"  # right endmarker, position |w|+1
@@ -92,10 +92,6 @@ Token = Union[Lit, Reg, Fun]
 
 # A substitution maps each register to a sequence of tokens.
 Substitution = dict  # dict[str, tuple[Token, ...]]
-
-
-def identity_substitution(registers: Iterable[str]) -> Substitution:
-    return {x: (Reg(x),) for x in registers}
 
 
 def compose_substitutions(s1: Substitution, s2: Substitution) -> Substitution:

@@ -36,7 +36,7 @@ class Derivation:
 
     ``entries`` maps (entry state, color-or-None) to (result state or None,
     token tuple); a None result means the excursion never crosses and then
-    carries no tokens.
+    carries no tokens.  An entry is resolved when it is first read.
     """
 
     entries: dict
@@ -89,46 +89,41 @@ def _local_equation(t: MarbleTransducer, f: dict, symbol: str,
         raise MachineError("invalid machine: %r on a marble" % akind)
 
 
-def _solve(t: MarbleTransducer, f: dict, symbol: str,
-           accepting_exit: bool) -> Derivation:
-    """Least fixpoint of the stitching equations by memoized chain-following.
+class _Chains(dict):
+    """Least fixpoint of the stitching equations, resolved entry by entry.
 
     Every node has at most one successor, so each chain either terminates
     (crossing found), dies (undefined transition or bottom continuation), or
-    cycles; cycles resolve to bottom for every node on them.
+    cycles; cycles resolve to bottom for every node on them.  An entry is
+    resolved when it is first read, together with the nodes on its chain.
     """
-    memo: dict = {}
-    IN_PROGRESS = ("__in_progress__",)
 
-    def resolve(node):
-        cached = memo.get(node)
-        if cached is IN_PROGRESS:
-            return (None, ())  # cycle: least fixpoint stays at bottom
-        if cached is not None:
-            return cached
-        memo[node] = IN_PROGRESS
-        step = _local_equation(t, f, symbol, node, accepting_exit)
-        if step[0] == "done":
-            res = (step[1], step[2])
-        elif step[0] == "bot":
-            res = (None, ())
-        else:
-            _, toks, nxt = step
-            sub_res, sub_toks = resolve(nxt)
-            res = (None, ()) if sub_res is None else (sub_res, toks + sub_toks)
-        memo[node] = res
-        return res
+    def __init__(self, t: MarbleTransducer, f: dict, symbol: str,
+                 accepting_exit: bool):
+        super().__init__()
+        self.equation = (t, f, symbol, accepting_exit)
 
-    entries = {}
-    for q in t.states:
-        for c in (None,) + tuple(t.colors):
-            entries[(q, c)] = resolve((q, c))
-    return Derivation(entries)
+    def __missing__(self, node):
+        t, f, symbol, accepting_exit = self.equation
+        first, chain = node, {}  # unresolved node -> tokens before its successor
+        while node not in self and node not in chain:
+            step = _local_equation(t, f, symbol, node, accepting_exit)
+            if step[0] == "cont":
+                chain[node] = step[1]
+                node = step[2]
+            else:
+                self[node] = (step[1], step[2]) if step[0] == "done" else (None, ())
+        # a chain that closes a cycle stays at bottom: the least fixpoint
+        res = self.get(node, (None, ()))
+        for n, toks in reversed(chain.items()):
+            res = (None, ()) if res[0] is None else (res[0], toks + res[1])
+            self[n] = res
+        return self[first]
 
 
 def crossing_fixpoint(t: MarbleTransducer, f: dict, symbol: str) -> Derivation:
     """Crossing summary after one more letter, given the previous summary."""
-    return _solve(t, f, symbol, accepting_exit=False)
+    return Derivation(_Chains(t, f, symbol, accepting_exit=False))
 
 
 def exit_fixpoint(t: MarbleTransducer, f: dict) -> Derivation:
@@ -138,7 +133,7 @@ def exit_fixpoint(t: MarbleTransducer, f: dict) -> Derivation:
     marble present succeeds exactly when it reaches a final state standing on
     the endmarker with an empty stack.
     """
-    return _solve(t, f, RIGHT_END, accepting_exit=True)
+    return Derivation(_Chains(t, f, RIGHT_END, accepting_exit=True))
 
 
 FIRST_REG = "first"
@@ -212,9 +207,8 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
                 sub[FIRST_REG] = (Reg(FIRST_REG),) + _transcribe(deriv.tokens(first, None))
             else:
                 sub[FIRST_REG] = ()
-            for q in t.states:
-                res = deriv.result(q, None)
-                sub[_next_reg(q)] = _transcribe(deriv.tokens(q, None)) if res is not None else ()
+            for q in t.states:  # an excursion that never crosses has no tokens
+                sub[_next_reg(q)] = _transcribe(deriv.tokens(q, None))
             delta[(here, a)] = names.setdefault(target, "cs%d" % len(names))
             update[(here, a)] = sub
             yield target

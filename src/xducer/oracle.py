@@ -1,13 +1,12 @@
-"""Brute-force ground truth: bounded equivalence, pattern search, growth probes."""
+"""Brute-force ground truth: bounded equivalence and pattern search."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .machines import FunctionRegistry, MachineError, NAutomaton, as_word
+from .machines import FunctionRegistry, MachineError, NAutomaton
 from .semantics import ACCEPT, BUDGET, run_machine
 
 EQUIVALENT = "equivalent"
@@ -42,8 +41,7 @@ def words_up_to(alphabet, maxlen: int, cap: int = 100000):
 def equiv_check(m1, m2, maxlen: int,
                 registry1: Optional[FunctionRegistry] = None,
                 registry2: Optional[FunctionRegistry] = None,
-                budget: Optional[int] = None,
-                word_cap: int = 100000) -> EquivalenceVerdict:
+                budget: Optional[int] = None) -> EquivalenceVerdict:
     """Compare domains and outputs on every word of length up to ``maxlen``.
 
     The first mismatch in length-lexicographic order is reported.  A run
@@ -51,7 +49,7 @@ def equiv_check(m1, m2, maxlen: int,
     """
     if tuple(sorted(m1.input_alphabet)) != tuple(sorted(m2.input_alphabet)):
         raise MachineError("machines have different input alphabets")
-    for w in words_up_to(m1.input_alphabet, maxlen, cap=word_cap):
+    for w in words_up_to(m1.input_alphabet, maxlen):
         r1 = run_machine(m1, w, registry=registry1, budget=budget)
         r2 = run_machine(m2, w, registry=registry2, budget=budget)
         if BUDGET in (r1.verdict, r2.verdict):
@@ -171,52 +169,3 @@ def brute_degree(m: NAutomaton, maxlen: int) -> Optional[int]:
     if any(h > len(m.states) for h in heights.values()):
         return None  # cyclic barbell graph; cannot happen without heavy cycles
     return max(heights.values(), default=0)
-
-
-# ---------------------------------------------------------------------------
-# Empirical growth probing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthProbe:
-    shape: str        # "exponential" | "polynomial" | "constant" | "unclear"
-    degree: Optional[float]
-    points: tuple     # (pump count, output length)
-
-
-def probe_growth(m, family=None, points=range(1, 7),
-                 registry: Optional[FunctionRegistry] = None,
-                 budget: Optional[int] = None) -> GrowthProbe:
-    """Fit the output-length growth on a witness family (default a^n).
-
-    Advisory only: reports an exponential signature when log2 of the output
-    length grows linearly, otherwise the log-log slope at the largest two
-    points.  Exact checks live with the classifier.
-    """
-    if family is None:
-        letter = sorted(m.input_alphabet)[0]
-        family = lambda n: (letter,) * n
-    data = []
-    for n in points:
-        w = as_word(family(n))
-        res = run_machine(m, w, registry=registry, budget=budget)
-        if res.verdict == BUDGET:
-            raise MachineError("budget exhausted while probing growth")
-        if res.verdict != ACCEPT:
-            raise MachineError("probe family leaves the machine domain at %d" % n)
-        data.append((n, len(res.output)))
-    sizes = [s for _, s in data]
-    if all(s == sizes[0] for s in sizes):
-        return GrowthProbe("constant", 0.0, tuple(data))
-    if all(s > 0 for s in sizes):
-        logs = [math.log2(s) for s in sizes]
-        diffs = [logs[i + 1] - logs[i] for i in range(len(logs) - 1)]
-        if len(diffs) >= 2 and all(abs(d - diffs[-1]) < 0.2 for d in diffs[-2:]) \
-                and diffs[-1] > 0.8:
-            return GrowthProbe("exponential", None, tuple(data))
-    (n1, s1), (n2, s2) = data[-2], data[-1]
-    if s1 <= 0 or s2 <= 0 or n1 <= 0:
-        return GrowthProbe("unclear", None, tuple(data))
-    slope = (math.log(s2) - math.log(s1)) / (math.log(n2) - math.log(n1))
-    return GrowthProbe("polynomial", slope, tuple(data))

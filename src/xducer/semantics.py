@@ -242,23 +242,6 @@ def _output_word(rhs, val: dict) -> Word:
     return _apply_update({"": rhs}, val, (), 0, None)[""]
 
 
-def register_values(m: SST, prefix, registry: Optional[FunctionRegistry] = None) -> dict:
-    """Register valuation after running the one-way automaton on ``prefix``.
-
-    Raises if the run is undefined (the valuation only exists along runs).
-    """
-    prefix = as_word(prefix)
-    _check_alphabet(m, prefix)
-    val = {x: tuple(m.init_valuation[x]) for x in m.registers}
-    q = m.initial
-    for i, a in enumerate(prefix):
-        if (q, a) not in m.delta:
-            raise MachineError("one-way run undefined at letter %d" % (i + 1))
-        val = _apply_update(m.update[(q, a)], val, prefix, i + 1, registry)
-        q = m.delta[(q, a)]
-    return val
-
-
 def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
             trace: bool = False) -> RunResult:
     """One-way run; accepts iff defined everywhere and final state has output."""

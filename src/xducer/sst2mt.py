@@ -14,7 +14,6 @@ lookbehind that stays left of its landing position, where no mark lies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import takewhile
 from typing import Sequence
 
@@ -39,45 +38,6 @@ from .layering import make_total
 # Walker states _build_walker may create.  The walker's size depends on the
 # machine only; random layered machines of up to 25 states gave up to ~52,000.
 WALKER_STATE_LIMIT = 10 ** 6
-
-
-# ---------------------------------------------------------------------------
-# Marked substitution colors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarkedSubstitutionColor:
-    """One register occurrence of one update, used as a resume marker."""
-
-    state: str
-    letter: str
-    register: str   # the register being rewritten
-    index: int      # 0-based position of the marked occurrence
-    body: tuple     # the full token sequence of the update
-
-    @property
-    def color_id(self) -> str:
-        return "mk|%s|%s|%s|%d" % (self.state, self.letter, self.register, self.index)
-
-
-def marked_variants(tokens) -> tuple:
-    """All copies of a token sequence with one register occurrence marked."""
-    return tuple(
-        (tuple(tokens), i) for i, t in enumerate(tokens) if isinstance(t, Reg)
-    )
-
-
-def marked_colors(m: SST) -> tuple:
-    """Every per-occurrence marker color of the machine's updates."""
-    out = []
-    for (q, a) in sorted(m.update):
-        s = m.update[(q, a)]
-        for x in sorted(s):
-            for i, t in enumerate(s[x]):
-                if isinstance(t, Reg):
-                    out.append(MarkedSubstitutionColor(q, a, x, i, tuple(s[x])))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +117,15 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound) -> MarbleTransducer:
         raise MachineError("cannot build a walker over external functions")
     letters = tuple(sorted(m.input_alphabet))
 
-    # (q, a, x, j) -> color id; same-layer references need no marker
+    # (q, a, x, j) -> the color that marks the j-th token of x's update at
+    # (q, a); same-layer references need no marker
     colors = {
-        (c.state, c.letter, c.register, c.index): c.color_id
-        for c in marked_colors(m)
-        if layer_of is None
-        or layer_of[c.body[c.index].name] != layer_of[c.register]
+        (q, a, x, j): "mk|%s|%s|%s|%d" % (q, a, x, j)
+        for (q, a), s in sorted(m.update.items())
+        for x in sorted(s)
+        for j, t in enumerate(s[x])
+        if isinstance(t, Reg)
+        and (layer_of is None or layer_of[t.name] != layer_of[x])
     }
     lifts: dict = {}   # (q, y) -> [(a, x, j, color id)] marking a y in q's updates
     for (q, a, x, j), cid in sorted(colors.items()):

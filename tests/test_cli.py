@@ -46,6 +46,21 @@ def test_schema_error_names_field(tmp_path):
     assert "action" in str(err.value)
 
 
+@pytest.mark.parametrize("name,field,value,where", [
+    ("exp_sst", "transitions", [5], "$.transitions[0]"),
+    ("chain_flow", "matrices", {"a": [3]}, "$.matrices.a[0]"),
+    ("chain_flow", "alpha", {"p": "x"}, "$.alpha.p"),
+])
+def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
+                                           value, where):
+    doc = json.load(open(corpus_path(name)))
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("%s: expected " % where)
+
+
 def test_validate_passthrough(tmp_path, capsys):
     doc = json.load(open(corpus_path("mul_marble")))
     for t in doc["transitions"]:
@@ -215,6 +230,55 @@ def test_analyze_output_bytes_are_pinned(capsys):
         assert main(["analyze", corpus_path(name)]) == code, name
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
+
+# Exit code and sha256 of `convert --to T` stdout for each corpus file (None:
+# nothing is printed), so conversion refactors keep the emitted bytes.
+CONVERTED = {
+    ("bounded_pair_sst", "sst"): (0, "7506f6be1d2165ab12e1fa1bf6c376199e90aa527491e1280ef35f1a0b1cb8a1"),
+    ("bounded_pair_sst", "marble"): (0, "c1975e2135bf742621db95fbf97962216cde9323986ef8d33b1e7decb14d5183"),
+    ("chain_flow", "sst"): (1, None),
+    ("chain_flow", "marble"): (1, None),
+    ("copy_two_way", "sst"): (0, "4f4e104ac3f53eabca47f54e49f926e59b441b59d4734176f1a8fb51a9323bd5"),
+    ("copy_two_way", "marble"): (0, "602b89a10dbaf539dcb8bdd1f962f836140072bd4c0410f82d55d52b6267f96a"),
+    ("exp_flow", "sst"): (1, None),
+    ("exp_flow", "marble"): (1, None),
+    ("exp_marble", "sst"): (0, "8717f1d8a6833c2232b6c6e1e8eeeb67690ff7dfa351c27c936e7d865421f687"),
+    ("exp_marble", "marble"): (0, "0c5b5472acf6026f770574af76b11fb17aa775c2a767c539a9a66b53a040f462"),
+    ("exp_sst", "sst"): (0, "c6a3266217451ee07b5a83f3c22a11ecf108a9537ce358c4e21b0afdca29cb60"),
+    ("exp_sst", "marble"): (0, "710787bbd25b1b29a094430a3c41d028a6ba8f5ee2f132d5f9ce0e6d8f6c14b9"),
+    ("identity_sst", "sst"): (0, "303a17dae54c108167765ad830f88e2e757d76bda3bdb1262564769a9ed48e59"),
+    ("identity_sst", "marble"): (0, "c769d9151ecb7b56c2305f155919dcb39e6e70d823323fb8820cf0db41d11384"),
+    ("mul_marble", "sst"): (0, "e00167995e62ca2de41da1a7235d5b63a1fea0b58859b4207d7585ee88db40fa"),
+    ("mul_marble", "marble"): (0, "896bee3c34e42c1c55bcee2fad94a26293f883f8104f16e0a3a1334d73fea5dc"),
+    ("mul_sst", "sst"): (0, "fefddcb89499d216f4bbc58e3b6286e11366a5ec64eae7ed00fd1289ca3e118e"),
+    ("mul_sst", "marble"): (0, "759a8ff9f9a7e81d0bf1f0e2c5a1e74a139098098c696ef60e6f6e40df7c1f2b"),
+    ("mul_sst_copyful", "sst"): (0, "0a1f6fc80b15ffcac9a6b3e7a29fb4c284857d0484de21d722693aafc19b7360"),
+    ("mul_sst_copyful", "marble"): (0, "c64874e39bc880506c43e9f446ee0a3a5acd12146180e2abf1f070313759df93"),
+    ("pow2_marble", "sst"): (0, "dbd556981c2620eabb18e34ca4d6ed1096423c86b3f5b78283da6d90f0368e9f"),
+    ("pow2_marble", "marble"): (0, "78afd9a097ded9f18757a2e1799059ea1bdafac4a8f019c3c0b44d17db87db55"),
+    ("pow2_marble_wasteful", "sst"): (0, "2ee5b4cf5f5f1bbeb984970af9d16f42e450b558660a1342c4eddb923cac91e6"),
+    ("pow2_marble_wasteful", "marble"): (0, "eba7a2f8b22edb2dd0664e18d3673b75972ceb4e640291c5530a0ef6cee6cd70"),
+    ("reverse_sst", "sst"): (0, "d8413d412b3a494f0429ee70a84b7d4b732762a3c9acf4f2a6a05cb9facfb5cc"),
+    ("reverse_sst", "marble"): (0, "e100be1625f31ac045431baf063aa52e27a7a6752eae414853758dcbd5fcf013"),
+    ("reverse_sst_copyful", "sst"): (0, "dd1d6b0ea66c6541a70c3eac64b502a2c171d087538776577e84458eaf6c6c98"),
+    ("reverse_sst_copyful", "marble"): (0, "f56f416498fda93a765af929b9214a597b9f02385dcbb462a25baab127c1ec32"),
+    ("reverse_two_way", "sst"): (0, "c8dc0621e7f34947c7e284a028d27f451e88f1f68575a3f44ef332399ccc7d82"),
+    ("reverse_two_way", "marble"): (0, "74419ed36d713488abb5e61ef92ddee5291eb886c26f233cec9ac06aec8dcb22"),
+}
+
+
+def test_convert_output_bytes_are_pinned(capsys):
+    assert {name for name, _target in CONVERTED} == set(OPTIMIZED)
+    for (name, target), (code, digest) in sorted(CONVERTED.items()):
+        assert main(["convert", "--to", target, corpus_path(name)]) == code, \
+            (name, target)
+        out = capsys.readouterr().out
+        if digest is None:
+            assert out == "", (name, target)
+        else:
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, \
+                (name, target)
 
 
 def test_optimize_growth_report_matches_analyze(tmp_path, capsys):

@@ -14,7 +14,6 @@ from xducer.layering import (
     product_ssts,
     prune_dead_registers,
     prune_sst_registers,
-    reassemble,
     remove_bounded_layer,
     splice_layers,
     to_k_layered,
@@ -116,10 +115,9 @@ def _classified_simple(m):
 
 def test_remove_bounded_layer_constant_register():
     simple, report, total = _classified_simple(corpus.mul_sst())
-    machine, bound = remove_bounded_layer(simple, report.partition)
+    machine = remove_bounded_layer(simple, report.partition)
     assert len(machine.registers) == len(simple.registers) - len(report.partition[0])
     assert equiv_check(machine, total, 5).equivalent
-    assert bound >= 1
 
 
 def test_remove_bounded_layer_singleton_closure():
@@ -135,7 +133,7 @@ def test_remove_bounded_layer_singleton_closure():
     )
     simple, report, total = _classified_simple(m)
     assert report.degree == 1
-    machine, _bound = remove_bounded_layer(simple, report.partition)
+    machine = remove_bounded_layer(simple, report.partition)
     assert len(machine.states) == 1
     assert len(machine.registers) == len(simple.registers) - 1
     assert equiv_check(machine, total, 6).equivalent
@@ -150,14 +148,41 @@ def test_remove_bounded_layer_degree_zero():
     )
     simple, report, total = _classified_simple(m)
     assert report.degree == 0
-    machine, _bound = remove_bounded_layer(simple, report.partition)
+    machine = remove_bounded_layer(simple, report.partition)
     assert machine.registers == ()
     assert equiv_check(machine, total, 5).equivalent
+
+
+def test_copy_bound_is_measured_once_per_profile_machine(monkeypatch):
+    # the pipeline needs a copy bound only where it builds the profile
+    # machine, which measures the bound itself
+    calls = {"find_copy_bound": 0, "bounded_sstf_to_unambiguous": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(layering, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(layering, name, counted)
+    assert to_k_layered(corpus.mul_sst()).kind == "layered"
+    assert calls["bounded_sstf_to_unambiguous"] >= 1
+    assert calls["find_copy_bound"] == calls["bounded_sstf_to_unambiguous"]
 
 
 # ---------------------------------------------------------------------------
 # Skeleton / boundary decompositions
 # ---------------------------------------------------------------------------
+
+
+def reassemble(sbf):
+    """The substitution a skeleton/boundary decomposition stands for."""
+    s = {}
+    for x, names in sbf.ske.items():
+        rhs = list(sbf.beg[x])
+        for y in names:
+            rhs.append(Reg(y))
+            rhs.extend(sbf.fol[y])
+        s[x] = tuple(rhs)
+    return s
+
 
 S1 = {"x": (Lit("a"),), "y": (Lit("b"), Reg("x"), Reg("y"), Lit("c"))}
 S2 = {"x": (Reg("y"), Lit("d")), "y": (Reg("x"),)}
@@ -235,7 +260,7 @@ def test_extract_single_layer_is_identity():
 
 def _two_layer_machine():
     simple, report, _total = _classified_simple(corpus.mul_sst())
-    machine, _b = remove_bounded_layer(simple, report.partition)
+    machine = remove_bounded_layer(simple, report.partition)
     return machine, report.partition[1:]
 
 

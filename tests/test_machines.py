@@ -17,15 +17,17 @@ from xducer.machines import (
     compose_substitutions,
     explore,
     find_copy_bound,
-    identity_substitution,
     register_occurrences,
     validate,
 )
-from xducer.semantics import register_values
 
 
 def lits(word):
     return tuple(Lit(b) for b in word)
+
+
+def identity_substitution(registers):
+    return {x: (Reg(x),) for x in registers}
 
 
 S1 = {"x": lits("b"), "y": (Lit("b"), Reg("x"), Reg("y"), Lit("b"))}
@@ -214,7 +216,7 @@ def test_validate_unknown_register_in_output():
     assert any("unknown register" in v for v in validate(bad))
 
 
-def test_composition_matches_interpreter_valuation():
+def test_composition_matches_interpreter_valuation(register_values):
     for m in (corpus.reverse_sst(("a", "b")), corpus.exp_sst(),
               corpus.bounded_pair_sst()):
         words = ["", "a", "aa", "aaa", "aaaa", "aaaaa", "aaaaaa"]

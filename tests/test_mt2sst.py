@@ -72,6 +72,27 @@ def test_crossing_dead_continuation_is_bottom():
     assert deriv.tokens("q", None) == ()
 
 
+def test_crossing_follows_long_chains():
+    # 3,000 drop/lift steps on one letter: chains this long are followed
+    # without recursion, to their crossing or around their cycle
+    n = 3000
+    states = tuple("q%d" % i for i in range(n + 2))
+    trans = {}
+    for i in range(0, n, 2):
+        trans[(states[i], "a", None)] = (states[i + 1], act_drop("c"), ("o1",))
+        trans[(states[i + 1], "a", "c")] = (states[i + 2], ACT_LIFT, ())
+    trans[(states[n], "a", None)] = (states[n + 1], ACT_RIGHT, ("o2",))
+    f = {q: None for q in states}
+    deriv = crossing_fixpoint(fragment(trans, states), f, "a")
+    assert deriv.result("q0", None) == states[n + 1]
+    assert deriv.tokens("q0", None) == ((CONST, ("o1",)),) * (n // 2) + (
+        (CONST, ("o2",)),)
+    trans[(states[n], "a", None)] = (states[1], act_drop("c"), ())
+    deriv = crossing_fixpoint(fragment(trans, states), f, "a")
+    assert deriv.result("q0", None) is None
+    assert deriv.result(states[n], None) is None
+
+
 def test_crossing_cycle_is_bottom():
     # left move whose continuation loops back to the same entry
     t = fragment({("q", "a", None): ("q", ACT_LEFT, ())}, states=("q",))

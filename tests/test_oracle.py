@@ -5,7 +5,6 @@ from xducer.machines import MachineError
 from xducer.oracle import (
     brute_pattern_search,
     equiv_check,
-    probe_growth,
     words_up_to,
 )
 
@@ -75,12 +74,3 @@ def test_brute_pattern_search_identity():
                        {"a": {("x", "x"): 1}})
     found = brute_pattern_search(ident, 4)
     assert found.heavy_cycles == () and found.barbells == ()
-
-
-def test_probe_growth_shapes():
-    assert probe_growth(corpus.exp_marble(), points=range(1, 7)).shape == "exponential"
-    probe = probe_growth(corpus.pow2_marble(), points=range(2, 7))
-    assert probe.shape == "polynomial"
-    assert abs(probe.degree - 2) < 0.25
-    assert probe_growth(corpus.exp_sst(), points=range(0, 4),
-                        family=lambda n: ()).shape == "constant"

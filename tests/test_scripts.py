@@ -1,10 +1,14 @@
-"""Smoke runs of the experiment scripts under scripts/."""
+"""Smoke runs of the experiment scripts under scripts/, and the names the
+benchmark's tracer looks up."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 
-SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def run_script(name: str) -> str:
@@ -25,3 +29,15 @@ def test_pipeline_demo_rebuilds_every_corpus_machine():
 def test_growth_sweep_agrees_with_brute_force():
     out = run_script("growth_sweep.py")
     assert "disagreements with brute force (|v| <= 6): 0" in out
+
+
+def test_traced_layers_resolve():
+    # perfbench/run.py --trace 1 wraps each listed function, found by name
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, names in spans.LAYERS.items():
+        mod = importlib.import_module("xducer.%s" % module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), "%s.%s" % (module, name)

@@ -23,7 +23,6 @@ from xducer.semantics import (
     enumerate_nsstf_runs,
     eval_nautomaton,
     format_trace,
-    register_values,
     run_marble,
     run_sst,
     run_sstf,
@@ -138,7 +137,7 @@ def test_sst_empty_word_applies_initial_valuation():
     assert run_sst(m, "").output_text == "a"
 
 
-def test_register_values_prefixes():
+def test_register_values_prefixes(register_values):
     m = corpus.bounded_pair_sst()
     val = register_values(m, "aaa")
     assert "".join(val["x"]) == "aaa"
@@ -157,7 +156,7 @@ def _const_fun(word):
     return lambda prefix: tuple(word)
 
 
-def test_sstf_worked_update():
+def test_sstf_worked_update(register_values):
     m = SST(
         input_alphabet=("a",), output_alphabet=("a", "b", "c"),
         states=("q",), registers=("x",), initial="q",
@@ -250,7 +249,7 @@ def test_trace_format():
     assert marked, "stack rendering should show color@position"
 
 
-def test_original_register_lengths_project_onto_flow():
+def test_original_register_lengths_project_onto_flow(register_values):
     """Original machine valuations match the simplified flow evaluation by
     summing over the per-state register copies."""
     from xducer.semantics import eval_nautomaton_vector

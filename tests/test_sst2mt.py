@@ -7,9 +7,7 @@ from xducer.machines import (
     ACT_RIGHT,
     DFA,
     LEFT_END,
-    Lit,
     MachineError,
-    Reg,
     validate,
 )
 from xducer.oracle import equiv_check, words_up_to
@@ -17,24 +15,13 @@ from xducer.semantics import run_marble
 from xducer.sst2mt import (
     layered_to_marble,
     lookbehind_step,
-    marked_colors,
-    marked_variants,
     sst_to_marble,
 )
 
 
-def test_marked_variants_worked_example():
-    tokens = (Reg("x"), Lit("b"), Reg("y"), Lit("b"), Reg("x"))
-    variants = marked_variants(tokens)
-    assert [i for _body, i in variants] == [0, 2, 4]
-    assert all(body == tokens for body, _i in variants)
-    assert marked_variants((Lit("b"), Lit("b"))) == ()
-
-
 def test_marked_colors_exp():
-    cols = marked_colors(corpus.exp_sst())
-    assert len(cols) == 2
-    assert {(c.register, c.index) for c in cols} == {("x", 0), ("x", 1)}
+    # one color per register occurrence of an update: x -> x x marks both
+    assert sst_to_marble(corpus.exp_sst()).colors == ("mk|q|a|x|0", "mk|q|a|x|1")
 
 
 CORPUS_SST = [
