@@ -88,7 +88,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args, trace: bool = False) -> int:
-    machine, _layers = parse_machine(args.file)
+    machine, _layers = _load(args.file)
     word = _parse_word(args.word, machine.input_alphabet)
     result = run_machine(machine, word, budget=_budget(args), trace=trace)
     if trace and result.trace is not None:
@@ -193,8 +193,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    m1, _l1 = parse_machine(args.a)
-    m2, _l2 = parse_machine(args.b)
+    m1, _l1 = _load(args.a)
+    m2, _l2 = _load(args.b)
     verdict = equiv_check(m1, m2, args.maxlen, budget=_budget(args))
     doc = {"status": verdict.status, "maxlen": verdict.max_length}
     if verdict.counterexample is not None:

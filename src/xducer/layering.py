@@ -2,9 +2,11 @@
 
 The chain runs: totalize, eliminate states and letters, drop the bounded
 bottom layer of the register-flow partition, convert each remaining layer
-from per-word-bounded copying to copyless via an unambiguous nondeterministic
-intermediate, and splice the recursively processed lower layers back in as a
-parallel product.
+from per-word-bounded copying to copyless, and splice the recursively
+processed lower layers back in as a parallel product.  The copyless step
+guesses occurrence profiles in an unambiguous nondeterministic machine,
+built backward from the output, and determinizes it by tracking the alive
+forest of its runs: one tree, its slots numbered in pre-order.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Optional, Sequence
 
 from .growth import GrowthReport, classify, flow_automaton, is_simple
@@ -36,7 +39,8 @@ SINK = "__sink"
 
 # Resource limits; each raises a MachineError naming its stage.
 VALUATION_STATE_LIMIT = 20000      # remove_bounded_layer
-PROFILE_LIMIT = 200000             # bounded_sstf_to_unambiguous
+# bounded_sstf_to_unambiguous: (state, profile) pairs that reach the output
+PROFILE_LIMIT = 200000
 # determinize_nsstf: states x slot registers, since every state carries a
 # substitution of all slot registers.
 DETERMINIZATION_SIZE_LIMIT = 10 ** 6
@@ -513,27 +517,31 @@ def extract_sstf(m: SST, layers: Sequence[Sequence[str]]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _profiles(registers: tuple, bound: int):
-    if not registers:
-        yield ()
-        return
-    for rest in _profiles(registers[1:], bound):
-        for v in range(bound + 1):
-            yield ((registers[0], v),) + rest
-
-
 def _copy_reg(x: str, i: int) -> str:
     return "%s@%d" % (x, i)
+
+
+def _number_copies(rhs, used: Counter) -> tuple:
+    """``rhs`` with each register reference replaced by its next unused copy."""
+    out = []
+    for t in rhs:
+        if isinstance(t, Reg):
+            used[t.name] += 1
+            t = Reg(_copy_reg(t.name, used[t.name]))
+        out.append(t)
+    return tuple(out)
 
 
 def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
     """Guess, per step, how often each register still reaches the output.
 
     States pair the original state with an occurrence profile; registers are
-    indexed copies.  Transitions respect the backward recurrence of the
-    profiles, which forces a unique accepting run, and the updates distribute
-    copy indices left-to-right across targets taken in register order, which
-    keeps them copyless.
+    indexed copies.  The profiles obey the backward recurrence g1 = occ . g2,
+    which forces a unique accepting run, so the machine is grown backward
+    from the output: only profiles that reach it within the bound are ever
+    built, and a forward pass from the initial state keeps the reachable
+    ones.  The updates distribute copy indices left-to-right across targets
+    taken in register order, which keeps them copyless.
     """
     if not is_total(m):
         raise MachineError("the bounded machine must be total")
@@ -547,105 +555,60 @@ def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
         if counts:
             fmult = max(fmult, max(counts.values()))
     bound *= fmult
-    if (bound + 1) ** len(m.registers) > PROFILE_LIMIT:
-        raise MachineError("profile space too large: over %d occurrence profiles"
-                           % PROFILE_LIMIT)
     regs = tuple(sorted(m.registers))
-    profiles = list(_profiles(regs, bound))
-
-    def pname(q, g):
-        return "%s|%s" % (q, ",".join("%s=%d" % (x, v) for x, v in g))
-
-    states = []
-    for q in m.states:
-        for g in profiles:
-            states.append(pname(q, g))
-    initial = {}
-    for g in profiles:
-        val = {}
-        gd = dict(g)
-        for x in regs:
-            for i in range(1, bound + 1):
-                val[_copy_reg(x, i)] = tuple(m.init_valuation[x]) if i <= gd[x] else ()
-        initial[pname(m.initial, g)] = val
-    transitions = []
-    update = {}
-    for (q, a), q2 in sorted(m.delta.items()):
-        s = m.update[(q, a)]
-        occ = {x: Counter() for x in regs}
-        for y in regs:
-            for tok in s[y]:
+    index = {x: i for i, x in enumerate(regs)}
+    # q2 -> (q, a, per register x the pairs (index of y, occurrences of x in s[y]))
+    preds: dict = {}
+    for (q, a), q2 in m.delta.items():
+        occ = [Counter() for _ in regs]
+        for j, y in enumerate(regs):
+            for tok in m.update[(q, a)][y]:
                 if isinstance(tok, Reg):
-                    occ[tok.name][y] += 1
-        for g2 in profiles:
-            g2d = dict(g2)
-            g1d = {x: sum(occ[x][y] * g2d[y] for y in regs) for x in regs}
-            if any(v > bound for v in g1d.values()):
-                continue
-            g1 = tuple((x, g1d[x]) for x in regs)
-            key = (pname(q, g1), a, pname(q2, g2))
-            transitions.append(key)
-            next_index = {x: 1 for x in regs}
-            sub = {}
-            for y in regs:
-                for j in range(1, bound + 1):
-                    if j > g2d[y]:
-                        sub[_copy_reg(y, j)] = ()
-                        continue
-                    rhs: list = []
-                    for tok in s[y]:
-                        if isinstance(tok, Reg):
-                            rhs.append(Reg(_copy_reg(tok.name, next_index[tok.name])))
-                            next_index[tok.name] += 1
-                        else:
-                            rhs.append(tok)
-                    sub[_copy_reg(y, j)] = tuple(rhs)
-            update[key] = sub
-    output = {}
+                    occ[index[tok.name]][j] += 1
+        preds.setdefault(q2, []).append((q, a, [tuple(c.items()) for c in occ]))
+    finals = {}
     for q, rhs in m.output.items():
         need = Counter(t.name for t in rhs if isinstance(t, Reg))
-        g = tuple((x, need.get(x, 0)) for x in regs)
-        if any(v > bound for _, v in g):
+        if any(v > bound for v in need.values()):
             raise MachineError("output uses a register more often than the bound")
-        counter = Counter()
-        toks: list = []
-        for t in rhs:
-            if isinstance(t, Reg):
-                counter[t.name] += 1
-                toks.append(Reg(_copy_reg(t.name, counter[t.name])))
-            else:
-                toks.append(t)
-        output[pname(q, g)] = tuple(toks)
-    machine = NSSTF(
-        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=tuple(states),
-        registers=tuple(_copy_reg(x, i) for x in regs for i in range(1, bound + 1)),
-        funs=m.funs, initial=initial, transitions=tuple(sorted(transitions)),
-        update=update, output=output,
-    )
-    return trim_nsstf(machine)
+        finals[(q, tuple(need[x] for x in regs))] = rhs
+    edges: dict = {}   # node -> [(letter, successor node)]
 
+    def predecessors(node):
+        g2 = node[1]
+        for q, a, occ in preds.get(node[0], ()):
+            g1 = tuple(sum(n * g2[j] for j, n in row) for row in occ)
+            if all(v <= bound for v in g1):
+                edges.setdefault((q, g1), []).append((a, node))
+                yield q, g1
 
-def trim_nsstf(m: NSSTF) -> NSSTF:
-    """Keep only states both reachable from an initial state and co-reachable
-    from a final one."""
-    fwd: dict = {q: set() for q in m.states}
-    bwd: dict = {q: set() for q in m.states}
-    for (q, _a, q2) in m.transitions:
-        fwd[q].add(q2)
-        bwd[q2].add(q)
-    n = len(m.states)
-    keep = (set(explore(m.initial, fwd.__getitem__, n, "NSST-F trimming"))
-            & set(explore(m.output, bwd.__getitem__, n, "NSST-F trimming")))
-    transitions = tuple(t for t in m.transitions if t[0] in keep and t[2] in keep)
+    stage = "occurrence-profile machine"
+    coreach = explore(finals, predecessors, PROFILE_LIMIT, stage)
+    nodes = explore([n for n in coreach if n[0] == m.initial],
+                    lambda n: (n2 for _a, n2 in edges.get(n, ())), len(coreach), stage)
+    names = {n: "%s|%s" % (n[0], ",".join("%s=%d" % xv for xv in zip(regs, n[1])))
+             for n in nodes}
+    copies = range(1, bound + 1)
+    update = {}
+    for n in nodes:
+        for a, n2 in edges.get(n, ()):
+            s = m.update[(n[0], a)]
+            used: Counter = Counter()
+            update[(names[n], a, names[n2])] = {
+                _copy_reg(y, j): _number_copies(s[y], used) if j <= k else ()
+                for y, k in zip(regs, n2[1]) for j in copies}
     return NSSTF(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=tuple(q for q in m.states if q in keep),
-        registers=m.registers, funs=m.funs,
-        initial={q: v for q, v in m.initial.items() if q in keep},
-        transitions=transitions,
-        update={k: v for k, v in m.update.items() if k in transitions},
-        output={q: v for q, v in m.output.items() if q in keep},
+        states=tuple(names.values()),
+        registers=tuple(_copy_reg(x, i) for x in regs for i in copies),
+        funs=m.funs,
+        initial={names[n]: {_copy_reg(x, i): tuple(m.init_valuation[x])
+                            if i <= k else ()
+                            for x, k in zip(regs, n[1]) for i in copies}
+                 for n in nodes if n[0] == m.initial},
+        transitions=tuple(sorted(update)), update=update,
+        output={names[n]: _number_copies(rhs, Counter())
+                for n, rhs in finals.items() if n in names},
     )
 
 
@@ -653,25 +616,13 @@ def trim_nsstf(m: NSSTF) -> NSSTF:
 # Alive-forest determinization
 # ---------------------------------------------------------------------------
 
-# Forest encoding: a state is a tuple of (initial state, tree) roots, where
-# tree = ("leaf", nsstf state, ske items) or ("br", ske items, children).
-# The ske items describe the skeleton of the substitution composed along the
-# deterministic branch ending at the node; its boundary words live in the
-# result registers addressed by the node's pre-order slot number.
-
-
-def _tree_ske(tree):
-    return tree[2] if tree[0] == "leaf" else tree[1]
-
-
-def _tree_children(tree):
-    return () if tree[0] == "leaf" else tree[2]
-
-
-def _tree_min_leaf(tree):
-    if tree[0] == "leaf":
-        return tree[1]
-    return min(_tree_min_leaf(c) for c in _tree_children(tree))
+# Forest encoding: a state is a tuple of (initial state, node) roots, where a
+# node is (leaf nsstf state or None, ske items, children).  The ske items
+# describe the skeleton of the substitution composed along the deterministic
+# branch ending at the node; its boundary words live in the result registers
+# addressed by the node's pre-order index (its slot), counted over the roots
+# in order.  Children are sorted by least leaf, so the leftmost leaf of a
+# subtree is its least one.
 
 
 def _slot_regs(slot: int, x: str):
@@ -689,189 +640,115 @@ def _slot_sbf(slot: int, ske_items) -> SkeBegFol:
     return SkeBegFol(ske, beg, fol)
 
 
+def _least_leaf(node):
+    while node[0] is None:
+        node = node[2][0]
+    return node[0]
+
+
 def determinize_nsstf(m: NSSTF) -> SST:
     """Deterministic copyless machine tracking all surviving runs.
 
     The state stores the shape of the alive forest of initial runs with the
     skeletons of the substitutions along its deterministic branches; their
-    boundary words live in per-slot registers.  Extending by a letter adds
-    the successor transitions, discards dead subtrees, composes unary chains
-    (copylessly, via the boundary-word calculus) and renumbers slots
-    canonically.
+    boundary words live in per-slot registers.  Extending by a letter walks
+    the forest once in pre-order: it adds the successor transitions, discards
+    dead subtrees and composes unary chains (copylessly, via the
+    boundary-word calculus) into a tree of decompositions over the old slot
+    registers; numbering that tree in pre-order gives the new slots.
     """
     regs = tuple(sorted(m.registers))
-    ident_ske = tuple((x, (x,)) for x in regs)
     max_slots = max(2 * len(m.states) - 1, 1)
     registers = tuple(
         r for slot in range(max_slots) for x in regs for r in _slot_regs(slot, x)
     )
-    empty_sub = {r: () for r in registers}
-
     succ: dict = {}
-    for (q, a, q2) in m.transitions:
-        succ.setdefault((q, a), []).append(q2)
-    for key in succ:
-        succ[key].sort()
-
+    for (q, a, q2) in sorted(m.transitions):
+        succ.setdefault((q, a), []).append(
+            (q2, decompose_copyless(m.update[(q, a, q2)]), ()))
     init_forest = tuple(
-        (q, ("leaf", q, ident_ske)) for q in sorted(m.initial)
-    )
-
-    def slot_assignment(forest):
-        slots = {}
-
-        def visit(tree, path):
-            slots[path] = len(slots)
-            for i, c in enumerate(_tree_children(tree)):
-                visit(c, path + (i,))
-
-        for r, (_qi, tree) in enumerate(forest):
-            visit(tree, (r,))
-        return slots
-
-    def freeze_ske(ske):
-        return tuple((x, tuple(ske[x])) for x in regs)
+        (q, (q, tuple((x, (x,)) for x in regs), ())) for q in sorted(m.initial))
 
     def extend(forest, a):
-        """New forest plus the substitution over the slot registers.
+        """New forest plus the substitution over the slot registers."""
+        old_slot = count()
+        leaves: list = []
 
-        Works on a parallel pair of trees: the plain tree (state material)
-        and a mirror tree of segment decompositions whose boundary words are
-        expressions over the old slot registers.
-        """
-        old_slots = slot_assignment(forest)
-        new_leaves: list = []
-
-        def build(tree, path):
-            """Returns None (dead) or (plain tree, decomposition tree).
-
-            Decomposition trees mirror plain trees: ("leaf", sbf) or
-            ("br", sbf, children); unary chains are already folded.
-            """
-            slot = old_slots[path]
-            sbf_here = _slot_sbf(slot, _tree_ske(tree))
-            if tree[0] == "leaf":
-                p = tree[1]
-                kids = [(p2, decompose_copyless(m.update[(p, a, p2)]))
-                        for p2 in succ.get((p, a), ())]
-                if not kids:
-                    return None
-                new_leaves.extend(p2 for p2, _ in kids)
-                if len(kids) == 1:
-                    p2, lam = kids[0]
-                    comp = compose_skebegfol(sbf_here, lam)
-                    return ("leaf", p2, freeze_ske(comp.ske)), ("leaf", comp)
-                pairs = sorted(
-                    ((("leaf", p2, freeze_ske(lam.ske)), ("leaf", lam))
-                     for p2, lam in kids),
-                    key=lambda ps: _tree_min_leaf(ps[0]))
-                plain = ("br", freeze_ske(sbf_here.ske),
-                         tuple(p for p, _s in pairs))
-                return plain, ("br", sbf_here, tuple(s for _p, s in pairs))
-            alive = [got for got in
-                     (build(c, path + (i,))
-                      for i, c in enumerate(_tree_children(tree)))
-                     if got is not None]
-            if not alive:
+        def grow(node):
+            """Decomposition tree (leaf, sbf, children) of the node's alive
+            part after ``a``, or None; dead subtrees are still numbered."""
+            leaf, ske, children = node
+            here = _slot_sbf(next(old_slot), ske)
+            if leaf is None:
+                kids = [k for k in map(grow, children) if k is not None]
+            else:
+                kids = succ.get((leaf, a), [])
+                leaves.extend(k[0] for k in kids)
+            if len(kids) == 1:
+                leaf, sbf, grand = kids[0]
+                return leaf, compose_skebegfol(here, sbf), grand
+            if not kids:
                 return None
-            if len(alive) == 1:
-                sub_plain, sub_dec = alive[0]
-                comp = compose_skebegfol(sbf_here, sub_dec[1])
-                if sub_plain[0] == "leaf":
-                    return (("leaf", sub_plain[1], freeze_ske(comp.ske)),
-                            ("leaf", comp))
-                return (("br", freeze_ske(comp.ske), sub_plain[2]),
-                        ("br", comp, sub_dec[2]))
-            pairs = sorted(alive, key=lambda ps: _tree_min_leaf(ps[0]))
-            plain = ("br", freeze_ske(sbf_here.ske), tuple(p for p, _s in pairs))
-            return plain, ("br", sbf_here, tuple(s for _p, s in pairs))
+            return None, here, tuple(sorted(kids, key=_least_leaf))
 
-        roots = []
-        for r, (qi, tree) in enumerate(forest):
-            got = build(tree, (r,))
-            if got is not None:
-                roots.append((qi, got[0], got[1]))
-        if len(set(new_leaves)) != len(new_leaves):
+        grown = [(qi, t) for qi, t in ((qi, grow(node)) for qi, node in forest)
+                 if t is not None]
+        if len(set(leaves)) != len(leaves):
             raise MachineError(
                 "determinization found two runs reaching one state "
                 "(machine is ambiguous)")
-        roots.sort(key=lambda t: t[0])
-        new_forest = tuple((qi, plain) for qi, plain, _dec in roots)
-        new_slots = slot_assignment(new_forest)
-        if len(new_slots) > max_slots:
-            raise MachineError("alive forest exceeded %d slots" % max_slots)
-        sub = {}
+        sub = {r: () for r in registers}
+        new_slot = count()
 
-        def emit(plain, dec, path):
-            slot = new_slots[path]
-            sbf = dec[1]
+        def emit(tree):
+            leaf, sbf, children = tree
+            slot = next(new_slot)
+            if slot >= max_slots:
+                raise MachineError("alive forest exceeded %d slots" % max_slots)
             for x in regs:
                 b, f = _slot_regs(slot, x)
-                sub[b] = tuple(sbf.beg[x])
-                sub[f] = tuple(sbf.fol[x])
-            if plain[0] == "br":
-                for i, (pc, sc) in enumerate(zip(plain[2], dec[2])):
-                    emit(pc, sc, path + (i,))
+                sub[b], sub[f] = sbf.beg[x], sbf.fol[x]
+            return (leaf, tuple((x, sbf.ske[x]) for x in regs),
+                    tuple(map(emit, children)))
 
-        for r, (_qi, plain, dec) in enumerate(roots):
-            emit(plain, dec, (r,))
-        full = dict(empty_sub)
-        full.update(sub)
-        return new_forest, full
+        return tuple((qi, emit(t)) for qi, t in grown), sub
 
     def output_of(forest):
-        final_leaves = []
+        """The output expression of the one final leaf, or None."""
+        finals = []
+        slot = count()
 
-        def walk(tree, path):
-            if tree[0] == "leaf":
-                if tree[1] in m.output:
-                    final_leaves.append((tree[1], path))
-            else:
-                for i, c in enumerate(_tree_children(tree)):
-                    walk(c, path + (i,))
+        def walk(node, chain):
+            chain = chain + ((next(slot), dict(node[1])),)
+            if node[0] in m.output:
+                finals.append((node[0], chain))
+            for c in node[2]:
+                walk(c, chain)
 
-        for r, (_qi, tree) in enumerate(forest):
-            walk(tree, (r,))
-        if not final_leaves:
+        for qi, node in forest:
+            walk(node, ((qi, None),))
+        if not finals:
             return None
-        if len(final_leaves) > 1:
+        if len(finals) > 1:
             raise MachineError("two final leaves: machine is ambiguous")
-        leaf_state, path = final_leaves[0]
-        slots = slot_assignment(forest)
-        root_idx = path[0]
-        q_init, tree = forest[root_idx]
-        chain = []
-        node = tree
-        chain.append((slots[(root_idx,)], _tree_ske(node)))
-        p = (root_idx,)
-        for i in path[1:]:
-            node = _tree_children(node)[i]
-            p = p + (i,)
-            chain.append((slots[p], _tree_ske(node)))
+        leaf, chain = finals[0]
+        init_val = m.initial[chain[0][0]]
 
-        init_val = m.initial[q_init]
-
-        def val_expr(level, x):
-            if level < 0:
+        def value(level, x):
+            """Expression of x's value after the branch's first ``level`` nodes."""
+            if level == 0:
                 return tuple(Lit(b) for b in init_val[x])
-            slot, ske_items = chain[level]
-            ske = dict(ske_items)
-            b, f = {}, {}
-            for y in regs:
-                br, fr = _slot_regs(slot, y)
-                b[y], f[y] = br, fr
-            out = [Reg(b[x])]
+            slot, ske = chain[level]
+            out = [Reg(_slot_regs(slot, x)[0])]
             for y in ske[x]:
-                out.extend(val_expr(level - 1, y))
-                out.append(Reg(f[y]))
-            return tuple(out)
+                out.extend(value(level - 1, y))
+                out.append(Reg(_slot_regs(slot, y)[1]))
+            return out
 
         toks: list = []
-        for t in m.output[leaf_state]:
-            if isinstance(t, Reg):
-                toks.extend(val_expr(len(chain) - 1, t.name))
-            else:
-                toks.append(t)
+        for t in m.output[leaf]:
+            toks.extend(value(len(chain) - 1, t.name)
+                        if isinstance(t, Reg) else (t,))
         return tuple(toks)
 
     if not m.states:

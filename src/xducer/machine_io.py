@@ -255,9 +255,12 @@ def machine_from_json(doc, path: str = "$"):
     # nsstf
     registers = tuple(_word(_need(doc, "registers", list, path),
                             "%s.registers" % path))
-    initial = {q: {x: _word(w, "%s.initial.%s.%s" % (path, q, x))
-                   for x, w in val.items()}
-               for q, val in _need(doc, "initial", dict, path).items()}
+    initial = {}
+    for q, val in _need(doc, "initial", dict, path).items():
+        where = "%s.initial.%s" % (path, q)
+        if not isinstance(val, dict):
+            _err(where, "expected an object")
+        initial[q] = {x: _word(w, "%s.%s" % (where, x)) for x, w in val.items()}
     transitions, update = [], {}
     for i, ent in enumerate(_need(doc, "transitions", list, path)):
         where = "%s.transitions[%d]" % (path, i)
@@ -297,9 +300,10 @@ def parse_machine(path: str, check: bool = True):
         except json.JSONDecodeError as exc:
             raise MachineFileError("%s: malformed JSON: %s" % (path, exc)) from None
     machine = machine_from_json(doc)
-    layers = doc.get("layers")
-    if layers is not None:
-        layers = tuple(tuple(layer) for layer in layers)
+    layers = None
+    if doc.get("layers") is not None:
+        layers = tuple(_word(layer, "$.layers[%d]" % i)
+                       for i, layer in enumerate(_need(doc, "layers", list, "$")))
     if check:
         problems = validate(machine)
         if problems:

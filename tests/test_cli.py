@@ -6,10 +6,12 @@ import pytest
 
 from xducer import corpus
 from xducer.cli import main
+from xducer.layering import bounded_sstf_to_unambiguous, make_total
 from xducer.machine_io import (
     MachineFileError,
     dumps_machine,
     emit_machine,
+    machine_to_json,
     parse_machine,
 )
 
@@ -46,14 +48,24 @@ def test_schema_error_names_field(tmp_path):
     assert "action" in str(err.value)
 
 
+def _document(name):
+    if name == "nsstf":
+        total, _ = make_total(corpus.bounded_pair_sst())
+        return machine_to_json(bounded_sstf_to_unambiguous(total, 2))
+    return json.load(open(corpus_path(name)))
+
+
 @pytest.mark.parametrize("name,field,value,where", [
     ("exp_sst", "transitions", [5], "$.transitions[0]"),
     ("chain_flow", "matrices", {"a": [3]}, "$.matrices.a[0]"),
     ("chain_flow", "alpha", {"p": "x"}, "$.alpha.p"),
+    ("mul_sst", "layers", 5, "$.layers"),
+    ("mul_sst", "layers", [5], "$.layers[0]"),
+    ("nsstf", "initial", {"q": 5}, "$.initial.q"),
 ])
 def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
                                            value, where):
-    doc = json.load(open(corpus_path(name)))
+    doc = _document(name)
     doc[field] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -329,6 +329,43 @@ def test_unambiguous_copyless_input_has_binary_profiles():
         assert runs[0][1] == run_sst(total, w).output
 
 
+def test_profile_machine_is_grown_from_the_output():
+    # 2^18 candidate profiles, but only the 18 rotations of the output's
+    # profile reach it
+    regs = tuple("r%02d" % i for i in range(18))
+    rotate = {x: (Reg(regs[(i + 1) % 18]),) for i, x in enumerate(regs)}
+    rotate[regs[-1]] += (Lit("a"),)
+    prepend = {x: (Reg(x),) for x in regs}
+    prepend[regs[0]] = (Lit("b"), Reg(regs[0]))
+    m = SST(
+        input_alphabet=("a", "b"), output_alphabet=("a", "b"), states=("q",),
+        registers=regs, initial="q",
+        init_valuation={x: ("ab"[i % 2],) for i, x in enumerate(regs)},
+        delta={("q", "a"): "q", ("q", "b"): "q"},
+        update={("q", "a"): rotate, ("q", "b"): prepend},
+        output={"q": tuple(Reg(x) for x in regs[:9])},
+    )
+    assert 2 ** len(regs) > layering.PROFILE_LIMIT
+    n = bounded_sstf_to_unambiguous(m)
+    assert len(n.states) == 18
+    assert validate(n) == [] and check_copyless(n) == []
+    for w in words_up_to(("a", "b"), 4):
+        runs = enumerate_nsstf_runs(n, w)
+        assert len(runs) == 1, w
+        assert runs[0][1] == run_sst(m, w).output, w
+
+
+def test_profile_machine_size_limit(monkeypatch):
+    total, _ = make_total(corpus.bounded_pair_sst())
+    n = bounded_sstf_to_unambiguous(total, 2)
+    monkeypatch.setattr(layering, "PROFILE_LIMIT", len(n.states))
+    assert bounded_sstf_to_unambiguous(total, 2) == n
+    monkeypatch.setattr(layering, "PROFILE_LIMIT", len(n.states) - 1)
+    with pytest.raises(MachineError, match=r"^occurrence-profile machine exceeded "
+                       r"%d states$" % (len(n.states) - 1)):
+        bounded_sstf_to_unambiguous(total, 2)
+
+
 def test_determinize_pair_machine():
     total, _ = make_total(corpus.bounded_pair_sst())
     det = determinize_nsstf(bounded_sstf_to_unambiguous(total, 2))

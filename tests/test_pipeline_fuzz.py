@@ -6,10 +6,12 @@ layer count), and a sample is walked back to marble machines with their depth
 bounds checked on short words and their outputs on long ones.
 """
 
+import hashlib
 import random
 from collections import Counter
 
 from xducer.layering import to_k_layered
+from xducer.machine_io import dumps_machine
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -62,9 +64,15 @@ def random_sst(rng) -> SST:
                delta, update, output)
 
 
+# sha256 over the emitted machines of all polynomial trials below, in order
+RANDOM_LAYERED_DIGEST = \
+    "08c0e8081e92b70461aa9bb6f50303313b8e34da23e2f15eb769ed84cd781516"
+
+
 def test_random_ssts_through_layer_minimization():
     rng = random.Random(20250808)
     polynomial = 0
+    digest = hashlib.sha256()
     for trial in range(120):
         m = random_sst(rng)
         res = to_k_layered(m)
@@ -75,7 +83,9 @@ def test_random_ssts_through_layer_minimization():
         verdict = equiv_check(res.machine, m, 4)
         assert verdict.equivalent, (trial, verdict.counterexample)
         assert res.k == max(res.report.degree - 1, 0), trial
+        digest.update(dumps_machine(res.machine, res.layers).encode("utf-8"))
     assert polynomial >= 60
+    assert digest.hexdigest() == RANDOM_LAYERED_DIGEST
 
 
 def test_random_layered_machines_walk_back_to_marbles():

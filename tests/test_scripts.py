@@ -31,12 +31,29 @@ def test_growth_sweep_agrees_with_brute_force():
     assert "disagreements with brute force (|v| <= 6): 0" in out
 
 
+def load_file(name: str, path: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_files_match_export():
+    # every byte pin hashes the corpus files, so corpus.py must not drift
+    # away from them
+    export = load_file("export_corpus", os.path.join(SCRIPTS, "export_corpus.py"))
+    docs = export.documents()
+    corpus_dir = os.path.join(ROOT, "corpus")
+    assert sorted(docs) == sorted(f for f in os.listdir(corpus_dir)
+                                  if f.endswith(".json"))
+    for fname, text in docs.items():
+        with open(os.path.join(corpus_dir, fname), encoding="utf-8") as fh:
+            assert fh.read() == text, fname
+
+
 def test_traced_layers_resolve():
     # perfbench/run.py --trace 1 wraps each listed function, found by name
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_file("perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
     for module, names in spans.LAYERS.items():
         mod = importlib.import_module("xducer.%s" % module)
         for name in names:
