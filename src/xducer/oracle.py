@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .machines import FunctionRegistry, MachineError, NAutomaton
-from .semantics import ACCEPT, BUDGET, run_machine
+from .machines import FunctionRegistry, MachineError, NAutomaton, SST
+from .semantics import ACCEPT, BUDGET, run_machine, sst_prefix_runner
 
 EQUIVALENT = "equivalent"
 COUNTEREXAMPLE = "counterexample"
@@ -38,25 +38,41 @@ def words_up_to(alphabet, maxlen: int, cap: int = 100000):
             yield tup
 
 
+def _runner(m, registry: Optional[FunctionRegistry], budget: Optional[int]):
+    """``run(w) -> (verdict, output)`` for one side of an equivalence check."""
+    if isinstance(m, SST):
+        return sst_prefix_runner(m, registry)
+
+    def run(w):
+        res = run_machine(m, w, registry=registry, budget=budget)
+        return res.verdict, res.output
+    return run
+
+
 def equiv_check(m1, m2, maxlen: int,
                 registry1: Optional[FunctionRegistry] = None,
                 registry2: Optional[FunctionRegistry] = None,
                 budget: Optional[int] = None) -> EquivalenceVerdict:
     """Compare domains and outputs on every word of length up to ``maxlen``.
 
-    The first mismatch in length-lexicographic order is reported.  A run
-    hitting its step budget makes the verdict inconclusive for that word.
+    Words come in the order of ``words_up_to``: by length, then
+    lexicographically, which walks each length's words depth first.  An SST
+    side extends the run on its previous word's common prefix by the
+    letters after it (``sst_prefix_runner``); marble, two-way and NSST-F
+    sides run word by word.  The first mismatch in length-lexicographic
+    order is reported.  A run hitting its step budget makes the verdict
+    inconclusive for that word.
     """
     if tuple(sorted(m1.input_alphabet)) != tuple(sorted(m2.input_alphabet)):
         raise MachineError("machines have different input alphabets")
+    run1 = _runner(m1, registry1, budget)
+    run2 = _runner(m2, registry2, budget)
     for w in words_up_to(m1.input_alphabet, maxlen):
-        r1 = run_machine(m1, w, registry=registry1, budget=budget)
-        r2 = run_machine(m2, w, registry=registry2, budget=budget)
-        if BUDGET in (r1.verdict, r2.verdict):
+        v1, o1 = run1(w)
+        v2, o2 = run2(w)
+        if BUDGET in (v1, v2):
             return EquivalenceVerdict(INCONCLUSIVE, maxlen, inconclusive_word=w)
-        o1 = r1.output if r1.verdict == ACCEPT else None
-        o2 = r2.output if r2.verdict == ACCEPT else None
-        if (r1.verdict == ACCEPT) != (r2.verdict == ACCEPT) or o1 != o2:
+        if (v1 == ACCEPT) != (v2 == ACCEPT) or o1 != o2:
             return EquivalenceVerdict(COUNTEREXAMPLE, maxlen, counterexample=(w, o1, o2))
     return EquivalenceVerdict(EQUIVALENT, maxlen)
 

@@ -214,37 +214,103 @@ def eval_fun(registry: Optional[FunctionRegistry], name: str, prefix: Word) -> W
     return res.output
 
 
+# Register values up to this length are flat tuples; longer ones are _Cat
+# nodes that share the values they were built from instead of copying them.
+SHARE_MIN = 32
+
+
+class _Cat(tuple):
+    """A register value longer than ``SHARE_MIN``: the concatenation of its
+    items, each a letter, a flat word or another node."""
+
+    __slots__ = ()
+
+
 def _apply_update(s: Substitution, val: dict, w: Word, read: int,
                   registry: Optional[FunctionRegistry]) -> dict:
-    """Valuation after substitution ``s``; Fun tokens are evaluated on
-    ``w[:read]``, the input read so far including the current letter, which
-    is sliced only when a Fun token needs it."""
+    """Valuation after substitution ``s``.
+
+    Values of at most ``SHARE_MIN`` letters are copied into the new value;
+    a longer value or a node is referenced, so ``x := y·a·z`` costs the
+    length of its right-hand side and not of its result, and a run takes
+    time linear in the input (``_flat`` pays for the output once).  Fun
+    tokens are evaluated on ``w[:read]``, the input read so far including
+    the current letter, which is sliced only when a Fun token needs it.
+    """
     fun_cache: dict = {}
     new = {}
     for x, rhs in s.items():
         parts: list = []
+        shared = False
         for tok in rhs:
-            if isinstance(tok, Lit):
+            kind = type(tok)
+            if kind is Lit:
                 parts.append(tok.sym)
-            elif isinstance(tok, Reg):
-                parts.extend(val[tok.name])
+                continue
+            if kind is Reg:
+                v = val[tok.name]
             else:
                 if tok.name not in fun_cache:
                     fun_cache[tok.name] = eval_fun(registry, tok.name, w[:read])
-                parts.extend(fun_cache[tok.name])
-        new[x] = tuple(parts)
+                v = fun_cache[tok.name]
+            if type(v) is _Cat or len(v) > SHARE_MIN:
+                parts.append(v)
+                shared = True
+            else:
+                parts.extend(v)
+        if shared and len(parts) == 1:
+            new[x] = parts[0]
+        elif shared or len(parts) > SHARE_MIN:
+            new[x] = _Cat(parts)
+        else:
+            new[x] = tuple(parts)
     return new
 
 
+def _flat(value) -> Word:
+    """The word a register value stands for.
+
+    An iterative walk: a node met again is copied from the span of the output
+    that its first visit wrote, so a shared DAG costs what its output costs.
+    """
+    if type(value) is not _Cat:
+        return value
+    out: list = []
+    spans: dict = {}
+    stack = [(value, 0, iter(value))]
+    while stack:
+        node, start, items = stack[-1]
+        for item in items:
+            kind = type(item)
+            if kind is _Cat:
+                span = spans.get(id(item))
+                if span is None:
+                    stack.append((item, len(out), iter(item)))
+                    break
+                out.extend(out[span[0]:span[1]])
+            elif kind is tuple:
+                out.extend(item)
+            else:
+                out.append(item)
+        else:
+            stack.pop()
+            spans[id(node)] = (start, len(out))
+    return tuple(out)
+
+
 def _output_word(rhs, val: dict) -> Word:
-    """Value of an output expression; without a registry, function tokens
-    raise."""
-    return _apply_update({"": rhs}, val, (), 0, None)[""]
+    """Value of an output expression, flattened; without a registry,
+    function tokens raise."""
+    return _flat(_apply_update({"": rhs}, val, (), 0, None)[""])
 
 
 def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
             trace: bool = False) -> RunResult:
-    """One-way run; accepts iff defined everywhere and final state has output."""
+    """One-way run; accepts iff defined everywhere and final state has output.
+
+    Register values are shared (``_apply_update``), so the run takes time
+    linear in ``w`` plus the output length; ``RunResult.output`` is flat.
+    """
     w = as_word(w)
     _check_alphabet(m, w)
     if m.funs and registry is None:
@@ -265,6 +331,46 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
                      tuple(tr) if trace else None)
 
 
+def sst_prefix_runner(m: SST, registry: Optional[FunctionRegistry] = None):
+    """``run(w) -> (verdict, output)``, as ``run_sst(m, w, registry)`` gives
+    them, for words met in lexicographic order.
+
+    The runner keeps the state and valuation after every prefix of the last
+    word it ran and steps only past the prefix that ``w`` shares with it, so
+    each prefix of a lexicographic enumeration is read once.
+    """
+    word: Word = ()
+    # frames[k]: (state, valuation) after word[:k]; (None, None) once the run
+    # is undefined, and no frame after that one.
+    frames = [(m.initial, {x: tuple(m.init_valuation[x]) for x in m.registers})]
+
+    def run(w: Word):
+        nonlocal word
+        k, limit = 0, min(len(w), len(frames) - 1)
+        while k < limit and w[k] == word[k]:
+            k += 1
+        _check_alphabet(m, w[k:])
+        if m.funs and registry is None:
+            raise MachineError("machine uses external functions; a registry is required")
+        del frames[k + 1:]
+        word = w
+        q, val = frames[k]
+        while q is not None and k < len(w):
+            key = (q, w[k])
+            k += 1
+            if key in m.delta:
+                val = _apply_update(m.update[key], val, w, k, registry)
+                q = m.delta[key]
+            else:
+                q = val = None
+            frames.append((q, val))
+        if q is None or q not in m.output:
+            return REJECT, None
+        return ACCEPT, _output_word(m.output[q], val)
+
+    return run
+
+
 def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunResult:
     """Run an SST with external functions against a registry."""
     for f in m.funs:
@@ -278,7 +384,8 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
     """All accepting runs with their outputs, by exhaustive branching.
 
     Returns a list of (state sequence, output word) pairs, ordered by the
-    lexicographic state sequence.  Intended for short words; raises once the
+    lexicographic state sequence.  Partial runs are explored depth first
+    from an explicit stack, so words of any length are safe; raises once the
     number of explored partial runs exceeds ``max_branches``.
     """
     w = as_word(w)
@@ -290,24 +397,30 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
         succ[key].sort()
     results = []
     explored = 0
-
-    def go(q, i, states, val):
-        nonlocal explored
+    # A partial run is (state, letters read, its states as a (last, rest)
+    # chain, the valuation it extends, the transition still to apply or None).
+    stack = [(q0, 0, (q0, None), {x: tuple(m.initial[q0][x]) for x in m.registers},
+              None) for q0 in sorted(m.initial)]
+    stack.reverse()
+    while stack:
+        q, i, trail, val, step = stack.pop()
+        if step is not None:
+            val = _apply_update(m.update[step], val, w, i, registry)
         explored += 1
         if explored > max_branches:
             raise MachineError("branching limit exceeded (%d)" % max_branches)
         if i == len(w):
             if q in m.output:
-                results.append((tuple(states), _output_word(m.output[q], val)))
-            return
+                states = []
+                while trail is not None:
+                    states.append(trail[0])
+                    trail = trail[1]
+                results.append((tuple(reversed(states)),
+                                _output_word(m.output[q], val)))
+            continue
         a = w[i]
-        for q2 in succ.get((q, a), ()):
-            new = _apply_update(m.update[(q, a, q2)], val, w, i + 1, registry)
-            go(q2, i + 1, states + [q2], new)
-
-    for q0 in sorted(m.initial):
-        val0 = {x: tuple(m.initial[q0][x]) for x in m.registers}
-        go(q0, 0, [q0], val0)
+        for q2 in reversed(succ.get((q, a), ())):
+            stack.append((q2, i + 1, (q2, trail), val, (q, a, q2)))
     results.sort(key=lambda rv: rv[0])
     return results
 

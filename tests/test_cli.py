@@ -99,6 +99,14 @@ def test_run_mul_corpus_file(capsys):
     assert capsys.readouterr().out.strip() == "ab#ab#"
 
 
+def test_run_nsstf_on_a_long_word(tmp_path, capsys):
+    path = tmp_path / "nsstf.json"
+    path.write_text(json.dumps(_document("nsstf")))
+    assert main(["run", str(path), "a" * 2000]) == 0
+    # a^n -> a^n a^(n-1) b
+    assert capsys.readouterr().out == "a" * 3999 + "b\n"
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("XDUCER_BUDGET", "7")
     assert main(["run", corpus_path("exp_marble"), "aaaa"]) == 3

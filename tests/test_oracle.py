@@ -1,12 +1,30 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from xducer import corpus
-from xducer.machines import MachineError
+from xducer.machines import (
+    ACT_LEFT,
+    ACT_LIFT,
+    ACT_RIGHT,
+    Fun,
+    FunctionRegistry,
+    LEFT_END,
+    Lit,
+    MachineError,
+    MarbleTransducer,
+    RIGHT_END,
+    Reg,
+    SST,
+    act_drop,
+)
 from xducer.oracle import (
     brute_pattern_search,
     equiv_check,
     words_up_to,
 )
+from xducer.semantics import ACCEPT, BUDGET, run_machine
 
 
 def test_words_up_to_order_and_cap():
@@ -53,6 +71,191 @@ def test_equiv_inconclusive_on_budget():
     verdict = equiv_check(corpus.exp_marble(), corpus.exp_marble(), 4, budget=5)
     assert verdict.status == "inconclusive"
     assert verdict.inconclusive_word is not None
+
+
+def reference_equiv(m1, m2, maxlen, registry1=None, registry2=None, budget=None):
+    """``equiv_check`` as a loop that runs both machines on every word."""
+    for w in words_up_to(m1.input_alphabet, maxlen):
+        r1 = run_machine(m1, w, registry=registry1, budget=budget)
+        r2 = run_machine(m2, w, registry=registry2, budget=budget)
+        if BUDGET in (r1.verdict, r2.verdict):
+            return "inconclusive", w
+        o1 = r1.output if r1.verdict == ACCEPT else None
+        o2 = r2.output if r2.verdict == ACCEPT else None
+        if (r1.verdict == ACCEPT) != (r2.verdict == ACCEPT) or o1 != o2:
+            return "counterexample", (w, o1, o2)
+    return "equivalent", None
+
+
+def verdict_of(m1, m2, maxlen, **kwargs):
+    v = equiv_check(m1, m2, maxlen, **kwargs)
+    return v.status, v.counterexample or v.inconclusive_word
+
+
+def random_sst(rng, funs=()):
+    """A partial, possibly copyful SST over ``ab``."""
+    states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
+    regs = tuple("r%d" % i for i in range(rng.randint(1, 2)))
+    pick = [Lit("a"), Lit("b")] + [Reg(x) for x in regs] + [Fun(f) for f in funs]
+    delta, update = {}, {}
+    for q in states:
+        for a in "ab":
+            if rng.random() < 0.9:
+                delta[(q, a)] = rng.choice(states)
+                update[(q, a)] = {x: tuple(rng.choices(pick, k=rng.randint(0, 3)))
+                                  for x in regs}
+    output = {q: tuple(rng.choices(pick[:2 + len(regs)], k=rng.randint(0, 3)))
+              for q in states if rng.random() < 0.8}
+    init = {x: tuple(rng.choices("ab", k=rng.randint(0, 2))) for x in regs}
+    return SST(("a", "b"), ("a", "b"), states, regs, states[0], init,
+               delta, update, output, funs=funs)
+
+
+def mutated(rng, m):
+    """``m`` with one right-hand side, transition or output changed."""
+    key = rng.choice(sorted(m.delta))
+    kind = rng.randrange(3)
+    if kind == 0:
+        update = dict(m.update)
+        x = rng.choice(m.registers)
+        update[key] = dict(update[key], **{x: update[key][x] + (Lit("b"),)})
+        return replace(m, update=update)
+    if kind == 1:
+        delta, update = dict(m.delta), dict(m.update)
+        del delta[key], update[key]
+        return replace(m, delta=delta, update=update)
+    output = dict(m.output)
+    output[key[0]] = output.get(key[0], ()) + (Lit("a"),)
+    return replace(m, output=output)
+
+
+def random_marble(rng):
+    """A marble machine over ``ab`` that may reject or loop."""
+    states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
+    colors = ("c",)[: rng.randint(0, 1)]
+    delta, out = {}, {}
+    for q in states:
+        for s in ("a", "b", LEFT_END, RIGHT_END):
+            if rng.random() < 0.85:
+                actions = [ACT_LEFT, ACT_RIGHT, ACT_RIGHT] + [act_drop(c) for c in colors]
+                delta[(q, s, None)] = (rng.choice(states), rng.choice(actions))
+                out[(q, s, None)] = tuple(rng.choices("ab", k=rng.randint(0, 2)))
+            for c in colors:
+                delta[(q, s, c)] = (rng.choice(states), rng.choice([ACT_LEFT, ACT_LIFT]))
+                out[(q, s, c)] = tuple(rng.choices("ab", k=rng.randint(0, 1)))
+    finals = frozenset(q for q in states if rng.random() < 0.6)
+    return MarbleTransducer(("a", "b"), ("a", "b"), states, states[0], finals,
+                            colors, delta, out)
+
+
+def test_prefix_sharing_keeps_sst_verdicts():
+    rng = random.Random(80)
+    statuses = []
+    for _ in range(60):
+        m1 = random_sst(rng)
+        m2 = mutated(rng, m1)
+        for pair in ((m1, m2), (m2, m1), (m1, m1)):
+            expected = reference_equiv(*pair, 6)
+            assert verdict_of(*pair, 6) == expected
+            statuses.append(expected[0])
+    assert statuses.count("counterexample") >= 50
+    assert statuses.count("equivalent") >= 60
+
+
+def looping_mul_marble():
+    """mul_marble with a ping-pong between ``a`` and ``#`` in state m1."""
+    m = corpus.mul_marble()
+    delta = dict(m.delta)
+    delta[("m1", "#", None)] = ("m1", ACT_LEFT)
+    delta[("m1", "a", None)] = ("m1", ACT_RIGHT)
+    return replace(m, delta=delta)
+
+
+def test_prefix_sharing_keeps_verdicts_against_marbles():
+    rng = random.Random(81)
+    statuses = []
+    for trial in range(40):
+        sst, marble = random_sst(rng), random_marble(rng)
+        for pair in ((sst, marble), (marble, sst)):
+            expected = reference_equiv(*pair, 5)
+            assert verdict_of(*pair, 5) == expected
+            statuses.append(expected[0])
+    # equivalent pairs, a looping one, and budgets that run out on the way
+    pairs = ((corpus.exp_sst(), corpus.exp_marble(), 6),
+             (corpus.mul_sst(), corpus.mul_marble(), 4),
+             (corpus.mul_sst(), looping_mul_marble(), 4),
+             (corpus.reverse_sst(("a", "b")), corpus.reverse_two_way(("a", "b")), 5))
+    for sst, marble, maxlen in pairs:
+        for trial in range(8):
+            m = mutated(rng, sst) if trial % 2 else sst
+            budget = rng.choice((None, 30, 60, 120, 400))
+            for pair in ((m, marble), (marble, m)):
+                expected = reference_equiv(*pair, maxlen, budget=budget)
+                assert verdict_of(*pair, maxlen, budget=budget) == expected
+                statuses.append(expected[0])
+    assert statuses.count("inconclusive") >= 6
+    assert statuses.count("counterexample") >= 100
+    assert statuses.count("equivalent") >= 16
+
+
+def test_prefix_sharing_keeps_sstf_verdicts():
+    rng = random.Random(82)
+    registry = FunctionRegistry({"f": corpus.reverse_sst(("a", "b")),
+                                 "g": lambda u: u[-2:]})
+    for _ in range(30):
+        m1 = random_sst(rng, funs=("f", "g"))
+        m2 = mutated(rng, m1)
+        expected = reference_equiv(m1, m2, 5, registry, registry)
+        assert verdict_of(m1, m2, 5, registry1=registry, registry2=registry) == expected
+        expected = reference_equiv(corpus.reverse_sst(("a", "b")), m1, 5, None, registry)
+        assert verdict_of(corpus.reverse_sst(("a", "b")), m1, 5,
+                          registry2=registry) == expected
+    # a registry function defined only on words without "bb" raises on the
+    # same prefix in both
+    partial = replace(corpus.identity_sst(), delta={("q", "a"): "q", ("q", "b"): "p",
+                                                    ("p", "a"): "q"},
+                      states=("q", "p"), output={"q": (Reg("x"),), "p": (Reg("x"),)},
+                      update={key: {"x": (Reg("x"), Lit(key[1]))}
+                              for key in (("q", "a"), ("q", "b"), ("p", "a"))})
+    sstf = replace(corpus.identity_sst(), funs=("f",),
+                   update={("q", a): {"x": (Fun("f"),)} for a in "ab"})
+    registry = FunctionRegistry({"f": partial})
+    errors = []
+    for check in (reference_equiv, equiv_check):
+        with pytest.raises(MachineError) as err:
+            check(corpus.identity_sst(), sstf, 4, None, registry)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and "prefix 'bb'" in errors[0]
+
+
+def _differs_on(target):
+    """identity_sst over ``ab`` whose output gains an ``a`` on ``target``."""
+    n = len(target)
+    states = tuple("p%d" % i for i in range(n + 1)) + ("off",)
+    delta, update = {}, {}
+    for q in states:
+        for a in "ab":
+            i = int(q[1:]) if q != "off" else None
+            on = i is not None and i < n and target[i] == a
+            delta[(q, a)] = "p%d" % (i + 1) if on else "off"
+            update[(q, a)] = {"x": (Reg("x"), Lit(a))}
+    output = {q: (Reg("x"),) for q in states}
+    output["p%d" % n] = (Reg("x"), Lit("a"))
+    return SST(("a", "b"), ("a", "b"), states, ("x",), "p0", {"x": ()},
+               delta, update, output)
+
+
+def test_equiv_word_cap_is_reached_at_the_same_word():
+    # words of length below 16 number 2^16 - 1, so the 100,000th word of
+    # the enumeration is the length-16 word with binary index 34,464
+    def word(index):
+        return tuple("ab"[int(bit)] for bit in format(index, "016b"))
+
+    last = word(100000 - 2 ** 16)
+    verdict = equiv_check(corpus.identity_sst(), _differs_on(last), 16)
+    assert verdict.counterexample == (last, last, last + ("a",))
+    with pytest.raises(MachineError, match=r"^word enumeration cap exceeded \(100000\)$"):
+        equiv_check(corpus.identity_sst(), _differs_on(word(100001 - 2 ** 16)), 16)
 
 
 def test_brute_pattern_search_exp():

@@ -2,7 +2,7 @@ import pytest
 
 from xducer import corpus
 from xducer.growth import flow_automaton
-from xducer.layering import make_total, to_simple
+from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_simple
 from xducer.machines import (
     Fun,
     FunctionRegistry,
@@ -23,6 +23,7 @@ from xducer.semantics import (
     enumerate_nsstf_runs,
     eval_nautomaton,
     format_trace,
+    run_machine,
     run_marble,
     run_sst,
     run_sstf,
@@ -231,6 +232,21 @@ def test_enumerate_nsstf_runs():
 def test_enumerate_nsstf_branch_guard():
     with pytest.raises(MachineError):
         enumerate_nsstf_runs(_tiny_nsstf(True), "a", max_branches=1)
+
+
+def test_nsstf_runs_on_long_words():
+    total, _ = make_total(corpus.bounded_pair_sst())
+    nsst = bounded_sstf_to_unambiguous(total, 2)
+    w = "a" * 2000
+    expected = run_sst(total, w).output
+    assert len(expected) == 4000
+    runs = enumerate_nsstf_runs(nsst, w)
+    assert len(runs) == 1 and len(runs[0][0]) == 2001 and runs[0][1] == expected
+    assert run_machine(nsst, w).output == expected
+    # two partial runs per letter (one dies at once) and the two initial states
+    assert enumerate_nsstf_runs(nsst, w, max_branches=4002) == runs
+    with pytest.raises(MachineError, match=r"^branching limit exceeded \(4001\)$"):
+        enumerate_nsstf_runs(nsst, w, max_branches=4001)
 
 
 def test_run_determinism():

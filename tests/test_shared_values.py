@@ -1,0 +1,168 @@
+"""Shared register values against a flat evaluator that copies every register.
+
+``run_sst`` keeps a register value longer than ``SHARE_MIN`` as a node that
+references the values it was built from.  These tests run seeded random SSTs
+(copyless and copyful, with ``x := x·x``), SST-Fs and long words through it
+and through the token loop below, which builds every value as a flat tuple.
+"""
+
+import random
+from dataclasses import replace
+
+from xducer import corpus
+from xducer.machines import Fun, FunctionRegistry, Lit, Reg, SST
+from xducer.semantics import ACCEPT, REJECT, SHARE_MIN, run_sst, run_sstf
+
+LETTERS = ("a", "b", "c")
+# Longest total of the register lengths a seeded run may reach; the flat
+# evaluator copies that many letters per step.
+LENGTH_CAP = 4000
+
+
+def flat_rhs(rhs, val, prefix, registry):
+    out = []
+    for tok in rhs:
+        if isinstance(tok, Lit):
+            out.append(tok.sym)
+        elif isinstance(tok, Reg):
+            out.extend(val[tok.name])
+        else:
+            out.extend(registry[tok.name](prefix))
+    return tuple(out)
+
+
+def flat_valuation(m, w, registry=None):
+    """Valuation after ``w`` with every value copied, or None off the domain."""
+    val = {x: tuple(m.init_valuation[x]) for x in m.registers}
+    q = m.initial
+    for i, a in enumerate(w):
+        if (q, a) not in m.delta:
+            return None, None
+        val = {x: flat_rhs(rhs, val, tuple(w[:i + 1]), registry)
+               for x, rhs in m.update[(q, a)].items()}
+        q = m.delta[(q, a)]
+    return q, val
+
+
+def flat_run(m, w, registry=None):
+    q, val = flat_valuation(m, w, registry)
+    if q is None or q not in m.output:
+        return None
+    return flat_rhs(m.output[q], val, None, None)
+
+
+def random_sst(rng, copyful, funs=()):
+    """A total SST over ``LETTERS``.  A copyless update moves each register
+    into at most one right-hand side; a copyful one, on ``c`` only, draws
+    its registers with repetition and doubles the first, ``x := x·x``.
+    Fun tokens, if any, go anywhere."""
+    states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
+    regs = tuple("r%d" % i for i in range(rng.randint(1, 4)))
+    delta, update = {}, {}
+    for q in states:
+        for a in LETTERS:
+            delta[(q, a)] = rng.choice(states)
+            copy = copyful and a == "c"
+            rhs = {x: [Lit(rng.choice("ab")) for _ in range(rng.randint(0, 2))]
+                   for x in regs}
+            if copy:
+                sources = rng.choices(regs, k=rng.randint(1, 2 * len(regs)))
+            else:
+                sources = [y for y in regs if rng.random() < 0.97]
+            tokens = [Reg(y) for y in sources]
+            tokens += [Fun(rng.choice(funs)) for _ in funs if rng.random() < 0.3]
+            for tok in tokens:
+                target = rhs[rng.choice(regs)]
+                target.insert(rng.randint(0, len(target)), tok)
+            if copy:
+                rhs[regs[0]] = [Reg(regs[0]), Reg(regs[0])]
+            update[(q, a)] = {x: tuple(toks) for x, toks in rhs.items()}
+    output = {q: tuple(Reg(rng.choice(regs)) if rng.random() < 0.8
+                       else Lit("b") for _ in range(rng.randint(1, 3)))
+              for q in states if rng.random() < 0.9}
+    init = {x: tuple(rng.choice("ab") for _ in range(rng.choice((0, 1, 2, 40))))
+            for x in regs}
+    return SST(LETTERS, ("a", "b"), states, regs, states[0], init,
+               delta, update, output, funs=funs)
+
+
+def affordable(m, w, fun_len=0):
+    """The longest prefix of ``w`` whose run keeps the register lengths in
+    ``LENGTH_CAP`` (Fun values counted as ``fun_len`` letters)."""
+    lens = {x: len(m.init_valuation[x]) for x in m.registers}
+    q = m.initial
+    for i, a in enumerate(w):
+        lens = {x: sum(1 if isinstance(t, Lit) else
+                       lens[t.name] if isinstance(t, Reg) else fun_len
+                       for t in rhs)
+                for x, rhs in m.update[(q, a)].items()}
+        if sum(lens.values()) > LENGTH_CAP:
+            return w[:i]
+        q = m.delta[(q, a)]
+    return w
+
+
+def random_word(rng, n):
+    return "".join(rng.choices(LETTERS, weights=(10, 10, 1), k=n))
+
+
+def test_random_ssts_match_the_flat_evaluator():
+    rng = random.Random(8)
+    long_runs = shared = 0
+    for trial in range(36):
+        m = random_sst(rng, copyful=trial % 2 == 1)
+        for n in (0, 1, SHARE_MIN + 1, rng.randint(100, 3000)):
+            w = affordable(m, random_word(rng, n))
+            res = run_sst(m, w)
+            expected = flat_run(m, w)
+            assert res.output == expected, (trial, len(w))
+            assert res.verdict == (REJECT if expected is None else ACCEPT)
+            if expected is not None:
+                assert type(res.output) is tuple
+                shared += len(expected) > SHARE_MIN
+            long_runs += len(w) >= 1000
+    assert long_runs >= 10 and shared >= 20
+
+
+def test_doubling_shares_one_value():
+    # x := x·x on every letter; the output is 2^14 letters long
+    r = run_sst(corpus.exp_sst(), "a" * 14)
+    assert r.output == ("a",) * 2 ** 14
+    for m, w in ((corpus.mul_sst_copyful(), "ab" * 20 + "#" + "0" * 300),
+                 (corpus.reverse_sst_copyful(), "abc" * 900)):
+        assert run_sst(m, w).output == flat_run(m, w)
+
+
+def test_random_sstfs_match_the_flat_evaluator():
+    rng = random.Random(18)
+    # "f" is longer than SHARE_MIN once the prefix is, "g" always shorter
+    entries = {"f": lambda u: tuple(u[-40:]), "g": lambda u: tuple(reversed(u[-3:]))}
+    registry = FunctionRegistry(dict(entries))
+    for trial in range(12):
+        m = random_sst(rng, copyful=trial % 2 == 1, funs=("f", "g"))
+        w = affordable(m, random_word(rng, rng.randint(200, 3000)), fun_len=40)
+        assert run_sstf(m, w, registry).output == flat_run(m, w, entries), trial
+
+
+def test_register_values_match_the_flat_evaluator(register_values):
+    rng = random.Random(28)
+    for trial in range(10):
+        m = random_sst(rng, copyful=trial % 2 == 1)
+        w = affordable(m, random_word(rng, rng.randint(50, 1500)))
+        assert register_values(m, w) == flat_valuation(m, w)[1], trial
+
+
+def test_doubled_empty_value_returns_at_once():
+    x, y = Reg("x"), Reg("y")
+    m = SST(("a",), ("a",), ("q",), ("x", "y"), "q", {"x": (), "y": ()},
+            {("q", "a"): "q"},
+            {("q", "a"): {"x": (x, x), "y": (x, y, Lit("a"), x)}},
+            {"q": (x, y, x)})
+    assert run_sst(m, "a" * 400).output == ("a",) * 400
+    assert run_sst(replace(m, output={"q": (x,)}), "a" * 400).output == ()
+
+
+def test_long_runs_do_not_recurse():
+    w = "ab" * 50000
+    assert run_sst(corpus.identity_sst(), w).output_text == w
+    assert run_sst(corpus.reverse_sst(("a", "b")), w).output_text == w[::-1]
