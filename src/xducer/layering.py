@@ -1,12 +1,13 @@
 """Copy-layer minimization pipeline for register transducers.
 
 The chain runs: totalize, eliminate states and letters, drop the bounded
-bottom layer of the register-flow partition, convert each remaining layer
-from per-word-bounded copying to copyless, and splice the recursively
-processed lower layers back in as a parallel product.  The copyless step
-guesses occurrence profiles in an unambiguous nondeterministic machine,
-built backward from the output, and determinizes it by tracking the alive
-forest of its runs: one tree, its slots numbered in pre-order.
+bottom layer of the register-flow partition, and, only where check_layered
+rejects the remaining layers, convert the top layer from per-word-bounded
+copying to copyless and splice the recursively processed lower layers back
+in as a parallel product.  The copyless step guesses occurrence profiles in
+an unambiguous nondeterministic machine, built backward from the output, and
+determinizes it by tracking the alive forest of its runs: one tree, its
+slots numbered in pre-order.
 """
 
 from __future__ import annotations
@@ -997,7 +998,9 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
 
     Returns an exponential growth report when no bounded-layer form exists;
     otherwise a machine with growth-degree-minus-one layers, its partition,
-    and the growth report.  The original domain is re-imposed at the end.
+    and the growth report.  The copyless construction runs only when
+    check_layered rejects the bounded machine; otherwise, degree 0 included,
+    that machine is the result.  The original domain is re-imposed at the end.
     """
     if m.funs:
         raise MachineError("layer minimization expects a plain machine")
@@ -1009,16 +1012,13 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
     _dump(dump, "simple", simple)
     if report.kind == "exponential":
         return LayeredResult("exponential", report)
-    degree = report.degree
     partition = report.partition if report.partition else ((),)
     bounded = remove_bounded_layer(simple, partition)
     _dump(dump, "bounded", bounded)
-    if degree == 0:
-        machine = reimpose_domain(bounded, dfa)
-        return LayeredResult("layered", report, k=0, machine=machine,
-                             layers=((),))
-    machine, layers = _bounded_to_layered(bounded, partition[1:], dump=dump)
-    machine, layers = prune_sst_registers(machine, layers)
+    machine, layers = bounded, partition[1:] or ((),)
+    if check_layered(bounded, layers):
+        machine, layers = _bounded_to_layered(bounded, layers, dump=dump)
+        machine, layers = prune_sst_registers(machine, layers)
     machine = reimpose_domain(machine, dfa)
     _dump(dump, "layered", machine)
     bad = check_layered(machine, layers)

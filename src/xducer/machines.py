@@ -578,32 +578,33 @@ def check_layer_order(m: SST, layers: Sequence[Sequence[str]]) -> list:
 class BoundedCheck:
     bounded: bool
     witness: Optional[Word]  # word whose composed update exceeds the bound
+    largest: int             # largest row sum the closure reached
 
 
 # Reachable (state, occurrence matrices) nodes check_bounded may explore.
 BOUNDED_CHECK_STATE_LIMIT = 200000
-# Largest per-word copy bound find_copy_bound probes.
+# Largest per-word copy bound find_copy_bound measures.
 COPY_BOUND_LIMIT = 64
 
 
 class _Exceeded(Exception):
-    """Carries the first word whose composed update breaks the bound."""
+    """Carries the first word whose composed update breaks the bound, and
+    the row sum that breaks it."""
 
 
 def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int) -> BoundedCheck:
     """Decide whether every layer is per-word copy-bounded by ``bound``.
 
-    Explores the reachable per-layer occurrence matrices of composed updates,
-    saturating entries at bound+1 so the closure is finite.  The check runs
-    from every machine state.  On failure the breadth-first witness word is
-    returned.
+    Explores the reachable per-layer occurrence matrices of composed updates;
+    a matrix with a row sum over the bound stops the closure, so it is finite.
+    The check runs from every machine state.  On failure the breadth-first
+    witness word is returned.
     """
     order_violations = check_layer_order(m, layers)
     if order_violations:
         raise MachineError("layer order violated: %s" % order_violations[0])
 
     layer_regs = [tuple(sorted(layer)) for layer in layers]
-    cap = bound + 1
     # (q, a) -> per layer, per register x of it, the (index, count) of each
     # register of the layer that occurs in x's right-hand side; built once
     # per check
@@ -621,13 +622,12 @@ def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int) -> Bounde
 
     def step(mats, q, a):
         return tuple(
-            tuple(tuple(min(cap, sum(row[zi] * k for zi, k in col))
-                        for col in cols)
+            tuple(tuple(sum(row[zi] * k for zi, k in col) for col in cols)
                   for row in cur)
             for cur, cols in zip(mats, cols_of(q, a)))
 
-    def exceeded(mats):
-        return any(sum(row) > bound for cur in mats for row in cur)
+    def max_row_sum(mats):
+        return max((sum(row) for cur in mats for row in cur), default=0)
 
     identity = tuple(
         tuple(tuple(1 if i == j else 0 for j in range(len(regs)))
@@ -643,24 +643,24 @@ def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int) -> Bounde
             if (q, a) not in m.delta:
                 continue
             mats2 = step(mats, q, a)
-            if exceeded(mats2):
-                raise _Exceeded(words[node] + (a,))
+            if max_row_sum(mats2) > bound:
+                raise _Exceeded(words[node] + (a,), max_row_sum(mats2))
             node2 = (m.delta[(q, a)], mats2)
             words.setdefault(node2, words[node] + (a,))
             yield node2
 
     try:
-        explore(list(words), successors, BOUNDED_CHECK_STATE_LIMIT,
-                "bounded-copy closure")
+        nodes = explore(list(words), successors, BOUNDED_CHECK_STATE_LIMIT,
+                        "bounded-copy closure")
     except _Exceeded as found:
-        return BoundedCheck(False, found.args[0])
-    return BoundedCheck(True, None)
+        return BoundedCheck(False, *found.args)
+    return BoundedCheck(True, None, max(max_row_sum(mats) for _q, mats in nodes))
 
 
 def find_copy_bound(m: SST, layers: Sequence[Sequence[str]]) -> int:
-    """Smallest B such that check_bounded passes, probing upward."""
-    for b in range(1, COPY_BOUND_LIMIT + 1):
-        if check_bounded(m, layers, b).bounded:
-            return b
-    raise MachineError("find_copy_bound: no copy bound found up to %d"
-                       % COPY_BOUND_LIMIT)
+    """Smallest B >= 1 such that check_bounded passes, from one closure."""
+    check = check_bounded(m, layers, COPY_BOUND_LIMIT)
+    if not check.bounded:
+        raise MachineError("find_copy_bound: no copy bound found up to %d"
+                           % COPY_BOUND_LIMIT)
+    return max(1, check.largest)

@@ -177,8 +177,16 @@ def test_optimize_dump_stages(tmp_path, capsys):
     capsys.readouterr()
     names = sorted(os.listdir(stages))
     assert "total.json" in names and "simple.json" in names
+    assert "det-layer0.json" in names
     for name in names:
         parse_machine(str(stages / name))
+    # mul_sst leaves remove_bounded_layer layered: no copyless construction
+    exit_stages = tmp_path / "exit_stages"
+    assert main(["optimize", corpus_path("mul_sst"), "-o", str(out),
+                 "--dump-stages", str(exit_stages)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(exit_stages)) == [
+        "bounded.json", "layered.json", "simple.json", "total.json"]
     marble_stages = tmp_path / "marble_stages"
     assert main(["optimize", corpus_path("pow2_marble"), "-o", str(out),
                  "--dump-stages", str(marble_stages)]) == 0
@@ -194,19 +202,19 @@ def test_optimize_dump_stages(tmp_path, capsys):
 OPTIMIZED = {
     "bounded_pair_sst": (0, "754385bf994358dc9873903b314801bf0e3f3a4e0226496f9fcf5a2972e1b98b"),
     "chain_flow": (1, None),
-    "copy_two_way": (0, "22aa4b53b3b26bc12e57c58a812bcad064bb1103fc3707634cec0609ab02c90e"),
+    "copy_two_way": (0, "f2f17eab41f89449af44e9cf65ee3e665fa973047122103d5b3a756f12b5dfe3"),
     "exp_flow": (1, None),
     "exp_marble": (4, None),
     "exp_sst": (4, None),
-    "identity_sst": (0, "22eff83ea5a8bdd986a92040408db70a91cc2aa23de52928b5583c3a5b4f66f2"),
-    "mul_marble": (0, "b41051cce318a46b1dbe274a499aab81f8e6f17c56754900e65188a4f917f225"),
-    "mul_sst": (0, "526129e0c93d58eb00e76cd20bed8cde095236576e0ec71a0a4456ab2709d931"),
-    "mul_sst_copyful": (0, "526129e0c93d58eb00e76cd20bed8cde095236576e0ec71a0a4456ab2709d931"),
-    "pow2_marble": (0, "4ec468f2259eafbb0fea348c0652ff578b12cf9bc44eaebfca1c62b2d96e7f0a"),
-    "pow2_marble_wasteful": (0, "186e3c8b8b9717309ad29b1b24b408c1cb49fed75537accdf37101274dc6226e"),
-    "reverse_sst": (0, "0a342a28fc209d62ac1e8e4921cc1d96538c2b0d8db08774bb0688a26dcd458b"),
+    "identity_sst": (0, "cbe513e9f95baf9769a7e414e17b0cbd21573d96b1ea1a4768b70f7ea97a9f59"),
+    "mul_marble": (0, "358d16ba8a1ed17e89b4686d731725534d27a05d376d1a87d1d4b12798d43411"),
+    "mul_sst": (0, "e6b5d2f0fd6771cca40275ccb893ad96601935418a9408c0218e5c987831f2e6"),
+    "mul_sst_copyful": (0, "e6b5d2f0fd6771cca40275ccb893ad96601935418a9408c0218e5c987831f2e6"),
+    "pow2_marble": (0, "6df2ad99ac7bcd562d9837ae6ec6c7b85f963dc36cf3ce1c4be1f05f82e8377d"),
+    "pow2_marble_wasteful": (0, "9f77441510973efae702cf1f52b3be3b95f07c60e7bf5025bd05f524c89b8c4c"),
+    "reverse_sst": (0, "f6048b72ce30c1132adbae172797520b99a8d9a8e1cd8d9b5d949f86e95d51b9"),
     "reverse_sst_copyful": (0, "375187e8abb4605739d6b65e476cc05b22db2b7a56f06e44669a55281ea7c870"),
-    "reverse_two_way": (0, "989f4c1eaebb31772099e6f37d977d8a58990fef30a50bf0b32d641ae686d77e"),
+    "reverse_two_way": (0, "b8c21855316618d9c405b16072fbaa98bcf5ced42c9d6b284723a6814fe75950"),
 }
 
 

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,15 +28,19 @@ from xducer.machines import (
     FunctionRegistry,
     Lit,
     MachineError,
+    MarbleTransducer,
     Reg,
     SST,
+    TwoWayTransducer,
     check_copyless,
     check_layered,
     compose_substitutions,
     validate,
 )
+from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import enumerate_nsstf_runs, run_marble, run_sst, run_sstf
+from xducer.sst2mt import layered_to_marble
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +169,7 @@ def test_copy_bound_is_measured_once_per_profile_machine(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(layering, name, counted)
-    assert to_k_layered(corpus.mul_sst()).kind == "layered"
+    assert to_k_layered(corpus.reverse_sst_copyful()).kind == "layered"
     assert calls["bounded_sstf_to_unambiguous"] >= 1
     assert calls["find_copy_bound"] == calls["bounded_sstf_to_unambiguous"]
 
@@ -507,3 +514,88 @@ def test_prune_sst_registers_keeps_function():
     pruned, layers = prune_sst_registers(total, (total.registers,))
     assert "z" not in pruned.registers
     assert equiv_check(pruned, total, 4).equivalent
+
+
+# ---------------------------------------------------------------------------
+# The copyless construction runs only where check_layered rejects a layer
+# ---------------------------------------------------------------------------
+
+# Corpus machines of polynomial growth: SSTs as they are, marble and two-way
+# machines through their crossing SST.  The bounded form of the DETERMINIZED
+# ones fails check_layered, so they need the copyless construction; the
+# others leave remove_bounded_layer already layered.
+POLYNOMIAL = ("bounded_pair_sst", "copy_two_way", "identity_sst", "mul_marble",
+              "mul_sst", "mul_sst_copyful", "pow2_marble", "pow2_marble_wasteful",
+              "reverse_sst", "reverse_sst_copyful", "reverse_two_way")
+DETERMINIZED = ("bounded_pair_sst", "pow2_marble", "pow2_marble_wasteful",
+                "reverse_sst_copyful")
+
+
+def domain_word(m, rng, lo, hi):
+    """A random word of at least ``lo`` letters in the domain of ``m``.
+
+    Letters that keep the state are preferred, so that loops before a
+    one-way exit (the ``ab`` part of ``ab#000``) are walked many times."""
+    dist = {q: 0 for q in m.output}
+    while True:
+        grown = {q: dist[q2] + 1 for (q, _a), q2 in m.delta.items()
+                 if q2 in dist and q not in dist}
+        if not grown:
+            break
+        dist.update(grown)
+    letters = sorted(m.input_alphabet)
+    q, w = m.initial, []
+    for _ in range(rng.randint(lo, hi)):
+        live = [a for a in letters if m.delta.get((q, a)) in dist]
+        stay = [a for a in live if m.delta[(q, a)] == q]
+        a = rng.choice(stay if stay and rng.random() < 0.9 else live)
+        q = m.delta[(q, a)]
+        w.append(a)
+    while dist[q]:
+        a = min(letters, key=lambda a: dist.get(m.delta.get((q, a)), math.inf))
+        q = m.delta[(q, a)]
+        w.append(a)
+    return w
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL)
+def test_copyless_layers_are_built_only_where_needed(name, monkeypatch):
+    source = corpus.all_machines()[name]
+    if isinstance(source, TwoWayTransducer):
+        source = two_way_to_marble(source)
+    sst = marble_to_sst(source) if isinstance(source, MarbleTransducer) else source
+    seen = {"bounded": [], "determinize_nsstf": 0}
+
+    def bounded_layer(m, partition, _original=layering.remove_bounded_layer):
+        bounded = _original(m, partition)
+        seen["bounded"].append((bounded, partition[1:] or ((),)))
+        return bounded
+
+    def determinize(m, _original=layering.determinize_nsstf):
+        seen["determinize_nsstf"] += 1
+        return _original(m)
+
+    monkeypatch.setattr(layering, "remove_bounded_layer", bounded_layer)
+    monkeypatch.setattr(layering, "determinize_nsstf", determinize)
+    res = to_k_layered(sst)
+    assert res.kind == "layered"
+    bounded, layers = seen["bounded"][0]
+    needed = check_layered(bounded, layers) != []
+    assert needed == (name in DETERMINIZED)
+    assert (seen["determinize_nsstf"] > 0) == needed
+    if not needed:
+        assert len(seen["bounded"]) == 1
+    assert check_layered(res.machine, res.layers) == []
+    assert res.k == max(res.report.degree - 1, 0)
+
+    walker = layered_to_marble(res.machine, res.layers)
+    rng = random.Random(name)
+    for _ in range(3):
+        w = domain_word(res.machine, rng, 100, 150)
+        want = (run_sst(source, w) if isinstance(source, SST)
+                else run_marble(source, w, budget=10 ** 8))
+        assert want.accepted, (name, len(w))
+        assert run_sst(res.machine, w).output == want.output, (name, len(w))
+        got = run_marble(walker, w, budget=10 ** 8)
+        assert got.output == want.output, (name, len(w))
+        assert got.max_stack_depth <= res.k, (name, len(w))

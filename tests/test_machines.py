@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from xducer import corpus
 from xducer.machines import (
     ACT_RIGHT,
+    COPY_BOUND_LIMIT,
     Lit,
     MachineError,
     MarbleTransducer,
@@ -186,6 +188,54 @@ def test_random_layered_iff_one_bounded():
 def test_find_copy_bound():
     m = corpus.bounded_pair_sst()
     assert find_copy_bound(m, (m.registers,)) == 2
+
+
+def probed_copy_bound(m, layers):
+    """Reference: the first B = 1, 2, ... for which check_bounded passes.
+
+    A machine that fails the largest bound fails every smaller one, so it
+    is answered by one check instead of COPY_BOUND_LIMIT of them."""
+    if not check_bounded(m, layers, COPY_BOUND_LIMIT).bounded:
+        return None
+    for b in range(1, COPY_BOUND_LIMIT + 1):
+        if check_bounded(m, layers, b).bounded:
+            return b
+    return None
+
+
+def test_find_copy_bound_matches_probing():
+    rng = random.Random(9090)
+    bounds = Counter()
+    machines = [corpus.bounded_pair_sst(), corpus.reverse_sst_copyful(),
+                corpus.exp_sst()]
+    for _trial in range(150):
+        regs = tuple("r%d" % i for i in range(rng.randint(1, 3)))
+        states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
+        delta, update = {}, {}
+        for q in states:
+            for a in ("a", "b"):
+                delta[(q, a)] = rng.choice(states)
+                update[(q, a)] = {
+                    x: tuple(Reg(rng.choice(regs))
+                             for _ in range(rng.choice((0, 1, 1, 2))))
+                    for x in regs}
+        machines.append(SST(
+            input_alphabet=("a", "b"), output_alphabet=("o",), states=states,
+            registers=regs, initial=states[0],
+            init_valuation={x: () for x in regs},
+            delta=delta, update=update, output={states[0]: ()},
+        ))
+    for m in machines:
+        want = probed_copy_bound(m, (m.registers,))
+        bounds[want] += 1
+        if want is None:
+            with pytest.raises(MachineError, match="no copy bound found up to 64"):
+                find_copy_bound(m, (m.registers,))
+        else:
+            assert find_copy_bound(m, (m.registers,)) == want
+    # the sample spans copyless, bounded-copy and unbounded machines
+    assert bounds[1] and bounds[None] and sum(
+        n for b, n in bounds.items() if b is not None and b > 1) >= 5, bounds
 
 
 def test_validate_corpus_machines():

@@ -66,7 +66,7 @@ def random_sst(rng) -> SST:
 
 # sha256 over the emitted machines of all polynomial trials below, in order
 RANDOM_LAYERED_DIGEST = \
-    "08c0e8081e92b70461aa9bb6f50303313b8e34da23e2f15eb769ed84cd781516"
+    "44a911c799470eafe739aea6b06447b89337756de4d30ac0d2ff9653f2b49612"
 
 
 def test_random_ssts_through_layer_minimization():
