@@ -3,7 +3,8 @@
 
 For each register machine: growth class, minimal layer count, and a bounded
 equivalence check of the rewritten machine.  For each marble machine: the
-minimal mark count and the measured stack depth of the rebuilt machine.
+minimal mark count, and the state count and measured stack depth of the
+rebuilt machine.
 """
 
 import os
@@ -58,9 +59,9 @@ def main() -> None:
             print("%-22s exponential growth (%.2fs)" % (name, took))
             continue
         verdict = equiv_check(res.machine, m, 4)
-        print("%-22s k_min=%d  depth<=4:%d equiv<=4:%s (%.2fs)"
-              % (name, res.k_min, measure_depth(res.machine, 4),
-                 verdict.status, took))
+        print("%-22s k_min=%d  states=%-4d depth<=4:%d equiv<=4:%s (%.2fs)"
+              % (name, res.k_min, len(res.machine.states),
+                 measure_depth(res.machine, 4), verdict.status, took))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 from typing import Optional, Sequence
 
@@ -22,7 +22,6 @@ from .growth import GrowthReport, classify, flow_automaton, is_simple
 from .machines import (
     DFA,
     Fun,
-    FunctionRegistry,
     Lit,
     MachineError,
     NSSTF,
@@ -427,19 +426,6 @@ def compose_skebegfol(p: SkeBegFol, c: SkeBegFol) -> SkeBegFol:
 # ---------------------------------------------------------------------------
 
 
-def _prev_value_sst(m: SST, x: str, lower: tuple) -> SST:
-    """Total machine computing the value x held before the last input letter:
-    value_sst plus a shadow register copying x on every letter."""
-    cur = value_sst(m, x, lower)
-    shadow = _fresh("%s.prev" % x, set(lower))
-    return replace(
-        cur, registers=lower + (shadow,),
-        init_valuation={**cur.init_valuation, shadow: tuple(m.init_valuation[x])},
-        update={key: {**s, shadow: (Reg(x),)} for key, s in cur.update.items()},
-        output={q: (Reg(shadow),) for q in m.states},
-    )
-
-
 def value_sst(m: SST, x: str, lower: tuple) -> SST:
     """Total machine computing the current value of a lower-layer register."""
     update = {key: {u: s[u] for u in lower} for key, s in m.update.items()}
@@ -455,23 +441,19 @@ def value_sst(m: SST, x: str, lower: tuple) -> SST:
 def extract_sstf(m: SST, layers: Sequence[Sequence[str]]) -> tuple:
     """Split the top layer off as a machine calling the lower layers.
 
-    Returns (top machine with external functions, registry of lower-layer
-    value machines, binding of function names to source registers).  Each
-    function f_x yields the value x held *before* the last letter of its
-    argument, which is exactly what a register reference inside an update
-    denotes; output references to lower registers go through refresh
-    registers holding the current value instead.
+    Returns (top machine with external functions, binding of function
+    names to source registers).  Each function f_x stands for the value x
+    held *before* the last letter of its argument, which is exactly what a
+    register reference inside an update denotes; output references to lower
+    registers go through refresh registers holding the current value instead.
     """
     if check_layer_order(m, layers):
         raise MachineError("layer order violated")
     if len(layers) == 1:
-        return m, FunctionRegistry({}), {}
+        return m, {}
     lower = tuple(x for layer in layers[:-1] for x in layer)
     top = tuple(layers[-1])
     fun_of = {x: "f_%s" % x for x in lower}
-    registry = FunctionRegistry({
-        fun_of[x]: _prev_value_sst(m, x, lower) for x in lower
-    })
     binding = {fun_of[x]: x for x in lower}
 
     def top_tokens(rhs):
@@ -510,7 +492,7 @@ def extract_sstf(m: SST, layers: Sequence[Sequence[str]]) -> tuple:
         init_valuation=init, delta=dict(m.delta), update=update,
         output=output, funs=tuple(sorted(fun_of.values())),
     )
-    return top_machine, registry, binding
+    return top_machine, binding
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +950,7 @@ def _bounded_to_layered(m: SST, layers: tuple, dump=None) -> tuple:
     a register reference inside a plain update is read before the step,
     which cancels the one-letter shift the external-function tokens carry.
     """
-    top, registry, binding = extract_sstf(m, layers)
+    top, binding = extract_sstf(m, layers)
     det = determinize_nsstf(bounded_sstf_to_unambiguous(top))
     _dump(dump, "det-layer0", det)
     if len(layers) == 1:

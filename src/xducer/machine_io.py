@@ -189,13 +189,9 @@ def machine_from_json(doc, path: str = "$"):
                 _err(where, "expected a list of entries")
             mat = {}
             for i, ent in enumerate(entries):
-                if not isinstance(ent, dict):
-                    _err("%s[%d]" % (where, i), "expected an object")
-                for field in ("from", "to", "weight"):
-                    if field not in ent:
-                        _err("%s[%d]" % (where, i), "missing %r" % field)
-                _integer(ent["weight"], "%s[%d].weight" % (where, i))
-                mat[(ent["from"], ent["to"])] = ent["weight"]
+                at = "%s[%d]" % (where, i)
+                key = (_need(ent, "from", str, at), _need(ent, "to", str, at))
+                mat[key] = _integer(_need(ent, "weight", None, at), "%s.weight" % at)
             mats[a] = mat
         return NAutomaton(input_alphabet, states, alpha, beta, mats)
     output_alphabet = tuple(_word(_need(doc, "output_alphabet", list, path),
@@ -214,7 +210,8 @@ def machine_from_json(doc, path: str = "$"):
         return TwoWayTransducer(
             input_alphabet, output_alphabet, states,
             _need(doc, "initial", str, path),
-            frozenset(_need(doc, "finals", list, path)), delta, out)
+            frozenset(_word(_need(doc, "finals", list, path), "%s.finals" % path)),
+            delta, out)
     if kind == "marble":
         delta, out = {}, {}
         for i, ent in enumerate(_need(doc, "transitions", list, path)):
@@ -230,7 +227,7 @@ def machine_from_json(doc, path: str = "$"):
         return MarbleTransducer(
             input_alphabet, output_alphabet, states,
             _need(doc, "initial", str, path),
-            frozenset(_need(doc, "finals", list, path)),
+            frozenset(_word(_need(doc, "finals", list, path), "%s.finals" % path)),
             tuple(_word(_need(doc, "colors", list, path), "%s.colors" % path)),
             delta, out, doc.get("declared_marble_bound"))
     if kind in ("sst", "sstf"):
@@ -248,7 +245,8 @@ def machine_from_json(doc, path: str = "$"):
                                            "%s.update" % where)
         output = {q: _tokens(rhs, "%s.output.%s" % (path, q))
                   for q, rhs in _need(doc, "output", dict, path).items()}
-        funs = tuple(doc.get("functions", [])) if kind == "sstf" else ()
+        funs = _word(doc.get("functions", []), "%s.functions" % path) \
+            if kind == "sstf" else ()
         return SST(input_alphabet, output_alphabet, states, registers,
                    _need(doc, "initial", str, path), init_val, delta, update,
                    output, funs)
@@ -272,7 +270,7 @@ def machine_from_json(doc, path: str = "$"):
     output = {q: _tokens(rhs, "%s.output.%s" % (path, q))
               for q, rhs in _need(doc, "output", dict, path).items()}
     return NSSTF(input_alphabet, output_alphabet, states, registers,
-                 tuple(doc.get("functions", [])), initial,
+                 _word(doc.get("functions", []), "%s.functions" % path), initial,
                  tuple(sorted(transitions)), update, output)
 
 

@@ -29,6 +29,7 @@ BUDGET = "budget"
 LOOP = "loop"
 
 BUDGET_CAP = 10 ** 7
+NSSTF_BRANCH_LIMIT = 100000   # partial runs enumerate_nsstf_runs may explore
 
 
 @dataclass(frozen=True)
@@ -379,14 +380,13 @@ def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunR
     return run_sst(m, w, registry=registry, trace=trace)
 
 
-def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = None,
-                         max_branches: int = 100000) -> list:
+def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = None) -> list:
     """All accepting runs with their outputs, by exhaustive branching.
 
     Returns a list of (state sequence, output word) pairs, ordered by the
     lexicographic state sequence.  Partial runs are explored depth first
     from an explicit stack, so words of any length are safe; raises once the
-    number of explored partial runs exceeds ``max_branches``.
+    number of explored partial runs exceeds ``NSSTF_BRANCH_LIMIT``.
     """
     w = as_word(w)
     _check_alphabet(m, w)
@@ -407,8 +407,9 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
         if step is not None:
             val = _apply_update(m.update[step], val, w, i, registry)
         explored += 1
-        if explored > max_branches:
-            raise MachineError("branching limit exceeded (%d)" % max_branches)
+        if explored > NSSTF_BRANCH_LIMIT:
+            raise MachineError("NSST-F run enumeration exceeded %d partial runs"
+                               % NSSTF_BRANCH_LIMIT)
         if i == len(w):
             if q in m.output:
                 states = []

@@ -35,8 +35,8 @@ from .machines import (
 )
 from .layering import make_total
 
-# Walker states _build_walker may create.  The walker's size depends on the
-# machine only; random layered machines of up to 25 states gave up to ~52,000.
+# Walker states _build_walker may create; the size depends on the machine
+# only: up to ~5,100 for 25 states, ~854,000 for 205 states × 311 registers.
 WALKER_STATE_LIMIT = 10 ** 6
 
 
@@ -141,30 +141,27 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound) -> MarbleTransducer:
         out[key] = tuple(emit)
         targets.append(target)
 
-    def act_step(q, a, x, i0, fctx):
+    def act_step(q, a, x, i0, occ):
         """Emit pending letters and pick the move for the next token."""
         alpha = m.update[(q, a)][x]
         lits = tuple(t.sym for t in takewhile(lambda t: isinstance(t, Lit), alpha[i0:]))
         j = i0 + len(lits)
         if j == len(alpha):
-            return lits, ACT_RIGHT, ("ret", x, fctx, m.delta[(q, a)])
+            return lits, ACT_RIGHT, ("ret", x, occ, m.delta[(q, a)])
         y = alpha[j].name
         if layer_of is not None and layer_of[y] == layer_of[x]:
-            return lits, ACT_LEFT, ("cmp", y, fctx, "land", q)
-        return lits, act_drop(colors[(q, a, x, j)]), ("dsc", y, fctx, q, a, x, j)
+            return lits, ACT_LEFT, ("cmp", y, occ, "land", q)
+        return lits, act_drop(colors[(q, a, x, j)]), ("dsc", y, occ, q, a, x, j)
 
-    suffixes = []   # output continuations, named by their index here
-
-    def scan_output(toks, q):
-        """Next step of an output scan at the right endmarker reached in
-        state q: (lits, move-left target)."""
-        lits = tuple(t.sym for t in takewhile(lambda t: isinstance(t, Lit), toks))
-        if len(lits) == len(toks):
+    def scan_output(q, i0):
+        """Scan q's output from token i0 at the right endmarker: (lits, target);
+        ``occ`` counts the register's earlier occurrences in the output."""
+        toks = m.output[q]
+        lits = tuple(t.sym for t in takewhile(lambda t: isinstance(t, Lit), toks[i0:]))
+        j = i0 + len(lits)
+        if j == len(toks):
             return lits, ("preacc",)
-        rest = toks[len(lits) + 1:]
-        if rest not in suffixes:
-            suffixes.append(rest)
-        return lits, ("cmp", toks[len(lits)].name, suffixes.index(rest), "land", q)
+        return lits, ("cmp", toks[j].name, toks[:j].count(toks[j]), "land", q)
 
     def resume_candidates(q, a, y):
         s = m.update[(q, a)]
@@ -184,12 +181,12 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound) -> MarbleTransducer:
             for a in letters:
                 put(state, a, None, ACT_RIGHT, ("dom", dom.delta[(d, a)]))
             if d in dom.accepting:
-                lits, target = scan_output(m.output[d], d)
+                lits, target = scan_output(d, 0)
                 put(state, RIGHT_END, None, ACT_LEFT, target, lits)
         elif kind == "cmp":
-            x, fctx, look = state[1], state[2], state[3:]
+            x, occ, look = state[1], state[2], state[3:]
             if look[0] == "land":
-                put(state, LEFT_END, None, ACT_RIGHT, ("ret", x, fctx, m.initial),
+                put(state, LEFT_END, None, ACT_RIGHT, ("ret", x, occ, m.initial),
                     emit=m.init_valuation[x])
             for s in (LEFT_END,) + letters:
                 step = lookbehind_step(dom, look, s)
@@ -197,29 +194,32 @@ def _build_walker(m: SST, dom: DFA, layer_of, bound) -> MarbleTransducer:
                     continue
                 move, found = step
                 if move is None:
-                    emit, action, target = act_step(found, s, x, 0, fctx)
+                    emit, action, target = act_step(found, s, x, 0, occ)
                     put(state, s, None, action, target, emit)
                 else:
-                    put(state, s, None, move, ("cmp", x, fctx) + found)
+                    put(state, s, None, move, ("cmp", x, occ) + found)
         elif kind == "dsc":
-            _, y, fctx, q, a, x, j = state
-            put(state, a, colors[(q, a, x, j)], ACT_LEFT, ("cmp", y, fctx, "land", q))
+            _, y, occ, q, a, x, j = state
+            put(state, a, colors[(q, a, x, j)], ACT_LEFT, ("cmp", y, occ, "land", q))
         elif kind == "ret":
-            _, y, fctx, q = state
+            _, y, occ, q = state
             for a, x, j, cid in lifts.get((q, y), ()):
-                put(state, a, cid, ACT_LIFT, ("act", q, a, x, j + 1, fctx))
+                put(state, a, cid, ACT_LIFT, ("act", q, a, x, j + 1, occ))
             if layer_of is not None:
                 for a in letters:
                     found = resume_candidates(q, a, y)
                     if found:
                         x, j = found[0]
-                        emit, action, target = act_step(q, a, x, j + 1, fctx)
+                        emit, action, target = act_step(q, a, x, j + 1, occ)
                         put(state, a, None, action, target, emit)
-            lits, target = scan_output(suffixes[fctx], q)
-            put(state, RIGHT_END, None, ACT_LEFT, target, emit=lits)
+            # only the outermost evaluation, of q's occ-th Reg(y), reaches ⊣
+            ends = [j for j, t in enumerate(m.output.get(q, ())) if t == Reg(y)]
+            if occ < len(ends):
+                lits, target = scan_output(q, ends[occ] + 1)
+                put(state, RIGHT_END, None, ACT_LEFT, target, emit=lits)
         elif kind == "act":
-            _, q, a, x, i0, fctx = state
-            emit, action, target = act_step(q, a, x, i0, fctx)
+            _, q, a, x, i0, occ = state
+            emit, action, target = act_step(q, a, x, i0, occ)
             put(state, a, None, action, target, emit)
         elif kind == "preacc":
             for a in (LEFT_END,) + letters:

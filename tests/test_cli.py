@@ -6,7 +6,7 @@ import pytest
 
 from xducer import corpus
 from xducer.cli import main
-from xducer.layering import bounded_sstf_to_unambiguous, make_total
+from xducer.layering import bounded_sstf_to_unambiguous, extract_sstf, make_total
 from xducer.machine_io import (
     MachineFileError,
     dumps_machine,
@@ -52,6 +52,8 @@ def _document(name):
     if name == "nsstf":
         total, _ = make_total(corpus.bounded_pair_sst())
         return machine_to_json(bounded_sstf_to_unambiguous(total, 2))
+    if name == "sstf":
+        return machine_to_json(extract_sstf(corpus.mul_sst(), corpus.MUL_LAYERS)[0])
     return json.load(open(corpus_path(name)))
 
 
@@ -62,6 +64,14 @@ def _document(name):
     ("mul_sst", "layers", 5, "$.layers"),
     ("mul_sst", "layers", [5], "$.layers[0]"),
     ("nsstf", "initial", {"q": 5}, "$.initial.q"),
+    ("copy_two_way", "finals", [["done"]], "$.finals"),
+    ("mul_marble", "finals", [["done"]], "$.finals"),
+    ("sstf", "functions", [["f"]], "$.functions"),
+    ("nsstf", "functions", [["f"]], "$.functions"),
+    ("chain_flow", "matrices", {"a": [{"from": ["x"], "to": "x", "weight": 1}]},
+     "$.matrices.a[0].from"),
+    ("chain_flow", "matrices", {"a": [{"from": "x", "to": ["x"], "weight": 1}]},
+     "$.matrices.a[0].to"),
 ])
 def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
                                            value, where):
@@ -69,8 +79,9 @@ def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
     doc[field] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert main(["validate", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith("%s: expected " % where)
+    for command in ("validate", "analyze"):
+        assert main([command, str(bad)]) == 1, command
+        assert capsys.readouterr().err.startswith("%s: expected " % where), command
 
 
 def test_validate_passthrough(tmp_path, capsys):
@@ -202,16 +213,16 @@ def test_optimize_dump_stages(tmp_path, capsys):
 OPTIMIZED = {
     "bounded_pair_sst": (0, "754385bf994358dc9873903b314801bf0e3f3a4e0226496f9fcf5a2972e1b98b"),
     "chain_flow": (1, None),
-    "copy_two_way": (0, "f2f17eab41f89449af44e9cf65ee3e665fa973047122103d5b3a756f12b5dfe3"),
+    "copy_two_way": (0, "9e170ea185bff928544c0e155e444db8bf9f8ea77d5f6536f4ff27676cab7b46"),
     "exp_flow": (1, None),
     "exp_marble": (4, None),
     "exp_sst": (4, None),
     "identity_sst": (0, "cbe513e9f95baf9769a7e414e17b0cbd21573d96b1ea1a4768b70f7ea97a9f59"),
-    "mul_marble": (0, "358d16ba8a1ed17e89b4686d731725534d27a05d376d1a87d1d4b12798d43411"),
+    "mul_marble": (0, "0e8e35f9e88ce8a3db9962563eccbb186d6650ec807b5070066b392879fdaba5"),
     "mul_sst": (0, "e6b5d2f0fd6771cca40275ccb893ad96601935418a9408c0218e5c987831f2e6"),
     "mul_sst_copyful": (0, "e6b5d2f0fd6771cca40275ccb893ad96601935418a9408c0218e5c987831f2e6"),
-    "pow2_marble": (0, "6df2ad99ac7bcd562d9837ae6ec6c7b85f963dc36cf3ce1c4be1f05f82e8377d"),
-    "pow2_marble_wasteful": (0, "9f77441510973efae702cf1f52b3be3b95f07c60e7bf5025bd05f524c89b8c4c"),
+    "pow2_marble": (0, "9dca5506ccd5e8b50fb1c1142944c50f6de40385809287f812a6a077d6569a21"),
+    "pow2_marble_wasteful": (0, "23e3fea3e50c5ace7a8b0662aa5d47fb3133c2fe8ae7af68112757e6afbc26fa"),
     "reverse_sst": (0, "f6048b72ce30c1132adbae172797520b99a8d9a8e1cd8d9b5d949f86e95d51b9"),
     "reverse_sst_copyful": (0, "375187e8abb4605739d6b65e476cc05b22db2b7a56f06e44669a55281ea7c870"),
     "reverse_two_way": (0, "b8c21855316618d9c405b16072fbaa98bcf5ced42c9d6b284723a6814fe75950"),
@@ -264,7 +275,7 @@ def test_analyze_output_bytes_are_pinned(capsys):
 # nothing is printed), so conversion refactors keep the emitted bytes.
 CONVERTED = {
     ("bounded_pair_sst", "sst"): (0, "7506f6be1d2165ab12e1fa1bf6c376199e90aa527491e1280ef35f1a0b1cb8a1"),
-    ("bounded_pair_sst", "marble"): (0, "c1975e2135bf742621db95fbf97962216cde9323986ef8d33b1e7decb14d5183"),
+    ("bounded_pair_sst", "marble"): (0, "f170317ed6c4c7fc134a83fc618130731e5299587e34121be0d00ac95961b47d"),
     ("chain_flow", "sst"): (1, None),
     ("chain_flow", "marble"): (1, None),
     ("copy_two_way", "sst"): (0, "4f4e104ac3f53eabca47f54e49f926e59b441b59d4734176f1a8fb51a9323bd5"),
@@ -280,9 +291,9 @@ CONVERTED = {
     ("mul_marble", "sst"): (0, "e00167995e62ca2de41da1a7235d5b63a1fea0b58859b4207d7585ee88db40fa"),
     ("mul_marble", "marble"): (0, "896bee3c34e42c1c55bcee2fad94a26293f883f8104f16e0a3a1334d73fea5dc"),
     ("mul_sst", "sst"): (0, "fefddcb89499d216f4bbc58e3b6286e11366a5ec64eae7ed00fd1289ca3e118e"),
-    ("mul_sst", "marble"): (0, "759a8ff9f9a7e81d0bf1f0e2c5a1e74a139098098c696ef60e6f6e40df7c1f2b"),
+    ("mul_sst", "marble"): (0, "852f4b70644ce28f64709bbc8f017d5ed765c093daedbccf150efc365646ce79"),
     ("mul_sst_copyful", "sst"): (0, "0a1f6fc80b15ffcac9a6b3e7a29fb4c284857d0484de21d722693aafc19b7360"),
-    ("mul_sst_copyful", "marble"): (0, "c64874e39bc880506c43e9f446ee0a3a5acd12146180e2abf1f070313759df93"),
+    ("mul_sst_copyful", "marble"): (0, "af85f6a42b8f3b9daf5de7df4c65669e467fa92b131a66d7da93365129286acd"),
     ("pow2_marble", "sst"): (0, "dbd556981c2620eabb18e34ca4d6ed1096423c86b3f5b78283da6d90f0368e9f"),
     ("pow2_marble", "marble"): (0, "78afd9a097ded9f18757a2e1799059ea1bdafac4a8f019c3c0b44d17db87db55"),
     ("pow2_marble_wasteful", "sst"): (0, "2ee5b4cf5f5f1bbeb984970af9d16f42e450b558660a1342c4eddb923cac91e6"),
@@ -290,7 +301,7 @@ CONVERTED = {
     ("reverse_sst", "sst"): (0, "d8413d412b3a494f0429ee70a84b7d4b732762a3c9acf4f2a6a05cb9facfb5cc"),
     ("reverse_sst", "marble"): (0, "e100be1625f31ac045431baf063aa52e27a7a6752eae414853758dcbd5fcf013"),
     ("reverse_sst_copyful", "sst"): (0, "dd1d6b0ea66c6541a70c3eac64b502a2c171d087538776577e84458eaf6c6c98"),
-    ("reverse_sst_copyful", "marble"): (0, "f56f416498fda93a765af929b9214a597b9f02385dcbb462a25baab127c1ec32"),
+    ("reverse_sst_copyful", "marble"): (0, "6533c0dd94bf8cd95e4a093d747b775613ac1de5fa4794887183b44015b6beb4"),
     ("reverse_two_way", "sst"): (0, "c8dc0621e7f34947c7e284a028d27f451e88f1f68575a3f44ef332399ccc7d82"),
     ("reverse_two_way", "marble"): (0, "74419ed36d713488abb5e61ef92ddee5291eb886c26f233cec9ac06aec8dcb22"),
 }

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,10 +260,29 @@ def test_compose_agrees_with_direct_composition(s1, s2):
 # ---------------------------------------------------------------------------
 
 
+def prev_value_sst(m: SST, x: str, lower: tuple) -> SST:
+    """Total machine computing the value x held before the last input letter:
+    value_sst plus a shadow register copying x on every letter."""
+    cur = value_sst(m, x, lower)
+    shadow = layering._fresh("%s.prev" % x, set(lower))
+    return replace(
+        cur, registers=lower + (shadow,),
+        init_valuation={**cur.init_valuation, shadow: tuple(m.init_valuation[x])},
+        update={key: {**s, shadow: (Reg(x),)} for key, s in cur.update.items()},
+        output={q: (Reg(shadow),) for q in m.states},
+    )
+
+
+def prev_value_registry(m: SST, layers, binding: dict) -> FunctionRegistry:
+    """The functions an extracted top layer calls, as value machines."""
+    lower = tuple(x for layer in layers[:-1] for x in layer)
+    return FunctionRegistry({f: prev_value_sst(m, x, lower) for f, x in binding.items()})
+
+
 def test_extract_single_layer_is_identity():
     m = corpus.bounded_pair_sst()
-    top, registry, binding = extract_sstf(m, (m.registers,))
-    assert top is m and registry.entries == {} and binding == {}
+    top, binding = extract_sstf(m, (m.registers,))
+    assert top is m and binding == {}
 
 
 def _two_layer_machine():
@@ -273,9 +293,9 @@ def _two_layer_machine():
 
 def test_extract_mul_layers():
     machine, layers = _two_layer_machine()
-    top, registry, binding = extract_sstf(machine, layers)
+    top, binding = extract_sstf(machine, layers)
     assert set(top.funs) == set(binding)
-    assert set(registry.entries) == set(binding)
+    registry = prev_value_registry(machine, layers, binding)
     for w in words_up_to(machine.input_alphabet, 5, cap=2000):
         mine = run_sstf(top, w, registry)
         want = run_sst(machine, w)
@@ -292,7 +312,8 @@ def test_extract_routes_output_references():
         update={("q", "a"): {"x": (x, Lit("a")), "y": (x, y)}},
         output={"q": (x, y, x)},
     )
-    top, registry, _binding = extract_sstf(m, (("x",), ("y",)))
+    top, binding = extract_sstf(m, (("x",), ("y",)))
+    registry = prev_value_registry(m, (("x",), ("y",)), binding)
     assert any(r.endswith(".val") for r in top.registers)
     assert not any(isinstance(t, Fun) for rhs in top.output.values() for t in rhs)
     for n in range(6):
@@ -301,8 +322,9 @@ def test_extract_routes_output_references():
 
 def test_delayed_value_machines():
     m = corpus.bounded_pair_sst()
-    top, registry, binding = extract_sstf(m, (("x",), ("y",)))
-    f = registry.entries["f_x"]
+    top, binding = extract_sstf(m, (("x",), ("y",)))
+    assert binding == {"f_x": "x"}
+    f = prev_value_registry(m, (("x",), ("y",)), binding).entries["f_x"]
     # value of x before the last letter
     assert run_sst(f, "aaa").output_text == "aa"
     assert run_sst(f, "a").output_text == ""
@@ -431,17 +453,11 @@ def test_splice_timing_on_running_prefix():
     product, layers, expr = product_ssts({"f_x": (lower, (("x",),))})
     spliced, out_layers = splice_layers(m, product, layers, expr)
     assert check_layered(spliced, out_layers) == []
-    registry = FunctionRegistry({"f_x": corpus_prev(m)})
+    registry = FunctionRegistry({"f_x": prev_value_sst(m, "x", ("x",))})
     for n in range(6):
         want = run_sstf(m, "a" * n, registry).output
         got = run_sst(spliced, "a" * n).output
         assert got == want, n
-
-
-def corpus_prev(m):
-    from xducer.layering import _prev_value_sst
-
-    return _prev_value_sst(m, "x", ("x",))
 
 
 def test_splice_empty_registry_returns_top():

@@ -88,10 +88,16 @@ def test_random_ssts_through_layer_minimization():
     assert digest.hexdigest() == RANDOM_LAYERED_DIGEST
 
 
+# States of the largest walker built below (the 21st: 25 states, 33
+# registers, one layer); a walker keyed by output suffix had 51,728
+LARGEST_WALKER_STATES = 5113
+
+
 def test_random_layered_machines_walk_back_to_marbles():
     rng = random.Random(777)
     walked = 0
     trial = 0
+    largest = 0
     while walked < 24 and trial < 200:
         trial += 1
         m = random_sst(rng)
@@ -101,6 +107,7 @@ def test_random_layered_machines_walk_back_to_marbles():
         walked += 1
         k = len(res.layers) - 1
         machine = layered_to_marble(res.machine, res.layers)
+        largest = max(largest, len(machine.states))
         verdict = equiv_check(machine, m, 3)
         assert verdict.equivalent, (trial, verdict.counterexample)
         for w in words_up_to(m.input_alphabet, 3, cap=100):
@@ -117,6 +124,7 @@ def test_random_layered_machines_walk_back_to_marbles():
             assert got.output == want.output, (trial, len(w))
             assert got.max_stack_depth <= k, (trial, len(w))
     assert walked == 24
+    assert largest <= LARGEST_WALKER_STATES
 
 
 def random_marble(rng) -> MarbleTransducer:

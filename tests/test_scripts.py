@@ -24,6 +24,8 @@ def test_pipeline_demo_rebuilds_every_corpus_machine():
     assert len(lines) == 10
     for line in lines:
         assert "equiv<=4:equivalent" in line or "exponential growth" in line, line
+    # the rebuilt marble machines report their size
+    assert sum(" k_min=" in line and " states=" in line for line in lines) == 3
 
 
 def test_growth_sweep_agrees_with_brute_force():

@@ -1,6 +1,6 @@
 import pytest
 
-from xducer import corpus
+from xducer import corpus, semantics
 from xducer.growth import flow_automaton
 from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_simple
 from xducer.machines import (
@@ -229,12 +229,13 @@ def test_enumerate_nsstf_runs():
     assert enumerate_nsstf_runs(_tiny_nsstf(False), "aa") == []
 
 
-def test_enumerate_nsstf_branch_guard():
+def test_enumerate_nsstf_branch_guard(monkeypatch):
+    monkeypatch.setattr(semantics, "NSSTF_BRANCH_LIMIT", 1)
     with pytest.raises(MachineError):
-        enumerate_nsstf_runs(_tiny_nsstf(True), "a", max_branches=1)
+        enumerate_nsstf_runs(_tiny_nsstf(True), "a")
 
 
-def test_nsstf_runs_on_long_words():
+def test_nsstf_runs_on_long_words(monkeypatch):
     total, _ = make_total(corpus.bounded_pair_sst())
     nsst = bounded_sstf_to_unambiguous(total, 2)
     w = "a" * 2000
@@ -244,9 +245,12 @@ def test_nsstf_runs_on_long_words():
     assert len(runs) == 1 and len(runs[0][0]) == 2001 and runs[0][1] == expected
     assert run_machine(nsst, w).output == expected
     # two partial runs per letter (one dies at once) and the two initial states
-    assert enumerate_nsstf_runs(nsst, w, max_branches=4002) == runs
-    with pytest.raises(MachineError, match=r"^branching limit exceeded \(4001\)$"):
-        enumerate_nsstf_runs(nsst, w, max_branches=4001)
+    monkeypatch.setattr(semantics, "NSSTF_BRANCH_LIMIT", 4002)
+    assert enumerate_nsstf_runs(nsst, w) == runs
+    monkeypatch.setattr(semantics, "NSSTF_BRANCH_LIMIT", 4001)
+    with pytest.raises(MachineError,
+                       match=r"^NSST-F run enumeration exceeded 4001 partial runs$"):
+        enumerate_nsstf_runs(nsst, w)
 
 
 def test_run_determinism():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from xducer import corpus
@@ -7,11 +9,15 @@ from xducer.machines import (
     ACT_RIGHT,
     DFA,
     LEFT_END,
+    Lit,
     MachineError,
+    Reg,
+    SST,
+    check_layered,
     validate,
 )
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import run_marble
+from xducer.semantics import run_marble, run_sst
 from xducer.sst2mt import (
     layered_to_marble,
     lookbehind_step,
@@ -95,6 +101,40 @@ def test_layered_exact_long_inputs_until_counter_bound():
             assert want.accepted and got.accepted, len(w)
             assert got.output == want.output, len(w)
             assert got.max_stack_depth <= res.k_min, len(w)
+
+
+def repeated_output_sst() -> SST:
+    """Two layers, x below y, whose output in p names x three times."""
+    x, y, a, b = Reg("x"), Reg("y"), Lit("a"), Lit("b")
+    return SST(
+        input_alphabet=("a", "b"), output_alphabet=("a", "b", "#"),
+        states=("p", "q"), registers=("x", "y"), initial="p",
+        init_valuation={"x": ("a",), "y": ()},
+        delta={("p", "a"): "q", ("q", "a"): "p", ("p", "b"): "p", ("q", "b"): "p"},
+        update={("p", "a"): {"x": (a, x), "y": (y, x, b)},
+                ("q", "a"): {"x": (x, b), "y": (x, y)},
+                ("p", "b"): {"x": (x,), "y": (b, y, x)},
+                ("q", "b"): {"x": (b, x), "y": (y,)}},
+        output={"p": (x, Lit("#"), y, x, Lit("#"), x), "q": (y, x)},
+    )
+
+
+def test_walkers_resume_after_repeated_output_registers():
+    """An evaluation started from the output resumes after its own
+    occurrence of the register, also where the output names it again."""
+    m = repeated_output_sst()
+    layers = (("x",), ("y",))
+    assert validate(m) == [] and check_layered(m, layers) == []
+    rng = random.Random(5)
+    for walker, depth in ((layered_to_marble(m, layers), 1), (sst_to_marble(m), None)):
+        verdict = equiv_check(walker, m, 6)
+        assert verdict.equivalent, verdict.counterexample
+        for _ in range(3):
+            w = [rng.choice("ab") for _ in range(rng.randint(50, 90))]
+            want = run_sst(m, w)
+            got = run_marble(walker, w, budget=10 ** 8)
+            assert want.accepted and got.output == want.output, len(w)
+            assert depth is None or got.max_stack_depth <= depth, len(w)
 
 
 def test_layered_requires_valid_partition():
