@@ -9,7 +9,7 @@ import sys
 
 from .growth import classify, classify_function
 from .layering import minimize_marbles, to_k_layered
-from .machine_io import MachineFileError, dumps_machine, parse_machine
+from .machine_io import dumps_machine, parse_machine
 from .machines import (
     MachineError,
     MarbleTransducer,
@@ -77,11 +77,7 @@ def _load(path: str):
 
 
 def cmd_validate(args) -> int:
-    try:
-        machine, _layers = parse_machine(args.file, check=False)
-    except MachineFileError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    machine, _layers = parse_machine(args.file, check=False)
     problems = validate(machine)
     _print_json({"valid": not problems, "violations": problems}, args.pretty)
     return 0 if not problems else 1
@@ -269,16 +265,10 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
         return COMMANDS[command](args)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_IOERR
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EX_IOERR
-    except MachineFileError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except MachineError as exc:
+    except MachineError as exc:  # a malformed file's MachineFileError too
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -343,7 +343,8 @@ def validate(m: MachineDescription) -> list:
     return report
 
 
-def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
+def _validate_tape_machine(m, report: list) -> set:
+    """Checks shared by two-way and marble machines; returns the tape symbols."""
     _check_alphabet("input alphabet", m.input_alphabet, report)
     _check_alphabet("output alphabet", m.output_alphabet, report)
     if m.initial not in m.states:
@@ -354,6 +355,11 @@ def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
     if set(m.delta) != set(m.out):
         report.append("transition and output maps have different domains")
     symbols = set(m.input_alphabet) | {LEFT_END, RIGHT_END}
+    return symbols
+
+
+def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
+    symbols = _validate_tape_machine(m, report)
     for (q, a), (q2, move) in m.delta.items():
         where = "delta[%s,%s]" % (q, a)
         if q not in m.states or q2 not in m.states:
@@ -369,16 +375,7 @@ def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
 
 
 def _validate_marble(m: MarbleTransducer, report: list) -> None:
-    _check_alphabet("input alphabet", m.input_alphabet, report)
-    _check_alphabet("output alphabet", m.output_alphabet, report)
-    if m.initial not in m.states:
-        report.append("initial state %r not declared" % m.initial)
-    for q in m.finals:
-        if q not in m.states:
-            report.append("final state %r not declared" % q)
-    if set(m.delta) != set(m.out):
-        report.append("transition and output maps have different domains")
-    symbols = set(m.input_alphabet) | {LEFT_END, RIGHT_END}
+    symbols = _validate_tape_machine(m, report)
     for (q, a, c), (q2, action) in m.delta.items():
         where = "delta[%s,%s,%s]" % (q, a, c)
         if q not in m.states or q2 not in m.states:

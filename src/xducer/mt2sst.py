@@ -227,12 +227,9 @@ def two_way_to_marble(t) -> MarbleTransducer:
     """Embed a two-way transducer as a marble transducer with no colors."""
     if not isinstance(t, TwoWayTransducer):
         raise MachineError("expected a two-way transducer")
-    delta = {}
-    out = {}
-    for (q, a), (q2, move) in t.delta.items():
-        action = ("left", None) if move == "left" else ("right", None)
-        delta[(q, a, None)] = (q2, action)
-        out[(q, a, None)] = t.out[(q, a)]
+    delta = {(q, a, None): (q2, ("left", None) if move == "left" else ("right", None))
+             for (q, a), (q2, move) in t.delta.items()}
+    out = {(q, a, None): t.out[q, a] for q, a in t.delta}
     return MarbleTransducer(
         input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,
         states=t.states, initial=t.initial, finals=t.finals,

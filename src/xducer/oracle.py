@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .machines import FunctionRegistry, MachineError, NAutomaton, SST
+from .machines import FunctionRegistry, MachineError, NAutomaton, SST, TwoWayTransducer
+from .mt2sst import two_way_to_marble
 from .semantics import ACCEPT, BUDGET, run_machine, sst_prefix_runner
 
 EQUIVALENT = "equivalent"
@@ -39,9 +40,12 @@ def words_up_to(alphabet, maxlen: int, cap: int = 100000):
 
 
 def _runner(m, registry: Optional[FunctionRegistry], budget: Optional[int]):
-    """``run(w) -> (verdict, output)`` for one side of an equivalence check."""
+    """``run(w) -> (verdict, output)`` for one side of an equivalence check;
+    a two-way side is converted once, so its words share one step table."""
     if isinstance(m, SST):
         return sst_prefix_runner(m, registry)
+    if isinstance(m, TwoWayTransducer):
+        m = two_way_to_marble(m)
 
     def run(w):
         res = run_machine(m, w, registry=registry, budget=budget)
@@ -59,9 +63,10 @@ def equiv_check(m1, m2, maxlen: int,
     lexicographically, which walks each length's words depth first.  An SST
     side extends the run on its previous word's common prefix by the
     letters after it (``sst_prefix_runner``); marble, two-way and NSST-F
-    sides run word by word.  The first mismatch in length-lexicographic
-    order is reported.  A run hitting its step budget makes the verdict
-    inconclusive for that word.
+    sides run word by word, a two-way side as the one marble machine it
+    converts to.  The first mismatch in length-lexicographic order is
+    reported.  A run hitting its step budget makes the verdict inconclusive
+    for that word.
     """
     if tuple(sorted(m1.input_alphabet)) != tuple(sorted(m2.input_alphabet)):
         raise MachineError("machines have different input alphabets")

@@ -64,8 +64,8 @@ def _check_alphabet(m, w: Word) -> None:
         raise MachineError("input symbol %r not in the machine alphabet" % bad[0])
 
 
-def _trace_entry(step, state, head, stack, emitted):
-    return (step, state, head, stack, tuple(emitted))
+def _result(verdict, output, steps, depth, tr) -> RunResult:
+    return RunResult(verdict, output, steps, depth, None if tr is None else tuple(tr))
 
 
 def format_trace(result: RunResult) -> str:
@@ -93,54 +93,39 @@ def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
     return run_marble(two_way_to_marble(t), w, budget=budget, trace=trace)
 
 
-def _check_stack(stack: tuple, head: int) -> None:
-    prev = None
-    for c, p in stack:
-        if p < head:
-            raise MachineError("marble %r below the reading head" % c)
-        if prev is not None and p <= prev:
-            raise MachineError("marble stack positions not strictly increasing")
-        prev = p
+# Action codes of the step tables.
+_LEFT, _RIGHT, _LIFT, _DROP, _BAD = range(5)
+_ACTIONS = {"left": _LEFT, "right": _RIGHT, "lift": _LIFT, "drop": _DROP}
 
 
-def marble_step(t: MarbleTransducer, w: Word, cfg: tuple):
-    """One transition from configuration (state, head, stack).
+def _compile_tables(t: MarbleTransducer) -> tuple:
+    """(table, symbol codes, state names, colours, finals, initial, stride).
 
-    Returns (new configuration, emitted word) or None when no transition is
-    enabled.  Raises MachineError for actions a well-formed machine cannot
-    take (move right or drop while standing on a marble).
+    States and colours are numbered (colour 0: no marble); a symbol's code is
+    its number times the number of colours.  ``table`` maps ``state * stride
+    + symbol code + colour`` to (next state, next state * stride, action code,
+    dropped colour, output); an unknown action keeps itself as the colour.
     """
-    state, pos, stack = cfg
-    color = stack[0][0] if stack and stack[0][1] == pos else None
-    if 0 < pos <= len(w):
-        symbol = w[pos - 1]
-    else:
-        symbol = LEFT_END if pos == 0 else RIGHT_END
-    key = (state, symbol, color)
-    move = t.delta.get(key)
-    if move is None:
-        return None
-    state2, (akind, acolor) = move
-    out = t.out[key]
-    if akind == "left":
-        if pos - 1 < 0:
-            return None
-        return (state2, pos - 1, stack), out
-    if akind == "right":
-        if color is not None:
-            raise MachineError("invalid machine: move right over a marble")
-        if pos + 1 > len(w) + 1:
-            return None
-        return (state2, pos + 1, stack), out
-    if akind == "lift":
-        if color is None:
-            raise MachineError("invalid machine: lift without a marble")
-        return (state2, pos, stack[1:]), out
-    if akind == "drop":
-        if color is not None:
-            raise MachineError("invalid machine: drop on a marbled position")
-        return (state2, pos, ((acolor, pos),) + stack), out
-    raise MachineError("invalid action %r" % ((akind, acolor),))
+    colours = {None: 0}
+    for c in (*t.colors, *(k[2] for k in t.delta),
+              *(act[1] for _q, act in t.delta.values() if act[0] == "drop")):
+        colours.setdefault(c, len(colours))
+    codes = {a: i * len(colours)
+             for i, a in enumerate((LEFT_END, *t.input_alphabet, RIGHT_END))}
+    stride = (len(t.input_alphabet) + 2) * len(colours)
+    states: dict = {}
+    for q in (*t.states, t.initial, *(k[0] for k in t.delta),
+              *(v[0] for v in t.delta.values())):
+        states.setdefault(q, len(states))
+    table = {}
+    for (q, a, c), (q2, (kind, c2)) in t.delta.items():
+        if a in codes:
+            act = _ACTIONS.get(kind, _BAD)
+            table[states[q] * stride + codes[a] + colours[c]] = (
+                states[q2], states[q2] * stride, act,
+                (kind, c2) if act == _BAD else colours.get(c2, 0), tuple(t.out[q, a, c]))
+    return (table, codes, tuple(states), tuple(colours),
+            {states[q] for q in t.finals if q in states}, states[t.initial], stride)
 
 
 def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
@@ -149,50 +134,76 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
 
     Accepts on the first configuration (q, |w|+1, empty stack) with q final.
     Every run ends in accept, reject, loop or budget.  Each stack frame keeps
-    a seen set of (state, head) pairs: a drop opens one, a lift resumes the
-    one below.  A looping run repeats the configuration of least height on
-    its cycle within one open frame, so every loop is found.
-    ``detect_loops`` is accepted for compatibility and has no effect.
+    a seen set of (state, head) pairs, as ints ``state * (|w|+2) + head``: a
+    drop opens one, a lift resumes the one below.  A looping run repeats the
+    configuration of least height on its cycle within one open frame, so
+    every loop is found.  One loop, traced or not, steps over the tables of
+    ``_compile_tables`` and a tape of symbol codes; ``stack`` keeps, top last,
+    the (top marble position, colour, seen set) each drop saved.  A right
+    move and a drop, the only steps that could put a marble below the head
+    or out of order, check that they do not.  ``detect_loops`` is accepted
+    for compatibility and has no effect.
     """
     w = as_word(w)
     _check_alphabet(t, w)
     if budget is None:
         budget = default_budget(len(t.states), len(w))
-    end = len(w) + 1
-    state, pos, stack = t.initial, 0, ()
-    steps = 0
-    depth = 0
-    emitted: list = []
-    seen = {(state, pos)}
-    below: list = []  # seen sets of the frames under the open one
-    tr = [_trace_entry(0, state, pos, (), ())] if trace else None
+    if "_tables" not in t.__dict__:  # kept off the fields, like growth._support
+        t.__dict__["_tables"] = _compile_tables(t)
+    table, codes, names, colours, finals, q, stride = t.__dict__["_tables"]
+    get = table.get
+    tape = [codes[a] for a in (LEFT_END, *w, RIGHT_END)]
+    end, width = len(w) + 1, len(w) + 2
+    base, pos, steps, depth = q * stride, 0, 0, 0
+    top, topc, seen = width, 0, {q * width}
+    stack, emitted = [], []
+    tr = [(0, names[q], 0, (), ())] if trace else None
     while True:
-        if stack:
-            _check_stack(stack, pos)
-        if pos == end and not stack and state in t.finals:
-            return RunResult(ACCEPT, tuple(emitted), steps, depth,
-                             tuple(tr) if trace else None)
+        if pos == end and not stack and q in finals:
+            return _result(ACCEPT, tuple(emitted), steps, depth, tr)
         if steps >= budget:
-            return RunResult(BUDGET, None, steps, depth, tuple(tr) if trace else None)
-        res = marble_step(t, w, (state, pos, stack))
-        if res is None:
-            return RunResult(REJECT, None, steps, depth, tuple(tr) if trace else None)
-        (state, pos, stack2), out = res
-        emitted.extend(out)
+            return _result(BUDGET, None, steps, depth, tr)
+        col = topc if top == pos else 0
+        move = get(base + tape[pos] + col)
+        if move is None:
+            return _result(REJECT, None, steps, depth, tr)
+        q, base, act, c, out = move
+        if act == _LEFT:
+            if not pos:
+                return _result(REJECT, None, steps, depth, tr)
+            pos -= 1
+        elif act == _RIGHT:
+            if col:
+                raise MachineError("invalid machine: move right over a marble")
+            if pos == end:
+                return _result(REJECT, None, steps, depth, tr)
+            pos += 1
+            if top < pos:
+                raise MachineError("marble %r below the reading head" % (colours[topc],))
+        elif act == _DROP:
+            if col:
+                raise MachineError("invalid machine: drop on a marbled position")
+            if top <= pos:
+                raise MachineError("marble stack positions not strictly increasing")
+            stack.append((top, topc, seen))
+            top, topc, seen = pos, c, set()
+            depth = max(depth, len(stack))
+        elif act == _LIFT:
+            if not col:
+                raise MachineError("invalid machine: lift without a marble")
+            top, topc, seen = stack.pop()
+        else:
+            raise MachineError("invalid action %r" % (c,))
         steps += 1
-        if stack2 is not stack:
-            if len(stack2) > len(stack):
-                below.append(seen)
-                seen = set()
-                depth = max(depth, len(stack2))
-            else:
-                seen = below.pop()
-            stack = stack2
+        if out:
+            emitted += out
         if trace:
-            tr.append(_trace_entry(steps, state, pos, stack, out))
-        if (state, pos) in seen:
-            return RunResult(LOOP, None, steps, depth, tuple(tr) if trace else None)
-        seen.add((state, pos))
+            marbles = [(top, topc)] + [f[:2] for f in stack[:0:-1]] if stack else []
+            tr.append((steps, names[q], pos, tuple((colours[i], p) for p, i in marbles), out))
+        key = q * width + pos
+        if key in seen:
+            return _result(LOOP, None, steps, depth, tr)
+        seen.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +329,17 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
         raise MachineError("machine uses external functions; a registry is required")
     val = {x: tuple(m.init_valuation[x]) for x in m.registers}
     q = m.initial
-    tr = [_trace_entry(0, q, 0, (), ())] if trace else None
+    tr = [(0, q, 0, (), ())] if trace else None
     for i, a in enumerate(w):
         if (q, a) not in m.delta:
-            return RunResult(REJECT, None, i, 0, tuple(tr) if trace else None)
+            return _result(REJECT, None, i, 0, tr)
         val = _apply_update(m.update[(q, a)], val, w, i + 1, registry)
         q = m.delta[(q, a)]
         if trace:
-            tr.append(_trace_entry(i + 1, q, i + 1, (), ()))
+            tr.append((i + 1, q, i + 1, (), ()))
     if q not in m.output:
-        return RunResult(REJECT, None, len(w), 0, tuple(tr) if trace else None)
-    return RunResult(ACCEPT, _output_word(m.output[q], val), len(w), 0,
-                     tuple(tr) if trace else None)
+        return _result(REJECT, None, len(w), 0, tr)
+    return _result(ACCEPT, _output_word(m.output[q], val), len(w), 0, tr)
 
 
 def sst_prefix_runner(m: SST, registry: Optional[FunctionRegistry] = None):

@@ -6,8 +6,16 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from xducer.machines import MachineError, Reg  # noqa: E402
-from xducer.semantics import ACCEPT, run_sst  # noqa: E402
+from xducer.machines import LEFT_END, MachineError, Reg, RIGHT_END  # noqa: E402
+from xducer.semantics import (  # noqa: E402
+    ACCEPT,
+    BUDGET,
+    LOOP,
+    REJECT,
+    RunResult,
+    default_budget,
+    run_sst,
+)
 
 
 @pytest.fixture
@@ -27,3 +35,103 @@ def register_values():
             val[x] = res.output
         return val
     return values
+
+
+# ---------------------------------------------------------------------------
+# Reference marble semantics, one configuration at a time
+# ---------------------------------------------------------------------------
+
+
+def check_stack(stack: tuple, head: int) -> None:
+    """Raise unless the marbles (top first) lie at strictly increasing
+    positions, none below the head."""
+    prev = None
+    for c, p in stack:
+        if p < head:
+            raise MachineError("marble %r below the reading head" % c)
+        if prev is not None and p <= prev:
+            raise MachineError("marble stack positions not strictly increasing")
+        prev = p
+
+
+def marble_step(t, w, cfg: tuple):
+    """One transition from configuration (state, head, stack), read off
+    ``t.delta`` and ``t.out`` directly; the stack is a tuple, top first.
+
+    Returns (new configuration, emitted word) or None when no transition is
+    enabled.  Raises MachineError for actions a well-formed machine cannot
+    take (move right or drop while standing on a marble).
+    """
+    state, pos, stack = cfg
+    color = stack[0][0] if stack and stack[0][1] == pos else None
+    if 0 < pos <= len(w):
+        symbol = w[pos - 1]
+    else:
+        symbol = LEFT_END if pos == 0 else RIGHT_END
+    key = (state, symbol, color)
+    move = t.delta.get(key)
+    if move is None:
+        return None
+    state2, (akind, acolor) = move
+    out = t.out[key]
+    if akind == "left":
+        if pos - 1 < 0:
+            return None
+        return (state2, pos - 1, stack), out
+    if akind == "right":
+        if color is not None:
+            raise MachineError("invalid machine: move right over a marble")
+        if pos + 1 > len(w) + 1:
+            return None
+        return (state2, pos + 1, stack), out
+    if akind == "lift":
+        if color is None:
+            raise MachineError("invalid machine: lift without a marble")
+        return (state2, pos, stack[1:]), out
+    if akind == "drop":
+        if color is not None:
+            raise MachineError("invalid machine: drop on a marbled position")
+        return (state2, pos, ((acolor, pos),) + stack), out
+    raise MachineError("invalid action %r" % ((akind, acolor),))
+
+
+def reference_run(t, w, budget=None, trace: bool = False) -> RunResult:
+    """``run_marble``'s result by ``marble_step``, checking the stack with
+    ``check_stack`` before every step and keeping one seen set of (state,
+    head) pairs per stack frame."""
+    w = tuple(w)
+    if budget is None:
+        budget = default_budget(len(t.states), len(w))
+    state, pos, stack = t.initial, 0, ()
+    steps = depth = 0
+    emitted: list = []
+    seen, below = {(state, pos)}, []
+    tr = [(0, state, pos, (), ())] if trace else None
+
+    def result(verdict, output=None):
+        return RunResult(verdict, output, steps, depth, tuple(tr) if trace else None)
+
+    while True:
+        check_stack(stack, pos)
+        if pos == len(w) + 1 and not stack and state in t.finals:
+            return result(ACCEPT, tuple(emitted))
+        if steps >= budget:
+            return result(BUDGET)
+        res = marble_step(t, w, (state, pos, stack))
+        if res is None:
+            return result(REJECT)
+        (state, pos, stack2), out = res
+        emitted.extend(out)
+        steps += 1
+        if len(stack2) > len(stack):
+            below.append(seen)
+            seen = set()
+            depth = max(depth, len(stack2))
+        elif len(stack2) < len(stack):
+            seen = below.pop()
+        stack = stack2
+        if trace:
+            tr.append((steps, state, pos, stack, tuple(out)))
+        if (state, pos) in seen:
+            return result(LOOP)
+        seen.add((state, pos))

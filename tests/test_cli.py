@@ -130,6 +130,66 @@ def test_trace_output(capsys):
     assert lines and all(len(line.split("\t")) == 5 for line in lines)
 
 
+# ``xducer trace`` output: step, state, head, stack (top first) and the
+# letters the step emitted.
+MUL_MARBLE_TRACE = "\n".join([
+    "0\tm0\t0\t\t",
+    "1\tm1\t1\t\t",
+    "2\tm1\t2\t\t",
+    "3\tm1\t3\t\t",
+    "4\tm2\t4\t\t",
+    "5\tm3\t4\tm@4\t",
+    "6\tm4\t3\tm@4\t",
+    "7\tm4\t2\tm@4\t",
+    "8\tm4\t1\tm@4\t",
+    "9\tm4\t0\tm@4\t",
+    "10\tm5\t1\tm@4\t",
+    "11\tm5\t2\tm@4\ta",
+    "12\tm5\t3\tm@4\tb",
+    "13\tm6\t4\tm@4\t#",
+    "14\tm7\t4\t\t",
+    "15\tm2\t5\t\t",
+    "16\tm3\t5\tm@5\t",
+    "17\tm4\t4\tm@5\t",
+    "18\tm4\t3\tm@5\t",
+    "19\tm4\t2\tm@5\t",
+    "20\tm4\t1\tm@5\t",
+    "21\tm4\t0\tm@5\t",
+    "22\tm5\t1\tm@5\t",
+    "23\tm5\t2\tm@5\ta",
+    "24\tm5\t3\tm@5\tb",
+    "25\tm6\t4\tm@5\t#",
+    "26\tm6\t5\tm@5\t",
+    "27\tm7\t5\t\t",
+    "28\tm2\t6\t\t",
+]) + "\n"
+
+REVERSE_TWO_WAY_TRACE = "\n".join([
+    "0\tgo\t0\t\t",
+    "1\tgo\t1\t\t",
+    "2\tgo\t2\t\t",
+    "3\tgo\t3\t\t",
+    "4\tgo\t4\t\t",
+    "5\tback\t3\t\t",
+    "6\tback\t2\t\tc",
+    "7\tback\t1\t\tb",
+    "8\tback\t0\t\ta",
+    "9\tdone\t1\t\t",
+    "10\tdone\t2\t\t",
+    "11\tdone\t3\t\t",
+    "12\tdone\t4\t\t",
+]) + "\n"
+
+
+@pytest.mark.parametrize("name,word,expected", [
+    ("mul_marble", "ab#00", MUL_MARBLE_TRACE),
+    ("reverse_two_way", "abc", REVERSE_TWO_WAY_TRACE),
+])
+def test_trace_output_bytes_are_pinned(capsys, name, word, expected):
+    assert main(["trace", corpus_path(name), word]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_convert_both_directions(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert main(["convert", "--to", "sst", corpus_path("mul_marble"),

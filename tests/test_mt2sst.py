@@ -20,7 +20,9 @@ from xducer.mt2sst import (
     two_way_to_marble,
 )
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import marble_step, run_sst
+from xducer.semantics import run_sst
+
+from conftest import marble_step
 
 
 def fragment(transitions, states, colors=("c",), finals=()):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from xducer import corpus
+from xducer import corpus, semantics
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -60,6 +60,26 @@ def test_equiv_symmetric_up_to_orientation():
     v2 = equiv_check(b, a, 3)
     assert v1.counterexample[0] == v2.counterexample[0]
     assert v1.counterexample[1:] == v2.counterexample[:0:-1]
+
+
+@pytest.mark.parametrize("sides,builds", [
+    ((corpus.mul_marble, corpus.mul_sst), 1),
+    ((corpus.reverse_sst, corpus.reverse_two_way), 1),
+    ((corpus.pow2_marble, corpus.pow2_marble_wasteful), 2),
+    ((corpus.copy_two_way, corpus.copy_two_way), 2),
+])
+def test_equiv_builds_step_tables_once_per_side(monkeypatch, sides, builds):
+    """Every word of a marble or two-way side runs on one set of tables."""
+    compile_tables = semantics._compile_tables
+    built = []
+
+    def counting(t):
+        built.append(t)
+        return compile_tables(t)
+
+    monkeypatch.setattr(semantics, "_compile_tables", counting)
+    verdict = equiv_check(sides[0](), sides[1](), 4)
+    assert verdict.equivalent and len(built) == builds
 
 
 def test_equiv_alphabet_mismatch():

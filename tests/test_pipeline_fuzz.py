@@ -28,8 +28,10 @@ from xducer.machines import (
 )
 from xducer.mt2sst import marble_to_sst
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import ACCEPT, LOOP, REJECT, marble_step, run_marble, run_sst
+from xducer.semantics import ACCEPT, LOOP, REJECT, run_marble, run_sst
 from xducer.sst2mt import layered_to_marble
+
+from conftest import check_stack, marble_step
 
 
 def random_sst(rng) -> SST:
@@ -151,12 +153,14 @@ def random_marble(rng) -> MarbleTransducer:
 
 
 def run_hashing_configurations(t, w):
-    """Reference run that stops at the first repeat of a whole configuration."""
+    """Reference run that stops at the first repeat of a whole configuration,
+    checking the stack invariant on every step."""
     cfg = (t.initial, 0, ())
     seen = {cfg}
     emitted = []
     while True:
         state, pos, stack = cfg
+        check_stack(stack, pos)
         if pos == len(w) + 1 and not stack and state in t.finals:
             return ACCEPT, tuple(emitted)
         res = marble_step(t, w, cfg)

@@ -1,9 +1,15 @@
+import random
+import re
+from dataclasses import replace
+
 import pytest
 
 from xducer import corpus, semantics
 from xducer.growth import flow_automaton
 from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_simple
 from xducer.machines import (
+    ACT_LIFT,
+    ACT_RIGHT,
     Fun,
     FunctionRegistry,
     LEFT_END,
@@ -15,7 +21,9 @@ from xducer.machines import (
     Reg,
     SST,
     TwoWayTransducer,
+    act_drop,
 )
+from xducer.mt2sst import two_way_to_marble
 from xducer.oracle import words_up_to
 from xducer.semantics import (
     LOOP,
@@ -29,6 +37,8 @@ from xducer.semantics import (
     run_sstf,
     run_two_way,
 )
+
+from conftest import reference_run
 
 
 def test_reverse_two_way():
@@ -99,6 +109,83 @@ def test_marble_invalid_drop_on_marble_raises():
     )
     with pytest.raises(MachineError):
         run_marble(broken, "aa")
+
+
+def _with_transitions(m, transitions):
+    """``m`` with extra or replaced transitions, each emitting nothing."""
+    return replace(m, delta={**m.delta, **transitions},
+                   out={**m.out, **{key: () for key in transitions}})
+
+
+# mul_marble drops its marble in m2 on a 0 and stands on it in m3.
+@pytest.mark.parametrize("transitions,message", [
+    ({("m3", "0", "m"): ("m4", ACT_RIGHT)},
+     "invalid machine: move right over a marble"),
+    ({("m2", "0", None): ("m3", ACT_LIFT)},
+     "invalid machine: lift without a marble"),
+    ({("m3", "0", "m"): ("m4", act_drop("m"))},
+     "invalid machine: drop on a marbled position"),
+    ({("m2", "0", None): ("m3", ("jump", None))},
+     "invalid action ('jump', None)"),
+    # a marble without a colour reads as no marble, so the machine may try
+    # to step over it or drop another on it
+    ({("m2", "0", None): ("m3", ("drop", None)),
+      ("m3", "0", None): ("m4", ACT_RIGHT)},
+     "marble None below the reading head"),
+    ({("m2", "0", None): ("m3", ("drop", None)),
+      ("m3", "0", None): ("m4", act_drop("m"))},
+     "marble stack positions not strictly increasing"),
+])
+def test_marble_runtime_errors_raise_when_taken(transitions, message):
+    broken = _with_transitions(corpus.mul_marble(), transitions)
+    for trace in (False, True):
+        with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
+            run_marble(broken, "ab#00", trace=trace)
+    assert run_marble(broken, "ab").verdict == REJECT  # never reaches a 0
+
+
+def test_marble_invalid_transitions_never_taken_are_harmless():
+    # m0 only reads the left end, m3 always stands on the one marble and m7
+    # follows its lift
+    m = _with_transitions(corpus.mul_marble(), {
+        ("m0", "a", None): ("m0", ("jump", None)),
+        ("m3", "0", None): ("m3", ACT_LIFT),
+        ("m7", "0", "m"): ("m7", ACT_RIGHT),
+    })
+    r = run_marble(m, "ab#00")
+    assert r.accepted and r.output_text == "ab#ab#"
+    assert r == run_marble(corpus.mul_marble(), "ab#00")
+
+
+@pytest.mark.parametrize("build", [corpus.exp_marble, corpus.pow2_marble_wasteful,
+                                   corpus.mul_marble, corpus.copy_two_way])
+def test_traces_match_the_reference(build):
+    """Traced runs, stacks of several marbles included, agree entry by entry."""
+    m = build()
+    marble = two_way_to_marble(m) if isinstance(m, TwoWayTransducer) else m
+    for w in words_up_to(m.input_alphabet, 4):
+        assert run_machine(m, w, trace=True) == reference_run(marble, w, trace=True), w
+
+
+def _ladder_words(rng, n):
+    u = tuple(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+    return [
+        (corpus.mul_marble(), u + ("#",) + ("0",) * (n - len(u) - 1)),
+        (corpus.pow2_marble(), ("a",) * n),
+        (corpus.reverse_two_way(), tuple(rng.choice("abc") for _ in range(n))),
+        (corpus.copy_two_way(), tuple(rng.choice("ab") for _ in range(n))),
+    ]
+
+
+@pytest.mark.parametrize("n,budget,trace", [(200, None, True), (2000, 200000, False)])
+def test_long_words_match_the_reference(n, budget, trace):
+    """Runs on 200 and 2000 letters, whole or up to a step budget, agree
+    with the one-configuration-at-a-time reference."""
+    for m, w in _ladder_words(random.Random(n), n):
+        got = run_machine(m, w, budget=budget, trace=trace)
+        marble = two_way_to_marble(m) if isinstance(m, TwoWayTransducer) else m
+        assert got == reference_run(marble, w, budget=budget, trace=trace)
+        assert got.steps > n and got.verdict in ("accept", "budget")
 
 
 def test_marble_loop_detected_by_default():
