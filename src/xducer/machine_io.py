@@ -57,25 +57,24 @@ def _weights(value: dict, path: str) -> dict:
     return {q: _integer(v, "%s.%s" % (path, q)) for q, v in value.items()}
 
 
+_TOKENS = {"lit": Lit, "reg": Reg, "fun": Fun}
+
+
 def _tokens(value, path: str) -> tuple:
     if not isinstance(value, list):
         _err(path, "expected a token list")
     out = []
-    for i, tok in enumerate(value):
-        where = "%s[%d]" % (path, i)
+    for tok in value:
+        if isinstance(tok, dict) and len(tok) == 1:
+            (key, payload), = tok.items()
+            if key in _TOKENS and isinstance(payload, str):
+                out.append(_TOKENS[key](payload))
+                continue
+        where = "%s[%d]" % (path, len(out))  # formatted only on an error
         if not isinstance(tok, dict) or len(tok) != 1:
             _err(where, "expected an object with one of lit/reg/fun")
-        (key, payload), = tok.items()
-        if not isinstance(payload, str):
-            _err(where, "token payload must be a string")
-        if key == "lit":
-            out.append(Lit(payload))
-        elif key == "reg":
-            out.append(Reg(payload))
-        elif key == "fun":
-            out.append(Fun(payload))
-        else:
-            _err(where, "unknown token kind %r" % key)
+        _err(where, "token payload must be a string" if not isinstance(payload, str)
+             else "unknown token kind %r" % key)
     return tuple(out)
 
 
@@ -274,11 +273,40 @@ def machine_from_json(doc, path: str = "$"):
                  tuple(sorted(transitions)), update, output)
 
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_lines(value, lines: list, pad: str = "", head: str = "",
+                tail: str = "") -> None:
+    """Append ``value`` as ``json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False)`` lays it out, one line per entry of ``lines``:
+    ``head`` (indent and key) starts its first line, ``tail`` ends its last."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        lines.append(head + "{")
+        keys = sorted(value)
+        for k in keys:
+            _json_lines(value[k], lines, inner, f"{inner}{_encode(k)}: ",
+                        "" if k is keys[-1] else ",")
+        lines.append(pad + "}" + tail)
+    elif isinstance(value, (list, tuple)) and value:
+        lines.append(head + "[")
+        last = len(value) - 1
+        for i, item in enumerate(value):
+            _json_lines(item, lines, inner, inner, "," if i < last else "")
+        lines.append(pad + "]" + tail)
+    else:
+        lines.append(f"{head}{_encode(value)}{tail}")
+
+
 def dumps_machine(m, layers: Optional[tuple] = None) -> str:
     doc = machine_to_json(m)
     if layers is not None:
         doc["layers"] = [list(layer) for layer in layers]
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    lines: list = []
+    _json_lines(doc, lines)
+    lines.append("")  # the closing newline, without copying the text again
+    return "\n".join(lines)
 
 
 def emit_machine(m, path: str, layers: Optional[tuple] = None) -> None:

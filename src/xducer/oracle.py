@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .machines import FunctionRegistry, MachineError, NAutomaton, SST, TwoWayTransducer
-from .mt2sst import two_way_to_marble
-from .semantics import ACCEPT, BUDGET, run_machine, sst_prefix_runner
+from .machines import FunctionRegistry, MachineError, NAutomaton, SST
+from .semantics import ACCEPT, BUDGET, run_machine, sst_outputs
 
 EQUIVALENT = "equivalent"
 COUNTEREXAMPLE = "counterexample"
@@ -39,18 +38,16 @@ def words_up_to(alphabet, maxlen: int, cap: int = 100000):
             yield tup
 
 
-def _runner(m, registry: Optional[FunctionRegistry], budget: Optional[int]):
-    """``run(w) -> (verdict, output)`` for one side of an equivalence check;
-    a two-way side is converted once, so its words share one step table."""
+def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
+             budget: Optional[int]):
+    """``(verdict, output)`` of one side on each word of ``words_up_to``."""
     if isinstance(m, SST):
-        return sst_prefix_runner(m, registry)
-    if isinstance(m, TwoWayTransducer):
-        m = two_way_to_marble(m)
+        return sst_outputs(m, sorted(m.input_alphabet), maxlen, registry)
 
     def run(w):
         res = run_machine(m, w, registry=registry, budget=budget)
         return res.verdict, res.output
-    return run
+    return map(run, words_up_to(m.input_alphabet, maxlen))
 
 
 def equiv_check(m1, m2, maxlen: int,
@@ -60,21 +57,20 @@ def equiv_check(m1, m2, maxlen: int,
     """Compare domains and outputs on every word of length up to ``maxlen``.
 
     Words come in the order of ``words_up_to``: by length, then
-    lexicographically, which walks each length's words depth first.  An SST
-    side extends the run on its previous word's common prefix by the
-    letters after it (``sst_prefix_runner``); marble, two-way and NSST-F
-    sides run word by word, a two-way side as the one marble machine it
-    converts to.  The first mismatch in length-lexicographic order is
-    reported.  A run hitting its step budget makes the verdict inconclusive
-    for that word.
+    lexicographically.  Each side is an iterator of ``(verdict, output)`` in
+    that order, pulled after the word itself, so the word cap raises at the
+    same word.  An SST side walks each length with an odometer and steps
+    only the letters after the prefix a word shares with the one before it
+    (``sst_outputs``); marble, two-way and NSST-F sides run word by word
+    on the tables or programs their machine compiled once.  The first
+    mismatch in length-lexicographic order is reported.  A run hitting its
+    step budget makes the verdict inconclusive for that word.
     """
     if tuple(sorted(m1.input_alphabet)) != tuple(sorted(m2.input_alphabet)):
         raise MachineError("machines have different input alphabets")
-    run1 = _runner(m1, registry1, budget)
-    run2 = _runner(m2, registry2, budget)
-    for w in words_up_to(m1.input_alphabet, maxlen):
-        v1, o1 = run1(w)
-        v2, o2 = run2(w)
+    for w, (v1, o1), (v2, o2) in zip(words_up_to(m1.input_alphabet, maxlen),
+                                     _outputs(m1, maxlen, registry1, budget),
+                                     _outputs(m2, maxlen, registry2, budget)):
         if BUDGET in (v1, v2):
             return EquivalenceVerdict(INCONCLUSIVE, maxlen, inconclusive_word=w)
         if (v1 == ACCEPT) != (v2 == ACCEPT) or o1 != o2:

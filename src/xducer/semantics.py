@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .machines import (
+    Fun,
     FunctionRegistry,
     LEFT_END,
     Lit,
@@ -16,7 +17,6 @@ from .machines import (
     Reg,
     RIGHT_END,
     SST,
-    Substitution,
     TwoWayTransducer,
     Word,
     as_word,
@@ -89,8 +89,11 @@ def format_trace(result: RunResult) -> str:
 
 def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
                 trace: bool = False) -> RunResult:
-    """Run a two-way transducer as the marble machine that drops no marbles."""
-    return run_marble(two_way_to_marble(t), w, budget=budget, trace=trace)
+    """Run a two-way transducer as the marble machine that drops no marbles,
+    converted once per machine object."""
+    if "_marble" not in t.__dict__:
+        t.__dict__["_marble"] = two_way_to_marble(t)
+    return run_marble(t.__dict__["_marble"], w, budget=budget, trace=trace)
 
 
 # Action codes of the step tables.
@@ -238,45 +241,88 @@ class _Cat(tuple):
     __slots__ = ()
 
 
-def _apply_update(s: Substitution, val: dict, w: Word, read: int,
-                  registry: Optional[FunctionRegistry]) -> dict:
-    """Valuation after substitution ``s``.
+def _compile_rhs(rhs, index: dict):
+    """The register program of a right-hand side: a register number (a
+    move), a constant value, or a list of pieces (register numbers, runs of
+    letters as tuples, ``Fun`` tokens)."""
+    pieces: list = []
+    for tok in rhs:
+        if type(tok) is Lit and pieces and type(pieces[-1]) is tuple:
+            pieces[-1] += (tok.sym,)
+        else:
+            pieces.append((tok.sym,) if type(tok) is Lit else
+                          index[tok.name] if type(tok) is Reg else tok)
+    if len(pieces) > 1 or pieces and type(pieces[0]) is Fun:
+        return pieces
+    word = pieces[0] if pieces else ()
+    if type(word) is int:
+        return word
+    return _Cat(word) if len(word) > SHARE_MIN else word
+
+
+def _programs(m) -> tuple:
+    """(steps, outputs) of an SST or NSST-F, compiled on its first run and
+    kept on the machine object.
+
+    Registers are numbered in ``m.registers`` order and a valuation is a
+    tuple.  An update program is a tuple of ``_compile_rhs`` programs, one
+    per register.  ``steps`` maps an SST's (state, letter) to (next state,
+    update program) and an NSST-F transition to its update program;
+    ``outputs`` maps a state to its output program.
+    """
+    if "_programs" not in m.__dict__:  # kept off the fields, like _tables
+        index = {x: i for i, x in enumerate(m.registers)}
+        steps = {key: tuple(_compile_rhs(s[x], index) for x in m.registers)
+                 for key, s in m.update.items()}
+        if isinstance(m, SST):
+            steps = {key: (q2, steps[key]) for key, q2 in m.delta.items()}
+        m.__dict__["_programs"] = steps, {
+            q: _compile_rhs(rhs, index) for q, rhs in m.output.items()}
+    return m.__dict__["_programs"]
+
+
+def _valuation(init: dict, registers: tuple) -> tuple:
+    return tuple(tuple(init[x]) for x in registers)
+
+
+def _update(prog: tuple, val: tuple, w, read: int,
+            registry: Optional[FunctionRegistry]) -> tuple:
+    """Valuation after update program ``prog``.
 
     Values of at most ``SHARE_MIN`` letters are copied into the new value;
     a longer value or a node is referenced, so ``x := y·a·z`` costs the
     length of its right-hand side and not of its result, and a run takes
     time linear in the input (``_flat`` pays for the output once).  Fun
-    tokens are evaluated on ``w[:read]``, the input read so far including
-    the current letter, which is sliced only when a Fun token needs it.
+    tokens are evaluated once per update, in register order, on
+    ``w[:read]``, the input read so far including the current letter.
     """
-    fun_cache: dict = {}
-    new = {}
-    for x, rhs in s.items():
+    new, funs = [], {}
+    append = new.append
+    for rhs in prog:
+        if type(rhs) is not list:
+            append(val[rhs] if type(rhs) is int else rhs)
+            continue
         parts: list = []
         shared = False
-        for tok in rhs:
-            kind = type(tok)
-            if kind is Lit:
-                parts.append(tok.sym)
+        for p in rhs:
+            kind = type(p)
+            if kind is int:
+                v = val[p]
+            elif kind is tuple:
+                parts += p
                 continue
-            if kind is Reg:
-                v = val[tok.name]
             else:
-                if tok.name not in fun_cache:
-                    fun_cache[tok.name] = eval_fun(registry, tok.name, w[:read])
-                v = fun_cache[tok.name]
-            if type(v) is _Cat or len(v) > SHARE_MIN:
+                if p.name not in funs:
+                    funs[p.name] = eval_fun(registry, p.name, tuple(w[:read]))
+                v = funs[p.name]
+            if len(v) > SHARE_MIN or type(v) is _Cat:
                 parts.append(v)
                 shared = True
             else:
-                parts.extend(v)
-        if shared and len(parts) == 1:
-            new[x] = parts[0]
-        elif shared or len(parts) > SHARE_MIN:
-            new[x] = _Cat(parts)
-        else:
-            new[x] = tuple(parts)
-    return new
+                parts += v
+        append(parts[0] if shared and len(parts) == 1 else
+               _Cat(parts) if shared or len(parts) > SHARE_MIN else tuple(parts))
+    return tuple(new)
 
 
 def _flat(value) -> Word:
@@ -310,76 +356,79 @@ def _flat(value) -> Word:
     return tuple(out)
 
 
-def _output_word(rhs, val: dict) -> Word:
-    """Value of an output expression, flattened; without a registry,
-    function tokens raise."""
-    return _flat(_apply_update({"": rhs}, val, (), 0, None)[""])
+def _output_word(prog, val: tuple) -> Word:
+    """Value of an output program, flattened; function tokens raise, since
+    outputs are evaluated without a registry."""
+    return _flat(_update((prog,), val, (), 0, None)[0])
 
 
 def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
             trace: bool = False) -> RunResult:
     """One-way run; accepts iff defined everywhere and final state has output.
 
-    Register values are shared (``_apply_update``), so the run takes time
-    linear in ``w`` plus the output length; ``RunResult.output`` is flat.
+    Register values are shared (``_update``), so the run takes time linear
+    in ``w`` plus the output length; ``RunResult.output`` is flat.
     """
     w = as_word(w)
     _check_alphabet(m, w)
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
-    val = {x: tuple(m.init_valuation[x]) for x in m.registers}
-    q = m.initial
+    steps, outputs = _programs(m)
+    q, val = m.initial, _valuation(m.init_valuation, m.registers)
     tr = [(0, q, 0, (), ())] if trace else None
     for i, a in enumerate(w):
-        if (q, a) not in m.delta:
+        step = steps.get((q, a))
+        if step is None:
             return _result(REJECT, None, i, 0, tr)
-        val = _apply_update(m.update[(q, a)], val, w, i + 1, registry)
-        q = m.delta[(q, a)]
+        q, prog = step
+        val = _update(prog, val, w, i + 1, registry)
         if trace:
             tr.append((i + 1, q, i + 1, (), ()))
-    if q not in m.output:
+    if q not in outputs:
         return _result(REJECT, None, len(w), 0, tr)
-    return _result(ACCEPT, _output_word(m.output[q], val), len(w), 0, tr)
+    return _result(ACCEPT, _output_word(outputs[q], val), len(w), 0, tr)
 
 
-def sst_prefix_runner(m: SST, registry: Optional[FunctionRegistry] = None):
-    """``run(w) -> (verdict, output)``, as ``run_sst(m, w, registry)`` gives
-    them, for words met in lexicographic order.
+def sst_outputs(m: SST, letters, maxlen: int,
+                registry: Optional[FunctionRegistry] = None):
+    """``(verdict, output)``, as ``run_sst(m, w, registry)`` gives them, for
+    every word ``w`` over ``letters`` of length at most ``maxlen``: by length,
+    then lexicographically in the order of ``letters``.
 
-    The runner keeps the state and valuation after every prefix of the last
-    word it ran and steps only past the prefix that ``w`` shares with it, so
-    each prefix of a lexicographic enumeration is read once.
+    Each length is walked with an odometer that keeps the state and
+    valuation after every prefix of the current word (None once the run is
+    undefined).  After the letter at position j changes, only positions j,
+    j+1, ... are stepped, so each prefix is read once.  The alphabet and
+    registry checks run once.
     """
-    word: Word = ()
-    # frames[k]: (state, valuation) after word[:k]; (None, None) once the run
-    # is undefined, and no frame after that one.
-    frames = [(m.initial, {x: tuple(m.init_valuation[x]) for x in m.registers})]
-
-    def run(w: Word):
-        nonlocal word
-        k, limit = 0, min(len(w), len(frames) - 1)
-        while k < limit and w[k] == word[k]:
-            k += 1
-        _check_alphabet(m, w[k:])
-        if m.funs and registry is None:
-            raise MachineError("machine uses external functions; a registry is required")
-        del frames[k + 1:]
-        word = w
-        q, val = frames[k]
-        while q is not None and k < len(w):
-            key = (q, w[k])
-            k += 1
-            if key in m.delta:
-                val = _apply_update(m.update[key], val, w, k, registry)
-                q = m.delta[key]
+    _check_alphabet(m, letters)
+    if m.funs and registry is None:
+        raise MachineError("machine uses external functions; a registry is required")
+    steps, outputs = _programs(m)
+    start = (m.initial, _valuation(m.init_valuation, m.registers))
+    after = dict(zip(letters, letters[1:]))
+    for n in range(maxlen + 1):
+        w, j = list(letters[:1]) * n, 0
+        frames = [start] * (n + 1)  # frames[i]: (state, valuation) after w[:i]
+        while j >= 0:
+            state = frames[j]
+            while state is not None and j < n:
+                step = steps.get((state[0], w[j]))
+                j += 1
+                if step is None:
+                    state, frames[j:] = None, [None] * (n + 1 - j)
+                else:
+                    state = frames[j] = step[0], _update(step[1], state[1], w, j, registry)
+            if state is None or state[0] not in outputs:
+                yield REJECT, None
             else:
-                q = val = None
-            frames.append((q, val))
-        if q is None or q not in m.output:
-            return REJECT, None
-        return ACCEPT, _output_word(m.output[q], val)
-
-    return run
+                yield ACCEPT, _output_word(outputs[state[0]], state[1])
+            j = n - 1
+            while j >= 0 and w[j] not in after:
+                w[j] = letters[0]
+                j -= 1
+            if j >= 0:
+                w[j] = after[w[j]]
 
 
 def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunResult:
@@ -400,6 +449,7 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
     """
     w = as_word(w)
     _check_alphabet(m, w)
+    steps, outputs = _programs(m)
     succ: dict = {}
     for (q, a, q2) in m.transitions:
         succ.setdefault((q, a), []).append(q2)
@@ -409,25 +459,24 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
     explored = 0
     # A partial run is (state, letters read, its states as a (last, rest)
     # chain, the valuation it extends, the transition still to apply or None).
-    stack = [(q0, 0, (q0, None), {x: tuple(m.initial[q0][x]) for x in m.registers},
-              None) for q0 in sorted(m.initial)]
+    stack = [(q0, 0, (q0, None), _valuation(m.initial[q0], m.registers), None)
+             for q0 in sorted(m.initial)]
     stack.reverse()
     while stack:
         q, i, trail, val, step = stack.pop()
         if step is not None:
-            val = _apply_update(m.update[step], val, w, i, registry)
+            val = _update(steps[step], val, w, i, registry)
         explored += 1
         if explored > NSSTF_BRANCH_LIMIT:
             raise MachineError("NSST-F run enumeration exceeded %d partial runs"
                                % NSSTF_BRANCH_LIMIT)
         if i == len(w):
-            if q in m.output:
+            if q in outputs:
                 states = []
                 while trail is not None:
                     states.append(trail[0])
                     trail = trail[1]
-                results.append((tuple(reversed(states)),
-                                _output_word(m.output[q], val)))
+                results.append((tuple(reversed(states)), _output_word(outputs[q], val)))
             continue
         a = w[i]
         for q2 in reversed(succ.get((q, a), ())):

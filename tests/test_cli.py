@@ -4,11 +4,17 @@ import os
 
 import pytest
 
-from xducer import corpus
+from xducer import cli, corpus
 from xducer.cli import main
-from xducer.layering import bounded_sstf_to_unambiguous, extract_sstf, make_total
+from xducer.layering import (
+    bounded_sstf_to_unambiguous,
+    extract_sstf,
+    make_total,
+    to_k_layered,
+)
 from xducer.machine_io import (
     MachineFileError,
+    _json_lines,
     dumps_machine,
     emit_machine,
     machine_to_json,
@@ -82,6 +88,54 @@ def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
     for command in ("validate", "analyze"):
         assert main([command, str(bad)]) == 1, command
         assert capsys.readouterr().err.startswith("%s: expected " % where), command
+
+
+@pytest.mark.parametrize("rhs,where,message", [
+    ([{"lit": "a"}, 5], "[1]", "expected an object with one of lit/reg/fun"),
+    ([{"lit": "a"}, {"lit": "a", "reg": "x"}], "[1]",
+     "expected an object with one of lit/reg/fun"),
+    ([{}], "[0]", "expected an object with one of lit/reg/fun"),
+    ([{"reg": 7}], "[0]", "token payload must be a string"),
+    ([{"var": 3}], "[0]", "token payload must be a string"),
+    ([{"lit": "a"}, {"lit": "b"}, {"var": "x"}], "[2]", "unknown token kind 'var'"),
+    ("x", "", "expected a token list"),
+])
+def test_malformed_tokens_name_their_path(tmp_path, rhs, where, message):
+    bad = tmp_path / "bad.json"
+    for path, place in (("$.transitions[1].update.x", lambda doc: doc["transitions"][1]["update"]),
+                        ("$.output.x", lambda doc: doc["output"])):
+        doc = _document("mul_sst")
+        place(doc)["x"] = rhs
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(MachineFileError) as err:
+            parse_machine(str(bad))
+        assert str(err.value) == "%s%s: %s" % (path, where, message)
+
+
+def test_json_writer_matches_json_dumps():
+    def dumps(doc):
+        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+
+    docs = [machine_to_json(m) for m in corpus.all_machines().values()]
+    for name in ("mul_sst", "reverse_sst_copyful", "bounded_pair_sst"):
+        res = to_k_layered(corpus.all_machines()[name])
+        docs.append(dict(machine_to_json(res.machine),
+                         layers=[list(layer) for layer in res.layers]))
+    docs += [{}, [], 0, "", {"b": [], "a": {}, "é\"\n\u2028": ["ω", None, True, -3, 1.5]},
+             [[[]], [{}], {"z": [{"y": 1}, 2]}], ("x", ("y",))]
+    for doc in docs:
+        lines = []
+        _json_lines(doc, lines)
+        assert "\n".join(lines) == dumps(doc)
+
+
+def test_each_command_parser_is_built_once(capsys):
+    for argv in (["validate", corpus_path("exp_sst")], ["run", corpus_path("exp_sst"), "a"]):
+        main(argv)
+        main(argv)
+    capsys.readouterr()
+    assert cli._build_parser("run") is cli._build_parser("run")
+    assert cli._build_parser.cache_info().currsize <= len(cli.COMMANDS)
 
 
 def test_validate_passthrough(tmp_path, capsys):
@@ -181,9 +235,14 @@ REVERSE_TWO_WAY_TRACE = "\n".join([
 ]) + "\n"
 
 
+# xducer trace on a register machine: one line per letter, no stack or output
+MUL_SST_TRACE = "0\tr\t0\t\t\n1\tr\t1\t\t\n2\tr\t2\t\t\n3\tc\t3\t\t\n4\tc\t4\t\t\n5\tc\t5\t\t\n"
+
+
 @pytest.mark.parametrize("name,word,expected", [
     ("mul_marble", "ab#00", MUL_MARBLE_TRACE),
     ("reverse_two_way", "abc", REVERSE_TWO_WAY_TRACE),
+    ("mul_sst", "ab#00", MUL_SST_TRACE),
 ])
 def test_trace_output_bytes_are_pinned(capsys, name, word, expected):
     assert main(["trace", corpus_path(name), word]) == 0

@@ -24,7 +24,7 @@ from xducer.oracle import (
     equiv_check,
     words_up_to,
 )
-from xducer.semantics import ACCEPT, BUDGET, run_machine
+from xducer.semantics import ACCEPT, BUDGET, run_machine, run_sst, sst_outputs
 
 
 def test_words_up_to_order_and_cap():
@@ -80,6 +80,30 @@ def test_equiv_builds_step_tables_once_per_side(monkeypatch, sides, builds):
     monkeypatch.setattr(semantics, "_compile_tables", counting)
     verdict = equiv_check(sides[0](), sides[1](), 4)
     assert verdict.equivalent and len(built) == builds
+
+
+@pytest.mark.parametrize("sides", [
+    (corpus.mul_sst, corpus.mul_sst_copyful),
+    (corpus.mul_sst, corpus.mul_marble),
+    (corpus.reverse_sst_copyful, corpus.reverse_two_way),
+])
+def test_equiv_compiles_register_programs_once_per_side(monkeypatch, sides):
+    """Each right-hand side of an SST side is compiled once, and a second
+    check on the same machines compiles nothing."""
+    compile_rhs = semantics._compile_rhs
+    compiled = []
+
+    def counting(rhs, index):
+        compiled.append(rhs)
+        return compile_rhs(rhs, index)
+
+    monkeypatch.setattr(semantics, "_compile_rhs", counting)
+    m1, m2 = sides[0](), sides[1]()
+    assert equiv_check(m1, m2, 5).equivalent
+    bound = sum(len(m.delta) * len(m.registers) + len(m.output)
+                for m in (m1, m2) if isinstance(m, SST))
+    assert len(compiled) == bound
+    assert equiv_check(m1, m2, 5).equivalent and len(compiled) == bound
 
 
 def test_equiv_alphabet_mismatch():
@@ -166,6 +190,23 @@ def random_marble(rng):
     finals = frozenset(q for q in states if rng.random() < 0.6)
     return MarbleTransducer(("a", "b"), ("a", "b"), states, states[0], finals,
                             colors, delta, out)
+
+
+def test_sst_outputs_match_word_by_word_runs():
+    """The odometer against one run per word, on partial SSTs whose runs
+    die on prefixes of every length."""
+    rng = random.Random(79)
+    rejected = 0
+    for _ in range(80):
+        m = random_sst(rng)
+        if m.delta:
+            m = mutated(rng, m)
+        got = list(sst_outputs(m, ("a", "b"), 5))
+        want = [(r.verdict, r.output) for r in
+                (run_sst(m, w) for w in words_up_to(("a", "b"), 5))]
+        assert got == want
+        rejected += sum(v != ACCEPT for v, _ in got)
+    assert rejected >= 1000
 
 
 def test_prefix_sharing_keeps_sst_verdicts():

@@ -408,3 +408,16 @@ def test_register_length_matches_flow_evaluation():
         start_val = {x: tuple(simple.init_valuation[x]) for x in simple.registers}
         start_vec = {q: flow.alpha.get(q, 0) for q in flow.states}
         check((), start_val, start_vec)
+
+
+def test_two_way_runs_convert_once_per_machine(monkeypatch):
+    conversions, builds = [], []
+    convert, compile_tables = semantics.two_way_to_marble, semantics._compile_tables
+    monkeypatch.setattr(semantics, "two_way_to_marble",
+                        lambda t: conversions.append(t) or convert(t))
+    monkeypatch.setattr(semantics, "_compile_tables",
+                        lambda t: builds.append(t) or compile_tables(t))
+    m = corpus.copy_two_way()
+    for _ in range(2000):
+        assert run_machine(m, "ab").output_text == "abab"
+    assert len(conversions) == 1 and len(builds) == 1

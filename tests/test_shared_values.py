@@ -10,6 +10,7 @@ import random
 from dataclasses import replace
 
 from xducer import corpus
+from xducer.layering import to_k_layered
 from xducer.machines import Fun, FunctionRegistry, Lit, Reg, SST
 from xducer.semantics import ACCEPT, REJECT, SHARE_MIN, run_sst, run_sstf
 
@@ -166,3 +167,23 @@ def test_long_runs_do_not_recurse():
     w = "ab" * 50000
     assert run_sst(corpus.identity_sst(), w).output_text == w
     assert run_sst(corpus.reverse_sst(("a", "b")), w).output_text == w[::-1]
+
+
+def test_random_layered_ssts_match_the_flat_evaluator():
+    """The register programs of layered pipeline outputs (random copyless
+    SSTs, and the copyful corpus machines with one copy layer), on words
+    long enough that their values are shared nodes."""
+    rng = random.Random(38)
+    machines = [random_sst(rng, copyful=False) for _ in range(12)]
+    machines += [corpus.mul_sst(), corpus.mul_sst_copyful(), corpus.bounded_pair_sst()]
+    shared = 0
+    for trial, source in enumerate(machines):
+        res = to_k_layered(source)
+        assert res.kind == "layered", trial
+        m = res.machine
+        for n in (0, 5, SHARE_MIN + 3, rng.randint(100, 1500)):
+            w = affordable(m, "".join(rng.choices(m.input_alphabet, k=n)))
+            got, expected = run_sst(m, w).output, flat_run(m, w)
+            assert got == expected, (trial, len(w))
+            shared += expected is not None and len(expected) > SHARE_MIN
+    assert shared >= 12
