@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -211,7 +210,6 @@ def cmd_equiv(args) -> int:
     return 3
 
 
-@functools.cache  # one parser per command, reused by every call of main
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="xducer %s" % command, add_help=True)
     p.add_argument("--pretty", action="store_true",

@@ -273,40 +273,11 @@ def machine_from_json(doc, path: str = "$"):
                  tuple(sorted(transitions)), update, output)
 
 
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _json_lines(value, lines: list, pad: str = "", head: str = "",
-                tail: str = "") -> None:
-    """Append ``value`` as ``json.dumps(indent=2, sort_keys=True,
-    ensure_ascii=False)`` lays it out, one line per entry of ``lines``:
-    ``head`` (indent and key) starts its first line, ``tail`` ends its last."""
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        lines.append(head + "{")
-        keys = sorted(value)
-        for k in keys:
-            _json_lines(value[k], lines, inner, f"{inner}{_encode(k)}: ",
-                        "" if k is keys[-1] else ",")
-        lines.append(pad + "}" + tail)
-    elif isinstance(value, (list, tuple)) and value:
-        lines.append(head + "[")
-        last = len(value) - 1
-        for i, item in enumerate(value):
-            _json_lines(item, lines, inner, inner, "," if i < last else "")
-        lines.append(pad + "]" + tail)
-    else:
-        lines.append(f"{head}{_encode(value)}{tail}")
-
-
 def dumps_machine(m, layers: Optional[tuple] = None) -> str:
     doc = machine_to_json(m)
     if layers is not None:
         doc["layers"] = [list(layer) for layer in layers]
-    lines: list = []
-    _json_lines(doc, lines)
-    lines.append("")  # the closing newline, without copying the text again
-    return "\n".join(lines)
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def emit_machine(m, path: str, layers: Optional[tuple] = None) -> None:

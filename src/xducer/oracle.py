@@ -38,16 +38,19 @@ def words_up_to(alphabet, maxlen: int, cap: int = 100000):
             yield tup
 
 
-def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
-             budget: Optional[int]):
-    """``(verdict, output)`` of one side on each word of ``words_up_to``."""
+def _runner(m, maxlen: int, registry: Optional[FunctionRegistry],
+            budget: Optional[int]):
+    """``run(w) -> (verdict, output)`` for one side, called on the words of
+    ``words_up_to`` in order; an SST side ignores ``w`` and takes the next
+    output of its odometer."""
     if isinstance(m, SST):
-        return sst_outputs(m, sorted(m.input_alphabet), maxlen, registry)
+        outputs = sst_outputs(m, maxlen, registry)
+        return lambda w: next(outputs)
 
     def run(w):
         res = run_machine(m, w, registry=registry, budget=budget)
         return res.verdict, res.output
-    return map(run, words_up_to(m.input_alphabet, maxlen))
+    return run
 
 
 def equiv_check(m1, m2, maxlen: int,
@@ -57,20 +60,21 @@ def equiv_check(m1, m2, maxlen: int,
     """Compare domains and outputs on every word of length up to ``maxlen``.
 
     Words come in the order of ``words_up_to``: by length, then
-    lexicographically.  Each side is an iterator of ``(verdict, output)`` in
-    that order, pulled after the word itself, so the word cap raises at the
-    same word.  An SST side walks each length with an odometer and steps
-    only the letters after the prefix a word shares with the one before it
-    (``sst_outputs``); marble, two-way and NSST-F sides run word by word
-    on the tables or programs their machine compiled once.  The first
+    lexicographically, enumerated once, so the word cap raises at the same
+    word.  An SST side walks each length with an odometer in the same order
+    and steps only the letters after the prefix a word shares with the one
+    before it (``sst_outputs``); marble, two-way and NSST-F sides run each
+    word on the tables or programs their machine compiled once.  The first
     mismatch in length-lexicographic order is reported.  A run hitting its
     step budget makes the verdict inconclusive for that word.
     """
     if tuple(sorted(m1.input_alphabet)) != tuple(sorted(m2.input_alphabet)):
         raise MachineError("machines have different input alphabets")
-    for w, (v1, o1), (v2, o2) in zip(words_up_to(m1.input_alphabet, maxlen),
-                                     _outputs(m1, maxlen, registry1, budget),
-                                     _outputs(m2, maxlen, registry2, budget)):
+    run1 = _runner(m1, maxlen, registry1, budget)
+    run2 = _runner(m2, maxlen, registry2, budget)
+    for w in words_up_to(m1.input_alphabet, maxlen):
+        v1, o1 = run1(w)
+        v2, o2 = run2(w)
         if BUDGET in (v1, v2):
             return EquivalenceVerdict(INCONCLUSIVE, maxlen, inconclusive_word=w)
         if (v1 == ACCEPT) != (v2 == ACCEPT) or o1 != o2:

@@ -389,19 +389,18 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
     return _result(ACCEPT, _output_word(outputs[q], val), len(w), 0, tr)
 
 
-def sst_outputs(m: SST, letters, maxlen: int,
-                registry: Optional[FunctionRegistry] = None):
+def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None):
     """``(verdict, output)``, as ``run_sst(m, w, registry)`` gives them, for
-    every word ``w`` over ``letters`` of length at most ``maxlen``: by length,
-    then lexicographically in the order of ``letters``.
+    every word ``w`` of length at most ``maxlen``: by length, then
+    lexicographically over the sorted input alphabet.
 
     Each length is walked with an odometer that keeps the state and
     valuation after every prefix of the current word (None once the run is
     undefined).  After the letter at position j changes, only positions j,
-    j+1, ... are stepped, so each prefix is read once.  The alphabet and
-    registry checks run once.
+    j+1, ... are stepped, so each prefix is read once.  The registry check
+    runs once.
     """
-    _check_alphabet(m, letters)
+    letters = sorted(m.input_alphabet)
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
     steps, outputs = _programs(m)

@@ -4,17 +4,11 @@ import os
 
 import pytest
 
-from xducer import cli, corpus
+from xducer import corpus
 from xducer.cli import main
-from xducer.layering import (
-    bounded_sstf_to_unambiguous,
-    extract_sstf,
-    make_total,
-    to_k_layered,
-)
+from xducer.layering import bounded_sstf_to_unambiguous, extract_sstf, make_total
 from xducer.machine_io import (
     MachineFileError,
-    _json_lines,
     dumps_machine,
     emit_machine,
     machine_to_json,
@@ -110,32 +104,6 @@ def test_malformed_tokens_name_their_path(tmp_path, rhs, where, message):
         with pytest.raises(MachineFileError) as err:
             parse_machine(str(bad))
         assert str(err.value) == "%s%s: %s" % (path, where, message)
-
-
-def test_json_writer_matches_json_dumps():
-    def dumps(doc):
-        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
-
-    docs = [machine_to_json(m) for m in corpus.all_machines().values()]
-    for name in ("mul_sst", "reverse_sst_copyful", "bounded_pair_sst"):
-        res = to_k_layered(corpus.all_machines()[name])
-        docs.append(dict(machine_to_json(res.machine),
-                         layers=[list(layer) for layer in res.layers]))
-    docs += [{}, [], 0, "", {"b": [], "a": {}, "é\"\n\u2028": ["ω", None, True, -3, 1.5]},
-             [[[]], [{}], {"z": [{"y": 1}, 2]}], ("x", ("y",))]
-    for doc in docs:
-        lines = []
-        _json_lines(doc, lines)
-        assert "\n".join(lines) == dumps(doc)
-
-
-def test_each_command_parser_is_built_once(capsys):
-    for argv in (["validate", corpus_path("exp_sst")], ["run", corpus_path("exp_sst"), "a"]):
-        main(argv)
-        main(argv)
-    capsys.readouterr()
-    assert cli._build_parser("run") is cli._build_parser("run")
-    assert cli._build_parser.cache_info().currsize <= len(cli.COMMANDS)
 
 
 def test_validate_passthrough(tmp_path, capsys):

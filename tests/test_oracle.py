@@ -201,7 +201,7 @@ def test_sst_outputs_match_word_by_word_runs():
         m = random_sst(rng)
         if m.delta:
             m = mutated(rng, m)
-        got = list(sst_outputs(m, ("a", "b"), 5))
+        got = list(sst_outputs(m, 5))
         want = [(r.verdict, r.output) for r in
                 (run_sst(m, w) for w in words_up_to(("a", "b"), 5))]
         assert got == want
