@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Drive the minimization pipeline across the bundled corpus and report.
+"""Drive the minimization pipeline across the machines in corpus/ and report.
 
 For each register machine: growth class, minimal layer count, and a bounded
 equivalence check of the rewritten machine.  For each marble machine: the
@@ -7,14 +7,15 @@ minimal mark count, and the state count and measured stack depth of the
 rebuilt machine.
 """
 
+import glob
 import os
 import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from xducer import corpus  # noqa: E402
 from xducer.layering import minimize_marbles, to_k_layered  # noqa: E402
+from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.oracle import equiv_check, words_up_to  # noqa: E402
 from xducer.semantics import run_marble  # noqa: E402
 
@@ -33,7 +34,9 @@ def main() -> None:
             "mul_sst_copyful", "bounded_pair_sst"]
     marbles = ["exp_marble", "mul_marble", "pow2_marble",
                "pow2_marble_wasteful"]
-    machines = corpus.all_machines()
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    machines = {os.path.basename(path)[:-5]: parse_machine(path)[0]
+                for path in sorted(glob.glob(os.path.join(corpus, "*.json")))}
 
     print("== register machines ==")
     for name in ssts:

@@ -54,11 +54,16 @@ def _parse_word(text: str, alphabet) -> tuple:
     return symbols
 
 
-def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("XDUCER_BUDGET")
-    return int(env) if env else None
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return value
 
 
 def _print_json(doc, pretty: bool) -> None:
@@ -86,7 +91,7 @@ def cmd_validate(args) -> int:
 def cmd_run(args, trace: bool = False) -> int:
     machine, _layers = _load(args.file)
     word = _parse_word(args.word, machine.input_alphabet)
-    result = run_machine(machine, word, budget=_budget(args), trace=trace)
+    result = run_machine(machine, word, budget=args.budget, trace=trace)
     if trace and result.trace is not None:
         print(format_trace(result))
     if result.verdict == ACCEPT:
@@ -191,7 +196,7 @@ def cmd_optimize(args) -> int:
 def cmd_equiv(args) -> int:
     m1, _l1 = _load(args.a)
     m2, _l2 = _load(args.b)
-    verdict = equiv_check(m1, m2, args.maxlen, budget=_budget(args))
+    verdict = equiv_check(m1, m2, args.maxlen, budget=args.budget)
     doc = {"status": verdict.status, "maxlen": verdict.max_length}
     if verdict.counterexample is not None:
         word, o1, o2 = verdict.counterexample
@@ -217,7 +222,7 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     if command in ("run", "trace"):
         p.add_argument("file")
         p.add_argument("word")
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=_count, default=None)
     elif command == "validate":
         p.add_argument("file")
     elif command == "convert":
@@ -233,8 +238,8 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     elif command == "equiv":
         p.add_argument("a")
         p.add_argument("b")
-        p.add_argument("--maxlen", type=int, required=True)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--maxlen", type=_count, required=True)
+        p.add_argument("--budget", type=_count, default=None)
     return p
 
 
@@ -263,6 +268,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(rest)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
+    env = os.environ.get("XDUCER_BUDGET")
+    if env and "budget" in vars(args) and args.budget is None:
+        try:
+            args.budget = _count(env)
+        except argparse.ArgumentTypeError as exc:
+            print("XDUCER_BUDGET: %s" % exc, file=sys.stderr)
+            return EX_USAGE
     try:
         return COMMANDS[command](args)
     except OSError as exc:

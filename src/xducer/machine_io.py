@@ -181,6 +181,9 @@ def machine_from_json(doc, path: str = "$"):
         beta = _weights(_need(doc, "beta", dict, path), "%s.beta" % path)
         mats = {}
         raw = _need(doc, "matrices", dict, path)
+        for a in raw:
+            if a not in input_alphabet:
+                _err("%s.matrices.%s" % (path, a), "expected a letter of the input alphabet")
         for a in input_alphabet:
             entries = raw.get(a, [])
             where = "%s.matrices.%s" % (path, a)

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.machines import LEFT_END, MachineError, Reg, RIGHT_END  # noqa: E402
 from xducer.semantics import (  # noqa: E402
     ACCEPT,
@@ -16,6 +17,33 @@ from xducer.semantics import (  # noqa: E402
     default_budget,
     run_sst,
 )
+
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+CORPUS_NAMES = sorted(f[:-5] for f in os.listdir(CORPUS_DIR) if f.endswith(".json"))
+
+
+def corpus_path(name: str) -> str:
+    return os.path.join(CORPUS_DIR, "%s.json" % name)
+
+
+def load(name: str, letters=None):
+    """The machine in ``corpus/<name>.json``.
+
+    ``letters`` narrows both alphabets to those letters and drops the
+    transitions that read any other input letter (endmarker moves stay).
+    """
+    machine, _layers = parse_machine(corpus_path(name))
+    if letters is None:
+        return machine
+    dropped = set(machine.input_alphabet) - set(letters)
+    return replace(
+        machine,
+        input_alphabet=tuple(a for a in machine.input_alphabet if a in letters),
+        output_alphabet=tuple(a for a in machine.output_alphabet if a in letters),
+        **{field: {key: v for key, v in getattr(machine, field).items()
+                   if key[1] not in dropped}
+           for field in ("delta", "out", "update") if hasattr(machine, field)})
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ lines.  Every tolerance and horizon is pinned here.
 import random
 import time
 
-from xducer import corpus
 from xducer.growth import classify, flow_automaton, has_heavy_cycle, trim, witness_word
 from xducer.layering import (
     bounded_sstf_to_unambiguous,
@@ -18,6 +17,7 @@ from xducer.layering import (
     to_k_layered,
     to_simple,
 )
+from xducer.machine_io import parse_machine
 from xducer.machines import (
     ACT_LEFT,
     ACT_RIGHT,
@@ -43,6 +43,8 @@ from xducer.semantics import (
 )
 from xducer.sst2mt import layered_to_marble, lookbehind_step, sst_to_marble
 
+from conftest import corpus_path, load
+
 
 def report(number, text):
     print("ACCEPT %02d PASS  %s" % (number, text))
@@ -58,16 +60,16 @@ def timed(fn, limit):
 
 def test_criterion_01_example_reproduction():
     checks = [
-        ("reverse", lambda: run_two_way(corpus.reverse_two_way(), "abac").output_text,
+        ("reverse", lambda: run_two_way(load("reverse_two_way"), "abac").output_text,
          "caba"),
-        ("mul", lambda: run_marble(corpus.mul_marble(), "ab#00").output_text,
+        ("mul", lambda: run_marble(load("mul_marble"), "ab#00").output_text,
          "ab#ab#"),
     ]
     for name, fn, expected in checks:
         assert timed(fn, 1.0) == expected, name
 
-    exp_sst = corpus.exp_sst()
-    exp_marble = corpus.exp_marble()
+    exp_sst = load("exp_sst")
+    exp_marble = load("exp_marble")
     exp_as_sst = timed(lambda: marble_to_sst(exp_marble), 1.0)
     exp_as_marble = timed(lambda: sst_to_marble(exp_sst), 1.0)
     for n in range(6):
@@ -79,7 +81,7 @@ def test_criterion_01_example_reproduction():
             got = timed(lambda m=machine: run_machine(m, word).output_text, 1.0)
             assert got == expected, (label, n)
 
-    pow2 = corpus.pow2_marble()
+    pow2 = load("pow2_marble")
     for n in range(6):
         r = timed(lambda: run_marble(pow2, "a" * n), 1.0)
         assert r.output_text == "a" * (n * n)
@@ -90,21 +92,21 @@ def test_criterion_01_example_reproduction():
 def test_criterion_02_conversion_round_trips():
     start = time.monotonic()
     marble_sources = [
-        ("reverse", two_way_to_marble(corpus.reverse_two_way())),
-        ("copy", two_way_to_marble(corpus.copy_two_way())),
-        ("exp", corpus.exp_marble()),
-        ("mul", corpus.mul_marble()),
-        ("pow2", corpus.pow2_marble()),
+        ("reverse", two_way_to_marble(load("reverse_two_way"))),
+        ("copy", two_way_to_marble(load("copy_two_way"))),
+        ("exp", load("exp_marble")),
+        ("mul", load("mul_marble")),
+        ("pow2", load("pow2_marble")),
     ]
     for name, machine in marble_sources:
         verdict = equiv_check(marble_to_sst(machine), machine, 5)
         assert verdict.equivalent, (name, verdict.counterexample)
     sst_sources = [
-        ("exp", corpus.exp_sst()),
-        ("reverse", corpus.reverse_sst()),
-        ("mul", corpus.mul_sst()),
-        ("pair", corpus.bounded_pair_sst()),
-        ("reverse_copyful", corpus.reverse_sst_copyful()),
+        ("exp", load("exp_sst")),
+        ("reverse", load("reverse_sst")),
+        ("mul", load("mul_sst")),
+        ("pair", load("bounded_pair_sst")),
+        ("reverse_copyful", load("reverse_sst_copyful")),
     ]
     for name, machine in sst_sources:
         verdict = equiv_check(sst_to_marble(machine), machine, 5)
@@ -115,8 +117,8 @@ def test_criterion_02_conversion_round_trips():
 
 
 def test_criterion_03_layered_conversion_depths():
-    mul = corpus.mul_sst()
-    machine = layered_to_marble(mul, corpus.MUL_LAYERS)
+    mul, layers = parse_machine(corpus_path("mul_sst"))
+    machine = layered_to_marble(mul, layers)
     assert equiv_check(machine, mul, 5).equivalent
     depth = 0
     for w in words_up_to(mul.input_alphabet, 5, cap=3000):
@@ -125,7 +127,7 @@ def test_criterion_03_layered_conversion_depths():
             depth = max(depth, r.max_stack_depth)
     assert depth <= 1
 
-    rev = corpus.reverse_sst()
+    rev = load("reverse_sst")
     flat = layered_to_marble(rev, (rev.registers,))
     assert equiv_check(flat, rev, 5).equivalent
     for w in words_up_to(rev.input_alphabet, 5, cap=3000):
@@ -176,13 +178,13 @@ def _random_trim_automata(count, seed):
 
 
 def test_criterion_05_growth_classification():
-    exp_flow = corpus.exp_flow_nautomaton()
+    exp_flow = load("exp_flow")
     rep = classify(exp_flow)
     assert rep.kind == "exponential"
     for pumps in range(1, 6):
         assert eval_nautomaton(exp_flow, witness_word(rep, pumps)) >= 2 ** pumps
 
-    chain = corpus.chain_nautomaton()
+    chain = load("chain_flow")
     rep = classify(chain)
     assert rep.kind == "polynomial" and rep.degree == 1
     assert rep.partition == (("x",), ("y",))
@@ -201,9 +203,9 @@ def test_criterion_05_growth_classification():
 
 
 def test_criterion_06_register_lengths_match_flow():
-    machines = [corpus.exp_sst(), corpus.reverse_sst(), corpus.mul_sst(),
-                corpus.mul_sst_copyful(), corpus.bounded_pair_sst(),
-                corpus.reverse_sst_copyful()]
+    machines = [load("exp_sst"), load("reverse_sst"), load("mul_sst"),
+                load("mul_sst_copyful"), load("bounded_pair_sst"),
+                load("reverse_sst_copyful")]
     checked = 0
     for source in machines:
         total, _dfa = make_total(source)
@@ -270,12 +272,12 @@ def test_criterion_07_partition_properties():
 
 def test_criterion_08_membership_end_to_end():
     start = time.monotonic()
-    res = to_k_layered(corpus.mul_sst_copyful())
+    res = to_k_layered(load("mul_sst_copyful"))
     assert res.kind == "layered" and res.k == 1
     assert check_layered(res.machine, res.layers) == []
-    assert equiv_check(res.machine, corpus.mul_sst_copyful(), 5).equivalent
+    assert equiv_check(res.machine, load("mul_sst_copyful"), 5).equivalent
     marble = layered_to_marble(res.machine, res.layers)
-    assert equiv_check(marble, corpus.mul_sst_copyful(), 5).equivalent
+    assert equiv_check(marble, load("mul_sst_copyful"), 5).equivalent
     for w in words_up_to(("a", "b", "#", "0"), 5, cap=3000):
         r = run_marble(marble, w)
         if r.accepted:
@@ -283,17 +285,17 @@ def test_criterion_08_membership_end_to_end():
     assert time.monotonic() - start < 120
 
     start = time.monotonic()
-    res = to_k_layered(corpus.reverse_sst_copyful())
+    res = to_k_layered(load("reverse_sst_copyful"))
     assert res.kind == "layered" and res.k == 0
     assert check_copyless(res.machine) == []
-    assert equiv_check(res.machine, corpus.reverse_sst_copyful(), 5).equivalent
+    assert equiv_check(res.machine, load("reverse_sst_copyful"), 5).equivalent
     marble = layered_to_marble(res.machine, res.layers)
-    assert equiv_check(marble, corpus.reverse_sst_copyful(), 5).equivalent
+    assert equiv_check(marble, load("reverse_sst_copyful"), 5).equivalent
     assert not any(action[0] == "drop" for _t, action in marble.delta.values())
     assert time.monotonic() - start < 120
 
     start = time.monotonic()
-    res = to_k_layered(corpus.exp_sst())
+    res = to_k_layered(load("exp_sst"))
     assert res.kind == "exponential"
     from xducer.cli import main
     import os
@@ -305,7 +307,7 @@ def test_criterion_08_membership_end_to_end():
 
 
 def test_criterion_09_external_function_chain():
-    source = corpus.bounded_pair_sst()
+    source = load("bounded_pair_sst")
     total, _dfa = make_total(source)
     nsst = bounded_sstf_to_unambiguous(total, 2)
     assert check_copyless(nsst) == []

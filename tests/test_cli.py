@@ -1,10 +1,10 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
-from xducer import corpus
 from xducer.cli import main
 from xducer.layering import bounded_sstf_to_unambiguous, extract_sstf, make_total
 from xducer.machine_io import (
@@ -15,23 +15,35 @@ from xducer.machine_io import (
     parse_machine,
 )
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
-
-
-def corpus_path(name):
-    return os.path.join(CORPUS_DIR, "%s.json" % name)
+from conftest import CORPUS_DIR, CORPUS_NAMES, corpus_path, load
 
 
 def test_corpus_files_parse_validate_and_roundtrip():
-    for name in sorted(corpus.all_machines()):
+    for name in CORPUS_NAMES:
         path = corpus_path(name)
         machine, layers = parse_machine(path)
         with open(path, encoding="utf-8") as fh:
             assert dumps_machine(machine, layers) == fh.read(), name
 
 
+def test_corpus_readme_lists_every_file(capsys):
+    with open(os.path.join(CORPUS_DIR, "README.md"), encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+)\.json` \|.*\| ([^|]+) \|$", fh.read(), re.M)
+    assert sorted(name for name, _growth in rows) == CORPUS_NAMES
+    for name, growth in rows:
+        assert main(["analyze", corpus_path(name)]) == 0, name
+        doc = json.loads(capsys.readouterr().out)
+        if doc["class"] == "exponential":
+            assert growth == "exponential", name
+        else:
+            marbles = doc["minimal_marbles"]
+            assert growth == "degree %d, %d marble%s" % (
+                doc["degree"], marbles, "" if marbles == 1 else "s"), name
+
+
 def test_emit_parse_identity(tmp_path):
-    for name, machine in corpus.all_machines().items():
+    for name in CORPUS_NAMES:
+        machine = load(name)
         target = tmp_path / ("%s.json" % name)
         emit_machine(machine, str(target))
         reparsed, _layers = parse_machine(str(target))
@@ -50,10 +62,10 @@ def test_schema_error_names_field(tmp_path):
 
 def _document(name):
     if name == "nsstf":
-        total, _ = make_total(corpus.bounded_pair_sst())
+        total, _ = make_total(load("bounded_pair_sst"))
         return machine_to_json(bounded_sstf_to_unambiguous(total, 2))
     if name == "sstf":
-        return machine_to_json(extract_sstf(corpus.mul_sst(), corpus.MUL_LAYERS)[0])
+        return machine_to_json(extract_sstf(*parse_machine(corpus_path("mul_sst")))[0])
     return json.load(open(corpus_path(name)))
 
 
@@ -72,6 +84,8 @@ def _document(name):
      "$.matrices.a[0].from"),
     ("chain_flow", "matrices", {"a": [{"from": "x", "to": ["x"], "weight": 1}]},
      "$.matrices.a[0].to"),
+    ("chain_flow", "matrices", {"a": [], "z": [{"from": "x", "to": "x", "weight": 2}]},
+     "$.matrices.z"),
 ])
 def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
                                            value, where):
@@ -144,6 +158,14 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("XDUCER_BUDGET", "7")
     assert main(["run", corpus_path("exp_marble"), "aaaa"]) == 3
     monkeypatch.delenv("XDUCER_BUDGET")
+
+
+def test_budget_env_must_be_a_count(capsys, monkeypatch):
+    for value in ("abc", "-1", "1.5"):
+        monkeypatch.setenv("XDUCER_BUDGET", value)
+        assert main(["run", corpus_path("exp_marble"), "aaaa"]) == 64, value
+        captured = capsys.readouterr()
+        assert captured.out == "" and "XDUCER_BUDGET" in captured.err, value
 
 
 def test_trace_output(capsys):
@@ -317,8 +339,7 @@ OPTIMIZED = {
 
 
 def test_optimize_output_bytes_are_pinned(tmp_path, capsys):
-    assert set(OPTIMIZED) == {
-        f[:-5] for f in os.listdir(CORPUS_DIR) if f.endswith(".json")}
+    assert sorted(OPTIMIZED) == CORPUS_NAMES
     for name, (code, digest) in sorted(OPTIMIZED.items()):
         out = tmp_path / ("%s.json" % name)
         assert main(["optimize", corpus_path(name), "-o", str(out)]) == code, name
@@ -433,9 +454,17 @@ def test_equiv_exit_codes(capsys):
     assert code == 2 and doc["counterexample"]["word"] == ["a"]
 
 
+def test_negative_maxlen_is_a_usage_error(capsys):
+    # identity and copy differ on "a", so comparing no word must not pass
+    assert main(["equiv", corpus_path("identity_sst"), corpus_path("copy_two_way"),
+                 "--maxlen", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--maxlen" in captured.err
+
+
 def looping_mul_marble(path):
     """mul_marble with a ping-pong between ``a`` and ``#`` in state m1."""
-    m = corpus.mul_marble()
+    m = load("mul_marble")
     delta = dict(m.delta)
     delta[("m1", "#", None)] = ("m1", ("left", None))
     delta[("m1", "a", None)] = ("m1", ("right", None))

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from xducer import corpus
 from xducer.growth import (
     GrowthReport,
     barbell_graph,
@@ -19,6 +18,8 @@ from xducer.layering import make_total, to_simple
 from xducer.machines import MachineError, NAutomaton
 from xducer.oracle import brute_degree, brute_pattern_search
 from xducer.semantics import eval_nautomaton
+
+from conftest import load
 
 
 def nauto(states, alphabet, alpha, beta, mats):
@@ -43,12 +44,12 @@ def test_trim_removes_unreachable_state():
 
 
 def test_trim_is_idempotent():
-    t = trim(corpus.chain_nautomaton())
+    t = trim(load("chain_flow"))
     assert t == trim(t)
 
 
 def test_flow_automaton_of_never_output_register():
-    m = corpus.mul_sst_copyful()
+    m = load("mul_sst_copyful")
     total, _ = make_total(m)
     simple = to_simple(total)
     flow = flow_automaton(simple)
@@ -58,7 +59,7 @@ def test_flow_automaton_of_never_output_register():
 
 
 def test_flow_automaton_exp():
-    flow = flow_automaton(corpus.exp_sst())
+    flow = flow_automaton(load("exp_sst"))
     assert flow.alpha == {"x": 1}
     assert flow.beta == {"x": 1}
     assert flow.mats["a"] == {("x", "x"): 2}
@@ -66,11 +67,11 @@ def test_flow_automaton_exp():
 
 def test_flow_requires_simple():
     with pytest.raises(MachineError):
-        flow_automaton(corpus.mul_sst())
+        flow_automaton(load("mul_sst"))
 
 
 def test_flow_zero_machine():
-    m = corpus.reverse_sst()
+    m = load("reverse_sst")
     zero = type(m)(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=m.states, registers=m.registers, initial=m.initial,
@@ -85,8 +86,8 @@ def test_flow_zero_machine():
 
 
 def test_heavy_cycle_witnesses():
-    assert has_heavy_cycle(corpus.exp_flow_nautomaton()) == ("x", ("a",))
-    assert has_heavy_cycle(corpus.chain_nautomaton()) is None
+    assert has_heavy_cycle(load("exp_flow")) == ("x", ("a",))
+    assert has_heavy_cycle(load("chain_flow")) is None
     assert has_heavy_cycle(IDENTITY2) is None
 
 
@@ -115,15 +116,15 @@ def test_heavy_cycle_from_ambiguity_without_weights():
 
 
 def test_find_barbell():
-    assert find_barbell(corpus.chain_nautomaton(), "x", "y") == ("a",)
-    assert find_barbell(corpus.chain_nautomaton(), "y", "x") is None
+    assert find_barbell(load("chain_flow"), "x", "y") == ("a",)
+    assert find_barbell(load("chain_flow"), "y", "x") is None
     assert find_barbell(IDENTITY2, "x", "y") is None
     with pytest.raises(MachineError):
         find_barbell(IDENTITY2, "x", "x")
 
 
 def test_no_barbells_in_copyless_reverse_flow():
-    total, _ = make_total(corpus.reverse_sst())
+    total, _ = make_total(load("reverse_sst"))
     flow = trim(flow_automaton(to_simple(total)))
     found = brute_pattern_search(flow, 6)
     for q in flow.states:
@@ -141,7 +142,7 @@ def test_no_barbells_in_copyless_reverse_flow():
 
 
 def test_barbell_graph_and_heights():
-    g = barbell_graph(corpus.chain_nautomaton())
+    g = barbell_graph(load("chain_flow"))
     assert set(g.edges) == {("x", "y")}
     assert heights(g) == {"x": 0, "y": 1}
 
@@ -176,27 +177,27 @@ def test_classify_searches_heavy_cycles_once(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(growth, "has_heavy_cycle", counting)
-    for a in (corpus.chain_nautomaton(), corpus.exp_flow_nautomaton()):
+    for a in (load("chain_flow"), load("exp_flow")):
         calls.clear()
         classify(a)
         assert len(calls) == 1
 
 
 def test_classify_exponential_with_pumping():
-    rep = classify(corpus.exp_flow_nautomaton())
+    rep = classify(load("exp_flow"))
     assert rep.kind == "exponential"
     for pumps in range(1, 6):
         w = witness_word(rep, pumps)
-        assert eval_nautomaton(corpus.exp_flow_nautomaton(), w) >= 2 ** pumps
+        assert eval_nautomaton(load("exp_flow"), w) >= 2 ** pumps
 
 
 def test_classify_chain_degree_one():
-    rep = classify(corpus.chain_nautomaton())
+    rep = classify(load("chain_flow"))
     assert rep.kind == "polynomial" and rep.degree == 1
     assert rep.partition == (("x",), ("y",))
     for pumps in range(1, 5):
         w = witness_word(rep, pumps)
-        assert eval_nautomaton(corpus.chain_nautomaton(), w) >= pumps
+        assert eval_nautomaton(load("chain_flow"), w) >= pumps
 
 
 def test_classify_single_state_bounded():
@@ -319,7 +320,7 @@ def test_exponential_upper_bound_sanity():
     from xducer.semantics import eval_nautomaton as ev
     from xducer.oracle import words_up_to
 
-    automata = [corpus.exp_flow_nautomaton(), corpus.chain_nautomaton()]
+    automata = [load("exp_flow"), load("chain_flow")]
     automata.extend(random_automata(20, seed=5))
     for t in automata:
         col_sums = [0]
@@ -335,11 +336,11 @@ def test_exponential_upper_bound_sanity():
 
 
 def test_classify_function_corpus():
-    res = classify_function(corpus.exp_sst())
+    res = classify_function(load("exp_sst"))
     assert res.report.kind == "exponential" and res.minimal_marbles is None
-    res = classify_function(corpus.mul_sst())
+    res = classify_function(load("mul_sst"))
     assert res.report.degree == 2 and res.minimal_marbles == 1
-    res = classify_function(corpus.reverse_sst())
+    res = classify_function(load("reverse_sst"))
     assert res.report.degree == 1 and res.minimal_marbles == 0
 
 

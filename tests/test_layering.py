@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xducer import corpus, layering
+from xducer import layering
 from xducer.growth import flow_automaton, is_simple
 from xducer.layering import (
     bounded_sstf_to_unambiguous,
@@ -43,6 +43,8 @@ from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import enumerate_nsstf_runs, run_marble, run_sst, run_sstf
 from xducer.sst2mt import layered_to_marble
 
+from conftest import load
+
 
 # ---------------------------------------------------------------------------
 # Totalization and simplification
@@ -50,14 +52,14 @@ from xducer.sst2mt import layered_to_marble
 
 
 def test_make_total_already_total():
-    m = corpus.exp_sst()
+    m = load("exp_sst")
     total, dfa = make_total(m)
     assert total is m
     assert all(dfa.accepts("a" * n) for n in range(5))
 
 
 def test_make_total_domain_dfa():
-    m = corpus.mul_sst()
+    m = load("mul_sst")
     total, dfa = make_total(m)
     assert validate(total) == []
     for w in words_up_to(m.input_alphabet, 5, cap=3000):
@@ -66,7 +68,7 @@ def test_make_total_domain_dfa():
 
 
 def test_make_total_empty_domain():
-    m = corpus.exp_sst()
+    m = load("exp_sst")
     dead = SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=m.states, registers=m.registers, initial=m.initial,
@@ -78,12 +80,12 @@ def test_make_total_empty_domain():
     assert run_sst(total, "aa").output == ()
 
 
-@pytest.mark.parametrize("build,maxlen", [
-    (corpus.exp_sst, 5), (corpus.mul_sst, 5), (corpus.bounded_pair_sst, 6),
-    (corpus.reverse_sst_copyful, 4),
+@pytest.mark.parametrize("name,maxlen", [
+    ("exp_sst", 5), ("mul_sst", 5), ("bounded_pair_sst", 6),
+    ("reverse_sst_copyful", 4),
 ])
-def test_to_simple_equivalence(build, maxlen):
-    total, _dfa = make_total(build())
+def test_to_simple_equivalence(name, maxlen):
+    total, _dfa = make_total(load(name))
     simple = to_simple(total)
     assert is_simple(simple)
     assert equiv_check(simple, total, maxlen).equivalent
@@ -101,7 +103,7 @@ def test_to_simple_no_letters_single_state():
 
 
 def test_prune_dead_registers():
-    total, _ = make_total(corpus.mul_sst_copyful())
+    total, _ = make_total(load("mul_sst_copyful"))
     simple = prune_dead_registers(to_simple(total))
     assert not any(x.endswith(".z") for x in simple.registers)
     assert equiv_check(simple, total, 4).equivalent
@@ -122,7 +124,7 @@ def _classified_simple(m):
 
 
 def test_remove_bounded_layer_constant_register():
-    simple, report, total = _classified_simple(corpus.mul_sst())
+    simple, report, total = _classified_simple(load("mul_sst"))
     machine = remove_bounded_layer(simple, report.partition)
     assert len(machine.registers) == len(simple.registers) - len(report.partition[0])
     assert equiv_check(machine, total, 5).equivalent
@@ -170,7 +172,7 @@ def test_copy_bound_is_measured_once_per_profile_machine(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(layering, name, counted)
-    assert to_k_layered(corpus.reverse_sst_copyful()).kind == "layered"
+    assert to_k_layered(load("reverse_sst_copyful")).kind == "layered"
     assert calls["bounded_sstf_to_unambiguous"] >= 1
     assert calls["find_copy_bound"] == calls["bounded_sstf_to_unambiguous"]
 
@@ -280,13 +282,13 @@ def prev_value_registry(m: SST, layers, binding: dict) -> FunctionRegistry:
 
 
 def test_extract_single_layer_is_identity():
-    m = corpus.bounded_pair_sst()
+    m = load("bounded_pair_sst")
     top, binding = extract_sstf(m, (m.registers,))
     assert top is m and binding == {}
 
 
 def _two_layer_machine():
-    simple, report, _total = _classified_simple(corpus.mul_sst())
+    simple, report, _total = _classified_simple(load("mul_sst"))
     machine = remove_bounded_layer(simple, report.partition)
     return machine, report.partition[1:]
 
@@ -321,7 +323,7 @@ def test_extract_routes_output_references():
 
 
 def test_delayed_value_machines():
-    m = corpus.bounded_pair_sst()
+    m = load("bounded_pair_sst")
     top, binding = extract_sstf(m, (("x",), ("y",)))
     assert binding == {"f_x": "x"}
     f = prev_value_registry(m, (("x",), ("y",)), binding).entries["f_x"]
@@ -338,7 +340,7 @@ def test_delayed_value_machines():
 
 
 def test_unambiguous_chain_on_pair_machine():
-    total, _ = make_total(corpus.bounded_pair_sst())
+    total, _ = make_total(load("bounded_pair_sst"))
     n = bounded_sstf_to_unambiguous(total, 2)
     assert validate(n) == []
     assert check_copyless(n) == []
@@ -349,7 +351,7 @@ def test_unambiguous_chain_on_pair_machine():
 
 
 def test_unambiguous_copyless_input_has_binary_profiles():
-    rev = corpus.reverse_sst(("a", "b"))
+    rev = load("reverse_sst", ("a", "b"))
     total, _ = make_total(rev)
     n = bounded_sstf_to_unambiguous(total, 1)
     for w in words_up_to(("a", "b"), 4, cap=200):
@@ -385,7 +387,7 @@ def test_profile_machine_is_grown_from_the_output():
 
 
 def test_profile_machine_size_limit(monkeypatch):
-    total, _ = make_total(corpus.bounded_pair_sst())
+    total, _ = make_total(load("bounded_pair_sst"))
     n = bounded_sstf_to_unambiguous(total, 2)
     monkeypatch.setattr(layering, "PROFILE_LIMIT", len(n.states))
     assert bounded_sstf_to_unambiguous(total, 2) == n
@@ -396,7 +398,7 @@ def test_profile_machine_size_limit(monkeypatch):
 
 
 def test_determinize_pair_machine():
-    total, _ = make_total(corpus.bounded_pair_sst())
+    total, _ = make_total(load("bounded_pair_sst"))
     det = determinize_nsstf(bounded_sstf_to_unambiguous(total, 2))
     assert check_copyless(det) == []
     assert validate(det) == []
@@ -404,7 +406,7 @@ def test_determinize_pair_machine():
 
 
 def test_determinize_copyless_roundtrip():
-    rev = corpus.reverse_sst(("a", "b"))
+    rev = load("reverse_sst", ("a", "b"))
     total, _ = make_total(rev)
     det = determinize_nsstf(bounded_sstf_to_unambiguous(total, 1))
     assert check_copyless(det) == []
@@ -412,7 +414,7 @@ def test_determinize_copyless_roundtrip():
 
 
 def test_determinize_slot_budget_respected():
-    total, _ = make_total(corpus.bounded_pair_sst())
+    total, _ = make_total(load("bounded_pair_sst"))
     n = bounded_sstf_to_unambiguous(total, 2)
     det = determinize_nsstf(n)
     max_slots = 2 * len(n.states) - 1
@@ -421,7 +423,7 @@ def test_determinize_slot_budget_respected():
 
 
 def test_determinization_size_limit(monkeypatch):
-    total, _ = make_total(corpus.bounded_pair_sst())
+    total, _ = make_total(load("bounded_pair_sst"))
     n = bounded_sstf_to_unambiguous(total, 2)
     det = determinize_nsstf(n)
     size = len(det.states) * len(det.registers)
@@ -461,7 +463,7 @@ def test_splice_timing_on_running_prefix():
 
 
 def test_splice_empty_registry_returns_top():
-    m = corpus.bounded_pair_sst()
+    m = load("bounded_pair_sst")
     out, layers = splice_layers(m, m, (), {})
     assert out is m and layers == (m.registers,)
 
@@ -472,23 +474,23 @@ def test_splice_empty_registry_returns_top():
 
 
 def test_to_k_layered_exponential():
-    res = to_k_layered(corpus.exp_sst())
+    res = to_k_layered(load("exp_sst"))
     assert res.kind == "exponential"
     assert res.report.kind == "exponential"
 
 
 def test_to_k_layered_mul_copyful():
-    res = to_k_layered(corpus.mul_sst_copyful())
+    res = to_k_layered(load("mul_sst_copyful"))
     assert res.kind == "layered" and res.k == 1
     assert check_layered(res.machine, res.layers) == []
-    assert equiv_check(res.machine, corpus.mul_sst_copyful(), 5).equivalent
+    assert equiv_check(res.machine, load("mul_sst_copyful"), 5).equivalent
 
 
 def test_to_k_layered_reverse_copyful_becomes_copyless():
-    res = to_k_layered(corpus.reverse_sst_copyful())
+    res = to_k_layered(load("reverse_sst_copyful"))
     assert res.kind == "layered" and res.k == 0
     assert check_copyless(res.machine) == []
-    assert equiv_check(res.machine, corpus.reverse_sst_copyful(), 4).equivalent
+    assert equiv_check(res.machine, load("reverse_sst_copyful"), 4).equivalent
 
 
 def test_to_k_layered_degree_zero():
@@ -505,27 +507,27 @@ def test_to_k_layered_degree_zero():
 
 
 def test_to_k_layered_respects_domain():
-    res = to_k_layered(corpus.mul_sst())
-    assert equiv_check(res.machine, corpus.mul_sst(), 5).equivalent
+    res = to_k_layered(load("mul_sst"))
+    assert equiv_check(res.machine, load("mul_sst"), 5).equivalent
 
 
 def test_minimize_marbles_exponential():
-    res = minimize_marbles(corpus.exp_marble())
+    res = minimize_marbles(load("exp_marble"))
     assert res.kind == "exponential"
 
 
 def test_minimize_marbles_pow2_wasteful():
-    res = minimize_marbles(corpus.pow2_marble_wasteful())
+    res = minimize_marbles(load("pow2_marble_wasteful"))
     assert res.kind == "marble" and res.k_min == 1
     for n in range(6):
         r = run_marble(res.machine, "a" * n)
         assert r.accepted and len(r.output) == n * n
         assert r.max_stack_depth <= 1
-    assert equiv_check(res.machine, corpus.pow2_marble_wasteful(), 5).equivalent
+    assert equiv_check(res.machine, load("pow2_marble_wasteful"), 5).equivalent
 
 
 def test_prune_sst_registers_keeps_function():
-    m = corpus.mul_sst_copyful()
+    m = load("mul_sst_copyful")
     total, _ = make_total(m)
     pruned, layers = prune_sst_registers(total, (total.registers,))
     assert "z" not in pruned.registers
@@ -576,7 +578,7 @@ def domain_word(m, rng, lo, hi):
 
 @pytest.mark.parametrize("name", POLYNOMIAL)
 def test_copyless_layers_are_built_only_where_needed(name, monkeypatch):
-    source = corpus.all_machines()[name]
+    source = load(name)
     if isinstance(source, TwoWayTransducer):
         source = two_way_to_marble(source)
     sst = marble_to_sst(source) if isinstance(source, MarbleTransducer) else source

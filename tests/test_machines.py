@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from xducer import corpus
+from xducer.machine_io import parse_machine
 from xducer.machines import (
     ACT_RIGHT,
     COPY_BOUND_LIMIT,
@@ -22,6 +22,8 @@ from xducer.machines import (
     register_occurrences,
     validate,
 )
+
+from conftest import CORPUS_NAMES, corpus_path, load
 
 
 def lits(word):
@@ -71,7 +73,7 @@ def test_compose_associative(s1, s2, s3):
 
 
 def test_copyless_worked_examples():
-    one_state = corpus.reverse_sst()
+    one_state = load("reverse_sst")
     assert check_copyless(one_state) == []
     machine = SST(
         input_alphabet=("b",), output_alphabet=("b",), states=("q",),
@@ -82,12 +84,12 @@ def test_copyless_worked_examples():
     )
     violations = check_copyless(machine)
     assert len(violations) == 1 and "'x'" in violations[0]
-    assert check_copyless(corpus.exp_sst()) != []
+    assert check_copyless(load("exp_sst")) != []
 
 
 def test_layered_mul_and_exp():
-    assert check_layered(corpus.mul_sst(), corpus.MUL_LAYERS) == []
-    exp = corpus.exp_sst()
+    assert check_layered(*parse_machine(corpus_path("mul_sst"))) == []
+    exp = load("exp_sst")
     assert check_layered(exp, (("x",),)) != []
 
 
@@ -102,19 +104,19 @@ def test_layered_vacuous_empty_partition():
 
 
 def test_bounded_pair_machine():
-    m = corpus.bounded_pair_sst()
+    m = load("bounded_pair_sst")
     assert check_bounded(m, (m.registers,), 2).bounded
     res = check_bounded(m, (m.registers,), 1)
     assert not res.bounded and res.witness is not None
 
 
 def test_copyless_implies_one_bounded():
-    m = corpus.reverse_sst()
+    m = load("reverse_sst")
     assert check_bounded(m, (m.registers,), 1).bounded
 
 
 def test_exp_not_bounded_with_predicted_witness():
-    m = corpus.exp_sst()
+    m = load("exp_sst")
     for bound in (1, 2, 3):
         res = check_bounded(m, (m.registers,), bound)
         assert not res.bounded
@@ -125,7 +127,7 @@ def test_exp_not_bounded_with_predicted_witness():
 
 
 def test_bounded_witness_is_sound():
-    m = corpus.bounded_pair_sst()
+    m = load("bounded_pair_sst")
     res = check_bounded(m, (m.registers,), 1)
     s = identity_substitution(m.registers)
     q = m.initial
@@ -186,7 +188,7 @@ def test_random_layered_iff_one_bounded():
 
 
 def test_find_copy_bound():
-    m = corpus.bounded_pair_sst()
+    m = load("bounded_pair_sst")
     assert find_copy_bound(m, (m.registers,)) == 2
 
 
@@ -206,8 +208,8 @@ def probed_copy_bound(m, layers):
 def test_find_copy_bound_matches_probing():
     rng = random.Random(9090)
     bounds = Counter()
-    machines = [corpus.bounded_pair_sst(), corpus.reverse_sst_copyful(),
-                corpus.exp_sst()]
+    machines = [load("bounded_pair_sst"), load("reverse_sst_copyful"),
+                load("exp_sst")]
     for _trial in range(150):
         regs = tuple("r%d" % i for i in range(rng.randint(1, 3)))
         states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
@@ -239,12 +241,12 @@ def test_find_copy_bound_matches_probing():
 
 
 def test_validate_corpus_machines():
-    for name, machine in corpus.all_machines().items():
-        assert validate(machine) == [], name
+    for name in CORPUS_NAMES:
+        assert validate(load(name)) == [], name
 
 
 def test_validate_marble_right_on_color():
-    m = corpus.mul_marble()
+    m = load("mul_marble")
     delta = dict(m.delta)
     delta[("m3", "0", "m")] = ("m4", ACT_RIGHT)
     bad = MarbleTransducer(
@@ -256,7 +258,7 @@ def test_validate_marble_right_on_color():
 
 
 def test_validate_unknown_register_in_output():
-    m = corpus.reverse_sst()
+    m = load("reverse_sst")
     bad = SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=m.states, registers=m.registers, initial=m.initial,
@@ -267,8 +269,8 @@ def test_validate_unknown_register_in_output():
 
 
 def test_composition_matches_interpreter_valuation(register_values):
-    for m in (corpus.reverse_sst(("a", "b")), corpus.exp_sst(),
-              corpus.bounded_pair_sst()):
+    for m in (load("reverse_sst", ("a", "b")), load("exp_sst"),
+              load("bounded_pair_sst")):
         words = ["", "a", "aa", "aaa", "aaaa", "aaaaa", "aaaaaa"]
         if "b" in m.input_alphabet:
             words += ["ab", "ba", "abab", "bbb", "abba", "ababab"]

@@ -1,6 +1,5 @@
 import pytest
 
-from xducer import corpus
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -22,7 +21,7 @@ from xducer.mt2sst import (
 from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import run_sst
 
-from conftest import marble_step
+from conftest import load, marble_step
 
 
 def fragment(transitions, states, colors=("c",), finals=()):
@@ -114,7 +113,7 @@ def boundary(t):
 
 
 def test_boundary_summary():
-    t = corpus.exp_marble()
+    t = load("exp_marble")
     assert boundary(t).entries[("s0", None)] == ("s1", ())
     looper = fragment({("q", LEFT_END, None): ("q2", act_drop("c"), ()),
                        ("q2", LEFT_END, "c"): ("q", ACT_LIFT, ())},
@@ -125,17 +124,17 @@ def test_boundary_summary():
 
 
 CORPUS_MARBLE = [
-    ("reverse", lambda: two_way_to_marble(corpus.reverse_two_way()), 6),
-    ("copy", lambda: two_way_to_marble(corpus.copy_two_way()), 6),
-    ("exp", corpus.exp_marble, 6),
-    ("mul", corpus.mul_marble, 5),
-    ("pow2", corpus.pow2_marble, 6),
+    ("reverse", lambda: two_way_to_marble(load("reverse_two_way")), 6),
+    ("copy", lambda: two_way_to_marble(load("copy_two_way")), 6),
+    ("exp", "exp_marble", 6),
+    ("mul", "mul_marble", 5),
+    ("pow2", "pow2_marble", 6),
 ]
 
 
 @pytest.mark.parametrize("name,build,maxlen", CORPUS_MARBLE)
 def test_marble_to_sst_equivalence(name, build, maxlen):
-    source = build()
+    source = build() if callable(build) else load(build)
     converted = marble_to_sst(source)
     assert validate(converted) == []
     verdict = equiv_check(converted, source, maxlen)
@@ -143,13 +142,13 @@ def test_marble_to_sst_equivalence(name, build, maxlen):
 
 
 def test_exp_output_lengths():
-    m = marble_to_sst(corpus.exp_marble())
+    m = marble_to_sst(load("exp_marble"))
     for n in range(6):
         assert len(run_sst(m, "a" * n).output) == 2 ** n
 
 
 def test_empty_domain_machine():
-    t = corpus.mul_marble()
+    t = load("mul_marble")
     dead = MarbleTransducer(
         input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,
         states=t.states, initial=t.initial, finals=frozenset(),
@@ -162,7 +161,7 @@ def test_empty_domain_machine():
 
 
 def test_invalid_machine_rejected():
-    t = corpus.mul_marble()
+    t = load("mul_marble")
     delta = dict(t.delta)
     delta[("m3", "0", "m")] = ("m4", ACT_RIGHT)
     bad = MarbleTransducer(
@@ -191,13 +190,12 @@ def first_crossing(t, w, cfg, target, budget=20000):
     return None
 
 
-@pytest.mark.parametrize("name,build", [
-    ("exp", corpus.exp_marble), ("mul", corpus.mul_marble),
-    ("pow2", corpus.pow2_marble),
+@pytest.mark.parametrize("name,file", [
+    ("exp", "exp_marble"), ("mul", "mul_marble"), ("pow2", "pow2_marble"),
 ])
-def test_crossing_summaries_match_interpreter(name, build):
+def test_crossing_summaries_match_interpreter(name, file):
     """Each derivation entry predicts the first crossing of the next cell."""
-    t = build()
+    t = load(file)
     words = [w for w in words_up_to(t.input_alphabet, 3, cap=200)]
     start = boundary(t)
     for w in words:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from xducer import corpus, semantics
+from xducer import semantics
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -26,6 +26,8 @@ from xducer.oracle import (
 )
 from xducer.semantics import ACCEPT, BUDGET, run_machine, run_sst, sst_outputs
 
+from conftest import load
+
 
 def test_words_up_to_order_and_cap():
     words = list(words_up_to(("b", "a"), 2))
@@ -36,12 +38,12 @@ def test_words_up_to_order_and_cap():
 
 
 def test_equiv_exp_sst_vs_marble():
-    assert equiv_check(corpus.exp_sst(), corpus.exp_marble(), 5).equivalent
+    assert equiv_check(load("exp_sst"), load("exp_marble"), 5).equivalent
 
 
 def test_equiv_counterexample_is_length_lex_least():
-    verdict = equiv_check(corpus.reverse_sst(("a", "b")),
-                          corpus.identity_sst(("a", "b")), 2)
+    verdict = equiv_check(load("reverse_sst", ("a", "b")),
+                          load("identity_sst", ("a", "b")), 2)
     assert verdict.status == "counterexample"
     word, first, second = verdict.counterexample
     assert word == ("a", "b")
@@ -49,13 +51,13 @@ def test_equiv_counterexample_is_length_lex_least():
 
 
 def test_equiv_reflexive():
-    m = corpus.mul_marble()
+    m = load("mul_marble")
     assert equiv_check(m, m, 4).equivalent
 
 
 def test_equiv_symmetric_up_to_orientation():
-    a = corpus.reverse_sst(("a", "b"))
-    b = corpus.identity_sst(("a", "b"))
+    a = load("reverse_sst", ("a", "b"))
+    b = load("identity_sst", ("a", "b"))
     v1 = equiv_check(a, b, 3)
     v2 = equiv_check(b, a, 3)
     assert v1.counterexample[0] == v2.counterexample[0]
@@ -63,10 +65,10 @@ def test_equiv_symmetric_up_to_orientation():
 
 
 @pytest.mark.parametrize("sides,builds", [
-    ((corpus.mul_marble, corpus.mul_sst), 1),
-    ((corpus.reverse_sst, corpus.reverse_two_way), 1),
-    ((corpus.pow2_marble, corpus.pow2_marble_wasteful), 2),
-    ((corpus.copy_two_way, corpus.copy_two_way), 2),
+    (("mul_marble", "mul_sst"), 1),
+    (("reverse_sst", "reverse_two_way"), 1),
+    (("pow2_marble", "pow2_marble_wasteful"), 2),
+    (("copy_two_way", "copy_two_way"), 2),
 ])
 def test_equiv_builds_step_tables_once_per_side(monkeypatch, sides, builds):
     """Every word of a marble or two-way side runs on one set of tables."""
@@ -78,14 +80,14 @@ def test_equiv_builds_step_tables_once_per_side(monkeypatch, sides, builds):
         return compile_tables(t)
 
     monkeypatch.setattr(semantics, "_compile_tables", counting)
-    verdict = equiv_check(sides[0](), sides[1](), 4)
+    verdict = equiv_check(load(sides[0]), load(sides[1]), 4)
     assert verdict.equivalent and len(built) == builds
 
 
 @pytest.mark.parametrize("sides", [
-    (corpus.mul_sst, corpus.mul_sst_copyful),
-    (corpus.mul_sst, corpus.mul_marble),
-    (corpus.reverse_sst_copyful, corpus.reverse_two_way),
+    ("mul_sst", "mul_sst_copyful"),
+    ("mul_sst", "mul_marble"),
+    ("reverse_sst_copyful", "reverse_two_way"),
 ])
 def test_equiv_compiles_register_programs_once_per_side(monkeypatch, sides):
     """Each right-hand side of an SST side is compiled once, and a second
@@ -98,7 +100,7 @@ def test_equiv_compiles_register_programs_once_per_side(monkeypatch, sides):
         return compile_rhs(rhs, index)
 
     monkeypatch.setattr(semantics, "_compile_rhs", counting)
-    m1, m2 = sides[0](), sides[1]()
+    m1, m2 = load(sides[0]), load(sides[1])
     assert equiv_check(m1, m2, 5).equivalent
     bound = sum(len(m.delta) * len(m.registers) + len(m.output)
                 for m in (m1, m2) if isinstance(m, SST))
@@ -108,11 +110,11 @@ def test_equiv_compiles_register_programs_once_per_side(monkeypatch, sides):
 
 def test_equiv_alphabet_mismatch():
     with pytest.raises(MachineError):
-        equiv_check(corpus.exp_sst(), corpus.mul_sst(), 3)
+        equiv_check(load("exp_sst"), load("mul_sst"), 3)
 
 
 def test_equiv_inconclusive_on_budget():
-    verdict = equiv_check(corpus.exp_marble(), corpus.exp_marble(), 4, budget=5)
+    verdict = equiv_check(load("exp_marble"), load("exp_marble"), 4, budget=5)
     assert verdict.status == "inconclusive"
     assert verdict.inconclusive_word is not None
 
@@ -225,7 +227,7 @@ def test_prefix_sharing_keeps_sst_verdicts():
 
 def looping_mul_marble():
     """mul_marble with a ping-pong between ``a`` and ``#`` in state m1."""
-    m = corpus.mul_marble()
+    m = load("mul_marble")
     delta = dict(m.delta)
     delta[("m1", "#", None)] = ("m1", ACT_LEFT)
     delta[("m1", "a", None)] = ("m1", ACT_RIGHT)
@@ -242,10 +244,10 @@ def test_prefix_sharing_keeps_verdicts_against_marbles():
             assert verdict_of(*pair, 5) == expected
             statuses.append(expected[0])
     # equivalent pairs, a looping one, and budgets that run out on the way
-    pairs = ((corpus.exp_sst(), corpus.exp_marble(), 6),
-             (corpus.mul_sst(), corpus.mul_marble(), 4),
-             (corpus.mul_sst(), looping_mul_marble(), 4),
-             (corpus.reverse_sst(("a", "b")), corpus.reverse_two_way(("a", "b")), 5))
+    pairs = ((load("exp_sst"), load("exp_marble"), 6),
+             (load("mul_sst"), load("mul_marble"), 4),
+             (load("mul_sst"), looping_mul_marble(), 4),
+             (load("reverse_sst", ("a", "b")), load("reverse_two_way", ("a", "b")), 5))
     for sst, marble, maxlen in pairs:
         for trial in range(8):
             m = mutated(rng, sst) if trial % 2 else sst
@@ -261,30 +263,30 @@ def test_prefix_sharing_keeps_verdicts_against_marbles():
 
 def test_prefix_sharing_keeps_sstf_verdicts():
     rng = random.Random(82)
-    registry = FunctionRegistry({"f": corpus.reverse_sst(("a", "b")),
+    registry = FunctionRegistry({"f": load("reverse_sst", ("a", "b")),
                                  "g": lambda u: u[-2:]})
     for _ in range(30):
         m1 = random_sst(rng, funs=("f", "g"))
         m2 = mutated(rng, m1)
         expected = reference_equiv(m1, m2, 5, registry, registry)
         assert verdict_of(m1, m2, 5, registry1=registry, registry2=registry) == expected
-        expected = reference_equiv(corpus.reverse_sst(("a", "b")), m1, 5, None, registry)
-        assert verdict_of(corpus.reverse_sst(("a", "b")), m1, 5,
+        expected = reference_equiv(load("reverse_sst", ("a", "b")), m1, 5, None, registry)
+        assert verdict_of(load("reverse_sst", ("a", "b")), m1, 5,
                           registry2=registry) == expected
     # a registry function defined only on words without "bb" raises on the
     # same prefix in both
-    partial = replace(corpus.identity_sst(), delta={("q", "a"): "q", ("q", "b"): "p",
+    partial = replace(load("identity_sst"), delta={("q", "a"): "q", ("q", "b"): "p",
                                                     ("p", "a"): "q"},
                       states=("q", "p"), output={"q": (Reg("x"),), "p": (Reg("x"),)},
                       update={key: {"x": (Reg("x"), Lit(key[1]))}
                               for key in (("q", "a"), ("q", "b"), ("p", "a"))})
-    sstf = replace(corpus.identity_sst(), funs=("f",),
+    sstf = replace(load("identity_sst"), funs=("f",),
                    update={("q", a): {"x": (Fun("f"),)} for a in "ab"})
     registry = FunctionRegistry({"f": partial})
     errors = []
     for check in (reference_equiv, equiv_check):
         with pytest.raises(MachineError) as err:
-            check(corpus.identity_sst(), sstf, 4, None, registry)
+            check(load("identity_sst"), sstf, 4, None, registry)
         errors.append(str(err.value))
     assert errors[0] == errors[1] and "prefix 'bb'" in errors[0]
 
@@ -313,19 +315,19 @@ def test_equiv_word_cap_is_reached_at_the_same_word():
         return tuple("ab"[int(bit)] for bit in format(index, "016b"))
 
     last = word(100000 - 2 ** 16)
-    verdict = equiv_check(corpus.identity_sst(), _differs_on(last), 16)
+    verdict = equiv_check(load("identity_sst"), _differs_on(last), 16)
     assert verdict.counterexample == (last, last, last + ("a",))
     with pytest.raises(MachineError, match=r"^word enumeration cap exceeded \(100000\)$"):
-        equiv_check(corpus.identity_sst(), _differs_on(word(100001 - 2 ** 16)), 16)
+        equiv_check(load("identity_sst"), _differs_on(word(100001 - 2 ** 16)), 16)
 
 
 def test_brute_pattern_search_exp():
-    found = brute_pattern_search(corpus.exp_flow_nautomaton(), 1)
+    found = brute_pattern_search(load("exp_flow"), 1)
     assert found.heavy_cycles == (("x", ("a",)),)
 
 
 def test_brute_pattern_search_chain():
-    found = brute_pattern_search(corpus.chain_nautomaton(), 3)
+    found = brute_pattern_search(load("chain_flow"), 3)
     assert found.heavy_cycles == ()
     assert [(q, q2, "".join(v)) for q, q2, v in found.barbells] == [
         ("x", "y", "a"), ("x", "y", "aa"), ("x", "y", "aaa")]

@@ -40,19 +40,6 @@ def load_file(name: str, path: str):
     return module
 
 
-def test_corpus_files_match_export():
-    # every byte pin hashes the corpus files, so corpus.py must not drift
-    # away from them
-    export = load_file("export_corpus", os.path.join(SCRIPTS, "export_corpus.py"))
-    docs = export.documents()
-    corpus_dir = os.path.join(ROOT, "corpus")
-    assert sorted(docs) == sorted(f for f in os.listdir(corpus_dir)
-                                  if f.endswith(".json"))
-    for fname, text in docs.items():
-        with open(os.path.join(corpus_dir, fname), encoding="utf-8") as fh:
-            assert fh.read() == text, fname
-
-
 def test_traced_layers_resolve():
     # perfbench/run.py --trace 1 wraps each listed function, found by name
     spans = load_file("perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from xducer import corpus, semantics
+from xducer import semantics
 from xducer.growth import flow_automaton
 from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_simple
 from xducer.machines import (
@@ -38,13 +38,13 @@ from xducer.semantics import (
     run_two_way,
 )
 
-from conftest import reference_run
+from conftest import load, reference_run
 
 
 def test_reverse_two_way():
-    r = run_two_way(corpus.reverse_two_way(), "abac")
+    r = run_two_way(load("reverse_two_way"), "abac")
     assert r.accepted and r.output_text == "caba"
-    assert run_two_way(corpus.reverse_two_way(), "").output_text == ""
+    assert run_two_way(load("reverse_two_way"), "").output_text == ""
 
 
 def test_two_way_loop_detected():
@@ -58,35 +58,35 @@ def test_two_way_loop_detected():
 
 
 def test_two_way_reject_on_undefined():
-    t = corpus.reverse_two_way(("a",))
+    t = load("reverse_two_way", ("a",))
     with pytest.raises(MachineError):
         run_two_way(t, "z")
 
 
 def test_exp_marble_counts_in_binary():
-    m = corpus.exp_marble()
+    m = load("exp_marble")
     r = run_marble(m, "aaa")
     assert r.accepted and r.output_text == "a" * 8
     assert r.max_stack_depth == 3
 
 
 def test_mul_marble():
-    r = run_marble(corpus.mul_marble(), "ab#00")
+    r = run_marble(load("mul_marble"), "ab#00")
     assert r.accepted and r.output_text == "ab#ab#"
     assert r.max_stack_depth == 1
-    assert run_marble(corpus.mul_marble(), "ab").verdict == REJECT
+    assert run_marble(load("mul_marble"), "ab").verdict == REJECT
 
 
 def test_pow2_marble():
     for n in range(6):
-        r = run_marble(corpus.pow2_marble(), "a" * n)
+        r = run_marble(load("pow2_marble"), "a" * n)
         assert r.accepted and len(r.output) == n * n
         assert r.max_stack_depth <= 1
 
 
 def test_declared_marble_bounds_hold():
-    for m in (corpus.mul_marble(), corpus.pow2_marble(),
-              corpus.pow2_marble_wasteful()):
+    for m in (load("mul_marble"), load("pow2_marble"),
+              load("pow2_marble_wasteful")):
         for w in words_up_to(m.input_alphabet, 6, cap=8000):
             r = run_marble(m, w)
             if r.accepted:
@@ -94,12 +94,12 @@ def test_declared_marble_bounds_hold():
 
 
 def test_marble_budget():
-    r = run_marble(corpus.exp_marble(), "aaaa", budget=10)
+    r = run_marble(load("exp_marble"), "aaaa", budget=10)
     assert r.verdict == "budget"
 
 
 def test_marble_invalid_drop_on_marble_raises():
-    m = corpus.exp_marble()
+    m = load("exp_marble")
     delta = dict(m.delta)
     delta[("inc", "a", "1")] = ("inc", ("drop", "0"))
     broken = type(m)(
@@ -137,7 +137,7 @@ def _with_transitions(m, transitions):
      "marble stack positions not strictly increasing"),
 ])
 def test_marble_runtime_errors_raise_when_taken(transitions, message):
-    broken = _with_transitions(corpus.mul_marble(), transitions)
+    broken = _with_transitions(load("mul_marble"), transitions)
     for trace in (False, True):
         with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
             run_marble(broken, "ab#00", trace=trace)
@@ -147,21 +147,21 @@ def test_marble_runtime_errors_raise_when_taken(transitions, message):
 def test_marble_invalid_transitions_never_taken_are_harmless():
     # m0 only reads the left end, m3 always stands on the one marble and m7
     # follows its lift
-    m = _with_transitions(corpus.mul_marble(), {
+    m = _with_transitions(load("mul_marble"), {
         ("m0", "a", None): ("m0", ("jump", None)),
         ("m3", "0", None): ("m3", ACT_LIFT),
         ("m7", "0", "m"): ("m7", ACT_RIGHT),
     })
     r = run_marble(m, "ab#00")
     assert r.accepted and r.output_text == "ab#ab#"
-    assert r == run_marble(corpus.mul_marble(), "ab#00")
+    assert r == run_marble(load("mul_marble"), "ab#00")
 
 
-@pytest.mark.parametrize("build", [corpus.exp_marble, corpus.pow2_marble_wasteful,
-                                   corpus.mul_marble, corpus.copy_two_way])
-def test_traces_match_the_reference(build):
+@pytest.mark.parametrize("name", ["exp_marble", "pow2_marble_wasteful",
+                                  "mul_marble", "copy_two_way"])
+def test_traces_match_the_reference(name):
     """Traced runs, stacks of several marbles included, agree entry by entry."""
-    m = build()
+    m = load(name)
     marble = two_way_to_marble(m) if isinstance(m, TwoWayTransducer) else m
     for w in words_up_to(m.input_alphabet, 4):
         assert run_machine(m, w, trace=True) == reference_run(marble, w, trace=True), w
@@ -170,10 +170,10 @@ def test_traces_match_the_reference(build):
 def _ladder_words(rng, n):
     u = tuple(rng.choice("ab") for _ in range(rng.randint(1, 3)))
     return [
-        (corpus.mul_marble(), u + ("#",) + ("0",) * (n - len(u) - 1)),
-        (corpus.pow2_marble(), ("a",) * n),
-        (corpus.reverse_two_way(), tuple(rng.choice("abc") for _ in range(n))),
-        (corpus.copy_two_way(), tuple(rng.choice("ab") for _ in range(n))),
+        (load("mul_marble"), u + ("#",) + ("0",) * (n - len(u) - 1)),
+        (load("pow2_marble"), ("a",) * n),
+        (load("reverse_two_way"), tuple(rng.choice("abc") for _ in range(n))),
+        (load("copy_two_way"), tuple(rng.choice("ab") for _ in range(n))),
     ]
 
 
@@ -189,7 +189,7 @@ def test_long_words_match_the_reference(n, budget, trace):
 
 
 def test_marble_loop_detected_by_default():
-    m = corpus.mul_marble()
+    m = load("mul_marble")
     delta = dict(m.delta)
     delta[("m1", "#", None)] = ("m1", ("left", None))  # ping-pong forever
     delta[("m1", "a", None)] = ("m1", ("right", None))
@@ -216,26 +216,26 @@ def test_marble_loop_detected_by_default():
 
 
 def test_sst_runs():
-    assert run_sst(corpus.exp_sst(), "aa").output_text == "aaaa"
-    assert run_sst(corpus.reverse_sst(), "abac").output_text == "caba"
+    assert run_sst(load("exp_sst"), "aa").output_text == "aaaa"
+    assert run_sst(load("reverse_sst"), "abac").output_text == "caba"
 
 
 def test_sst_empty_word_applies_initial_valuation():
-    m = corpus.exp_sst()
+    m = load("exp_sst")
     assert run_sst(m, "").output_text == "a"
 
 
 def test_register_values_prefixes(register_values):
-    m = corpus.bounded_pair_sst()
+    m = load("bounded_pair_sst")
     val = register_values(m, "aaa")
     assert "".join(val["x"]) == "aaa"
     assert "".join(val["y"]) == "aab"
 
 
 def test_eval_nautomaton():
-    assert eval_nautomaton(corpus.exp_flow_nautomaton(), "aaa") == 8
-    assert eval_nautomaton(corpus.chain_nautomaton(), "aaaa") == 4
-    a = corpus.chain_nautomaton()
+    assert eval_nautomaton(load("exp_flow"), "aaa") == 8
+    assert eval_nautomaton(load("chain_flow"), "aaaa") == 4
+    a = load("chain_flow")
     assert eval_nautomaton(a, "") == sum(
         a.alpha.get(q, 0) * a.beta.get(q, 0) for q in a.states)
 
@@ -259,7 +259,7 @@ def test_sstf_worked_update(register_values):
 
 
 def test_sstf_with_no_functions_is_plain():
-    m = corpus.exp_sst()
+    m = load("exp_sst")
     reg = FunctionRegistry({})
     assert run_sstf(m, "aa", reg).output == run_sst(m, "aa").output
 
@@ -287,7 +287,7 @@ def test_sstf_registry_machine_entries():
         update={("q", "a"): {"x": (Fun("f"),)}},
         output={"q": (Reg("x"),)}, funs=("f",),
     )
-    reg = FunctionRegistry({"f": corpus.identity_sst(("a",))})
+    reg = FunctionRegistry({"f": load("identity_sst", ("a",))})
     assert run_sstf(m, "aaa", reg).output_text == "aaa"
     with pytest.raises(MachineError):
         run_sstf(m, "a", FunctionRegistry({}))
@@ -323,7 +323,7 @@ def test_enumerate_nsstf_branch_guard(monkeypatch):
 
 
 def test_nsstf_runs_on_long_words(monkeypatch):
-    total, _ = make_total(corpus.bounded_pair_sst())
+    total, _ = make_total(load("bounded_pair_sst"))
     nsst = bounded_sstf_to_unambiguous(total, 2)
     w = "a" * 2000
     expected = run_sst(total, w).output
@@ -341,14 +341,14 @@ def test_nsstf_runs_on_long_words(monkeypatch):
 
 
 def test_run_determinism():
-    m = corpus.exp_marble()
+    m = load("exp_marble")
     first = run_marble(m, "aaa", trace=True)
     second = run_marble(m, "aaa", trace=True)
     assert first == second
 
 
 def test_trace_format():
-    r = run_marble(corpus.mul_marble(), "a#0", trace=True)
+    r = run_marble(load("mul_marble"), "a#0", trace=True)
     lines = format_trace(r).splitlines()
     assert lines[0].split("\t") == ["0", "m0", "0", "", ""]
     assert all(len(line.split("\t")) == 5 for line in lines)
@@ -361,8 +361,8 @@ def test_original_register_lengths_project_onto_flow(register_values):
     summing over the per-state register copies."""
     from xducer.semantics import eval_nautomaton_vector
 
-    for build in (corpus.exp_sst, corpus.reverse_sst, corpus.mul_sst):
-        m = build()
+    for name in ("exp_sst", "reverse_sst", "mul_sst"):
+        m = load(name)
         total, _ = make_total(m)
         simple = to_simple(total)
         flow = flow_automaton(simple)
@@ -379,9 +379,8 @@ def test_original_register_lengths_project_onto_flow(register_values):
 
 
 def test_register_length_matches_flow_evaluation():
-    for build in (corpus.exp_sst, corpus.reverse_sst, corpus.mul_sst,
-                  corpus.bounded_pair_sst):
-        m = build()
+    for name in ("exp_sst", "reverse_sst", "mul_sst", "bounded_pair_sst"):
+        m = load(name)
         total, _ = make_total(m)
         simple = to_simple(total)
         flow = flow_automaton(simple)
@@ -417,7 +416,7 @@ def test_two_way_runs_convert_once_per_machine(monkeypatch):
                         lambda t: conversions.append(t) or convert(t))
     monkeypatch.setattr(semantics, "_compile_tables",
                         lambda t: builds.append(t) or compile_tables(t))
-    m = corpus.copy_two_way()
+    m = load("copy_two_way")
     for _ in range(2000):
         assert run_machine(m, "ab").output_text == "abab"
     assert len(conversions) == 1 and len(builds) == 1

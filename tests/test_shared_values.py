@@ -9,10 +9,11 @@ and through the token loop below, which builds every value as a flat tuple.
 import random
 from dataclasses import replace
 
-from xducer import corpus
 from xducer.layering import to_k_layered
 from xducer.machines import Fun, FunctionRegistry, Lit, Reg, SST
 from xducer.semantics import ACCEPT, REJECT, SHARE_MIN, run_sst, run_sstf
+
+from conftest import load
 
 LETTERS = ("a", "b", "c")
 # Longest total of the register lengths a seeded run may reach; the flat
@@ -127,10 +128,10 @@ def test_random_ssts_match_the_flat_evaluator():
 
 def test_doubling_shares_one_value():
     # x := x·x on every letter; the output is 2^14 letters long
-    r = run_sst(corpus.exp_sst(), "a" * 14)
+    r = run_sst(load("exp_sst"), "a" * 14)
     assert r.output == ("a",) * 2 ** 14
-    for m, w in ((corpus.mul_sst_copyful(), "ab" * 20 + "#" + "0" * 300),
-                 (corpus.reverse_sst_copyful(), "abc" * 900)):
+    for m, w in ((load("mul_sst_copyful"), "ab" * 20 + "#" + "0" * 300),
+                 (load("reverse_sst_copyful"), "abc" * 900)):
         assert run_sst(m, w).output == flat_run(m, w)
 
 
@@ -165,8 +166,8 @@ def test_doubled_empty_value_returns_at_once():
 
 def test_long_runs_do_not_recurse():
     w = "ab" * 50000
-    assert run_sst(corpus.identity_sst(), w).output_text == w
-    assert run_sst(corpus.reverse_sst(("a", "b")), w).output_text == w[::-1]
+    assert run_sst(load("identity_sst"), w).output_text == w
+    assert run_sst(load("reverse_sst", ("a", "b")), w).output_text == w[::-1]
 
 
 def test_random_layered_ssts_match_the_flat_evaluator():
@@ -175,7 +176,7 @@ def test_random_layered_ssts_match_the_flat_evaluator():
     long enough that their values are shared nodes."""
     rng = random.Random(38)
     machines = [random_sst(rng, copyful=False) for _ in range(12)]
-    machines += [corpus.mul_sst(), corpus.mul_sst_copyful(), corpus.bounded_pair_sst()]
+    machines += [load("mul_sst"), load("mul_sst_copyful"), load("bounded_pair_sst")]
     shared = 0
     for trial, source in enumerate(machines):
         res = to_k_layered(source)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from xducer import corpus
 from xducer.layering import minimize_marbles
+from xducer.machine_io import parse_machine
 from xducer.machines import (
     ACT_LEFT,
     ACT_RIGHT,
@@ -24,24 +24,26 @@ from xducer.sst2mt import (
     sst_to_marble,
 )
 
+from conftest import corpus_path, load
+
 
 def test_marked_colors_exp():
     # one color per register occurrence of an update: x -> x x marks both
-    assert sst_to_marble(corpus.exp_sst()).colors == ("mk|q|a|x|0", "mk|q|a|x|1")
+    assert sst_to_marble(load("exp_sst")).colors == ("mk|q|a|x|0", "mk|q|a|x|1")
 
 
 CORPUS_SST = [
-    ("exp", corpus.exp_sst, 6),
-    ("reverse", corpus.reverse_sst, 6),
-    ("mul", corpus.mul_sst, 5),
-    ("pair", corpus.bounded_pair_sst, 6),
-    ("reverse_copyful", corpus.reverse_sst_copyful, 6),
+    ("exp", "exp_sst", 6),
+    ("reverse", "reverse_sst", 6),
+    ("mul", "mul_sst", 5),
+    ("pair", "bounded_pair_sst", 6),
+    ("reverse_copyful", "reverse_sst_copyful", 6),
 ]
 
 
-@pytest.mark.parametrize("name,build,maxlen", CORPUS_SST)
-def test_sst_to_marble_equivalence(name, build, maxlen):
-    source = build()
+@pytest.mark.parametrize("name,file,maxlen", CORPUS_SST)
+def test_sst_to_marble_equivalence(name, file, maxlen):
+    source = load(file)
     converted = sst_to_marble(source)
     assert validate(converted) == []
     verdict = equiv_check(converted, source, maxlen)
@@ -49,13 +51,13 @@ def test_sst_to_marble_equivalence(name, build, maxlen):
 
 
 def test_value_at_left_end_is_initial():
-    m = corpus.exp_sst()
+    m = load("exp_sst")
     walker = sst_to_marble(m)
     assert run_marble(walker, "").output_text == "a"
 
 
 def test_exp_walker_outputs():
-    walker = sst_to_marble(corpus.exp_sst())
+    walker = sst_to_marble(load("exp_sst"))
     for n in range(6):
         assert len(run_marble(walker, "a" * n).output) == 2 ** n
 
@@ -70,13 +72,14 @@ def max_depth(machine, maxlen, cap=4000):
 
 
 def test_layered_exact_mul():
-    mm = layered_to_marble(corpus.mul_sst(), corpus.MUL_LAYERS)
-    assert equiv_check(mm, corpus.mul_sst(), 5).equivalent
+    mul, layers = parse_machine(corpus_path("mul_sst"))
+    mm = layered_to_marble(mul, layers)
+    assert equiv_check(mm, mul, 5).equivalent
     assert max_depth(mm, 5) <= 1
 
 
 def test_layered_exact_copyless_reverse_is_two_way():
-    rev = corpus.reverse_sst()
+    rev = load("reverse_sst")
     mm = layered_to_marble(rev, (rev.registers,))
     assert equiv_check(mm, rev, 4).equivalent
     assert max_depth(mm, 4) == 0
@@ -89,9 +92,9 @@ def test_layered_exact_long_inputs_until_counter_bound():
     """Minimized walkers match their sources far beyond any fixed length,
     within the minimal mark count."""
     cases = [
-        (corpus.mul_marble(), ["ab#" + "0" * n for n in
+        (load("mul_marble"), ["ab#" + "0" * n for n in
                                list(range(13)) + list(range(60, 67)) + [100, 200]]),
-        (corpus.pow2_marble(), ["a" * n for n in (63, 64, 65, 70, 100)]),
+        (load("pow2_marble"), ["a" * n for n in (63, 64, 65, 70, 100)]),
     ]
     for source, words in cases:
         res = minimize_marbles(source)
@@ -139,7 +142,7 @@ def test_walkers_resume_after_repeated_output_registers():
 
 def test_layered_requires_valid_partition():
     with pytest.raises(MachineError):
-        layered_to_marble(corpus.exp_sst(), (("x",),))
+        layered_to_marble(load("exp_sst"), (("x",),))
 
 
 def test_lookbehind_trivial_cases():
