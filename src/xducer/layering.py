@@ -7,7 +7,9 @@ copying to copyless and splice the recursively processed lower layers back
 in as a parallel product.  The copyless step guesses occurrence profiles in
 an unambiguous nondeterministic machine, built backward from the output, and
 determinizes it by tracking the alive forest of its runs: one tree, its
-slots numbered in pre-order.
+slots numbered in pre-order.  Both are sized by what they build: a register
+has as many copies as its largest profile entry, and the slots are those of
+the widest forest explored.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .machines import (
     check_layer_order,
     check_layered,
     explore,
-    find_copy_bound,
     register_occurrences,
 )
 
@@ -41,8 +42,8 @@ SINK = "__sink"
 VALUATION_STATE_LIMIT = 20000      # remove_bounded_layer
 # bounded_sstf_to_unambiguous: (state, profile) pairs that reach the output
 PROFILE_LIMIT = 200000
-# determinize_nsstf: states x slot registers, since every state carries a
-# substitution of all slot registers.
+# determinize_nsstf: states x slot registers built so far, since every state
+# carries a substitution of all slot registers.
 DETERMINIZATION_SIZE_LIMIT = 10 ** 6
 
 
@@ -263,8 +264,6 @@ def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> SST:
     The new states are the reachable valuations of the bottom-class
     registers (their values are bounded, so the closure is finite); updates
     and output of the remaining registers inline those values as letters.
-    Returns the rewritten machine; the copy bound of its top layer is
-    measured later, by ``bounded_sstf_to_unambiguous``.
     """
     if not is_simple(m):
         raise MachineError("bounded-layer removal expects a simple machine")
@@ -515,29 +514,20 @@ def _number_copies(rhs, used: Counter) -> tuple:
     return tuple(out)
 
 
-def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
+def bounded_sstf_to_unambiguous(m: SST) -> NSSTF:
     """Guess, per step, how often each register still reaches the output.
 
     States pair the original state with an occurrence profile; registers are
     indexed copies.  The profiles obey the backward recurrence g1 = occ . g2,
     which forces a unique accepting run, so the machine is grown backward
-    from the output: only profiles that reach it within the bound are ever
-    built, and a forward pass from the initial state keeps the reachable
-    ones.  The updates distribute copy indices left-to-right across targets
-    taken in register order, which keeps them copyless.
+    from the output: on a copy-bounded machine only finitely many profiles
+    reach it, and a forward pass from the initial state keeps the reachable
+    ones.  Each register gets as many copies as its largest entry among the
+    profiles kept.  The updates distribute copy indices left-to-right across
+    targets taken in register order, which keeps them copyless.
     """
     if not is_total(m):
         raise MachineError("the bounded machine must be total")
-    if bound is None:
-        bound = find_copy_bound(m, (m.registers,))
-    # The guessed counts track occurrences in the *final output*, so an
-    # output map using a register several times multiplies the update bound.
-    fmult = 1
-    for rhs in m.output.values():
-        counts = Counter(t.name for t in rhs if isinstance(t, Reg))
-        if counts:
-            fmult = max(fmult, max(counts.values()))
-    bound *= fmult
     regs = tuple(sorted(m.registers))
     index = {x: i for i, x in enumerate(regs)}
     # q2 -> (q, a, per register x the pairs (index of y, occurrences of x in s[y]))
@@ -552,8 +542,6 @@ def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
     finals = {}
     for q, rhs in m.output.items():
         need = Counter(t.name for t in rhs if isinstance(t, Reg))
-        if any(v > bound for v in need.values()):
-            raise MachineError("output uses a register more often than the bound")
         finals[(q, tuple(need[x] for x in regs))] = rhs
     edges: dict = {}   # node -> [(letter, successor node)]
 
@@ -561,9 +549,8 @@ def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
         g2 = node[1]
         for q, a, occ in preds.get(node[0], ()):
             g1 = tuple(sum(n * g2[j] for j, n in row) for row in occ)
-            if all(v <= bound for v in g1):
-                edges.setdefault((q, g1), []).append((a, node))
-                yield q, g1
+            edges.setdefault((q, g1), []).append((a, node))
+            yield q, g1
 
     stage = "occurrence-profile machine"
     coreach = explore(finals, predecessors, PROFILE_LIMIT, stage)
@@ -571,7 +558,8 @@ def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
                     lambda n: (n2 for _a, n2 in edges.get(n, ())), len(coreach), stage)
     names = {n: "%s|%s" % (n[0], ",".join("%s=%d" % xv for xv in zip(regs, n[1])))
              for n in nodes}
-    copies = range(1, bound + 1)
+    copies = {x: range(1, max((n[1][i] for n in nodes), default=0) + 1)
+              for i, x in enumerate(regs)}
     update = {}
     for n in nodes:
         for a, n2 in edges.get(n, ()):
@@ -579,15 +567,15 @@ def bounded_sstf_to_unambiguous(m: SST, bound: Optional[int] = None) -> NSSTF:
             used: Counter = Counter()
             update[(names[n], a, names[n2])] = {
                 _copy_reg(y, j): _number_copies(s[y], used) if j <= k else ()
-                for y, k in zip(regs, n2[1]) for j in copies}
+                for y, k in zip(regs, n2[1]) for j in copies[y]}
     return NSSTF(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=tuple(names.values()),
-        registers=tuple(_copy_reg(x, i) for x in regs for i in copies),
+        registers=tuple(_copy_reg(x, i) for x in regs for i in copies[x]),
         funs=m.funs,
         initial={names[n]: {_copy_reg(x, i): tuple(m.init_valuation[x])
                             if i <= k else ()
-                            for x, k in zip(regs, n[1]) for i in copies}
+                            for x, k in zip(regs, n[1]) for i in copies[x]}
                  for n in nodes if n[0] == m.initial},
         transitions=tuple(sorted(update)), update=update,
         output={names[n]: _number_copies(rhs, Counter())
@@ -638,13 +626,10 @@ def determinize_nsstf(m: NSSTF) -> SST:
     the forest once in pre-order: it adds the successor transitions, discards
     dead subtrees and composes unary chains (copylessly, via the
     boundary-word calculus) into a tree of decompositions over the old slot
-    registers; numbering that tree in pre-order gives the new slots.
+    registers; numbering that tree in pre-order gives the new slots.  Slot
+    registers cover the widest explored forest; updates empty unfilled slots.
     """
     regs = tuple(sorted(m.registers))
-    max_slots = max(2 * len(m.states) - 1, 1)
-    registers = tuple(
-        r for slot in range(max_slots) for x in regs for r in _slot_regs(slot, x)
-    )
     succ: dict = {}
     for (q, a, q2) in sorted(m.transitions):
         succ.setdefault((q, a), []).append(
@@ -653,7 +638,7 @@ def determinize_nsstf(m: NSSTF) -> SST:
         (q, (q, tuple((x, (x,)) for x in regs), ())) for q in sorted(m.initial))
 
     def extend(forest, a):
-        """New forest plus the substitution over the slot registers."""
+        """New forest plus the substitution of its slots."""
         old_slot = count()
         leaves: list = []
 
@@ -680,14 +665,14 @@ def determinize_nsstf(m: NSSTF) -> SST:
             raise MachineError(
                 "determinization found two runs reaching one state "
                 "(machine is ambiguous)")
-        sub = {r: () for r in registers}
+        sub: dict = {}
         new_slot = count()
 
         def emit(tree):
+            nonlocal most
             leaf, sbf, children = tree
             slot = next(new_slot)
-            if slot >= max_slots:
-                raise MachineError("alive forest exceeded %d slots" % max_slots)
+            most = max(most, slot + 1)
             for x in regs:
                 b, f = _slot_regs(slot, x)
                 sub[b], sub[f] = sbf.beg[x], sbf.fol[x]
@@ -734,17 +719,8 @@ def determinize_nsstf(m: NSSTF) -> SST:
                         if isinstance(t, Reg) else (t,))
         return tuple(toks)
 
-    if not m.states:
-        q = "d0"
-        return SST(
-            input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-            states=(q,), registers=(), initial=q, init_valuation={},
-            delta={(q, a): q for a in m.input_alphabet},
-            update={(q, a): {} for a in m.input_alphabet},
-            output={}, funs=m.funs,
-        )
-
     names = {init_forest: "d0"}
+    most = len(init_forest)   # slots of the widest forest built so far
     letters = sorted(m.input_alphabet)
     delta = {}
     update = {}
@@ -759,12 +735,21 @@ def determinize_nsstf(m: NSSTF) -> SST:
             new_forest, sub = extend(forest, a)
             delta[(here, a)] = names.setdefault(new_forest, "d%d" % len(names))
             update[(here, a)] = sub
+            width = 2 * len(regs) * most
+            if len(names) * width > DETERMINIZATION_SIZE_LIMIT:
+                raise MachineError(
+                    "determinization exceeded %d states x slot registers "
+                    "(%d states, %d slot registers)"
+                    % (DETERMINIZATION_SIZE_LIMIT, len(names), width))
             yield new_forest
 
-    order = explore([init_forest], successors,
-                    DETERMINIZATION_SIZE_LIMIT // max(len(registers), 1),
-                    "determinization (%d slot registers, states x registers"
-                    " at most %d)" % (len(registers), DETERMINIZATION_SIZE_LIMIT))
+    order = explore([init_forest], successors, DETERMINIZATION_SIZE_LIMIT,
+                    "determinization")
+    registers = tuple(
+        r for slot in range(most) for x in regs for r in _slot_regs(slot, x))
+    for sub in update.values():
+        for r in registers:
+            sub.setdefault(r, ())
     return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=tuple(names[f] for f in order), registers=registers,

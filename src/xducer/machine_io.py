@@ -53,6 +53,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _put(table: dict, key, value, path: str) -> None:
+    """``table[key] = value``, refusing a second entry for one key."""
+    if key in table:
+        _err(path, "expected one entry per key, found a second for %r" % (key,))
+    table[key] = value
+
+
 def _weights(value: dict, path: str) -> dict:
     return {q: _integer(v, "%s.%s" % (path, q)) for q, v in value.items()}
 
@@ -193,7 +200,8 @@ def machine_from_json(doc, path: str = "$"):
             for i, ent in enumerate(entries):
                 at = "%s[%d]" % (where, i)
                 key = (_need(ent, "from", str, at), _need(ent, "to", str, at))
-                mat[key] = _integer(_need(ent, "weight", None, at), "%s.weight" % at)
+                _put(mat, key, _integer(_need(ent, "weight", None, at),
+                                        "%s.weight" % at), at)
             mats[a] = mat
         return NAutomaton(input_alphabet, states, alpha, beta, mats)
     output_alphabet = tuple(_word(_need(doc, "output_alphabet", list, path),
@@ -207,7 +215,7 @@ def machine_from_json(doc, path: str = "$"):
             move = _need(ent, "move", str, where)
             if move not in ("left", "right"):
                 _err("%s.move" % where, "bad move %r" % move)
-            delta[(q, s)] = (_need(ent, "to", str, where), move)
+            _put(delta, (q, s), (_need(ent, "to", str, where), move), where)
             out[(q, s)] = _word(ent.get("output", []), "%s.output" % where)
         return TwoWayTransducer(
             input_alphabet, output_alphabet, states,
@@ -224,7 +232,7 @@ def machine_from_json(doc, path: str = "$"):
             if c is not None and not isinstance(c, str):
                 _err("%s.color" % where, "expected a string or null")
             action = _action(_need(ent, "action", None, where), "%s.action" % where)
-            delta[(q, s, c)] = (_need(ent, "to", str, where), action)
+            _put(delta, (q, s, c), (_need(ent, "to", str, where), action), where)
             out[(q, s, c)] = _word(ent.get("output", []), "%s.output" % where)
         return MarbleTransducer(
             input_alphabet, output_alphabet, states,
@@ -242,7 +250,7 @@ def machine_from_json(doc, path: str = "$"):
             where = "%s.transitions[%d]" % (path, i)
             q = _need(ent, "state", str, where)
             a = _need(ent, "symbol", str, where)
-            delta[(q, a)] = _need(ent, "to", str, where)
+            _put(delta, (q, a), _need(ent, "to", str, where), where)
             update[(q, a)] = _substitution(_need(ent, "update", dict, where),
                                            "%s.update" % where)
         output = {q: _tokens(rhs, "%s.output.%s" % (path, q))
@@ -261,19 +269,18 @@ def machine_from_json(doc, path: str = "$"):
         if not isinstance(val, dict):
             _err(where, "expected an object")
         initial[q] = {x: _word(w, "%s.%s" % (where, x)) for x, w in val.items()}
-    transitions, update = [], {}
+    update = {}
     for i, ent in enumerate(_need(doc, "transitions", list, path)):
         where = "%s.transitions[%d]" % (path, i)
         key = (_need(ent, "from", str, where), _need(ent, "symbol", str, where),
                _need(ent, "to", str, where))
-        transitions.append(key)
-        update[key] = _substitution(_need(ent, "update", dict, where),
-                                    "%s.update" % where)
+        _put(update, key, _substitution(_need(ent, "update", dict, where),
+                                        "%s.update" % where), where)
     output = {q: _tokens(rhs, "%s.output.%s" % (path, q))
               for q, rhs in _need(doc, "output", dict, path).items()}
     return NSSTF(input_alphabet, output_alphabet, states, registers,
                  _word(doc.get("functions", []), "%s.functions" % path), initial,
-                 tuple(sorted(transitions)), update, output)
+                 tuple(sorted(update)), update, output)
 
 
 def dumps_machine(m, layers: Optional[tuple] = None) -> str:

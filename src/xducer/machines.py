@@ -426,6 +426,10 @@ def _validate_sst(m: SST, report: list) -> None:
             report.append("%s: not total on the register set" % where)
         for x, rhs in s.items():
             _check_tokens("%s(%s)" % (where, x), rhs, m, report, allow_fun=True)
+    _check_outputs(m, report)
+
+
+def _check_outputs(m: SST, report: list) -> None:
     for q, rhs in m.output.items():
         if q not in m.states:
             report.append("output[%s]: undeclared state" % q)
@@ -449,7 +453,7 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
     shim = SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=m.states, registers=m.registers, initial=m.states[0] if m.states else "",
-        init_valuation={}, delta={}, update={}, output={}, funs=m.funs,
+        init_valuation={}, delta={}, update={}, output=m.output, funs=m.funs,
     )
     for (q, a, q2) in m.transitions:
         if q not in m.states or q2 not in m.states:
@@ -462,10 +466,7 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
             report.append("%s: not total on the register set" % where)
         for x, rhs in s.items():
             _check_tokens("%s(%s)" % (where, x), rhs, shim, report, allow_fun=True)
-    for q, rhs in m.output.items():
-        for tok in rhs:
-            if isinstance(tok, Fun):
-                report.append("output[%s]: function tokens not allowed in output" % q)
+    _check_outputs(shim, report)
 
 
 def _validate_nautomaton(m: NAutomaton, report: list) -> None:

@@ -309,7 +309,7 @@ def test_criterion_08_membership_end_to_end():
 def test_criterion_09_external_function_chain():
     source = load("bounded_pair_sst")
     total, _dfa = make_total(source)
-    nsst = bounded_sstf_to_unambiguous(total, 2)
+    nsst = bounded_sstf_to_unambiguous(total)
     assert check_copyless(nsst) == []
     for n in range(5):
         runs = enumerate_nsstf_runs(nsst, "a" * n)

@@ -63,10 +63,14 @@ def test_schema_error_names_field(tmp_path):
 def _document(name):
     if name == "nsstf":
         total, _ = make_total(load("bounded_pair_sst"))
-        return machine_to_json(bounded_sstf_to_unambiguous(total, 2))
+        return machine_to_json(bounded_sstf_to_unambiguous(total))
     if name == "sstf":
         return machine_to_json(extract_sstf(*parse_machine(corpus_path("mul_sst")))[0])
     return json.load(open(corpus_path(name)))
+
+
+def _first_twice(entries):
+    return entries[:1] + entries
 
 
 @pytest.mark.parametrize("name,field,value,where", [
@@ -86,11 +90,20 @@ def _document(name):
      "$.matrices.a[0].to"),
     ("chain_flow", "matrices", {"a": [], "z": [{"from": "x", "to": "x", "weight": 2}]},
      "$.matrices.z"),
+    # a second entry for one key names the later entry
+    ("copy_two_way", "transitions", _first_twice, "$.transitions[1]"),
+    ("mul_marble", "transitions", _first_twice, "$.transitions[1]"),
+    ("exp_sst", "transitions", _first_twice, "$.transitions[1]"),
+    ("sstf", "transitions", _first_twice, "$.transitions[1]"),
+    ("nsstf", "transitions", _first_twice, "$.transitions[1]"),
+    ("chain_flow", "matrices", lambda mats: {a: _first_twice(entries)
+                                             for a, entries in mats.items()},
+     "$.matrices.a[1]"),
 ])
 def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
                                            value, where):
     doc = _document(name)
-    doc[field] = value
+    doc[field] = value(doc[field]) if callable(value) else value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     for command in ("validate", "analyze"):
@@ -152,6 +165,22 @@ def test_run_nsstf_on_a_long_word(tmp_path, capsys):
     assert main(["run", str(path), "a" * 2000]) == 0
     # a^n -> a^n a^(n-1) b
     assert capsys.readouterr().out == "a" * 3999 + "b\n"
+
+
+@pytest.mark.parametrize("state,rhs,violation", [
+    (None, [{"reg": "nope"}], "unknown register 'nope'"),
+    (None, [{"lit": "z"}], "unknown output letter 'z'"),
+    ("nope", [{"lit": "a"}], "output[nope]: undeclared state"),
+])
+def test_nsstf_output_faults_are_invalid(tmp_path, capsys, state, rhs, violation):
+    doc = _document("nsstf")
+    doc["output"][state or sorted(doc["output"])[0]] = rhs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert any(violation in v for v in json.loads(capsys.readouterr().out)["violations"])
+    assert main(["run", str(bad), "aa"]) == 1
+    assert violation in capsys.readouterr().err
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xducer import layering
+from xducer import layering, machines
 from xducer.growth import flow_automaton, is_simple
 from xducer.layering import (
     bounded_sstf_to_unambiguous,
@@ -30,6 +31,7 @@ from xducer.machines import (
     Lit,
     MachineError,
     MarbleTransducer,
+    NSSTF,
     Reg,
     SST,
     TwoWayTransducer,
@@ -163,18 +165,25 @@ def test_remove_bounded_layer_degree_zero():
     assert equiv_check(machine, total, 5).equivalent
 
 
-def test_copy_bound_is_measured_once_per_profile_machine(monkeypatch):
-    # the pipeline needs a copy bound only where it builds the profile
-    # machine, which measures the bound itself
-    calls = {"find_copy_bound": 0, "bounded_sstf_to_unambiguous": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(layering, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(layering, name, counted)
-    assert to_k_layered(load("reverse_sst_copyful")).kind == "layered"
-    assert calls["bounded_sstf_to_unambiguous"] >= 1
-    assert calls["find_copy_bound"] == calls["bounded_sstf_to_unambiguous"]
+@pytest.mark.parametrize("name,copyless_step", [("reverse_sst_copyful", True),
+                                                 ("mul_sst_copyful", False)])
+def test_pipeline_never_measures_a_copy_bound(name, copyless_step, monkeypatch):
+    # the profile machine sizes its register copies from the profiles it
+    # builds, so no copy-bound closure runs
+    def refuse(*args):
+        raise AssertionError("copy bound measured")
+
+    built = []
+
+    def profile_machine(m, _original=layering.bounded_sstf_to_unambiguous):
+        built.append(m)
+        return _original(m)
+
+    monkeypatch.setattr(machines, "find_copy_bound", refuse)
+    monkeypatch.setattr(machines, "check_bounded", refuse)
+    monkeypatch.setattr(layering, "bounded_sstf_to_unambiguous", profile_machine)
+    assert to_k_layered(load(name)).kind == "layered"
+    assert bool(built) == copyless_step
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +350,7 @@ def test_delayed_value_machines():
 
 def test_unambiguous_chain_on_pair_machine():
     total, _ = make_total(load("bounded_pair_sst"))
-    n = bounded_sstf_to_unambiguous(total, 2)
+    n = bounded_sstf_to_unambiguous(total)
     assert validate(n) == []
     assert check_copyless(n) == []
     for k in range(5):
@@ -353,7 +362,7 @@ def test_unambiguous_chain_on_pair_machine():
 def test_unambiguous_copyless_input_has_binary_profiles():
     rev = load("reverse_sst", ("a", "b"))
     total, _ = make_total(rev)
-    n = bounded_sstf_to_unambiguous(total, 1)
+    n = bounded_sstf_to_unambiguous(total)
     for w in words_up_to(("a", "b"), 4, cap=200):
         runs = enumerate_nsstf_runs(n, w)
         assert len(runs) == 1
@@ -388,18 +397,18 @@ def test_profile_machine_is_grown_from_the_output():
 
 def test_profile_machine_size_limit(monkeypatch):
     total, _ = make_total(load("bounded_pair_sst"))
-    n = bounded_sstf_to_unambiguous(total, 2)
+    n = bounded_sstf_to_unambiguous(total)
     monkeypatch.setattr(layering, "PROFILE_LIMIT", len(n.states))
-    assert bounded_sstf_to_unambiguous(total, 2) == n
+    assert bounded_sstf_to_unambiguous(total) == n
     monkeypatch.setattr(layering, "PROFILE_LIMIT", len(n.states) - 1)
     with pytest.raises(MachineError, match=r"^occurrence-profile machine exceeded "
                        r"%d states$" % (len(n.states) - 1)):
-        bounded_sstf_to_unambiguous(total, 2)
+        bounded_sstf_to_unambiguous(total)
 
 
 def test_determinize_pair_machine():
     total, _ = make_total(load("bounded_pair_sst"))
-    det = determinize_nsstf(bounded_sstf_to_unambiguous(total, 2))
+    det = determinize_nsstf(bounded_sstf_to_unambiguous(total))
     assert check_copyless(det) == []
     assert validate(det) == []
     assert equiv_check(det, total, 6).equivalent
@@ -408,30 +417,65 @@ def test_determinize_pair_machine():
 def test_determinize_copyless_roundtrip():
     rev = load("reverse_sst", ("a", "b"))
     total, _ = make_total(rev)
-    det = determinize_nsstf(bounded_sstf_to_unambiguous(total, 1))
+    det = determinize_nsstf(bounded_sstf_to_unambiguous(total))
     assert check_copyless(det) == []
     assert equiv_check(det, total, 5).equivalent
 
 
-def test_determinize_slot_budget_respected():
+def test_profile_machine_copies_each_register_to_its_largest_entry():
     total, _ = make_total(load("bounded_pair_sst"))
-    n = bounded_sstf_to_unambiguous(total, 2)
+    n = bounded_sstf_to_unambiguous(total)
+    largest = Counter()
+    for q in n.states:
+        for entry in q.split("|")[1].split(","):
+            x, k = entry.split("=")
+            largest[x] = max(largest[x], int(k))
+    assert largest == {"x": 2, "y": 1}
+    assert n.registers == tuple("%s@%d" % (x, i) for x in sorted(largest)
+                                for i in range(1, largest[x] + 1))
+
+
+def test_determinize_slot_budget_respected(monkeypatch):
+    # slot registers are declared for the widest explored forest only
+    total, _ = make_total(load("bounded_pair_sst"))
+    n = bounded_sstf_to_unambiguous(total)
+    # every explored forest is extended, which reads each of its slots once
+    slots_read = []
+
+    def slot_sbf(slot, ske_items, _original=layering._slot_sbf):
+        slots_read.append(slot)
+        return _original(slot, ske_items)
+
+    monkeypatch.setattr(layering, "_slot_sbf", slot_sbf)
     det = determinize_nsstf(n)
-    max_slots = 2 * len(n.states) - 1
-    per_slot = 2 * len(n.registers)
-    assert len(det.registers) <= max_slots * per_slot
+    most = max(slots_read) + 1
+    assert most <= 2 * len(n.states) - 1
+    assert len(det.registers) == 2 * len(n.registers) * most
+    assert all(set(s) == set(det.registers) for s in det.update.values())
+
+
+def test_determinize_nsstf_without_states():
+    m = NSSTF(input_alphabet=("a", "b"), output_alphabet=("a",), states=(),
+              registers=(), funs=(), initial={}, transitions=(), update={},
+              output={})
+    det = determinize_nsstf(m)
+    assert det.states == ("d0",) and det.registers == () and det.output == {}
+    assert det.delta == {("d0", "a"): "d0", ("d0", "b"): "d0"}
+    assert det.update == {("d0", "a"): {}, ("d0", "b"): {}}
+    assert validate(det) == []
 
 
 def test_determinization_size_limit(monkeypatch):
     total, _ = make_total(load("bounded_pair_sst"))
-    n = bounded_sstf_to_unambiguous(total, 2)
+    n = bounded_sstf_to_unambiguous(total)
     det = determinize_nsstf(n)
     size = len(det.states) * len(det.registers)
     monkeypatch.setattr(layering, "DETERMINIZATION_SIZE_LIMIT", size)
     assert determinize_nsstf(n) == det
     monkeypatch.setattr(layering, "DETERMINIZATION_SIZE_LIMIT", size - 1)
-    with pytest.raises(MachineError, match=r"^determinization \(%d slot registers, "
-                       r"states x registers at most %d\)" % (len(det.registers), size - 1)):
+    with pytest.raises(MachineError, match=r"^determinization exceeded %d states x "
+                       r"slot registers \(%d states, %d slot registers\)$"
+                       % (size - 1, len(det.states), len(det.registers))):
         determinize_nsstf(n)
 
 

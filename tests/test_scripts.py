@@ -3,6 +3,7 @@ benchmark's tracer looks up."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,8 +12,8 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
 
 
-def run_script(name: str) -> str:
-    res = subprocess.run([sys.executable, os.path.join(SCRIPTS, name)],
+def run_script(name: str, *args: str) -> str:
+    res = subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     return res.stdout
@@ -31,6 +32,19 @@ def test_pipeline_demo_rebuilds_every_corpus_machine():
 def test_growth_sweep_agrees_with_brute_force():
     out = run_script("growth_sweep.py")
     assert "disagreements with brute force (|v| <= 6): 0" in out
+
+
+def test_pool_census_reports_each_member():
+    rows = [json.loads(line) for line in
+            run_script("pool_census.py", "0", "1").splitlines()]
+    assert [row["member"] for row in rows] == [0, 1]
+    for row in rows:
+        assert row["outcome"] == "layered", row
+        assert row["size"] == row["states"] * row["registers"]
+        assert row["nsstf"] == row["det"] == [] and row["cpu_s"] >= 0
+    # the layered outputs of members 0 and 1, byte for byte
+    assert [row["sha256"][:16] for row in rows] == ["53af33e77665e495",
+                                                     "2557a3b8e6709bc1"]
 
 
 def load_file(name: str, path: str):

@@ -324,7 +324,7 @@ def test_enumerate_nsstf_branch_guard(monkeypatch):
 
 def test_nsstf_runs_on_long_words(monkeypatch):
     total, _ = make_total(load("bounded_pair_sst"))
-    nsst = bounded_sstf_to_unambiguous(total, 2)
+    nsst = bounded_sstf_to_unambiguous(total)
     w = "a" * 2000
     expected = run_sst(total, w).output
     assert len(expected) == 4000
