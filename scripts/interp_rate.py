@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Interpreter throughput: steps and output letters per CPU second.
+
+Runs six corpus machines on one word per size and prints one JSON line per
+run: ``machine``, ``size``, ``input`` (letters read), ``steps`` (of the run,
+as ``RunResult.steps`` counts them), ``letters`` (of output), ``cpu_s`` (the
+least ``time.process_time`` of 3 runs), ``steps_per_s`` and
+``letters_per_s``.
+
+A size is the output length, as in the benchmark's ``run`` ladder: the
+one-way and two-way machines read words of about that many letters, while
+``mul_marble`` reads u#0^n with |u| = 31 and ``pow2_marble`` a^n, each with
+n chosen so that the output has about that many letters.
+
+Usage: interp_rate.py [SIZE ...]   (default 1000 4000 16000)
+"""
+
+import json
+import os
+import random
+import sys
+import time
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from xducer.machine_io import parse_machine  # noqa: E402
+from xducer.semantics import run_machine  # noqa: E402
+
+REPEATS = 3
+
+
+def word(name: str, size: int, rng) -> str:
+    """The word of about ``size`` output letters that ``name`` reads."""
+    if name == "mul_marble":
+        return "".join(rng.choice("ab") for _ in range(31)) + "#" + "0" * (size // 32)
+    if name == "pow2_marble":
+        return "a" * round(size ** 0.5)
+    if name == "copy_two_way":
+        return "".join(rng.choice("ab") for _ in range(size // 2))
+    return "".join(rng.choice("abc" if name.startswith("reverse") else "ab")
+                   for _ in range(size))
+
+
+def rate(name: str, size: int) -> dict:
+    machine, _layers = parse_machine(os.path.join(ROOT, "corpus", "%s.json" % name))
+    w = word(name, size, random.Random("%s:%d" % (name, size)))
+    best = None
+    for _ in range(REPEATS):
+        start = time.process_time()
+        res = run_machine(machine, w)
+        cpu = time.process_time() - start
+        best = cpu if best is None else min(best, cpu)
+    if not res.accepted:
+        raise SystemExit("%s rejects its %d-letter word" % (name, len(w)))
+    best = max(best, 1e-9)
+    return {"machine": name, "size": size, "input": len(w), "steps": res.steps,
+            "letters": len(res.output), "cpu_s": round(best, 6),
+            "steps_per_s": round(res.steps / best),
+            "letters_per_s": round(len(res.output) / best)}
+
+
+MACHINES = ("reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",
+            "identity_sst", "reverse_sst")
+
+
+def main(argv) -> None:
+    sizes = [int(a) for a in argv] or [1000, 4000, 16000]
+    for name in MACHINES:
+        for size in sizes:
+            print(json.dumps(rate(name, size)), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

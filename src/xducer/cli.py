@@ -41,16 +41,19 @@ The XDUCER_BUDGET environment variable overrides the default step budget.
 """
 
 
+def _separator(alphabet) -> str:
+    """How words over ``alphabet`` are written: comma-separated once some
+    symbol is longer than one character, else letter by letter."""
+    return "," if any(len(sym) > 1 for sym in alphabet) else ""
+
+
 def _parse_word(text: str, alphabet) -> tuple:
     if text == "":
         return ()
-    if any(len(sym) > 1 for sym in alphabet):
-        symbols = tuple(text.split(","))
-    else:
-        symbols = tuple(text)
-    for s in symbols:
-        if s not in alphabet:
-            raise MachineError("symbol %r is not in the machine alphabet" % s)
+    symbols = tuple(text.split(",") if _separator(alphabet) else text)
+    if not set(symbols).issubset(alphabet):
+        bad = next(s for s in symbols if s not in alphabet)
+        raise MachineError("symbol %r is not in the machine alphabet" % bad)
     return symbols
 
 
@@ -92,11 +95,12 @@ def cmd_run(args, trace: bool = False) -> int:
     machine, _layers = _load(args.file)
     word = _parse_word(args.word, machine.input_alphabet)
     result = run_machine(machine, word, budget=args.budget, trace=trace)
+    sep = _separator(machine.output_alphabet)
     if trace and result.trace is not None:
-        print(format_trace(result))
+        print(format_trace(result, sep))
     if result.verdict == ACCEPT:
         if not trace:
-            print(result.output_text)
+            print(sep.join(result.output))
         return 0
     if result.verdict == BUDGET:
         print("step budget exhausted", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,26 +60,27 @@ def default_budget(n_states: int, word_len: int) -> int:
 
 
 def _check_alphabet(m, w: Word) -> None:
-    bad = [a for a in w if a not in m.input_alphabet]
-    if bad:
-        raise MachineError("input symbol %r not in the machine alphabet" % bad[0])
+    if not set(w).issubset(m.input_alphabet):
+        bad = next(a for a in w if a not in m.input_alphabet)
+        raise MachineError("input symbol %r not in the machine alphabet" % bad)
 
 
 def _result(verdict, output, steps, depth, tr) -> RunResult:
     return RunResult(verdict, output, steps, depth, None if tr is None else tuple(tr))
 
 
-def format_trace(result: RunResult) -> str:
+def format_trace(result: RunResult, sep: str = "") -> str:
     """One line per step: ``step  state  head  stack  emitted`` (tab separated).
 
-    The stack renders top first as ``color@pos,color@pos``.
+    The stack renders top first as ``color@pos,color@pos``; the emitted
+    symbols are joined by ``sep``.
     """
     if result.trace is None:
         raise MachineError("run was not traced")
     lines = []
     for step, state, head, stack, emitted in result.trace:
         rendered = ",".join("%s@%d" % (c, p) for c, p in stack)
-        lines.append("%d\t%s\t%d\t%s\t%s" % (step, state, head, rendered, "".join(emitted)))
+        lines.append("%d\t%s\t%d\t%s\t%s" % (step, state, head, rendered, sep.join(emitted)))
     return "\n".join(lines)
 
 
@@ -108,6 +110,14 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     its number times the number of colours.  ``table`` maps ``state * stride
     + symbol code + colour`` to (next state, next state * stride, action code,
     dropped colour, output); an unknown action keeps itself as the colour.
+
+    A left or right move back into its own state, keyed with no marble under
+    the head, is a sweep entry when every such move of that (state,
+    direction) outputs one-character symbols only.  In place of the dropped
+    colour it holds the matcher they share: (the ``match`` of a regex
+    ``[...]*`` over the characters ``chr(code)`` of the symbols that continue
+    the sweep, a ``str.translate`` table from each code to its output joined,
+    or None if none of them outputs).
     """
     colours = {None: 0}
     for c in (*t.colors, *(k[2] for k in t.delta),
@@ -120,13 +130,24 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     for q in (*t.states, t.initial, *(k[0] for k in t.delta),
               *(v[0] for v in t.delta.values())):
         states.setdefault(q, len(states))
-    table = {}
+    table, sweeps = {}, {}
     for (q, a, c), (q2, (kind, c2)) in t.delta.items():
         if a in codes:
             act = _ACTIONS.get(kind, _BAD)
-            table[states[q] * stride + codes[a] + colours[c]] = (
+            key = states[q] * stride + codes[a] + colours[c]
+            table[key] = (
                 states[q2], states[q2] * stride, act,
                 (kind, c2) if act == _BAD else colours.get(c2, 0), tuple(t.out[q, a, c]))
+            if act < _LIFT and q2 == q and c is None:
+                sweeps.setdefault((q, act), {})[codes[a]] = key
+    for cells in sweeps.values():
+        if any(len(sym) != 1 for key in cells.values() for sym in table[key][4]):
+            continue  # outputs str.translate cannot write symbol by symbol
+        outs = {code: "".join(table[key][4]) for code, key in cells.items()}
+        chars = re.escape("".join(map(chr, sorted(cells))))
+        matcher = (re.compile("[%s]*" % chars).match, outs if any(outs.values()) else None)
+        for key in cells.values():
+            table[key] = (*table[key][:3], matcher, table[key][4])
     return (table, codes, tuple(states), tuple(colours),
             {states[q] for q in t.finals if q in states}, states[t.initial], stride)
 
@@ -146,6 +167,17 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
     move and a drop, the only steps that could put a marble below the head
     or out of order, check that they do not.  ``detect_loops`` is accepted
     for compatibility and has no effect.
+
+    An untraced run that takes a sweep entry crosses the whole run of cells
+    its matcher accepts with one regex scan of the tape as a string of
+    ``chr(code)`` (and its reverse for left sweeps), made on the first sweep,
+    and writes their outputs with one ``str.translate``.  A right sweep reads
+    no cell at or past the top marble or ⊣, a left sweep none at ⊢, and none
+    goes past the budget, so the step that ends it runs through the guards
+    below.  Its k (state, head) keys are added to the frame's seen set as a
+    range; if one is there already, the run reports the loop at the step
+    that repeats it, as single steps would.  A sweep of fewer than 2 cells is
+    stepped singly, and so is every step of a traced run.
     """
     w = as_word(w)
     _check_alphabet(t, w)
@@ -161,6 +193,7 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
     top, topc, seen = width, 0, {q * width}
     stack, emitted = [], []
     tr = [(0, names[q], 0, (), ())] if trace else None
+    fwd = rev = None
     while True:
         if pos == end and not stack and q in finals:
             return _result(ACCEPT, tuple(emitted), steps, depth, tr)
@@ -171,6 +204,31 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
         if move is None:
             return _result(REJECT, None, steps, depth, tr)
         q, base, act, c, out = move
+        if c and act < _LIFT and tr is None:  # a sweep entry: c is its matcher
+            if fwd is None:
+                fwd = "".join(map(chr, tape))
+                rev = fwd[::-1]
+            if act == _RIGHT:
+                cells, start = fwd, pos
+                k = c[0](fwd, pos, min(end, top)).end() - pos
+            else:
+                cells, start = rev, end - pos
+                k = c[0](rev, start, end).end() - start
+            if k > budget - steps:
+                k = budget - steps
+            if k > 1:
+                at = q * width + pos
+                keys = range(at + 1, at + k + 1) if act == _RIGHT else range(at - k, at)
+                if not seen.isdisjoint(keys):  # the loop, at the step that repeats
+                    hits = seen.intersection(keys)
+                    steps += min(hits) - at if act == _RIGHT else at - max(hits)
+                    return _result(LOOP, None, steps, depth, tr)
+                seen.update(keys)
+                if c[1] is not None:
+                    emitted += cells[start:start + k].translate(c[1])
+                steps += k
+                pos += k if act == _RIGHT else -k
+                continue
         if act == _LEFT:
             if not pos:
                 return _result(REJECT, None, steps, depth, tr)

@@ -14,6 +14,8 @@ from xducer.machine_io import (
     machine_to_json,
     parse_machine,
 )
+from xducer.machines import LEFT_END, MOVE_RIGHT, MachineError, TwoWayTransducer
+from xducer.semantics import run_machine
 
 from conftest import CORPUS_DIR, CORPUS_NAMES, corpus_path, load
 
@@ -181,6 +183,43 @@ def test_nsstf_output_faults_are_invalid(tmp_path, capsys, state, rhs, violation
     assert any(violation in v for v in json.loads(capsys.readouterr().out)["violations"])
     assert main(["run", str(bad), "aa"]) == 1
     assert violation in capsys.readouterr().err
+
+
+def multi_letter_copier(path):
+    """A one-state two-way copier over the symbols ``xy`` and ``z``."""
+    emit_machine(TwoWayTransducer(
+        input_alphabet=("xy", "z"), output_alphabet=("xy", "z"), states=("q",),
+        initial="q", finals=frozenset({"q"}),
+        delta={("q", LEFT_END): ("q", MOVE_RIGHT), ("q", "xy"): ("q", MOVE_RIGHT),
+               ("q", "z"): ("q", MOVE_RIGHT)},
+        out={("q", LEFT_END): (), ("q", "xy"): ("xy",), ("q", "z"): ("z",)},
+    ), path)
+    return path
+
+
+def test_multi_letter_output_reads_back_as_input(tmp_path, capsys):
+    copier = multi_letter_copier(str(tmp_path / "copier.json"))
+    assert main(["run", copier, "xy,z,xy"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == "xy,z,xy\n"
+    assert main(["run", copier, printed.strip()]) == 0
+    assert capsys.readouterr().out == printed
+    assert main(["trace", copier, "xy,z"]) == 0
+    assert capsys.readouterr().out == "0\tq\t0\t\t\n1\tq\t1\t\t\n2\tq\t2\t\txy\n3\tq\t3\t\tz\n"
+    # one-letter symbols still print letter by letter
+    assert main(["run", corpus_path("copy_two_way"), "ab"]) == 0
+    assert capsys.readouterr().out == "abab\n"
+
+
+def test_foreign_symbols_name_the_first(capsys):
+    for word, first in (("ab#0xz", "x"), ("zab#0x", "z")):
+        assert main(["run", corpus_path("mul_marble"), word]) == 1
+        assert capsys.readouterr().err == (
+            "symbol %r is not in the machine alphabet\n" % first)
+    copier = load("copy_two_way")
+    with pytest.raises(MachineError,
+                       match=r"^input symbol 'y' not in the machine alphabet$"):
+        run_machine(copier, ("a", "y", "b", "x"))
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -31,7 +31,7 @@ from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import ACCEPT, LOOP, REJECT, run_marble, run_sst
 from xducer.sst2mt import layered_to_marble
 
-from conftest import check_stack, marble_step
+from conftest import check_stack, marble_step, reference_run
 
 
 def random_sst(rng) -> SST:
@@ -173,9 +173,15 @@ def run_hashing_configurations(t, w):
         seen.add(cfg)
 
 
+LONG_WORD_BUDGET = 20000
+
+
 def test_frame_loop_detection_matches_configuration_hashing():
-    rng = random.Random(4242)
-    verdicts = Counter()
+    """Every word of length <= 4 against whole-configuration hashing, and
+    seeded words of 20-40 letters, where runs can sweep, against the reference
+    run (verdict, output, steps and stack depth, within a step budget)."""
+    rng, words = random.Random(4242), random.Random(4243)
+    verdicts, long_verdicts = Counter(), Counter()
     checked = 0
     while checked < 400:
         m = random_marble(rng)
@@ -187,8 +193,15 @@ def test_frame_loop_detection_matches_configuration_hashing():
             got = run_marble(m, w)
             assert (got.verdict, got.output) == want, (checked, w)
             verdicts[got.verdict, bool(got.max_stack_depth)] += 1
+        for _ in range(2):
+            w = tuple(words.choice(m.input_alphabet) for _ in range(words.randint(20, 40)))
+            got = run_marble(m, w, budget=LONG_WORD_BUDGET)
+            assert got == reference_run(m, w, budget=LONG_WORD_BUDGET), (checked, w)
+            long_verdicts[got.verdict, bool(got.max_stack_depth)] += 1
     # loops with and without marbles on the tape, and accepting runs
     assert verdicts[LOOP, True] and verdicts[LOOP, False] and verdicts[ACCEPT, True]
+    assert long_verdicts[LOOP, True] and long_verdicts[LOOP, False]
+    assert long_verdicts[ACCEPT, False]
 
 
 def test_random_marble_machines_convert_to_ssts():

@@ -47,6 +47,19 @@ def test_pool_census_reports_each_member():
                                                      "2557a3b8e6709bc1"]
 
 
+def test_interp_rate_reports_each_machine():
+    rows = [json.loads(line) for line in run_script("interp_rate.py", "1000").splitlines()]
+    assert [row["machine"] for row in rows] == [
+        "reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",
+        "identity_sst", "reverse_sst"]
+    for row in rows:
+        assert row["size"] == 1000 and 900 <= row["letters"] <= 1100, row
+        assert row["steps"] >= row["input"] and row["cpu_s"] > 0, row
+        assert row["steps_per_s"] > 0 and row["letters_per_s"] > 0, row
+    # reverse_two_way: a pass right, a pass back and a pass right again
+    assert rows[0]["steps"] == 3 * 1000 + 3
+
+
 def load_file(name: str, path: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

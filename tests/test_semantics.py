@@ -8,6 +8,7 @@ from xducer import semantics
 from xducer.growth import flow_automaton
 from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_simple
 from xducer.machines import (
+    ACT_LEFT,
     ACT_LIFT,
     ACT_RIGHT,
     Fun,
@@ -17,7 +18,9 @@ from xducer.machines import (
     MOVE_LEFT,
     MOVE_RIGHT,
     MachineError,
+    MarbleTransducer,
     NSSTF,
+    RIGHT_END,
     Reg,
     SST,
     TwoWayTransducer,
@@ -420,3 +423,224 @@ def test_two_way_runs_convert_once_per_machine(monkeypatch):
     for _ in range(2000):
         assert run_machine(m, "ab").output_text == "abab"
     assert len(conversions) == 1 and len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: runs of same-state moves crossed in one scan
+# ---------------------------------------------------------------------------
+
+
+def scan_lengths(t):
+    """Recompile marble machine ``t``'s tables so that every sweep scan of a
+    run appends (action code, cells matched) to the returned list."""
+    table, *rest = semantics._compile_tables(t)
+    scans, wrapped = [], {}
+    for key, (q, base, act, c, out) in table.items():
+        if act in (semantics._LEFT, semantics._RIGHT) and c:
+            if id(c) not in wrapped:
+                def match(s, i, j, _match=c[0], _act=act):
+                    found = _match(s, i, j)
+                    scans.append((_act, found.end() - i))
+                    return found
+                wrapped[id(c)] = (match, c[1])
+            table[key] = (q, base, act, wrapped[id(c)], out)
+    t.__dict__["_tables"] = (table, *rest)
+    return scans
+
+
+def swept_both_ways(scans) -> bool:
+    return all(any(a == act and n > 1 for a, n in scans)
+               for act in (semantics._LEFT, semantics._RIGHT))
+
+
+def assert_matches_reference(t, w, budget=None):
+    """Untraced and traced runs of marble machine ``t`` give the reference's
+    result, or raise its error."""
+    try:
+        want = reference_run(t, w, budget=budget)
+    except MachineError as err:
+        for trace in (False, True):
+            with pytest.raises(MachineError, match="^%s$" % re.escape(str(err))):
+                run_marble(t, w, budget=budget, trace=trace)
+        return None
+    assert run_marble(t, w, budget=budget) == want, (w, budget)
+    traced = run_marble(t, w, budget=budget, trace=True)
+    assert replace(traced, trace=None) == want, (w, budget)
+    return want
+
+
+SWEEPER = {
+    ("s0", LEFT_END, None): ("s0", ACT_RIGHT, ()),
+    ("s0", "a", None): ("s0", ACT_RIGHT, ()),
+    ("s0", "b", None): ("s1", act_drop("c"), ()),
+    ("s1", "b", "c"): ("s2", ACT_LEFT, ()),
+    ("s2", "a", None): ("s2", ACT_LEFT, ("x",)),
+    ("s2", LEFT_END, None): ("s3", ACT_RIGHT, ()),
+    ("s3", "a", None): ("s3", ACT_RIGHT, ("a",)),
+    ("s3", "b", "c"): ("s4", ACT_LIFT, ()),
+    ("s4", "b", None): ("s4", ACT_LEFT, ()),
+    ("s4", "a", None): ("s4", ACT_LEFT, ()),
+    ("s4", LEFT_END, None): ("s5", ACT_RIGHT, ()),
+    ("s5", "a", None): ("s5", ACT_RIGHT, ("y", "y")),
+    ("s5", "b", None): ("s5", ACT_RIGHT, ()),
+}
+
+
+def sweeper(**changes) -> MarbleTransducer:
+    """On a^n b: s0 sweeps right silently and drops c on the b, s2 sweeps
+    left writing x per a, s3 sweeps right to the marble copying the a's, s4
+    lifts it and sweeps left silently, s5 sweeps right writing yy per a and
+    accepts at the right end.  ``changes`` maps "state symbol colour" (colour
+    "-" for none) to a replacement transition, or None to drop one."""
+    rules = dict(SWEEPER)
+    for spec, rule in changes.items():
+        q, a, c = spec.split()
+        key = (q, {"L": LEFT_END, "R": RIGHT_END}.get(a, a), None if c == "-" else c)
+        if rule is None:
+            rules.pop(key)
+        else:
+            rules[key] = rule
+    return MarbleTransducer(
+        input_alphabet=("a", "b"), output_alphabet=("a", "x", "y"),
+        states=("s0", "s1", "s2", "s3", "s4", "s5"), initial="s0",
+        finals=frozenset({"s5"}), colors=("c",),
+        delta={key: rule[:2] for key, rule in rules.items()},
+        out={key: rule[2] for key, rule in rules.items()})
+
+
+def test_sweeps_with_and_without_output_match_the_reference():
+    t = sweeper()
+    scans = scan_lengths(t)
+    r = assert_matches_reference(t, "a" * 30 + "b")
+    assert r.accepted and r.output_text == "x" * 30 + "a" * 30 + "y" * 60
+    assert r.max_stack_depth == 1 and swept_both_ways(scans)
+    for n in range(4):  # sweeps of 0-3 cells
+        assert assert_matches_reference(sweeper(), "a" * n + "b").accepted
+
+
+def test_budget_runs_out_inside_sweeps():
+    t = sweeper()
+    w = "a" * 12 + "b"
+    total = run_marble(t, w).steps
+    for budget in range(total + 2):
+        assert_matches_reference(t, w, budget=budget)
+    reverse = two_way_to_marble(load("reverse_two_way"))
+    w = "abcab" * 4
+    total = run_marble(reverse, w).steps
+    for budget in range(total + 2):
+        assert_matches_reference(reverse, w, budget=budget)
+
+
+@pytest.mark.parametrize("changes,message", [
+    # after the right sweep of s3 to the marble
+    ({"s3 b c": ("s4", ACT_RIGHT, ())}, "invalid machine: move right over a marble"),
+    ({"s3 b c": ("s4", act_drop("c"), ())}, "invalid machine: drop on a marbled position"),
+    ({"s3 b c": ("s4", ("jump", None), ())}, "invalid action ('jump', None)"),
+    # a colourless marble on the b reads as no marble: s3 sweeps up to it
+    # and then steps over it, drops on it or lifts nothing
+    ({"s0 b -": ("s1", ("drop", None), ()), "s1 b -": ("s2", ACT_LEFT, ()),
+      "s3 b -": ("s3", ACT_RIGHT, ())}, "marble None below the reading head"),
+    ({"s0 b -": ("s1", ("drop", None), ()), "s1 b -": ("s2", ACT_LEFT, ()),
+      "s3 b -": ("s4", act_drop("c"), ())}, "marble stack positions not strictly increasing"),
+    ({"s0 b -": ("s1", ("drop", None), ()), "s1 b -": ("s2", ACT_LEFT, ()),
+      "s3 b -": ("s4", ACT_LIFT, ())}, "invalid machine: lift without a marble"),
+    # after the left sweep of s2 to the left end
+    ({"s2 L -": ("s3", ACT_LIFT, ())}, "invalid machine: lift without a marble"),
+])
+def test_guards_raise_on_the_step_after_a_sweep(changes, message):
+    t = sweeper(**changes)
+    scans = scan_lengths(t)
+    with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
+        run_marble(t, "a" * 20 + "b")
+    assert any(n > 1 for _act, n in scans)
+    assert_matches_reference(t, "a" * 20 + "b")
+
+
+@pytest.mark.parametrize("changes", [
+    {"s2 L -": ("s3", ACT_LEFT, ())},       # a left sweep that steps off ⊢
+    {"s4 L -": ("s1", ACT_RIGHT, ()),      # a right sweep that steps off ⊣
+     "s1 a -": ("s1", ACT_RIGHT, ()), "s1 b -": ("s1", ACT_RIGHT, ()),
+     "s1 R -": ("s1", ACT_RIGHT, ())},
+    {"s3 b c": None},                       # a right sweep that stops at a marble
+])
+def test_sweeps_that_end_in_a_reject(changes):
+    t = sweeper(**changes)
+    assert assert_matches_reference(t, "a" * 20 + "b").verdict == REJECT
+
+
+def test_colourless_marble_ends_a_right_sweep():
+    # s3 sweeps over the a's to the colourless marble and turns there
+    t = sweeper(**{"s0 b -": ("s1", ("drop", None), ()),
+                   "s1 b -": ("s2", ACT_LEFT, ()),
+                   "s3 b -": ("s3", ACT_LEFT, ("b",))})
+    scans = scan_lengths(t)
+    r = assert_matches_reference(t, "a" * 20 + "b")
+    assert r.verdict == LOOP and r.max_stack_depth == 1
+    assert any(act == semantics._RIGHT and n == 20 for act, n in scans)
+
+
+def test_loop_inside_a_sweep_is_reported_at_the_repeating_step():
+    # r skips the a's, q sweeps right from the first b+1, p sweeps back to
+    # ⊢, and q then sweeps right over cells it swept before
+    delta = {("q", LEFT_END, None): ("r", ACT_RIGHT),
+             ("r", "a", None): ("r", ACT_RIGHT), ("r", "b", None): ("q", ACT_RIGHT),
+             ("q", "a", None): ("q", ACT_RIGHT), ("q", "b", None): ("q", ACT_RIGHT),
+             ("q", RIGHT_END, None): ("p", ACT_LEFT),
+             ("p", "a", None): ("p", ACT_LEFT), ("p", "b", None): ("p", ACT_LEFT),
+             ("p", LEFT_END, None): ("q", ACT_RIGHT)}
+    t = MarbleTransducer(
+        input_alphabet=("a", "b"), output_alphabet=("a",), states=("q", "r", "p"),
+        initial="q", finals=frozenset(), colors=(), delta=delta,
+        out={key: ("a",) if key in [("q", "a", None), ("p", "b", None)] else ()
+             for key in delta})
+    scans = scan_lengths(t)
+    for n, m in ((5, 5), (1, 3), (12, 1), (0, 4)):
+        r = assert_matches_reference(t, "a" * n + "b" * m)
+        assert r.verdict == LOOP
+        # the first pass and the second, which repeats (q, n + 2)
+        assert r.steps == 3 * n + 2 * m + 4, (n, m)
+    assert swept_both_ways(scans)
+
+
+def test_sweeps_over_regex_metacharacters():
+    """Tape symbols that are regex metacharacters, and symbol codes whose
+    characters are: 100 symbols number the codes past ``-`` and ``[``-``^``."""
+    for alphabet in (("[", "]", "^", "-", "\\", "a"),
+                     tuple(chr(0x4E00 + i) for i in range(100))):
+        reverse = TwoWayTransducer(
+            input_alphabet=alphabet, output_alphabet=alphabet,
+            states=("go", "back", "done"), initial="go", finals=frozenset({"done"}),
+            delta={("go", LEFT_END): ("go", MOVE_RIGHT),
+                   ("go", RIGHT_END): ("back", MOVE_LEFT),
+                   ("back", LEFT_END): ("done", MOVE_RIGHT),
+                   ("done", RIGHT_END): ("done", MOVE_RIGHT),
+                   **{(q, a): (q, MOVE_LEFT if q == "back" else MOVE_RIGHT)
+                      for q in ("go", "back", "done") for a in alphabet}},
+            out={**{(q, a): (a,) if q == "back" else ()
+                    for q in ("go", "back", "done") for a in alphabet},
+                 **{(q, e): () for q in ("go", "back", "done")
+                    for e in (LEFT_END, RIGHT_END)}})
+        marble = two_way_to_marble(reverse)
+        scans = scan_lengths(marble)
+        rng = random.Random(len(alphabet))
+        for n in (2, 7, 60):
+            w = tuple(rng.choice(alphabet) for _ in range(n))
+            r = assert_matches_reference(marble, w)
+            assert r.accepted and r.output == w[::-1]
+        assert swept_both_ways(scans)
+    codes = semantics._compile_tables(marble)[1].values()
+    assert {ord(ch) for ch in "-[\\]^"} <= set(codes)
+
+
+def test_outputs_of_several_characters_are_stepped_singly():
+    # str.translate writes characters, so a sweep whose symbols are longer
+    # than one character is not taken
+    copier = two_way_to_marble(TwoWayTransducer(
+        input_alphabet=("xy", "z"), output_alphabet=("xy", "z"), states=("q",),
+        initial="q", finals=frozenset({"q"}),
+        delta={("q", LEFT_END): ("q", MOVE_RIGHT), ("q", "xy"): ("q", MOVE_RIGHT),
+               ("q", "z"): ("q", MOVE_RIGHT)},
+        out={("q", LEFT_END): (), ("q", "xy"): ("xy",), ("q", "z"): ("z",)}))
+    scans = scan_lengths(copier)
+    w = ("xy", "z") * 10
+    assert assert_matches_reference(copier, w).output == w and scans == []
