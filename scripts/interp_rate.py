@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interpreter throughput: steps and output letters per CPU second.
 
-Runs six corpus machines on one word per size and prints one JSON line per
+Runs eight corpus machines on one word per size and prints one JSON line per
 run: ``machine``, ``size``, ``input`` (letters read), ``steps`` (of the run,
 as ``RunResult.steps`` counts them), ``letters`` (of output), ``cpu_s`` (the
 least ``time.process_time`` of 3 runs), ``steps_per_s`` and
@@ -9,13 +9,16 @@ least ``time.process_time`` of 3 runs), ``steps_per_s`` and
 
 A size is the output length, as in the benchmark's ``run`` ladder: the
 one-way and two-way machines read words of about that many letters, while
-``mul_marble`` reads u#0^n with |u| = 31 and ``pow2_marble`` a^n, each with
-n chosen so that the output has about that many letters.
+``mul_marble`` and ``mul_sst`` read u#0^n with |u| = 31, ``pow2_marble`` a^n
+and ``exp_sst`` a^n, each with n chosen so that the output has about that
+many letters.  ``mul_sst`` crosses each block of its input in one register
+sweep, and ``exp_sst``, whose ``x := x·x`` has none, steps every letter.
 
 Usage: interp_rate.py [SIZE ...]   (default 1000 4000 16000)
 """
 
 import json
+import math
 import os
 import random
 import sys
@@ -32,10 +35,12 @@ REPEATS = 3
 
 def word(name: str, size: int, rng) -> str:
     """The word of about ``size`` output letters that ``name`` reads."""
-    if name == "mul_marble":
+    if name in ("mul_marble", "mul_sst"):
         return "".join(rng.choice("ab") for _ in range(31)) + "#" + "0" * (size // 32)
     if name == "pow2_marble":
         return "a" * round(size ** 0.5)
+    if name == "exp_sst":
+        return "a" * round(math.log2(size))
     if name == "copy_two_way":
         return "".join(rng.choice("ab") for _ in range(size // 2))
     return "".join(rng.choice("abc" if name.startswith("reverse") else "ab")
@@ -61,7 +66,7 @@ def rate(name: str, size: int) -> dict:
 
 
 MACHINES = ("reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",
-            "identity_sst", "reverse_sst")
+            "identity_sst", "reverse_sst", "mul_sst", "exp_sst")
 
 
 def main(argv) -> None:

@@ -38,6 +38,8 @@ commands:
   equiv <a> <b> --maxlen L             bounded equivalence check
 
 The XDUCER_BUDGET environment variable overrides the default step budget.
+--budget and XDUCER_BUDGET bound two-way and marble runs only; an SST run
+takes exactly |w| steps.
 """
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .machines import (
@@ -326,7 +327,9 @@ def _programs(m) -> tuple:
     tuple.  An update program is a tuple of ``_compile_rhs`` programs, one
     per register.  ``steps`` maps an SST's (state, letter) to (next state,
     update program) and an NSST-F transition to its update program;
-    ``outputs`` maps a state to its output program.
+    ``outputs`` maps a state to its output program.  Untraced ``run_sst``
+    derives its sweeps from these programs in ``_sweeps``, not here, so
+    ``sst_outputs`` and NSST-F runs never build them.
     """
     if "_programs" not in m.__dict__:  # kept off the fields, like _tables
         index = {x: i for i, x in enumerate(m.registers)}
@@ -420,31 +423,168 @@ def _output_word(prog, val: tuple) -> Word:
     return _flat(_update((prog,), val, (), 0, None)[0])
 
 
+def _sweep_kind(r: int, rhs):
+    """How register ``r``'s program ``rhs`` acts in a sweep: (None, []) if
+    it keeps ``r``, ("reset", value) for a constant, ("right", u) for
+    ``r := r·u`` or ("left", u) for ``r := u·r``, with ``u`` a list of pieces
+    and no ``Fun``; None for anything else.  A ``u`` that reads ``r`` keeps
+    the letter out of the class, as ``r`` is not frozen."""
+    if type(rhs) is int:
+        return (None, []) if rhs == r else None
+    if type(rhs) is not list:
+        return "reset", rhs
+    if any(type(p) is Fun for p in rhs):
+        return None
+    if rhs[0] == r:
+        return "right", rhs[1:]
+    return ("left", rhs[:-1]) if rhs[-1] == r else None
+
+
+def _sweep_entry(loops: list, n: int, code: dict):
+    """The sweep of one state from its self-loops ``loops``, (letter, update
+    program) pairs, over ``n`` registers, or None if no letter sweeps.
+
+    Letters join the class greedily, in sorted order, while every register
+    stays one kind on all of them: frozen (itself on every letter), reset
+    (one constant on every letter), or grown on one side (itself, which
+    grows it by ε, or ``_sweep_kind``'s "right" or "left" on each letter),
+    and every register an increment reads stays frozen.  The entry is (the
+    class, the ``match`` of a regex ``[...]*`` over the ``code`` of its
+    letters, the update program of a whole sweep, the increment programs of
+    the grown registers per letter, which of them grow left).  The sweep
+    program reads register ``n + k`` as the chunk the k-th grown register
+    gains.
+    """
+    cls, modes, reads, kinds_of = [], [None] * n, set(), {}
+    for a, prog in sorted(loops):
+        kinds = [_sweep_kind(r, rhs) for r, rhs in enumerate(prog)]
+        if None in kinds:
+            continue
+        new = list(modes)
+        for r, (tag, body) in enumerate(kinds):
+            if tag == "reset":
+                if cls and new[r] != (tag, body):
+                    break
+                new[r] = tag, body
+            elif type(new[r]) is tuple:  # a reset register must reset on every letter
+                break
+            elif tag is not None:
+                if new[r] not in (None, tag):
+                    break
+                new[r] = tag
+        else:
+            read = reads.union(p for tag, body in kinds if tag in ("right", "left")
+                               for p in body if type(p) is int)
+            if all(new[x] is None for x in read):
+                cls.append(a)
+                modes, reads, kinds_of[a] = new, read, kinds
+    if not cls:
+        return None
+    grown = [r for r, mode in enumerate(modes) if mode in ("right", "left")]
+    prog = []
+    for r, mode in enumerate(modes):
+        if mode is None or type(mode) is tuple:
+            prog.append(r if mode is None else mode[1])
+        else:
+            chunk = n + grown.index(r)
+            prog.append([r, chunk] if mode == "right" else [chunk, r])
+    incs = {a: tuple(kinds[r][1] for r in grown) for a, kinds in kinds_of.items()}
+    chars = re.escape("".join(code[a] for a in cls))
+    return (frozenset(cls), re.compile("[%s]*" % chars).match, tuple(prog), incs,
+            tuple(modes[r] == "left" for r in grown))
+
+
+def _sweeps(m: SST) -> tuple:
+    """(letter codes, sweep entry per state) of an SST, built on its first
+    untraced run and kept on the machine object next to ``_programs``.
+
+    A letter's code is ``chr`` of its index in the input alphabet; a state's
+    entry is ``_sweep_entry`` of its self-loops.  ``_programs`` does not
+    build this, so the ``equiv`` odometer never pays for it.
+    """
+    if "_sweeps" not in m.__dict__:
+        code = {a: chr(i) for i, a in enumerate(m.input_alphabet)}
+        loops: dict = {}
+        for (q, a), (q2, prog) in _programs(m)[0].items():
+            if q2 == q:
+                loops.setdefault(q, []).append((a, prog))
+        entries = {q: _sweep_entry(progs, len(m.registers), code)
+                   for q, progs in loops.items()}
+        m.__dict__["_sweeps"] = code, {q: e for q, e in entries.items() if e}
+    return m.__dict__["_sweeps"]
+
+
+def _sweep(entry: tuple, val: tuple, run: tuple) -> tuple:
+    """Valuation after the letters ``run`` of ``entry``'s class.
+
+    Each grown register gains one chunk: the increments of the letters of
+    ``run`` (reversed for a left grower), evaluated once per class letter on
+    ``val``, since every register they read is frozen.  An increment of at
+    most ``SHARE_MIN`` letters is spliced in and a longer one referenced, as
+    ``_update`` does; a chunk that references one is a node, any other a flat
+    tuple.  The sweep program then joins each chunk to its register.
+    """
+    _cls, _match, prog, incs, lefts = entry
+    incs = {a: _update(p, val, (), 0, None) for a, p in incs.items()}
+    chunks = []
+    for k, left in enumerate(lefts):
+        pieces, shared = {}, set()
+        for a, vals in incs.items():
+            v = vals[k]
+            if type(v) is _Cat or len(v) > SHARE_MIN:
+                pieces[a] = (v,)
+                shared.add(a)
+            else:
+                pieces[a] = v
+        items = tuple(chain.from_iterable(map(pieces.__getitem__, run[::-1] if left else run)))
+        chunks.append(_Cat(items) if shared and not shared.isdisjoint(run) else items)
+    return _update(prog, val + tuple(chunks), (), 0, None)
+
+
 def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
             trace: bool = False) -> RunResult:
     """One-way run; accepts iff defined everywhere and final state has output.
 
     Register values are shared (``_update``), so the run takes time linear
     in ``w`` plus the output length; ``RunResult.output`` is flat.
+
+    An untraced run standing in a state with a sweep (``_sweeps``) on a
+    letter of its class, followed by another, finds the whole run of class
+    letters with one regex scan of the word as a string of letter codes
+    (made on the first sweep) and applies them at once (``_sweep``).  A
+    sweep loops on its state, so the result is that of single steps; runs of
+    one letter and every step of a traced run step singly.
     """
     w = as_word(w)
     _check_alphabet(m, w)
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
     steps, outputs = _programs(m)
+    code, sweeps = ({}, {}) if trace else _sweeps(m)
     q, val = m.initial, _valuation(m.init_valuation, m.registers)
     tr = [(0, q, 0, (), ())] if trace else None
-    for i, a in enumerate(w):
+    i, n, text = 0, len(w), None
+    while i < n:
+        a = w[i]
         step = steps.get((q, a))
         if step is None:
             return _result(REJECT, None, i, 0, tr)
+        entry = sweeps.get(q)
+        if entry is not None and a in entry[0] and i + 1 < n and w[i + 1] in entry[0]:
+            if text is None:
+                text = "".join(map(code.__getitem__, w))
+            j = entry[1](text, i).end()
+            val = _sweep(entry, val, w[i:j])
+            i = j
+            continue
         q, prog = step
-        val = _update(prog, val, w, i + 1, registry)
+        i += 1
+        val = _update(prog, val, w, i, registry)
         if trace:
-            tr.append((i + 1, q, i + 1, (), ()))
+            tr.append((i, q, i, (), ()))
     if q not in outputs:
-        return _result(REJECT, None, len(w), 0, tr)
-    return _result(ACCEPT, _output_word(outputs[q], val), len(w), 0, tr)
+        return _result(REJECT, None, n, 0, tr)
+    return _result(ACCEPT, _output_word(outputs[q], val), n, 0, tr)
 
 
 def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None):

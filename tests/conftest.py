@@ -1,13 +1,15 @@
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from xducer.machine_io import parse_machine  # noqa: E402
-from xducer.machines import LEFT_END, MachineError, Reg, RIGHT_END  # noqa: E402
+from xducer.machines import (  # noqa: E402
+    Fun, LEFT_END, Lit, MachineError, Reg, RIGHT_END, subst_apply)
 from xducer.semantics import (  # noqa: E402
     ACCEPT,
     BUDGET,
@@ -163,3 +165,30 @@ def reference_run(t, w, budget=None, trace: bool = False) -> RunResult:
         if (state, pos) in seen:
             return result(LOOP)
         seen.add((state, pos))
+
+
+# ---------------------------------------------------------------------------
+# Reference register semantics, one letter at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_sst_run(m, w, registry=None) -> RunResult:
+    """``run_sst``'s untraced result by ``subst_apply``: the valuation is a
+    map from registers to flat tuples of ``Lit`` tokens, every update is
+    applied to it on its own letter, and a ``Fun`` token becomes the word
+    its registry callable gives on the prefix read so far."""
+    w = tuple(w)
+    q = m.initial
+    val = {x: tuple(map(Lit, m.init_valuation[x])) for x in m.registers}
+    for i, a in enumerate(w):
+        if (q, a) not in m.delta:
+            return RunResult(REJECT, None, i, 0)
+        prefix = w[:i + 1]
+        val = {x: tuple(chain.from_iterable(
+                   map(Lit, registry.get(t.name)(prefix)) if type(t) is Fun else (t,)
+                   for t in subst_apply(val, rhs)))
+               for x, rhs in m.update[(q, a)].items()}
+        q = m.delta[(q, a)]
+    if q not in m.output:
+        return RunResult(REJECT, None, len(w), 0)
+    return RunResult(ACCEPT, tuple(t.sym for t in subst_apply(val, m.output[q])), len(w), 0)

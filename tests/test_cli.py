@@ -228,6 +228,17 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.delenv("XDUCER_BUDGET")
 
 
+def test_budget_does_not_bound_register_runs(capsys, monkeypatch):
+    # an SST run takes exactly |w| steps; the budget bounds marble runs only
+    assert main(["run", corpus_path("identity_sst"), "abab", "--budget", "2"]) == 0
+    assert capsys.readouterr().out == "abab\n"
+    assert main(["run", corpus_path("reverse_two_way"), "abab", "--budget", "2"]) == 3
+    capsys.readouterr()
+    monkeypatch.setenv("XDUCER_BUDGET", "2")
+    assert main(["trace", corpus_path("identity_sst"), "abab"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+
+
 def test_budget_env_must_be_a_count(capsys, monkeypatch):
     for value in ("abc", "-1", "1.5"):
         monkeypatch.setenv("XDUCER_BUDGET", value)

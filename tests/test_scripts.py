@@ -51,7 +51,7 @@ def test_interp_rate_reports_each_machine():
     rows = [json.loads(line) for line in run_script("interp_rate.py", "1000").splitlines()]
     assert [row["machine"] for row in rows] == [
         "reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",
-        "identity_sst", "reverse_sst"]
+        "identity_sst", "reverse_sst", "mul_sst", "exp_sst"]
     for row in rows:
         assert row["size"] == 1000 and 900 <= row["letters"] <= 1100, row
         assert row["steps"] >= row["input"] and row["cpu_s"] > 0, row
