@@ -1,24 +1,34 @@
 #!/usr/bin/env python3
-"""Census of ``to_k_layered`` on the benchmark's random layered SST pool.
+"""Census of ``to_k_layered`` on random layered SSTs.
 
-Runs ``to_k_layered(perfbench.gen.pool_machine("opt_sst", i))`` for each
-member i, each in its own child process under a CPU-time and an address-space
-limit, and prints one JSON line per member:
+Runs ``to_k_layered`` on each source machine, each in its own child process
+under a CPU-time and an address-space limit, and prints one JSON line per
+machine:
 
 - ``outcome``: "layered", "exponential", the MachineError message of a
   refusal, or "killed" (with the signal or error) when a limit ended it;
 - ``cpu_s``: the child's CPU seconds;
 - ``states``, ``registers``, ``size`` (states x registers) and ``sha256`` of
-  ``dumps_machine`` for a layered output;
+  ``dumps_machine`` for a layered output, with its ``k``, the growth
+  ``degree`` and ``equiv``, the ``equiv_check`` status of the output against
+  its source on every word of at most ``EQUIV_LENGTH`` letters;
 - ``nsstf`` and ``det``: [states, registers] of every occurrence-profile
   machine and every determinization the run built, in call order.
 
-Usage: pool_census.py [FIRST [LAST]]   (members FIRST..LAST, default 0..39)
+Usage:
+  pool_census.py [FIRST [LAST]]
+      the benchmark pool, ``perfbench.gen.pool_machine("opt_sst", i)`` for
+      members i = FIRST..LAST (default 0..39); rows carry ``member``
+  pool_census.py --shape S R L [--seeds N]
+      the size ladder, ``perfbench.gen.layered_sst(
+      random.Random("ladder:S:R:L:seed"), S, R, L)`` for seeds 1..N
+      (default 6); rows carry ``shape`` [S, R, L] and ``seed``
 """
 
 import hashlib
 import json
 import os
+import random
 import resource
 import signal
 import subprocess
@@ -29,16 +39,34 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 CPU_LIMIT_S = 60
 ADDRESS_SPACE_LIMIT = 3 * 2 ** 30
+EQUIV_LENGTH = 6
 
 
-def census(index: int) -> dict:
-    """Run one member in this process and describe what it built."""
-    from perfbench.gen import pool_machine
+def source(spec: list):
+    """The machine of ``spec``: ["member", i] or ["ladder", S, R, L, seed]."""
+    from perfbench.gen import layered_sst, pool_machine
+
+    if spec[0] == "member":
+        return pool_machine("opt_sst", spec[1])
+    s, r, l, seed = spec[1:]
+    return layered_sst(random.Random("ladder:%d:%d:%d:%d" % (s, r, l, seed)),
+                       s, r, l)
+
+
+def label(spec: list) -> dict:
+    if spec[0] == "member":
+        return {"member": spec[1]}
+    return {"shape": spec[1:4], "seed": spec[4]}
+
+
+def census(spec: list) -> dict:
+    """Run one machine in this process and describe what it built."""
     from xducer import layering
     from xducer.machine_io import dumps_machine
     from xducer.machines import MachineError
+    from xducer.oracle import equiv_check
 
-    row = {"member": index, "nsstf": [], "det": []}
+    row = dict(label(spec), nsstf=[], det=[])
     for name, key in (("bounded_sstf_to_unambiguous", "nsstf"),
                       ("determinize_nsstf", "det")):
         def sized(m, _original=getattr(layering, name), _key=key):
@@ -46,8 +74,9 @@ def census(index: int) -> dict:
             row[_key].append([len(out.states), len(out.registers)])
             return out
         setattr(layering, name, sized)
+    m = source(spec)
     try:
-        res = layering.to_k_layered(pool_machine("opt_sst", index))
+        res = layering.to_k_layered(m)
     except MachineError as err:
         row["outcome"] = str(err)
     except MemoryError:
@@ -55,11 +84,13 @@ def census(index: int) -> dict:
     else:
         row["outcome"] = res.kind
         if res.kind == "layered":
-            m = res.machine
-            row.update(states=len(m.states), registers=len(m.registers),
-                       size=len(m.states) * len(m.registers),
+            out = res.machine
+            row.update(states=len(out.states), registers=len(out.registers),
+                       size=len(out.states) * len(out.registers),
                        sha256=hashlib.sha256(
-                           dumps_machine(m, res.layers).encode()).hexdigest())
+                           dumps_machine(out, res.layers).encode()).hexdigest(),
+                       k=res.k, degree=res.report.degree,
+                       equiv=equiv_check(out, m, EQUIV_LENGTH).status)
     return row
 
 
@@ -74,28 +105,36 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def main(argv) -> int:
-    if argv and argv[0] == "--member":
-        print(json.dumps(census(int(argv[1]))))
-        return 0
+def specs(argv) -> list:
+    if argv and argv[0] == "--shape":
+        shape = [int(v) for v in argv[1:4]]
+        seeds = int(argv[5]) if argv[4:5] == ["--seeds"] else 6
+        return [["ladder"] + shape + [seed] for seed in range(1, seeds + 1)]
     first = int(argv[0]) if argv else 0
     last = int(argv[1]) if len(argv) > 1 else (first if argv else 39)
-    for index in range(first, last + 1):
+    return [["member", index] for index in range(first, last + 1)]
+
+
+def main(argv) -> int:
+    if argv and argv[0] == "--child":
+        print(json.dumps(census(json.loads(argv[1]))))
+        return 0
+    for spec in specs(argv):
         before = child_cpu_s()
         res = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--member", str(index)],
+            [sys.executable, os.path.abspath(__file__), "--child", json.dumps(spec)],
             capture_output=True, text=True, preexec_fn=limit_child)
         cpu = round(child_cpu_s() - before, 2)
         lines = res.stdout.splitlines()
         if res.returncode == 0 and lines:
             row = json.loads(lines[-1])
         elif res.returncode < 0:
-            row = {"member": index, "outcome": "killed (%s)"
-                   % signal.Signals(-res.returncode).name}
+            row = dict(label(spec), outcome="killed (%s)"
+                       % signal.Signals(-res.returncode).name)
         else:
             tail = res.stderr.strip().splitlines()
-            row = {"member": index, "outcome": "killed (%s)"
-                   % (tail[-1] if tail else "exit %d" % res.returncode)}
+            row = dict(label(spec), outcome="killed (%s)"
+                       % (tail[-1] if tail else "exit %d" % res.returncode))
         row["cpu_s"] = cpu
         print(json.dumps(row), flush=True)
     return 0

@@ -1,15 +1,16 @@
 """Copy-layer minimization pipeline for register transducers.
 
-The chain runs: totalize, eliminate states and letters, drop the bounded
-bottom layer of the register-flow partition, and, only where check_layered
-rejects the remaining layers, convert the top layer from per-word-bounded
-copying to copyless and splice the recursively processed lower layers back
-in as a parallel product.  The copyless step guesses occurrence profiles in
-an unambiguous nondeterministic machine, built backward from the output, and
-determinizes it by tracking the alive forest of its runs: one tree, its
-slots numbered in pre-order.  Both are sized by what they build: a register
-has as many copies as its largest profile entry, and the slots are those of
-the widest forest explored.
+The chain runs: totalize; partition the registers of the single-state,
+letter-free form by height; drop the bounded bottom class into the states
+of the total machine, with one register per register and higher class;
+and, only where check_layered rejects those layers, convert the top layer
+from per-word-bounded copying to copyless and splice the recursively
+processed lower layers back in as a parallel product.  The copyless step
+guesses occurrence profiles in an unambiguous nondeterministic machine,
+built backward from the output, and determinizes it by tracking the alive
+forest of its runs: one tree, its slots numbered in pre-order.  Both are
+sized by what they build: a register has as many copies as its largest
+profile entry, and the slots are those of the widest forest explored.
 """
 
 from __future__ import annotations
@@ -100,6 +101,23 @@ def _fresh(base: str, taken) -> str:
     return name
 
 
+def _simple_names(m: SST) -> dict:
+    """(q, x) -> "q.x", register x at state q in the single-state form of
+    ``m`` with its letters routed, or a fresh name where an earlier pair took
+    that one; ``_state_eliminate`` and ``remove_bounded_layer`` share it."""
+    registers = _route_letters(m).registers
+    pairs = [(q, x) for q in m.states for x in registers]
+    taken, seen, names = {"%s.%s" % pair for pair in pairs}, set(), {}
+    for pair in pairs:
+        name = "%s.%s" % pair
+        if name in seen:
+            name = _fresh(name, taken)
+            taken.add(name)
+        seen.add(name)
+        names[pair] = name
+    return names
+
+
 def _state_eliminate(m: SST) -> SST:
     """Collapse a total machine to a single state.
 
@@ -114,11 +132,8 @@ def _state_eliminate(m: SST) -> SST:
     for q, rhs in m.output.items():
         if any(isinstance(t, Lit) for t in rhs):
             raise MachineError("output letters must be routed through registers first")
-
-    def rename(q, x):
-        return "%s.%s" % (q, x)
-
-    registers = tuple(rename(q, x) for q in m.states for x in m.registers)
+    rename = _simple_names(m)
+    registers = tuple(rename.values())
     preds: dict = {}
     for (p, a), q in m.delta.items():
         preds.setdefault((q, a), []).append(p)
@@ -130,18 +145,18 @@ def _state_eliminate(m: SST) -> SST:
             for x in m.registers:
                 rhs: list = []
                 for p in sorted(preds.get((q, a), ())):
-                    rhs.extend(Reg(rename(p, tok.name))
+                    rhs.extend(Reg(rename[(p, tok.name)])
                                for tok in m.update[(p, a)][x])
-                sub[rename(q, x)] = tuple(rhs)
+                sub[rename[(q, x)]] = tuple(rhs)
         update[(s0, a)] = sub
     out_tokens: list = []
     for q in m.states:
         for tok in m.output[q]:
-            out_tokens.append(Reg(rename(q, tok.name)))
+            out_tokens.append(Reg(rename[(q, tok.name)]))
     init = {}
     for q in m.states:
         for x in m.registers:
-            init[rename(q, x)] = tuple(m.init_valuation[x]) if q == m.initial else ()
+            init[rename[(q, x)]] = tuple(m.init_valuation[x]) if q == m.initial else ()
     return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=(s0,), registers=registers, initial=s0,
@@ -247,7 +262,8 @@ def prune_sst_registers(m: SST, layers: Optional[tuple] = None) -> tuple:
 
 def prune_dead_registers(m: SST) -> SST:
     """prune_sst_registers for a simple machine, whose kept registers are
-    exactly the states of its trimmed flow automaton."""
+    exactly the states of its trimmed flow automaton.  to_k_layered does not
+    call it; the benchmark's tracer (perfbench/spans.py) names it."""
     if not is_simple(m):
         raise MachineError("register pruning expects a simple machine")
     return prune_sst_registers(m)[0]
@@ -258,64 +274,73 @@ def prune_dead_registers(m: SST) -> SST:
 # ---------------------------------------------------------------------------
 
 
-def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> SST:
-    """Hardcode the bottom height class into states.
+def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> tuple:
+    """Hardcode the bottom height class of a total machine into its states.
 
-    The new states are the reachable valuations of the bottom-class
-    registers (their values are bounded, so the closure is finite); updates
-    and output of the remaining registers inline those values as letters.
+    ``partition`` holds the height classes of the registers of
+    ``to_simple(m)``, named by ``_simple_names``.  A new state pairs a state
+    q with the values of the registers x whose (q, x) is in the bottom class
+    (bounded, so the closure is finite); updates and output inline them as
+    letters.  A register x whose (q, x) is in class i >= 1 lives in x@i, and
+    one in no class (always empty, or never output) is dropped.  Returns the
+    machine and its layers, classes 1, 2, ..., of at most |registers| each.
     """
-    if not is_simple(m):
-        raise MachineError("bounded-layer removal expects a simple machine")
-    q0 = m.states[0]
-    s0 = tuple(partition[0])
-    rest = tuple(x for layer in partition[1:] for x in layer)
+    simple = _simple_names(m)
+    level = {x: i for i, cls in enumerate(partition) for x in cls}
+    home = {q: {x: level.get(simple[(q, x)]) for x in m.registers}
+            for q in m.states}
+    cells = [(x, i) for i in range(1, len(partition)) for x in m.registers
+             if any(home[q][x] == i for q in m.states)]
+    layers = tuple(tuple(_copy_reg(x, i) for x, i in cells if i == j)
+                   for j in range(1, len(partition))) or ((),)
+    init = {x: tuple(m.init_valuation[x]) for x in m.registers}
 
-    def inline(rhs, val):
+    def inline(rhs, q, val):
         out: list = []
         for tok in rhs:
-            if isinstance(tok, Reg) and tok.name in val:
-                out.extend(Lit(b) for b in val[tok.name])
-            else:
+            if not isinstance(tok, Reg):
                 out.append(tok)
+            elif home[q][tok.name] == 0:
+                out.extend(Lit(b) for b in val[tok.name])
+            elif home[q][tok.name] is not None:
+                out.append(Reg(_copy_reg(tok.name, home[q][tok.name])))
         return tuple(out)
 
-    # A valuation is the tuple of (register, value) pairs over s0.
-    init_key = tuple((x, tuple(m.init_valuation[x])) for x in s0)
+    def layered(q, value_of) -> dict:
+        # x@i holds x where (q, x) is in class i and is empty elsewhere
+        return {_copy_reg(x, i): value_of(x) if home[q][x] == i else ()
+                for x, i in cells}
+
+    def key_of(q, value_of):
+        # q with the (register, value) pairs of its bottom class
+        return q, tuple((x, value_of(x)) for x in m.registers if home[q][x] == 0)
+
+    init_key = key_of(m.initial, init.__getitem__)
     names = {init_key: "v0"}
     letters = sorted(m.input_alphabet)
     delta, update, output = {}, {}, {}
 
     def successors(key):
-        val = dict(key)
+        q, val = key[0], dict(key[1])
         here = names[key]
-        output[here] = inline(m.output[q0], val)
+        output[here] = inline(m.output[q], q, val)
         for a in letters:
-            s = m.update[(q0, a)]
-            new = []
-            for x in s0:
-                parts: list = []
-                for tok in s[x]:
-                    if tok.name not in val:
-                        raise MachineError(
-                            "bottom-class register %r depends on %r outside the class"
-                            % (x, tok.name))
-                    parts.extend(val[tok.name])
-                new.append((x, tuple(parts)))
-            nk = tuple(new)
+            q2, s = m.delta[(q, a)], m.update[(q, a)]
+            # a bottom register reads only bottom ones: flow never descends
+            nk = key_of(q2, lambda x: tuple(t.sym for t in inline(s[x], q, val)))
             delta[(here, a)] = names.setdefault(nk, "v%d" % len(names))
-            update[(here, a)] = {y: inline(s[y], val) for y in rest}
+            update[(here, a)] = layered(q2, lambda x: inline(s[x], q, val))
             yield nk
 
     order = explore([init_key], successors, VALUATION_STATE_LIMIT,
                     "bottom-layer valuation closure")
     return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=tuple(names[k] for k in order), registers=rest,
-        initial="v0",
-        init_valuation={y: tuple(m.init_valuation[y]) for y in rest},
+        states=tuple(names[k] for k in order),
+        registers=tuple(x for layer in layers for x in layer), initial="v0",
+        init_valuation=layered(m.initial, init.__getitem__),
         delta=delta, update=update, output=output,
-    )
+    ), layers
 
 
 # ---------------------------------------------------------------------------
@@ -974,17 +999,14 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
     total, dfa = make_total(m)
     _dump(dump, "total", total)
     simple = to_simple(total)
-    report = classify(flow_automaton(simple))
-    simple = prune_dead_registers(simple)
     _dump(dump, "simple", simple)
+    report = classify(flow_automaton(simple))
     if report.kind == "exponential":
         return LayeredResult("exponential", report)
-    partition = report.partition if report.partition else ((),)
-    bounded = remove_bounded_layer(simple, partition)
-    _dump(dump, "bounded", bounded)
-    machine, layers = bounded, partition[1:] or ((),)
-    if check_layered(bounded, layers):
-        machine, layers = _bounded_to_layered(bounded, layers, dump=dump)
+    machine, layers = remove_bounded_layer(total, report.partition)
+    _dump(dump, "bounded", machine)
+    if check_layered(machine, layers):
+        machine, layers = _bounded_to_layered(machine, layers, dump=dump)
         machine, layers = prune_sst_registers(machine, layers)
     machine = reimpose_domain(machine, dfa)
     _dump(dump, "layered", machine)

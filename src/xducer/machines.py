@@ -307,6 +307,12 @@ def _check_alphabet(name: str, symbols: tuple, report: list) -> None:
             report.append("%s contains reserved endmarker %r" % (name, s))
 
 
+def _check_distinct(kind: str, names: tuple, report: list) -> None:
+    for x, n in Counter(names).items():
+        if n > 1:
+            report.append("%s %r declared %d times" % (kind, x, n))
+
+
 def _check_tokens(where: str, tokens, m: SST, report: list,
                   allow_fun: bool) -> None:
     for tok in tokens:
@@ -347,6 +353,7 @@ def _validate_tape_machine(m, report: list) -> set:
     """Checks shared by two-way and marble machines; returns the tape symbols."""
     _check_alphabet("input alphabet", m.input_alphabet, report)
     _check_alphabet("output alphabet", m.output_alphabet, report)
+    _check_distinct("state", m.states, report)
     if m.initial not in m.states:
         report.append("initial state %r not declared" % m.initial)
     for q in m.finals:
@@ -376,6 +383,7 @@ def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
 
 def _validate_marble(m: MarbleTransducer, report: list) -> None:
     symbols = _validate_tape_machine(m, report)
+    _check_distinct("color", m.colors, report)
     for (q, a, c), (q2, action) in m.delta.items():
         where = "delta[%s,%s,%s]" % (q, a, c)
         if q not in m.states or q2 not in m.states:
@@ -405,6 +413,8 @@ def _validate_marble(m: MarbleTransducer, report: list) -> None:
 def _validate_sst(m: SST, report: list) -> None:
     _check_alphabet("input alphabet", m.input_alphabet, report)
     _check_alphabet("output alphabet", m.output_alphabet, report)
+    _check_distinct("state", m.states, report)
+    _check_distinct("register", m.registers, report)
     if m.initial not in m.states:
         report.append("initial state %r not declared" % m.initial)
     if set(m.delta) != set(m.update):
@@ -443,6 +453,8 @@ def _check_outputs(m: SST, report: list) -> None:
 def _validate_nsstf(m: NSSTF, report: list) -> None:
     _check_alphabet("input alphabet", m.input_alphabet, report)
     _check_alphabet("output alphabet", m.output_alphabet, report)
+    _check_distinct("state", m.states, report)
+    _check_distinct("register", m.registers, report)
     if set(m.update) != set(m.transitions):
         report.append("update map domain differs from the transition relation")
     for q, val in m.initial.items():
@@ -471,6 +483,7 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
 
 def _validate_nautomaton(m: NAutomaton, report: list) -> None:
     _check_alphabet("input alphabet", m.input_alphabet, report)
+    _check_distinct("state", m.states, report)
     for a in m.input_alphabet:
         if a not in m.mats:
             report.append("letter %r has no matrix" % a)

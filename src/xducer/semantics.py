@@ -386,12 +386,43 @@ def _update(prog: tuple, val: tuple, w, read: int,
     return tuple(new)
 
 
+# Longest word _flat writes out; the length is counted on the shared value
+# first, so a longer output raises instead of exhausting memory.
+OUTPUT_LETTER_LIMIT = 10 ** 7
+
+
+def _length(value) -> int:
+    """Letters of a register value, counted once per node of its DAG."""
+    if type(value) is not _Cat:
+        return len(value)
+    sizes: dict = {}
+    stack = [value]
+    while stack:
+        node = stack[-1]
+        if id(node) in sizes:
+            stack.pop()
+            continue
+        todo = [item for item in node if type(item) is _Cat and id(item) not in sizes]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        sizes[id(node)] = sum(sizes[id(item)] if type(item) is _Cat else
+                              len(item) if type(item) is tuple else 1 for item in node)
+    return sizes[id(value)]
+
+
 def _flat(value) -> Word:
     """The word a register value stands for.
 
     An iterative walk: a node met again is copied from the span of the output
     that its first visit wrote, so a shared DAG costs what its output costs.
+    Raises if the word is longer than ``OUTPUT_LETTER_LIMIT``.
     """
+    length = _length(value)
+    if length > OUTPUT_LETTER_LIMIT:
+        raise MachineError("register output exceeded %d letters (it has %d)"
+                           % (OUTPUT_LETTER_LIMIT, length))
     if type(value) is not _Cat:
         return value
     out: list = []

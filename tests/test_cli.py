@@ -6,7 +6,12 @@ import re
 import pytest
 
 from xducer.cli import main
-from xducer.layering import bounded_sstf_to_unambiguous, extract_sstf, make_total
+from xducer.layering import (
+    bounded_sstf_to_unambiguous,
+    extract_sstf,
+    make_total,
+    to_simple,
+)
 from xducer.machine_io import (
     MachineFileError,
     dumps_machine,
@@ -14,7 +19,15 @@ from xducer.machine_io import (
     machine_to_json,
     parse_machine,
 )
-from xducer.machines import LEFT_END, MOVE_RIGHT, MachineError, TwoWayTransducer
+from xducer.machines import (
+    LEFT_END,
+    Lit,
+    MOVE_RIGHT,
+    MachineError,
+    Reg,
+    SST,
+    TwoWayTransducer,
+)
 from xducer.semantics import run_machine
 
 from conftest import CORPUS_DIR, CORPUS_NAMES, corpus_path, load
@@ -183,6 +196,31 @@ def test_nsstf_output_faults_are_invalid(tmp_path, capsys, state, rhs, violation
     assert any(violation in v for v in json.loads(capsys.readouterr().out)["violations"])
     assert main(["run", str(bad), "aa"]) == 1
     assert violation in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,field,kind", [
+    ("copy_two_way", "states", "state"),
+    ("mul_marble", "states", "state"),
+    ("mul_marble", "colors", "color"),
+    ("exp_sst", "states", "state"),
+    ("exp_sst", "registers", "register"),
+    ("sstf", "registers", "register"),
+    ("nsstf", "states", "state"),
+    ("nsstf", "registers", "register"),
+    ("chain_flow", "states", "state"),
+])
+def test_duplicate_names_are_invalid(tmp_path, capsys, name, field, kind):
+    # a repeated name used to pass validate and break analyze and optimize
+    doc = _document(name)
+    doc[field] = _first_twice(doc[field])
+    violation = "%s %r declared 2 times" % (kind, doc[field][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert violation in json.loads(capsys.readouterr().out)["violations"]
+    for command in ("analyze", "optimize"):
+        assert main([command, str(bad)]) == 1, command
+        assert violation in capsys.readouterr().err, command
 
 
 def multi_letter_copier(path):
@@ -368,6 +406,32 @@ def test_optimize_writes_layers(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "ab#ab#"
 
 
+def test_state_register_names_that_meet_stay_apart(tmp_path, capsys):
+    # register b.c at state a and register c at state a.b are both "a.b.c"
+    # in the single-state form; one used to overwrite the other there
+    y, bc, c = Lit("y"), Reg("b.c"), Reg("c")
+    m = SST(
+        input_alphabet=("0",), output_alphabet=("y",), states=("a", "a.b"),
+        registers=("b.c", "c"), initial="a", init_valuation={"b.c": (), "c": ()},
+        delta={("a", "0"): "a.b", ("a.b", "0"): "a"},
+        update={("a", "0"): {"b.c": (bc, y), "c": (c,)},
+                ("a.b", "0"): {"b.c": (bc,), "c": (c, y, y)}},
+        output={"a": (bc, c), "a.b": (c, bc, y)},
+    )
+    simple = to_simple(m)
+    assert len(set(simple.registers)) == len(simple.registers) == 6
+    source, out = str(tmp_path / "meet.json"), str(tmp_path / "opt.json")
+    emit_machine(m, source)
+    assert main(["run", source, "000"]) == 0
+    assert capsys.readouterr().out == "yyyyy\n"
+    assert main(["analyze", source]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 1
+    assert main(["optimize", source, "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["equiv", source, out, "--maxlen", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "equivalent"
+
+
 def test_optimize_dump_stages(tmp_path, capsys):
     out = tmp_path / "opt.json"
     stages = tmp_path / "stages"
@@ -399,21 +463,21 @@ def test_optimize_dump_stages(tmp_path, capsys):
 # Exit code and sha256 of the `optimize -o` machine for each corpus file (None:
 # no machine is written), so pipeline refactors keep the emitted bytes.
 OPTIMIZED = {
-    "bounded_pair_sst": (0, "754385bf994358dc9873903b314801bf0e3f3a4e0226496f9fcf5a2972e1b98b"),
+    "bounded_pair_sst": (0, "0145d7aba0a3a14ecb3098e45b885913fd9924ef7f220839167af926d66d0147"),
     "chain_flow": (1, None),
-    "copy_two_way": (0, "9e170ea185bff928544c0e155e444db8bf9f8ea77d5f6536f4ff27676cab7b46"),
+    "copy_two_way": (0, "c019f0edb614b68c08237a04c58d6c96d8f68fcf6aef0d9b019da786ae4fe45d"),
     "exp_flow": (1, None),
     "exp_marble": (4, None),
     "exp_sst": (4, None),
-    "identity_sst": (0, "cbe513e9f95baf9769a7e414e17b0cbd21573d96b1ea1a4768b70f7ea97a9f59"),
-    "mul_marble": (0, "0e8e35f9e88ce8a3db9962563eccbb186d6650ec807b5070066b392879fdaba5"),
-    "mul_sst": (0, "e6b5d2f0fd6771cca40275ccb893ad96601935418a9408c0218e5c987831f2e6"),
-    "mul_sst_copyful": (0, "e6b5d2f0fd6771cca40275ccb893ad96601935418a9408c0218e5c987831f2e6"),
-    "pow2_marble": (0, "9dca5506ccd5e8b50fb1c1142944c50f6de40385809287f812a6a077d6569a21"),
-    "pow2_marble_wasteful": (0, "23e3fea3e50c5ace7a8b0662aa5d47fb3133c2fe8ae7af68112757e6afbc26fa"),
-    "reverse_sst": (0, "f6048b72ce30c1132adbae172797520b99a8d9a8e1cd8d9b5d949f86e95d51b9"),
-    "reverse_sst_copyful": (0, "375187e8abb4605739d6b65e476cc05b22db2b7a56f06e44669a55281ea7c870"),
-    "reverse_two_way": (0, "b8c21855316618d9c405b16072fbaa98bcf5ced42c9d6b284723a6814fe75950"),
+    "identity_sst": (0, "605abf092c0c9d1c6c0e1ed332e51f6a1b03c8f25983ef51e3449c51cb27355e"),
+    "mul_marble": (0, "69eb1adfd8511974b8498b0351f8d89875d5e2dd00bbfa23fd9f2e0b5bb49011"),
+    "mul_sst": (0, "ebebf45b9bfafec544cd74942de0ddd3b551eeba6cc8e034c1c4ae2a04066ba2"),
+    "mul_sst_copyful": (0, "ebebf45b9bfafec544cd74942de0ddd3b551eeba6cc8e034c1c4ae2a04066ba2"),
+    "pow2_marble": (0, "afd4c81ef58afd3fd8b485eaa3a18bb3bf3c966e1bf4cec3171da5c4e7720c8f"),
+    "pow2_marble_wasteful": (0, "f56160c8e853cc261a57c1f9358d7625ae9fccafe22b81a49e1b1b85111793a6"),
+    "reverse_sst": (0, "4f43013eb1f84c5c6fe9d4b6a10294aa57001f0a8b1ff2e65c7d7db0e907129d"),
+    "reverse_sst_copyful": (0, "5b8cd156c5c99debae65278091edf442edf925e252a3eb050494831853b8c700"),
+    "reverse_two_way": (0, "7aa822b755585350440319e1e70eb69b89442841ef3c119764bd813d6d4423a5"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import replace
@@ -116,19 +117,20 @@ def test_prune_dead_registers():
 # ---------------------------------------------------------------------------
 
 
-def _classified_simple(m):
+def _classified(m):
     from xducer.growth import classify
 
-    total, dfa = make_total(m)
-    simple = prune_dead_registers(to_simple(total))
-    report = classify(flow_automaton(simple))
-    return simple, report, total
+    total, _dfa = make_total(m)
+    return total, classify(flow_automaton(to_simple(total)))
 
 
 def test_remove_bounded_layer_constant_register():
-    simple, report, total = _classified_simple(load("mul_sst"))
-    machine = remove_bounded_layer(simple, report.partition)
-    assert len(machine.registers) == len(simple.registers) - len(report.partition[0])
+    total, report = _classified(load("mul_sst"))
+    machine, layers = remove_bounded_layer(total, report.partition)
+    assert len(layers) == len(report.partition) - 1
+    assert sorted(machine.registers) == sorted(x for layer in layers for x in layer)
+    assert all(len(layer) <= len(total.registers) for layer in layers)
+    assert check_layered(machine, layers) == []
     assert equiv_check(machine, total, 5).equivalent
 
 
@@ -143,11 +145,11 @@ def test_remove_bounded_layer_singleton_closure():
         update={("q", "a"): {"k": (Reg("k"),), "y": (Reg("k"), Reg("y"))}},
         output={"q": (Reg("y"),)},
     )
-    simple, report, total = _classified_simple(m)
+    total, report = _classified(m)
     assert report.degree == 1
-    machine = remove_bounded_layer(simple, report.partition)
+    machine, layers = remove_bounded_layer(total, report.partition)
     assert len(machine.states) == 1
-    assert len(machine.registers) == len(simple.registers) - 1
+    assert machine.registers == ("y@1",) and layers == (("y@1",),)
     assert equiv_check(machine, total, 6).equivalent
 
 
@@ -158,10 +160,10 @@ def test_remove_bounded_layer_degree_zero():
         delta={("q", "a"): "q"}, update={("q", "a"): {"x": (Reg("x"),)}},
         output={"q": (Reg("x"),)},
     )
-    simple, report, total = _classified_simple(m)
+    total, report = _classified(m)
     assert report.degree == 0
-    machine = remove_bounded_layer(simple, report.partition)
-    assert machine.registers == ()
+    machine, layers = remove_bounded_layer(total, report.partition)
+    assert machine.registers == () and layers == ((),)
     assert equiv_check(machine, total, 5).equivalent
 
 
@@ -297,9 +299,8 @@ def test_extract_single_layer_is_identity():
 
 
 def _two_layer_machine():
-    simple, report, _total = _classified_simple(load("mul_sst"))
-    machine = remove_bounded_layer(simple, report.partition)
-    return machine, report.partition[1:]
+    total, report = _classified(load("mul_sst"))
+    return remove_bounded_layer(total, report.partition)
 
 
 def test_extract_mul_layers():
@@ -630,7 +631,7 @@ def test_copyless_layers_are_built_only_where_needed(name, monkeypatch):
 
     def bounded_layer(m, partition, _original=layering.remove_bounded_layer):
         bounded = _original(m, partition)
-        seen["bounded"].append((bounded, partition[1:] or ((),)))
+        seen["bounded"].append(bounded)
         return bounded
 
     def determinize(m, _original=layering.determinize_nsstf):
@@ -661,3 +662,45 @@ def test_copyless_layers_are_built_only_where_needed(name, monkeypatch):
         got = run_marble(walker, w, budget=10 ** 8)
         assert got.output == want.output, (name, len(w))
         assert got.max_stack_depth <= res.k, (name, len(w))
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL)
+def test_bounded_layers_hold_one_register_per_source_register(name, monkeypatch):
+    # register x at every state shares one register per layer, so no layer
+    # of any bounded machine the pipeline builds, value machines included,
+    # outgrows the register set of the total machine it came from
+    source = load(name)
+    if isinstance(source, TwoWayTransducer):
+        source = two_way_to_marble(source)
+    sst = marble_to_sst(source) if isinstance(source, MarbleTransducer) else source
+    calls = []
+
+    def bounded_layer(m, partition, _original=layering.remove_bounded_layer):
+        machine, layers = _original(m, partition)
+        calls.append((m, machine, layers))
+        return machine, layers
+
+    monkeypatch.setattr(layering, "remove_bounded_layer", bounded_layer)
+    assert to_k_layered(sst).kind == "layered"
+    assert calls
+    for total, machine, layers in calls:
+        assert all(len(layer) <= len(total.registers) for layer in layers), name
+        assert sorted(machine.registers) == sorted(x for layer in layers for x in layer)
+
+
+def test_pool_member_29_is_layered_and_correct(monkeypatch):
+    # the parent's copy-per-state bounded machine made this member's
+    # determinization exceed DETERMINIZATION_SIZE_LIMIT
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
+    from perfbench.gen import pool_machine
+
+    m = pool_machine("opt_sst", 29)
+    res = to_k_layered(m)
+    assert res.kind == "layered"
+    assert check_layered(res.machine, res.layers) == []
+    assert res.k == res.report.degree - 1
+    assert equiv_check(res.machine, m, 6).equivalent
+    rng = random.Random(29)
+    for _ in range(20):
+        w = "".join(rng.choices(m.input_alphabet, k=rng.randint(20, 200)))
+        assert run_sst(res.machine, w).output == run_sst(m, w).output, w

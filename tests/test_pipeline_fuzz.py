@@ -68,7 +68,7 @@ def random_sst(rng) -> SST:
 
 # sha256 over the emitted machines of all polynomial trials below, in order
 RANDOM_LAYERED_DIGEST = \
-    "44a911c799470eafe739aea6b06447b89337756de4d30ac0d2ff9653f2b49612"
+    "bbb64cfb0506765733a13320ac62bfa7b849036096e8e1e990bcd07629a3f12d"
 
 
 def test_random_ssts_through_layer_minimization():

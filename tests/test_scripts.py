@@ -43,8 +43,20 @@ def test_pool_census_reports_each_member():
         assert row["size"] == row["states"] * row["registers"]
         assert row["nsstf"] == row["det"] == [] and row["cpu_s"] >= 0
     # the layered outputs of members 0 and 1, byte for byte
-    assert [row["sha256"][:16] for row in rows] == ["53af33e77665e495",
-                                                     "2557a3b8e6709bc1"]
+    assert [row["sha256"][:16] for row in rows] == ["8f73e87c81e81234",
+                                                     "b1cc9abdbcea6a84"]
+
+
+def test_pool_census_climbs_the_size_ladder():
+    rows = [json.loads(line) for line in
+            run_script("pool_census.py", "--shape", "2", "4", "2", "--seeds", "2").splitlines()]
+    assert [(row["shape"], row["seed"]) for row in rows] == [([2, 4, 2], 1), ([2, 4, 2], 2)]
+    for row in rows:
+        assert row["outcome"] in ("layered", "exponential"), row
+        assert row["cpu_s"] >= 0
+        if row["outcome"] == "layered":
+            assert row["equiv"] == "equivalent" and row["k"] == max(row["degree"] - 1, 0)
+            assert row["size"] == row["states"] * row["registers"]
 
 
 def test_interp_rate_reports_each_machine():

@@ -7,13 +7,18 @@ and through the token loop below, which builds every value as a flat tuple.
 """
 
 import random
+import time
 from dataclasses import replace
 
+import pytest
+
+from xducer import semantics
+from xducer.cli import main
 from xducer.layering import to_k_layered
-from xducer.machines import Fun, FunctionRegistry, Lit, Reg, SST
+from xducer.machines import Fun, FunctionRegistry, Lit, MachineError, Reg, SST
 from xducer.semantics import ACCEPT, REJECT, SHARE_MIN, run_sst, run_sstf
 
-from conftest import load
+from conftest import corpus_path, load
 
 LETTERS = ("a", "b", "c")
 # Longest total of the register lengths a seeded run may reach; the flat
@@ -133,6 +138,29 @@ def test_doubling_shares_one_value():
     for m, w in ((load("mul_sst_copyful"), "ab" * 20 + "#" + "0" * 300),
                  (load("reverse_sst_copyful"), "abc" * 900)):
         assert run_sst(m, w).output == flat_run(m, w)
+
+
+def test_output_length_is_limited_before_flattening(monkeypatch, capsys):
+    # 2^40 letters would exhaust memory; the length is counted on the
+    # shared value, so the run is refused at once
+    start = time.process_time()
+    with pytest.raises(MachineError, match=r"^register output exceeded %d letters "
+                       r"\(it has %d\)$" % (semantics.OUTPUT_LETTER_LIMIT, 2 ** 40)):
+        run_sst(load("exp_sst"), "a" * 40)
+    assert time.process_time() - start < 1
+    assert main(["run", corpus_path("exp_sst"), "a" * 40]) == 1
+    assert "register output exceeded" in capsys.readouterr().err
+    # the count is exact: doubled, swept and reversed values reach the
+    # limit and pass, and one letter more is refused
+    w = "ab" * 1000
+    for m, word, n in ((load("exp_sst"), "a" * 10, 2 ** 10),
+                       (load("identity_sst"), w, len(w)),
+                       (load("reverse_sst", ("a", "b")), w, len(w))):
+        monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", n)
+        assert len(run_sst(m, word).output) == n
+        monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", n - 1)
+        with pytest.raises(MachineError):
+            run_sst(m, word)
 
 
 def test_random_sstfs_match_the_flat_evaluator():
