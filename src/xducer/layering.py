@@ -1,16 +1,18 @@
 """Copy-layer minimization pipeline for register transducers.
 
-The chain runs: totalize; partition the registers of the single-state,
-letter-free form by height; drop the bounded bottom class into the states
-of the total machine, with one register per register and higher class;
-and, only where check_layered rejects those layers, convert the top layer
-from per-word-bounded copying to copyless and splice the recursively
-processed lower layers back in as a parallel product.  The copyless step
-guesses occurrence profiles in an unambiguous nondeterministic machine,
-built backward from the output, and determinizes it by tracking the alive
-forest of its runs: one tree, its slots numbered in pre-order.  Both are
-sized by what they build: a register has as many copies as its largest
-profile entry, and the slots are those of the widest forest explored.
+The chain runs: totalize; build the single-state, letter-free form in one
+pass from the total machine (register x at state q becomes q.x, and each
+output letter b a constant register k.b) and partition its registers by
+height; drop the bounded bottom class into the states of the total
+machine, with one register per register and higher class; and, only where
+check_layered rejects those layers, convert the top layer from
+per-word-bounded copying to copyless and splice the recursively processed
+lower layers back in as a parallel product.  The copyless step guesses
+occurrence profiles in an unambiguous nondeterministic machine, built
+backward from the output, and determinizes it by tracking the alive forest
+of its runs: one tree, its slots numbered in pre-order.  Both are sized by
+what they build: a register has as many copies as its largest profile
+entry, and the slots are those of the widest forest explored.
 """
 
 from __future__ import annotations
@@ -101,12 +103,22 @@ def _fresh(base: str, taken) -> str:
     return name
 
 
-def _simple_names(m: SST) -> dict:
-    """(q, x) -> "q.x", register x at state q in the single-state form of
-    ``m`` with its letters routed, or a fresh name where an earlier pair took
-    that one; ``_state_eliminate`` and ``remove_bounded_layer`` share it."""
-    registers = _route_letters(m).registers
-    pairs = [(q, x) for q in m.states for x in registers]
+def _simple_names(m: SST) -> tuple:
+    """Register names of ``to_simple(m)``, shared with remove_bounded_layer.
+
+    Returns ``(names, const)``: ``const`` maps each letter b that ``m``
+    writes to a fresh constant register, k.b unless a register took that
+    name, and ``names`` maps (q, x) to "q.x" for each state q and register
+    or constant x, or to a fresh name where an earlier pair took that one.
+    """
+    rhss = [rhs for s in m.update.values() for rhs in s.values()]
+    used = {t.sym for rhs in rhss + list(m.output.values()) for t in rhs
+            if isinstance(t, Lit)}
+    taken, const = set(m.registers), {}
+    for b in sorted(used):
+        const[b] = _fresh("k.%s" % b, taken)
+        taken.add(const[b])
+    pairs = [(q, x) for q in m.states for x in m.registers + tuple(const.values())]
     taken, seen, names = {"%s.%s" % pair for pair in pairs}, set(), {}
     for pair in pairs:
         name = "%s.%s" % pair
@@ -115,102 +127,49 @@ def _simple_names(m: SST) -> dict:
             taken.add(name)
         seen.add(name)
         names[pair] = name
-    return names
-
-
-def _state_eliminate(m: SST) -> SST:
-    """Collapse a total machine to a single state.
-
-    Register (q, x) holds the value of x when q is the current state and the
-    empty word otherwise, so per-letter updates concatenate the relabelled
-    updates of all predecessors of q; at most one term is nonempty along a
-    run.  Updates and output must already be letter-free (letters would
-    leak into inactive branches).
-    """
-    if not is_total(m):
-        raise MachineError("state elimination requires a total machine")
-    for q, rhs in m.output.items():
-        if any(isinstance(t, Lit) for t in rhs):
-            raise MachineError("output letters must be routed through registers first")
-    rename = _simple_names(m)
-    registers = tuple(rename.values())
-    preds: dict = {}
-    for (p, a), q in m.delta.items():
-        preds.setdefault((q, a), []).append(p)
-    update = {}
-    s0 = "s"
-    for a in m.input_alphabet:
-        sub = {}
-        for q in m.states:
-            for x in m.registers:
-                rhs: list = []
-                for p in sorted(preds.get((q, a), ())):
-                    rhs.extend(Reg(rename[(p, tok.name)])
-                               for tok in m.update[(p, a)][x])
-                sub[rename[(q, x)]] = tuple(rhs)
-        update[(s0, a)] = sub
-    out_tokens: list = []
-    for q in m.states:
-        for tok in m.output[q]:
-            out_tokens.append(Reg(rename[(q, tok.name)]))
-    init = {}
-    for q in m.states:
-        for x in m.registers:
-            init[rename[(q, x)]] = tuple(m.init_valuation[x]) if q == m.initial else ()
-    return SST(
-        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=(s0,), registers=registers, initial=s0,
-        init_valuation=init,
-        delta={(s0, a): s0 for a in m.input_alphabet},
-        update=update, output={s0: tuple(out_tokens)}, funs=m.funs,
-    )
-
-
-def _route_letters(m: SST) -> SST:
-    """Replace output letters by constant registers (one per used letter)."""
-    used = set()
-    for s in m.update.values():
-        for rhs in s.values():
-            used.update(t.sym for t in rhs if isinstance(t, Lit))
-    for rhs in m.output.values():
-        used.update(t.sym for t in rhs if isinstance(t, Lit))
-    if not used:
-        return m
-    taken = set(m.registers)
-    const = {}
-    for b in sorted(used):
-        const[b] = _fresh("k.%s" % b, taken)
-        taken.add(const[b])
-
-    def rewrite(rhs):
-        return tuple(Reg(const[t.sym]) if isinstance(t, Lit) else t for t in rhs)
-
-    registers = m.registers + tuple(const[b] for b in sorted(used))
-    update = {}
-    for key, s in m.update.items():
-        sub = {x: rewrite(rhs) for x, rhs in s.items()}
-        for b in sorted(used):
-            sub[const[b]] = (Reg(const[b]),)
-        update[key] = sub
-    init = dict(m.init_valuation)
-    for b in sorted(used):
-        init[const[b]] = (b,)
-    output = {q: rewrite(rhs) for q, rhs in m.output.items()}
-    return SST(
-        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=m.states, registers=registers, initial=m.initial,
-        init_valuation=init, delta=dict(m.delta), update=update,
-        output=output, funs=m.funs,
-    )
+    return names, const
 
 
 def to_simple(m: SST) -> SST:
-    """Equivalent single-state machine with letter-free updates and output."""
+    """Equivalent single-state machine with letter-free updates and output.
+
+    Built in one pass from the total machine: register (q, x) holds the
+    value of x when q is the current state and the empty word otherwise,
+    and constant (q, k.b) holds the letter b when q is.  The update of
+    (q, x) on a concatenates x's update at (p, a) over the sorted
+    predecessors p of q, with Reg(y) read as (p, y) and Lit(b) as (p, k.b);
+    at most one term is nonempty along a run.  The output and the initial
+    valuation are built the same way.
+    """
     if m.funs:
         raise MachineError("cannot simplify a machine with external functions")
     if not is_total(m):
         raise MachineError("simplification requires a total machine")
-    return _state_eliminate(_route_letters(m))
+    names, const = _simple_names(m)
+
+    def rename(p, rhs):
+        return [Reg(names[(p, t.name if isinstance(t, Reg) else const[t.sym])])
+                for t in rhs]
+
+    keep = {k: (Reg(k),) for k in const.values()}    # a constant keeps its letter
+    rows = {key: {**s, **keep} for key, s in m.update.items()}
+    value = {**m.init_valuation, **{k: (b,) for b, k in const.items()}}
+    preds: dict = {}
+    for (p, a), q in sorted(m.delta.items()):
+        preds.setdefault((q, a), []).append(p)
+    update = {("s", a): {name: tuple(tok for p in preds.get((q, a), ())
+                                     for tok in rename(p, rows[(p, a)][x]))
+                         for (q, x), name in names.items()}
+              for a in m.input_alphabet}
+    return SST(
+        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
+        states=("s",), registers=tuple(names.values()), initial="s",
+        init_valuation={name: tuple(value[x]) if q == m.initial else ()
+                        for (q, x), name in names.items()},
+        delta={("s", a): "s" for a in m.input_alphabet}, update=update,
+        output={"s": tuple(tok for q in m.states for tok in rename(q, m.output[q]))},
+        funs=m.funs,
+    )
 
 
 def prune_sst_registers(m: SST, layers: Optional[tuple] = None) -> tuple:
@@ -285,7 +244,7 @@ def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> tuple:
     one in no class (always empty, or never output) is dropped.  Returns the
     machine and its layers, classes 1, 2, ..., of at most |registers| each.
     """
-    simple = _simple_names(m)
+    simple = _simple_names(m)[0]
     level = {x: i for i, cls in enumerate(partition) for x in cls}
     home = {q: {x: level.get(simple[(q, x)]) for x in m.registers}
             for q in m.states}
@@ -976,13 +935,13 @@ def _bounded_to_layered(m: SST, layers: tuple, dump=None) -> tuple:
     return splice_layers(det, product, p_layers, expr)
 
 
-def _dump(dump, stage: str, machine) -> None:
+def _dump(dump, stage: str, machine, layers: Optional[tuple] = None) -> None:
     if dump is None:
         return
     from .machine_io import emit_machine
     import os
 
-    emit_machine(machine, os.path.join(dump, "%s.json" % stage))
+    emit_machine(machine, os.path.join(dump, "%s.json" % stage), layers)
 
 
 def to_k_layered(m: SST, dump=None) -> LayeredResult:
@@ -1004,12 +963,12 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
     if report.kind == "exponential":
         return LayeredResult("exponential", report)
     machine, layers = remove_bounded_layer(total, report.partition)
-    _dump(dump, "bounded", machine)
+    _dump(dump, "bounded", machine, layers)
     if check_layered(machine, layers):
         machine, layers = _bounded_to_layered(machine, layers, dump=dump)
         machine, layers = prune_sst_registers(machine, layers)
     machine = reimpose_domain(machine, dfa)
-    _dump(dump, "layered", machine)
+    _dump(dump, "layered", machine, layers)
     bad = check_layered(machine, layers)
     if bad:
         raise MachineError("internal error: result not layered: %s" % bad[0])

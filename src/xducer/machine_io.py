@@ -234,12 +234,14 @@ def machine_from_json(doc, path: str = "$"):
             action = _action(_need(ent, "action", None, where), "%s.action" % where)
             _put(delta, (q, s, c), (_need(ent, "to", str, where), action), where)
             out[(q, s, c)] = _word(ent.get("output", []), "%s.output" % where)
+        bound = doc.get("declared_marble_bound")
         return MarbleTransducer(
             input_alphabet, output_alphabet, states,
             _need(doc, "initial", str, path),
             frozenset(_word(_need(doc, "finals", list, path), "%s.finals" % path)),
             tuple(_word(_need(doc, "colors", list, path), "%s.colors" % path)),
-            delta, out, doc.get("declared_marble_bound"))
+            delta, out, None if bound is None else _integer(
+                bound, "%s.declared_marble_bound" % path))
     if kind in ("sst", "sstf"):
         registers = tuple(_word(_need(doc, "registers", list, path),
                                 "%s.registers" % path))

@@ -384,6 +384,8 @@ def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
 def _validate_marble(m: MarbleTransducer, report: list) -> None:
     symbols = _validate_tape_machine(m, report)
     _check_distinct("color", m.colors, report)
+    if m.marble_bound is not None and m.marble_bound < 0:
+        report.append("declared marble bound %d is negative" % m.marble_bound)
     for (q, a, c), (q2, action) in m.delta.items():
         where = "delta[%s,%s,%s]" % (q, a, c)
         if q not in m.states or q2 not in m.states:

@@ -24,10 +24,12 @@ from xducer.machines import (
     Lit,
     MOVE_RIGHT,
     MachineError,
+    MarbleTransducer,
     Reg,
     SST,
     TwoWayTransducer,
 )
+from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.semantics import run_machine
 
 from conftest import CORPUS_DIR, CORPUS_NAMES, corpus_path, load
@@ -114,6 +116,8 @@ def _first_twice(entries):
     ("chain_flow", "matrices", lambda mats: {a: _first_twice(entries)
                                              for a, entries in mats.items()},
      "$.matrices.a[1]"),
+    ("pow2_marble", "declared_marble_bound", "abc", "$.declared_marble_bound"),
+    ("pow2_marble", "declared_marble_bound", True, "$.declared_marble_bound"),
 ])
 def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
                                            value, where):
@@ -124,6 +128,18 @@ def test_malformed_entries_are_file_errors(tmp_path, capsys, name, field,
     for command in ("validate", "analyze"):
         assert main([command, str(bad)]) == 1, command
         assert capsys.readouterr().err.startswith("%s: expected " % where), command
+
+
+def test_negative_marble_bound_is_invalid(tmp_path, capsys):
+    doc = _document("pow2_marble")
+    doc["declared_marble_bound"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        "declared marble bound -1 is negative"]
+    assert main(["run", str(bad), "aa"]) == 1
+    assert "negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rhs,where,message", [
@@ -406,11 +422,11 @@ def test_optimize_writes_layers(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "ab#ab#"
 
 
-def test_state_register_names_that_meet_stay_apart(tmp_path, capsys):
+def _names_that_meet():
     # register b.c at state a and register c at state a.b are both "a.b.c"
-    # in the single-state form; one used to overwrite the other there
+    # in the single-state form
     y, bc, c = Lit("y"), Reg("b.c"), Reg("c")
-    m = SST(
+    return SST(
         input_alphabet=("0",), output_alphabet=("y",), states=("a", "a.b"),
         registers=("b.c", "c"), initial="a", init_valuation={"b.c": (), "c": ()},
         delta={("a", "0"): "a.b", ("a.b", "0"): "a"},
@@ -418,6 +434,24 @@ def test_state_register_names_that_meet_stay_apart(tmp_path, capsys):
                 ("a.b", "0"): {"b.c": (bc,), "c": (c, y, y)}},
         output={"a": (bc, c), "a.b": (c, bc, y)},
     )
+
+
+def _constant_that_meets():
+    # register k.a takes the name of the constant register for the letter a
+    a, ka = Lit("a"), Reg("k.a")
+    return SST(
+        input_alphabet=("0", "1"), output_alphabet=("a",), states=("p", "q"),
+        registers=("k.a",), initial="p", init_valuation={"k.a": ("a",)},
+        delta={("p", "0"): "q", ("p", "1"): "p", ("q", "0"): "p", ("q", "1"): "q"},
+        update={("p", "0"): {"k.a": (ka, a)}, ("p", "1"): {"k.a": (ka,)},
+                ("q", "0"): {"k.a": (a, ka, ka)}, ("q", "1"): {"k.a": ()}},
+        output={"p": (ka, a), "q": (a,)},
+    )
+
+
+def test_state_register_names_that_meet_stay_apart(tmp_path, capsys):
+    # the two pairs that meet keep two registers
+    m = _names_that_meet()
     simple = to_simple(m)
     assert len(set(simple.registers)) == len(simple.registers) == 6
     source, out = str(tmp_path / "meet.json"), str(tmp_path / "opt.json")
@@ -432,6 +466,29 @@ def test_state_register_names_that_meet_stay_apart(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "equivalent"
 
 
+# sha256 of the single-state forms of the corpus SSTs, of the crossing SSTs
+# of the corpus marble and two-way files, and of the two machines above
+# whose names meet, so rewrites of to_simple keep its bytes.
+SIMPLE_DIGEST = "bf8413e7fe5f12b887b16b8d4db7258c97faf569571244e4d086d0590edfd639"
+
+
+def test_single_state_forms_keep_their_bytes():
+    constant = to_simple(_constant_that_meets())
+    assert "p.k.a" in constant.registers and "p.k.a_" in constant.registers
+    digest = hashlib.sha256()
+    for name in CORPUS_NAMES:
+        machine = load(name)
+        if isinstance(machine, TwoWayTransducer):
+            machine = two_way_to_marble(machine)
+        if isinstance(machine, MarbleTransducer):
+            machine = marble_to_sst(machine)
+        if isinstance(machine, SST):
+            digest.update(dumps_machine(to_simple(make_total(machine)[0])).encode())
+    for machine in (_names_that_meet(), _constant_that_meets()):
+        digest.update(dumps_machine(to_simple(machine)).encode())
+    assert digest.hexdigest() == SIMPLE_DIGEST
+
+
 def test_optimize_dump_stages(tmp_path, capsys):
     out = tmp_path / "opt.json"
     stages = tmp_path / "stages"
@@ -443,6 +500,9 @@ def test_optimize_dump_stages(tmp_path, capsys):
     assert "det-layer0.json" in names
     for name in names:
         parse_machine(str(stages / name))
+    # the layered stage is the -o file, layers and all
+    assert (stages / "layered.json").read_bytes() == out.read_bytes()
+    assert parse_machine(str(stages / "bounded.json"))[1] is not None
     # mul_sst leaves remove_bounded_layer layered: no copyless construction
     exit_stages = tmp_path / "exit_stages"
     assert main(["optimize", corpus_path("mul_sst"), "-o", str(out),

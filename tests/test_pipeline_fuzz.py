@@ -90,9 +90,9 @@ def test_random_ssts_through_layer_minimization():
     assert digest.hexdigest() == RANDOM_LAYERED_DIGEST
 
 
-# States of the largest walker built below (the 21st: 25 states, 33
-# registers, one layer); a walker keyed by output suffix had 51,728
-LARGEST_WALKER_STATES = 5113
+# States of the largest walker built below (the 21st, from a layered
+# machine of 16 states, 18 registers and one layer)
+LARGEST_WALKER_STATES = 1155
 
 
 def test_random_layered_machines_walk_back_to_marbles():
