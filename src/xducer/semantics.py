@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -159,15 +160,16 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
 
     Accepts on the first configuration (q, |w|+1, empty stack) with q final.
     Every run ends in accept, reject, loop or budget.  Each stack frame keeps
-    a seen set of (state, head) pairs, as ints ``state * (|w|+2) + head``: a
-    drop opens one, a lift resumes the one below.  A looping run repeats the
-    configuration of least height on its cycle within one open frame, so
-    every loop is found.  One loop, traced or not, steps over the tables of
-    ``_compile_tables`` and a tape of symbol codes; ``stack`` keeps, top last,
-    the (top marble position, colour, seen set) each drop saved.  A right
-    move and a drop, the only steps that could put a marble below the head
-    or out of order, check that they do not.  ``detect_loops`` is accepted
-    for compatibility and has no effect.
+    a seen set of (state, head) pairs, as ints ``state * (|w|+2) + head``,
+    and the intervals its sweeps crossed: a drop opens a frame with neither,
+    a lift resumes the one below.  A looping run repeats the configuration
+    of least height on its cycle within one open frame, so every loop is
+    found.  One loop, traced or not, steps over the tables of
+    ``_compile_tables`` and a tape of symbol codes; ``stack`` keeps, top
+    last, the (top marble position, colour, seen set, swept) each drop
+    saved.  A right move and a drop, the only steps that could put a marble
+    below the head or out of order, check that they do not.
+    ``detect_loops`` is accepted for compatibility and has no effect.
 
     An untraced run that takes a sweep entry crosses the whole run of cells
     its matcher accepts with one regex scan of the tape as a string of
@@ -175,10 +177,22 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
     and writes their outputs with one ``str.translate``.  A right sweep reads
     no cell at or past the top marble or ⊣, a left sweep none at ⊢, and none
     goes past the budget, so the step that ends it runs through the guards
-    below.  Its k (state, head) keys are added to the frame's seen set as a
-    range; if one is there already, the run reports the loop at the step
-    that repeats it, as single steps would.  A sweep of fewer than 2 cells is
-    stepped singly, and so is every step of a traced run.
+    below.  A sweep of fewer than 2 cells is stepped singly, and so is every
+    step of a traced run.
+
+    A sweep in state q over the cells [lo, hi] adds no keys to the seen set:
+    it records the interval in its frame's ``swept``, which maps q to the
+    sorted bounds ``[lo, hi + 1, ...]`` of disjoint intervals, so a cell is
+    in one when ``bisect`` of it is odd.  The sweep tests only its landing
+    cell, hi for a right sweep and lo for a left one.  The marbles are fixed
+    within a frame, so an earlier visit to any cell of the range in state q
+    made the same moves up to the landing cell: if that is new, so is every
+    cell of the range, and if not, the repeated cells are a suffix of the
+    range in the sweep's direction, whose first cell a binary search finds,
+    so the loop is reported at the step that repeats, as single steps would.
+    A single step adds its key to the seen set, and tests the intervals only
+    when its frame holds some for its state.  A frame's memory is thus its
+    single-step keys plus one interval per sweep.
     """
     w = as_word(w)
     _check_alphabet(t, w)
@@ -188,10 +202,10 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
         t.__dict__["_tables"] = _compile_tables(t)
     table, codes, names, colours, finals, q, stride = t.__dict__["_tables"]
     get = table.get
-    tape = [codes[a] for a in (LEFT_END, *w, RIGHT_END)]
+    tape = [codes[LEFT_END], *map(codes.__getitem__, w), codes[RIGHT_END]]
     end, width = len(w) + 1, len(w) + 2
     base, pos, steps, depth = q * stride, 0, 0, 0
-    top, topc, seen = width, 0, {q * width}
+    top, topc, seen, swept = width, 0, {q * width}, {}
     stack, emitted = [], []
     tr = [(0, names[q], 0, (), ())] if trace else None
     fwd = rev = None
@@ -218,17 +232,27 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
             if k > budget - steps:
                 k = budget - steps
             if k > 1:
-                at = q * width + pos
-                keys = range(at + 1, at + k + 1) if act == _RIGHT else range(at - k, at)
-                if not seen.isdisjoint(keys):  # the loop, at the step that repeats
-                    hits = seen.intersection(keys)
-                    steps += min(hits) - at if act == _RIGHT else at - max(hits)
+                lo, hi = (pos + 1, pos + k) if act == _RIGHT else (pos - k, pos - 1)
+                at, bounds = q * width, swept.setdefault(q, [])
+                land = hi if act == _RIGHT else lo
+                if at + land in seen or bounds and bisect(bounds, land) & 1:
+                    # the loop, at the step that repeats: the cells after
+                    # ``new`` are new up to a first seen one, then all seen
+                    new = pos
+                    while abs(land - new) > 1:
+                        mid = (land + new) // 2
+                        if at + mid in seen or bounds and bisect(bounds, mid) & 1:
+                            land = mid
+                        else:
+                            new = mid
+                    steps += abs(land - pos)
                     return _result(LOOP, None, steps, depth, tr)
-                seen.update(keys)
+                i = bisect(bounds, lo)
+                bounds[i:i] = lo, hi + 1
                 if c[1] is not None:
                     emitted += cells[start:start + k].translate(c[1])
                 steps += k
-                pos += k if act == _RIGHT else -k
+                pos = land
                 continue
         if act == _LEFT:
             if not pos:
@@ -247,13 +271,13 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
                 raise MachineError("invalid machine: drop on a marbled position")
             if top <= pos:
                 raise MachineError("marble stack positions not strictly increasing")
-            stack.append((top, topc, seen))
-            top, topc, seen = pos, c, set()
+            stack.append((top, topc, seen, swept))
+            top, topc, seen, swept = pos, c, set(), {}
             depth = max(depth, len(stack))
         elif act == _LIFT:
             if not col:
                 raise MachineError("invalid machine: lift without a marble")
-            top, topc, seen = stack.pop()
+            top, topc, seen, swept = stack.pop()
         else:
             raise MachineError("invalid action %r" % (c,))
         steps += 1
@@ -263,7 +287,7 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
             marbles = [(top, topc)] + [f[:2] for f in stack[:0:-1]] if stack else []
             tr.append((steps, names[q], pos, tuple((colours[i], p) for p, i in marbles), out))
         key = q * width + pos
-        if key in seen:
+        if key in seen or q in swept and bisect(swept[q], pos) & 1:
             return _result(LOOP, None, steps, depth, tr)
         seen.add(key)
 

@@ -178,9 +178,10 @@ LONG_WORD_BUDGET = 20000
 
 def test_frame_loop_detection_matches_configuration_hashing():
     """Every word of length <= 4 against whole-configuration hashing, and
-    seeded words of 20-40 letters, where runs can sweep, against the reference
-    run (verdict, output, steps and stack depth, within a step budget)."""
-    rng, words = random.Random(4242), random.Random(4243)
+    seeded words of 20-40 and of 100-300 letters, where runs can sweep tens of
+    cells and look up their intervals, against the reference run (verdict,
+    output, steps and stack depth, within a step budget)."""
+    rng, words, longer = random.Random(4242), random.Random(4243), random.Random(4244)
     verdicts, long_verdicts = Counter(), Counter()
     checked = 0
     while checked < 400:
@@ -193,8 +194,11 @@ def test_frame_loop_detection_matches_configuration_hashing():
             got = run_marble(m, w)
             assert (got.verdict, got.output) == want, (checked, w)
             verdicts[got.verdict, bool(got.max_stack_depth)] += 1
-        for _ in range(2):
-            w = tuple(words.choice(m.input_alphabet) for _ in range(words.randint(20, 40)))
+        long_words = [tuple(words.choice(m.input_alphabet) for _ in range(words.randint(20, 40)))
+                      for _ in range(2)]
+        long_words.append(tuple(longer.choice(m.input_alphabet)
+                                for _ in range(longer.randint(100, 300))))
+        for w in long_words:
             got = run_marble(m, w, budget=LONG_WORD_BUDGET)
             assert got == reference_run(m, w, budget=LONG_WORD_BUDGET), (checked, w)
             long_verdicts[got.verdict, bool(got.max_stack_depth)] += 1

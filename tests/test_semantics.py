@@ -602,6 +602,62 @@ def test_loop_inside_a_sweep_is_reported_at_the_repeating_step():
     assert swept_both_ways(scans)
 
 
+def test_single_step_into_a_swept_cell_is_a_loop():
+    # s0 sweeps right to the b, s2 sweeps back to ⊢, and s2's single step
+    # on ⊢ lands on (s0, 1), a cell of s0's sweep
+    t = sweeper(**{"s0 b -": ("s2", ACT_LEFT, ()), "s2 L -": ("s0", ACT_RIGHT, ())})
+    scans = scan_lengths(t)
+    for n in (1, 2, 3, 20):
+        r = assert_matches_reference(t, "a" * n + "b")
+        assert r.verdict == LOOP and r.steps == 2 * n + 3, n
+    assert swept_both_ways(scans)
+
+
+def test_left_sweep_over_the_cells_of_an_earlier_left_sweep():
+    # on a^n b a^m: q sweeps right to the b, p sweeps left from the a before
+    # it to ⊢, r sweeps right to ⊣, and p sweeps left again, landing on ⊢
+    # inside its first sweep; the loop is at (p, n), where that one began
+    delta = {("q", LEFT_END, None): ("q", ACT_RIGHT), ("q", "a", None): ("q", ACT_RIGHT),
+             ("q", "b", None): ("p", ACT_LEFT),
+             ("p", "a", None): ("p", ACT_LEFT), ("p", "b", None): ("p", ACT_LEFT),
+             ("p", LEFT_END, None): ("r", ACT_RIGHT),
+             ("r", "a", None): ("r", ACT_RIGHT), ("r", "b", None): ("r", ACT_RIGHT),
+             ("r", RIGHT_END, None): ("p", ACT_LEFT)}
+    t = MarbleTransducer(
+        input_alphabet=("a", "b"), output_alphabet=("a",), states=("q", "p", "r"),
+        initial="q", finals=frozenset(), colors=(), delta=delta,
+        out={key: ("a",) if key[0] == "p" else () for key in delta})
+    scans = scan_lengths(t)
+    for n, m in ((2, 2), (5, 3), (1, 6), (12, 1)):
+        r = assert_matches_reference(t, "a" * n + "b" + "a" * m)
+        assert r.verdict == LOOP and r.steps == 3 * n + 2 * m + 6, (n, m)
+    assert swept_both_ways(scans)
+
+
+def test_sweeps_before_a_drop_hold_after_the_lift():
+    # s4 lifts the marble, sweeps left and turns on ⊢ into (s0, 1), a cell
+    # of s0's sweep before the drop
+    t = sweeper(**{"s4 L -": ("s0", ACT_RIGHT, ())})
+    scans = scan_lengths(t)
+    for n in (2, 3, 20):
+        r = assert_matches_reference(t, "a" * n + "b")
+        assert r.verdict == LOOP and r.steps == 4 * n + 7, n
+        assert r.max_stack_depth == 1
+    assert swept_both_ways(scans)
+
+
+def test_sweeps_before_a_drop_do_not_hold_inside_its_frame():
+    # inside the frame of the drop, s2 turns on ⊢ into (s0, 1), a cell of
+    # s0's sweep before the drop, and s0 sweeps to the marble and lifts it
+    t = sweeper(**{"s2 L -": ("s0", ACT_RIGHT, ()), "s0 b c": ("s4", ACT_LIFT, ())})
+    scans = scan_lengths(t)
+    for n in (2, 3, 20):
+        r = assert_matches_reference(t, "a" * n + "b")
+        assert r.accepted and r.output_text == "x" * n + "y" * (2 * n), n
+        assert r.max_stack_depth == 1
+    assert swept_both_ways(scans)
+
+
 def test_sweeps_over_regex_metacharacters():
     """Tape symbols that are regex metacharacters, and symbol codes whose
     characters are: 100 symbols number the codes past ``-`` and ``[``-``^``."""
