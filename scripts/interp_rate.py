@@ -3,9 +3,11 @@
 
 Runs eight corpus machines on one word per size and prints one JSON line per
 run: ``machine``, ``size``, ``input`` (letters read), ``steps`` (of the run,
-as ``RunResult.steps`` counts them), ``letters`` (of output), ``cpu_s`` (the
-least ``time.process_time`` of 3 runs), ``steps_per_s`` and
-``letters_per_s``.
+as ``RunResult.steps`` counts them), ``letters`` (of output), ``cpu_s``,
+``steps_per_s`` and ``letters_per_s``.  ``cpu_s`` is the least
+``time.process_time`` of one run, over as many runs as it takes to spend
+``MIN_CPU_S`` (0.2 s), so a run of 0.1 ms is repeated about 2,000 times and
+one of 30 ms about 7.
 
 A size is the output length, as in the benchmark's ``run`` ladder: the
 one-way and two-way machines read words of about that many letters, while
@@ -30,7 +32,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.semantics import run_machine  # noqa: E402
 
-REPEATS = 3
+MIN_CPU_S = 0.2
 
 
 def word(name: str, size: int, rng) -> str:
@@ -50,11 +52,12 @@ def word(name: str, size: int, rng) -> str:
 def rate(name: str, size: int) -> dict:
     machine, _layers = parse_machine(os.path.join(ROOT, "corpus", "%s.json" % name))
     w = word(name, size, random.Random("%s:%d" % (name, size)))
-    best = None
-    for _ in range(REPEATS):
+    best, spent = None, 0.0
+    while spent < MIN_CPU_S:
         start = time.process_time()
         res = run_machine(machine, w)
         cpu = time.process_time() - start
+        spent += cpu
         best = cpu if best is None else min(best, cpu)
     if not res.accepted:
         raise SystemExit("%s rejects its %d-letter word" % (name, len(w)))

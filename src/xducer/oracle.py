@@ -42,7 +42,7 @@ def _runner(m, maxlen: int, registry: Optional[FunctionRegistry],
             budget: Optional[int]):
     """``run(w) -> (verdict, output)`` for one side, called on the words of
     ``words_up_to`` in order; an SST side ignores ``w`` and takes the next
-    output of its odometer."""
+    output of its walk (``sst_outputs``)."""
     if isinstance(m, SST):
         outputs = sst_outputs(m, maxlen, registry)
         return lambda w: next(outputs)
@@ -61,10 +61,13 @@ def equiv_check(m1, m2, maxlen: int,
 
     Words come in the order of ``words_up_to``: by length, then
     lexicographically, enumerated once, so the word cap raises at the same
-    word.  An SST side walks each length with an odometer in the same order
-    and steps only the letters after the prefix a word shares with the one
-    before it (``sst_outputs``); marble, two-way and NSST-F sides run each
-    word on the tables or programs their machine compiled once.  The first
+    word.  An SST side yields its results in the same order from a walk over
+    one length at a time (``sst_outputs``): each word of length n extends
+    the kept state and valuation of its prefix by one update, and the words
+    of length ``maxlen`` read their outputs through their last step without
+    building a valuation, so one length of valuations is kept, bounded by
+    the word cap.  Marble, two-way and NSST-F sides run each word on the
+    tables or programs their machine compiled once.  The first
     mismatch in length-lexicographic order is reported.  A run hitting its
     step budget makes the verdict inconclusive for that word.
     """

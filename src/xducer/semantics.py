@@ -324,23 +324,28 @@ class _Cat(tuple):
     __slots__ = ()
 
 
-def _compile_rhs(rhs, index: dict):
-    """The register program of a right-hand side: a register number (a
-    move), a constant value, or a list of pieces (register numbers, runs of
-    letters as tuples, ``Fun`` tokens)."""
-    pieces: list = []
-    for tok in rhs:
-        if type(tok) is Lit and pieces and type(pieces[-1]) is tuple:
-            pieces[-1] += (tok.sym,)
+def _program(pieces):
+    """The register program of a sequence of pieces (register numbers,
+    letter tuples, ``Fun`` tokens): a register number (a move), a constant
+    value, or a list of pieces with adjacent letter tuples merged."""
+    merged: list = []
+    for p in pieces:
+        if type(p) is tuple and merged and type(merged[-1]) is tuple:
+            merged[-1] += p
         else:
-            pieces.append((tok.sym,) if type(tok) is Lit else
-                          index[tok.name] if type(tok) is Reg else tok)
-    if len(pieces) > 1 or pieces and type(pieces[0]) is Fun:
-        return pieces
-    word = pieces[0] if pieces else ()
+            merged.append(p)
+    if len(merged) > 1 or merged and type(merged[0]) is Fun:
+        return merged
+    word = merged[0] if merged else ()
     if type(word) is int:
         return word
     return _Cat(word) if len(word) > SHARE_MIN else word
+
+
+def _compile_rhs(rhs, index: dict):
+    """The register program (``_program``) of a right-hand side."""
+    return _program([(tok.sym,) if type(tok) is Lit else index[tok.name] if type(tok) is Reg
+                     else tok for tok in rhs])
 
 
 def _programs(m) -> tuple:
@@ -473,8 +478,10 @@ def _flat(value) -> Word:
 
 
 def _output_word(prog, val: tuple) -> Word:
-    """Value of an output program, flattened; function tokens raise, since
-    outputs are evaluated without a registry."""
+    """Value of an output program, flattened.  Outputs hold no function
+    tokens (``validate`` refuses them), so no word or registry is passed;
+    ``sst_outputs`` evaluates the composed last steps that carry an update's
+    functions with ``_update`` itself."""
     return _flat(_update((prog,), val, (), 0, None)[0])
 
 
@@ -555,7 +562,7 @@ def _sweeps(m: SST) -> tuple:
 
     A letter's code is ``chr`` of its index in the input alphabet; a state's
     entry is ``_sweep_entry`` of its self-loops.  ``_programs`` does not
-    build this, so the ``equiv`` odometer never pays for it.
+    build this, so the ``equiv`` walk (``sst_outputs``) never pays for it.
     """
     if "_sweeps" not in m.__dict__:
         code = {a: chr(i) for i, a in enumerate(m.input_alphabet)}
@@ -647,40 +654,86 @@ def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None
     every word ``w`` of length at most ``maxlen``: by length, then
     lexicographically over the sorted input alphabet.
 
-    Each length is walked with an odometer that keeps the state and
-    valuation after every prefix of the current word (None once the run is
-    undefined).  After the letter at position j changes, only positions j,
-    j+1, ... are stepped, so each prefix is read once.  The registry check
-    runs once.
+    The walk goes one length at a time.  It keeps, in lex order, an entry
+    (state, valuation, word) for each word of length n - 1, with state None
+    once the run has died; the word itself is carried only for a machine
+    with functions, as ``Fun`` tokens read it.  Each entry is extended by
+    each letter, so each update is applied once per word.  Below ``maxlen`` a
+    word's valuation is built for the next length and its output read from
+    it; at ``maxlen`` no valuation is built, and the output is read from the
+    parent's valuation by the composed program of the last step
+    (``_last_steps``).  So valuations are kept for one length (and the next
+    while it is built), at most |alphabet|^(maxlen-1) of them, a number
+    ``equiv``'s word cap bounds.  The registry check runs once.
     """
     letters = sorted(m.input_alphabet)
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
     steps, outputs = _programs(m)
-    start = (m.initial, _valuation(m.init_valuation, m.registers))
-    after = dict(zip(letters, letters[1:]))
-    for n in range(maxlen + 1):
-        w, j = list(letters[:1]) * n, 0
-        frames = [start] * (n + 1)  # frames[i]: (state, valuation) after w[:i]
-        while j >= 0:
-            state = frames[j]
-            while state is not None and j < n:
-                step = steps.get((state[0], w[j]))
-                j += 1
+    funs = bool(m.funs)
+    rejected, dead = (REJECT, None), (None, None, ())
+    val = _valuation(m.init_valuation, m.registers)
+    out = outputs.get(m.initial)
+    yield rejected if out is None else (ACCEPT, _output_word(out, val))
+    level = [(m.initial, val, ())]
+    for n in range(1, maxlen):
+        children = []
+        append = children.append
+        for q, val, w in level:
+            for a in letters:
+                step = steps.get((q, a))
                 if step is None:
-                    state, frames[j:] = None, [None] * (n + 1 - j)
-                else:
-                    state = frames[j] = step[0], _update(step[1], state[1], w, j, registry)
-            if state is None or state[0] not in outputs:
-                yield REJECT, None
-            else:
-                yield ACCEPT, _output_word(outputs[state[0]], state[1])
-            j = n - 1
-            while j >= 0 and w[j] not in after:
-                w[j] = letters[0]
-                j -= 1
-            if j >= 0:
-                w[j] = after[w[j]]
+                    append(dead)
+                    yield rejected
+                    continue
+                wa = w + (a,) if funs else w
+                child = _update(step[1], val, wa, n, registry)
+                append((step[0], child, wa))
+                out = outputs.get(step[0])
+                yield rejected if out is None else (ACCEPT, _output_word(out, child))
+        level = children
+    if maxlen < 1:
+        return
+    last = _last_steps(m)
+    for q, val, w in level:
+        for a in letters:
+            step = last.get((q, a))
+            if step is None:
+                yield rejected
+                continue
+            value = _update(step[1], val, w + (a,) if funs else w, maxlen, registry)[0]
+            yield rejected if step[0] == REJECT else (ACCEPT, _flat(value))
+
+
+def _last_steps(m: SST) -> dict:
+    """(verdict, update program) per (state, letter) for the last letter of
+    a word, composed from ``_programs(m)`` on each call.
+
+    The first right-hand side is the output program of the state entered,
+    with each register it reads replaced by the register's program in the
+    step's update (a constant ``_Cat`` spliced in as its letters).  Each
+    ``Fun`` of the update it leaves out follows as a program of its own, so
+    every function of the step is still evaluated once per word.  Where the
+    state has no output the verdict is REJECT and only those functions
+    remain; a REJECT step without any is left out.
+    """
+    steps, outputs = _programs(m)
+    last = {}
+    for key, (q2, prog) in steps.items():
+        out = outputs.get(q2)
+        pieces: list = []
+        for p in () if out is None else out if type(out) is list else (out,):
+            rhs = prog[p] if type(p) is int else p
+            pieces += [tuple(x) if type(x) is _Cat else x
+                       for x in (rhs if type(rhs) is list else (rhs,))]
+        rest = tuple([f] for f in dict.fromkeys(
+            p for rhs in prog if type(rhs) is list for p in rhs
+            if type(p) is Fun and p not in pieces))
+        if out is not None:
+            last[key] = ACCEPT, (_program(pieces),) + rest
+        elif rest:
+            last[key] = REJECT, rest
+    return last
 
 
 def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunResult:

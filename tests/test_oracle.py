@@ -24,7 +24,8 @@ from xducer.oracle import (
     equiv_check,
     words_up_to,
 )
-from xducer.semantics import ACCEPT, BUDGET, run_machine, run_sst, sst_outputs
+from xducer.semantics import (
+    ACCEPT, BUDGET, SHARE_MIN, run_machine, run_sst, run_sstf, sst_outputs)
 
 from conftest import load
 
@@ -138,22 +139,22 @@ def verdict_of(m1, m2, maxlen, **kwargs):
     return v.status, v.counterexample or v.inconclusive_word
 
 
-def random_sst(rng, funs=()):
-    """A partial, possibly copyful SST over ``ab``."""
+def random_sst(rng, funs=(), letters=("a", "b")):
+    """A partial, possibly copyful SST over ``letters``."""
     states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
     regs = tuple("r%d" % i for i in range(rng.randint(1, 2)))
-    pick = [Lit("a"), Lit("b")] + [Reg(x) for x in regs] + [Fun(f) for f in funs]
+    pick = [Lit(a) for a in letters] + [Reg(x) for x in regs] + [Fun(f) for f in funs]
     delta, update = {}, {}
     for q in states:
-        for a in "ab":
+        for a in letters:
             if rng.random() < 0.9:
                 delta[(q, a)] = rng.choice(states)
                 update[(q, a)] = {x: tuple(rng.choices(pick, k=rng.randint(0, 3)))
                                   for x in regs}
-    output = {q: tuple(rng.choices(pick[:2 + len(regs)], k=rng.randint(0, 3)))
+    output = {q: tuple(rng.choices(pick[:len(letters) + len(regs)], k=rng.randint(0, 3)))
               for q in states if rng.random() < 0.8}
-    init = {x: tuple(rng.choices("ab", k=rng.randint(0, 2))) for x in regs}
-    return SST(("a", "b"), ("a", "b"), states, regs, states[0], init,
+    init = {x: tuple(rng.choices(letters, k=rng.randint(0, 2))) for x in regs}
+    return SST(letters, letters, states, regs, states[0], init,
                delta, update, output, funs=funs)
 
 
@@ -195,8 +196,8 @@ def random_marble(rng):
 
 
 def test_sst_outputs_match_word_by_word_runs():
-    """The odometer against one run per word, on partial SSTs whose runs
-    die on prefixes of every length."""
+    """The walk against one run per word, on partial SSTs whose runs die
+    on prefixes of every length."""
     rng = random.Random(79)
     rejected = 0
     for _ in range(80):
@@ -209,6 +210,74 @@ def test_sst_outputs_match_word_by_word_runs():
         assert got == want
         rejected += sum(v != ACCEPT for v, _ in got)
     assert rejected >= 1000
+
+
+def with_long_constants(rng, m):
+    """``m`` with some right-hand sides and outputs made constants longer
+    than ``SHARE_MIN``, alone or after what they were, and some outputs a
+    single register."""
+    def vary(rhs):
+        k = SHARE_MIN + rng.randint(1, 8)
+        long = tuple(Lit(a) for a in rng.choices(m.input_alphabet, k=k))
+        pick = rng.random()
+        return long if pick < 0.2 else rhs + long if pick < 0.3 else rhs
+
+    update = {key: {x: vary(rhs) for x, rhs in sub.items()} for key, sub in m.update.items()}
+    output = {q: (Reg(rng.choice(m.registers)),) if rng.random() < 0.3 else vary(rhs)
+              for q, rhs in m.output.items()}
+    return replace(m, update=update, output=output)
+
+
+def test_sst_outputs_match_runs_over_alphabets_lengths_and_shapes():
+    """The walk against one run per word over one to three letters and
+    ``maxlen`` 0 to 6, on SSTs with and without a function, with constants
+    longer than ``SHARE_MIN`` and outputs that move one register."""
+    rng = random.Random(83)
+    registry = FunctionRegistry({"f": lambda u: u[-2:] + ("a",) * (len(u) % 3)})
+    long_outputs = with_funs = moves = 0
+    for letters in (("a",), ("a", "b"), ("a", "b", "c")):
+        for maxlen in range(7):
+            for _ in range(8):
+                funs = ("f",) if rng.random() < 0.5 else ()
+                m = with_long_constants(rng, random_sst(rng, funs, letters))
+                got = list(sst_outputs(m, maxlen, registry))
+                want = [(r.verdict, r.output) for r in
+                        (run_sstf(m, w, registry) for w in words_up_to(letters, maxlen))]
+                assert got == want
+                long_outputs += sum(o is not None and len(o) > SHARE_MIN for _v, o in got)
+                with_funs += bool(funs) and any(v == ACCEPT for v, _o in got)
+                moves += any(len(rhs) == 1 and type(rhs[0]) is Reg for rhs in m.output.values())
+    assert long_outputs >= 1000 and with_funs >= 30 and moves >= 30
+
+
+def test_last_step_functions_see_the_whole_word_once():
+    """A function in the last step's update, on a register the output reads
+    twice, is called once per word and on the whole word; so is one on a
+    register the output does not read, and both on a step into a state
+    without output."""
+    calls = {"f": [], "g": []}
+
+    def counted(name):
+        def call(u):
+            calls[name].append(tuple(u))
+            return u[-1:] * 2
+        return call
+
+    registry = FunctionRegistry({"f": counted("f"), "g": counted("g")})
+    delta = {("q", "a"): "q", ("q", "b"): "p", ("p", "a"): "q", ("p", "b"): "p"}
+    update = {key: {"x": (Fun("f"),), "y": (Reg("y"), Lit(key[1])), "z": (Fun("g"), Lit("a"))}
+              for key in delta}
+    m = SST(("a", "b"), ("a", "b"), ("q", "p"), ("x", "y", "z"), "q",
+            {"x": (), "y": (), "z": ()}, delta, update,
+            {"q": (Reg("x"), Reg("y"), Reg("x"))}, funs=("f", "g"))
+    for maxlen in range(6):
+        for seen in calls.values():
+            seen.clear()
+        got = list(sst_outputs(m, maxlen, registry))
+        words = list(words_up_to(("a", "b"), maxlen))
+        assert calls == {"f": words[1:], "g": words[1:]}
+        assert got == [(r.verdict, r.output) for r in (run_sstf(m, w, registry) for w in words)]
+    assert got[-2] == (ACCEPT, ("a", "a") + tuple("bbbba") + ("a", "a"))  # word bbbba
 
 
 def test_prefix_sharing_keeps_sst_verdicts():
