@@ -7,7 +7,10 @@ as ``RunResult.steps`` counts them), ``letters`` (of output), ``cpu_s``,
 ``steps_per_s`` and ``letters_per_s``.  ``cpu_s`` is the least
 ``time.process_time`` of one run, over as many runs as it takes to spend
 ``MIN_CPU_S`` (0.2 s), so a run of 0.1 ms is repeated about 2,000 times and
-one of 30 ms about 7.
+one of 30 ms about 7.  The host's speed drifts between invocations, so each
+row also gives ``cpu_ref_s``, ``steps_per_ref_s`` and ``letters_per_ref_s``:
+the same figures at ``perfbench/speed.py``'s ``REFERENCE_S``, scaled by the
+median of ``PROBES`` speed probes taken before the row and as many after it.
 
 A size is the output length, as in the benchmark's ``run`` ladder: the
 one-way and two-way machines read words of about that many letters, while
@@ -28,11 +31,14 @@ import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+from speed import at_reference, probe  # noqa: E402
 from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.semantics import run_machine  # noqa: E402
 
 MIN_CPU_S = 0.2
+PROBES = 9
 
 
 def word(name: str, size: int, rng) -> str:
@@ -53,6 +59,7 @@ def rate(name: str, size: int) -> dict:
     machine, _layers = parse_machine(os.path.join(ROOT, "corpus", "%s.json" % name))
     w = word(name, size, random.Random("%s:%d" % (name, size)))
     best, spent = None, 0.0
+    probes = [probe() for _ in range(PROBES)]
     while spent < MIN_CPU_S:
         start = time.process_time()
         res = run_machine(machine, w)
@@ -61,11 +68,16 @@ def rate(name: str, size: int) -> dict:
         best = cpu if best is None else min(best, cpu)
     if not res.accepted:
         raise SystemExit("%s rejects its %d-letter word" % (name, len(w)))
+    probes += [probe() for _ in range(PROBES)]
     best = max(best, 1e-9)
+    ref = at_reference(best, probes)
     return {"machine": name, "size": size, "input": len(w), "steps": res.steps,
             "letters": len(res.output), "cpu_s": round(best, 6),
             "steps_per_s": round(res.steps / best),
-            "letters_per_s": round(len(res.output) / best)}
+            "letters_per_s": round(len(res.output) / best),
+            "cpu_ref_s": round(ref, 6),
+            "steps_per_ref_s": round(res.steps / ref),
+            "letters_per_ref_s": round(len(res.output) / ref)}
 
 
 MACHINES = ("reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",

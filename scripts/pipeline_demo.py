@@ -63,7 +63,7 @@ def main() -> None:
             continue
         verdict = equiv_check(res.machine, m, 4)
         print("%-22s k_min=%d  states=%-4d depth<=4:%d equiv<=4:%s (%.2fs)"
-              % (name, res.k_min, len(res.machine.states),
+              % (name, res.k, len(res.machine.states),
                  measure_depth(res.machine, 4), verdict.status, took))
 
 

@@ -144,20 +144,17 @@ def cmd_convert(args) -> int:
 
 
 def _analyze(machine):
-    if isinstance(machine, NAutomaton):
-        report = classify(machine)
-        doc = report.to_json()
-        if report.kind == "polynomial":
-            doc["minimal_marbles"] = max(report.degree - 1, 0)
-        return doc
     if isinstance(machine, MarbleTransducer):
         machine = marble_to_sst(machine)
-    if not isinstance(machine, SST) or machine.is_sstf:
+    if isinstance(machine, NAutomaton):
+        report = classify(machine)
+    elif isinstance(machine, SST) and not machine.is_sstf:
+        report = classify_function(machine)
+    else:
         raise MachineError("cannot analyze this machine kind")
-    growth = classify_function(machine)
-    doc = growth.report.to_json()
-    if growth.minimal_marbles is not None:
-        doc["minimal_marbles"] = growth.minimal_marbles
+    doc = report.to_json()
+    if report.minimal_marbles is not None:
+        doc["minimal_marbles"] = report.minimal_marbles
     return doc
 
 
@@ -174,21 +171,16 @@ def cmd_optimize(args) -> int:
         os.makedirs(dump, exist_ok=True)
     if isinstance(machine, MarbleTransducer):
         res = minimize_marbles(machine, dump=dump)
-        if res.kind == "exponential":
-            _print_json(res.report.to_json(), args.pretty)
-            return 4
-        doc = {"k_min": res.k_min, "growth": res.report.to_json()}
-        out_machine, out_layers = res.machine, None
     elif isinstance(machine, SST) and not machine.is_sstf:
         res = to_k_layered(machine, dump=dump)
-        if res.kind == "exponential":
-            _print_json(res.report.to_json(), args.pretty)
-            return 4
-        doc = {"k": res.k, "growth": res.report.to_json()}
-        out_machine, out_layers = res.machine, res.layers
     else:
         raise MachineError("cannot optimize this machine kind")
-    text = dumps_machine(out_machine, out_layers)
+    if res.kind == "exponential":
+        _print_json(res.report.to_json(), args.pretty)
+        return 4
+    doc = {"k_min" if res.kind == "marble" else "k": res.k,
+           "growth": res.report.to_json()}
+    text = dumps_machine(res.machine, res.layers)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

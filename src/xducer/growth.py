@@ -26,8 +26,8 @@ searches skip most of the automaton without changing any answer.
 * Reachability is the same from every state of an SCC, so the edges of the
   barbell graph only depend on the first barbell of each pair of SCCs.
 
-Barbell existence is plain reachability; the lexicographically least
-witness words are only built for the chain the report prints.
+One search, ``find_barbell``, decides each barbell and gives its
+lexicographically least witness word.
 """
 
 from __future__ import annotations
@@ -340,23 +340,6 @@ def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
     return None
 
 
-def _barbell_step(s: _Support, q: str, q2: str):
-    """Successors in the triple product from (q, q, q2) to (q, q2, q2): the
-    first run is kept in SCC(q), the last two in ``s.behind(q2)``."""
-    c1, behind = s.comp[q], s.behind(q2)
-
-    def step(node, a):
-        row = s.rows[a]
-        n1, n2, n3 = node
-        return [
-            (r1, r2, r3)
-            for r1 in row[n1] if r1 in c1
-            for r2 in row[n2]
-            for r3 in row[n3] if (r2, r3) in behind
-        ]
-    return step
-
-
 def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
     """Shortest v with positive weights on q->q, q->q2 and q2->q2 at once.
 
@@ -368,10 +351,21 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
     if q == q2:
         raise MachineError("a barbell needs two distinct states")
     s = _support(m)
-    if (q, q2) not in s.behind(q2):
+    c1, behind = s.comp[q], s.behind(q2)
+    if (q, q2) not in behind:
         return None
-    res = _lex_bfs(s.letters, {(q, q, q2): ()}, _barbell_step(s, q, q2),
-                   (q, q2, q2).__eq__)
+
+    def step(node, a):
+        row = s.rows[a]
+        n1, n2, n3 = node
+        return [
+            (r1, r2, r3)
+            for r1 in row[n1] if r1 in c1
+            for r2 in row[n2]
+            for r3 in row[n3] if (r2, r3) in behind
+        ]
+
+    res = _lex_bfs(s.letters, {(q, q, q2): ()}, step, (q, q2, q2).__eq__)
     return None if res is None else res[1]
 
 
@@ -383,28 +377,6 @@ class BarbellGraph:
     edges: dict
 
 
-class _Found(Exception):
-    """Stops a barbell search once its target is generated."""
-
-
-def _has_barbell(s: _Support, q: str, q2: str) -> bool:
-    """Plain reachability of (q, q2, q2) from (q, q, q2) in the cut product."""
-    step = _barbell_step(s, q, q2)
-    target = (q, q2, q2)
-
-    def successors(node):
-        out = [n for a in s.letters for n in step(node, a)]
-        if target in out:
-            raise _Found
-        return out
-
-    try:
-        explore([(q, q, q2)], successors, len(s.succ) ** 3, "barbell search")
-    except _Found:
-        return True
-    return False
-
-
 def barbell_graph(m: NAutomaton) -> BarbellGraph:
     """Edges (q1, q2) whenever q1 can reach a barbell whose far end reaches q2.
 
@@ -413,9 +385,8 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
     states of distinct SCCs.  One pair pass per q (first run in SCC(q)) finds
     the q' that some word takes q to while returning to q, one backward pair
     pass per q' (``behind``) the q that can end in q' while q' returns to
-    itself; for pairs passing both, plain reachability in the cut triple
-    product decides.  The result is acyclic (a cycle here would betray a
-    missed heavy cycle and raises).
+    itself; for pairs passing both, ``find_barbell`` decides.  The result is
+    acyclic (a cycle here would betray a missed heavy cycle and raises).
     """
     s = _support(m)
     cyclic = [q for q in m.states if s.cyclic[q]]
@@ -428,7 +399,7 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
             key = (s.comp[q], s.comp[q2])
             if (key not in first and key[0] is not key[1]
                     and (q, q2) in ahead and (q, q2) in s.behind(q2)
-                    and _has_barbell(s, q, q2)):
+                    and find_barbell(m, q, q2) is not None):
                 first[key] = (q, q2)
     edges: dict = {}
     for q, q2 in first.values():
@@ -487,6 +458,12 @@ class GrowthReport:
     partition: tuple               # height classes over the trimmed states
     witness: dict                  # machine-checkable witness words
     trim_removed: tuple
+
+    @property
+    def minimal_marbles(self) -> Optional[int]:
+        """Least marble count of a machine of this growth: max(degree - 1, 0),
+        None when the growth is exponential."""
+        return None if self.degree is None else max(self.degree - 1, 0)
 
     def to_json(self) -> dict:
         def w(word):
@@ -583,23 +560,13 @@ def witness_word(report: GrowthReport, pumps: int) -> Word:
     return tuple(s for part in parts for s in part)
 
 
-@dataclass(frozen=True)
-class FunctionGrowth:
-    report: GrowthReport
-    minimal_marbles: Optional[int]  # None when the growth is exponential
-
-
-def classify_function(m: SST) -> FunctionGrowth:
+def classify_function(m: SST) -> GrowthReport:
     """Growth class of the length of a register transducer's output.
 
-    The machine is totalized and simplified first; a polynomial degree d
-    maps to a minimal marble count of max(d - 1, 0).
+    The machine is totalized and simplified first, and the report is that
+    of its flow automaton.
     """
     from .layering import make_total, to_simple
 
     total, _dfa = make_total(m)
-    simple = to_simple(total)
-    report = classify(flow_automaton(simple))
-    if report.kind == "exponential":
-        return FunctionGrowth(report, None)
-    return FunctionGrowth(report, max(report.degree - 1, 0))
+    return classify(flow_automaton(to_simple(total)))

@@ -37,6 +37,7 @@ from .machines import (
     check_layered,
     explore,
     register_occurrences,
+    subst_apply,
 )
 
 SINK = "__sink"
@@ -172,13 +173,13 @@ def to_simple(m: SST) -> SST:
     )
 
 
-def prune_sst_registers(m: SST, layers: Optional[tuple] = None) -> tuple:
+def prune_sst_registers(m: SST, layers: tuple) -> tuple:
     """Drop registers that stay empty forever or never flow into any output.
 
     Occurrences of always-empty registers are erased; registers that cannot
     reach an output reference are deleted together with their updates.  The
-    layer partition, when given, is filtered alongside (pruning preserves
-    the layer discipline).
+    layer partition is filtered alongside (pruning preserves the layer
+    discipline).  Returns the pruned machine and its layers.
     """
     filled = [x for x in m.registers if m.init_valuation[x]]
     feeds = {x: set() for x in m.registers}   # y -> registers updated from y
@@ -196,27 +197,18 @@ def prune_sst_registers(m: SST, layers: Optional[tuple] = None) -> tuple:
     limit = len(m.registers)
     keep = (set(explore(filled, feeds.__getitem__, limit, "register pruning"))
             & set(explore(outputs, reads.__getitem__, limit, "register pruning")))
-
-    def strip(rhs):
-        return tuple(t for t in rhs
-                     if not isinstance(t, Reg) or t.name in keep)
-
+    strip = {x: (Reg(x),) if x in keep else () for x in m.registers}
     registers = tuple(x for x in m.registers if x in keep)
-    update = {key: {x: strip(s[x]) for x in registers}
+    update = {key: {x: subst_apply(strip, s[x]) for x in registers}
               for key, s in m.update.items()}
-    output = {q: strip(rhs) for q, rhs in m.output.items()}
+    output = {q: subst_apply(strip, rhs) for q, rhs in m.output.items()}
     pruned = SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=m.states, registers=registers, initial=m.initial,
         init_valuation={x: m.init_valuation[x] for x in registers},
         delta=dict(m.delta), update=update, output=output, funs=m.funs,
     )
-    if layers is None:
-        return pruned, None
-    new_layers = tuple(tuple(x for x in layer if x in keep) for layer in layers)
-    if not new_layers:
-        new_layers = ((),)
-    return pruned, new_layers
+    return pruned, tuple(tuple(x for x in layer if x in keep) for layer in layers)
 
 
 def prune_dead_registers(m: SST) -> SST:
@@ -225,7 +217,7 @@ def prune_dead_registers(m: SST) -> SST:
     call it; the benchmark's tracer (perfbench/spans.py) names it."""
     if not is_simple(m):
         raise MachineError("register pruning expects a simple machine")
-    return prune_sst_registers(m)[0]
+    return prune_sst_registers(m, (m.registers,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +246,12 @@ def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> tuple:
                    for j in range(1, len(partition))) or ((),)
     init = {x: tuple(m.init_valuation[x]) for x in m.registers}
 
-    def inline(rhs, q, val):
-        out: list = []
-        for tok in rhs:
-            if not isinstance(tok, Reg):
-                out.append(tok)
-            elif home[q][tok.name] == 0:
-                out.extend(Lit(b) for b in val[tok.name])
-            elif home[q][tok.name] is not None:
-                out.append(Reg(_copy_reg(tok.name, home[q][tok.name])))
-        return tuple(out)
+    def inline(q, val) -> dict:
+        # each register read at q: its bottom value as letters, its x@i, or
+        # nothing when it is in no class
+        return {x: tuple(map(Lit, val[x])) if i == 0
+                else () if i is None else (Reg(_copy_reg(x, i)),)
+                for x, i in home[q].items()}
 
     def layered(q, value_of) -> dict:
         # x@i holds x where (q, x) is in class i and is empty elsewhere
@@ -280,15 +268,15 @@ def remove_bounded_layer(m: SST, partition: Sequence[Sequence[str]]) -> tuple:
     delta, update, output = {}, {}, {}
 
     def successors(key):
-        q, val = key[0], dict(key[1])
-        here = names[key]
-        output[here] = inline(m.output[q], q, val)
+        q, here = key[0], names[key]
+        sub = inline(q, dict(key[1]))
+        output[here] = subst_apply(sub, m.output[q])
         for a in letters:
             q2, s = m.delta[(q, a)], m.update[(q, a)]
             # a bottom register reads only bottom ones: flow never descends
-            nk = key_of(q2, lambda x: tuple(t.sym for t in inline(s[x], q, val)))
+            nk = key_of(q2, lambda x: tuple(t.sym for t in subst_apply(sub, s[x])))
             delta[(here, a)] = names.setdefault(nk, "v%d" % len(names))
-            update[(here, a)] = layered(q2, lambda x: inline(s[x], q, val))
+            update[(here, a)] = layered(q2, lambda x: subst_apply(sub, s[x]))
             yield nk
 
     order = explore([init_key], successors, VALUATION_STATE_LIMIT,
@@ -438,15 +426,9 @@ def extract_sstf(m: SST, layers: Sequence[Sequence[str]]) -> tuple:
     top = tuple(layers[-1])
     fun_of = {x: "f_%s" % x for x in lower}
     binding = {fun_of[x]: x for x in lower}
-
-    def top_tokens(rhs):
-        out = []
-        for tok in rhs:
-            if isinstance(tok, Reg) and tok.name in fun_of:
-                out.append(Fun(fun_of[tok.name]))
-            else:
-                out.append(tok)
-        return tuple(out)
+    # a lower register read in an update becomes a call, a top one stays
+    calls = {x: (Fun(fun_of[x]),) if x in fun_of else (Reg(x),)
+             for x in m.registers}
 
     hats = {}
     for q, rhs in m.output.items():
@@ -456,16 +438,12 @@ def extract_sstf(m: SST, layers: Sequence[Sequence[str]]) -> tuple:
     registers = top + tuple(hats[x] for x in sorted(hats))
     update = {}
     for key, s in m.update.items():
-        sub = {y: top_tokens(s[y]) for y in top}
+        sub = {y: subst_apply(calls, s[y]) for y in top}
         for x in sorted(hats):
-            sub[hats[x]] = top_tokens(s[x])
+            sub[hats[x]] = subst_apply(calls, s[x])
         update[key] = sub
-    output = {}
-    for q, rhs in m.output.items():
-        output[q] = tuple(
-            Reg(hats[t.name]) if isinstance(t, Reg) and t.name in hats else t
-            for t in rhs
-        )
+    refresh = {x: (Reg(hats.get(x, x)),) for x in m.registers}
+    output = {q: subst_apply(refresh, rhs) for q, rhs in m.output.items()}
     init = {y: tuple(m.init_valuation[y]) for y in top}
     for x in sorted(hats):
         init[hats[x]] = tuple(m.init_valuation[x])
@@ -803,15 +781,14 @@ def product_ssts(components: dict) -> tuple:
         for i in range(depth)
     )
     state_name = "&".join
-
-    def rename_tokens(n, rhs):
-        return tuple(Reg(rereg(n, t.name)) if isinstance(t, Reg) else t for t in rhs)
+    renamed = {n: {x: (Reg(rereg(n, x)),) for x in machines[n].registers}
+               for n in names}
 
     def update_of(combo, a):
         sub = {}
         for n, q in zip(names, combo):
             for x, rhs in machines[n].update[(q, a)].items():
-                sub[rereg(n, x)] = rename_tokens(n, rhs)
+                sub[rereg(n, x)] = subst_apply(renamed[n], rhs)
         return sub
 
     expr = {n: {} for n in names}
@@ -821,7 +798,7 @@ def product_ssts(components: dict) -> tuple:
             out = machines[n].output.get(q)
             if out is None:
                 raise MachineError("component %r is not total at %r" % (n, q))
-            expr[n][state_name(combo)] = rename_tokens(n, out)
+            expr[n][state_name(combo)] = subst_apply(renamed[n], out)
         return ()
 
     init_val = {}
@@ -852,6 +829,7 @@ def splice_layers(top: SST, lower: SST, lower_layers: tuple,
     def t_reg(x):
         return "T/%s" % x
 
+    renamed = {x: (Reg(t_reg(x)),) for x in top.registers}
     registers = lower.registers + tuple(t_reg(x) for x in top.registers)
     layers = lower_layers + (tuple(t_reg(x) for x in top.registers),)
     init_val = {x: tuple(lower.init_valuation[x]) for x in lower.registers}
@@ -876,8 +854,7 @@ def splice_layers(top: SST, lower: SST, lower_layers: tuple,
     def output_of(pair):
         if pair[0] not in top.output:
             return None
-        return tuple(Reg(t_reg(t.name)) if isinstance(t, Reg) else t
-                     for t in top.output[pair[0]])
+        return subst_apply(renamed, top.output[pair[0]])
 
     machine = _lockstep((top, lower), lambda pair: "%s&&%s" % pair, update_of,
                         output_of, output_alphabet=top.output_alphabet,
@@ -892,10 +869,17 @@ def splice_layers(top: SST, lower: SST, lower_layers: tuple,
 
 @dataclass(frozen=True)
 class LayeredResult:
-    kind: str                      # "exponential" | "layered"
+    """What to_k_layered and minimize_marbles build.
+
+    ``kind`` is "exponential" (only ``report`` is set), "layered" (an SST
+    with ``k`` + 1 layers) or "marble" (a marble machine with at most ``k``
+    marbles, ``layers`` None).
+    """
+
+    kind: str
     report: GrowthReport
     k: Optional[int] = None
-    machine: Optional[SST] = None
+    machine: Optional[object] = None
     layers: Optional[tuple] = None
 
 
@@ -976,16 +960,12 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
                          machine=machine, layers=layers)
 
 
-@dataclass(frozen=True)
-class MarbleResult:
-    kind: str                      # "exponential" | "marble"
-    report: GrowthReport
-    k_min: Optional[int] = None
-    machine: Optional[object] = None
+def minimize_marbles(t, dump=None) -> LayeredResult:
+    """Rebuild a marble transducer with the least possible mark count.
 
-
-def minimize_marbles(t, dump=None) -> MarbleResult:
-    """Rebuild a marble transducer with the least possible mark count."""
+    Returns the exponential result of to_k_layered unchanged, or a "marble"
+    result whose ``k`` is that least count.
+    """
     from .mt2sst import marble_to_sst
     from .sst2mt import layered_to_marble
 
@@ -993,7 +973,7 @@ def minimize_marbles(t, dump=None) -> MarbleResult:
     _dump(dump, "crossing-sst", sst)
     res = to_k_layered(sst, dump=dump)
     if res.kind == "exponential":
-        return MarbleResult("exponential", res.report)
+        return res
     machine = layered_to_marble(res.machine, res.layers)
     _dump(dump, "marble", machine)
-    return MarbleResult("marble", res.report, k_min=res.k, machine=machine)
+    return LayeredResult("marble", res.report, k=res.k, machine=machine)

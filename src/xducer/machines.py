@@ -313,8 +313,10 @@ def _check_distinct(kind: str, names: tuple, report: list) -> None:
             report.append("%s %r declared %d times" % (kind, x, n))
 
 
-def _check_tokens(where: str, tokens, m: SST, report: list,
+def _check_tokens(where: str, tokens, m, report: list,
                   allow_fun: bool) -> None:
+    """Check tokens against the alphabet, registers and functions of an SST
+    or NSST-F."""
     for tok in tokens:
         if isinstance(tok, Lit):
             if tok.sym not in m.output_alphabet:
@@ -441,7 +443,7 @@ def _validate_sst(m: SST, report: list) -> None:
     _check_outputs(m, report)
 
 
-def _check_outputs(m: SST, report: list) -> None:
+def _check_outputs(m, report: list) -> None:
     for q, rhs in m.output.items():
         if q not in m.states:
             report.append("output[%s]: undeclared state" % q)
@@ -464,11 +466,6 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
             report.append("initial[%s]: undeclared state" % q)
         if set(val) != set(m.registers):
             report.append("initial[%s]: valuation not total" % q)
-    shim = SST(
-        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=m.states, registers=m.registers, initial=m.states[0] if m.states else "",
-        init_valuation={}, delta={}, update={}, output=m.output, funs=m.funs,
-    )
     for (q, a, q2) in m.transitions:
         if q not in m.states or q2 not in m.states:
             report.append("transition (%s,%s,%s): undeclared state" % (q, a, q2))
@@ -479,8 +476,8 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
         if set(s) != set(m.registers):
             report.append("%s: not total on the register set" % where)
         for x, rhs in s.items():
-            _check_tokens("%s(%s)" % (where, x), rhs, shim, report, allow_fun=True)
-    _check_outputs(shim, report)
+            _check_tokens("%s(%s)" % (where, x), rhs, m, report, allow_fun=True)
+    _check_outputs(m, report)
 
 
 def _validate_nautomaton(m: NAutomaton, report: list) -> None:

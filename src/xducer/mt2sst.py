@@ -8,9 +8,6 @@ by letter through a least fixpoint over a flat order (bottom = "never crosses").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .machines import (
     LEFT_END,
     Lit,
@@ -24,28 +21,10 @@ from .machines import (
     validate,
 )
 
-# Derivation token kinds: ("const", word) emits a hardcoded word,
+# Summary token kinds: ("const", word) emits a hardcoded word,
 # ("call", q) splices the stored excursion output register of entry state q.
 CONST = "const"
 CALL = "call"
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """Stitched one-letter summaries.
-
-    ``entries`` maps (entry state, color-or-None) to (result state or None,
-    token tuple); a None result means the excursion never crosses and then
-    carries no tokens.  An entry is resolved when it is first read.
-    """
-
-    entries: dict
-
-    def result(self, q: str, color: Optional[str]):
-        return self.entries[(q, color)][0]
-
-    def tokens(self, q: str, color: Optional[str]):
-        return self.entries[(q, color)][1]
 
 
 def _local_equation(t: MarbleTransducer, f: dict, symbol: str,
@@ -92,10 +71,13 @@ def _local_equation(t: MarbleTransducer, f: dict, symbol: str,
 class _Chains(dict):
     """Least fixpoint of the stitching equations, resolved entry by entry.
 
-    Every node has at most one successor, so each chain either terminates
-    (crossing found), dies (undefined transition or bottom continuation), or
-    cycles; cycles resolve to bottom for every node on them.  An entry is
-    resolved when it is first read, together with the nodes on its chain.
+    Maps (entry state, color-or-None) to (result state or None, token
+    tuple); a None result means the excursion never crosses and then
+    carries no tokens.  Every node has at most one successor, so each chain
+    either terminates (crossing found), dies (undefined transition or bottom
+    continuation), or cycles; cycles resolve to bottom for every node on
+    them.  An entry is resolved when it is first read, together with the
+    nodes on its chain.
     """
 
     def __init__(self, t: MarbleTransducer, f: dict, symbol: str,
@@ -121,19 +103,19 @@ class _Chains(dict):
         return self[first]
 
 
-def crossing_fixpoint(t: MarbleTransducer, f: dict, symbol: str) -> Derivation:
+def crossing_fixpoint(t: MarbleTransducer, f: dict, symbol: str) -> _Chains:
     """Crossing summary after one more letter, given the previous summary."""
-    return Derivation(_Chains(t, f, symbol, accepting_exit=False))
+    return _Chains(t, f, symbol, accepting_exit=False)
 
 
-def exit_fixpoint(t: MarbleTransducer, f: dict) -> Derivation:
+def exit_fixpoint(t: MarbleTransducer, f: dict) -> _Chains:
     """Acceptance stitching at the right endmarker.
 
     The move-right exit is replaced by halting acceptance: an entry with no
     marble present succeeds exactly when it reaches a final state standing on
     the endmarker with an empty stack.
     """
-    return Derivation(_Chains(t, f, RIGHT_END, accepting_exit=True))
+    return _Chains(t, f, RIGHT_END, accepting_exit=True)
 
 
 FIRST_REG = "first"
@@ -172,11 +154,11 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
     # The summary before any letter: first crossings from ⊢ to position 1,
     # with nothing left of ⊢ to call into, so every token is a constant.
     base = crossing_fixpoint(t, {q: None for q in t.states}, LEFT_END)
-    first0 = base.result(t.initial, None)
-    next0 = tuple((q, base.result(q, None)) for q in t.states)
+    first0 = base[t.initial, None][0]
+    next0 = tuple((q, base[q, None][0]) for q in t.states)
     init_state = (first0, next0)
     init_valuation = {
-        r: tuple(b for _const, word in base.tokens(q, None) for b in word)
+        r: tuple(b for _const, word in base[q, None][1] for b in word)
         for r, q in zip(registers, (t.initial,) + t.states)}
 
     names = {init_state: "cs0"}
@@ -184,31 +166,31 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
     delta: dict = {}
     update: dict = {}
     output: dict = {}
-    deriv_cache: dict = {}
+    summaries: dict = {}
 
     def successors(state):
         first, next_items = state
         f = dict(next_items)
         here = names[state]
         if first is not None:
-            res, toks = exit_fixpoint(t, f).entries[(first, None)]
+            res, toks = exit_fixpoint(t, f)[first, None]
             if res is not None:
                 output[here] = (Reg(FIRST_REG),) + _transcribe(toks)
         for a in letters:
             key = (next_items, a)
-            if key not in deriv_cache:
-                deriv_cache[key] = crossing_fixpoint(t, f, a)
-            deriv = deriv_cache[key]
-            new_next = tuple((q, deriv.result(q, None)) for q in t.states)
-            new_first = deriv.result(first, None) if first is not None else None
+            if key not in summaries:
+                summaries[key] = crossing_fixpoint(t, f, a)
+            summary = summaries[key]
+            new_next = tuple((q, summary[q, None][0]) for q in t.states)
+            new_first = summary[first, None][0] if first is not None else None
             target = (new_first, new_next)
             sub = {}
             if first is not None and new_first is not None:
-                sub[FIRST_REG] = (Reg(FIRST_REG),) + _transcribe(deriv.tokens(first, None))
+                sub[FIRST_REG] = (Reg(FIRST_REG),) + _transcribe(summary[first, None][1])
             else:
                 sub[FIRST_REG] = ()
             for q in t.states:  # an excursion that never crosses has no tokens
-                sub[_next_reg(q)] = _transcribe(deriv.tokens(q, None))
+                sub[_next_reg(q)] = _transcribe(summary[q, None][1])
             delta[(here, a)] = names.setdefault(target, "cs%d" % len(names))
             update[(here, a)] = sub
             yield target

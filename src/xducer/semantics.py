@@ -825,7 +825,9 @@ def eval_nautomaton(m: NAutomaton, w) -> int:
 
 def run_machine(m, w, registry: Optional[FunctionRegistry] = None,
                 budget: Optional[int] = None, trace: bool = False) -> RunResult:
-    """Run any word-to-word machine description on a word."""
+    """Run any word-to-word machine description on a word.
+
+    An NSST-F has no single run, so asking to trace one raises."""
     if isinstance(m, TwoWayTransducer):
         return run_two_way(m, w, budget=budget, trace=trace)
     if isinstance(m, MarbleTransducer):
@@ -833,6 +835,8 @@ def run_machine(m, w, registry: Optional[FunctionRegistry] = None,
     if isinstance(m, SST):
         return run_sst(m, w, registry=registry, trace=trace)
     if isinstance(m, NSSTF):
+        if trace:
+            raise MachineError("an NSST-F has no single run to trace")
         runs = enumerate_nsstf_runs(m, w, registry=registry)
         if not runs:
             return RunResult(REJECT, None, len(as_word(w)), 0, None)

@@ -214,6 +214,34 @@ def test_nsstf_output_faults_are_invalid(tmp_path, capsys, state, rhs, violation
     assert violation in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where,rhs,violation", [
+    ("update", [{"reg": "nope"}], "unknown register 'nope'"),
+    ("update", [{"fun": "nope"}], "unknown function 'nope'"),
+    ("output", [{"fun": "f_x"}], "function tokens not allowed in output"),
+])
+def test_nsstf_token_faults_read_as_for_an_sst(tmp_path, capsys, where, rhs, violation):
+    for name in ("nsstf", "sstf"):
+        doc = _document(name)
+        if where == "update":
+            doc["transitions"][0]["update"][doc["registers"][0]] = rhs
+        else:
+            doc["output"][sorted(doc["output"])[0]] = rhs
+        bad = tmp_path / ("%s.json" % name)
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        # the same message after the location, which names the transition
+        assert [v.split(": ", 1)[1] for v in violations] == [violation], name
+
+
+def test_trace_refuses_an_nsstf(tmp_path, capsys):
+    path = tmp_path / "nsstf.json"
+    path.write_text(json.dumps(_document("nsstf")))
+    assert main(["trace", str(path), "aa"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "an NSST-F has no single run to trace" in err
+
+
 @pytest.mark.parametrize("name,field,kind", [
     ("copy_two_way", "states", "state"),
     ("mul_marble", "states", "state"),

@@ -15,7 +15,15 @@ from xducer.growth import (
     witness_word,
 )
 from xducer.layering import make_total, to_simple
-from xducer.machines import MachineError, NAutomaton
+from xducer.machines import (
+    MachineError,
+    MarbleTransducer,
+    NAutomaton,
+    Reg,
+    SST,
+    TwoWayTransducer,
+)
+from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.oracle import brute_degree, brute_pattern_search
 from xducer.semantics import eval_nautomaton
 
@@ -337,11 +345,36 @@ def test_exponential_upper_bound_sanity():
 
 def test_classify_function_corpus():
     res = classify_function(load("exp_sst"))
-    assert res.report.kind == "exponential" and res.minimal_marbles is None
+    assert res.kind == "exponential"
     res = classify_function(load("mul_sst"))
-    assert res.report.degree == 2 and res.minimal_marbles == 1
+    assert res.degree == 2
     res = classify_function(load("reverse_sst"))
-    assert res.report.degree == 1 and res.minimal_marbles == 0
+    assert res.degree == 1
+
+
+@pytest.mark.parametrize("name,marbles", [
+    ("exp_flow", None), ("exp_sst", None), ("exp_marble", None),
+    ("chain_flow", 0), ("identity_sst", 0), ("reverse_sst", 0),
+    ("copy_two_way", 0), ("mul_sst", 1), ("mul_marble", 1),
+])
+def test_minimal_marbles(name, marbles):
+    m = load(name)
+    if isinstance(m, TwoWayTransducer):
+        m = two_way_to_marble(m)
+    if isinstance(m, MarbleTransducer):
+        m = marble_to_sst(m)
+    report = classify(m) if isinstance(m, NAutomaton) else classify_function(m)
+    assert report.minimal_marbles == marbles
+
+
+def test_minimal_marbles_of_degree_zero():
+    # x keeps its one letter: every output is "a"
+    m = SST(input_alphabet=("a",), output_alphabet=("a",), states=("q",),
+            registers=("x",), initial="q", init_valuation={"x": ("a",)},
+            delta={("q", "a"): "q"}, update={("q", "a"): {"x": (Reg("x"),)}},
+            output={"q": (Reg("x"),)})
+    report = classify_function(m)
+    assert report.degree == 0 and report.minimal_marbles == 0
 
 
 # ---------------------------------------------------------------------------

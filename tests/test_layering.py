@@ -563,7 +563,7 @@ def test_minimize_marbles_exponential():
 
 def test_minimize_marbles_pow2_wasteful():
     res = minimize_marbles(load("pow2_marble_wasteful"))
-    assert res.kind == "marble" and res.k_min == 1
+    assert res.kind == "marble" and res.k == 1
     for n in range(6):
         r = run_marble(res.machine, "a" * n)
         assert r.accepted and len(r.output) == n * n

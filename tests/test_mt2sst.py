@@ -40,8 +40,8 @@ def test_crossing_trivial_right_move():
     t = fragment({("q", "a", None): ("q2", ACT_RIGHT, ("o1",))},
                  states=("q", "q2"))
     deriv = crossing_fixpoint(t, {"q": None, "q2": None}, "a")
-    assert deriv.result("q", None) == "q2"
-    assert deriv.tokens("q", None) == ((CONST, ("o1",)),)
+    assert deriv["q", None][0] == "q2"
+    assert deriv["q", None][1] == ((CONST, ("o1",)),)
 
 
 def test_crossing_stitched_run_uses_two_calls():
@@ -58,8 +58,8 @@ def test_crossing_stitched_run_uses_two_calls():
     f = {s: None for s in states}
     f["q2"] = "fq2"
     deriv = crossing_fixpoint(t, f, "a")
-    assert deriv.result("q", None) == "qq"
-    assert deriv.tokens("q", None) == (
+    assert deriv["q", None][0] == "qq"
+    assert deriv["q", None][1] == (
         (CONST, ("o1",)), (CONST, ("o2",)), (CALL, "q2"),
         (CONST, ("o3",)), (CONST, ("o4",)), (CALL, "q2"),
         (CONST, ("o5",)),
@@ -69,8 +69,8 @@ def test_crossing_stitched_run_uses_two_calls():
 def test_crossing_dead_continuation_is_bottom():
     t = fragment({("q", "a", None): ("q", ACT_LEFT, ())}, states=("q",))
     deriv = crossing_fixpoint(t, {"q": None}, "a")
-    assert deriv.result("q", None) is None
-    assert deriv.tokens("q", None) == ()
+    assert deriv["q", None][0] is None
+    assert deriv["q", None][1] == ()
 
 
 def test_crossing_follows_long_chains():
@@ -85,26 +85,26 @@ def test_crossing_follows_long_chains():
     trans[(states[n], "a", None)] = (states[n + 1], ACT_RIGHT, ("o2",))
     f = {q: None for q in states}
     deriv = crossing_fixpoint(fragment(trans, states), f, "a")
-    assert deriv.result("q0", None) == states[n + 1]
-    assert deriv.tokens("q0", None) == ((CONST, ("o1",)),) * (n // 2) + (
+    assert deriv["q0", None][0] == states[n + 1]
+    assert deriv["q0", None][1] == ((CONST, ("o1",)),) * (n // 2) + (
         (CONST, ("o2",)),)
     trans[(states[n], "a", None)] = (states[1], act_drop("c"), ())
     deriv = crossing_fixpoint(fragment(trans, states), f, "a")
-    assert deriv.result("q0", None) is None
-    assert deriv.result(states[n], None) is None
+    assert deriv["q0", None][0] is None
+    assert deriv[states[n], None][0] is None
 
 
 def test_crossing_cycle_is_bottom():
     # left move whose continuation loops back to the same entry
     t = fragment({("q", "a", None): ("q", ACT_LEFT, ())}, states=("q",))
     deriv = crossing_fixpoint(t, {"q": "q"}, "a")
-    assert deriv.result("q", None) is None
+    assert deriv["q", None][0] is None
 
 
 def test_exit_fixpoint_accepts_finals_immediately():
     t = fragment({}, states=("q",), finals=("q",))
     deriv = exit_fixpoint(t, {"q": None})
-    assert deriv.entries[("q", None)] == ("q", ())
+    assert deriv["q", None] == ("q", ())
 
 
 def boundary(t):
@@ -114,13 +114,13 @@ def boundary(t):
 
 def test_boundary_summary():
     t = load("exp_marble")
-    assert boundary(t).entries[("s0", None)] == ("s1", ())
+    assert boundary(t)["s0", None] == ("s1", ())
     looper = fragment({("q", LEFT_END, None): ("q2", act_drop("c"), ()),
                        ("q2", LEFT_END, "c"): ("q", ACT_LIFT, ())},
                       states=("q", "q2"))
-    assert boundary(looper).entries[("q", None)] == (None, ())
+    assert boundary(looper)["q", None] == (None, ())
     blocked = fragment({("q", LEFT_END, None): ("q", ACT_LEFT, ())}, states=("q",))
-    assert boundary(blocked).entries[("q", None)] == (None, ())
+    assert boundary(blocked)["q", None] == (None, ())
 
 
 CORPUS_MARBLE = [
@@ -206,7 +206,7 @@ def test_crossing_summaries_match_interpreter(name, file):
                 got = first_crossing(t, w, (q, m, ()), m + 1)
                 f[q], outputs[q] = got if got else (None, ())
                 if m == 0:
-                    res, toks = start.entries[(q, None)]
+                    res, toks = start[q, None]
                     assert (res, tuple(b for _k, p in toks for b in p)) \
                         == (f[q], outputs[q]), (name, q)
             deriv = crossing_fixpoint(t, f, w[m])
@@ -214,7 +214,7 @@ def test_crossing_summaries_match_interpreter(name, file):
                 for c in (None,) + tuple(t.colors):
                     stack = ((c, m + 1),) if c else ()
                     got = first_crossing(t, w, (q, m + 1, stack), m + 2)
-                    res, toks = deriv.entries[(q, c)]
+                    res, toks = deriv[q, c]
                     if res is None:
                         assert got is None, (name, w, m, q, c)
                         continue

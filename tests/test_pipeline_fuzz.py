@@ -244,5 +244,5 @@ def test_random_marble_machines_through_minimization():
         for w in words_up_to(m.input_alphabet, 3, cap=50):
             r = run_marble(res.machine, w, budget=200000)
             if r.accepted:
-                assert r.max_stack_depth <= res.k_min, (trial, w)
+                assert r.max_stack_depth <= res.k, (trial, w)
     assert minimized == 25

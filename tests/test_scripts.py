@@ -68,6 +68,8 @@ def test_interp_rate_reports_each_machine():
         assert row["size"] == 1000 and 900 <= row["letters"] <= 1100, row
         assert row["steps"] >= row["input"] and row["cpu_s"] > 0, row
         assert row["steps_per_s"] > 0 and row["letters_per_s"] > 0, row
+        assert row["cpu_ref_s"] > 0 and row["steps_per_ref_s"] > 0, row
+        assert row["letters_per_ref_s"] > 0, row
     # reverse_two_way: a pass right, a pass back and a pass right again
     assert rows[0]["steps"] == 3 * 1000 + 3
 

@@ -103,7 +103,7 @@ def test_layered_exact_long_inputs_until_counter_bound():
             got = run_marble(res.machine, w, budget=10 ** 7)
             assert want.accepted and got.accepted, len(w)
             assert got.output == want.output, len(w)
-            assert got.max_stack_depth <= res.k_min, len(w)
+            assert got.max_stack_depth <= res.k, len(w)
 
 
 def repeated_output_sst() -> SST:
