@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .growth import classify, classify_function
 from .layering import minimize_marbles, to_k_layered
-from .machine_io import dumps_machine, parse_machine
+from .machine_io import dumps_machine, parse_machine, pretty_json
 from .machines import (
     MachineError,
     MarbleTransducer,
@@ -73,7 +74,7 @@ def _count(text: str) -> int:
 
 def _print_json(doc, pretty: bool) -> None:
     if pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False))
+        print(pretty_json(doc))
     else:
         print(json.dumps(doc, sort_keys=True, ensure_ascii=False))
 
@@ -213,7 +214,12 @@ def cmd_equiv(args) -> int:
     return 3
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser(command: str) -> argparse.ArgumentParser:
+    """The argument parser of one subcommand, built on its first use and
+    cached per command: ``parse_args`` keeps no state between calls, and
+    building one costs a terminal-size query and message lookups for each
+    argument, which in-process callers of ``main`` would pay on every call."""
     p = argparse.ArgumentParser(prog="xducer %s" % command, add_help=True)
     p.add_argument("--pretty", action="store_true",
                    help="indent JSON reports for humans")

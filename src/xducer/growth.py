@@ -174,8 +174,9 @@ def _support(m: NAutomaton) -> _Support:
 def _lex_bfs(letters, starts: dict, step, is_target) -> Optional[tuple]:
     """Shortest witness word by level-synchronized breadth-first search.
 
-    ``starts`` maps nodes to initial words; ``step(node, letter)`` yields
-    successor nodes; the first level at which a target appears wins and ties
+    ``starts`` maps nodes to initial words; ``step(node, letter)`` returns
+    a list of successor nodes, and the word is extended only when that list
+    is not empty; the first level at which a target appears wins and ties
     break lexicographically on the word.  Returns (node, word) or None.
     A start that is a target wins at once, with its own word.
     Targets are checked against every generated successor, so a cycle back
@@ -194,8 +195,11 @@ def _lex_bfs(letters, starts: dict, step, is_target) -> Optional[tuple]:
         new: dict = {}
         for node, w in frontier.items():
             for a in letters:
+                succ = step(node, a)
+                if not succ:
+                    continue
                 w2 = w + (a,)
-                for node2 in step(node, a):
+                for node2 in succ:
                     if node2 not in new or w2 < new[node2]:
                         new[node2] = w2
         hits = [(w, n) for n, w in new.items() if is_target(n)]

@@ -1,8 +1,17 @@
-"""JSON machine files: parsing, schema checks, byte-stable emission."""
+"""JSON machine files: parsing, schema checks, byte-stable emission.
+
+One emitter, ``pretty_json``, writes the bytes of ``json.dumps(doc,
+sort_keys=True, indent=2, ensure_ascii=False)``.  On CPython 3.11 any
+``indent`` makes ``json.dumps`` fall back to its pure-Python encoder;
+``pretty_json`` quotes strings with the C ``encode_basestring`` and writes
+each one-key token object (``{"lit": ...}`` and the like) from one format
+string.
+"""
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _quote
 from typing import Optional
 
 from .machines import (
@@ -285,11 +294,37 @@ def machine_from_json(doc, path: str = "$"):
                  tuple(sorted(update)), update, output)
 
 
+def pretty_json(v, pad: str = "") -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False)``
+    writes it, nested ``pad`` deep.  Plain dicts (with string keys), lists,
+    tuples and strings are written here, any other value by ``json.dumps``."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    inner = pad + "  "
+    if t is dict:
+        if len(v) == 1:
+            (k, x), = v.items()
+            if type(x) is str:
+                return '{\n%s%s: %s\n%s}' % (inner, _quote(k), _quote(x), pad)
+        if not v:
+            return "{}"
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join([
+            "%s: %s" % (_quote(k), pretty_json(x, inner))
+            for k, x in sorted(v.items())]), pad)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(
+            [pretty_json(x, inner) for x in v]), pad)
+    return json.dumps(v)
+
+
 def dumps_machine(m, layers: Optional[tuple] = None) -> str:
     doc = machine_to_json(m)
     if layers is not None:
         doc["layers"] = [list(layer) for layer in layers]
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return pretty_json(doc) + "\n"
 
 
 def emit_machine(m, path: str, layers: Optional[tuple] = None) -> None:

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+import random
 import re
 
 import pytest
 
-from xducer.cli import main
+from xducer.cli import _build_parser, main
 from xducer.layering import (
     bounded_sstf_to_unambiguous,
     extract_sstf,
@@ -20,19 +21,26 @@ from xducer.machine_io import (
     parse_machine,
 )
 from xducer.machines import (
+    ACT_LEFT,
+    Fun,
     LEFT_END,
     Lit,
     MOVE_RIGHT,
     MachineError,
     MarbleTransducer,
+    NAutomaton,
+    NSSTF,
     Reg,
+    RIGHT_END,
     SST,
     TwoWayTransducer,
+    act_drop,
 )
 from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.semantics import run_machine
 
 from conftest import CORPUS_DIR, CORPUS_NAMES, corpus_path, load
+from test_pipeline_fuzz import random_marble, random_sst
 
 
 def test_corpus_files_parse_validate_and_roundtrip():
@@ -758,3 +766,149 @@ def test_corpus_files_convert_where_applicable(tmp_path, capsys):
                          "-o", str(out)]) == 0, (name, target)
             capsys.readouterr()
             parse_machine(str(out))
+
+
+def _indented(doc) -> str:
+    """The text machine files and ``--pretty`` reports have always had."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def _assert_emitted_as_indented_json(machine, layers=None):
+    doc = machine_to_json(machine)
+    if layers is not None:
+        doc["layers"] = [list(layer) for layer in layers]
+    assert dumps_machine(machine, layers) == _indented(doc) + "\n"
+
+
+def test_emission_matches_indented_json_on_corpus_and_stages(tmp_path, capsys):
+    for name in CORPUS_NAMES:
+        _assert_emitted_as_indented_json(*parse_machine(corpus_path(name)))
+        stages = tmp_path / name
+        main(["optimize", corpus_path(name), "-o", str(tmp_path / "opt.json"),
+              "--dump-stages", str(stages)])
+        capsys.readouterr()
+        for stage in sorted(os.listdir(stages)):
+            text = (stages / stage).read_text(encoding="utf-8")
+            assert text == _indented(json.loads(text)) + "\n", (name, stage)
+            _assert_emitted_as_indented_json(*parse_machine(str(stages / stage)))
+
+
+def random_nsstf(rng) -> NSSTF:
+    states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
+    regs = tuple("r%d" % i for i in range(rng.randint(1, 3)))
+    funs = ("f", "g")[: rng.randint(0, 2)]
+    tokens = [Lit("a"), Lit("b")] + [Reg(x) for x in regs] + [Fun(f) for f in funs]
+
+    def rhs():
+        return tuple(rng.choice(tokens) for _ in range(rng.randint(0, 3)))
+
+    transitions = tuple(sorted({(rng.choice(states), rng.choice("ab"), rng.choice(states))
+                                for _ in range(rng.randint(0, 5))}))
+    initial = {q: {x: tuple(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+                   for x in regs if rng.random() < 0.7}
+               for q in states if rng.random() < 0.6}
+    return NSSTF(("a", "b"), ("a", "b"), states, regs, funs, initial, transitions,
+                 {t: {x: rhs() for x in regs if rng.random() < 0.8}
+                  for t in transitions},
+                 {q: rhs() for q in states if rng.random() < 0.7})
+
+
+def test_emission_matches_indented_json_on_random_machines():
+    rng = random.Random(2323)
+    for _ in range(60):
+        sst = random_sst(rng)
+        _assert_emitted_as_indented_json(sst)
+        _assert_emitted_as_indented_json(sst, (sst.registers[:1], sst.registers[1:]))
+        _assert_emitted_as_indented_json(random_marble(rng))
+        _assert_emitted_as_indented_json(random_nsstf(rng))
+
+
+# names that need escapes, are not ASCII, or are empty
+ODD = ("é", '"', "\\", "\n", "\x01", " ", "")
+
+
+def test_emission_matches_indented_json_on_odd_names_and_empty_parts():
+    a, b, c = ODD[:3]
+    sst = SST(ODD[:2], ODD, ODD[3:], ODD, ODD[6],
+              {ODD[0]: (), ODD[1]: ODD, ODD[6]: (ODD[6],)},
+              {(ODD[3], a): ODD[6], (ODD[6], b): ODD[4]},
+              {(ODD[3], a): {}, (ODD[6], b): {ODD[2]: (), ODD[6]: (Lit(c), Reg(""))}},
+              {ODD[3]: (), ODD[6]: (Reg(ODD[5]), Lit(ODD[4]))})
+    _assert_emitted_as_indented_json(sst)
+    _assert_emitted_as_indented_json(sst, (ODD[:3], (), ODD[3:]))
+    _assert_emitted_as_indented_json(SST(ODD, ODD, ODD, (), ODD[0], {}, {}, {}, {}))
+    _assert_emitted_as_indented_json(
+        SST(ODD, ODD, ODD, ODD, ODD[0], {}, {(ODD[0], b): ODD[1]},
+            {(ODD[0], b): {ODD[1]: (Fun(ODD[3]), Fun(""), Reg(ODD[1]))}}, {}, ODD))
+    marble = MarbleTransducer(
+        ODD, ODD, ODD, ODD[6], frozenset(ODD[2:4]), ODD[4:],
+        {(ODD[0], LEFT_END, None): (ODD[1], act_drop(ODD[5])),
+         (ODD[1], a, ""): (ODD[6], ACT_LEFT),
+         (ODD[6], RIGHT_END, ODD[4]): (ODD[0], ("lift", None))},
+        {(ODD[0], LEFT_END, None): (), (ODD[1], a, ""): ODD,
+         (ODD[6], RIGHT_END, ODD[4]): ("",)}, 7)
+    _assert_emitted_as_indented_json(marble)
+    _assert_emitted_as_indented_json(MarbleTransducer(ODD, (), ODD, "", frozenset(),
+                                                      (), {}, {}, 0))
+    _assert_emitted_as_indented_json(TwoWayTransducer(
+        ODD, ODD, ODD, ODD[1], frozenset(ODD), {(ODD[2], c): (ODD[3], MOVE_RIGHT)},
+        {(ODD[2], c): ODD[4:]}))
+    _assert_emitted_as_indented_json(NSSTF(
+        ODD, ODD, ODD, ODD, ODD, {ODD[0]: {}, ODD[6]: {ODD[6]: ODD}},
+        ((ODD[1], a, ODD[6]),), {(ODD[1], a, ODD[6]): {}}, {ODD[5]: ()}))
+    _assert_emitted_as_indented_json(NAutomaton(
+        ODD, ODD, {ODD[0]: 1, ODD[1]: 0}, {ODD[6]: 2 ** 70},
+        {a: {(ODD[0], ODD[6]): 3, (ODD[6], ODD[6]): 0}, b: {}}))
+    _assert_emitted_as_indented_json(NAutomaton((), (), {}, {}, {}))
+
+
+def test_pretty_reports_match_indented_json(tmp_path, capsys):
+    invalid = tmp_path / "invalid.json"
+    doc = _document("pow2_marble")
+    doc["declared_marble_bound"] = -1
+    invalid.write_text(json.dumps(doc))
+    out = str(tmp_path / "opt.json")
+    calls = [
+        (["analyze", corpus_path("mul_sst")], 0),
+        (["analyze", corpus_path("exp_sst")], 0),
+        (["analyze", corpus_path("chain_flow")], 0),
+        (["equiv", corpus_path("identity_sst"), corpus_path("copy_two_way"),
+          "--maxlen", "3"], 2),
+        (["validate", str(invalid)], 1),
+        (["validate", corpus_path("mul_marble")], 0),
+        (["optimize", corpus_path("mul_sst_copyful"), "-o", out], 0),
+        (["optimize", corpus_path("pow2_marble"), "-o", out], 0),
+        (["optimize", corpus_path("exp_sst")], 4),
+    ]
+    for argv, code in calls:
+        assert main(argv) == code, argv
+        report = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--pretty"]) == code, argv
+        assert capsys.readouterr().out == _indented(report) + "\n", argv
+
+
+def test_parsers_are_reused_without_carrying_state(capsys, monkeypatch):
+    _build_parser.cache_clear()
+    marble = corpus_path("exp_marble")
+    assert main(["run", marble, "aaaa", "--budget", "3"]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["run", marble, "aaaa"]) == 0
+    want = capsys.readouterr().out
+    assert want.strip()
+    monkeypatch.setenv("XDUCER_BUDGET", "3")
+    assert main(["run", marble, "aaaa"]) == 3
+    monkeypatch.delenv("XDUCER_BUDGET")
+    assert main(["run", marble, "aaaa"]) == 0
+    assert capsys.readouterr().out == want
+    assert _build_parser("run") is _build_parser("run")
+    for _ in range(2):
+        assert main(["run", marble, "aaaa", "--bogus"]) == 64
+        assert "--bogus" in capsys.readouterr().err
+        assert main(["equiv", marble, marble]) == 64
+        assert "--maxlen" in capsys.readouterr().err
+        assert main(["run", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: xducer run")
+    for source, target in (("mul_marble", "sst"), ("mul_sst", "marble"),
+                           ("mul_marble", "sst")):
+        assert main(["convert", "--to", target, corpus_path(source)]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == target
