@@ -171,44 +171,43 @@ def _support(m: NAutomaton) -> _Support:
     return s
 
 
-def _lex_bfs(letters, starts: dict, step, is_target) -> Optional[tuple]:
-    """Shortest witness word by level-synchronized breadth-first search.
+def _lex_bfs(letters, starts, step, is_target) -> Optional[Word]:
+    """Shortest, then lexicographically least, word that leads some start to
+    a target, or None; the empty word when a start is a target.
 
-    ``starts`` maps nodes to initial words; ``step(node, letter)`` returns
-    a list of successor nodes, and the word is extended only when that list
-    is not empty; the first level at which a target appears wins and ties
-    break lexicographically on the word.  Returns (node, word) or None.
-    A start that is a target wins at once, with its own word.
-    Targets are checked against every generated successor, so a cycle back
-    to an already-visited node (e.g. the start) is still reported; only
-    expansion of visited nodes is pruned.  Pruning ``step`` to nodes that
-    can still reach a target leaves the answer unchanged: a shortest path to
-    such a node only passes through such nodes.
+    ``step(node, letter)`` returns the node's successors.  ``explore`` runs
+    over words: each word stands for the nodes it reaches first, and its
+    successor on a letter holds the nodes they reach on that letter that no
+    earlier word reached.  Words are met by length and then in lexicographic
+    order, so the first word reaching a target is the least one.  A node can
+    be shared by several words, which is why the search is over words and
+    not over nodes.  Pruning ``step`` to nodes that can still reach a target
+    leaves the answer unchanged: a shortest path to such a node only passes
+    through such nodes.
     """
-    frontier = dict(starts)
-    hits = [(w, n) for n, w in frontier.items() if is_target(n)]
-    if hits:
-        w, n = min(hits)
-        return n, w
-    visited = set(frontier)
-    while frontier:
-        new: dict = {}
-        for node, w in frontier.items():
-            for a in letters:
-                succ = step(node, a)
-                if not succ:
-                    continue
-                w2 = w + (a,)
-                for node2 in succ:
-                    if node2 not in new or w2 < new[node2]:
-                        new[node2] = w2
-        hits = [(w, n) for n, w in new.items() if is_target(n)]
-        if hits:
-            w, n = min(hits)
-            return n, w
-        frontier = {n: w for n, w in new.items() if n not in visited}
-        visited.update(frontier)
-    return None
+    first = {(): list(starts)}
+    if any(map(is_target, first[()])):
+        return ()
+    reached = set(starts)
+
+    def successors(word):
+        for a in letters:
+            new = []
+            for node in first[word]:
+                for node2 in step(node, a):
+                    if node2 not in reached:
+                        reached.add(node2)
+                        new.append(node2)
+            if new:
+                first[word + (a,)] = new
+                yield word + (a,)
+
+    def hit(word):
+        return any(map(is_target, first[word]))
+
+    # each word found reaches a node no earlier word reached: no limit needed
+    last = explore([()], successors, float("inf"), "word search", hit)[-1]
+    return last if hit(last) else None
 
 
 def shortest_connecting_word(m: NAutomaton, sources, targets) -> Optional[Word]:
@@ -216,9 +215,8 @@ def shortest_connecting_word(m: NAutomaton, sources, targets) -> Optional[Word]:
     some source to some target (the empty word counts when the sets meet)."""
     s = _support(m)
     targets = set(targets)
-    res = _lex_bfs(s.letters, {q: () for q in sorted(set(sources))},
-                   lambda q, a: s.rows[a].get(q, ()), targets.__contains__)
-    return None if res is None else res[1]
+    return _lex_bfs(s.letters, sorted(set(sources)),
+                    lambda q, a: s.rows[a].get(q, ()), targets.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +334,9 @@ def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
                     out.append((r1, r2, f or r1 != r2 or w2))
             return out
 
-        res = _lex_bfs(s.letters, {(q, q, False): ()}, step,
-                       (q, q, True).__eq__)
-        if res is not None:
-            return q, res[1]
+        v = _lex_bfs(s.letters, [(q, q, False)], step, (q, q, True).__eq__)
+        if v is not None:
+            return q, v
         light.add(comp)
     return None
 
@@ -369,8 +366,7 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
             for r3 in row[n3] if (r2, r3) in behind
         ]
 
-    res = _lex_bfs(s.letters, {(q, q, q2): ()}, step, (q, q2, q2).__eq__)
-    return None if res is None else res[1]
+    return _lex_bfs(s.letters, [(q, q, q2)], step, (q, q2, q2).__eq__)
 
 
 @dataclass(frozen=True)
@@ -402,8 +398,7 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
         for q2 in cyclic:
             key = (s.comp[q], s.comp[q2])
             if (key not in first and key[0] is not key[1]
-                    and (q, q2) in ahead and (q, q2) in s.behind(q2)
-                    and find_barbell(m, q, q2) is not None):
+                    and (q, q2) in ahead and find_barbell(m, q, q2) is not None):
                 first[key] = (q, q2)
     edges: dict = {}
     for q, q2 in first.values():

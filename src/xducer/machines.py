@@ -33,13 +33,15 @@ class MachineError(Exception):
     """Raised on malformed machines or violated preconditions."""
 
 
-def explore(starts, successors, limit: int, stage: str) -> list:
+def explore(starts, successors, limit: int, stage: str, stop=None) -> list:
     """Every node reachable from ``starts``, in breadth-first discovery order.
 
     ``successors(node)`` returns an iterable of the node's successors; it is
     fully consumed before the next node is expanded, so callers may record
-    edges and labels while yielding.  Raises a MachineError naming ``stage``
-    once more than ``limit`` nodes have been found.
+    edges and labels while yielding.  With ``stop``, the search ends at the
+    first node found after the starts for which ``stop`` holds, and the list
+    ends with that node.  Raises a MachineError naming ``stage`` once more
+    than ``limit`` nodes have been found.
     """
     order = list(dict.fromkeys(starts))
     seen = set(order)
@@ -49,6 +51,8 @@ def explore(starts, successors, limit: int, stage: str) -> list:
             if node not in seen:
                 seen.add(node)
                 order.append(node)
+                if stop is not None and stop(node):
+                    return order
                 if len(order) > limit:
                     raise MachineError("%s exceeded %d states" % (stage, limit))
                 queue.append(node)
@@ -313,8 +317,7 @@ def _check_distinct(kind: str, names: tuple, report: list) -> None:
             report.append("%s %r declared %d times" % (kind, x, n))
 
 
-def _check_tokens(where: str, tokens, m, report: list,
-                  allow_fun: bool) -> None:
+def _check_tokens(where: str, tokens, m, report: list) -> None:
     """Check tokens against the alphabet, registers and functions of an SST
     or NSST-F."""
     for tok in tokens:
@@ -325,9 +328,7 @@ def _check_tokens(where: str, tokens, m, report: list,
             if tok.name not in m.registers:
                 report.append("%s: unknown register %r" % (where, tok.name))
         elif isinstance(tok, Fun):
-            if not allow_fun:
-                report.append("%s: function token %r not allowed" % (where, tok.name))
-            elif tok.name not in m.funs:
+            if tok.name not in m.funs:
                 report.append("%s: unknown function %r" % (where, tok.name))
         else:
             report.append("%s: bad token %r" % (where, tok))
@@ -439,7 +440,7 @@ def _validate_sst(m: SST, report: list) -> None:
         if set(s) != set(m.registers):
             report.append("%s: not total on the register set" % where)
         for x, rhs in s.items():
-            _check_tokens("%s(%s)" % (where, x), rhs, m, report, allow_fun=True)
+            _check_tokens("%s(%s)" % (where, x), rhs, m, report)
     _check_outputs(m, report)
 
 
@@ -451,7 +452,7 @@ def _check_outputs(m, report: list) -> None:
             if isinstance(tok, Fun):
                 report.append("output[%s]: function tokens not allowed in output" % q)
         _check_tokens("output[%s]" % q, [t for t in rhs if not isinstance(t, Fun)],
-                      m, report, allow_fun=False)
+                      m, report)
 
 
 def _validate_nsstf(m: NSSTF, report: list) -> None:
@@ -476,7 +477,7 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
         if set(s) != set(m.registers):
             report.append("%s: not total on the register set" % where)
         for x, rhs in s.items():
-            _check_tokens("%s(%s)" % (where, x), rhs, m, report, allow_fun=True)
+            _check_tokens("%s(%s)" % (where, x), rhs, m, report)
     _check_outputs(m, report)
 
 
@@ -597,11 +598,6 @@ BOUNDED_CHECK_STATE_LIMIT = 200000
 COPY_BOUND_LIMIT = 64
 
 
-class _Exceeded(Exception):
-    """Carries the first word whose composed update breaks the bound, and
-    the row sum that breaks it."""
-
-
 def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int) -> BoundedCheck:
     """Decide whether every layer is per-word copy-bounded by ``bound``.
 
@@ -652,18 +648,17 @@ def check_bounded(m: SST, layers: Sequence[Sequence[str]], bound: int) -> Bounde
         for a in letters:
             if (q, a) not in m.delta:
                 continue
-            mats2 = step(mats, q, a)
-            if max_row_sum(mats2) > bound:
-                raise _Exceeded(words[node] + (a,), max_row_sum(mats2))
-            node2 = (m.delta[(q, a)], mats2)
+            node2 = (m.delta[(q, a)], step(mats, q, a))
             words.setdefault(node2, words[node] + (a,))
             yield node2
 
-    try:
-        nodes = explore(list(words), successors, BOUNDED_CHECK_STATE_LIMIT,
-                        "bounded-copy closure")
-    except _Exceeded as found:
-        return BoundedCheck(False, *found.args)
+    def exceeds(node):
+        return max_row_sum(node[1]) > bound
+
+    nodes = explore(list(words), successors, BOUNDED_CHECK_STATE_LIMIT,
+                    "bounded-copy closure", exceeds)
+    if exceeds(nodes[-1]):
+        return BoundedCheck(False, words[nodes[-1]], max_row_sum(nodes[-1][1]))
     return BoundedCheck(True, None, max(max_row_sum(mats) for _q, mats in nodes))
 
 

@@ -458,6 +458,14 @@ def test_optimize_writes_layers(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "ab#ab#"
 
 
+def test_optimize_without_output_prints_report_then_machine(tmp_path, capsys):
+    out = tmp_path / "opt.json"
+    assert main(["optimize", corpus_path("mul_sst_copyful"), "-o", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert main(["optimize", corpus_path("mul_sst_copyful")]) == 0
+    assert capsys.readouterr().out == report + out.read_text(encoding="utf-8")
+
+
 def _names_that_meet():
     # register b.c at state a and register c at state a.b are both "a.b.c"
     # in the single-state form
@@ -691,6 +699,12 @@ def test_equiv_exit_codes(capsys):
                  "--maxlen", "3"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2 and doc["counterexample"]["word"] == ["a"]
+    # exp_marble needs more than 5 steps on "a", so no verdict is reached
+    code = main(["equiv", corpus_path("exp_marble"), corpus_path("exp_sst"),
+                 "--maxlen", "4", "--budget", "5"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3 and doc["status"] == "inconclusive"
+    assert doc["inconclusive_word"] == ["a"]
 
 
 def test_negative_maxlen_is_a_usage_error(capsys):
@@ -731,6 +745,10 @@ def test_looping_runs_get_definite_answers(tmp_path, capsys):
 def test_unknown_command_and_io_errors(capsys):
     assert main(["frobnicate"]) == 64
     capsys.readouterr()
+    assert main([]) == 64
+    assert capsys.readouterr().out.startswith("usage: xducer")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: xducer")
     assert main(["run", "/nonexistent/machine.json", "a"]) == 74
 
 

@@ -1,20 +1,30 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from xducer.layering import extract_sstf
 from xducer.machine_io import parse_machine
 from xducer.machines import (
+    ACT_LIFT,
     ACT_RIGHT,
     COPY_BOUND_LIMIT,
+    LEFT_END,
     Lit,
+    MOVE_RIGHT,
     MachineError,
     MarbleTransducer,
+    NAutomaton,
+    NSSTF,
     Reg,
     SST,
+    TwoWayTransducer,
+    act_drop,
     check_bounded,
     check_copyless,
+    check_layer_order,
     check_layered,
     compose_substitutions,
     explore,
@@ -144,6 +154,14 @@ EDGES = {0: (2, 1), 1: (3,), 2: (3, 4), 3: (0,), 4: ()}
 def test_explore_returns_breadth_first_discovery_order():
     assert explore([0], EDGES.__getitem__, 5, "toy") == [0, 2, 1, 3, 4]
     assert explore([1, 1, 4], EDGES.__getitem__, 5, "toy") == [1, 4, 3, 0, 2]
+
+
+def test_explore_stops_at_the_first_node_found_that_meets_stop():
+    assert explore([0], EDGES.__getitem__, 5, "toy", (3).__eq__) == [0, 2, 1, 3]
+    # the starts are not tested; the node that meets stop ends the search
+    # before the limit is checked
+    assert explore([3], EDGES.__getitem__, 5, "toy", (3).__eq__) == [3, 0, 2, 1, 4]
+    assert explore([0], EDGES.__getitem__, 3, "toy", (3).__eq__) == [0, 2, 1, 3]
 
 
 def test_explore_limit_names_stage_and_limit():
@@ -296,3 +314,131 @@ def test_composition_matches_interpreter_valuation(register_values):
                         parts.extend(m.init_valuation[tok.name])
                 expected[x] = tuple(parts)
             assert register_values(m, w) == expected
+
+
+# One well-formed machine of each kind, over the letter a, with state q (p
+# and q for the NSST-F, p for the automaton), register x and colour c.
+TWO_WAY = TwoWayTransducer(("a",), ("a",), ("q",), "q", frozenset({"q"}),
+                           {("q", "a"): ("q", MOVE_RIGHT)}, {("q", "a"): ("a",)})
+MARBLE = MarbleTransducer(("a",), ("a",), ("q",), "q", frozenset({"q"}), ("c",),
+                          {("q", "a", None): ("q", ACT_RIGHT)},
+                          {("q", "a", None): ("a",)})
+ONE_REG = SST(("a",), ("a",), ("q",), ("x",), "q", {"x": ()},
+              {("q", "a"): "q"}, {("q", "a"): {"x": (Reg("x"), Lit("a"))}},
+              {"q": (Reg("x"),)})
+NONDET = NSSTF(("a",), ("a",), ("p", "q"), ("x",), (), {"p": {"x": ()}},
+               (("p", "a", "q"),), {("p", "a", "q"): {"x": (Lit("a"),)}},
+               {"q": (Reg("x"),)})
+WEIGHTED = NAutomaton(("a",), ("p",), {"p": 1}, {"p": 1}, {"a": {("p", "p"): 1}})
+# x in the lower layer reads y from the upper one
+UPWARD = SST(("a",), ("a",), ("q",), ("x", "y"), "q", {"x": (), "y": ()},
+             {("q", "a"): "q"}, {("q", "a"): {"x": (Reg("y"),), "y": (Reg("x"),)}},
+             {"q": (Reg("y"),)})
+UPWARD_LAYERS = (("x",), ("y",))
+
+
+STRUCTURAL_FAULTS = [
+    (validate, object(), "unknown machine type 'object'"),
+    (validate, replace(ONE_REG, input_alphabet=()), "input alphabet is empty"),
+    (validate, replace(ONE_REG, output_alphabet=("a", "a")),
+     "output alphabet has duplicate symbols"),
+    (validate, replace(ONE_REG, input_alphabet=("a", LEFT_END)),
+     "input alphabet contains reserved endmarker %r" % LEFT_END),
+    (validate, replace(ONE_REG, update={("q", "a"): {"x": ("x",)}}),
+     "update[q,a](x): bad token 'x'"),
+    # two-way and marble machines
+    (validate, replace(TWO_WAY, initial="r"), "initial state 'r' not declared"),
+    (validate, replace(TWO_WAY, finals=frozenset({"q", "r"})),
+     "final state 'r' not declared"),
+    (validate, replace(TWO_WAY, out={}),
+     "transition and output maps have different domains"),
+    (validate, replace(TWO_WAY, delta={("q", "a"): ("r", MOVE_RIGHT)}),
+     "delta[q,a]: undeclared state"),
+    (validate, replace(TWO_WAY, delta={("q", "b"): ("q", MOVE_RIGHT)},
+                       out={("q", "b"): ()}),
+     "delta[q,b]: undeclared symbol"),
+    (validate, replace(TWO_WAY, delta={("q", "a"): ("q", "up")}),
+     "delta[q,a]: bad move 'up'"),
+    (validate, replace(TWO_WAY, out={("q", "a"): ("b",)}),
+     "out[q,a]: unknown output letter 'b'"),
+    (validate, replace(MARBLE, delta={("q", "a", None): ("r", ACT_RIGHT)}),
+     "delta[q,a,None]: undeclared state"),
+    (validate, replace(MARBLE, delta={("q", "b", None): ("q", ACT_RIGHT)},
+                       out={("q", "b", None): ()}),
+     "delta[q,b,None]: undeclared symbol"),
+    (validate, replace(MARBLE, delta={("q", "a", "d"): ("q", ACT_LIFT)},
+                       out={("q", "a", "d"): ()}),
+     "delta[q,a,d]: undeclared color"),
+    (validate, replace(MARBLE, delta={("q", "a", None): ("q", ("jump", None))}),
+     "delta[q,a,None]: bad action ('jump', None)"),
+    (validate, replace(MARBLE, delta={("q", "a", None): ("q", act_drop("d"))}),
+     "delta[q,a,None]: drops undeclared color 'd'"),
+    (validate, replace(MARBLE, delta={("q", "a", "c"): ("q", act_drop("c"))},
+                       out={("q", "a", "c"): ()}),
+     "delta[q,a,c]: drop on marble"),
+    (validate, replace(MARBLE, delta={("q", "a", None): ("q", ACT_LIFT)}),
+     "delta[q,a,None]: lift without marble"),
+    (validate, replace(MARBLE, out={("q", "a", None): ("b",)}),
+     "out[q,a,None]: unknown output letter 'b'"),
+    # register transducers
+    (validate, replace(ONE_REG, initial="r"), "initial state 'r' not declared"),
+    (validate, replace(ONE_REG, update={}),
+     "transition and update maps have different domains"),
+    (validate, replace(ONE_REG, init_valuation={}),
+     "initial valuation does not cover the register set"),
+    (validate, replace(ONE_REG, init_valuation={"x": ("b",)}),
+     "init[x]: unknown output letter 'b'"),
+    (validate, replace(ONE_REG, delta={("q", "a"): "r"}),
+     "delta[q,a]: undeclared state"),
+    (validate, replace(ONE_REG, delta={("q", "b"): "q"},
+                       update={("q", "b"): {"x": ()}}),
+     "delta[q,b]: undeclared letter"),
+    (validate, replace(ONE_REG, update={("q", "a"): {}}),
+     "update[q,a]: not total on the register set"),
+    (validate, replace(NONDET, update={}),
+     "update map domain differs from the transition relation"),
+    (validate, replace(NONDET, initial={"r": {"x": ()}}),
+     "initial[r]: undeclared state"),
+    (validate, replace(NONDET, initial={"p": {}}), "initial[p]: valuation not total"),
+    (validate, replace(NONDET, transitions=(("p", "a", "r"),),
+                       update={("p", "a", "r"): {"x": ()}}),
+     "transition (p,a,r): undeclared state"),
+    (validate, replace(NONDET, transitions=(("p", "b", "q"),),
+                       update={("p", "b", "q"): {"x": ()}}),
+     "transition (p,b,q): undeclared letter"),
+    (validate, replace(NONDET, update={("p", "a", "q"): {}}),
+     "update[p,a,q]: not total on the register set"),
+    # weighted automata
+    (validate, replace(WEIGHTED, mats={}), "letter 'a' has no matrix"),
+    (validate, replace(WEIGHTED, alpha={"r": 1}),
+     "vector entry for undeclared state 'r'"),
+    (validate, replace(WEIGHTED, mats={"a": {("p", "r"): 1}}),
+     "matrix 'a': undeclared state in entry (p,r)"),
+    (validate, replace(WEIGHTED, mats={"a": {("p", "p"): -1}}),
+     "matrix 'a': negative weight at (p,p)"),
+    (validate, replace(WEIGHTED, beta={"p": -1}), "negative vector weight at 'p'"),
+    # layer discipline
+    (lambda m: check_layered(m, UPWARD_LAYERS), UPWARD,
+     "update[q,a](x): register 'y' from layer 1 used in layer 0"),
+    (lambda m: check_layer_order(m, UPWARD_LAYERS), UPWARD,
+     "update[q,a](x): upward reference to 'y'"),
+    (lambda m: extract_sstf(m, UPWARD_LAYERS), UPWARD, "layer order violated"),
+    (lambda m: check_bounded(m, UPWARD_LAYERS, 1), UPWARD,
+     "layer order violated: update[q,a](x): upward reference to 'y'"),
+]
+
+
+@pytest.mark.parametrize("check, machine, message", STRUCTURAL_FAULTS,
+                         ids=[case[2] for case in STRUCTURAL_FAULTS])
+def test_structural_checks_name_each_fault(check, machine, message):
+    try:
+        found = check(machine)
+    except MachineError as exc:  # a check that raises names one fault
+        found = [str(exc)]
+    assert message in found
+
+
+def test_fault_free_machines_pass_the_structural_checks():
+    for m in (TWO_WAY, MARBLE, ONE_REG, NONDET, WEIGHTED, UPWARD):
+        assert validate(m) == [], m
+    assert check_layered(UPWARD, (("x", "y"),)) == []

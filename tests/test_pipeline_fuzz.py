@@ -9,8 +9,10 @@ bounds checked on short words and their outputs on long ones.
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 
-from xducer.layering import to_k_layered
+from xducer.growth import flow_automaton
+from xducer.layering import make_total, to_k_layered, to_simple
 from xducer.machine_io import dumps_machine
 from xducer.machines import (
     ACT_LEFT,
@@ -28,7 +30,14 @@ from xducer.machines import (
 )
 from xducer.mt2sst import marble_to_sst
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import ACCEPT, LOOP, REJECT, run_marble, run_sst
+from xducer.semantics import (
+    ACCEPT,
+    LOOP,
+    REJECT,
+    eval_nautomaton,
+    run_marble,
+    run_sst,
+)
 from xducer.sst2mt import layered_to_marble
 
 from conftest import check_stack, marble_step, reference_run
@@ -66,6 +75,18 @@ def random_sst(rng) -> SST:
                delta, update, output)
 
 
+def check_exponential_witness(m: SST, report) -> None:
+    """The heavy-cycle witness of an exponential report holds on the flow
+    automaton of ``m``: v weighs at least 2 from the state back to itself,
+    u leads from alpha to the state and z from the state to beta."""
+    flow = flow_automaton(to_simple(make_total(m)[0]))
+    w = report.witness
+    unit = {w["state"]: 1}
+    assert eval_nautomaton(replace(flow, alpha=unit, beta=unit), w["v"]) >= 2
+    assert eval_nautomaton(replace(flow, beta=unit), w["u"]) > 0
+    assert eval_nautomaton(replace(flow, alpha=unit), w["z"]) > 0
+
+
 # sha256 over the emitted machines of all polynomial trials below, in order
 RANDOM_LAYERED_DIGEST = \
     "bbb64cfb0506765733a13320ac62bfa7b849036096e8e1e990bcd07629a3f12d"
@@ -73,12 +94,14 @@ RANDOM_LAYERED_DIGEST = \
 
 def test_random_ssts_through_layer_minimization():
     rng = random.Random(20250808)
-    polynomial = 0
+    polynomial = exponential = 0
     digest = hashlib.sha256()
     for trial in range(120):
         m = random_sst(rng)
         res = to_k_layered(m)
         if res.kind == "exponential":
+            check_exponential_witness(m, res.report)
+            exponential += 1
             continue
         polynomial += 1
         assert check_layered(res.machine, res.layers) == [], trial
@@ -86,7 +109,7 @@ def test_random_ssts_through_layer_minimization():
         assert verdict.equivalent, (trial, verdict.counterexample)
         assert res.k == max(res.report.degree - 1, 0), trial
         digest.update(dumps_machine(res.machine, res.layers).encode("utf-8"))
-    assert polynomial >= 60
+    assert polynomial >= 60 and exponential == 18
     assert digest.hexdigest() == RANDOM_LAYERED_DIGEST
 
 
@@ -97,14 +120,16 @@ LARGEST_WALKER_STATES = 1155
 
 def test_random_layered_machines_walk_back_to_marbles():
     rng = random.Random(777)
-    walked = 0
+    walked = exponential = 0
     trial = 0
     largest = 0
     while walked < 24 and trial < 200:
         trial += 1
         m = random_sst(rng)
         res = to_k_layered(m)
-        if res.kind != "layered":
+        if res.kind == "exponential":
+            check_exponential_witness(m, res.report)
+            exponential += 1
             continue
         walked += 1
         k = len(res.layers) - 1
@@ -125,7 +150,7 @@ def test_random_layered_machines_walk_back_to_marbles():
             assert got.verdict == want.verdict, (trial, len(w))
             assert got.output == want.output, (trial, len(w))
             assert got.max_stack_depth <= k, (trial, len(w))
-    assert walked == 24
+    assert walked == 24 and exponential == 6
     assert largest <= LARGEST_WALKER_STATES
 
 
@@ -236,8 +261,8 @@ def test_random_marble_machines_through_minimization():
         if validate(m):
             continue
         res = minimize_marbles(m)
-        if res.kind == "exponential":
-            continue
+        # a marble machine's output grows polynomially, so it has a degree
+        assert res.kind != "exponential", (trial, res.report.witness)
         minimized += 1
         verdict = equiv_check(res.machine, m, 3, budget=200000)
         assert verdict.equivalent, (trial, verdict)

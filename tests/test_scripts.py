@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -88,3 +89,18 @@ def test_traced_layers_resolve():
         mod = importlib.import_module("xducer.%s" % module)
         for name in names:
             assert callable(getattr(mod, name, None)), "%s.%s" % (module, name)
+
+
+def test_line_coverage_lists_statements_a_run_missed():
+    out = run_script("line_coverage.py", "-q", "-p", "no:cacheprovider",
+                     os.path.join(ROOT, "tests", "test_machines.py"))
+    summary = dict(re.findall(r"^(\w+\.py): (\d+ of \d+) statements", out, re.M))
+    assert sorted(summary) == sorted(
+        name for name in os.listdir(os.path.join(ROOT, "src", "xducer"))
+        if name.endswith(".py"))
+    # these tests never classify growth, and they reach every validate fault
+    missed, total = map(int, summary["growth.py"].split(" of "))
+    assert missed == total > 0
+    missed, total = map(int, summary["machines.py"].split(" of "))
+    assert 0 < missed < total
+    assert "  machines.py:" in out and "unknown machine type" not in out
