@@ -260,13 +260,13 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
+    if argv and argv[0] in ("-h", "--help"):
         print(USAGE)
-        return 0 if argv else EX_USAGE
-    command, rest = argv[0], argv[1:]
-    if command not in COMMANDS:
+        return 0
+    if not argv or argv[0] not in COMMANDS:
         print(USAGE, file=sys.stderr)
         return EX_USAGE
+    command, rest = argv[0], argv[1:]
     parser = _build_parser(command)
     try:
         args = parser.parse_args(rest)

@@ -7,7 +7,8 @@ height; drop the bounded bottom class into the states of the total
 machine, with one register per register and higher class; and, only where
 check_layered rejects those layers, convert the top layer from
 per-word-bounded copying to copyless and splice the recursively processed
-lower layers back in as a parallel product.  The copyless step guesses
+lower layers back in as a parallel product; every result leaves through
+the register allocator, prune_sst_registers.  The copyless step guesses
 occurrence profiles in an unambiguous nondeterministic machine, built
 backward from the output, and determinizes it by tracking the alive forest
 of its runs: one tree, its slots numbered in pre-order.  Both are sized by
@@ -174,47 +175,131 @@ def to_simple(m: SST) -> SST:
 
 
 def prune_sst_registers(m: SST, layers: tuple) -> tuple:
-    """Drop registers that stay empty forever or never flow into any output.
+    """Register allocation: merge registers never live at the same state.
 
-    Occurrences of always-empty registers are erased; registers that cannot
-    reach an output reference are deleted together with their updates.  The
-    layer partition is filtered alongside (pruning preserves the layer
-    discipline).  Returns the pruned machine and its layers.
+    Works in four steps over the reachable states, with register sets as
+    bit masks.  (1) The registers that may be nonempty at each state, a
+    least fixpoint forward from the initial valuation; the others are forced
+    empty there.  (2) The registers live at each state: read by its output,
+    or by the update of a register live at a successor, reads of
+    forced-empty registers ignored.  (3) A greedy colouring within each
+    layer (Chaitin 1982), where two registers interfere when they are live
+    at the same state; a colour is named after its first register, and a
+    register live nowhere gets none.  (4) Every update, output and initial
+    value is renamed through subst_apply: a colour holds the value of its
+    register live at the state, the empty word where none is, and reads of
+    registers dead at a state are dropped.  Unreachable states are dropped
+    too; a machine with every register live at every state comes back as
+    it is.  Colouring bounds the register count from above; it is not the
+    exact minimum.  Returns the machine and its layers, as many as before,
+    so an emptied layer stays.
     """
-    filled = [x for x in m.registers if m.init_valuation[x]]
-    feeds = {x: set() for x in m.registers}   # y -> registers updated from y
-    reads = {x: set() for x in m.registers}   # x -> registers x is updated from
-    for s in m.update.values():
-        for x, rhs in s.items():
-            for t in rhs:
-                if isinstance(t, Reg):
-                    feeds[t.name].add(x)
-                    reads[x].add(t.name)
+    bit = {x: 1 << i for i, x in enumerate(m.registers)}
+    full = (1 << len(m.registers)) - 1
+    # each transition once: (target, registers given a letter, [(x, registers x reads)])
+    edges: dict = {}
+    for key, p in m.delta.items():
+        lettered, reads = 0, []
+        for x, rhs in m.update[key].items():
+            if rhs:
+                used = 0
+                for t in rhs:
+                    if type(t) is Reg:
+                        used |= bit[t.name]
+                    else:
+                        lettered |= bit[x]
+                if used:
+                    reads.append((bit[x], used))
+        edges.setdefault(key[0], []).append((p, lettered, reads))
+    filled = {m.initial: sum(bit[x] for x, w in m.init_valuation.items() if w)}
+    work = [m.initial]
+    while work:
+        q = work.pop()
+        here = filled[q]
+        for p, new, reads in edges.get(q, ()):
+            for x, used in reads:
+                if used & here:
+                    new |= x
+            there = filled.get(p)
+            if there is None or new & ~there:
+                filled[p] = new if there is None else there | new
+                work.append(p)
+    live, preds = {}, {}
+    for q, here in filled.items():
+        live[q] = here & sum({bit[t.name] for t in m.output.get(q, ()) if type(t) is Reg})
+        for p, _lettered, reads in edges.get(q, ()):
+            preds.setdefault(p, []).append((q, reads))
+    work, waiting = list(filled), set(filled)
+    while work:
+        p = work.pop()
+        waiting.discard(p)
+        there = live[p]
+        for q, reads in preds.get(p, ()):
+            need = 0
+            for x, used in reads:
+                if x & there:
+                    need |= used
+            need &= filled[q] & ~live[q]
+            if need:
+                live[q] |= need
+                if q not in waiting:
+                    waiting.add(q)
+                    work.append(q)
+    if len(filled) == len(m.states) and all(v == full for v in live.values()):
+        return m, tuple(tuple(layer) for layer in layers)   # nothing to change
+    masks = set(live.values())
+    names = {v: [x for x, b in bit.items() if v & b] for v in masks}
+    rep, colour_layers = {}, []
+    for layer in layers:
+        colours = []   # [name, registers given the colour]
+        for x in layer:
+            clash = 0
+            for v in masks:
+                if v & bit[x]:
+                    clash |= v
+            if clash:
+                for c in colours:
+                    if not c[1] & clash:
+                        c[1] |= bit[x]
+                        rep[x] = c[0]
+                        break
                 else:
-                    filled.append(x)
-    outputs = [t.name for rhs in m.output.values() for t in rhs
-               if isinstance(t, Reg)]
-    limit = len(m.registers)
-    keep = (set(explore(filled, feeds.__getitem__, limit, "register pruning"))
-            & set(explore(outputs, reads.__getitem__, limit, "register pruning")))
-    strip = {x: (Reg(x),) if x in keep else () for x in m.registers}
-    registers = tuple(x for x in m.registers if x in keep)
-    update = {key: {x: subst_apply(strip, s[x]) for x in registers}
-              for key, s in m.update.items()}
-    output = {q: subst_apply(strip, rhs) for q, rhs in m.output.items()}
-    pruned = SST(
+                    colours.append([x, bit[x]])
+                    rep[x] = x
+        colour_layers.append(tuple(c[0] for c in colours))
+    registers = tuple(x for x in m.registers if rep.get(x) == x)
+    empty = dict.fromkeys(m.registers, ())
+    renaming = {v: {**empty, **{x: (Reg(rep[x]),) for x in together}}
+                for v, together in names.items()}
+
+    def row(q, rename, values):
+        out = dict.fromkeys(registers, ())
+        for x in names[live[q]]:
+            if values[x]:
+                out[rep[x]] = subst_apply(rename, values[x])
+        return out
+
+    allocated = SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
-        states=m.states, registers=registers, initial=m.initial,
-        init_valuation={x: m.init_valuation[x] for x in registers},
-        delta=dict(m.delta), update=update, output=output, funs=m.funs,
+        states=tuple(q for q in m.states if q in filled), registers=registers,
+        initial=m.initial,
+        init_valuation=row(m.initial, empty, m.init_valuation),
+        delta={key: p for key, p in m.delta.items() if key[0] in filled},
+        update={key: row(p, renaming[live[key[0]]], m.update[key])
+                for key, p in m.delta.items() if key[0] in filled},
+        output={q: subst_apply(renaming[live[q]], rhs)
+                for q, rhs in m.output.items() if q in filled},
+        funs=m.funs,
     )
-    return pruned, tuple(tuple(x for x in layer if x in keep) for layer in layers)
+    return allocated, tuple(colour_layers)
 
 
 def prune_dead_registers(m: SST) -> SST:
-    """prune_sst_registers for a simple machine, whose kept registers are
-    exactly the states of its trimmed flow automaton.  to_k_layered does not
-    call it; the benchmark's tracer (perfbench/spans.py) names it."""
+    """prune_sst_registers for a simple machine.  Its one state makes every
+    live register interfere with every other, so nothing is merged, and the
+    kept registers are exactly the states of its trimmed flow automaton.
+    to_k_layered does not call it; the benchmark's tracer
+    (perfbench/spans.py) names it."""
     if not is_simple(m):
         raise MachineError("register pruning expects a simple machine")
     return prune_sst_registers(m, (m.registers,))[0]
@@ -935,7 +1020,8 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
     otherwise a machine with growth-degree-minus-one layers, its partition,
     and the growth report.  The copyless construction runs only when
     check_layered rejects the bounded machine; otherwise, degree 0 included,
-    that machine is the result.  The original domain is re-imposed at the end.
+    that machine is the result.  At the end the original domain is re-imposed
+    and the registers are allocated by prune_sst_registers.
     """
     if m.funs:
         raise MachineError("layer minimization expects a plain machine")
@@ -950,8 +1036,7 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
     _dump(dump, "bounded", machine, layers)
     if check_layered(machine, layers):
         machine, layers = _bounded_to_layered(machine, layers, dump=dump)
-        machine, layers = prune_sst_registers(machine, layers)
-    machine = reimpose_domain(machine, dfa)
+    machine, layers = prune_sst_registers(reimpose_domain(machine, dfa), layers)
     _dump(dump, "layered", machine, layers)
     bad = check_layered(machine, layers)
     if bad:

@@ -20,6 +20,7 @@ from .machines import (
     explore,
     validate,
 )
+from .layering import prune_sst_registers
 
 # Summary token kinds: ("const", word) emits a hardcoded word,
 # ("call", q) splices the stored excursion output register of entry state q.
@@ -142,8 +143,11 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
 
     States are the reachable crossing summaries (first-crossing state plus
     the per-entry next-crossing map); registers hold the outputs produced
-    along those excursions.  Dead excursions keep empty registers.  The
-    output map stitches the run at the right endmarker.
+    along those excursions, one per marble state and one for the first
+    crossing.  The output map stitches the run at the right endmarker.  The
+    machine is returned through the register allocator, as one layer: an
+    excursion register is dead wherever no later crossing calls it, so few
+    registers remain.
     """
     problems = validate(t)
     if problems:
@@ -197,12 +201,13 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
 
     order = explore([init_state], successors, CROSSING_STATE_LIMIT,
                     "crossing-state space")
-    return SST(
+    crossing = SST(
         input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,
         states=tuple(names[s] for s in order), registers=registers,
         initial="cs0", init_valuation=init_valuation,
         delta=delta, update=update, output=output,
     )
+    return prune_sst_registers(crossing, (registers,))[0]
 
 
 def two_way_to_marble(t) -> MarbleTransducer:

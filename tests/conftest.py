@@ -192,3 +192,53 @@ def reference_sst_run(m, w, registry=None) -> RunResult:
     if q not in m.output:
         return RunResult(REJECT, None, len(w), 0)
     return RunResult(ACCEPT, tuple(t.sym for t in subst_apply(val, m.output[q])), len(w), 0)
+
+
+# ---------------------------------------------------------------------------
+# Reference register liveness, one (state, register) pair at a time
+# ---------------------------------------------------------------------------
+
+
+def _reach(starts, step) -> set:
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def reference_liveness(m) -> dict:
+    """The registers live at each reachable state of an SST, as a graph
+    search over (state, register) pairs.  A pair may be nonempty when it is
+    reached forward from an initial value or a letter; it is live when it
+    may be nonempty and reaches, backward through the updates of pairs that
+    are live, a state's output."""
+    states = _reach([m.initial], lambda q: [p for (q2, _a), p in m.delta.items() if q2 == q])
+    flows = [((q, t.name), (p, x), True) if isinstance(t, Reg) else (None, (p, x), False)
+             for (q, a), p in m.delta.items() if q in states
+             for x, rhs in m.update[(q, a)].items() for t in rhs]
+    forward, backward = {}, {}
+    for src, dst, is_reg in flows:
+        if is_reg:
+            forward.setdefault(src, []).append(dst)
+            backward.setdefault(dst, []).append(src)
+    seeds = {(m.initial, x) for x, w in m.init_valuation.items() if w}
+    seeds |= {dst for src, dst, is_reg in flows if not is_reg}
+    nonempty = _reach(seeds, lambda pair: forward.get(pair, ()))
+    read = {(q, t.name) for q, rhs in m.output.items() if q in states
+            for t in rhs if isinstance(t, Reg)}
+    live = _reach(read & nonempty,
+                  lambda pair: [src for src in backward.get(pair, ()) if src in nonempty])
+    return {q: {x for x in m.registers if (q, x) in live} for q in states}
+
+
+def assert_allocated(m, layers) -> None:
+    """What greedy colouring leaves: every register is live at some state,
+    and any two registers of one layer are live together at some state."""
+    live = reference_liveness(m)
+    assert set(m.registers) == set().union(*live.values())
+    together = {(x, y) for here in live.values() for x in here for y in here}
+    for layer in layers:
+        assert all((x, y) in together for x in layer for y in layer), layer

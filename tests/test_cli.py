@@ -513,7 +513,7 @@ def test_state_register_names_that_meet_stay_apart(tmp_path, capsys):
 # sha256 of the single-state forms of the corpus SSTs, of the crossing SSTs
 # of the corpus marble and two-way files, and of the two machines above
 # whose names meet, so rewrites of to_simple keep its bytes.
-SIMPLE_DIGEST = "bf8413e7fe5f12b887b16b8d4db7258c97faf569571244e4d086d0590edfd639"
+SIMPLE_DIGEST = "8569e0a1ba2767ee40830b7a012dfaea1b74f9bac32b4627c9b7be803d2b52b2"
 
 
 def test_single_state_forms_keep_their_bytes():
@@ -567,7 +567,7 @@ def test_optimize_dump_stages(tmp_path, capsys):
 # Exit code and sha256 of the `optimize -o` machine for each corpus file (None:
 # no machine is written), so pipeline refactors keep the emitted bytes.
 OPTIMIZED = {
-    "bounded_pair_sst": (0, "0145d7aba0a3a14ecb3098e45b885913fd9924ef7f220839167af926d66d0147"),
+    "bounded_pair_sst": (0, "45a05a87bf90627750feb5a8182a746638dea656d90f2d47e59339929045e154"),
     "chain_flow": (1, None),
     "copy_two_way": (0, "c019f0edb614b68c08237a04c58d6c96d8f68fcf6aef0d9b019da786ae4fe45d"),
     "exp_flow": (1, None),
@@ -577,10 +577,10 @@ OPTIMIZED = {
     "mul_marble": (0, "69eb1adfd8511974b8498b0351f8d89875d5e2dd00bbfa23fd9f2e0b5bb49011"),
     "mul_sst": (0, "ebebf45b9bfafec544cd74942de0ddd3b551eeba6cc8e034c1c4ae2a04066ba2"),
     "mul_sst_copyful": (0, "ebebf45b9bfafec544cd74942de0ddd3b551eeba6cc8e034c1c4ae2a04066ba2"),
-    "pow2_marble": (0, "afd4c81ef58afd3fd8b485eaa3a18bb3bf3c966e1bf4cec3171da5c4e7720c8f"),
-    "pow2_marble_wasteful": (0, "f56160c8e853cc261a57c1f9358d7625ae9fccafe22b81a49e1b1b85111793a6"),
+    "pow2_marble": (0, "f784051a22b2685a6925ef5d7566c21de5516571d2289b02723383973a9e71bf"),
+    "pow2_marble_wasteful": (0, "095bb9792c3779de327c4e17dfca0dc8212fd34c43461eab0077f20d70669b7b"),
     "reverse_sst": (0, "4f43013eb1f84c5c6fe9d4b6a10294aa57001f0a8b1ff2e65c7d7db0e907129d"),
-    "reverse_sst_copyful": (0, "5b8cd156c5c99debae65278091edf442edf925e252a3eb050494831853b8c700"),
+    "reverse_sst_copyful": (0, "daa01d3e0d86902cd7a893a36fa47f86616a12959d92521720534a3e0de96de1"),
     "reverse_two_way": (0, "7aa822b755585350440319e1e70eb69b89442841ef3c119764bd813d6d4423a5"),
 }
 
@@ -602,19 +602,19 @@ def test_optimize_output_bytes_are_pinned(tmp_path, capsys):
 ANALYZED = {
     "bounded_pair_sst": (0, "28c1d4e666704ac7f2d5c4af9f18c45798f2cd5f95b6715e95b8f8636d58798e"),
     "chain_flow": (0, "522b53f899e7da8109fe18f813f2a9442670d503d644e2645f525784a38d3a3e"),
-    "copy_two_way": (0, "1f4cb9b20ae6c3c46e3e155326c05d50a17b0991a062efda8d1f5c17cccc9649"),
+    "copy_two_way": (0, "faebbd4a7750d9f037f5b47613d7f3df7e654fce81b64a838fc942f1e6aa4fa4"),
     "exp_flow": (0, "04bc4609ff27832107b7fed9009a49a500bcb2eedc0830ffec654b2966a800b2"),
-    "exp_marble": (0, "8c485e725c2c8960069857e0d1993b06ad4610387935e38206be7d06b0240049"),
+    "exp_marble": (0, "d9a43006cfddf42ab314dc106b8504bad0fe87af46f855517ad8e93bf2fe2096"),
     "exp_sst": (0, "c9aee5d24b3c5c8c0eb8fe96207ea3d1688488adf4bd8a76a2e9bf3d56db8d82"),
     "identity_sst": (0, "6d14f5be55e0d4eff5b4a26d5964902598a47819feccb733196325138055e531"),
-    "mul_marble": (0, "07f9143958cddbafa0501911b80a3e080698861c16b9b4053a8ccee05e502307"),
+    "mul_marble": (0, "bb5f957d76a9a358069570a6b97fa02c4356aa89106352affa5d9085521d2758"),
     "mul_sst": (0, "3e6ec0d086f8271dbfdd0cad71c2a5ce1dea88debccab98190dcb0c71f2b0ed5"),
     "mul_sst_copyful": (0, "571347f9ba7b88d621f771168581139ff41169a7c4a61d2a230385c1e3ad11d5"),
-    "pow2_marble": (0, "b7b17e5df9eb5c2f6122e2c0df1130910cb7589071c06b545ea41bf0d7db3115"),
-    "pow2_marble_wasteful": (0, "fecd57e450f0f5d261edf0f5422f157ed46b2addca897ed223b72f716544dc8b"),
+    "pow2_marble": (0, "c211866c40bb1b6402f8f81f972a7a6c0edead1a01dcf4bc61a728e0f92ec930"),
+    "pow2_marble_wasteful": (0, "cdf121b21d1b479ac44d1cb366b2e0d4eaebb0a2bc1cea337d612641a4dd2d8c"),
     "reverse_sst": (0, "bf2a4b74860e05c5275d31e8e3d0aa3cca749c71a7165cb2cc0cc8929c7fbbb3"),
     "reverse_sst_copyful": (0, "026f30f9766fbf8e8f3beea324450a78703bcad0efc1f670492af47b4287a679"),
-    "reverse_two_way": (0, "1c5a9c2ac4204fae48731217689d0b1c2bd52edd2063432b29b4d9a1df49c132"),
+    "reverse_two_way": (0, "352b8e9dfed7bd5ca6eeb0a013ca98186f84b97937fcdbf988922fdd575c0f0d"),
 }
 
 
@@ -633,31 +633,31 @@ CONVERTED = {
     ("bounded_pair_sst", "marble"): (0, "f170317ed6c4c7fc134a83fc618130731e5299587e34121be0d00ac95961b47d"),
     ("chain_flow", "sst"): (1, None),
     ("chain_flow", "marble"): (1, None),
-    ("copy_two_way", "sst"): (0, "4f4e104ac3f53eabca47f54e49f926e59b441b59d4734176f1a8fb51a9323bd5"),
+    ("copy_two_way", "sst"): (0, "d029a99abf9040a5074498f9addfdf75f4f52b43b88e49434adaa4c9e535eb84"),
     ("copy_two_way", "marble"): (0, "602b89a10dbaf539dcb8bdd1f962f836140072bd4c0410f82d55d52b6267f96a"),
     ("exp_flow", "sst"): (1, None),
     ("exp_flow", "marble"): (1, None),
-    ("exp_marble", "sst"): (0, "8717f1d8a6833c2232b6c6e1e8eeeb67690ff7dfa351c27c936e7d865421f687"),
+    ("exp_marble", "sst"): (0, "39518f3a198efb16b3e36b15808d103e9ad34f671c57f42265bdf45d42b20717"),
     ("exp_marble", "marble"): (0, "0c5b5472acf6026f770574af76b11fb17aa775c2a767c539a9a66b53a040f462"),
     ("exp_sst", "sst"): (0, "c6a3266217451ee07b5a83f3c22a11ecf108a9537ce358c4e21b0afdca29cb60"),
     ("exp_sst", "marble"): (0, "710787bbd25b1b29a094430a3c41d028a6ba8f5ee2f132d5f9ce0e6d8f6c14b9"),
     ("identity_sst", "sst"): (0, "303a17dae54c108167765ad830f88e2e757d76bda3bdb1262564769a9ed48e59"),
     ("identity_sst", "marble"): (0, "c769d9151ecb7b56c2305f155919dcb39e6e70d823323fb8820cf0db41d11384"),
-    ("mul_marble", "sst"): (0, "e00167995e62ca2de41da1a7235d5b63a1fea0b58859b4207d7585ee88db40fa"),
+    ("mul_marble", "sst"): (0, "89b1afa56cec4967098418d672deea56d7c731c156177e3309d6182aa1cdf928"),
     ("mul_marble", "marble"): (0, "896bee3c34e42c1c55bcee2fad94a26293f883f8104f16e0a3a1334d73fea5dc"),
     ("mul_sst", "sst"): (0, "fefddcb89499d216f4bbc58e3b6286e11366a5ec64eae7ed00fd1289ca3e118e"),
     ("mul_sst", "marble"): (0, "852f4b70644ce28f64709bbc8f017d5ed765c093daedbccf150efc365646ce79"),
     ("mul_sst_copyful", "sst"): (0, "0a1f6fc80b15ffcac9a6b3e7a29fb4c284857d0484de21d722693aafc19b7360"),
     ("mul_sst_copyful", "marble"): (0, "af85f6a42b8f3b9daf5de7df4c65669e467fa92b131a66d7da93365129286acd"),
-    ("pow2_marble", "sst"): (0, "dbd556981c2620eabb18e34ca4d6ed1096423c86b3f5b78283da6d90f0368e9f"),
+    ("pow2_marble", "sst"): (0, "2ba5d3d7b888f028dc702440ec289fb070714cdf4b9650890f3d2f2ed0756ac5"),
     ("pow2_marble", "marble"): (0, "78afd9a097ded9f18757a2e1799059ea1bdafac4a8f019c3c0b44d17db87db55"),
-    ("pow2_marble_wasteful", "sst"): (0, "2ee5b4cf5f5f1bbeb984970af9d16f42e450b558660a1342c4eddb923cac91e6"),
+    ("pow2_marble_wasteful", "sst"): (0, "8087cec40454934f813fad16092fdf24e911a7497c53d75cd9eb94010e33cbc3"),
     ("pow2_marble_wasteful", "marble"): (0, "eba7a2f8b22edb2dd0664e18d3673b75972ceb4e640291c5530a0ef6cee6cd70"),
     ("reverse_sst", "sst"): (0, "d8413d412b3a494f0429ee70a84b7d4b732762a3c9acf4f2a6a05cb9facfb5cc"),
     ("reverse_sst", "marble"): (0, "e100be1625f31ac045431baf063aa52e27a7a6752eae414853758dcbd5fcf013"),
     ("reverse_sst_copyful", "sst"): (0, "dd1d6b0ea66c6541a70c3eac64b502a2c171d087538776577e84458eaf6c6c98"),
     ("reverse_sst_copyful", "marble"): (0, "6533c0dd94bf8cd95e4a093d747b775613ac1de5fa4794887183b44015b6beb4"),
-    ("reverse_two_way", "sst"): (0, "c8dc0621e7f34947c7e284a028d27f451e88f1f68575a3f44ef332399ccc7d82"),
+    ("reverse_two_way", "sst"): (0, "337803e1e19b27c106c98996b97ca7afd489e0b53389a5173913e4992ac561b5"),
     ("reverse_two_way", "marble"): (0, "74419ed36d713488abb5e61ef92ddee5291eb886c26f233cec9ac06aec8dcb22"),
 }
 
@@ -746,7 +746,8 @@ def test_unknown_command_and_io_errors(capsys):
     assert main(["frobnicate"]) == 64
     capsys.readouterr()
     assert main([]) == 64
-    assert capsys.readouterr().out.startswith("usage: xducer")
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("usage: xducer")
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: xducer")
     assert main(["run", "/nonexistent/machine.json", "a"]) == 74

@@ -16,6 +16,7 @@ from xducer.growth import (
 )
 from xducer.layering import make_total, to_simple
 from xducer.machines import (
+    Lit,
     MachineError,
     MarbleTransducer,
     NAutomaton,
@@ -212,6 +213,7 @@ def test_classify_single_state_bounded():
     a = nauto(("x",), ("a",), {"x": 1}, {"x": 1}, {"a": {("x", "x"): 1}})
     rep = classify(a)
     assert rep.kind == "polynomial" and rep.degree == 0
+    assert witness_word(rep, 3) == ()
 
 
 def test_classify_empty_after_trim():
@@ -283,6 +285,41 @@ def test_witness_families_pump_on_random_automata():
                 assert got >= pumps ** rep.degree, (t, pumps, got)
             pumped += 1
     assert pumped >= 60
+
+
+def flow_of(m):
+    """Flow automaton of an SST, or of a marble machine's crossing SST."""
+    if isinstance(m, MarbleTransducer):
+        m = marble_to_sst(m)
+    return flow_automaton(to_simple(make_total(m)[0]))
+
+
+def _chain3() -> SST:
+    # x := x.a on a, y := y.x on b, z := z.y on c; the output is z
+    regs = ("x", "y", "z")
+    keep = {x: (Reg(x),) for x in regs}
+    rows = {"a": {"x": (Reg("x"), Lit("a"))}, "b": {"y": (Reg("y"), Reg("x"))},
+            "c": {"z": (Reg("z"), Reg("y"))}}
+    return SST(input_alphabet=("a", "b", "c"), output_alphabet=("a",),
+               states=("q",), registers=regs, initial="q",
+               init_valuation={x: () for x in regs},
+               delta={("q", a): "q" for a in rows},
+               update={("q", a): {**keep, **row} for a, row in rows.items()},
+               output={"q": (Reg("z"),)})
+
+
+@pytest.mark.parametrize("name", ["mul_sst", "mul_sst_copyful", "mul_marble",
+                                  "pow2_marble", "chain3"])
+def test_witness_families_pump_at_degree_two_and_more(name):
+    # chains of two or more barbells, joined by their links
+    flow = flow_of(_chain3() if name == "chain3" else load(name))
+    rep = classify(flow)
+    assert rep.degree == (3 if name == "chain3" else 2)
+    assert len(rep.witness["links"]) == rep.degree - 1
+    got = [eval_nautomaton(flow, witness_word(rep, p)) for p in range(1, 7)]
+    assert all(n >= p ** rep.degree for p, n in enumerate(got, 1)), got
+    if name == "mul_sst":
+        assert got == [2, 6, 12, 20, 30, 42]
 
 
 def test_partition_flow_order_and_stabilization():

@@ -579,6 +579,73 @@ def test_prune_sst_registers_keeps_function():
     assert equiv_check(pruned, total, 4).equivalent
 
 
+def _alternating(layers):
+    """x is live at p only and y at q only: on even lengths the output is
+    x = "a", on odd ones y = x.b read before x is emptied."""
+    m = SST(input_alphabet=("a",), output_alphabet=("a", "b"), states=("p", "q"),
+            registers=("x", "y"), initial="p", init_valuation={"x": ("a",), "y": ()},
+            delta={("p", "a"): "q", ("q", "a"): "p"},
+            update={("p", "a"): {"x": (), "y": (Reg("x"), Lit("b"))},
+                    ("q", "a"): {"x": (Lit("a"),), "y": ()}},
+            output={"p": (Reg("x"),), "q": (Reg("y"),)})
+    allocated, out_layers = prune_sst_registers(m, layers)
+    assert equiv_check(allocated, m, 6).equivalent
+    assert check_layered(allocated, out_layers) == []
+    return allocated, out_layers
+
+
+def test_allocator_merges_registers_live_at_disjoint_states():
+    allocated, layers = _alternating((("x", "y"),))
+    assert allocated.registers == ("x",) and layers == (("x",),)
+    assert allocated.update[("p", "a")] == {"x": (Reg("x"), Lit("b"))}
+    assert allocated.output == {"p": (Reg("x"),), "q": (Reg("x"),)}
+
+
+def test_allocator_keeps_layers_apart():
+    allocated, layers = _alternating((("x",), ("y",)))
+    assert allocated.registers == ("x", "y") and layers == (("x",), ("y",))
+
+
+def test_allocator_drops_reads_of_registers_forced_empty():
+    # x is emptied on every way into q, so y's read of x there reads nothing
+    m = SST(input_alphabet=("a",), output_alphabet=("a", "b"), states=("p", "q"),
+            registers=("x", "y"), initial="p", init_valuation={"x": ("a",), "y": ()},
+            delta={("p", "a"): "q", ("q", "a"): "p"},
+            update={("p", "a"): {"x": (), "y": (Reg("y"), Reg("x"))},
+                    ("q", "a"): {"x": (Lit("a"),), "y": (Reg("y"), Reg("x"), Lit("b"))}},
+            output={"p": (Reg("y"),), "q": (Reg("y"),)})
+    allocated, layers = prune_sst_registers(m, (("x", "y"),))
+    assert allocated.registers == ("x", "y")
+    assert allocated.update[("q", "a")] == {"x": (Lit("a"),), "y": (Reg("y"), Lit("b"))}
+    assert allocated.update[("p", "a")] == m.update[("p", "a")]
+    assert equiv_check(allocated, m, 6).equivalent
+
+
+# Growth degree of pool_machine("opt_sst", i) for i = 0..39; None: exponential
+POOL_DEGREES = (2, 2, 2, 3, 2, 2, 2, 2, None, 2, 2, None, 2, 0, 2, 2, 3, 2, None, 2,
+                2, 2, 2, 1, 2, 2, 2, 3, 1, 2, 2, 2, 2, 2, 1, 2, 3, 2, 2, 2)
+
+
+def test_allocated_pool_members_keep_degree_and_function(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
+    from perfbench.gen import pool_machine
+
+    for i, degree in enumerate(POOL_DEGREES):
+        m = pool_machine("opt_sst", i)
+        res = to_k_layered(m)
+        if degree is None:
+            assert res.kind == "exponential", i
+            continue
+        assert (res.report.degree, res.k) == (degree, max(degree - 1, 0)), i
+        assert check_layered(res.machine, res.layers) == [], i
+        assert equiv_check(res.machine, m, 6).equivalent, i
+        rng = random.Random("allocated:%d" % i)
+        for _ in range(20):
+            w = rng.choices(m.input_alphabet, k=rng.randint(50, 120))
+            want, got = run_sst(m, w), run_sst(res.machine, w)
+            assert (got.verdict, got.output) == (want.verdict, want.output), (i, w)
+
+
 # ---------------------------------------------------------------------------
 # The copyless construction runs only where check_layered rejects a layer
 # ---------------------------------------------------------------------------

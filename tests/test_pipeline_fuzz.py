@@ -40,7 +40,7 @@ from xducer.semantics import (
 )
 from xducer.sst2mt import layered_to_marble
 
-from conftest import check_stack, marble_step, reference_run
+from conftest import assert_allocated, check_stack, marble_step, reference_run
 
 
 def random_sst(rng) -> SST:
@@ -89,7 +89,7 @@ def check_exponential_witness(m: SST, report) -> None:
 
 # sha256 over the emitted machines of all polynomial trials below, in order
 RANDOM_LAYERED_DIGEST = \
-    "bbb64cfb0506765733a13320ac62bfa7b849036096e8e1e990bcd07629a3f12d"
+    "c3f0eeea2e914b826a0f838ef7b4cacf3c54239616aaa8621ea2f98f77aa66d4"
 
 
 def test_random_ssts_through_layer_minimization():
@@ -105,6 +105,7 @@ def test_random_ssts_through_layer_minimization():
             continue
         polynomial += 1
         assert check_layered(res.machine, res.layers) == [], trial
+        assert_allocated(res.machine, res.layers)
         verdict = equiv_check(res.machine, m, 4)
         assert verdict.equivalent, (trial, verdict.counterexample)
         assert res.k == max(res.report.degree - 1, 0), trial
@@ -114,8 +115,8 @@ def test_random_ssts_through_layer_minimization():
 
 
 # States of the largest walker built below (the 21st, from a layered
-# machine of 16 states, 18 registers and one layer)
-LARGEST_WALKER_STATES = 1155
+# machine of 16 states, 10 registers and one layer)
+LARGEST_WALKER_STATES = 774
 
 
 def test_random_layered_machines_walk_back_to_marbles():
@@ -132,6 +133,7 @@ def test_random_layered_machines_walk_back_to_marbles():
             exponential += 1
             continue
         walked += 1
+        assert_allocated(res.machine, res.layers)
         k = len(res.layers) - 1
         machine = layered_to_marble(res.machine, res.layers)
         largest = max(largest, len(machine.states))
@@ -244,6 +246,7 @@ def test_random_marble_machines_convert_to_ssts():
             continue
         converted += 1
         sst = marble_to_sst(m)
+        assert_allocated(sst, (sst.registers,))
         verdict = equiv_check(sst, m, 4, budget=200000)
         assert verdict.equivalent, (trial, verdict)
     assert converted == 60
