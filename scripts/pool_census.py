@@ -12,6 +12,8 @@ machine:
   ``dumps_machine`` for a layered output, with its ``k``, the growth
   ``degree`` and ``equiv``, the ``equiv_check`` status of the output against
   its source on every word of at most ``EQUIV_LENGTH`` letters;
+- ``out_degree`` and ``classify_s`` for a layered output: the growth degree
+  ``classify_function`` reports on the output, and the CPU seconds it took;
 - ``nsstf`` and ``det``: [states, registers] of every occurrence-profile
   machine and every determinization the run built, in call order.
 
@@ -33,6 +35,7 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -62,6 +65,7 @@ def label(spec: list) -> dict:
 def census(spec: list) -> dict:
     """Run one machine in this process and describe what it built."""
     from xducer import layering
+    from xducer.growth import classify_function
     from xducer.machine_io import dumps_machine
     from xducer.machines import MachineError
     from xducer.oracle import equiv_check
@@ -91,6 +95,9 @@ def census(spec: list) -> dict:
                            dumps_machine(out, res.layers).encode()).hexdigest(),
                        k=res.k, degree=res.report.degree,
                        equiv=equiv_check(out, m, EQUIV_LENGTH).status)
+        start = time.process_time()
+        row["out_degree"] = classify_function(out).degree
+        row["classify_s"] = round(time.process_time() - start, 3)
     return row
 
 

@@ -23,8 +23,9 @@ searches skip most of the automaton without changing any answer.
   product the first run stays in SCC(q), the third in SCC(q') and the
   middle one in reach(q) & coreach(q'); the search is cut further to the
   pairs of the last two runs that can still end in (q', q').
-* Reachability is the same from every state of an SCC, so the edges of the
-  barbell graph only depend on the first barbell of each pair of SCCs.
+* Reachability is the same from every state of an SCC, so the first barbell
+  of each pair of SCCs stands for all of them, and a height is one number
+  per SCC, found in one pass over the component DAG.
 
 One search, ``find_barbell``, decides each barbell and gives its
 lexicographically least witness word.
@@ -32,7 +33,6 @@ lexicographically least witness word.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,11 +66,13 @@ def _reachable(succ: dict, sources) -> set:
     return set(explore(sources, succ.__getitem__, len(succ), "reachability"))
 
 
-def _components(states, succ: dict) -> dict:
-    """state -> frozenset of its SCC (Tarjan's algorithm, without recursion)."""
+def _components(states, succ: dict) -> list:
+    """The SCCs as frozensets (Tarjan's algorithm, without recursion), in the
+    order they finish: each after every SCC it reaches."""
     index: dict = {}
     low: dict = {}
     comp: dict = {}
+    sccs: list = []
     stack: list = []
     for root in states:
         if root in index:
@@ -99,17 +101,19 @@ def _components(states, succ: dict) -> dict:
                     del stack[i:]
                     for w in c:
                         comp[w] = c
-    return comp
+                    sccs.append(c)
+    return sccs
 
 
 class _Support:
     """The search structure of one automaton, shared by every pattern query.
 
     ``rows[a][p]`` lists the states p reaches by one positive step on a and
-    ``back[a][r]`` the states that reach r so; ``heavy`` holds the (p, a, r)
-    steps of weight at least 2; ``comp`` maps a state to its SCC; ``cyclic``
-    marks states on some cycle.  Reachable sets and the ``behind`` pair sets
-    are computed on first use.
+    ``back[a][r]`` the states that reach r so, ``pred[r]`` on any letter;
+    ``heavy`` holds the (p, a, r) steps of weight at least 2; ``sccs`` lists
+    the SCCs as ``_components`` orders them and ``comp`` maps a state to its
+    SCC; ``cyclic`` marks states on some cycle.  Coreachable sets and the
+    ``behind`` pair sets are computed on first use.
     """
 
     def __init__(self, m: NAutomaton):
@@ -117,25 +121,29 @@ class _Support:
         self.rows = {a: {p: [] for p in m.states} for a in self.letters}
         self.back = {a: {p: [] for p in m.states} for a in self.letters}
         self.heavy = set()
+        self.pred = {p: set() for p in m.states}
         for a in self.letters:
             for (p, r), w in m.mats.get(a, {}).items():
                 if w > 0:
                     self.rows[a][p].append(r)
                     self.back[a][r].append(p)
+                    self.pred[r].add(p)
                     if w >= 2:
                         self.heavy.add((p, a, r))
         self.states = frozenset(m.states)
         self.succ = _support_edges(m)
-        self.comp = _components(m.states, self.succ)
+        self.sccs = _components(m.states, self.succ)
+        self.comp = {q: c for c in self.sccs for q in c}
         self.cyclic = {q: len(self.comp[q]) > 1 or q in self.succ[q]
                        for q in m.states}
-        self._reach: dict = {}
+        self._coreach: dict = {}
         self._behind: dict = {}
 
-    def reach(self, q) -> set:
-        if q not in self._reach:
-            self._reach[q] = _reachable(self.succ, [q])
-        return self._reach[q]
+    def coreach(self, q) -> set:
+        """The states that reach q."""
+        if q not in self._coreach:
+            self._coreach[q] = _reachable(self.pred, [q])
+        return self._coreach[q]
 
     def pairs(self, start, rows, keep1, keep2) -> set:
         """Pairs reachable from ``start`` by two runs over ``rows`` reading
@@ -371,78 +379,57 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
 
 @dataclass(frozen=True)
 class BarbellGraph:
-    vertices: tuple
-    # (q1, q2) -> (q, q'): the first barbell in declaration order with q1
-    # reaching q and q' reaching q2
-    edges: dict
+    """The barbells between SCCs and the height they give each state.
+
+    A state's height is the length of the longest chain of barbells leading
+    to it, each barbell's start reached from the previous one's end.
+    """
+    # (SCC, SCC') -> (q, q'): the first barbell in declaration order with q
+    # in SCC and q' in SCC'
+    barbells: dict
+    heights: dict    # state -> height, minimal states at height 0
 
 
 def barbell_graph(m: NAutomaton) -> BarbellGraph:
-    """Edges (q1, q2) whenever q1 can reach a barbell whose far end reaches q2.
+    """The first barbell of each pair of SCCs, and the height of each state.
 
     Requires a trim automaton without heavy cycles (``classify`` has already
     searched for one).  Barbells (q, q') are then only sought between cyclic
     states of distinct SCCs.  One pair pass per q (first run in SCC(q)) finds
     the q' that some word takes q to while returning to q, one backward pair
     pass per q' (``behind``) the q that can end in q' while q' returns to
-    itself; for pairs passing both, ``find_barbell`` decides.  The result is
-    acyclic (a cycle here would betray a missed heavy cycle and raises).
+    itself; for pairs passing both, ``find_barbell`` decides.
+
+    Heights are monotone along reachability and the same across an SCC, so
+    they are found per SCC in one pass over the component DAG in topological
+    order: an SCC's height is the largest of its DAG predecessors' heights
+    and one more than the height of the start of each barbell ending in it.
+    Every barbell joins an SCC to a different SCC that it reaches, so the
+    graph of barbells is acyclic by construction and needs no cycle check.
     """
     s = _support(m)
-    cyclic = [q for q in m.states if s.cyclic[q]]
-    # Reachability is the same across an SCC, so only the first barbell of
-    # each pair of SCCs (declaration order) can be the first of an edge.
-    first: dict = {}
-    for q in cyclic:
-        ahead = s.pairs((q, q), s.rows, s.comp[q], s.states)
-        for q2 in cyclic:
-            key = (s.comp[q], s.comp[q2])
-            if (key not in first and key[0] is not key[1]
-                    and (q, q2) in ahead and find_barbell(m, q, q2) is not None):
-                first[key] = (q, q2)
-    edges: dict = {}
-    for q, q2 in first.values():
-        for q1 in m.states:
-            if q in s.reach(q1):
-                for q3 in s.reach(q2):
-                    edges.setdefault((q1, q3), (q, q2))
     pos = {q: i for i, q in enumerate(m.states)}
-    edges = dict(sorted(edges.items(),
-                        key=lambda e: (pos[e[0][0]], pos[e[0][1]])))
-    graph = BarbellGraph(vertices=m.states, edges=edges)
-    _topological_order(graph)  # raises on a cycle
-    return graph
-
-
-def _topological_order(g: BarbellGraph) -> list:
-    succ: dict = {q: [] for q in g.vertices}
-    indeg = {q: 0 for q in g.vertices}
-    for (q1, q2) in g.edges:
-        succ[q1].append(q2)
-        indeg[q2] += 1
-    order = [q for q in g.vertices if indeg[q] == 0]
-    queue = deque(order)
-    while queue:
-        for q2 in succ[queue.popleft()]:
-            indeg[q2] -= 1
-            if indeg[q2] == 0:
-                order.append(q2)
-                queue.append(q2)
-    if len(order) != len(g.vertices):
-        raise MachineError("internal error: heavy cycle missed (barbell graph cyclic)")
-    return order
-
-
-def heights(g: BarbellGraph) -> dict:
-    """Longest-path height of every vertex, minimal vertices at height 0."""
-    order = _topological_order(g)
-    preds: dict = {q: [] for q in g.vertices}
-    for (q1, q2) in g.edges:
-        preds[q2].append(q1)
-    h = {}
-    for q in order:
-        h[q] = max((h[p] + 1 for p in preds[q]), default=0)
-    return h
+    barbells: dict = {}
+    for q in m.states:
+        if not s.cyclic[q]:
+            continue
+        ahead = s.pairs((q, q), s.rows, s.comp[q], s.states)
+        for q2 in sorted((p2 for p1, p2 in ahead if p1 == q and s.cyclic[p2]),
+                         key=pos.__getitem__):
+            key = (s.comp[q], s.comp[q2])
+            if (key not in barbells and key[0] is not key[1]
+                    and find_barbell(m, q, q2) is not None):
+                barbells[key] = (q, q2)
+    starts: dict = {}
+    for c, c2 in barbells:
+        starts.setdefault(c2, []).append(c)
+    height: dict = {}
+    for c in reversed(s.sccs):  # each SCC after every SCC that reaches it
+        height[c] = max([height[s.comp[p]] for q in c for p in s.pred[q]
+                         if s.comp[p] is not c]
+                        + [height[c1] + 1 for c1 in starts.get(c, ())],
+                        default=0)
+    return BarbellGraph(barbells, {q: height[s.comp[q]] for q in m.states})
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +478,8 @@ def classify(m: NAutomaton) -> GrowthReport:
     """Exponential (with a pumpable heavy-cycle witness) or polynomial
     of the maximal barbell-chain length, with the height partition."""
     t = trim(m)
-    removed = tuple(q for q in m.states if q not in t.states)
+    kept = set(t.states)
+    removed = tuple(q for q in m.states if q not in kept)
     if not t.states:
         return GrowthReport("polynomial", 0, (), {}, removed)
     hc = has_heavy_cycle(t)  # the only heavy-cycle search of the run
@@ -506,27 +494,33 @@ def classify(m: NAutomaton) -> GrowthReport:
             {"state": q, "u": u, "v": v, "z": z}, removed,
         )
     g = barbell_graph(t)
-    h = heights(g)
+    h = g.heights
     k = max(h.values())
     partition = tuple(
         tuple(q for q in t.states if h[q] == i) for i in range(k + 1)
     )
-    witness = _polynomial_witness(t, g, h, k)
+    witness = _polynomial_witness(t, g, k)
     return GrowthReport("polynomial", k, partition, witness, removed)
 
 
-def _polynomial_witness(t: NAutomaton, g: BarbellGraph, h: dict, k: int) -> dict:
+def _polynomial_witness(t: NAutomaton, g: BarbellGraph, k: int) -> dict:
     if k == 0:
         return {"left": (), "loops": [], "links": [], "right": ()}
-    # walk down from a top vertex, each step to the least predecessor one lower
+    s, h = _support(t), g.heights
+    # Walk down from the first top state.  Each step goes to the least state
+    # p one height lower that reaches the start of a barbell whose end
+    # reaches the current state, through the first such barbell.
     path = [next(q for q in t.states if h[q] == k)]
+    used = []
     while h[path[0]] > 0:
-        path.insert(0, min(p for (p, q) in g.edges
-                           if q == path[0] and h[p] + 1 == h[q]))
-    # path[0] .. path[k], one barbell per edge; words only for these k edges
+        into = [b for b in g.barbells.values() if b[1] in s.coreach(path[0])]
+        p = min(p for q, _ in into for p in s.coreach(q)
+                if h[p] + 1 == h[path[0]])
+        path.insert(0, p)
+        used.insert(0, next(b for b in into if p in s.coreach(b[0])))
+    # path[0] .. path[k], one barbell per step; words only for these k
     loops, lefts, rights = [], [], []
-    for i in range(k):
-        q, q2 = g.edges[(path[i], path[i + 1])]
+    for i, (q, q2) in enumerate(used):
         loops.append(find_barbell(t, q, q2))
         lefts.append(shortest_connecting_word(t, [path[i]], [q]))
         rights.append(shortest_connecting_word(t, [q2], [path[i + 1]]))

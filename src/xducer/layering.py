@@ -112,7 +112,10 @@ def _simple_names(m: SST) -> tuple:
     writes to a fresh constant register, k.b unless a register took that
     name, and ``names`` maps (q, x) to "q.x" for each state q and register
     or constant x, or to a fresh name where an earlier pair took that one.
+    Built on first use and kept on ``m``, like ``growth._support``.
     """
+    if "_simple_names" in m.__dict__:
+        return m.__dict__["_simple_names"]
     rhss = [rhs for s in m.update.values() for rhs in s.values()]
     used = {t.sym for rhs in rhss + list(m.output.values()) for t in rhs
             if isinstance(t, Lit)}
@@ -129,6 +132,7 @@ def _simple_names(m: SST) -> tuple:
             taken.add(name)
         seen.add(name)
         names[pair] = name
+    m.__dict__["_simple_names"] = names, const
     return names, const
 
 

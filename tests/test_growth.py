@@ -10,7 +10,6 @@ from xducer.growth import (
     find_barbell,
     flow_automaton,
     has_heavy_cycle,
-    heights,
     trim,
     witness_word,
 )
@@ -152,8 +151,8 @@ def test_no_barbells_in_copyless_reverse_flow():
 
 def test_barbell_graph_and_heights():
     g = barbell_graph(load("chain_flow"))
-    assert set(g.edges) == {("x", "y")}
-    assert heights(g) == {"x": 0, "y": 1}
+    assert g.barbells == {(frozenset("x"), frozenset("y")): ("x", "y")}
+    assert g.heights == {"x": 0, "y": 1}
 
 
 def test_barbell_graph_chain_family():
@@ -166,13 +165,25 @@ def test_barbell_graph_chain_family():
             mat[(states[i], states[i + 1])] = 1
     a = nauto(states, ("a",), {states[0]: 1}, {states[-1]: 1}, {"a": mat})
     g = barbell_graph(a)
-    h = heights(g)
-    assert max(h.values()) == k
+    assert g.heights == {q: i for i, q in enumerate(states)}
 
 
 def test_barbell_graph_edgeless():
     g = barbell_graph(IDENTITY2)
-    assert g.edges == {}
+    assert g.barbells == {}
+    assert set(g.heights.values()) == {0}
+
+
+def test_witness_walk_takes_the_first_barbell():
+    # s is the least state below y and reaches the starts of both barbells;
+    # the walk takes (t, y), the first in declaration order
+    a = nauto(("t", "s", "y"), ("a", "b"), {"s": 1}, {"y": 1},
+              {"a": {("s", "s"): 1, ("s", "y"): 1, ("y", "y"): 1},
+               "b": {("s", "t"): 1, ("t", "t"): 1, ("t", "y"): 1,
+                     ("y", "y"): 1}})
+    assert list(barbell_graph(a).barbells.values()) == [("t", "y"), ("s", "y")]
+    assert classify(a).witness == {
+        "left": ("b",), "loops": [("b",)], "links": [], "right": ()}
 
 
 def test_classify_searches_heavy_cycles_once(monkeypatch):
@@ -527,6 +538,14 @@ class _Reference:
                         break
         return edges
 
+    def heights(self, edges):
+        """Longest-path height of every state over ``edges``."""
+        h = {q: 0 for q in self.t.states}
+        for _ in self.t.states:
+            for (p, q) in edges:
+                h[q] = max(h[q], h[p] + 1)
+        return h
+
     def classify(self):
         """GrowthReport of the trim automaton, every word from here."""
         t = self.t
@@ -539,10 +558,7 @@ class _Reference:
                 "state": q, "u": self.connect(sources, [q]), "v": v,
                 "z": self.connect([q], sinks)}, ())
         edges = self.edges()
-        h = {q: 0 for q in t.states}
-        for _ in t.states:
-            for (p, q) in edges:
-                h[q] = max(h[q], h[p] + 1)
+        h = self.heights(edges)
         k = max(h.values())
         partition = tuple(tuple(q for q in t.states if h[q] == i)
                           for i in range(k + 1))
@@ -632,10 +648,17 @@ def test_component_pruned_search_matches_unpruned_reference():
         if rep.kind == "exponential":
             continue
         kinds["degree>=2"] += rep.degree >= 2
-        assert barbell_graph(t).edges == ref.edges()
+        g = barbell_graph(t)
+        assert g.heights == ref.heights(ref.edges())
         # without heavy cycles, no barbell joins two states of one SCC
         comp = _components(t)
         assert all(comp[q] != comp[q2]
                    for (q, q2), v in ref.barbells.items() if v is not None)
+        # the first reference barbell of each pair of SCCs, in order
+        first = {}
+        for (q, q2), v in ref.barbells.items():
+            if v is not None:
+                first.setdefault((comp[q], comp[q2]), (q, q2))
+        assert list(g.barbells.items()) == list(first.items())
     assert kinds["exponential"] >= 15 and kinds["polynomial"] >= 40, kinds
     assert kinds["degree>=2"] >= 15, kinds

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
-from xducer.growth import flow_automaton
+from xducer.growth import classify_function, flow_automaton
 from xducer.layering import make_total, to_k_layered, to_simple
 from xducer.machine_io import dumps_machine
 from xducer.machines import (
@@ -109,6 +109,8 @@ def test_random_ssts_through_layer_minimization():
         verdict = equiv_check(res.machine, m, 4)
         assert verdict.equivalent, (trial, verdict.counterexample)
         assert res.k == max(res.report.degree - 1, 0), trial
+        # the layered output has the growth degree of its source
+        assert classify_function(res.machine).degree == res.report.degree, trial
         digest.update(dumps_machine(res.machine, res.layers).encode("utf-8"))
     assert polynomial >= 60 and exponential == 18
     assert digest.hexdigest() == RANDOM_LAYERED_DIGEST

@@ -43,6 +43,7 @@ def test_pool_census_reports_each_member():
         assert row["outcome"] == "layered", row
         assert row["size"] == row["states"] * row["registers"]
         assert row["nsstf"] == row["det"] == [] and row["cpu_s"] >= 0
+        assert row["out_degree"] == row["degree"] and row["classify_s"] >= 0
     # the layered outputs of members 0 and 1, byte for byte
     assert [row["sha256"][:16] for row in rows] == ["8f73e87c81e81234",
                                                      "b1cc9abdbcea6a84"]
