@@ -95,9 +95,9 @@ def census(spec: list) -> dict:
                            dumps_machine(out, res.layers).encode()).hexdigest(),
                        k=res.k, degree=res.report.degree,
                        equiv=equiv_check(out, m, EQUIV_LENGTH).status)
-        start = time.process_time()
-        row["out_degree"] = classify_function(out).degree
-        row["classify_s"] = round(time.process_time() - start, 3)
+            start = time.process_time()
+            row["out_degree"] = classify_function(out).degree
+            row["classify_s"] = round(time.process_time() - start, 3)
     return row
 
 

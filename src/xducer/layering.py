@@ -6,9 +6,11 @@ output letter b a constant register k.b) and partition its registers by
 height; drop the bounded bottom class into the states of the total
 machine, with one register per register and higher class; and, only where
 check_layered rejects those layers, convert the top layer from
-per-word-bounded copying to copyless and splice the recursively processed
-lower layers back in as a parallel product; every result leaves through
-the register allocator, prune_sst_registers.  The copyless step guesses
+per-word-bounded copying to copyless when its own updates copy (a copyless
+one is kept as it is) and splice the recursively processed lower layers,
+each register's value machine under the same rule, back in as a parallel
+product; every result leaves through the register allocator,
+prune_sst_registers.  The copyless step guesses
 occurrence profiles in an unambiguous nondeterministic machine, built
 backward from the output, and determinizes it by tracking the alive forest
 of its runs: one tree, its slots numbered in pre-order.  Both are sized by
@@ -152,10 +154,10 @@ def to_simple(m: SST) -> SST:
     if not is_total(m):
         raise MachineError("simplification requires a total machine")
     names, const = _simple_names(m)
+    reg = {pair: Reg(name) for pair, name in names.items()}
 
     def rename(p, rhs):
-        return [Reg(names[(p, t.name if isinstance(t, Reg) else const[t.sym])])
-                for t in rhs]
+        return [reg[(p, t.name if type(t) is Reg else const[t.sym])] for t in rhs]
 
     keep = {k: (Reg(k),) for k in const.values()}    # a constant keeps its letter
     rows = {key: {**s, **keep} for key, s in m.update.items()}
@@ -679,6 +681,10 @@ def determinize_nsstf(m: NSSTF) -> SST:
     boundary-word calculus) into a tree of decompositions over the old slot
     registers; numbering that tree in pre-order gives the new slots.  Slot
     registers cover the widest explored forest; updates empty unfilled slots.
+    The slot register names of a slot, and the symbolic decomposition of a
+    (slot, skeleton) pair, are built once per call and shared, since no
+    SkeBegFol is changed after it is built.  to_k_layered calls this only
+    on top layers whose own updates copy.
     """
     regs = tuple(sorted(m.registers))
     succ: dict = {}
@@ -687,6 +693,14 @@ def determinize_nsstf(m: NSSTF) -> SST:
             (q2, decompose_copyless(m.update[(q, a, q2)]), ()))
     init_forest = tuple(
         (q, (q, tuple((x, (x,)) for x in regs), ())) for q in sorted(m.initial))
+    regs_of: dict = {}   # slot -> {x: its (beg, fol) slot registers}
+    sbfs: dict = {}      # (slot, ske items) -> _slot_sbf of them; never mutated
+
+    def slot_regs(slot):
+        got = regs_of.get(slot)
+        if got is None:
+            got = regs_of[slot] = {x: _slot_regs(slot, x) for x in regs}
+        return got
 
     def extend(forest, a):
         """New forest plus the substitution of its slots."""
@@ -697,7 +711,10 @@ def determinize_nsstf(m: NSSTF) -> SST:
             """Decomposition tree (leaf, sbf, children) of the node's alive
             part after ``a``, or None; dead subtrees are still numbered."""
             leaf, ske, children = node
-            here = _slot_sbf(next(old_slot), ske)
+            key = (next(old_slot), ske)
+            here = sbfs.get(key)
+            if here is None:
+                here = sbfs[key] = _slot_sbf(*key)
             if leaf is None:
                 kids = [k for k in map(grow, children) if k is not None]
             else:
@@ -724,8 +741,7 @@ def determinize_nsstf(m: NSSTF) -> SST:
             leaf, sbf, children = tree
             slot = next(new_slot)
             most = max(most, slot + 1)
-            for x in regs:
-                b, f = _slot_regs(slot, x)
+            for x, (b, f) in slot_regs(slot).items():
                 sub[b], sub[f] = sbf.beg[x], sbf.fol[x]
             return (leaf, tuple((x, sbf.ske[x]) for x in regs),
                     tuple(map(emit, children)))
@@ -758,10 +774,11 @@ def determinize_nsstf(m: NSSTF) -> SST:
             if level == 0:
                 return tuple(Lit(b) for b in init_val[x])
             slot, ske = chain[level]
-            out = [Reg(_slot_regs(slot, x)[0])]
+            regs_here = slot_regs(slot)
+            out = [Reg(regs_here[x][0])]
             for y in ske[x]:
                 out.extend(value(level - 1, y))
-                out.append(Reg(_slot_regs(slot, y)[1]))
+                out.append(Reg(regs_here[y][1]))
             return out
 
         toks: list = []
@@ -797,7 +814,7 @@ def determinize_nsstf(m: NSSTF) -> SST:
     order = explore([init_forest], successors, DETERMINIZATION_SIZE_LIMIT,
                     "determinization")
     registers = tuple(
-        r for slot in range(most) for x in regs for r in _slot_regs(slot, x))
+        r for slot in range(most) for pair in slot_regs(slot).values() for r in pair)
     for sub in update.values():
         for r in registers:
             sub.setdefault(r, ())
@@ -988,13 +1005,21 @@ def reimpose_domain(m: SST, dfa: DFA) -> SST:
 def _bounded_to_layered(m: SST, layers: tuple, dump=None) -> tuple:
     """Per-word-bounded layers to copyless layers, bottom-up.
 
-    The spliced-in components compute the *current* lower-register values:
-    a register reference inside a plain update is read before the step,
-    which cancels the one-letter shift the external-function tokens carry.
+    The top layer, split off by extract_sstf, is converted to copyless only
+    when its own updates copy, that is when check_layered rejects it read
+    as one layer; otherwise it is spliced in as it is, function tokens and
+    all.  Each lower register's value machine goes through to_k_layered,
+    so the same rule holds at every level.  The spliced-in components
+    compute the *current* lower-register values: a register reference
+    inside a plain update is read before the step, which cancels the
+    one-letter shift the external-function tokens carry.
     """
     top, binding = extract_sstf(m, layers)
-    det = determinize_nsstf(bounded_sstf_to_unambiguous(top))
-    _dump(dump, "det-layer0", det)
+    if check_layered(top, (top.registers,)):
+        det = determinize_nsstf(bounded_sstf_to_unambiguous(top))
+        _dump(dump, "det-layer0", det)
+    else:
+        det = top
     if len(layers) == 1:
         return det, (det.registers,)
     lower = tuple(x for layer in layers[:-1] for x in layer)

@@ -771,3 +771,66 @@ def test_pool_member_29_is_layered_and_correct(monkeypatch):
     for _ in range(20):
         w = "".join(rng.choices(m.input_alphabet, k=rng.randint(20, 200)))
         assert run_sst(res.machine, w).output == run_sst(m, w).output, w
+
+
+def _ladder(monkeypatch, shape, seed):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
+    from perfbench.gen import layered_sst
+
+    return layered_sst(random.Random("ladder:%d:%d:%d:%d" % (shape + (seed,))), *shape)
+
+
+def test_only_a_top_layer_that_copies_is_determinized(monkeypatch):
+    # a top layer whose own updates are copyless goes to splice_layers as it
+    # is; the profile machine, and so the determinization, sees only top
+    # layers that copy, value machines' top layers included
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
+    from perfbench.gen import pool_machine
+
+    sources = []
+    for name in POLYNOMIAL:
+        source = load(name)
+        if isinstance(source, TwoWayTransducer):
+            source = two_way_to_marble(source)
+        sources.append((name, marble_to_sst(source)
+                        if isinstance(source, MarbleTransducer) else source))
+    sources += [("member %d" % i, pool_machine("opt_sst", i)) for i in range(40)]
+    sources += [("ladder 4x8x3 seed %d" % seed, _ladder(monkeypatch, (4, 8, 3), seed))
+                for seed in (1, 2, 4)]
+    tops, profiled = [], []
+
+    def extract(m, layers, _original=layering.extract_sstf):
+        top, binding = _original(m, layers)
+        tops.append(top)
+        return top, binding
+
+    def profile_machine(m, _original=layering.bounded_sstf_to_unambiguous):
+        profiled.append(m)
+        assert check_layered(m, (m.registers,)) != [], name
+        return _original(m)
+
+    monkeypatch.setattr(layering, "extract_sstf", extract)
+    monkeypatch.setattr(layering, "bounded_sstf_to_unambiguous", profile_machine)
+    for name, m in sources:
+        res = to_k_layered(m)
+        if res.kind == "layered":
+            assert check_layered(res.machine, res.layers) == [], name
+    # both branches ran: some top layers copied, and some were passed through
+    assert profiled and len(profiled) < len(tops)
+
+
+@pytest.mark.parametrize("seed", (2, 3))
+def test_ladder_5x10x3_answers_when_only_copying_layers_convert(seed, monkeypatch):
+    # the parent determinized every top layer once any layer copied, and
+    # these seeds exceeded DETERMINIZATION_SIZE_LIMIT in a value machine
+    m = _ladder(monkeypatch, (5, 10, 3), seed)
+    res = to_k_layered(m)
+    assert res.kind == "layered"
+    assert check_layered(res.machine, res.layers) == []
+    assert res.k == res.report.degree - 1
+    assert equiv_check(res.machine, m, 6).equivalent
+    rng = random.Random("ladder 5x10x3:%d" % seed)
+    for _ in range(10):
+        w = "".join(rng.choices(m.input_alphabet, k=rng.randint(40, 120)))
+        want, got = run_sst(m, w), run_sst(res.machine, w)
+        assert (got.verdict, got.output) == (want.verdict, want.output), w

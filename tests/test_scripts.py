@@ -49,6 +49,13 @@ def test_pool_census_reports_each_member():
                                                      "b1cc9abdbcea6a84"]
 
 
+def test_pool_census_reports_an_exponential_member():
+    # member 8 grows exponentially: its row has an outcome and no output sizes
+    rows = [json.loads(line) for line in run_script("pool_census.py", "8").splitlines()]
+    assert [(row["member"], row["outcome"]) for row in rows] == [(8, "exponential")]
+    assert "out_degree" not in rows[0] and rows[0]["cpu_s"] >= 0
+
+
 def test_pool_census_climbs_the_size_ladder():
     rows = [json.loads(line) for line in
             run_script("pool_census.py", "--shape", "2", "4", "2", "--seeds", "2").splitlines()]
