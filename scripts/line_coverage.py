@@ -24,7 +24,7 @@ import threading
 
 ROOT = os.path.realpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 PACKAGE = os.path.join(ROOT, "src", "xducer")
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]  # ROOT for tests that import perfbench
 
 
 def function_statements(source: str) -> dict:

@@ -10,12 +10,18 @@ machine:
 - ``cpu_s``: the child's CPU seconds;
 - ``states``, ``registers``, ``size`` (states x registers) and ``sha256`` of
   ``dumps_machine`` for a layered output, with its ``k``, the growth
-  ``degree`` and ``equiv``, the ``equiv_check`` status of the output against
-  its source on every word of at most ``EQUIV_LENGTH`` letters;
+  ``degree`` and ``build_s``, the CPU seconds ``to_k_layered`` took;
+- ``equiv`` for a layered output: the ``equiv_check`` status of the output
+  against its source on every word of at most ``EQUIV_LENGTH`` letters;
 - ``out_degree`` and ``classify_s`` for a layered output: the growth degree
   ``classify_function`` reports on the output, and the CPU seconds it took;
 - ``nsstf`` and ``det``: [states, registers] of every occurrence-profile
   machine and every determinization the run built, in call order.
+
+The child prints its row as soon as ``to_k_layered`` returns and again after
+each check, so a limit that ends one of the checks keeps the sizes: the row
+is the child's last complete line, and each check it did not reach reads
+"killed" with the reason.
 
 Usage:
   pool_census.py [FIRST [LAST]]
@@ -62,8 +68,12 @@ def label(spec: list) -> dict:
     return {"shape": spec[1:4], "seed": spec[4]}
 
 
-def census(spec: list) -> dict:
-    """Run one machine in this process and describe what it built."""
+CHECKS = ("equiv", "out_degree")   # keys of the checks run on a layered output
+
+
+def census(spec: list, emit) -> None:
+    """Run one machine in this process and ``emit`` its row: once when the
+    construction returns and again after each check on a layered output."""
     from xducer import layering
     from xducer.growth import classify_function
     from xducer.machine_io import dumps_machine
@@ -79,6 +89,7 @@ def census(spec: list) -> dict:
             return out
         setattr(layering, name, sized)
     m = source(spec)
+    start = time.process_time()
     try:
         res = layering.to_k_layered(m)
     except MachineError as err:
@@ -94,11 +105,14 @@ def census(spec: list) -> dict:
                        sha256=hashlib.sha256(
                            dumps_machine(out, res.layers).encode()).hexdigest(),
                        k=res.k, degree=res.report.degree,
-                       equiv=equiv_check(out, m, EQUIV_LENGTH).status)
+                       build_s=round(time.process_time() - start, 3))
+            emit(row)
+            row["equiv"] = equiv_check(out, m, EQUIV_LENGTH).status
+            emit(row)
             start = time.process_time()
             row["out_degree"] = classify_function(out).degree
             row["classify_s"] = round(time.process_time() - start, 3)
-    return row
+    emit(row)
 
 
 def limit_child() -> None:
@@ -122,9 +136,32 @@ def specs(argv) -> list:
     return [["member", index] for index in range(first, last + 1)]
 
 
+def row_of(spec: list, returncode: int, stdout: str, stderr: str) -> dict:
+    """The row of a finished child: its last complete line, with each check
+    it did not reach marked killed; or a killed outcome if it printed none."""
+    row = None
+    for line in stdout.splitlines():
+        try:
+            row = json.loads(line)
+        except ValueError:  # a line cut short by the kill
+            pass
+    if returncode == 0 and row is not None:
+        return row
+    if returncode < 0:
+        reason = "killed (%s)" % signal.Signals(-returncode).name
+    else:
+        tail = stderr.strip().splitlines()
+        reason = "killed (%s)" % (tail[-1] if tail else "exit %d" % returncode)
+    if row is None:
+        return dict(label(spec), outcome=reason)
+    for check in CHECKS:
+        row.setdefault(check, reason)
+    return row
+
+
 def main(argv) -> int:
     if argv and argv[0] == "--child":
-        print(json.dumps(census(json.loads(argv[1]))))
+        census(json.loads(argv[1]), lambda row: print(json.dumps(row), flush=True))
         return 0
     for spec in specs(argv):
         before = child_cpu_s()
@@ -132,16 +169,7 @@ def main(argv) -> int:
             [sys.executable, os.path.abspath(__file__), "--child", json.dumps(spec)],
             capture_output=True, text=True, preexec_fn=limit_child)
         cpu = round(child_cpu_s() - before, 2)
-        lines = res.stdout.splitlines()
-        if res.returncode == 0 and lines:
-            row = json.loads(lines[-1])
-        elif res.returncode < 0:
-            row = dict(label(spec), outcome="killed (%s)"
-                       % signal.Signals(-res.returncode).name)
-        else:
-            tail = res.stderr.strip().splitlines()
-            row = dict(label(spec), outcome="killed (%s)"
-                       % (tail[-1] if tail else "exit %d" % res.returncode))
+        row = row_of(spec, res.returncode, res.stdout, res.stderr)
         row["cpu_s"] = cpu
         print(json.dumps(row), flush=True)
     return 0

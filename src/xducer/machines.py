@@ -352,67 +352,78 @@ def validate(m: MachineDescription) -> list:
     return report
 
 
-def _validate_tape_machine(m, report: list) -> set:
-    """Checks shared by two-way and marble machines; returns the tape symbols."""
+def _validate_tape_machine(m, report: list) -> tuple:
+    """Checks shared by two-way and marble machines; returns the declared
+    states, the tape symbols and the output alphabet, as sets."""
     _check_alphabet("input alphabet", m.input_alphabet, report)
     _check_alphabet("output alphabet", m.output_alphabet, report)
     _check_distinct("state", m.states, report)
-    if m.initial not in m.states:
+    states = set(m.states)
+    if m.initial not in states:
         report.append("initial state %r not declared" % m.initial)
     for q in m.finals:
-        if q not in m.states:
+        if q not in states:
             report.append("final state %r not declared" % q)
     if set(m.delta) != set(m.out):
         report.append("transition and output maps have different domains")
     symbols = set(m.input_alphabet) | {LEFT_END, RIGHT_END}
-    return symbols
+    return states, symbols, set(m.output_alphabet)
 
 
 def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
-    symbols = _validate_tape_machine(m, report)
-    for (q, a), (q2, move) in m.delta.items():
-        where = "delta[%s,%s]" % (q, a)
-        if q not in m.states or q2 not in m.states:
-            report.append("%s: undeclared state" % where)
+    states, symbols, letters = _validate_tape_machine(m, report)
+    for key, (q2, move) in m.delta.items():
+        q, a = key
+        faults = []
+        if q not in states or q2 not in states:
+            faults.append("undeclared state")
         if a not in symbols:
-            report.append("%s: undeclared symbol" % where)
+            faults.append("undeclared symbol")
         if move not in (MOVE_LEFT, MOVE_RIGHT):
-            report.append("%s: bad move %r" % (where, move))
+            faults.append("bad move %r" % (move,))
+        if faults:  # formatted only on a fault
+            where = "delta[%s,%s]" % key
+            report.extend("%s: %s" % (where, fault) for fault in faults)
     for key, w in m.out.items():
-        for b in w:
-            if b not in m.output_alphabet:
-                report.append("out[%s,%s]: unknown output letter %r" % (key[0], key[1], b))
+        if not letters.issuperset(w):
+            report.extend("out[%s,%s]: unknown output letter %r" % (key[0], key[1], b)
+                          for b in w if b not in letters)
 
 
 def _validate_marble(m: MarbleTransducer, report: list) -> None:
-    symbols = _validate_tape_machine(m, report)
+    states, symbols, letters = _validate_tape_machine(m, report)
     _check_distinct("color", m.colors, report)
+    colors = set(m.colors)
     if m.marble_bound is not None and m.marble_bound < 0:
         report.append("declared marble bound %d is negative" % m.marble_bound)
-    for (q, a, c), (q2, action) in m.delta.items():
-        where = "delta[%s,%s,%s]" % (q, a, c)
-        if q not in m.states or q2 not in m.states:
-            report.append("%s: undeclared state" % where)
+    for key, (q2, action) in m.delta.items():
+        q, a, c = key
+        faults = []
+        if q not in states or q2 not in states:
+            faults.append("undeclared state")
         if a not in symbols:
-            report.append("%s: undeclared symbol" % where)
-        if c is not None and c not in m.colors:
-            report.append("%s: undeclared color" % where)
+            faults.append("undeclared symbol")
+        if c is not None and c not in colors:
+            faults.append("undeclared color")
         akind, acolor = action
         if akind not in ("left", "right", "lift", "drop"):
-            report.append("%s: bad action %r" % (where, action))
-            continue
-        if akind == "drop" and acolor not in m.colors:
-            report.append("%s: drops undeclared color %r" % (where, acolor))
-        if c is not None and akind == "right":
-            report.append("%s: move right on marble" % where)
-        if c is not None and akind == "drop":
-            report.append("%s: drop on marble" % where)
-        if c is None and akind == "lift":
-            report.append("%s: lift without marble" % where)
+            faults.append("bad action %r" % (action,))
+        else:
+            if akind == "drop" and acolor not in colors:
+                faults.append("drops undeclared color %r" % (acolor,))
+            if c is not None and akind == "right":
+                faults.append("move right on marble")
+            if c is not None and akind == "drop":
+                faults.append("drop on marble")
+            if c is None and akind == "lift":
+                faults.append("lift without marble")
+        if faults:  # formatted only on a fault
+            where = "delta[%s,%s,%s]" % key
+            report.extend("%s: %s" % (where, fault) for fault in faults)
     for key, w in m.out.items():
-        for b in w:
-            if b not in m.output_alphabet:
-                report.append("out[%s,%s,%s]: unknown output letter %r" % (key + (b,)))
+        if not letters.issuperset(w):
+            report.extend("out[%s,%s,%s]: unknown output letter %r" % (key + (b,))
+                          for b in w if b not in letters)
 
 
 def _validate_sst(m: SST, report: list) -> None:

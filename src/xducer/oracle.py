@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
-from .machines import FunctionRegistry, MachineError, NAutomaton, SST
-from .semantics import ACCEPT, BUDGET, run_machine, sst_outputs
+from .machines import (
+    FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, SST, TwoWayTransducer)
+from .semantics import (
+    ACCEPT, BUDGET, marble_of, marble_outputs, run_machine, sst_outputs)
 
 EQUIVALENT = "equivalent"
 COUNTEREXAMPLE = "counterexample"
@@ -26,7 +28,10 @@ class EquivalenceVerdict:
         return self.status == EQUIVALENT
 
 
-def words_up_to(alphabet, maxlen: int, cap: int = 100000):
+WORD_CAP = 100000   # words an enumeration or an equivalence check may visit
+
+
+def words_up_to(alphabet, maxlen: int, cap: int = WORD_CAP):
     """Length-lexicographic enumeration with a total-word cap."""
     letters = sorted(alphabet)
     count = 0
@@ -38,19 +43,34 @@ def words_up_to(alphabet, maxlen: int, cap: int = 100000):
             yield tup
 
 
-def _runner(m, maxlen: int, registry: Optional[FunctionRegistry],
-            budget: Optional[int]):
-    """``run(w) -> (verdict, output)`` for one side, called on the words of
-    ``words_up_to`` in order; an SST side ignores ``w`` and takes the next
-    output of its walk (``sst_outputs``)."""
-    if isinstance(m, SST):
-        outputs = sst_outputs(m, maxlen, registry)
-        return lambda w: next(outputs)
+def _word_at(letters: list, index: int) -> tuple:
+    """The word at position ``index`` (from 0) of ``words_up_to(letters, ...)``."""
+    n = 0
+    while index >= len(letters) ** n:
+        index -= len(letters) ** n
+        n += 1
+    word = []
+    for _ in range(n):
+        index, r = divmod(index, len(letters))
+        word.append(letters[r])
+    return tuple(reversed(word))
 
-    def run(w):
-        res = run_machine(m, w, registry=registry, budget=budget)
-        return res.verdict, res.output
-    return run
+
+def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
+             budget: Optional[int]):
+    """``(verdict, output)`` of one side for every word of ``words_up_to``,
+    in its order: an SST by ``sst_outputs``, a marble machine by
+    ``marble_outputs``, a two-way machine by ``marble_outputs`` of its
+    conversion (``marble_of``), any other machine by one run per word."""
+    if isinstance(m, SST):
+        return sst_outputs(m, maxlen, registry)
+    if isinstance(m, MarbleTransducer):
+        return marble_outputs(m, maxlen, budget)
+    if isinstance(m, TwoWayTransducer):
+        return marble_outputs(marble_of(m), maxlen, budget)
+    return ((r.verdict, r.output) for r in (
+        run_machine(m, w, registry=registry, budget=budget)
+        for w in words_up_to(m.input_alphabet, maxlen)))
 
 
 def equiv_check(m1, m2, maxlen: int,
@@ -60,28 +80,45 @@ def equiv_check(m1, m2, maxlen: int,
     """Compare domains and outputs on every word of length up to ``maxlen``.
 
     Words come in the order of ``words_up_to``: by length, then
-    lexicographically, enumerated once, so the word cap raises at the same
-    word.  An SST side yields its results in the same order from a walk over
-    one length at a time (``sst_outputs``): each word of length n extends
-    the kept state and valuation of its prefix by one update, and the words
-    of length ``maxlen`` read their outputs through their last step without
-    building a valuation, so one length of valuations is kept, bounded by
-    the word cap.  Marble, two-way and NSST-F sides run each word on the
-    tables or programs their machine compiled once.  The first
-    mismatch in length-lexicographic order is reported.  A run hitting its
-    step budget makes the verdict inconclusive for that word.
+    lexicographically.  Each side gives its verdicts and outputs as one
+    stream in that order, and the check compares the two streams pair by
+    pair.  It stops after ``WORD_CAP`` words and, if more are left, raises
+    the cap error of ``words_up_to`` at the same word, before either side
+    runs it.  A word is rebuilt from its position only for a counterexample
+    or an inconclusive word.
+
+    An SST side walks one length at a time (``sst_outputs``): each word of
+    length n extends the kept state and valuation of its prefix by one
+    update, and the words of length ``maxlen`` read their outputs through
+    their last step without building a valuation, so one length of
+    valuations is kept, bounded by the word cap.  A marble or two-way side
+    also walks one length at a time (``marble_outputs``): each word resumes
+    its parent's run where the head first stood on ⊣, and the extensions of
+    a word whose run rejected or looped before that take its verdict with
+    no run.  An NSST-F side runs each word on the programs its machine
+    compiled once.  The first mismatch in length-lexicographic order is
+    reported.  A run hitting its step budget makes the verdict inconclusive
+    for that word.
     """
     if tuple(sorted(m1.input_alphabet)) != tuple(sorted(m2.input_alphabet)):
         raise MachineError("machines have different input alphabets")
-    run1 = _runner(m1, maxlen, registry1, budget)
-    run2 = _runner(m2, maxlen, registry2, budget)
-    for w in words_up_to(m1.input_alphabet, maxlen):
-        v1, o1 = run1(w)
-        v2, o2 = run2(w)
+    letters = sorted(m1.input_alphabet)
+    total = 0  # words up to maxlen, counted until they pass the cap
+    for n in range(maxlen + 1):
+        total += len(letters) ** n
+        if total > WORD_CAP:
+            break
+    pairs = zip(_outputs(m1, maxlen, registry1, budget),
+                _outputs(m2, maxlen, registry2, budget))
+    for i, ((v1, o1), (v2, o2)) in enumerate(islice(pairs, min(total, WORD_CAP))):
         if BUDGET in (v1, v2):
-            return EquivalenceVerdict(INCONCLUSIVE, maxlen, inconclusive_word=w)
+            return EquivalenceVerdict(INCONCLUSIVE, maxlen,
+                                      inconclusive_word=_word_at(letters, i))
         if (v1 == ACCEPT) != (v2 == ACCEPT) or o1 != o2:
-            return EquivalenceVerdict(COUNTEREXAMPLE, maxlen, counterexample=(w, o1, o2))
+            return EquivalenceVerdict(COUNTEREXAMPLE, maxlen,
+                                      counterexample=(_word_at(letters, i), o1, o2))
+    if total > WORD_CAP:
+        raise MachineError("word enumeration cap exceeded (%d)" % WORD_CAP)
     return EquivalenceVerdict(EQUIVALENT, maxlen)
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Optional
 
 from .machines import (
@@ -91,18 +92,28 @@ def format_trace(result: RunResult, sep: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
-                trace: bool = False) -> RunResult:
-    """Run a two-way transducer as the marble machine that drops no marbles,
-    converted once per machine object."""
+def marble_of(t: TwoWayTransducer) -> MarbleTransducer:
+    """``t`` as the marble machine that drops no marbles, converted once per
+    machine object and kept on it."""
     if "_marble" not in t.__dict__:
         t.__dict__["_marble"] = two_way_to_marble(t)
-    return run_marble(t.__dict__["_marble"], w, budget=budget, trace=trace)
+    return t.__dict__["_marble"]
+
+
+def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
+                trace: bool = False) -> RunResult:
+    """Run a two-way transducer as the marble machine that drops no marbles
+    (``marble_of``)."""
+    return run_marble(marble_of(t), w, budget=budget, trace=trace)
 
 
 # Action codes of the step tables.
 _LEFT, _RIGHT, _LIFT, _DROP, _BAD = range(5)
 _ACTIONS = {"left": _LEFT, "right": _RIGHT, "lift": _LIFT, "drop": _DROP}
+
+# ``top`` of the bottom frame, which holds no marble: above every cell of
+# every tape, so a configuration does not depend on the length of the word.
+_NO_MARBLE = 1 << 62
 
 
 def _compile_tables(t: MarbleTransducer) -> tuple:
@@ -154,22 +165,70 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
             {states[q] for q in t.finals if q in states}, states[t.initial], stride)
 
 
+def _tables(t: MarbleTransducer) -> tuple:
+    """``_compile_tables(t)``, built on the first run and kept on ``t``."""
+    if "_tables" not in t.__dict__:  # kept off the fields, like growth._support
+        t.__dict__["_tables"] = _compile_tables(t)
+    return t.__dict__["_tables"]
+
+
 def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
                trace: bool = False, detect_loops: bool = True) -> RunResult:
     """Simulate the stack-disciplined transition relation.
 
     Accepts on the first configuration (q, |w|+1, empty stack) with q final.
-    Every run ends in accept, reject, loop or budget.  Each stack frame keeps
-    a seen set of (state, head) pairs, as ints ``state * (|w|+2) + head``,
-    and the intervals its sweeps crossed: a drop opens a frame with neither,
-    a lift resumes the one below.  A looping run repeats the configuration
-    of least height on its cycle within one open frame, so every loop is
-    found.  One loop, traced or not, steps over the tables of
-    ``_compile_tables`` and a tape of symbol codes; ``stack`` keeps, top
-    last, the (top marble position, colour, seen set, swept) each drop
-    saved.  A right move and a drop, the only steps that could put a marble
-    below the head or out of order, check that they do not.
+    Every run ends in accept, reject, loop or budget.  The run is
+    ``_marble_walk`` from the initial configuration (state ``t.initial`` on
+    ⊢, no step taken) over the tables of ``_compile_tables``.  That loop
+    also starts from configurations kept on a prefix: marbles keep a stack
+    discipline (one is dropped under the head, and the head never moves
+    right past it), so a run on u·v is the run on u until the head first
+    stands on cell |u|+1, with no marble on the tape then, and
+    ``marble_outputs`` resumes each word from its parent's run there.
     ``detect_loops`` is accepted for compatibility and has no effect.
+    """
+    w = as_word(w)
+    _check_alphabet(t, w)
+    if budget is None:
+        budget = default_budget(len(t.states), len(w))
+    tables = _tables(t)
+    codes = tables[1]
+    tape = [codes[LEFT_END], *map(codes.__getitem__, w), codes[RIGHT_END]]
+    tr = [(0, t.initial, 0, (), ())] if trace else None
+    verdict, output, steps, depth, _kept = _marble_walk(
+        tables, tape, budget, _initial(tables), tr, False)
+    return _result(verdict, output, steps, depth, tr)
+
+
+def _initial(tables: tuple) -> tuple:
+    """The initial configuration of ``_marble_walk``: the initial state on
+    ⊢, no step taken, nothing seen but itself."""
+    q = tables[5]
+    return q, 0, 0, 0, (q,), (), ()
+
+
+def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
+                 tr, keep: bool) -> tuple:
+    """The one marble loop: run ``tape``, a list of symbol codes from ⊢ to ⊣,
+    from configuration ``config``, appending trace entries to ``tr`` unless
+    it is None.  Returns (verdict, output, steps, max stack depth, kept).
+
+    ``config`` is (state number, head, steps, depth, seen keys, swept,
+    output so far) with no marble on the tape.  If ``keep`` is set, ``kept``
+    is such a configuration, copied at the first loop top where the head
+    stands on ⊣, or None if the run ended before.  Nothing in a
+    configuration depends on the length of the tape, so one kept on the tape
+    of u holds on the tape of any u·v (``marble_outputs``).
+
+    Each stack frame keeps a seen set of (state, head) pairs, as ints
+    ``head * |states| + state``, and the intervals its sweeps crossed: a
+    drop opens a frame with neither, a lift resumes the one below.  A
+    looping run repeats the configuration of least height on its cycle
+    within one open frame, so every loop is found.  ``stack`` keeps, top
+    last, the (top marble position, colour, seen set, swept) each drop
+    saved; the bottom frame's ``top`` is ``_NO_MARBLE``.  A right move and a
+    drop, the only steps that could put a marble below the head or out of
+    order, check that they do not.
 
     An untraced run that takes a sweep entry crosses the whole run of cells
     its matcher accepts with one regex scan of the tape as a string of
@@ -194,30 +253,30 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
     when its frame holds some for its state.  A frame's memory is thus its
     single-step keys plus one interval per sweep.
     """
-    w = as_word(w)
-    _check_alphabet(t, w)
-    if budget is None:
-        budget = default_budget(len(t.states), len(w))
-    if "_tables" not in t.__dict__:  # kept off the fields, like growth._support
-        t.__dict__["_tables"] = _compile_tables(t)
-    table, codes, names, colours, finals, q, stride = t.__dict__["_tables"]
+    table, _codes, names, colours, finals, _q0, stride = tables
     get = table.get
-    tape = [codes[LEFT_END], *map(codes.__getitem__, w), codes[RIGHT_END]]
-    end, width = len(w) + 1, len(w) + 2
-    base, pos, steps, depth = q * stride, 0, 0, 0
-    top, topc, seen, swept = width, 0, {q * width}, {}
-    stack, emitted = [], []
-    tr = [(0, names[q], 0, (), ())] if trace else None
+    n = len(names)
+    end = len(tape) - 1
+    q, pos, steps, depth, seen, swept, emitted = config
+    seen, emitted = set(seen), list(emitted)
+    swept = {s: list(bounds) for s, bounds in swept} if swept else {}
+    base, top, topc, stack, kept = q * stride, _NO_MARBLE, 0, [], None
     fwd = rev = None
     while True:
-        if pos == end and not stack and q in finals:
-            return _result(ACCEPT, tuple(emitted), steps, depth, tr)
+        if pos == end:
+            if keep:  # the stack is empty: no marble lies at or right of ⊣
+                kept = (q, pos, steps, depth, array("q", seen),
+                        tuple((s, tuple(bounds)) for s, bounds in swept.items()),
+                        tuple(emitted))
+                keep = False
+            if not stack and q in finals:
+                return ACCEPT, tuple(emitted), steps, depth, kept
         if steps >= budget:
-            return _result(BUDGET, None, steps, depth, tr)
+            return BUDGET, None, steps, depth, kept
         col = topc if top == pos else 0
         move = get(base + tape[pos] + col)
         if move is None:
-            return _result(REJECT, None, steps, depth, tr)
+            return REJECT, None, steps, depth, kept
         q, base, act, c, out = move
         if c and act < _LIFT and tr is None:  # a sweep entry: c is its matcher
             if fwd is None:
@@ -233,20 +292,20 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
                 k = budget - steps
             if k > 1:
                 lo, hi = (pos + 1, pos + k) if act == _RIGHT else (pos - k, pos - 1)
-                at, bounds = q * width, swept.setdefault(q, [])
+                bounds = swept.setdefault(q, [])
                 land = hi if act == _RIGHT else lo
-                if at + land in seen or bounds and bisect(bounds, land) & 1:
+                if land * n + q in seen or bounds and bisect(bounds, land) & 1:
                     # the loop, at the step that repeats: the cells after
                     # ``new`` are new up to a first seen one, then all seen
                     new = pos
                     while abs(land - new) > 1:
                         mid = (land + new) // 2
-                        if at + mid in seen or bounds and bisect(bounds, mid) & 1:
+                        if mid * n + q in seen or bounds and bisect(bounds, mid) & 1:
                             land = mid
                         else:
                             new = mid
                     steps += abs(land - pos)
-                    return _result(LOOP, None, steps, depth, tr)
+                    return LOOP, None, steps, depth, kept
                 i = bisect(bounds, lo)
                 bounds[i:i] = lo, hi + 1
                 if c[1] is not None:
@@ -256,13 +315,13 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
                 continue
         if act == _LEFT:
             if not pos:
-                return _result(REJECT, None, steps, depth, tr)
+                return REJECT, None, steps, depth, kept
             pos -= 1
         elif act == _RIGHT:
             if col:
                 raise MachineError("invalid machine: move right over a marble")
             if pos == end:
-                return _result(REJECT, None, steps, depth, tr)
+                return REJECT, None, steps, depth, kept
             pos += 1
             if top < pos:
                 raise MachineError("marble %r below the reading head" % (colours[topc],))
@@ -283,12 +342,12 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
         steps += 1
         if out:
             emitted += out
-        if trace:
+        if tr is not None:
             marbles = [(top, topc)] + [f[:2] for f in stack[:0:-1]] if stack else []
             tr.append((steps, names[q], pos, tuple((colours[i], p) for p, i in marbles), out))
-        key = q * width + pos
+        key = pos * n + q
         if key in seen or q in swept and bisect(swept[q], pos) & 1:
-            return _result(LOOP, None, steps, depth, tr)
+            return LOOP, None, steps, depth, kept
         seen.add(key)
 
 
@@ -734,6 +793,58 @@ def _last_steps(m: SST) -> dict:
         elif rest:
             last[key] = REJECT, rest
     return last
+
+
+def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = None):
+    """``(verdict, output)``, as ``run_marble(t, w, budget)`` gives them, for
+    every word ``w`` of length at most ``maxlen``: by length, then
+    lexicographically over the sorted input alphabet.
+
+    A marble machine, like a two-way one, keeps a stack discipline: a marble
+    is dropped under the head and the head never moves right past it.  So
+    until the head first stands on cell |u|+1, a run on u·v reads what the
+    run on u reads, and at that moment no marble lies on the tape.  The walk
+    goes one length at a time, as ``sst_outputs`` does.  It keeps, in lex
+    order, a start for each word u of length n - 1, what each u·a starts
+    from:
+    - the configuration the run on u kept (``_marble_walk``) when its head
+      first stood on ⊣: state, steps, depth, the bottom frame's seen keys
+      (an ``array``) and sweep intervals, and the output so far;
+    - u's verdict, when the run on u rejected or looped before it reached
+      ⊣, or ran out of a budget that does not grow with the length: every
+      u·a ends the same way, with no run;
+    - u's own start, when the run on u ran out of a budget that grows with
+      the length (``default_budget``, when ``budget`` is None) before it
+      reached ⊣.  A child's budget is then never below the steps that start
+      holds.
+    Each start is copied into fresh sets and lists on resume, so one serves
+    every letter, and the words themselves come from ``itertools.product``
+    in the same order.  Words of length ``maxlen`` keep nothing.
+    """
+    tables = _tables(t)
+    codes = tables[1]
+    letters = [codes[a] for a in sorted(t.input_alphabet)]
+    left, right = codes[LEFT_END], codes[RIGHT_END]
+    words = [((), _initial(tables))]
+    for n in range(maxlen + 1):
+        word_budget = default_budget(len(t.states), n) if budget is None else budget
+        keep = n < maxlen
+        grows = keep and budget is None and default_budget(len(t.states), n + 1) > word_budget
+        starts = []
+        for word, start in words:
+            if type(start) is str:
+                yield start, None
+                if keep:
+                    starts.append(start)
+                continue
+            verdict, output, _steps, _depth, kept = _marble_walk(
+                tables, [left, *word, right], word_budget, start, None, keep)
+            yield verdict, output
+            if keep:
+                starts.append(kept if kept is not None else
+                              start if verdict == BUDGET and grows else verdict)
+        words = zip(product(letters, repeat=n + 1),
+                    (start for start in starts for _ in letters))
 
 
 def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunResult:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from xducer import semantics
+from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_k_layered
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -17,6 +18,7 @@ from xducer.machines import (
     RIGHT_END,
     Reg,
     SST,
+    TwoWayTransducer,
     act_drop,
 )
 from xducer.oracle import (
@@ -25,9 +27,11 @@ from xducer.oracle import (
     words_up_to,
 )
 from xducer.semantics import (
-    ACCEPT, BUDGET, SHARE_MIN, run_machine, run_sst, run_sstf, sst_outputs)
+    ACCEPT, BUDGET, LOOP, REJECT, SHARE_MIN, marble_of, marble_outputs, run_machine,
+    run_marble, run_sst, run_sstf, sst_outputs)
+from xducer.sst2mt import layered_to_marble
 
-from conftest import load
+from conftest import CORPUS_NAMES, load, reference_run
 
 
 def test_words_up_to_order_and_cap():
@@ -358,6 +362,234 @@ def test_prefix_sharing_keeps_sstf_verdicts():
             check(load("identity_sst"), sstf, 4, None, registry)
         errors.append(str(err.value))
     assert errors[0] == errors[1] and "prefix 'bb'" in errors[0]
+
+
+# ---------------------------------------------------------------------------
+# Marble sides: one walk over the word tree
+# ---------------------------------------------------------------------------
+
+
+def reference_outputs(t, maxlen, budget=None):
+    """``(verdict, output)`` of ``reference_run`` on every word up to
+    ``maxlen``, or (the list so far, the error) once a run raises.  A
+    callable ``budget`` gives the budget of a word from its length."""
+    got = []
+    for w in words_up_to(t.input_alphabet, maxlen):
+        try:
+            res = reference_run(t, w, budget=budget(len(w)) if callable(budget) else budget)
+        except MachineError as err:
+            return got, str(err)
+        got.append((res.verdict, res.output))
+    return got, None
+
+
+def walked_outputs(t, maxlen, budget=None):
+    """``marble_outputs`` in the shape of ``reference_outputs``."""
+    got = []
+    try:
+        for pair in marble_outputs(t, maxlen, budget):
+            got.append(pair)
+    except MachineError as err:
+        return got, str(err)
+    return got, None
+
+
+def corpus_marbles():
+    """Every corpus marble machine, and every two-way one as a marble machine."""
+    for name in CORPUS_NAMES:
+        m = load(name)
+        if isinstance(m, TwoWayTransducer):
+            yield name, marble_of(m)
+        elif isinstance(m, MarbleTransducer):
+            yield name, m
+
+
+def test_marble_outputs_match_the_reference_on_random_machines():
+    """Each word resumes its parent's run, or takes its dead parent's
+    verdict, and gets what a run from the left end gives; budgets of 5, 7
+    and 30 steps run out before, on and after the right end.  Each
+    generator gives 200 machines with colours, and the ones without that
+    come on the way."""
+    from perfbench.gen import random_marble as generated_marble
+
+    rng = random.Random(84)
+    verdicts, trial = set(), 0
+    for generate in (random_marble, generated_marble):
+        coloured = 0
+        while coloured < 200:
+            t = generate(rng)
+            coloured += bool(t.colors)
+            maxlen, trial = trial % 7, trial + 1
+            for budget in (None, 5, 7, 30):
+                want = reference_outputs(t, maxlen, budget)
+                assert walked_outputs(t, maxlen, budget) == want, (trial, budget)
+                verdicts.update(v for v, _o in want[0])
+    assert verdicts == {ACCEPT, REJECT, LOOP, BUDGET}
+
+
+@pytest.mark.parametrize("name,t", list(corpus_marbles()))
+def test_marble_outputs_match_the_reference_on_the_corpus(name, t):
+    maxlen = 4 if len(t.input_alphabet) > 2 else 6
+    for budget in (None, 30):
+        assert walked_outputs(t, maxlen, budget) == reference_outputs(t, maxlen, budget)
+
+
+def test_sweeps_after_a_kept_configuration_stay_out_of_it():
+    """r scans right; on an a, y walks back over the b's before it and t
+    sweeps them again; at ⊣, z walks back over the c's before it and t
+    sweeps them.  On bbacc, t's sweep over cc lands on ⊣ after the run kept
+    its configuration there, and on bbacca t steps onto that cell again,
+    for the first time in that run, which accepts.  The intervals a run
+    adds after its head first stood on ⊣ must stay out of the configuration
+    its children resume from."""
+    moves = {"s0": {LEFT_END: ("r", ACT_RIGHT)},
+             "r": {"b": ("r", ACT_RIGHT), "c": ("r", ACT_RIGHT), "a": ("y", ACT_LEFT),
+                   RIGHT_END: ("z", ACT_LEFT)},
+             "y": {"b": ("y", ACT_LEFT), "a": ("t", ACT_RIGHT), "c": ("t", ACT_RIGHT),
+                   LEFT_END: ("t", ACT_RIGHT)},
+             "t": {"b": ("t", ACT_RIGHT), "c": ("t", ACT_RIGHT), "a": ("r", ACT_RIGHT)},
+             "z": {"c": ("z", ACT_LEFT), "a": ("t", ACT_RIGHT), "b": ("t", ACT_RIGHT),
+                   LEFT_END: ("t", ACT_RIGHT)}}
+    rules = {(q, a, None): move for q, row in moves.items() for a, move in row.items()}
+    t = MarbleTransducer(("a", "b", "c"), ("a",), tuple(moves), "s0", frozenset({"t"}),
+                         (), rules, {key: () for key in rules})
+    got = walked_outputs(t, 6)
+    assert got == reference_outputs(t, 6)
+    words = list(words_up_to("abc", 6))
+    assert got[0][words.index(tuple("bbacca"))] == (ACCEPT, ())
+
+
+def test_words_below_a_dead_prefix_start_no_run(monkeypatch):
+    """mul_marble rejects most words on a prefix; their extensions take the
+    verdict with no run."""
+    walk, runs = semantics._marble_walk, []
+    monkeypatch.setattr(semantics, "_marble_walk",
+                        lambda *args: runs.append(args[1]) or walk(*args))
+    got = list(marble_outputs(load("mul_marble"), 6))
+    assert len(got) == 5461 and sum(v == REJECT for v, _o in got) == 5341
+    assert len(runs) < 600
+
+
+def zigzag():
+    """A marble machine over ``ab`` that, on each new cell, drops a marble,
+    walks back to ⊢ and returns to lift it, writing its letter: about
+    |u|² steps before its head first stands on ⊣ (accepting there)."""
+    rules = {("r", LEFT_END, None): ("r", ACT_RIGHT), ("l", LEFT_END, None): ("g", ACT_RIGHT)}
+    for a in "ab":
+        rules.update({("r", a, None): ("l", act_drop("m")), ("l", a, "m"): ("l", ACT_LEFT),
+                      ("l", a, None): ("l", ACT_LEFT), ("g", a, None): ("g", ACT_RIGHT),
+                      ("g", a, "m"): ("s", ACT_LIFT), ("s", a, None): ("r", ACT_RIGHT)})
+    out = {key: (key[1],) if key[0] == "g" and key[2] else () for key in rules}
+    return MarbleTransducer(("a", "b"), ("a", "b"), ("r", "l", "g", "s"), "r",
+                            frozenset({"r"}), ("m",), rules, out)
+
+
+def test_a_budget_spent_before_the_right_end_is_run_again_on_each_extension(monkeypatch):
+    """Under a budget that grows with the length, as ``default_budget``
+    does, an extension of a word that ran out before ⊣ resumes from that
+    word's own start; under a fixed budget it takes the verdict with no
+    run."""
+    walk, earlier = semantics._marble_walk, []
+
+    def counting(tables, tape, budget, start, tr, keep):
+        earlier.append(start[1] < len(tape) - 2)  # not its parent's ⊣
+        return walk(tables, tape, budget, start, tr, keep)
+
+    monkeypatch.setattr(semantics, "_marble_walk", counting)
+    rng = random.Random(87)
+    machines = [zigzag()] + [random_marble(rng) for _ in range(60)]
+    for grow in (lambda n: n * n + 2, lambda n: 6 * n + 4):
+        monkeypatch.setattr(semantics, "default_budget", lambda states, n: grow(n))
+        earlier.clear()
+        for t in machines:
+            assert walked_outputs(t, 6) == reference_outputs(t, 6, grow)
+        assert sum(earlier) >= 5
+    got = walked_outputs(machines[0], 6)[0]
+    assert got[:3] == [(ACCEPT, ()), (ACCEPT, ("a",)), (ACCEPT, ("b",))]
+    assert got[-1] == (BUDGET, None)
+    for budget in (5, 7, 30):
+        earlier.clear()
+        for t in machines:
+            assert walked_outputs(t, 6, budget) == reference_outputs(t, 6, budget)
+        assert earlier and not any(earlier)
+
+
+def test_an_invalid_move_raises_at_the_same_word():
+    """A move right over a marble raises the error a run from the left end
+    raises, at the first word that takes it, in ``marble_outputs`` and in
+    ``equiv_check``."""
+    m = load("mul_marble")
+    broken = replace(m, delta={**m.delta, ("m3", "0", "m"): ("m4", ACT_RIGHT)},
+                     out={**m.out, ("m3", "0", "m"): ()})
+    got, error = walked_outputs(broken, 4)
+    assert (got, error) == reference_outputs(broken, 4)
+    assert error == "invalid machine: move right over a marble" and len(got) > 5
+    for pair in ((broken, m), (m, broken), (load("mul_sst"), broken)):
+        errors = []
+        for check in (reference_equiv, equiv_check):
+            with pytest.raises(MachineError) as err:
+                check(*pair, 4)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == error
+
+
+def mutated_marble(rng, t):
+    """``t`` with one transition sent to another state, its output changed,
+    or removed."""
+    key = rng.choice(sorted(t.delta, key=repr))
+    delta, out = dict(t.delta), dict(t.out)
+    kind = rng.randrange(3)
+    if kind == 0:
+        delta[key] = (rng.choice(t.states), delta[key][1])
+    elif kind == 1:
+        out[key] = out[key] + (t.output_alphabet[0],)
+    else:
+        del delta[key], out[key]
+    return replace(t, delta=delta, out=out)
+
+
+def test_marble_pairs_keep_the_word_by_word_verdicts():
+    """Marble against marble, mutated or not, and SST sources against their
+    walkers, with budgets that run out before ⊣ and after it."""
+    rng = random.Random(85)
+    statuses = []
+    for trial in range(120):
+        t1 = random_marble(rng)
+        t2 = mutated_marble(rng, t1) if t1.delta and trial % 3 else random_marble(rng)
+        budget = rng.choice((None, None, 5, 7, 30))
+        for pair in ((t1, t2), (t2, t1), (t1, t1)):
+            expected = reference_equiv(*pair, 5, budget=budget)
+            assert verdict_of(*pair, 5, budget=budget) == expected
+            statuses.append(expected[0])
+    for name in ("mul_sst", "reverse_sst", "bounded_pair_sst"):
+        source = load(name, ("a", "b", "#", "0"))
+        res = to_k_layered(source)
+        walker = layered_to_marble(res.machine, res.layers)
+        for trial in range(6):
+            side = mutated(rng, source) if trial % 2 else source
+            budget = rng.choice((None, 50, 400, 3000))
+            for pair in ((side, walker), (walker, side), (walker, walker)):
+                expected = reference_equiv(*pair, 4, budget=budget)
+                assert verdict_of(*pair, 4, budget=budget) == expected
+                statuses.append(expected[0])
+    assert statuses.count("inconclusive") >= 20
+    assert statuses.count("counterexample") >= 60
+    assert statuses.count("equivalent") >= 120
+
+
+def test_nsstf_sides_keep_the_word_by_word_verdicts():
+    rng = random.Random(86)
+    total, _ = make_total(load("bounded_pair_sst"))
+    nsst = bounded_sstf_to_unambiguous(total)
+    walker = marble_of(load("reverse_two_way", nsst.input_alphabet))
+    statuses = []
+    for trial in range(8):
+        other = mutated(rng, total) if trial % 2 else total
+        for pair in ((nsst, other), (other, nsst), (nsst, walker), (nsst, nsst)):
+            expected = reference_equiv(*pair, 4)
+            assert verdict_of(*pair, 4) == expected
+            statuses.append(expected[0])
+    assert statuses.count("equivalent") >= 8 and statuses.count("counterexample") >= 8
 
 
 def _differs_on(target):

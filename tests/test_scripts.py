@@ -56,6 +56,26 @@ def test_pool_census_reports_an_exponential_member():
     assert "out_degree" not in rows[0] and rows[0]["cpu_s"] >= 0
 
 
+def test_pool_census_keeps_the_sizes_of_a_row_whose_checks_are_killed():
+    # the child prints the construction's row before the checks run, then
+    # again after each; a kill after the first line keeps the sizes
+    lines = run_script("pool_census.py", "--child", '["member", 0]').splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [[check in row for check in ("equiv", "out_degree")] for row in rows] == [
+        [False, False], [True, False], [True, True]]
+    assert rows[0]["size"] == 18 and rows[0]["sha256"] == rows[-1]["sha256"]
+    assert rows[0]["build_s"] >= 0
+    census = load_file("pool_census", os.path.join(SCRIPTS, "pool_census.py"))
+    cut = lines[1][:20]  # a line the kill cut short is skipped
+    row = census.row_of(["member", 0], -9, "\n".join(lines[:1] + [cut]), "")
+    assert row == dict(rows[0], equiv="killed (SIGKILL)", out_degree="killed (SIGKILL)")
+    row = census.row_of(["member", 0], 1, "\n".join(lines[:2]), "Traceback\nMemoryError\n")
+    assert row == dict(rows[1], out_degree="killed (MemoryError)")
+    assert census.row_of(["member", 0], -24, "", "") == {
+        "member": 0, "outcome": "killed (SIGXCPU)"}
+    assert census.row_of(["member", 0], 0, "\n".join(lines), "") == rows[-1]
+
+
 def test_pool_census_climbs_the_size_ladder():
     rows = [json.loads(line) for line in
             run_script("pool_census.py", "--shape", "2", "4", "2", "--seeds", "2").splitlines()]
