@@ -162,13 +162,12 @@ def to_simple(m: SST) -> SST:
     keep = {k: (Reg(k),) for k in const.values()}    # a constant keeps its letter
     rows = {key: {**s, **keep} for key, s in m.update.items()}
     value = {**m.init_valuation, **{k: (b,) for b, k in const.items()}}
-    preds: dict = {}
-    for (p, a), q in sorted(m.delta.items()):
-        preds.setdefault((q, a), []).append(p)
-    update = {("s", a): {name: tuple(tok for p in preds.get((q, a), ())
-                                     for tok in rename(p, rows[(p, a)][x]))
-                         for (q, x), name in names.items()}
-              for a in m.input_alphabet}
+    update = {("s", a): dict.fromkeys(names.values(), ()) for a in m.input_alphabet}
+    for (p, a), q in sorted(m.delta.items()):  # each q's predecessors p in order
+        new = update[("s", a)]
+        for x, rhs in rows[(p, a)].items():
+            if rhs:
+                new[names[(q, x)]] += tuple(rename(p, rhs))
     return SST(
         input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
         states=("s",), registers=tuple(names.values()), initial="s",

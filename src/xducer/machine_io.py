@@ -6,6 +6,11 @@ sort_keys=True, indent=2, ensure_ascii=False)``.  On CPython 3.11 any
 ``pretty_json`` quotes strings with the C ``encode_basestring`` and writes
 each one-key token object (``{"lit": ...}`` and the like) from one format
 string.
+
+One loader, ``machine_from_json``, keeps each path into the document as a
+tuple and writes it out only when a malformed entry raises (``_err``), and
+builds one token object per distinct (kind, payload) of a file: tokens are
+frozen, so the machine may share them.
 """
 
 from __future__ import annotations
@@ -35,60 +40,76 @@ class MachineFileError(MachineError):
     """Malformed machine file; the message names the offending field."""
 
 
-def _err(path: str, msg: str):
-    raise MachineFileError("%s: %s" % (path, msg))
+def _path(path) -> str:
+    """A path as text: a string itself, or a tuple ``(format, parent path,
+    *args)`` written out as ``format % (parent as text, *args)``."""
+    if type(path) is str:
+        return path
+    return path[0] % ((_path(path[1]),) + path[2:])
 
 
-def _need(doc: dict, field: str, kind, path: str):
+def _err(path, msg: str):
+    raise MachineFileError("%s: %s" % (_path(path), msg))
+
+
+def _need(doc: dict, field: str, kind, path):
     if not isinstance(doc, dict):
         _err(path, "expected an object")
     if field not in doc:
         _err(path, "missing field %r" % field)
     value = doc[field]
     if kind is not None and not isinstance(value, kind):
-        _err("%s.%s" % (path, field), "expected %s" % kind.__name__)
+        _err(("%s.%s", path, field), "expected %s" % kind.__name__)
     return value
 
 
-def _word(value, path: str) -> tuple:
+def _word(value, path) -> tuple:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         _err(path, "expected a list of symbols")
     return tuple(value)
 
 
-def _integer(value, path: str) -> int:
+def _integer(value, path) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _err(path, "expected an integer")
     return value
 
 
-def _put(table: dict, key, value, path: str) -> None:
+def _put(table: dict, key, value, path) -> None:
     """``table[key] = value``, refusing a second entry for one key."""
     if key in table:
         _err(path, "expected one entry per key, found a second for %r" % (key,))
     table[key] = value
 
 
-def _weights(value: dict, path: str) -> dict:
-    return {q: _integer(v, "%s.%s" % (path, q)) for q, v in value.items()}
+def _weights(value: dict, path) -> dict:
+    return {q: _integer(v, ("%s.%s", path, q)) for q, v in value.items()}
 
 
 _TOKENS = {"lit": Lit, "reg": Reg, "fun": Fun}
 
 
-def _tokens(value, path: str) -> tuple:
+def _tokens(value, path, pool: dict) -> tuple:
+    """The tokens of a token list.  ``pool`` maps each (kind, payload) item
+    met so far in the file to its token, so a file holds one object per
+    distinct token (tokens are frozen)."""
     if not isinstance(value, list):
         _err(path, "expected a token list")
     out = []
     for tok in value:
         if isinstance(tok, dict) and len(tok) == 1:
-            (key, payload), = tok.items()
-            if key in _TOKENS and isinstance(payload, str):
-                out.append(_TOKENS[key](payload))
-                continue
-        where = "%s[%d]" % (path, len(out))  # formatted only on an error
+            (item,) = tok.items()
+            if isinstance(item[1], str):
+                t = pool.get(item)
+                if t is None and item[0] in _TOKENS:
+                    t = pool[item] = _TOKENS[item[0]](item[1])
+                if t is not None:
+                    out.append(t)
+                    continue
+        where = ("%s[%d]", path, len(out))
         if not isinstance(tok, dict) or len(tok) != 1:
             _err(where, "expected an object with one of lit/reg/fun")
+        (key, payload), = tok.items()
         _err(where, "token payload must be a string" if not isinstance(payload, str)
              else "unknown token kind %r" % key)
     return tuple(out)
@@ -102,13 +123,11 @@ def _token_json(tok) -> dict:
     return {"fun": tok.name}
 
 
-def _substitution(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        _err(path, "expected an update object")
-    return {x: _tokens(rhs, "%s.%s" % (path, x)) for x, rhs in value.items()}
+def _substitution(value: dict, path, pool: dict) -> dict:
+    return {x: _tokens(rhs, ("%s.%s", path, x), pool) for x, rhs in value.items()}
 
 
-def _action(value, path: str) -> tuple:
+def _action(value, path) -> tuple:
     if value in ("left", "right", "lift"):
         return (value, None)
     if isinstance(value, dict) and list(value) == ["drop"] \
@@ -186,111 +205,114 @@ def machine_to_json(m) -> dict:
 
 
 def machine_from_json(doc, path: str = "$"):
+    """The machine a parsed JSON document describes; a malformed entry
+    raises a MachineFileError that names its path, from ``path`` down."""
     kind = _need(doc, "kind", str, path)
     if kind not in KINDS:
-        _err("%s.kind" % path, "unknown machine kind %r" % kind)
+        _err(("%s.kind", path), "unknown machine kind %r" % kind)
     input_alphabet = tuple(_word(_need(doc, "input_alphabet", list, path),
-                                 "%s.input_alphabet" % path))
-    states = tuple(_word(_need(doc, "states", list, path), "%s.states" % path))
+                                 ("%s.input_alphabet", path)))
+    states = tuple(_word(_need(doc, "states", list, path), ("%s.states", path)))
     if kind == "nautomaton":
-        alpha = _weights(_need(doc, "alpha", dict, path), "%s.alpha" % path)
-        beta = _weights(_need(doc, "beta", dict, path), "%s.beta" % path)
+        alpha = _weights(_need(doc, "alpha", dict, path), ("%s.alpha", path))
+        beta = _weights(_need(doc, "beta", dict, path), ("%s.beta", path))
         mats = {}
         raw = _need(doc, "matrices", dict, path)
         for a in raw:
             if a not in input_alphabet:
-                _err("%s.matrices.%s" % (path, a), "expected a letter of the input alphabet")
+                _err(("%s.matrices.%s", path, a), "expected a letter of the input alphabet")
         for a in input_alphabet:
             entries = raw.get(a, [])
-            where = "%s.matrices.%s" % (path, a)
+            where = ("%s.matrices.%s", path, a)
             if not isinstance(entries, list):
                 _err(where, "expected a list of entries")
             mat = {}
             for i, ent in enumerate(entries):
-                at = "%s[%d]" % (where, i)
+                at = ("%s[%d]", where, i)
                 key = (_need(ent, "from", str, at), _need(ent, "to", str, at))
                 _put(mat, key, _integer(_need(ent, "weight", None, at),
-                                        "%s.weight" % at), at)
+                                        ("%s.weight", at)), at)
             mats[a] = mat
         return NAutomaton(input_alphabet, states, alpha, beta, mats)
     output_alphabet = tuple(_word(_need(doc, "output_alphabet", list, path),
-                                  "%s.output_alphabet" % path))
+                                  ("%s.output_alphabet", path)))
+    pool: dict = {}  # (kind, payload) -> token, for _tokens
     if kind == "two-way":
         delta, out = {}, {}
         for i, ent in enumerate(_need(doc, "transitions", list, path)):
-            where = "%s.transitions[%d]" % (path, i)
+            where = ("%s.transitions[%d]", path, i)
             q = _need(ent, "state", str, where)
             s = _need(ent, "symbol", str, where)
             move = _need(ent, "move", str, where)
             if move not in ("left", "right"):
-                _err("%s.move" % where, "bad move %r" % move)
+                _err(("%s.move", where), "bad move %r" % move)
             _put(delta, (q, s), (_need(ent, "to", str, where), move), where)
-            out[(q, s)] = _word(ent.get("output", []), "%s.output" % where)
+            out[(q, s)] = _word(ent.get("output", []), ("%s.output", where))
         return TwoWayTransducer(
             input_alphabet, output_alphabet, states,
             _need(doc, "initial", str, path),
-            frozenset(_word(_need(doc, "finals", list, path), "%s.finals" % path)),
+            frozenset(_word(_need(doc, "finals", list, path), ("%s.finals", path))),
             delta, out)
     if kind == "marble":
         delta, out = {}, {}
         for i, ent in enumerate(_need(doc, "transitions", list, path)):
-            where = "%s.transitions[%d]" % (path, i)
+            where = ("%s.transitions[%d]", path, i)
             q = _need(ent, "state", str, where)
             s = _need(ent, "symbol", str, where)
             c = ent.get("color")
             if c is not None and not isinstance(c, str):
-                _err("%s.color" % where, "expected a string or null")
-            action = _action(_need(ent, "action", None, where), "%s.action" % where)
+                _err(("%s.color", where), "expected a string or null")
+            action = _action(_need(ent, "action", None, where), ("%s.action", where))
             _put(delta, (q, s, c), (_need(ent, "to", str, where), action), where)
-            out[(q, s, c)] = _word(ent.get("output", []), "%s.output" % where)
+            out[(q, s, c)] = _word(ent.get("output", []), ("%s.output", where))
         bound = doc.get("declared_marble_bound")
         return MarbleTransducer(
             input_alphabet, output_alphabet, states,
             _need(doc, "initial", str, path),
-            frozenset(_word(_need(doc, "finals", list, path), "%s.finals" % path)),
-            tuple(_word(_need(doc, "colors", list, path), "%s.colors" % path)),
+            frozenset(_word(_need(doc, "finals", list, path), ("%s.finals", path))),
+            tuple(_word(_need(doc, "colors", list, path), ("%s.colors", path))),
             delta, out, None if bound is None else _integer(
-                bound, "%s.declared_marble_bound" % path))
+                bound, ("%s.declared_marble_bound", path)))
     if kind in ("sst", "sstf"):
         registers = tuple(_word(_need(doc, "registers", list, path),
-                                "%s.registers" % path))
-        init_val = {x: _word(w, "%s.initial_valuation.%s" % (path, x))
+                                ("%s.registers", path)))
+        init_val = {x: _word(w, ("%s.initial_valuation.%s", path, x))
                     for x, w in _need(doc, "initial_valuation", dict, path).items()}
         delta, update = {}, {}
         for i, ent in enumerate(_need(doc, "transitions", list, path)):
-            where = "%s.transitions[%d]" % (path, i)
+            where = ("%s.transitions[%d]", path, i)
             q = _need(ent, "state", str, where)
             a = _need(ent, "symbol", str, where)
             _put(delta, (q, a), _need(ent, "to", str, where), where)
             update[(q, a)] = _substitution(_need(ent, "update", dict, where),
-                                           "%s.update" % where)
-        output = {q: _tokens(rhs, "%s.output.%s" % (path, q))
+                                           ("%s.update", where), pool)
+        output = {q: _tokens(rhs, ("%s.output.%s", path, q), pool)
                   for q, rhs in _need(doc, "output", dict, path).items()}
-        funs = _word(doc.get("functions", []), "%s.functions" % path) \
+        funs = _word(doc.get("functions", []), ("%s.functions", path)) \
             if kind == "sstf" else ()
         return SST(input_alphabet, output_alphabet, states, registers,
                    _need(doc, "initial", str, path), init_val, delta, update,
                    output, funs)
     # nsstf
     registers = tuple(_word(_need(doc, "registers", list, path),
-                            "%s.registers" % path))
+                            ("%s.registers", path)))
     initial = {}
     for q, val in _need(doc, "initial", dict, path).items():
-        where = "%s.initial.%s" % (path, q)
+        where = ("%s.initial.%s", path, q)
         if not isinstance(val, dict):
             _err(where, "expected an object")
-        initial[q] = {x: _word(w, "%s.%s" % (where, x)) for x, w in val.items()}
+        initial[q] = {x: _word(w, ("%s.%s", where, x)) for x, w in val.items()}
     update = {}
     for i, ent in enumerate(_need(doc, "transitions", list, path)):
-        where = "%s.transitions[%d]" % (path, i)
+        where = ("%s.transitions[%d]", path, i)
         key = (_need(ent, "from", str, where), _need(ent, "symbol", str, where),
                _need(ent, "to", str, where))
         _put(update, key, _substitution(_need(ent, "update", dict, where),
-                                        "%s.update" % where), where)
-    output = {q: _tokens(rhs, "%s.output.%s" % (path, q))
+                                        ("%s.update", where), pool), where)
+    output = {q: _tokens(rhs, ("%s.output.%s", path, q), pool)
               for q, rhs in _need(doc, "output", dict, path).items()}
     return NSSTF(input_alphabet, output_alphabet, states, registers,
-                 _word(doc.get("functions", []), "%s.functions" % path), initial,
+                 _word(doc.get("functions", []), ("%s.functions", path)), initial,
                  tuple(sorted(update)), update, output)
 
 
@@ -346,7 +368,7 @@ def parse_machine(path: str, check: bool = True):
     machine = machine_from_json(doc)
     layers = None
     if doc.get("layers") is not None:
-        layers = tuple(_word(layer, "$.layers[%d]" % i)
+        layers = tuple(_word(layer, ("%s.layers[%d]", "$", i))
                        for i, layer in enumerate(_need(doc, "layers", list, "$")))
     if check:
         problems = validate(machine)

@@ -426,39 +426,69 @@ def _validate_marble(m: MarbleTransducer, report: list) -> None:
                           for b in w if b not in letters)
 
 
+def _known(rhs, letters: set, registers: set, funs) -> bool:
+    """Whether every token of ``rhs`` is a ``Lit`` of ``letters``, a ``Reg``
+    of ``registers`` or a ``Fun`` of ``funs``; a right-hand side for which
+    this fails goes through ``_check_tokens``, which words the report."""
+    for tok in rhs:
+        kind = type(tok)
+        if kind is Reg:
+            if tok.name not in registers:
+                return False
+        elif kind is Lit:
+            if tok.sym not in letters:
+                return False
+        elif kind is not Fun or tok.name not in funs:
+            return False
+    return True
+
+
+def _check_updates(m, where: str, report: list, registers: set, letters: set) -> None:
+    """Report each update of an SST or NSST-F that is not total on the
+    registers, and each right-hand side with a token ``_known`` refuses;
+    ``where % key`` names the update of transition ``key``, formatted only
+    on a fault."""
+    funs = set(m.funs)
+    for key, s in m.update.items():
+        if s.keys() != registers:
+            report.append("%s: not total on the register set" % (where % key))
+        for x, rhs in s.items():
+            if not _known(rhs, letters, registers, funs):
+                _check_tokens("%s(%s)" % (where % key, x), rhs, m, report)
+
+
 def _validate_sst(m: SST, report: list) -> None:
     _check_alphabet("input alphabet", m.input_alphabet, report)
     _check_alphabet("output alphabet", m.output_alphabet, report)
     _check_distinct("state", m.states, report)
     _check_distinct("register", m.registers, report)
-    if m.initial not in m.states:
+    states, registers = set(m.states), set(m.registers)
+    letters, symbols = set(m.output_alphabet), set(m.input_alphabet)
+    if m.initial not in states:
         report.append("initial state %r not declared" % m.initial)
-    if set(m.delta) != set(m.update):
+    if m.delta.keys() != m.update.keys():
         report.append("transition and update maps have different domains")
-    if set(m.init_valuation) != set(m.registers):
+    if m.init_valuation.keys() != registers:
         report.append("initial valuation does not cover the register set")
     for x, w in m.init_valuation.items():
-        for b in w:
-            if b not in m.output_alphabet:
-                report.append("init[%s]: unknown output letter %r" % (x, b))
+        if not letters.issuperset(w):
+            report.extend("init[%s]: unknown output letter %r" % (x, b)
+                          for b in w if b not in letters)
     for (q, a), q2 in m.delta.items():
-        if q not in m.states or q2 not in m.states:
+        if q not in states or q2 not in states:
             report.append("delta[%s,%s]: undeclared state" % (q, a))
-        if a not in m.input_alphabet:
+        if a not in symbols:
             report.append("delta[%s,%s]: undeclared letter" % (q, a))
-    for (q, a), s in m.update.items():
-        where = "update[%s,%s]" % (q, a)
-        if set(s) != set(m.registers):
-            report.append("%s: not total on the register set" % where)
-        for x, rhs in s.items():
-            _check_tokens("%s(%s)" % (where, x), rhs, m, report)
-    _check_outputs(m, report)
+    _check_updates(m, "update[%s,%s]", report, registers, letters)
+    _check_outputs(m, report, states, registers, letters)
 
 
-def _check_outputs(m, report: list) -> None:
+def _check_outputs(m, report: list, states: set, registers: set, letters: set) -> None:
     for q, rhs in m.output.items():
-        if q not in m.states:
+        if q not in states:
             report.append("output[%s]: undeclared state" % q)
+        if _known(rhs, letters, registers, ()):
+            continue
         for tok in rhs:
             if isinstance(tok, Fun):
                 report.append("output[%s]: function tokens not allowed in output" % q)
@@ -471,25 +501,22 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
     _check_alphabet("output alphabet", m.output_alphabet, report)
     _check_distinct("state", m.states, report)
     _check_distinct("register", m.registers, report)
-    if set(m.update) != set(m.transitions):
+    states, registers = set(m.states), set(m.registers)
+    letters, symbols = set(m.output_alphabet), set(m.input_alphabet)
+    if m.update.keys() != set(m.transitions):
         report.append("update map domain differs from the transition relation")
     for q, val in m.initial.items():
-        if q not in m.states:
+        if q not in states:
             report.append("initial[%s]: undeclared state" % q)
-        if set(val) != set(m.registers):
+        if set(val) != registers:
             report.append("initial[%s]: valuation not total" % q)
     for (q, a, q2) in m.transitions:
-        if q not in m.states or q2 not in m.states:
+        if q not in states or q2 not in states:
             report.append("transition (%s,%s,%s): undeclared state" % (q, a, q2))
-        if a not in m.input_alphabet:
+        if a not in symbols:
             report.append("transition (%s,%s,%s): undeclared letter" % (q, a, q2))
-    for key, s in m.update.items():
-        where = "update[%s,%s,%s]" % key
-        if set(s) != set(m.registers):
-            report.append("%s: not total on the register set" % where)
-        for x, rhs in s.items():
-            _check_tokens("%s(%s)" % (where, x), rhs, m, report)
-    _check_outputs(m, report)
+    _check_updates(m, "update[%s,%s,%s]", report, registers, letters)
+    _check_outputs(m, report, states, registers, letters)
 
 
 def _validate_nautomaton(m: NAutomaton, report: list) -> None:

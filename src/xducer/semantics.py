@@ -214,7 +214,10 @@ def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
     it is None.  Returns (verdict, output, steps, max stack depth, kept).
 
     ``config`` is (state number, head, steps, depth, seen keys, swept,
-    output so far) with no marble on the tape.  If ``keep`` is set, ``kept``
+    output so far) with no marble on the tape.  A configuration that has
+    taken steps was kept, and is copied into fresh sets and lists so that it
+    can serve again; one that has taken none is ``_initial``, whose sets are
+    built directly.  If ``keep`` is set, ``kept``
     is such a configuration, copied at the first loop top where the head
     stands on ⊣, or None if the run ended before.  Nothing in a
     configuration depends on the length of the tape, so one kept on the tape
@@ -258,8 +261,11 @@ def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
     n = len(names)
     end = len(tape) - 1
     q, pos, steps, depth, seen, swept, emitted = config
-    seen, emitted = set(seen), list(emitted)
-    swept = {s: list(bounds) for s, bounds in swept} if swept else {}
+    if steps:
+        seen, emitted = set(seen), list(emitted)
+        swept = {s: list(bounds) for s, bounds in swept} if swept else {}
+    else:
+        seen, swept, emitted = {q}, {}, []
     base, top, topc, stack, kept = q * stride, _NO_MARBLE, 0, [], None
     fwd = rev = None
     while True:
@@ -444,6 +450,11 @@ def _update(prog: tuple, val: tuple, w, read: int,
     time linear in the input (``_flat`` pays for the output once).  Fun
     tokens are evaluated once per update, in register order, on
     ``w[:read]``, the input read so far including the current letter.
+
+    A list right-hand side is first joined by tuple concatenation while
+    every piece is a flat tuple; a join of at most ``SHARE_MIN`` letters is
+    the value, as the piece-by-piece loop below would build it.  Any other
+    list (a node, a ``Fun``, a longer join) goes through that loop.
     """
     new, funs = [], {}
     append = new.append
@@ -451,6 +462,16 @@ def _update(prog: tuple, val: tuple, w, read: int,
         if type(rhs) is not list:
             append(val[rhs] if type(rhs) is int else rhs)
             continue
+        value = ()
+        for p in rhs:
+            v = val[p] if type(p) is int else p
+            if type(v) is not tuple:
+                break
+            value += v
+        else:
+            if len(value) <= SHARE_MIN:
+                append(value)
+                continue
         parts: list = []
         shared = False
         for p in rhs:
@@ -479,10 +500,8 @@ def _update(prog: tuple, val: tuple, w, read: int,
 OUTPUT_LETTER_LIMIT = 10 ** 7
 
 
-def _length(value) -> int:
-    """Letters of a register value, counted once per node of its DAG."""
-    if type(value) is not _Cat:
-        return len(value)
+def _length(value: _Cat) -> int:
+    """Letters of a node, counted once per node of its DAG."""
     sizes: dict = {}
     stack = [value]
     while stack:
@@ -507,7 +526,7 @@ def _flat(value) -> Word:
     that its first visit wrote, so a shared DAG costs what its output costs.
     Raises if the word is longer than ``OUTPUT_LETTER_LIMIT``.
     """
-    length = _length(value)
+    length = _length(value) if type(value) is _Cat else len(value)
     if length > OUTPUT_LETTER_LIMIT:
         raise MachineError("register output exceeded %d letters (it has %d)"
                            % (OUTPUT_LETTER_LIMIT, length))
@@ -541,7 +560,7 @@ def _output_word(prog, val: tuple) -> Word:
     tokens (``validate`` refuses them), so no word or registry is passed;
     ``sst_outputs`` evaluates the composed last steps that carry an update's
     functions with ``_update`` itself."""
-    return _flat(_update((prog,), val, (), 0, None)[0])
+    return _flat(val[prog] if type(prog) is int else _update((prog,), val, (), 0, None)[0])
 
 
 def _sweep_kind(r: int, rhs):

@@ -9,14 +9,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.machines import (  # noqa: E402
-    Fun, LEFT_END, Lit, MachineError, Reg, RIGHT_END, subst_apply)
+    Fun, LEFT_END, Lit, MachineError, NSSTF, Reg, RIGHT_END, SST, subst_apply,
+    _check_alphabet, _check_distinct, _check_tokens)
 from xducer.semantics import (  # noqa: E402
     ACCEPT,
     BUDGET,
     LOOP,
     REJECT,
+    SHARE_MIN,
     RunResult,
+    _Cat,
     default_budget,
+    eval_fun,
     run_sst,
 )
 
@@ -192,6 +196,115 @@ def reference_sst_run(m, w, registry=None) -> RunResult:
     if q not in m.output:
         return RunResult(REJECT, None, len(w), 0)
     return RunResult(ACCEPT, tuple(t.sym for t in subst_apply(val, m.output[q])), len(w), 0)
+
+
+def reference_update(prog: tuple, val: tuple, w, read: int, registry) -> tuple:
+    """``semantics._update``'s valuation, built piece by piece for every
+    list right-hand side: a letter tuple is spliced in, a value of at most
+    ``SHARE_MIN`` letters copied and a longer one or a node referenced; the
+    result is a node if it references one or has more than ``SHARE_MIN``
+    letters.  Fun tokens are evaluated once per update on ``w[:read]``."""
+    new, funs = [], {}
+    for rhs in prog:
+        if type(rhs) is not list:
+            new.append(val[rhs] if type(rhs) is int else rhs)
+            continue
+        parts: list = []
+        shared = False
+        for p in rhs:
+            kind = type(p)
+            if kind is int:
+                v = val[p]
+            elif kind is tuple:
+                parts += p
+                continue
+            else:
+                if p.name not in funs:
+                    funs[p.name] = eval_fun(registry, p.name, tuple(w[:read]))
+                v = funs[p.name]
+            if len(v) > SHARE_MIN or type(v) is _Cat:
+                parts.append(v)
+                shared = True
+            else:
+                parts += v
+        new.append(parts[0] if shared and len(parts) == 1 else
+                   _Cat(parts) if shared or len(parts) > SHARE_MIN else tuple(parts))
+    return tuple(new)
+
+
+# ---------------------------------------------------------------------------
+# Reference register-machine validation, one token at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_validate(m) -> list:
+    """``validate``'s report for an SST or NSST-F, with every check made on
+    the declared tuples, ``where`` formatted for every update and every
+    token checked by ``_check_tokens``."""
+    report: list = []
+    _check_alphabet("input alphabet", m.input_alphabet, report)
+    _check_alphabet("output alphabet", m.output_alphabet, report)
+    _check_distinct("state", m.states, report)
+    _check_distinct("register", m.registers, report)
+    if isinstance(m, SST):
+        _reference_sst(m, report)
+    else:
+        _reference_nsstf(m, report)
+    for q, rhs in m.output.items():
+        if q not in m.states:
+            report.append("output[%s]: undeclared state" % q)
+        for tok in rhs:
+            if isinstance(tok, Fun):
+                report.append("output[%s]: function tokens not allowed in output" % q)
+        _check_tokens("output[%s]" % q, [t for t in rhs if not isinstance(t, Fun)],
+                      m, report)
+    return report
+
+
+def _reference_sst(m, report: list) -> None:
+    if m.initial not in m.states:
+        report.append("initial state %r not declared" % m.initial)
+    if set(m.delta) != set(m.update):
+        report.append("transition and update maps have different domains")
+    if set(m.init_valuation) != set(m.registers):
+        report.append("initial valuation does not cover the register set")
+    for x, w in m.init_valuation.items():
+        for b in w:
+            if b not in m.output_alphabet:
+                report.append("init[%s]: unknown output letter %r" % (x, b))
+    for (q, a), q2 in m.delta.items():
+        if q not in m.states or q2 not in m.states:
+            report.append("delta[%s,%s]: undeclared state" % (q, a))
+        if a not in m.input_alphabet:
+            report.append("delta[%s,%s]: undeclared letter" % (q, a))
+    for (q, a), s in m.update.items():
+        where = "update[%s,%s]" % (q, a)
+        if set(s) != set(m.registers):
+            report.append("%s: not total on the register set" % where)
+        for x, rhs in s.items():
+            _check_tokens("%s(%s)" % (where, x), rhs, m, report)
+
+
+def _reference_nsstf(m, report: list) -> None:
+    assert isinstance(m, NSSTF)
+    if set(m.update) != set(m.transitions):
+        report.append("update map domain differs from the transition relation")
+    for q, val in m.initial.items():
+        if q not in m.states:
+            report.append("initial[%s]: undeclared state" % q)
+        if set(val) != set(m.registers):
+            report.append("initial[%s]: valuation not total" % q)
+    for (q, a, q2) in m.transitions:
+        if q not in m.states or q2 not in m.states:
+            report.append("transition (%s,%s,%s): undeclared state" % (q, a, q2))
+        if a not in m.input_alphabet:
+            report.append("transition (%s,%s,%s): undeclared letter" % (q, a, q2))
+    for key, s in m.update.items():
+        where = "update[%s,%s,%s]" % key
+        if set(s) != set(m.registers):
+            report.append("%s: not total on the register set" % where)
+        for x, rhs in s.items():
+            _check_tokens("%s(%s)" % (where, x), rhs, m, report)
 
 
 # ---------------------------------------------------------------------------

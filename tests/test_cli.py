@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -17,6 +18,7 @@ from xducer.machine_io import (
     MachineFileError,
     dumps_machine,
     emit_machine,
+    machine_from_json,
     machine_to_json,
     parse_machine,
 )
@@ -931,3 +933,181 @@ def test_parsers_are_reused_without_carrying_state(capsys, monkeypatch):
                            ("mul_marble", "sst")):
         assert main(["convert", "--to", target, corpus_path(source)]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == target
+
+
+# ---------------------------------------------------------------------------
+# The loader: the machines it builds, shared tokens, seeded malformed files
+# ---------------------------------------------------------------------------
+
+
+def _canonical(v):
+    """``v`` as nested tuples naming every dataclass field and container
+    type, frozensets sorted, so that its repr pins the whole machine."""
+    if is_dataclass(v):
+        return (type(v).__name__,) + tuple((f.name, _canonical(getattr(v, f.name)))
+                                           for f in fields(v))
+    if type(v) is dict:
+        return ("dict",) + tuple((_canonical(k), _canonical(x)) for k, x in v.items())
+    if type(v) is frozenset:
+        return ("frozenset",) + tuple(sorted(_canonical(x) for x in v))
+    if type(v) in (tuple, list):
+        return (type(v).__name__,) + tuple(_canonical(x) for x in v)
+    return v
+
+
+# sha256 of the canonical form of every corpus machine, so rewrites of the
+# loader keep the machines it builds.
+LOADED_DIGEST = "e578b16487716ed6803b5e7c98a76b82bb07fe0b55e871e988c9bb8ecf977407"
+
+
+def _token_lists(m):
+    rhss = list(m.output.values())
+    for s in m.update.values():
+        rhss += s.values()
+    return rhss
+
+
+def test_loaded_machines_are_unchanged_and_share_equal_tokens():
+    digest = hashlib.sha256()
+    for name in CORPUS_NAMES:
+        with open(corpus_path(name), encoding="utf-8") as fh:
+            digest.update(repr(_canonical(machine_from_json(json.load(fh)))).encode())
+    assert digest.hexdigest() == LOADED_DIGEST
+    repeats = 0
+    for name in CORPUS_NAMES + ["sstf", "nsstf"]:
+        m = machine_from_json(json.loads(json.dumps(_document(name))))
+        if not hasattr(m, "output"):
+            continue
+        assert all(type(rhs) is tuple for rhs in _token_lists(m))
+        tokens = [tok for rhs in _token_lists(m) for tok in rhs]
+        objects = {id(tok) for tok in tokens}
+        assert len(objects) == len(set(tokens)), name  # one object per token
+        repeats += len(tokens) - len(objects)
+    assert repeats > 0
+
+
+def _rhs_place(rng, doc):
+    """(path, container, key) of a random right-hand side: an update of a
+    transition or a state's output."""
+    if rng.random() < 0.7:
+        i = rng.randrange(len(doc["transitions"]))
+        update = doc["transitions"][i]["update"]
+        x = rng.choice(sorted(update))
+        return "$.transitions[%d].update.%s" % (i, x), update, x
+    q = rng.choice(sorted(doc["output"]))
+    return "$.output.%s" % q, doc["output"], q
+
+
+def _break_register_file(rng, doc):
+    """Break one field of an SST or NSST-F document; returns the message the
+    loader must give."""
+    nondet = doc["kind"] == "nsstf"
+    i = rng.randrange(len(doc["transitions"]))
+    entry = doc["transitions"][i]
+    at = "$.transitions[%d]" % i
+    names = ("from" if nondet else "state", "symbol", "to", "update")
+    roll = rng.random()
+    if roll < 0.06:
+        doc["transitions"][i] = rng.choice([5, "t", [], None])
+        return "%s: expected an object" % at
+    if roll < 0.14:
+        field = rng.choice(names)
+        del entry[field]
+        return "%s: missing field %r" % (at, field)
+    if roll < 0.24:
+        field = rng.choice(names)
+        entry[field] = rng.choice([5, None, ["q"], True] + ([] if field == "update" else [{}]))
+        return "%s.%s: expected %s" % (at, field, "dict" if field == "update" else "str")
+    if roll < 0.28:
+        doc["transitions"].insert(i + 1, json.loads(json.dumps(entry)))
+        key = tuple(entry[f] for f in names[:3 if nondet else 2])
+        return ("$.transitions[%d]: expected one entry per key, found a second for %r"
+                % (i + 1, key))
+    if roll < 0.36:
+        if nondet:
+            q = rng.choice(sorted(doc["initial"]))
+            if rng.random() < 0.3:
+                doc["initial"][q] = rng.choice([5, "x", []])
+                return "$.initial.%s: expected an object" % q
+            x = rng.choice(sorted(doc["initial"][q]))
+            doc["initial"][q][x] = rng.choice([5, "ab", [1], None])
+            return "$.initial.%s.%s: expected a list of symbols" % (q, x)
+        x = rng.choice(sorted(doc["initial_valuation"]))
+        doc["initial_valuation"][x] = rng.choice([5, "ab", [1], None])
+        return "$.initial_valuation.%s: expected a list of symbols" % x
+    path, place, key = _rhs_place(rng, doc)
+    if roll < 0.42:
+        place[key] = rng.choice(["x", 5, {"lit": "a"}, None])
+        return "%s: expected a token list" % path
+    rhs = place[key]
+    j = rng.randint(0, len(rhs))
+    roll = rng.random()
+    if roll < 0.3:
+        bad = rng.choice([5, "a", ["lit", "a"], {}, {"lit": "a", "reg": "x"}])
+        message = "expected an object with one of lit/reg/fun"
+    elif roll < 0.6:
+        bad = {rng.choice(["lit", "reg", "fun", "var"]):
+               rng.choice([7, None, ["a"], {"a": 1}, 1.5])}
+        message = "token payload must be a string"
+    else:
+        kind = rng.choice(["var", "Lit", "", "lits"])
+        bad = {kind: "a"}
+        message = "unknown token kind %r" % kind
+    if j < len(rhs) and rng.random() < 0.5:
+        rhs[j] = bad
+    else:
+        rhs.insert(j, bad)
+    return "%s[%d]: %s" % (path, j, message)
+
+
+def test_seeded_malformed_register_files_name_their_path(tmp_path):
+    """One broken field of an SST, SST-F or NSST-F file gives the message
+    that names its path, as the paths pinned above do."""
+    rng = random.Random(29)
+    sources = {name: _document(name) for name in ("mul_sst", "exp_sst", "sstf", "nsstf")}
+    bad = tmp_path / "bad.json"
+    seen = set()
+    for _ in range(600):
+        name = rng.choice(sorted(sources))
+        doc = json.loads(json.dumps(sources[name]))
+        message = _break_register_file(rng, doc)
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(MachineFileError) as err:
+            parse_machine(str(bad))
+        assert str(err.value) == message, name
+        seen.add(re.sub(r"'.*'|\(.*\)", "", message.rsplit(": ", 1)[1]))
+    assert len(seen) == 10, seen  # every message the mutations can give
+
+
+def _set_first_transition(field, value):
+    def change(entries):
+        entries[0][field] = value
+        return entries
+    return change
+
+
+@pytest.mark.parametrize("name,field,value,message", [
+    ("exp_sst", "kind", "tape", "$.kind: unknown machine kind 'tape'"),
+    ("chain_flow", "matrices", {"a": 5}, "$.matrices.a: expected a list of entries"),
+    ("copy_two_way", "transitions", _set_first_transition("move", "up"),
+     "$.transitions[0].move: bad move 'up'"),
+    ("mul_marble", "transitions", _set_first_transition("color", 3),
+     "$.transitions[0].color: expected a string or null"),
+])
+def test_malformed_fields_of_each_kind_name_their_path(tmp_path, name, field, value,
+                                                       message):
+    doc = _document(name)
+    doc[field] = value(doc[field]) if callable(value) else value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(MachineFileError) as err:
+        parse_machine(str(bad))
+    assert str(err.value) == message
+
+
+def test_malformed_json_names_the_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": ')
+    with pytest.raises(MachineFileError) as err:
+        parse_machine(str(bad))
+    assert str(err.value).startswith("%s: malformed JSON: " % bad)

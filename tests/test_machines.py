@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +11,7 @@ from xducer.machines import (
     ACT_LIFT,
     ACT_RIGHT,
     COPY_BOUND_LIMIT,
+    Fun,
     LEFT_END,
     Lit,
     MOVE_RIGHT,
@@ -18,6 +19,7 @@ from xducer.machines import (
     MarbleTransducer,
     NAutomaton,
     NSSTF,
+    RIGHT_END,
     Reg,
     SST,
     TwoWayTransducer,
@@ -33,7 +35,7 @@ from xducer.machines import (
     validate,
 )
 
-from conftest import CORPUS_NAMES, corpus_path, load
+from conftest import CORPUS_NAMES, corpus_path, load, reference_validate
 
 
 def lits(word):
@@ -442,3 +444,96 @@ def test_fault_free_machines_pass_the_structural_checks():
     for m in (TWO_WAY, MARBLE, ONE_REG, NONDET, WEIGHTED, UPWARD):
         assert validate(m) == [], m
     assert check_layered(UPWARD, (("x", "y"),)) == []
+
+
+# ---------------------------------------------------------------------------
+# Register-machine validation against its token-by-token reference
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LitLike(Lit):
+    """A ``Lit`` subclass: ``validate`` checks it as the letter it holds."""
+
+
+def random_token(rng, regs, funs, fault):
+    if rng.random() < fault:
+        return rng.choice([Lit("z"), Reg("nope"), Fun("h"), "x", 5, None,
+                           LitLike("a"), LitLike("z")])
+    roll = rng.random()
+    if roll < 0.15 and funs:
+        return Fun(rng.choice(funs))
+    return Lit(rng.choice("ab")) if roll < 0.5 else Reg(rng.choice(regs))
+
+
+def random_register_machine(rng, nondeterministic: bool):
+    """A random SST (with or without functions) or NSST-F in which every
+    part is broken now and then: alphabets, declarations, initial values,
+    transitions, update domains, right-hand sides, tokens and outputs."""
+    fault = rng.choice((0.0, 0.03, 0.1, 0.3))
+
+    def broken():
+        return rng.random() < fault
+
+    letters = ("a", "b")
+    inputs = rng.choice([(), ("a", "a"), ("a", LEFT_END)]) if broken() else letters
+    outputs = rng.choice([(), ("b", "b"), ("a", RIGHT_END)]) if broken() else letters
+    states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
+    regs = tuple("r%d" % i for i in range(rng.randint(1, 3)))
+    states += states[:1] if broken() else ()
+    regs += regs[-1:] if broken() else ()
+    funs = ("f", "g")[:rng.randint(0, 2)]
+
+    def valuation():
+        val = {x: tuple(rng.choice("abz" if broken() else "ab")
+                        for _ in range(rng.randint(0, 2)))
+               for x in regs if not broken()}
+        if broken():
+            val["extra"] = ()
+        return val
+
+    def substitution():
+        sub = {x: tuple(random_token(rng, regs, funs, fault)
+                        for _ in range(rng.randint(0, 3)))
+               for x in regs if not broken()}
+        if broken():
+            sub["extra"] = (Reg(regs[0]),)
+        return sub
+
+    def state():
+        return "nope" if broken() else rng.choice(states)
+
+    keys = [(q, rng.choice(("a", "b", "z")) if broken() else a)
+            for q in states for a in letters if rng.random() < 0.8]
+    output = {("nope" if broken() else q): tuple(
+                  random_token(rng, regs, ("f",) if broken() else (), fault)
+                  for _ in range(rng.randint(0, 3)))
+              for q in states if rng.random() < 0.8}
+    if nondeterministic:
+        transitions = sorted({(q, a, state()) for q, a in keys})
+        update = {key: substitution() for key in transitions if not broken()}
+        if broken():
+            update[("q0", "a", "nope")] = {}
+        return NSSTF(inputs, outputs, states, regs, funs,
+                     {state(): valuation() for _ in range(rng.randint(1, 2))},
+                     tuple(transitions), update, output)
+    delta = {key: state() for key in keys}
+    update = {key: substitution() for key in delta if not broken()}
+    if broken():
+        update[("q0", "z")] = {}
+    return SST(inputs, outputs, states, regs, state(), valuation(), delta,
+               update, output, funs)
+
+
+def test_register_machine_reports_match_the_reference():
+    """``validate`` reports, for SSTs and NSST-Fs broken at random, the
+    faults the token-by-token reference reports, in the same order."""
+    rng = random.Random(2029)
+    faults = clean = 0
+    for i in range(3000):
+        m = random_register_machine(rng, nondeterministic=i % 3 == 0)
+        report = validate(m)
+        assert report == reference_validate(m), m
+        faults += len(report)
+        clean += not report
+    assert faults > 10000 and clean > 300, (faults, clean)

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,6 +32,7 @@ from xducer.oracle import words_up_to
 from xducer.semantics import (
     LOOP,
     REJECT,
+    SHARE_MIN,
     enumerate_nsstf_runs,
     eval_nautomaton,
     format_trace,
@@ -41,7 +43,7 @@ from xducer.semantics import (
     run_two_way,
 )
 
-from conftest import load, reference_run
+from conftest import load, reference_run, reference_update
 
 
 def test_reverse_two_way():
@@ -700,3 +702,81 @@ def test_outputs_of_several_characters_are_stepped_singly():
     scans = scan_lengths(copier)
     w = ("xy", "z") * 10
     assert assert_matches_reference(copier, w).output == w and scans == []
+
+
+# ---------------------------------------------------------------------------
+# The update evaluator against its piece-by-piece reference
+# ---------------------------------------------------------------------------
+
+# Value lengths around SHARE_MIN, so that flat joins land on SHARE_MIN and
+# SHARE_MIN + 1 letters; 40 stands for a long flat initial value.
+VALUE_LENGTHS = (0, 1, 2, 15, 16, 17, SHARE_MIN - 1, SHARE_MIN, SHARE_MIN + 1, 40)
+
+
+def random_value(rng, depth=0):
+    """A register value: a flat word of a length from ``VALUE_LENGTHS`` or,
+    now and then, a node over letters, flat words and nodes."""
+    if depth < 2 and rng.random() < 0.2:
+        items = [rng.choice("ab") if rng.random() < 0.3 else
+                 random_value(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+        return semantics._Cat(items + [("a",) * (SHARE_MIN + 1)])
+    return tuple(rng.choice("ab") for _ in range(rng.choice(VALUE_LENGTHS)))
+
+
+def random_rhs(rng, registers):
+    """A right-hand side of moves, letters, function calls and, now and
+    then, a constant run longer than ``SHARE_MIN``."""
+    rhs = []
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.55:
+            rhs.append(Reg(rng.choice(registers)))
+        elif roll < 0.85:
+            rhs.append(Lit(rng.choice("ab")))
+        elif roll < 0.95:
+            rhs.append(Fun(rng.choice("fg")))
+        else:
+            rhs += [Lit("a")] * rng.randint(SHARE_MIN - 1, SHARE_MIN + 8)
+    return rhs
+
+
+def test_update_matches_the_piece_by_piece_reference():
+    """``_update`` gives every register the value and the type (flat tuple
+    or node) the piece-by-piece loop gives it, and ``_output_word`` the word
+    of that value, on random programs over valuations of flat words around
+    ``SHARE_MIN``, long flat words and nodes, with function calls."""
+    registry = FunctionRegistry({"f": lambda w: ("a",) * len(w),
+                                 "g": lambda w: ("b",) * (SHARE_MIN - len(w) % 3)})
+    rng = random.Random(29)
+    joins = Counter()
+    for _ in range(4000):
+        registers = tuple("r%d" % i for i in range(rng.randint(1, 4)))
+        index = {x: i for i, x in enumerate(registers)}
+        val = tuple(random_value(rng) for _ in registers)
+        prog = tuple(semantics._compile_rhs(random_rhs(rng, registers), index)
+                     for _ in registers)
+        w = tuple(rng.choice("ab") for _ in range(rng.choice(VALUE_LENGTHS)))
+        read = rng.randint(0, len(w))
+        got = semantics._update(prog, val, w, read, registry)
+        want = reference_update(prog, val, w, read, registry)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        for rhs, value in zip(prog, want):
+            if type(rhs) is not list:
+                joins[type(rhs).__name__] += 1
+            elif any(type(p) is Fun for p in rhs):
+                joins["fun"] += 1
+            else:
+                assert semantics._output_word(rhs, val) == semantics._flat(value)
+                pieces = [val[p] if type(p) is int else p for p in rhs]
+                if all(type(p) is tuple for p in pieces):
+                    joins[min(len(value), SHARE_MIN + 1)] += 1
+                else:
+                    joins["node"] += 1
+        for rhs in prog:
+            if type(rhs) is not list:
+                assert semantics._output_word(rhs, val) == semantics._flat(
+                    reference_update((rhs,), val, (), 0, None)[0])
+    # every kind of right-hand side, and flat joins on both sides of SHARE_MIN
+    assert min(joins[k] for k in ("int", "tuple", "_Cat", "fun", "node",
+                                  SHARE_MIN, SHARE_MIN + 1)) >= 20, joins
