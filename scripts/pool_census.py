@@ -8,7 +8,8 @@ machine:
 - ``outcome``: "layered", "exponential", the MachineError message of a
   refusal, or "killed" (with the signal or error) when a limit ended it;
 - ``cpu_s``: the child's CPU seconds;
-- ``states``, ``registers``, ``size`` (states x registers) and ``sha256`` of
+- ``states``, ``registers``, ``layers`` (the register count of each layer,
+  bottom first), ``size`` (states x registers) and ``sha256`` of
   ``dumps_machine`` for a layered output, with its ``k``, the growth
   ``degree`` and ``build_s``, the CPU seconds ``to_k_layered`` took;
 - ``equiv`` for a layered output: the ``equiv_check`` status of the output
@@ -101,6 +102,7 @@ def census(spec: list, emit) -> None:
         if res.kind == "layered":
             out = res.machine
             row.update(states=len(out.states), registers=len(out.registers),
+                       layers=[len(layer) for layer in res.layers],
                        size=len(out.states) * len(out.registers),
                        sha256=hashlib.sha256(
                            dumps_machine(out, res.layers).encode()).hexdigest(),

@@ -180,24 +180,25 @@ def to_simple(m: SST) -> SST:
 
 
 def prune_sst_registers(m: SST, layers: tuple) -> tuple:
-    """Register allocation: merge registers never live at the same state.
+    """Register allocation: each layer keeps as many registers as it has
+    live at one state, the least for these states.
 
     Works in four steps over the reachable states, with register sets as
     bit masks.  (1) The registers that may be nonempty at each state, a
     least fixpoint forward from the initial valuation; the others are forced
     empty there.  (2) The registers live at each state: read by its output,
     or by the update of a register live at a successor, reads of
-    forced-empty registers ignored.  (3) A greedy colouring within each
-    layer (Chaitin 1982), where two registers interfere when they are live
-    at the same state; a colour is named after its first register, and a
-    register live nowhere gets none.  (4) Every update, output and initial
-    value is renamed through subst_apply: a colour holds the value of its
-    register live at the state, the empty word where none is, and reads of
-    registers dead at a state are dropped.  Unreachable states are dropped
-    too; a machine with every register live at every state comes back as
-    it is.  Colouring bounds the register count from above; it is not the
-    exact minimum.  Returns the machine and its layers, as many as before,
-    so an emptied layer stays.
+    forced-empty registers ignored.  (3) At each live set, each layer's live
+    registers are numbered 0, 1, ... in register order; slot j of a layer is
+    one register, named after the layer's j-th register live somewhere.
+    (4) Every update, output and initial value is renamed through
+    subst_apply, reads by the source state's numbering and writes by the
+    target's (an update is a simultaneous substitution, so this costs
+    nothing); a slot numbering nothing is emptied, and reads of registers
+    dead at a state are dropped.  Unreachable states are dropped too; a
+    machine with every register live at every state comes back as it is.
+    Returns the machine and its layers, as many as before, so an emptied
+    layer stays.
     """
     bit = {x: 1 << i for i, x in enumerate(m.registers)}
     full = (1 << len(m.registers)) - 1
@@ -253,35 +254,29 @@ def prune_sst_registers(m: SST, layers: tuple) -> tuple:
     if len(filled) == len(m.states) and all(v == full for v in live.values()):
         return m, tuple(tuple(layer) for layer in layers)   # nothing to change
     masks = set(live.values())
-    names = {v: [x for x, b in bit.items() if v & b] for v in masks}
-    rep, colour_layers = {}, []
-    for layer in layers:
-        colours = []   # [name, registers given the colour]
-        for x in layer:
-            clash = 0
-            for v in masks:
-                if v & bit[x]:
-                    clash |= v
-            if clash:
-                for c in colours:
-                    if not c[1] & clash:
-                        c[1] |= bit[x]
-                        rep[x] = c[0]
-                        break
-                else:
-                    colours.append([x, bit[x]])
-                    rep[x] = x
-        colour_layers.append(tuple(c[0] for c in colours))
-    registers = tuple(x for x in m.registers if rep.get(x) == x)
+    level = {x: i for i, layer in enumerate(layers) for x in layer}
+    somewhere = [[] for _ in layers]    # slot j of layer i is named somewhere[i][j]
+    anywhere = 0
+    for v in masks:
+        anywhere |= v
+    for x, b in bit.items():
+        if anywhere & b:
+            somewhere[level[x]].append(x)
+    slot = {}    # live mask -> its live registers' slots, numbered in register order
+    for v in masks:
+        free = [iter(regs) for regs in somewhere]
+        slot[v] = {x: next(free[level[x]]) for x, b in bit.items() if v & b}
+    kept = {s for at in slot.values() for s in at.values()}
+    registers = tuple(x for x in m.registers if x in kept)
     empty = dict.fromkeys(m.registers, ())
-    renaming = {v: {**empty, **{x: (Reg(rep[x]),) for x in together}}
-                for v, together in names.items()}
+    renaming = {v: {**empty, **{x: (Reg(s),) for x, s in at.items()}}
+                for v, at in slot.items()}
 
     def row(q, rename, values):
         out = dict.fromkeys(registers, ())
-        for x in names[live[q]]:
+        for x, s in slot[live[q]].items():
             if values[x]:
-                out[rep[x]] = subst_apply(rename, values[x])
+                out[s] = subst_apply(rename, values[x])
         return out
 
     allocated = SST(
@@ -296,13 +291,13 @@ def prune_sst_registers(m: SST, layers: tuple) -> tuple:
                 for q, rhs in m.output.items() if q in filled},
         funs=m.funs,
     )
-    return allocated, tuple(colour_layers)
+    return allocated, tuple(tuple(x for x in regs if x in kept) for regs in somewhere)
 
 
 def prune_dead_registers(m: SST) -> SST:
-    """prune_sst_registers for a simple machine.  Its one state makes every
-    live register interfere with every other, so nothing is merged, and the
-    kept registers are exactly the states of its trimmed flow automaton.
+    """prune_sst_registers for a simple machine.  Its one state numbers
+    every live register after itself, so nothing is renamed, and the kept
+    registers are exactly the states of its trimmed flow automaton.
     to_k_layered does not call it; the benchmark's tracer
     (perfbench/spans.py) names it."""
     if not is_simple(m):
@@ -922,11 +917,11 @@ def splice_layers(top: SST, lower: SST, lower_layers: tuple,
 
     ``fun_expr`` maps every function name of ``top`` to per-lower-state token
     expressions whose pre-step value equals the call's result at that step.
-    Returns the product machine and its layer partition (lower layers
-    followed by the top registers).
+    Returns the product machine and its layer partition: the lower layers
+    followed by the top registers, or these alone for a top without calls.
     """
     if not top.funs:
-        return top, lower_layers + (top.registers,) if lower_layers else (top.registers,)
+        return top, (top.registers,)
     for f in top.funs:
         if f not in fun_expr:
             raise MachineError("unbound function name %r" % f)

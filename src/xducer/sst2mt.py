@@ -36,8 +36,9 @@ from .machines import (
 from .layering import make_total
 
 # Walker states _build_walker may create; the size depends on the machine
-# only: 1,155 for a 16-state × 18-register layered machine, 13,015 for
-# 26 × 83 and 50,276 for 35 × 111 (benchmark pool members 26 and 29).
+# only: 3,772 for a 17-state × 17-register layered machine, 5,711 for
+# 26 × 22, 9,501 for 35 × 17 and 575,552 for 660 × 34 (benchmark pool
+# members 15, 26, 29 and 7).
 WALKER_STATE_LIMIT = 10 ** 6
 
 

@@ -193,6 +193,9 @@ def test_run_exit_codes(capsys):
     assert main(["run", corpus_path("mul_marble"), "ab"]) == 2
     capsys.readouterr()
     assert main(["run", corpus_path("exp_marble"), "aaaa", "--budget", "7"]) == 3
+    capsys.readouterr()
+    assert main(["run", corpus_path("identity_sst"), ""]) == 0
+    assert capsys.readouterr().out == "\n"
 
 
 def test_run_mul_corpus_file(capsys):
@@ -442,6 +445,14 @@ def test_analyze_and_optimize_exponential(capsys):
     assert main(["optimize", corpus_path("exp_sst")]) == 4
 
 
+def test_analyze_refuses_an_sstf(tmp_path, capsys):
+    path = tmp_path / "sstf.json"
+    path.write_text(json.dumps(_document("sstf")))
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot analyze this machine kind" in err
+
+
 def test_analyze_polynomial(capsys):
     assert main(["analyze", corpus_path("mul_sst")]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -515,7 +526,7 @@ def test_state_register_names_that_meet_stay_apart(tmp_path, capsys):
 # sha256 of the single-state forms of the corpus SSTs, of the crossing SSTs
 # of the corpus marble and two-way files, and of the two machines above
 # whose names meet, so rewrites of to_simple keep its bytes.
-SIMPLE_DIGEST = "8569e0a1ba2767ee40830b7a012dfaea1b74f9bac32b4627c9b7be803d2b52b2"
+SIMPLE_DIGEST = "be1db991c83e5c5e250fa0def560f5ea0e1d1a35248c6de409449f8bd15c81e2"
 
 
 def test_single_state_forms_keep_their_bytes():
@@ -569,20 +580,20 @@ def test_optimize_dump_stages(tmp_path, capsys):
 # Exit code and sha256 of the `optimize -o` machine for each corpus file (None:
 # no machine is written), so pipeline refactors keep the emitted bytes.
 OPTIMIZED = {
-    "bounded_pair_sst": (0, "45a05a87bf90627750feb5a8182a746638dea656d90f2d47e59339929045e154"),
+    "bounded_pair_sst": (0, "e43ba3855c627e250a3aadc4778c805be98dbd3a4fe53b4386f4faa7e7de9f2b"),
     "chain_flow": (1, None),
     "copy_two_way": (0, "c019f0edb614b68c08237a04c58d6c96d8f68fcf6aef0d9b019da786ae4fe45d"),
     "exp_flow": (1, None),
     "exp_marble": (4, None),
     "exp_sst": (4, None),
     "identity_sst": (0, "605abf092c0c9d1c6c0e1ed332e51f6a1b03c8f25983ef51e3449c51cb27355e"),
-    "mul_marble": (0, "69eb1adfd8511974b8498b0351f8d89875d5e2dd00bbfa23fd9f2e0b5bb49011"),
+    "mul_marble": (0, "2ae9012f00b72f5230e97c2636126d844189a354321a4a880357e3f164549a02"),
     "mul_sst": (0, "ebebf45b9bfafec544cd74942de0ddd3b551eeba6cc8e034c1c4ae2a04066ba2"),
     "mul_sst_copyful": (0, "ebebf45b9bfafec544cd74942de0ddd3b551eeba6cc8e034c1c4ae2a04066ba2"),
-    "pow2_marble": (0, "f784051a22b2685a6925ef5d7566c21de5516571d2289b02723383973a9e71bf"),
-    "pow2_marble_wasteful": (0, "095bb9792c3779de327c4e17dfca0dc8212fd34c43461eab0077f20d70669b7b"),
+    "pow2_marble": (0, "b22edf10974a60f70f2baf5c45923999334e8216cf4e7d18fbe4e294084d8343"),
+    "pow2_marble_wasteful": (0, "5c9859e90f8b9a87971309cddfa20837b4627e31b400b336447ff2732f0982df"),
     "reverse_sst": (0, "4f43013eb1f84c5c6fe9d4b6a10294aa57001f0a8b1ff2e65c7d7db0e907129d"),
-    "reverse_sst_copyful": (0, "daa01d3e0d86902cd7a893a36fa47f86616a12959d92521720534a3e0de96de1"),
+    "reverse_sst_copyful": (0, "f71c61b7d3759ed3c350735cce1cd22c3f709d1b35c7b1dfa24f5aa028139b4d"),
     "reverse_two_way": (0, "7aa822b755585350440319e1e70eb69b89442841ef3c119764bd813d6d4423a5"),
 }
 
@@ -609,11 +620,11 @@ ANALYZED = {
     "exp_marble": (0, "d9a43006cfddf42ab314dc106b8504bad0fe87af46f855517ad8e93bf2fe2096"),
     "exp_sst": (0, "c9aee5d24b3c5c8c0eb8fe96207ea3d1688488adf4bd8a76a2e9bf3d56db8d82"),
     "identity_sst": (0, "6d14f5be55e0d4eff5b4a26d5964902598a47819feccb733196325138055e531"),
-    "mul_marble": (0, "bb5f957d76a9a358069570a6b97fa02c4356aa89106352affa5d9085521d2758"),
+    "mul_marble": (0, "7bd4a6d9b283d47a41f769ad8ac8b8a2820abab24704633ba537c583ff59136f"),
     "mul_sst": (0, "3e6ec0d086f8271dbfdd0cad71c2a5ce1dea88debccab98190dcb0c71f2b0ed5"),
     "mul_sst_copyful": (0, "571347f9ba7b88d621f771168581139ff41169a7c4a61d2a230385c1e3ad11d5"),
-    "pow2_marble": (0, "c211866c40bb1b6402f8f81f972a7a6c0edead1a01dcf4bc61a728e0f92ec930"),
-    "pow2_marble_wasteful": (0, "cdf121b21d1b479ac44d1cb366b2e0d4eaebb0a2bc1cea337d612641a4dd2d8c"),
+    "pow2_marble": (0, "2316be16032c570e2b86311772919a33175474dde854fec4e9788ce593223162"),
+    "pow2_marble_wasteful": (0, "8d33e258043babc7f9fa16f2ef97d1bd16790a4e1302d86a8a158ac6274d4821"),
     "reverse_sst": (0, "bf2a4b74860e05c5275d31e8e3d0aa3cca749c71a7165cb2cc0cc8929c7fbbb3"),
     "reverse_sst_copyful": (0, "026f30f9766fbf8e8f3beea324450a78703bcad0efc1f670492af47b4287a679"),
     "reverse_two_way": (0, "352b8e9dfed7bd5ca6eeb0a013ca98186f84b97937fcdbf988922fdd575c0f0d"),
@@ -645,15 +656,15 @@ CONVERTED = {
     ("exp_sst", "marble"): (0, "710787bbd25b1b29a094430a3c41d028a6ba8f5ee2f132d5f9ce0e6d8f6c14b9"),
     ("identity_sst", "sst"): (0, "303a17dae54c108167765ad830f88e2e757d76bda3bdb1262564769a9ed48e59"),
     ("identity_sst", "marble"): (0, "c769d9151ecb7b56c2305f155919dcb39e6e70d823323fb8820cf0db41d11384"),
-    ("mul_marble", "sst"): (0, "89b1afa56cec4967098418d672deea56d7c731c156177e3309d6182aa1cdf928"),
+    ("mul_marble", "sst"): (0, "68b50cfdcfd4431168cfa86ef0d97f2d3eab571975e74135621f6ee46591c8c0"),
     ("mul_marble", "marble"): (0, "896bee3c34e42c1c55bcee2fad94a26293f883f8104f16e0a3a1334d73fea5dc"),
     ("mul_sst", "sst"): (0, "fefddcb89499d216f4bbc58e3b6286e11366a5ec64eae7ed00fd1289ca3e118e"),
     ("mul_sst", "marble"): (0, "852f4b70644ce28f64709bbc8f017d5ed765c093daedbccf150efc365646ce79"),
     ("mul_sst_copyful", "sst"): (0, "0a1f6fc80b15ffcac9a6b3e7a29fb4c284857d0484de21d722693aafc19b7360"),
     ("mul_sst_copyful", "marble"): (0, "af85f6a42b8f3b9daf5de7df4c65669e467fa92b131a66d7da93365129286acd"),
-    ("pow2_marble", "sst"): (0, "2ba5d3d7b888f028dc702440ec289fb070714cdf4b9650890f3d2f2ed0756ac5"),
+    ("pow2_marble", "sst"): (0, "bf44377298c5133d0afb09ea3b367a0004af099a5add0721ac601e633b6f272c"),
     ("pow2_marble", "marble"): (0, "78afd9a097ded9f18757a2e1799059ea1bdafac4a8f019c3c0b44d17db87db55"),
-    ("pow2_marble_wasteful", "sst"): (0, "8087cec40454934f813fad16092fdf24e911a7497c53d75cd9eb94010e33cbc3"),
+    ("pow2_marble_wasteful", "sst"): (0, "204774235f62e8927c112b8ef38d1ca4cca4b325f3a959af83cfe643de48c97c"),
     ("pow2_marble_wasteful", "marble"): (0, "eba7a2f8b22edb2dd0664e18d3673b75972ceb4e640291c5530a0ef6cee6cd70"),
     ("reverse_sst", "sst"): (0, "d8413d412b3a494f0429ee70a84b7d4b732762a3c9acf4f2a6a05cb9facfb5cc"),
     ("reverse_sst", "marble"): (0, "e100be1625f31ac045431baf063aa52e27a7a6752eae414853758dcbd5fcf013"),

@@ -46,7 +46,7 @@ from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import enumerate_nsstf_runs, run_marble, run_sst, run_sstf
 from xducer.sst2mt import layered_to_marble
 
-from conftest import load
+from conftest import assert_allocated, load
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +513,17 @@ def test_splice_empty_registry_returns_top():
     assert out is m and layers == (m.registers,)
 
 
+def test_splice_without_calls_drops_the_lower_layers():
+    # the lower machine's registers are not in the returned one
+    m = load("bounded_pair_sst")
+    lower = value_sst(m, "x", m.registers)
+    out, layers = splice_layers(m, lower, (m.registers,), {})
+    assert out is m and layers == (m.registers,)
+    # the layers cover the machine's registers once; its one layer copies
+    assert check_layered(out, layers) == [
+        "update[q,a]: register 'x' used 2 times within layer 0"]
+
+
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
@@ -616,9 +627,32 @@ def test_allocator_drops_reads_of_registers_forced_empty():
             output={"p": (Reg("y"),), "q": (Reg("y"),)})
     allocated, layers = prune_sst_registers(m, (("x", "y"),))
     assert allocated.registers == ("x", "y")
-    assert allocated.update[("q", "a")] == {"x": (Lit("a"),), "y": (Reg("y"), Lit("b"))}
-    assert allocated.update[("p", "a")] == m.update[("p", "a")]
+    # only y is live at q, so it takes slot x there
+    assert allocated.update[("q", "a")] == {"x": (Lit("a"),), "y": (Reg("x"), Lit("b"))}
+    assert allocated.update[("p", "a")] == {"x": (Reg("y"), Reg("x")), "y": ()}
+    assert allocated.output == {"p": (Reg("y"),), "q": (Reg("x"),)}
     assert equiv_check(allocated, m, 6).equivalent
+
+
+def test_allocator_reaches_the_live_bound_on_a_crown():
+    # each state outputs one edge a_i b_j (i != j) of the crown graph, and
+    # every register is reset to its letter on each transition; colouring in
+    # register order takes three registers, but two are live at any state
+    regs = ("a1", "b1", "a2", "b2", "a3", "b3")
+    letter = dict(zip(regs, "pqrstu"))
+    states = tuple("e%d" % k for k in range(6))
+    edges = [(i, j) for i in "123" for j in "123" if i != j]
+    m = SST(input_alphabet=("a",), output_alphabet=tuple("pqrstu"), states=states,
+            registers=regs, initial="e0",
+            init_valuation={x: (letter[x],) for x in regs},
+            delta={(q, "a"): states[(k + 1) % 6] for k, q in enumerate(states)},
+            update={(q, "a"): {x: (Lit(letter[x]),) for x in regs} for q in states},
+            output={q: (Reg("a" + i), Reg("b" + j)) for q, (i, j) in zip(states, edges)})
+    allocated, layers = prune_sst_registers(m, (regs,))
+    assert allocated.registers == ("a1", "b1") and layers == (("a1", "b1"),)
+    assert_allocated(allocated, layers)
+    assert check_layered(allocated, layers) == []
+    assert equiv_check(allocated, m, 7).equivalent
 
 
 # Growth degree of pool_machine("opt_sst", i) for i = 0..39; None: exponential

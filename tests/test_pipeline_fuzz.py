@@ -89,7 +89,7 @@ def check_exponential_witness(m: SST, report) -> None:
 
 # sha256 over the emitted machines of all polynomial trials below, in order
 RANDOM_LAYERED_DIGEST = \
-    "c3f0eeea2e914b826a0f838ef7b4cacf3c54239616aaa8621ea2f98f77aa66d4"
+    "7f6cafa1f9757cc40fdefa09fc94a87dec46a271b650732eab73077c6729d878"
 
 
 def test_random_ssts_through_layer_minimization():

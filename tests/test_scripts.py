@@ -42,10 +42,11 @@ def test_pool_census_reports_each_member():
     for row in rows:
         assert row["outcome"] == "layered", row
         assert row["size"] == row["states"] * row["registers"]
+        assert sum(row["layers"]) == row["registers"]
         assert row["nsstf"] == row["det"] == [] and row["cpu_s"] >= 0
         assert row["out_degree"] == row["degree"] and row["classify_s"] >= 0
     # the layered outputs of members 0 and 1, byte for byte
-    assert [row["sha256"][:16] for row in rows] == ["8f73e87c81e81234",
+    assert [row["sha256"][:16] for row in rows] == ["d7e3a7d2731baa88",
                                                      "b1cc9abdbcea6a84"]
 
 
@@ -86,6 +87,7 @@ def test_pool_census_climbs_the_size_ladder():
         if row["outcome"] == "layered":
             assert row["equiv"] == "equivalent" and row["k"] == max(row["degree"] - 1, 0)
             assert row["size"] == row["states"] * row["registers"]
+            assert sum(row["layers"]) == row["registers"]
 
 
 def test_interp_rate_reports_each_machine():

@@ -321,6 +321,14 @@ def test_enumerate_nsstf_runs():
     assert enumerate_nsstf_runs(_tiny_nsstf(False), "aa") == []
 
 
+def test_run_machine_on_an_nsstf_needs_one_output():
+    # no run reads aa; a is read by two runs with different outputs
+    assert run_machine(_tiny_nsstf(False), "aa").verdict == REJECT
+    two = replace(_tiny_nsstf(True), output={"q": (Reg("x"),), "q2": (Reg("x"), Reg("x"))})
+    with pytest.raises(MachineError, match="several outputs for one word"):
+        run_machine(two, "a")
+
+
 def test_enumerate_nsstf_branch_guard(monkeypatch):
     monkeypatch.setattr(semantics, "NSSTF_BRANCH_LIMIT", 1)
     with pytest.raises(MachineError):
