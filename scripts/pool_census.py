@@ -17,7 +17,8 @@ machine:
 - ``out_degree`` and ``classify_s`` for a layered output: the growth degree
   ``classify_function`` reports on the output, and the CPU seconds it took;
 - ``nsstf`` and ``det``: [states, registers] of every occurrence-profile
-  machine and every determinization the run built, in call order.
+  machine and every determinization the run built, in call order, and
+  ``det_s``: the CPU seconds of each determinization, in the same order.
 
 The child prints its row as soon as ``to_k_layered`` returns and again after
 each check, so a limit that ends one of the checks keeps the sizes: the row
@@ -81,12 +82,15 @@ def census(spec: list, emit) -> None:
     from xducer.machines import MachineError
     from xducer.oracle import equiv_check
 
-    row = dict(label(spec), nsstf=[], det=[])
+    row = dict(label(spec), nsstf=[], det=[], det_s=[])
     for name, key in (("bounded_sstf_to_unambiguous", "nsstf"),
                       ("determinize_nsstf", "det")):
         def sized(m, _original=getattr(layering, name), _key=key):
+            start = time.process_time()
             out = _original(m)
             row[_key].append([len(out.states), len(out.registers)])
+            if _key == "det":
+                row["det_s"].append(round(time.process_time() - start, 3))
             return out
         setattr(layering, name, sized)
     m = source(spec)

@@ -13,7 +13,9 @@ product; every result leaves through the register allocator,
 prune_sst_registers.  The copyless step guesses
 occurrence profiles in an unambiguous nondeterministic machine, built
 backward from the output, and determinizes it by tracking the alive forest
-of its runs: one tree, its slots numbered in pre-order.  Both are sized by
+of its runs: one tree, its slots numbered in pre-order, its branches
+composed with subst_apply and split into skeleton and boundary words by
+decompose_copyless.  Both are sized by
 what they build: a register has as many copies as its largest profile
 entry, and the slots are those of the widest forest explored.
 """
@@ -38,8 +40,8 @@ from .machines import (
     Substitution,
     check_layer_order,
     check_layered,
+    compose_substitutions,
     explore,
-    register_occurrences,
     subst_apply,
 )
 
@@ -388,8 +390,9 @@ class SkeBegFol:
     erased); ``beg`` holds the maximal letter prefix of each image; ``fol``
     holds, per source register, the letter block following its unique
     occurrence.  Reassembling beg/ske/fol reproduces the substitution.
-    The beg/fol entries are token tuples so the same composition rules work
-    for concrete words and for register-reference expressions.
+    Boundary words are token tuples: letters, function calls and references
+    to registers the substitution does not name, such as the slot registers
+    of determinize_nsstf.
     """
 
     ske: dict  # register -> tuple of register names
@@ -398,82 +401,30 @@ class SkeBegFol:
 
 
 def decompose_copyless(s: Substitution) -> SkeBegFol:
-    counts = register_occurrences(s)
-    if any(c > 1 for c in counts.values()):
-        raise MachineError("substitution is not copyless")
+    """Split ``s`` at its references to registers it names; every other
+    token is boundary material.  Raises if a register occurs twice."""
     ske, beg, fol = {}, {}, {}
-    regs = sorted(s)
-    for y in regs:
-        fol[y] = ()
-    for x in regs:
+    for x in sorted(s):
         rhs = s[x]
         names = []
-        i = 0
-        while i < len(rhs) and not isinstance(rhs[i], Reg):
-            i += 1
-        beg[x] = tuple(rhs[:i])
-        while i < len(rhs):
-            y = rhs[i].name
-            names.append(y)
-            j = i + 1
-            while j < len(rhs) and not isinstance(rhs[j], Reg):
-                j += 1
-            fol[y] = tuple(rhs[i + 1:j])
-            i = j
+        cut = 0   # where the boundary word after the last name starts
+        for i, t in enumerate(rhs):
+            if type(t) is Reg and t.name in s:
+                if names:
+                    fol[names[-1]] = tuple(rhs[cut:i])
+                else:
+                    beg[x] = tuple(rhs[:i])
+                names.append(t.name)
+                cut = i + 1
+        if names:
+            fol[names[-1]] = tuple(rhs[cut:])
+        else:
+            beg[x] = tuple(rhs)
         ske[x] = tuple(names)
-    return SkeBegFol(ske, beg, fol)
-
-
-def compose_skebegfol(p: SkeBegFol, c: SkeBegFol) -> SkeBegFol:
-    """Decomposition of the composite applying ``p`` to the images of ``c``.
-
-    Registers whose image under ``p`` is letter-only get absorbed into the
-    neighbouring boundary words; everything stays copyless because each
-    boundary entry of either argument lands in exactly one result entry.
-    """
-    regs = sorted(c.ske)
-    ske, beg, fol = {}, {}, {}
-    host = {}  # register z -> (register y with z in p.ske[y], index)
-    for y, names in p.ske.items():
-        for i, z in enumerate(names):
-            host[z] = (y, i)
-    where = {}  # register y -> (register x with y in c.ske[x], index)
-    for x, names in c.ske.items():
-        for i, y in enumerate(names):
-            where[y] = (x, i)
-    for x in regs:
-        ys = c.ske[x]
-        ske[x] = tuple(z for y in ys for z in p.ske[y])
-        b = list(c.beg[x])
-        i = 0
-        while i < len(ys) and not p.ske[ys[i]]:
-            b.extend(p.beg[ys[i]])
-            b.extend(c.fol[ys[i]])
-            i += 1
-        if i < len(ys):
-            b.extend(p.beg[ys[i]])
-        beg[x] = tuple(b)
-    for z in regs:
-        if z not in host:
-            fol[z] = ()
-            continue
-        y, i = host[z]
-        if i + 1 < len(p.ske[y]):
-            fol[z] = tuple(p.fol[z])
-            continue
-        f = list(p.fol[z])
-        if y in where:
-            x, j = where[y]
-            ys = c.ske[x]
-            f.extend(c.fol[y])
-            j += 1
-            while j < len(ys) and not p.ske[ys[j]]:
-                f.extend(p.beg[ys[j]])
-                f.extend(c.fol[ys[j]])
-                j += 1
-            if j < len(ys):
-                f.extend(p.beg[ys[j]])
-        fol[z] = tuple(f)
+    if len(fol) != sum(map(len, ske.values())):
+        raise MachineError("substitution is not copyless")
+    for y in ske:
+        fol.setdefault(y, ())
     return SkeBegFol(ske, beg, fol)
 
 
@@ -643,25 +594,36 @@ def bounded_sstf_to_unambiguous(m: SST) -> NSSTF:
 # subtree is its least one.
 
 
+# Slot register names end in .beg or .fol, so they differ from the x@i
+# registers of bounded_sstf_to_unambiguous: decompose_copyless tells them
+# apart by whether the substitution names them.
 def _slot_regs(slot: int, x: str):
     return "s%d.%s.beg" % (slot, x), "s%d.%s.fol" % (slot, x)
 
 
-def _slot_sbf(slot: int, ske_items) -> SkeBegFol:
-    """Symbolic decomposition whose boundary words are the slot's registers."""
-    ske = {x: names for x, names in ske_items}
-    beg, fol = {}, {}
-    for x, _names in ske_items:
-        b, f = _slot_regs(slot, x)
-        beg[x] = (Reg(b),)
-        fol[x] = (Reg(f),)
-    return SkeBegFol(ske, beg, fol)
+class _Keep(dict):
+    """A substitution that maps each register it does not name to itself."""
+
+    def __missing__(self, name):
+        return (Reg(name),)
 
 
-def _least_leaf(node):
-    while node[0] is None:
-        node = node[2][0]
-    return node[0]
+def _slot_sub(slot: int, ske_items) -> _Keep:
+    """The node substitution whose boundary words are the slot's registers:
+    x := s.x.beg y1 s.y1.fol y2 s.y2.fol ... for the skeleton y1 y2 ... of x."""
+    sub = _Keep()
+    for x, names in ske_items:
+        rhs = [Reg(_slot_regs(slot, x)[0])]
+        for y in names:
+            rhs += (Reg(y), Reg(_slot_regs(slot, y)[1]))
+        sub[x] = tuple(rhs)
+    return sub
+
+
+def _least_leaf(tree):
+    while tree[0] is None:
+        tree = tree[3][0]
+    return tree[0]
 
 
 def determinize_nsstf(m: NSSTF) -> SST:
@@ -671,29 +633,40 @@ def determinize_nsstf(m: NSSTF) -> SST:
     skeletons of the substitutions along its deterministic branches; their
     boundary words live in per-slot registers.  Extending by a letter walks
     the forest once in pre-order: it adds the successor transitions, discards
-    dead subtrees and composes unary chains (copylessly, via the
-    boundary-word calculus) into a tree of decompositions over the old slot
-    registers; numbering that tree in pre-order gives the new slots.  Slot
-    registers cover the widest explored forest; updates empty unfilled slots.
-    The slot register names of a slot, and the symbolic decomposition of a
-    (slot, skeleton) pair, are built once per call and shared, since no
-    SkeBegFol is changed after it is built.  to_k_layered calls this only
-    on top layers whose own updates copy.
+    dead subtrees and composes unary chains with compose_substitutions
+    (subst_apply on each right-hand side), a node's slot registers passing
+    through as boundary material, into a tree of substitutions over the old
+    slot registers; numbering that tree in pre-order gives the new slots,
+    and decompose_copyless splits each composite into the skeleton kept in
+    the state and the boundary words the slots receive.  Slot registers cover the widest explored forest;
+    updates empty unfilled slots.  The substitution of a (slot, skeleton)
+    pair and its decomposition, like those of each transition, are built
+    once per call and shared, since neither is changed after it is built.
+    to_k_layered calls this only on top layers whose own updates copy.
     """
     regs = tuple(sorted(m.registers))
     succ: dict = {}
     for (q, a, q2) in sorted(m.transitions):
-        succ.setdefault((q, a), []).append(
-            (q2, decompose_copyless(m.update[(q, a, q2)]), ()))
+        s = m.update[(q, a, q2)]
+        succ.setdefault((q, a), []).append((q2, s, decompose_copyless(s), ()))
     init_forest = tuple(
         (q, (q, tuple((x, (x,)) for x in regs), ())) for q in sorted(m.initial))
+    inits = {q: _Keep({x: tuple(map(Lit, w)) for x, w in val.items()})
+             for q, val in m.initial.items()}
     regs_of: dict = {}   # slot -> {x: its (beg, fol) slot registers}
-    sbfs: dict = {}      # (slot, ske items) -> _slot_sbf of them; never mutated
+    nodes: dict = {}     # (slot, ske items) -> (_slot_sub, its decomposition)
 
     def slot_regs(slot):
         got = regs_of.get(slot)
         if got is None:
             got = regs_of[slot] = {x: _slot_regs(slot, x) for x in regs}
+        return got
+
+    def node_sub(key):
+        got = nodes.get(key)
+        if got is None:
+            sub = _slot_sub(*key)
+            got = nodes[key] = sub, decompose_copyless(sub)
         return got
 
     def extend(forest, a):
@@ -702,24 +675,22 @@ def determinize_nsstf(m: NSSTF) -> SST:
         leaves: list = []
 
         def grow(node):
-            """Decomposition tree (leaf, sbf, children) of the node's alive
-            part after ``a``, or None; dead subtrees are still numbered."""
+            """Tree (leaf, substitution, its decomposition or None, children)
+            of the node's alive part after ``a``, or None; dead subtrees are
+            still numbered."""
             leaf, ske, children = node
-            key = (next(old_slot), ske)
-            here = sbfs.get(key)
-            if here is None:
-                here = sbfs[key] = _slot_sbf(*key)
+            here, sbf = node_sub((next(old_slot), ske))
             if leaf is None:
                 kids = [k for k in map(grow, children) if k is not None]
             else:
                 kids = succ.get((leaf, a), [])
                 leaves.extend(k[0] for k in kids)
             if len(kids) == 1:
-                leaf, sbf, grand = kids[0]
-                return leaf, compose_skebegfol(here, sbf), grand
+                leaf, below, _sbf, grand = kids[0]
+                return leaf, compose_substitutions(here, below), None, grand
             if not kids:
                 return None
-            return None, here, tuple(sorted(kids, key=_least_leaf))
+            return None, here, sbf, tuple(sorted(kids, key=_least_leaf))
 
         grown = [(qi, t) for qi, t in ((qi, grow(node)) for qi, node in forest)
                  if t is not None]
@@ -732,7 +703,9 @@ def determinize_nsstf(m: NSSTF) -> SST:
 
         def emit(tree):
             nonlocal most
-            leaf, sbf, children = tree
+            leaf, s, sbf, children = tree
+            if sbf is None:
+                sbf = decompose_copyless(s)
             slot = next(new_slot)
             most = max(most, slot + 1)
             for x, (b, f) in slot_regs(slot).items():
@@ -743,43 +716,30 @@ def determinize_nsstf(m: NSSTF) -> SST:
         return tuple((qi, emit(t)) for qi, t in grown), sub
 
     def output_of(forest):
-        """The output expression of the one final leaf, or None."""
+        """The output expression of the one final leaf, or None: its output
+        taken through each node substitution of its branch, last node first,
+        then through the initial valuation of the branch's root."""
         finals = []
         slot = count()
 
-        def walk(node, chain):
-            chain = chain + ((next(slot), dict(node[1])),)
+        def walk(node, branch):
+            branch = branch + (node_sub((next(slot), node[1]))[0],)
             if node[0] in m.output:
-                finals.append((node[0], chain))
+                finals.append((node[0], branch))
             for c in node[2]:
-                walk(c, chain)
+                walk(c, branch)
 
         for qi, node in forest:
-            walk(node, ((qi, None),))
+            walk(node, (inits[qi],))
         if not finals:
             return None
         if len(finals) > 1:
             raise MachineError("two final leaves: machine is ambiguous")
-        leaf, chain = finals[0]
-        init_val = m.initial[chain[0][0]]
-
-        def value(level, x):
-            """Expression of x's value after the branch's first ``level`` nodes."""
-            if level == 0:
-                return tuple(Lit(b) for b in init_val[x])
-            slot, ske = chain[level]
-            regs_here = slot_regs(slot)
-            out = [Reg(regs_here[x][0])]
-            for y in ske[x]:
-                out.extend(value(level - 1, y))
-                out.append(Reg(regs_here[y][1]))
-            return out
-
-        toks: list = []
-        for t in m.output[leaf]:
-            toks.extend(value(len(chain) - 1, t.name)
-                        if isinstance(t, Reg) else (t,))
-        return tuple(toks)
+        leaf, branch = finals[0]
+        toks = m.output[leaf]
+        for s in reversed(branch):
+            toks = subst_apply(s, toks)
+        return toks
 
     names = {init_forest: "d0"}
     most = len(init_forest)   # slots of the widest forest built so far

@@ -10,7 +10,6 @@ import time
 from xducer.growth import classify, flow_automaton, has_heavy_cycle, trim, witness_word
 from xducer.layering import (
     bounded_sstf_to_unambiguous,
-    compose_skebegfol,
     decompose_copyless,
     determinize_nsstf,
     make_total,
@@ -148,7 +147,7 @@ def test_criterion_04_substitution_algebra():
     assert d1.ske == {"x": (), "y": ("x", "y")}
     assert d1.beg == {"x": (Lit("a"),), "y": (Lit("b"),)}
     assert d1.fol == {"x": (), "y": (Lit("c"),)}
-    comp = compose_skebegfol(d1, decompose_copyless(t2))
+    comp = decompose_copyless(compose_substitutions(t1, t2))
     assert comp.beg["x"] == (Lit("b"),)
     assert comp.beg["y"] == (Lit("a"),)
     assert comp.fol["y"] == (Lit("c"), Lit("d"))

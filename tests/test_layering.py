@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xducer import layering, machines
+from xducer.cli import main
 from xducer.growth import flow_automaton, is_simple
 from xducer.layering import (
     bounded_sstf_to_unambiguous,
-    compose_skebegfol,
     decompose_copyless,
     determinize_nsstf,
     extract_sstf,
@@ -46,7 +46,7 @@ from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import enumerate_nsstf_runs, run_marble, run_sst, run_sstf
 from xducer.sst2mt import layered_to_marble
 
-from conftest import assert_allocated, load
+from conftest import assert_allocated, corpus_path, load
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,22 @@ def test_remove_bounded_layer_constant_register():
     assert all(len(layer) <= len(total.registers) for layer in layers)
     assert check_layered(machine, layers) == []
     assert equiv_check(machine, total, 5).equivalent
+
+
+def test_valuation_closure_size_limit(monkeypatch, capsys):
+    total, report = _classified(load("mul_sst"))
+    machine, layers = remove_bounded_layer(total, report.partition)
+    # the closure explores one node per state of the result
+    size = len(machine.states)
+    assert size == 3
+    monkeypatch.setattr(layering, "VALUATION_STATE_LIMIT", size)
+    assert remove_bounded_layer(total, report.partition) == (machine, layers)
+    monkeypatch.setattr(layering, "VALUATION_STATE_LIMIT", size - 1)
+    with pytest.raises(MachineError, match=r"^bottom-layer valuation closure "
+                       r"exceeded %d states$" % (size - 1)):
+        remove_bounded_layer(total, report.partition)
+    assert main(["optimize", corpus_path("mul_sst")]) == 1
+    assert "bottom-layer valuation closure exceeded 2 states" in capsys.readouterr().err
 
 
 def test_remove_bounded_layer_singleton_closure():
@@ -220,7 +236,7 @@ def test_decompose_worked_example():
 
 
 def test_compose_worked_example():
-    comp = compose_skebegfol(decompose_copyless(S1), decompose_copyless(S2))
+    comp = decompose_copyless(compose_substitutions(S1, S2))
     assert comp.beg["x"] == (Lit("b"),)
     assert comp.beg["y"] == (Lit("a"),)
     assert comp.fol["x"] == ()
@@ -232,13 +248,28 @@ def test_compose_worked_example():
 def test_decompose_rejects_copyful():
     with pytest.raises(MachineError):
         decompose_copyless({"x": (Reg("x"), Reg("x"))})
+    with pytest.raises(MachineError):
+        decompose_copyless({"x": (Reg("y"),), "y": (Lit("a"), Reg("y"))})
+
+
+def test_decompose_treats_outside_registers_as_boundary():
+    # a register the substitution does not name, like a slot register of
+    # determinize_nsstf, is boundary material wherever it stands
+    d = decompose_copyless({"x": (Reg("s0.x.beg"), Reg("y"), Reg("s0.y.fol")),
+                            "y": (Lit("a"), Reg("z"), Reg("z"))})
+    assert d.ske == {"x": ("y",), "y": ()}
+    assert d.beg == {"x": (Reg("s0.x.beg"),), "y": (Lit("a"), Reg("z"), Reg("z"))}
+    assert d.fol == {"x": (), "y": (Reg("s0.y.fol"),)}
 
 
 REGS = ("r0", "r1", "r2", "r3")
+# boundary tokens: letters, and registers outside REGS such as slot registers
+LETTERS = (Lit("a"), Lit("b"))
+OUTSIDE = LETTERS + (Reg("s0.r0.beg"), Reg("s0.r1.fol"), Reg("s1.r2.fol"))
 
 
 @st.composite
-def copyless_substitutions(draw):
+def copyless_substitutions(draw, boundary=LETTERS):
     regs = list(REGS)
     available = list(regs)
     sub = {}
@@ -250,7 +281,7 @@ def copyless_substitutions(draw):
                 available.remove(pick)
                 rhs.append(Reg(pick))
             else:
-                rhs.append(Lit(draw(st.sampled_from("ab"))))
+                rhs.append(draw(st.sampled_from(boundary)))
         sub[x] = tuple(rhs)
     return sub
 
@@ -262,10 +293,15 @@ def test_decompose_reassemble_roundtrip(sub):
 
 
 @settings(max_examples=200, deadline=None)
-@given(copyless_substitutions(), copyless_substitutions())
+@given(copyless_substitutions(OUTSIDE), copyless_substitutions())
 def test_compose_agrees_with_direct_composition(s1, s2):
-    composed = compose_skebegfol(decompose_copyless(s1), decompose_copyless(s2))
-    assert reassemble(composed) == compose_substitutions(s1, s2)
+    composed = compose_substitutions(s1, s2)
+    d1, d2 = decompose_copyless(s1), decompose_copyless(s2)
+    comp = decompose_copyless(composed)
+    assert reassemble(comp) == composed
+    # the composite's skeleton is the composition of the skeletons
+    assert comp.ske == {x: tuple(z for y in d2.ske[x] for z in d1.ske[y])
+                        for x in REGS}
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +479,11 @@ def test_determinize_slot_budget_respected(monkeypatch):
     # every explored forest is extended, which reads each of its slots once
     slots_read = []
 
-    def slot_sbf(slot, ske_items, _original=layering._slot_sbf):
+    def slot_sub(slot, ske_items, _original=layering._slot_sub):
         slots_read.append(slot)
         return _original(slot, ske_items)
 
-    monkeypatch.setattr(layering, "_slot_sbf", slot_sbf)
+    monkeypatch.setattr(layering, "_slot_sub", slot_sub)
     det = determinize_nsstf(n)
     most = max(slots_read) + 1
     assert most <= 2 * len(n.states) - 1

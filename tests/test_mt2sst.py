@@ -1,5 +1,7 @@
 import pytest
 
+from xducer import mt2sst
+from xducer.cli import main
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -8,6 +10,7 @@ from xducer.machines import (
     MachineError,
     MarbleTransducer,
     act_drop,
+    check_copyless,
     validate,
 )
 from xducer.mt2sst import (
@@ -21,7 +24,7 @@ from xducer.mt2sst import (
 from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import run_sst
 
-from conftest import load, marble_step
+from conftest import corpus_path, load, marble_step
 
 
 def fragment(transitions, states, colors=("c",), finals=()):
@@ -139,6 +142,29 @@ def test_marble_to_sst_equivalence(name, build, maxlen):
     assert validate(converted) == []
     verdict = equiv_check(converted, source, maxlen)
     assert verdict.equivalent, (name, verdict.counterexample)
+
+
+def test_crossing_sst_of_a_two_way_machine_is_copyless():
+    for name in ("reverse_two_way", "copy_two_way"):
+        assert check_copyless(marble_to_sst(two_way_to_marble(load(name)))) == []
+    # machines that drop marbles copy: mul_marble in two updates
+    assert len(check_copyless(marble_to_sst(load("mul_marble")))) == 2
+
+
+def test_crossing_state_limit(monkeypatch, capsys):
+    t = load("mul_marble")
+    m = marble_to_sst(t)
+    # the search explores one node per crossing state
+    size = len(m.states)
+    assert size == 7
+    monkeypatch.setattr(mt2sst, "CROSSING_STATE_LIMIT", size)
+    assert marble_to_sst(t) == m
+    monkeypatch.setattr(mt2sst, "CROSSING_STATE_LIMIT", size - 1)
+    with pytest.raises(MachineError, match=r"^crossing-state space exceeded "
+                       r"%d states$" % (size - 1)):
+        marble_to_sst(t)
+    assert main(["convert", "--to", "sst", corpus_path("mul_marble")]) == 1
+    assert "crossing-state space exceeded 6 states" in capsys.readouterr().err
 
 
 def test_exp_output_lengths():

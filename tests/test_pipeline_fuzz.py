@@ -25,6 +25,7 @@ from xducer.machines import (
     RIGHT_END,
     SST,
     act_drop,
+    check_copyless,
     check_layered,
     validate,
 )
@@ -239,7 +240,7 @@ def test_frame_loop_detection_matches_configuration_hashing():
 
 def test_random_marble_machines_convert_to_ssts():
     rng = random.Random(31337)
-    converted = 0
+    converted = colourless = 0
     trial = 0
     while converted < 60 and trial < 400:
         trial += 1
@@ -249,9 +250,14 @@ def test_random_marble_machines_convert_to_ssts():
         converted += 1
         sst = marble_to_sst(m)
         assert_allocated(sst, (sst.registers,))
+        if not m.colors:
+            # a machine with no colours is a two-way machine; its crossing
+            # SST never copies a register
+            colourless += 1
+            assert check_copyless(sst) == [], trial
         verdict = equiv_check(sst, m, 4, budget=200000)
         assert verdict.equivalent, (trial, verdict)
-    assert converted == 60
+    assert (converted, colourless) == (60, 17)
 
 
 def test_random_marble_machines_through_minimization():

@@ -43,7 +43,7 @@ def test_pool_census_reports_each_member():
         assert row["outcome"] == "layered", row
         assert row["size"] == row["states"] * row["registers"]
         assert sum(row["layers"]) == row["registers"]
-        assert row["nsstf"] == row["det"] == [] and row["cpu_s"] >= 0
+        assert row["nsstf"] == row["det"] == row["det_s"] == [] and row["cpu_s"] >= 0
         assert row["out_degree"] == row["degree"] and row["classify_s"] >= 0
     # the layered outputs of members 0 and 1, byte for byte
     assert [row["sha256"][:16] for row in rows] == ["d7e3a7d2731baa88",
@@ -81,9 +81,14 @@ def test_pool_census_climbs_the_size_ladder():
     rows = [json.loads(line) for line in
             run_script("pool_census.py", "--shape", "2", "4", "2", "--seeds", "2").splitlines()]
     assert [(row["shape"], row["seed"]) for row in rows] == [([2, 4, 2], 1), ([2, 4, 2], 2)]
+    # seed 1's top layer copies, so its run determinizes
+    assert rows[0]["det"]
     for row in rows:
         assert row["outcome"] in ("layered", "exponential"), row
         assert row["cpu_s"] >= 0
+        # the CPU seconds of each determinization, in call order
+        assert len(row["det_s"]) == len(row["det"])
+        assert all(t >= 0 for t in row["det_s"])
         if row["outcome"] == "layered":
             assert row["equiv"] == "equivalent" and row["k"] == max(row["degree"] - 1, 0)
             assert row["size"] == row["states"] * row["registers"]

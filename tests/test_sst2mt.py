@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from xducer import sst2mt
+from xducer.cli import main
 from xducer.layering import minimize_marbles
 from xducer.machine_io import parse_machine
 from xducer.machines import (
@@ -76,6 +78,22 @@ def test_layered_exact_mul():
     mm = layered_to_marble(mul, layers)
     assert equiv_check(mm, mul, 5).equivalent
     assert max_depth(mm, 5) <= 1
+
+
+def test_walker_state_limit(monkeypatch, capsys):
+    mul, layers = parse_machine(corpus_path("mul_sst"))
+    mm = layered_to_marble(mul, layers)
+    # the build explores one node per walker state
+    size = len(mm.states)
+    assert size == 15
+    monkeypatch.setattr(sst2mt, "WALKER_STATE_LIMIT", size)
+    assert layered_to_marble(mul, layers) == mm
+    monkeypatch.setattr(sst2mt, "WALKER_STATE_LIMIT", size - 1)
+    with pytest.raises(MachineError, match=r"^walker build exceeded %d states$"
+                       % (size - 1)):
+        layered_to_marble(mul, layers)
+    assert main(["convert", "--to", "marble", corpus_path("mul_sst")]) == 1
+    assert "walker build exceeded 14 states" in capsys.readouterr().err
 
 
 def test_layered_exact_copyless_reverse_is_two_way():
