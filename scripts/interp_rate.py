@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Interpreter throughput: steps and output letters per CPU second.
+"""Interpreter throughput: steps and output letters per CPU second, and
+``equiv`` words per CPU second.
 
 Runs eight corpus machines on one word per size and prints one JSON line per
 run: ``machine``, ``size``, ``input`` (letters read), ``steps`` (of the run,
@@ -19,6 +20,16 @@ and ``exp_sst`` a^n, each with n chosen so that the output has about that
 many letters.  ``mul_sst`` crosses each block of its input in one register
 sweep, and ``exp_sst``, whose ``x := x·x`` has none, steps every letter.
 
+Then it prints one ``equiv`` row per corpus transducer and size:
+``machine``, ``size``, ``maxlen``, ``words`` (up to ``maxlen``), ``cpu_s``,
+``words_per_s``, ``cpu_ref_s`` and ``words_per_ref_s``, measured as above.
+A row runs ``equiv_check(m, m, L)``, where L is the largest length whose
+words number at most ``size``, so the rows show how the check scales in
+its length, which the benchmark's fixed lengths (6-8) cannot.
+L is at most ``MAX_WORD_LEN`` (16), which only a one-letter alphabet
+reaches: past it, a check mostly writes long outputs (``pow2_marble``'s
+grow as n², ``exp_sst``'s as 2^n) and measures that, not the walk.
+
 Usage: interp_rate.py [SIZE ...]   (default 1000 4000 16000)
 """
 
@@ -35,10 +46,12 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from speed import at_reference, probe  # noqa: E402
 from xducer.machine_io import parse_machine  # noqa: E402
+from xducer.oracle import equiv_check  # noqa: E402
 from xducer.semantics import run_machine  # noqa: E402
 
 MIN_CPU_S = 0.2
 PROBES = 9
+MAX_WORD_LEN = 16
 
 
 def word(name: str, size: int, rng) -> str:
@@ -80,8 +93,40 @@ def rate(name: str, size: int) -> dict:
             "letters_per_ref_s": round(len(res.output) / ref)}
 
 
+def equiv_rate(name: str, size: int) -> dict:
+    machine, _layers = parse_machine(os.path.join(ROOT, "corpus", "%s.json" % name))
+    k = len(machine.input_alphabet)
+    maxlen, words = 0, 1
+    while maxlen < MAX_WORD_LEN and words + k ** (maxlen + 1) <= size:
+        maxlen += 1
+        words += k ** maxlen
+    best, spent = None, 0.0
+    probes = [probe() for _ in range(PROBES)]
+    while spent < MIN_CPU_S:
+        start = time.process_time()
+        verdict = equiv_check(machine, machine, maxlen)
+        cpu = time.process_time() - start
+        spent += cpu
+        best = cpu if best is None else min(best, cpu)
+    if not verdict.equivalent:
+        raise SystemExit("%s is %s to itself up to length %d" % (name, verdict.status, maxlen))
+    probes += [probe() for _ in range(PROBES)]
+    best = max(best, 1e-9)
+    ref = at_reference(best, probes)
+    return {"machine": name, "size": size, "maxlen": maxlen, "words": words,
+            "cpu_s": round(best, 6), "words_per_s": round(words / best),
+            "cpu_ref_s": round(ref, 6), "words_per_ref_s": round(words / ref)}
+
+
 MACHINES = ("reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",
             "identity_sst", "reverse_sst", "mul_sst", "exp_sst")
+
+
+# every corpus file but the two flow automata, which have no outputs to compare
+EQUIV_MACHINES = ("bounded_pair_sst", "copy_two_way", "exp_marble", "exp_sst", "identity_sst",
+                  "mul_marble", "mul_sst", "mul_sst_copyful", "pow2_marble",
+                  "pow2_marble_wasteful", "reverse_sst", "reverse_sst_copyful",
+                  "reverse_two_way")
 
 
 def main(argv) -> None:
@@ -89,6 +134,9 @@ def main(argv) -> None:
     for name in MACHINES:
         for size in sizes:
             print(json.dumps(rate(name, size)), flush=True)
+    for name in EQUIV_MACHINES:
+        for size in sizes:
+            print(json.dumps(equiv_rate(name, size)), flush=True)
 
 
 if __name__ == "__main__":

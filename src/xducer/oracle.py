@@ -92,10 +92,12 @@ def equiv_check(m1, m2, maxlen: int,
     update, and the words of length ``maxlen`` read their outputs through
     their last step without building a valuation, so one length of
     valuations is kept, bounded by the word cap.  A marble or two-way side
-    also walks one length at a time (``marble_outputs``): each word resumes
-    its parent's run where the head first stood on ⊣, and the extensions of
-    a word whose run rejected or looped before that take its verdict with
-    no run.  An NSST-F side runs each word on the programs its machine
+    also walks one length at a time (``marble_outputs``): a word's run is
+    composed from crossing summaries, each simulated once per prefix and
+    entry state and shared by every extension, so a word costs a constant
+    amount of work on top of its prefix, plus its output; the extensions of
+    a word whose run ended before its head stood on ⊣ take its verdict with
+    no work.  An NSST-F side runs each word on the programs its machine
     compiled once.  The first mismatch in length-lexicographic order is
     reported.  A run hitting its step budget makes the verdict inconclusive
     for that word.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from array import array
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain, product
@@ -112,7 +111,7 @@ _LEFT, _RIGHT, _LIFT, _DROP, _BAD = range(5)
 _ACTIONS = {"left": _LEFT, "right": _RIGHT, "lift": _LIFT, "drop": _DROP}
 
 # ``top`` of the bottom frame, which holds no marble: above every cell of
-# every tape, so a configuration does not depend on the length of the word.
+# every tape.
 _NO_MARBLE = 1 << 62
 
 
@@ -178,13 +177,10 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
 
     Accepts on the first configuration (q, |w|+1, empty stack) with q final.
     Every run ends in accept, reject, loop or budget.  The run is
-    ``_marble_walk`` from the initial configuration (state ``t.initial`` on
-    ⊢, no step taken) over the tables of ``_compile_tables``.  That loop
-    also starts from configurations kept on a prefix: marbles keep a stack
-    discipline (one is dropped under the head, and the head never moves
-    right past it), so a run on u·v is the run on u until the head first
-    stands on cell |u|+1, with no marble on the tape then, and
-    ``marble_outputs`` resumes each word from its parent's run there.
+    ``_marble_walk`` over the tables of ``_compile_tables``, which crosses
+    long sweeps with one regex scan, so a single long word costs its sweeps
+    and not their cells.  ``marble_outputs`` gives the same verdicts and
+    outputs for every word up to a length from crossing summaries.
     ``detect_loops`` is accepted for compatibility and has no effect.
     """
     w = as_word(w)
@@ -195,33 +191,14 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
     codes = tables[1]
     tape = [codes[LEFT_END], *map(codes.__getitem__, w), codes[RIGHT_END]]
     tr = [(0, t.initial, 0, (), ())] if trace else None
-    verdict, output, steps, depth, _kept = _marble_walk(
-        tables, tape, budget, _initial(tables), tr, False)
+    verdict, output, steps, depth = _marble_walk(tables, tape, budget, tr)
     return _result(verdict, output, steps, depth, tr)
 
 
-def _initial(tables: tuple) -> tuple:
-    """The initial configuration of ``_marble_walk``: the initial state on
-    ⊢, no step taken, nothing seen but itself."""
-    q = tables[5]
-    return q, 0, 0, 0, (q,), (), ()
-
-
-def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
-                 tr, keep: bool) -> tuple:
+def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
     """The one marble loop: run ``tape``, a list of symbol codes from ⊢ to ⊣,
-    from configuration ``config``, appending trace entries to ``tr`` unless
-    it is None.  Returns (verdict, output, steps, max stack depth, kept).
-
-    ``config`` is (state number, head, steps, depth, seen keys, swept,
-    output so far) with no marble on the tape.  A configuration that has
-    taken steps was kept, and is copied into fresh sets and lists so that it
-    can serve again; one that has taken none is ``_initial``, whose sets are
-    built directly.  If ``keep`` is set, ``kept``
-    is such a configuration, copied at the first loop top where the head
-    stands on ⊣, or None if the run ended before.  Nothing in a
-    configuration depends on the length of the tape, so one kept on the tape
-    of u holds on the tape of any u·v (``marble_outputs``).
+    from the initial state on ⊢, appending trace entries to ``tr`` unless
+    it is None.  Returns (verdict, output, steps, max stack depth).
 
     Each stack frame keeps a seen set of (state, head) pairs, as ints
     ``head * |states| + state``, and the intervals its sweeps crossed: a
@@ -256,33 +233,23 @@ def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
     when its frame holds some for its state.  A frame's memory is thus its
     single-step keys plus one interval per sweep.
     """
-    table, _codes, names, colours, finals, _q0, stride = tables
+    table, _codes, names, colours, finals, q, stride = tables
     get = table.get
     n = len(names)
     end = len(tape) - 1
-    q, pos, steps, depth, seen, swept, emitted = config
-    if steps:
-        seen, emitted = set(seen), list(emitted)
-        swept = {s: list(bounds) for s, bounds in swept} if swept else {}
-    else:
-        seen, swept, emitted = {q}, {}, []
-    base, top, topc, stack, kept = q * stride, _NO_MARBLE, 0, [], None
+    pos = steps = depth = 0
+    seen, swept, emitted = {q}, {}, []
+    base, top, topc, stack = q * stride, _NO_MARBLE, 0, []
     fwd = rev = None
     while True:
-        if pos == end:
-            if keep:  # the stack is empty: no marble lies at or right of ⊣
-                kept = (q, pos, steps, depth, array("q", seen),
-                        tuple((s, tuple(bounds)) for s, bounds in swept.items()),
-                        tuple(emitted))
-                keep = False
-            if not stack and q in finals:
-                return ACCEPT, tuple(emitted), steps, depth, kept
+        if pos == end and not stack and q in finals:
+            return ACCEPT, tuple(emitted), steps, depth
         if steps >= budget:
-            return BUDGET, None, steps, depth, kept
+            return BUDGET, None, steps, depth
         col = topc if top == pos else 0
         move = get(base + tape[pos] + col)
         if move is None:
-            return REJECT, None, steps, depth, kept
+            return REJECT, None, steps, depth
         q, base, act, c, out = move
         if c and act < _LIFT and tr is None:  # a sweep entry: c is its matcher
             if fwd is None:
@@ -311,7 +278,7 @@ def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
                         else:
                             new = mid
                     steps += abs(land - pos)
-                    return LOOP, None, steps, depth, kept
+                    return LOOP, None, steps, depth
                 i = bisect(bounds, lo)
                 bounds[i:i] = lo, hi + 1
                 if c[1] is not None:
@@ -321,13 +288,13 @@ def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
                 continue
         if act == _LEFT:
             if not pos:
-                return REJECT, None, steps, depth, kept
+                return REJECT, None, steps, depth
             pos -= 1
         elif act == _RIGHT:
             if col:
                 raise MachineError("invalid machine: move right over a marble")
             if pos == end:
-                return REJECT, None, steps, depth, kept
+                return REJECT, None, steps, depth
             pos += 1
             if top < pos:
                 raise MachineError("marble %r below the reading head" % (colours[topc],))
@@ -353,7 +320,7 @@ def _marble_walk(tables: tuple, tape: list, budget: int, config: tuple,
             tr.append((steps, names[q], pos, tuple((colours[i], p) for p, i in marbles), out))
         key = pos * n + q
         if key in seen or q in swept and bisect(swept[q], pos) & 1:
-            return LOOP, None, steps, depth, kept
+            return LOOP, None, steps, depth
         seen.add(key)
 
 
@@ -495,9 +462,14 @@ def _update(prog: tuple, val: tuple, w, read: int,
     return tuple(new)
 
 
-# Longest word _flat writes out; the length is counted on the shared value
-# first, so a longer output raises instead of exhausting memory.
+# Longest word _flat writes out; a longer output raises instead of
+# exhausting memory.
 OUTPUT_LETTER_LIMIT = 10 ** 7
+
+
+def _too_long(length: int):
+    raise MachineError("register output exceeded %d letters (it has %d)"
+                       % (OUTPUT_LETTER_LIMIT, length))
 
 
 def _length(value: _Cat) -> int:
@@ -524,14 +496,20 @@ def _flat(value) -> Word:
 
     An iterative walk: a node met again is copied from the span of the output
     that its first visit wrote, so a shared DAG costs what its output costs.
-    Raises if the word is longer than ``OUTPUT_LETTER_LIMIT``.
+    Raises if the word is longer than ``OUTPUT_LETTER_LIMIT``, before the
+    walk holds more letters than that.  Every item of a node writes at least
+    one letter, so ``need``, the letters written plus one for each item not
+    yet written, never exceeds the word's length; it is checked before each
+    span copy, extend and node entered, and a letter leaves it as it is.
+    Only on refusal is the length counted (``_length``), for the message.
     """
-    length = _length(value) if type(value) is _Cat else len(value)
-    if length > OUTPUT_LETTER_LIMIT:
-        raise MachineError("register output exceeded %d letters (it has %d)"
-                           % (OUTPUT_LETTER_LIMIT, length))
     if type(value) is not _Cat:
+        if len(value) > OUTPUT_LETTER_LIMIT:
+            _too_long(len(value))
         return value
+    need = len(value)
+    if need > OUTPUT_LETTER_LIMIT:
+        _too_long(_length(value))
     out: list = []
     spans: dict = {}
     stack = [(value, 0, iter(value))]
@@ -541,12 +519,18 @@ def _flat(value) -> Word:
             kind = type(item)
             if kind is _Cat:
                 span = spans.get(id(item))
+                need += (len(item) if span is None else span[1] - span[0]) - 1
+                if need > OUTPUT_LETTER_LIMIT:
+                    _too_long(_length(value))
                 if span is None:
                     stack.append((item, len(out), iter(item)))
                     break
-                out.extend(out[span[0]:span[1]])
+                out += out[span[0]:span[1]]
             elif kind is tuple:
-                out.extend(item)
+                need += len(item) - 1
+                if need > OUTPUT_LETTER_LIMIT:
+                    _too_long(_length(value))
+                out += item
             else:
                 out.append(item)
         else:
@@ -556,11 +540,26 @@ def _flat(value) -> Word:
 
 
 def _output_word(prog, val: tuple) -> Word:
-    """Value of an output program, flattened.  Outputs hold no function
-    tokens (``validate`` refuses them), so no word or registry is passed;
-    ``sst_outputs`` evaluates the composed last steps that carry an update's
-    functions with ``_update`` itself."""
-    return _flat(val[prog] if type(prog) is int else _update((prog,), val, (), 0, None)[0])
+    """Value of an output program, flattened.  The pieces of a list program
+    are joined by tuple concatenation while all of them are flat, whatever
+    their total length, and the join is checked against
+    ``OUTPUT_LETTER_LIMIT`` once; a list with a node among its pieces is
+    flattened whole by ``_flat``, as one node over its nonempty pieces.
+    Outputs hold no function tokens (``validate`` refuses them), so no word
+    or registry is passed; ``sst_outputs`` reads the composed last steps of
+    a machine without functions here, and evaluates those that carry an
+    update's functions with ``_update`` itself."""
+    if type(prog) is not list:
+        return _flat(val[prog] if type(prog) is int else prog)
+    word = ()
+    for p in prog:
+        v = val[p] if type(p) is int else p
+        if type(v) is not tuple:
+            return _flat(_Cat([v for v in (val[p] if type(p) is int else p for p in prog) if v]))
+        word += v
+    if len(word) > OUTPUT_LETTER_LIMIT:
+        _too_long(len(word))
+    return word
 
 
 def _sweep_kind(r: int, rhs):
@@ -778,9 +777,11 @@ def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None
             step = last.get((q, a))
             if step is None:
                 yield rejected
-                continue
-            value = _update(step[1], val, w + (a,) if funs else w, maxlen, registry)[0]
-            yield rejected if step[0] == REJECT else (ACCEPT, _flat(value))
+            elif funs:  # ``_update`` evaluates each function of the step once
+                value = _update(step[1], val, w + (a,), maxlen, registry)[0]
+                yield rejected if step[0] == REJECT else (ACCEPT, _flat(value))
+            else:
+                yield ACCEPT, _output_word(step[1][0], val)
 
 
 def _last_steps(m: SST) -> dict:
@@ -821,49 +822,228 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
 
     A marble machine, like a two-way one, keeps a stack discipline: a marble
     is dropped under the head and the head never moves right past it.  So
-    until the head first stands on cell |u|+1, a run on u·v reads what the
-    run on u reads, and at that moment no marble lies on the tape.  The walk
-    goes one length at a time, as ``sst_outputs`` does.  It keeps, in lex
-    order, a start for each word u of length n - 1, what each u·a starts
-    from:
-    - the configuration the run on u kept (``_marble_walk``) when its head
-      first stood on ⊣: state, steps, depth, the bottom frame's seen keys
-      (an ``array``) and sweep intervals, and the output so far;
-    - u's verdict, when the run on u rejected or looped before it reached
-      ⊣, or ran out of a budget that does not grow with the length: every
-      u·a ends the same way, with no run;
-    - u's own start, when the run on u ran out of a budget that grows with
-      the length (``default_budget``, when ``budget`` is None) before it
-      reached ⊣.  A child's budget is then never below the steps that start
-      holds.
-    Each start is copied into fresh sets and lists on resume, so one serves
-    every letter, and the words themselves come from ``itertools.product``
-    in the same order.  Words of length ``maxlen`` keep nothing.
+    what a run does on the cells of a prefix u, from the moment the head
+    enters u's last cell from the right until it next steps right off it,
+    depends only on u and the state it entered in, and no marble of u's
+    cells outlives it.  That is u's crossing summary for the state
+    (``_crossing``), computed once per (prefix, state), when first asked
+    for, and kept on u's node of the word tree (``_Prefix``), so every
+    extension of u shares it.  The tree is kept whole, as a summary asked
+    for later may lie at any depth.  The walk goes one length at a time, as
+    ``sst_outputs`` does, and keeps each word's node and its first arrival
+    on ⊣: the state, steps and output when the head first stood there, or
+    how and after how many steps the run ended before.  A word u·a arrives
+    where u arrived, extended by the summary of its last cell; an ended run
+    passes to every extension with no work.  On ⊣ the word's run goes on by
+    ``_crossing`` of ⊣, whose every left move is answered by a summary of
+    the word (``_marble_verdict``).
+
+    The steps of a run are summed, so its verdict under the budget comes out
+    exactly: an accept after at most ``budget`` steps, a reject or a
+    ``MachineError`` met after fewer, and otherwise the budget.  A summary
+    keeps seen sets of its own, so it finds a loop no earlier than a run
+    from ⊢, whose frames also remember what came before: a loop found within
+    the budget is a loop of that run, and a word whose loop is found past
+    its budget is run again from ⊢ by ``_marble_walk``, which alone tells
+    that loop from the budget.  So is a word whose output is too long for
+    ``_flat``.  Outputs are shared as ``_Cat`` nodes, as register values
+    are, and flattened only when a word is yielded.  An error is kept as the
+    outcome of the summary that met it, and raised by the first word whose
+    run reaches it.
     """
     tables = _tables(t)
     codes = tables[1]
     letters = [codes[a] for a in sorted(t.input_alphabet)]
-    left, right = codes[LEFT_END], codes[RIGHT_END]
-    words = [((), _initial(tables))]
+    n_states = len(t.states)
+    root = _Prefix(None, codes[LEFT_END])
+    # An entry: a word's node, its arrival on ⊣ (state, steps, output), and
+    # 1.  Once the run has ended, the arrival is (verdict, steps, None), the
+    # node is that of the word on which it ended, and the count is that of
+    # the words of the level that extend it, which follow one another.
+    level = [(root, *_crossing(tables, None, root.code, root, tables[5]), 1)]
     for n in range(maxlen + 1):
-        word_budget = default_budget(len(t.states), n) if budget is None else budget
-        keep = n < maxlen
-        grows = keep and budget is None and default_budget(len(t.states), n + 1) > word_budget
-        starts = []
-        for word, start in words:
-            if type(start) is str:
-                yield start, None
-                if keep:
-                    starts.append(start)
+        word_budget = default_budget(n_states, n) if budget is None else budget
+        children = []
+        for node, q, steps, out, count in level:
+            if type(q) is not int:
+                pair = _marble_verdict(tables, node, q, steps, out, word_budget)
+                for _ in range(count):
+                    yield pair
+                if n < maxlen:
+                    children.append((node, q, steps, out, count * len(letters)))
                 continue
-            verdict, output, _steps, _depth, kept = _marble_walk(
-                tables, [left, *word, right], word_budget, start, None, keep)
-            yield verdict, output
-            if keep:
-                starts.append(kept if kept is not None else
-                              start if verdict == BUDGET and grows else verdict)
-        words = zip(product(letters, repeat=n + 1),
-                    (start for start in starts for _ in letters))
+            yield _marble_verdict(tables, node, q, steps, out, word_budget)
+            if n < maxlen:
+                for a in letters:
+                    child = _Prefix(node, a)
+                    q2, more, tail = _crossing(tables, node, a, child, q)
+                    children.append((child, q2, steps + more,
+                                     tail if tail is None else _joined(out, tail), 1))
+        level = children
+
+
+class _Prefix(dict):
+    """A node of ``marble_outputs``' word tree: a prefix, as its parent's
+    node and the code of its last cell's symbol (⊢ for the empty prefix,
+    whose parent is None), mapping an entry state to its crossing summary
+    (``_crossing``)."""
+
+    __slots__ = ("parent", "code")
+
+    def __init__(self, parent, code: int):
+        self.parent, self.code = parent, code
+
+    def tape(self, right: int) -> list:
+        """The prefix's cells from ⊢, then ``right`` (⊣)."""
+        cells, node = [right], self
+        while node is not None:
+            cells.append(node.code)
+            node = node.parent
+        return cells[::-1]
+
+
+def _marble_verdict(tables: tuple, node: _Prefix, q, steps: int, out, budget: int) -> tuple:
+    """``(verdict, output)`` of ``run_marble`` under ``budget`` on the word
+    of ``node``, whose run first stood on ⊣ in state ``q`` after ``steps``
+    steps and output ``out``, or on any extension of it, if its run ended
+    before with verdict ``q`` (``marble_outputs``)."""
+    right = tables[1][RIGHT_END]
+    if type(q) is int:  # the head first stands on ⊣ in state q
+        q, more, tail = _crossing(tables, node, right, None, q)
+        steps += more
+        out = tail if tail is None else _joined(out, tail)
+    if q == LOOP and steps > budget:
+        return _marble_walk(tables, node.tape(right), budget, None)[:2]
+    if steps > budget or steps == budget and q != ACCEPT and q != LOOP:
+        return BUDGET, None
+    if q == ACCEPT:
+        try:
+            return ACCEPT, _flat(out)
+        except MachineError:  # longer than _flat writes; a run has no such limit
+            return ACCEPT, _marble_walk(tables, node.tape(right), budget, None)[1]
+    if q == REJECT or q == LOOP:
+        return q, None
+    raise q
+
+
+def _joined(u, v):
+    """The word u·v of two outputs, flat while it has at most ``SHARE_MIN``
+    letters, else a node."""
+    if not u or not v:
+        return u or v
+    if type(u) is tuple and type(v) is tuple and len(u) + len(v) <= SHARE_MIN:
+        return u + v
+    return _Cat((u, v))
+
+
+def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
+    """The crossing summary of a cell holding symbol code ``sym``, right of
+    the prefix ``parent`` (a ``_Prefix``, None left of ⊢), entered in state
+    ``q`` with no marble on it.  It is (state, steps, output) for the state
+    in which the head next steps right off the cell, with the steps and
+    output on the way, or (verdict, steps, None) if the run ends first,
+    with REJECT, LOOP or the ``MachineError`` it met (not raised) as the
+    verdict.  It is stored in ``memo``, the cell's ``_Prefix``, under ``q``,
+    unless ``memo`` is None.
+
+    Only the head's moves on this cell are simulated; a left move is
+    answered by ``parent``'s summary, so each summary costs its own cell.
+    A summary that is not yet in its node is computed then, on an
+    explicit stack of suspended cells, whatever the length of the prefix.
+    On ⊣, which ``_marble_verdict`` passes with no memo, the run accepts in
+    a final state with no marble, as ``_marble_walk`` does, and a right move
+    rejects.
+
+    The cell's seen sets are of states: one for the frame the summary starts
+    in, and a fresh one for each marble dropped on the cell, the only marble
+    the head can meet there.  Steps, verdicts and error texts are those of
+    ``_marble_walk``, from the same table.  Outputs are joined under the
+    ``SHARE_MIN`` rule of ``_update``: a piece of at most ``SHARE_MIN``
+    letters is copied, a longer one or a node referenced.
+    """
+    table, codes, _names, colours, finals, _q0, stride = tables
+    get = table.get
+    right = codes[RIGHT_END]
+    entry, steps, parts, shared, col, seen, below, sub = q, 0, [], False, 0, {q}, None, None
+    frames = []
+    while True:
+        done = None
+        if sub is not None:  # the head is back from the cells left of this one
+            if type(sub[0]) is int:
+                q = sub[0]
+                steps += sub[1]
+                value = sub[2]
+                if type(value) is _Cat or len(value) > SHARE_MIN:
+                    parts.append(value)
+                    shared = True
+                else:
+                    parts += value
+            else:
+                done = sub[0], steps + sub[1], None
+            sub = None
+        elif sym == right and below is None and q in finals:
+            done = ACCEPT, steps, _Cat(parts) if shared or len(parts) > SHARE_MIN else tuple(parts)
+        else:
+            move = get(q * stride + sym + col)
+            if move is None:
+                done = REJECT, steps, None
+            else:
+                q2, _base, act, c, out = move
+                if act == _LEFT:
+                    if parent is None:
+                        done = REJECT, steps, None
+                    else:
+                        steps += 1
+                        parts += out
+                        sub = parent.get(q2)
+                        if sub is None:  # suspend this cell, and summarize the parent's
+                            frames.append((parent, sym, memo, entry, steps, parts,
+                                           shared, col, seen, below))
+                            parent, sym, memo = parent.parent, parent.code, parent
+                            entry = q = q2
+                            steps, parts, shared, col, seen, below = 0, [], False, 0, {q2}, None
+                        continue
+                elif act == _RIGHT:
+                    if col:
+                        done = MachineError("invalid machine: move right over a marble"), steps, None
+                    elif sym == right:
+                        done = REJECT, steps, None
+                    elif below is not None:
+                        done = (MachineError("marble %r below the reading head" % (colours[col],)),
+                                steps, None)
+                    else:
+                        parts += out
+                        done = q2, steps + 1, (_Cat(parts) if shared or len(parts) > SHARE_MIN
+                                               else tuple(parts))
+                elif act == _DROP:
+                    if col:
+                        done = MachineError("invalid machine: drop on a marbled position"), steps, None
+                    elif below is not None:
+                        done = MachineError("marble stack positions not strictly increasing"), steps, None
+                    else:
+                        below, seen, col = seen, set(), c
+                elif act == _LIFT:
+                    if col:
+                        seen, below, col = below, None, 0
+                    else:
+                        done = MachineError("invalid machine: lift without a marble"), steps, None
+                else:
+                    done = MachineError("invalid action %r" % (c,)), steps, None
+                if done is None:
+                    steps += 1
+                    parts += out
+                    q = q2
+        if done is None:
+            if q not in seen:
+                seen.add(q)
+                continue
+            done = LOOP, steps, None
+        if memo is not None:
+            memo[entry] = done
+        if not frames:
+            return done
+        sub = done
+        parent, sym, memo, entry, steps, parts, shared, col, seen, below = frames.pop()
 
 
 def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunResult:

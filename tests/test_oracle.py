@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from xducer import semantics
-from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_k_layered
+from xducer import oracle, semantics
+from xducer.cli import main
+from xducer.layering import (
+    bounded_sstf_to_unambiguous, make_total, minimize_marbles, to_k_layered)
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -31,7 +33,7 @@ from xducer.semantics import (
     run_marble, run_sst, run_sstf, sst_outputs)
 from xducer.sst2mt import layered_to_marble
 
-from conftest import CORPUS_NAMES, load, reference_run
+from conftest import CORPUS_NAMES, corpus_path, load, reference_run
 
 
 def test_words_up_to_order_and_cap():
@@ -405,11 +407,11 @@ def corpus_marbles():
 
 
 def test_marble_outputs_match_the_reference_on_random_machines():
-    """Each word resumes its parent's run, or takes its dead parent's
-    verdict, and gets what a run from the left end gives; budgets of 5, 7
-    and 30 steps run out before, on and after the right end.  Each
-    generator gives 200 machines with colours, and the ones without that
-    come on the way."""
+    """Each word's run is composed from crossing summaries, or takes its
+    dead parent's verdict, and gets what a run from the left end gives;
+    budgets of 5, 7 and 30 steps run out before, on and after the right
+    end.  Each generator gives 200 machines with colours, and the ones
+    without that come on the way."""
     from perfbench.gen import random_marble as generated_marble
 
     rng = random.Random(84)
@@ -437,11 +439,11 @@ def test_marble_outputs_match_the_reference_on_the_corpus(name, t):
 def test_sweeps_after_a_kept_configuration_stay_out_of_it():
     """r scans right; on an a, y walks back over the b's before it and t
     sweeps them again; at ⊣, z walks back over the c's before it and t
-    sweeps them.  On bbacc, t's sweep over cc lands on ⊣ after the run kept
-    its configuration there, and on bbacca t steps onto that cell again,
-    for the first time in that run, which accepts.  The intervals a run
-    adds after its head first stood on ⊣ must stay out of the configuration
-    its children resume from."""
+    sweeps them.  On bbacc, t's sweep over cc lands on ⊣ after the head
+    first stood there, and on bbacca t steps onto that cell again, for the
+    first time in that run, which accepts.  What the run on a prefix does
+    after its head first stood on ⊣ must not carry into the runs of its
+    extensions."""
     moves = {"s0": {LEFT_END: ("r", ACT_RIGHT)},
              "r": {"b": ("r", ACT_RIGHT), "c": ("r", ACT_RIGHT), "a": ("y", ACT_LEFT),
                    RIGHT_END: ("z", ACT_LEFT)},
@@ -459,15 +461,54 @@ def test_sweeps_after_a_kept_configuration_stay_out_of_it():
     assert got[0][words.index(tuple("bbacca"))] == (ACCEPT, ())
 
 
+def count_summaries(monkeypatch):
+    """Patch ``marble_outputs``' word-tree nodes to ones that fail if one
+    entry state's summary is stored twice; returns the list of nodes made
+    and the list of summaries stored."""
+    nodes, stored = [], []
+
+    class Counted(semantics._Prefix):
+        __slots__ = ()
+
+        def __init__(self, parent, code):
+            super().__init__(parent, code)
+            nodes.append(self)
+
+        def __setitem__(self, q, summary):
+            assert q not in self, "summary of state %r simulated twice" % q
+            stored.append(summary)
+            super().__setitem__(q, summary)
+
+    monkeypatch.setattr(semantics, "_Prefix", Counted)
+    return nodes, stored
+
+
 def test_words_below_a_dead_prefix_start_no_run(monkeypatch):
     """mul_marble rejects most words on a prefix; their extensions take the
-    verdict with no run."""
+    verdict with no summary and no run."""
+    nodes, stored = count_summaries(monkeypatch)
     walk, runs = semantics._marble_walk, []
     monkeypatch.setattr(semantics, "_marble_walk",
                         lambda *args: runs.append(args[1]) or walk(*args))
     got = list(marble_outputs(load("mul_marble"), 6))
     assert len(got) == 5461 and sum(v == REJECT for v, _o in got) == 5341
-    assert len(runs) < 600
+    assert got == reference_outputs(load("mul_marble"), 6)[0]
+    # a node for each word whose parent's run stood on ⊣, and no run at all
+    assert len(nodes) < 600 and len(stored) < 1200 and not runs
+
+
+def test_no_crossing_summary_is_simulated_twice(monkeypatch):
+    """Each (prefix, state) summary is simulated once and shared by every
+    extension of the prefix: a second store of one state in a node fails, on every corpus marble and two-way machine and on the random
+    machines of the reference test."""
+    nodes, stored = count_summaries(monkeypatch)
+    rng = random.Random(88)
+    cases = [(t, 6 if len(t.input_alphabet) < 3 else 4) for _name, t in corpus_marbles()]
+    cases += [(random_marble(rng), 6) for _ in range(40)]
+    for t, maxlen in cases:
+        for budget in (None, 7):
+            assert walked_outputs(t, maxlen, budget) == reference_outputs(t, maxlen, budget)
+    assert len(nodes) > 1000 and len(stored) > len(nodes)
 
 
 def zigzag():
@@ -484,34 +525,76 @@ def zigzag():
                             frozenset({"r"}), ("m",), rules, out)
 
 
-def test_a_budget_spent_before_the_right_end_is_run_again_on_each_extension(monkeypatch):
-    """Under a budget that grows with the length, as ``default_budget``
-    does, an extension of a word that ran out before ⊣ resumes from that
-    word's own start; under a fixed budget it takes the verdict with no
-    run."""
-    walk, earlier = semantics._marble_walk, []
+def test_a_loop_found_past_the_budget_is_run_again_from_the_left_end(monkeypatch):
+    """The walk sums a word's steps, so an accept, a reject or a budget
+    verdict comes out with no run; only a word whose loop the summaries find
+    past its budget is run again from ⊢, where the loop may come sooner.
+    Under a budget that grows with the length, as ``default_budget`` does,
+    and under fixed ones."""
+    walk, reruns = semantics._marble_walk, []
 
-    def counting(tables, tape, budget, start, tr, keep):
-        earlier.append(start[1] < len(tape) - 2)  # not its parent's ⊣
-        return walk(tables, tape, budget, start, tr, keep)
+    def counting(tables, tape, budget, tr):
+        res = walk(tables, tape, budget, tr)
+        reruns.append(res[0])
+        return res
 
     monkeypatch.setattr(semantics, "_marble_walk", counting)
     rng = random.Random(87)
     machines = [zigzag()] + [random_marble(rng) for _ in range(60)]
+    counts = []
     for grow in (lambda n: n * n + 2, lambda n: 6 * n + 4):
         monkeypatch.setattr(semantics, "default_budget", lambda states, n: grow(n))
-        earlier.clear()
+        reruns.clear()
         for t in machines:
             assert walked_outputs(t, 6) == reference_outputs(t, 6, grow)
-        assert sum(earlier) >= 5
+        counts.append(len(reruns))
+        assert set(reruns) <= {LOOP, BUDGET}
     got = walked_outputs(machines[0], 6)[0]
     assert got[:3] == [(ACCEPT, ()), (ACCEPT, ("a",)), (ACCEPT, ("b",))]
     assert got[-1] == (BUDGET, None)
     for budget in (5, 7, 30):
-        earlier.clear()
+        reruns.clear()
         for t in machines:
             assert walked_outputs(t, 6, budget) == reference_outputs(t, 6, budget)
-        assert earlier and not any(earlier)
+        counts.append(len(reruns))
+        assert set(reruns) <= {LOOP, BUDGET}
+    assert counts[0] >= 5 and counts[2] >= 50 and counts[4] == 0
+    # the zigzag machine never loops: its budget verdicts need no run
+    reruns.clear()
+    monkeypatch.setattr(semantics, "default_budget", lambda states, n: n * n + 2)
+    assert walked_outputs(machines[0], 8) == reference_outputs(machines[0], 8, lambda n: n * n + 2)
+    assert not reruns
+
+
+def test_marble_outputs_are_not_bounded_by_the_register_output_limit(monkeypatch):
+    """``OUTPUT_LETTER_LIMIT`` bounds register outputs only: a marble run
+    writes as many letters as its steps allow, so a word whose shared output
+    ``_flat`` refuses is run again from ⊢ for it."""
+    monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", 5)
+    t = marble_of(load("copy_two_way"))
+    got = walked_outputs(t, 4)
+    assert got == reference_outputs(t, 4) and len(got[0][-1][1]) == 8
+
+
+def optimized_two_way(name):
+    """The ``optimize`` output of a two-way corpus machine."""
+    return minimize_marbles(marble_of(load(name))).machine
+
+
+@pytest.mark.parametrize("name,maxlen", [("copy_two_way", 10), ("reverse_two_way", 8)])
+def test_marble_outputs_match_the_reference_on_optimized_two_way_machines(name, maxlen):
+    """Word by word at longer lengths, with the default budget and with one
+    that some words spend after their head first stood on ⊣."""
+    t = optimized_two_way(name)
+    for budget in (None, 4 * maxlen):
+        want = reference_outputs(t, maxlen, budget)
+        assert walked_outputs(t, maxlen, budget) == want
+    verdicts = [v for v, _o in want[0]]
+    assert ACCEPT in verdicts and BUDGET in verdicts
+    past_the_end = [w for w, v in zip(words_up_to(t.input_alphabet, maxlen), verdicts)
+                    if v == BUDGET and any(pos == len(w) + 1 for _s, _q, pos, _st, _o in
+                                           reference_run(t, w, 4 * maxlen, trace=True).trace)]
+    assert past_the_end
 
 
 def test_an_invalid_move_raises_at_the_same_word():
@@ -531,6 +614,28 @@ def test_an_invalid_move_raises_at_the_same_word():
                 check(*pair, 4)
             errors.append(str(err.value))
         assert errors[0] == errors[1] == error
+
+
+@pytest.mark.parametrize("letter,error", [
+    ("a", "marble None below the reading head"),
+    ("b", "marble stack positions not strictly increasing"),
+    ("c", None)])
+def test_a_marble_of_no_colour_acts_as_in_a_run(letter, error):
+    """A machine that ``validate`` refuses, built in code, drops a marble of
+    colour None: the head reads the cell as unmarked and cannot lift it, and
+    moving right off it or dropping again raises, in the walk as in a run
+    from ⊢.  On ⊣ it keeps f, a final state, from accepting."""
+    rules = {("q", LEFT_END, None): ("q", ACT_RIGHT), ("q", "a", None): ("d", act_drop(None)),
+             ("d", "a", None): ("q", ACT_RIGHT), ("q", "b", None): ("d", act_drop(None)),
+             ("d", "b", None): ("q", act_drop(None)), ("q", "c", None): ("q", ACT_RIGHT),
+             ("q", RIGHT_END, None): ("f", act_drop(None)), ("f", RIGHT_END, None): ("g", ACT_LEFT),
+             ("g", "c", None): ("h", ACT_RIGHT)}
+    rules = {k: v for k, v in rules.items() if k[1] in (letter, LEFT_END, RIGHT_END)}
+    t = MarbleTransducer(("a", "b", "c"), ("a",), ("q", "d", "f", "g", "h"), "q",
+                         frozenset({"f"}), (), rules, {k: () for k in rules})
+    got = walked_outputs(t, 3)
+    assert got == reference_outputs(t, 3) and got[1] == error
+    assert {v for v, _o in got[0]} == {REJECT}
 
 
 def mutated_marble(rng, t):
@@ -620,6 +725,56 @@ def test_equiv_word_cap_is_reached_at_the_same_word():
     assert verdict.counterexample == (last, last, last + ("a",))
     with pytest.raises(MachineError, match=r"^word enumeration cap exceeded \(100000\)$"):
         equiv_check(load("identity_sst"), _differs_on(word(100001 - 2 ** 16)), 16)
+
+
+@pytest.mark.parametrize("a,b,maxlen", [
+    ("mul_sst", "mul_sst", 4), ("mul_marble", "mul_marble", 4),
+    ("reverse_two_way", "reverse_sst", 4)])
+def test_word_cap_boundary(monkeypatch, capsys, a, b, maxlen):
+    """With ``WORD_CAP`` at the number of words up to ``maxlen`` the check
+    answers; one less raises the cap error, and the CLI exits 1."""
+    m1, m2 = load(a), load(b)
+    words = sum(len(m1.input_alphabet) ** n for n in range(maxlen + 1))
+    args = ["equiv", corpus_path(a), corpus_path(b), "--maxlen", str(maxlen)]
+    monkeypatch.setattr(oracle, "WORD_CAP", words)
+    assert equiv_check(m1, m2, maxlen).equivalent
+    assert main(args) == 0
+    monkeypatch.setattr(oracle, "WORD_CAP", words - 1)
+    with pytest.raises(MachineError, match=r"^word enumeration cap exceeded \(%d\)$"
+                       % (words - 1)):
+        equiv_check(m1, m2, maxlen)
+    capsys.readouterr()
+    assert main(args) == 1
+    assert "word enumeration cap exceeded (%d)" % (words - 1) in capsys.readouterr().err
+
+
+def test_budget_cap_boundary(monkeypatch, capsys):
+    """With ``BUDGET_CAP`` at the steps of exp_marble's run on a^5, the
+    default budget of every word up to that length is the cap, and the run
+    accepts, directly and in the summary walk of ``equiv``; one less gives
+    the budget verdict: ``run`` exits 3 and ``equiv`` is inconclusive on
+    a^5, with exit 3."""
+    t = load("exp_marble")
+    steps = run_marble(t, "aaaaa").steps
+    assert steps == 256 and steps < semantics.default_budget(len(t.states), 0)
+    run_args = ["run", corpus_path("exp_marble"), "aaaaa"]
+    equiv_args = ["equiv", corpus_path("exp_marble"), corpus_path("exp_sst"), "--maxlen", "5"]
+    monkeypatch.setattr(semantics, "BUDGET_CAP", steps)
+    assert run_marble(t, "aaaaa").accepted
+    assert list(marble_outputs(t, 5)) == [
+        (ACCEPT, run_marble(t, w).output) for w in words_up_to(("a",), 5)]
+    assert equiv_check(t, load("exp_sst"), 5).equivalent
+    assert main(run_args) == 0 and main(equiv_args) == 0
+    monkeypatch.setattr(semantics, "BUDGET_CAP", steps - 1)
+    assert run_marble(t, "aaaaa").verdict == BUDGET
+    assert list(marble_outputs(t, 5))[-1] == (BUDGET, None)
+    verdict = equiv_check(t, load("exp_sst"), 5)
+    assert verdict.status == "inconclusive" and verdict.inconclusive_word == tuple("aaaaa")
+    capsys.readouterr()
+    assert main(run_args) == 3
+    assert "step budget exhausted" in capsys.readouterr().err
+    assert main(equiv_args) == 3
+    assert '"inconclusive"' in capsys.readouterr().out
 
 
 def test_brute_pattern_search_exp():

@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 
+from conftest import CORPUS_NAMES, load
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
 
@@ -96,7 +98,8 @@ def test_pool_census_climbs_the_size_ladder():
 
 
 def test_interp_rate_reports_each_machine():
-    rows = [json.loads(line) for line in run_script("interp_rate.py", "1000").splitlines()]
+    lines = run_script("interp_rate.py", "1000").splitlines()
+    rows = [json.loads(line) for line in lines if '"maxlen"' not in line]
     assert [row["machine"] for row in rows] == [
         "reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",
         "identity_sst", "reverse_sst", "mul_sst", "exp_sst"]
@@ -108,6 +111,18 @@ def test_interp_rate_reports_each_machine():
         assert row["letters_per_ref_s"] > 0, row
     # reverse_two_way: a pass right, a pass back and a pass right again
     assert rows[0]["steps"] == 3 * 1000 + 3
+    # one equiv row per corpus transducer, at the longest length of at most
+    # 1000 words (and at most 16 letters)
+    rows = [json.loads(line) for line in lines if '"maxlen"' in line]
+    assert [row["machine"] for row in rows] == [
+        name for name in CORPUS_NAMES if not name.endswith("_flow")]
+    maxlen = {1: 16, 2: 8, 3: 5, 4: 4}
+    for row in rows:
+        k = len(load(row["machine"]).input_alphabet)
+        assert row["size"] == 1000 and row["maxlen"] == maxlen[k], row
+        assert row["words"] == sum(k ** n for n in range(maxlen[k] + 1)), row
+        assert row["cpu_s"] > 0 and row["words_per_s"] > 0, row
+        assert row["cpu_ref_s"] > 0 and row["words_per_ref_s"] > 0, row
 
 
 def load_file(name: str, path: str):

@@ -8,6 +8,7 @@ and through the token loop below, which builds every value as a flat tuple.
 
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from xducer import semantics
 from xducer.cli import main
 from xducer.layering import to_k_layered
 from xducer.machines import Fun, FunctionRegistry, Lit, MachineError, Reg, SST
-from xducer.semantics import ACCEPT, REJECT, SHARE_MIN, run_sst, run_sstf
+from xducer.semantics import ACCEPT, REJECT, SHARE_MIN, run_sst, run_sstf, sst_outputs
 
 from conftest import corpus_path, load
 
@@ -161,6 +162,41 @@ def test_output_length_is_limited_before_flattening(monkeypatch, capsys):
         monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", n - 1)
         with pytest.raises(MachineError):
             run_sst(m, word)
+
+
+def test_flattening_holds_at_most_the_limit_before_the_refusal(monkeypatch):
+    """The walk counts letters as it writes them and refuses before a span
+    copy, an extend or a node would pass the limit, so a refused output of
+    2^20 letters never holds more than the limit's pointers: 8 bytes each,
+    and list growth."""
+    limit = 100000
+    monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", limit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MachineError, match=r"\(it has %d\)$" % 2 ** 20):
+            run_sst(load("exp_sst"), "a" * 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * limit
+
+
+def test_output_limit_is_exact_with_empty_pieces(monkeypatch):
+    """An output y·x·y with y empty and x a node: the empty pieces write no
+    letter and count for none, in a run and in the walk of ``equiv``, whose
+    last step reads the output through the update."""
+    m = load("identity_sst", ("a",))
+    m = replace(m, registers=("x", "y"), init_valuation={"x": (), "y": ()},
+                update={key: {**rhs, "y": (Reg("y"),)} for key, rhs in m.update.items()},
+                output={"q": (Reg("y"), Reg("x"), Reg("y"))})
+    w = "a" * 100
+    monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", len(w))
+    assert run_sst(m, w).output == tuple(w)
+    assert list(sst_outputs(m, 100))[-1] == (ACCEPT, tuple(w))
+    monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", len(w) - 1)
+    for run in (lambda: run_sst(m, w), lambda: list(sst_outputs(m, 100))):
+        with pytest.raises(MachineError, match=r"\(it has 100\)$"):
+            run()
 
 
 def test_random_sstfs_match_the_flat_evaluator():
