@@ -23,12 +23,16 @@ searches skip most of the automaton without changing any answer.
   product the first run stays in SCC(q), the third in SCC(q') and the
   middle one in reach(q) & coreach(q'); the search is cut further to the
   pairs of the last two runs that can still end in (q', q').
-* Reachability is the same from every state of an SCC, so the first barbell
-  of each pair of SCCs stands for all of them, and a height is one number
-  per SCC, found in one pass over the component DAG.
+* A second run can follow the first along any path inside an SCC, so the
+  pairs one run reaches beside another that stays in an SCC are the same
+  from every diagonal pair of it: the pair searches run once per SCC.  For
+  the same reason the first barbell of each pair of SCCs stands for all of
+  them, and a height is one number per SCC, found in one pass over the
+  component DAG.
 
-One search, ``find_barbell``, decides each barbell and gives its
-lexicographically least witness word.
+These searches are closures (``_closure``) on bit masks local to one SCC.
+Only the witness words a report prints are searched for word by word
+(``_lex_bfs``), each the lexicographically least shortest one.
 """
 
 from __future__ import annotations
@@ -105,37 +109,110 @@ def _components(states, succ: dict) -> list:
     return sccs
 
 
+class _Image(dict):
+    """Bit rows indexed by number (``rows``), and the map from a mask to the
+    union of the rows of its bits, each image computed on first use and
+    kept: the searches ask for the same masks again and again."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, size: int):
+        self.rows = [0] * size
+
+    def __missing__(self, bits: int) -> int:
+        out, rest = 0, bits
+        while rest:
+            low = rest & -rest
+            out |= self.rows[low.bit_length() - 1]
+            rest ^= low
+        self[bits] = out
+        return out
+
+
+def _closure(start: dict, step, goal=(None, 0)) -> dict:
+    """The least map key -> bits holding ``start`` and closed under ``step``,
+    or the part built when bit ``goal[1]`` first reaches key ``goal[0]``.
+
+    ``step(key, bits)`` yields (key2, bits2) pairs and distributes over
+    unions of bits, so only the bits new at a key are passed on.  A key is
+    a state of the run that may leave an SCC (a pair of states in the triple
+    search) and its bits are the other run's states inside one SCC, so the
+    map has at most the automaton's states as keys (|SCC(q)| x states in the
+    triple search), each with at most one SCC's bits: it needs no limit.
+    """
+    reach = dict(start)
+    pending = dict(start)
+    goal_key, goal_bit = goal
+    while pending:
+        key, bits = pending.popitem()
+        for key2, bits2 in step(key, bits):
+            old = reach.get(key2, 0)
+            new = bits2 & ~old
+            if new:
+                reach[key2] = old | new
+                pending[key2] = pending.get(key2, 0) | new
+                if new & goal_bit and key2 == goal_key:
+                    return reach
+    return reach
+
+
 class _Support:
     """The search structure of one automaton, shared by every pattern query.
 
     ``rows[a][p]`` lists the states p reaches by one positive step on a and
     ``back[a][r]`` the states that reach r so, ``pred[r]`` on any letter;
-    ``heavy`` holds the (p, a, r) steps of weight at least 2; ``sccs`` lists
-    the SCCs as ``_components`` orders them and ``comp`` maps a state to its
-    SCC; ``cyclic`` marks states on some cycle.  Coreachable sets and the
-    ``behind`` pair sets are computed on first use.
+    ``heavy`` holds the (p, a, r) steps of weight at least 2; ``sccs``
+    lists the SCCs, each after every SCC that reaches it, and ``comp`` maps
+    a state to its SCC; ``cyclic`` marks states on some cycle.
+
+    ``bit[q]`` is 1 << q's number inside its SCC, in declaration order.  For
+    a cyclic SCC c, ``fwd[c][a]`` and ``bwd[c][a]`` are the images
+    (``_Image``) of the successors and the predecessors on a inside c.
+    ``heavy_sccs`` and ``branching`` hold the SCCs with, inside, a step of
+    weight at least 2 and a state with two successors on one letter.
+    Coreachable sets and ``behind`` maps are computed on first use.
     """
 
     def __init__(self, m: NAutomaton):
-        self.letters = tuple(sorted(m.input_alphabet))
-        self.rows = {a: {p: [] for p in m.states} for a in self.letters}
-        self.back = {a: {p: [] for p in m.states} for a in self.letters}
+        self.letters = letters = tuple(sorted(m.input_alphabet))
+        self.rows = {a: {p: [] for p in m.states} for a in letters}
+        self.back = {a: {p: [] for p in m.states} for a in letters}
         self.heavy = set()
-        self.pred = {p: set() for p in m.states}
-        for a in self.letters:
+        self.pred = pred = {p: set() for p in m.states}
+        for a in letters:
+            rows, back = self.rows[a], self.back[a]
             for (p, r), w in m.mats.get(a, {}).items():
                 if w > 0:
-                    self.rows[a][p].append(r)
-                    self.back[a][r].append(p)
-                    self.pred[r].add(p)
+                    rows[p].append(r)
+                    back[r].append(p)
+                    pred[r].add(p)
                     if w >= 2:
                         self.heavy.add((p, a, r))
-        self.states = frozenset(m.states)
-        self.succ = _support_edges(m)
-        self.sccs = _components(m.states, self.succ)
-        self.comp = {q: c for c in self.sccs for q in c}
-        self.cyclic = {q: len(self.comp[q]) > 1 or q in self.succ[q]
-                       for q in m.states}
+        self.sccs = _components(m.states, pred)
+        self.comp = comp = {q: c for c in self.sccs for q in c}
+        self.cyclic = {q: len(comp[q]) > 1 or q in pred[q] for q in m.states}
+        num, size = {}, {}
+        for q in m.states:
+            num[q] = size.get(comp[q], 0)
+            size[comp[q]] = num[q] + 1
+        self.bit = bit = {q: 1 << n for q, n in num.items()}
+        self.fwd, self.bwd, self.branching = {}, {}, set()
+        for c in self.sccs:
+            if not self.cyclic[next(iter(c))]:
+                continue
+            self.fwd[c] = {a: _Image(len(c)) for a in letters}
+            self.bwd[c] = {a: _Image(len(c)) for a in letters}
+            for a in letters:
+                fwd, bwd = self.fwd[c][a].rows, self.bwd[c][a].rows
+                for p in c:
+                    for r in self.rows[a][p]:
+                        if comp[r] is c:
+                            if fwd[num[p]]:
+                                self.branching.add(c)
+                            fwd[num[p]] |= bit[r]
+                            bwd[num[r]] |= bit[p]
+        self.heavy_sccs = {comp[p] for p, _a, r in self.heavy
+                           if comp[p] is comp[r]}
         self._coreach: dict = {}
         self._behind: dict = {}
 
@@ -145,24 +222,30 @@ class _Support:
             self._coreach[q] = _reachable(self.pred, [q])
         return self._coreach[q]
 
-    def pairs(self, start, rows, keep1, keep2) -> set:
-        """Pairs reachable from ``start`` by two runs over ``rows`` reading
-        the same letters, the first kept in ``keep1``, the second in ``keep2``."""
-        def successors(node):
-            p1, p2 = node
-            return [(r1, r2) for a in self.letters
-                    for r1 in rows[a][p1] if r1 in keep1
-                    for r2 in rows[a][p2] if r2 in keep2]
-        return set(explore([start], successors, len(self.states) ** 2,
-                           "pair search"))
+    def beside(self, rows, local):
+        """The closure step of a key run over ``rows`` and a bit run over
+        ``local``, one SCC's images, reading the same letter."""
+        letters = self.letters
 
-    def behind(self, q2) -> set:
-        """Pairs (p, p') such that some word leads p to q2 and p' to q2
-        inside SCC(q2): the last two runs of a barbell ending in q2."""
-        if q2 not in self._behind:
-            self._behind[q2] = self.pairs(
-                (q2, q2), self.back, self.states, self.comp[q2])
-        return self._behind[q2]
+        def step(p, bits):
+            for a in letters:
+                img = local[a][bits]
+                if img:
+                    for r in rows[a][p]:
+                        yield r, img
+        return step
+
+    def behind(self, c) -> dict:
+        """State p -> the bits of the p' in cyclic SCC c such that some word
+        leads p to q2 and p' to q2 inside c: the last two runs of a barbell
+        ending in q2.  It is the same map for every q2 in c, as a word
+        leading both runs to some (q', q') of c goes on to (q2, q2) inside
+        c, so one closure from every diagonal pair of c serves them all.
+        """
+        if c not in self._behind:
+            self._behind[c] = _closure({q: self.bit[q] for q in c},
+                                       self.beside(self.back, self.bwd[c]))
+        return self._behind[c]
 
 
 def _support(m: NAutomaton) -> _Support:
@@ -314,38 +397,47 @@ def flow_automaton(m: SST) -> NAutomaton:
 def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
     """Some (q, v) with mats(v)(q, q) >= 2, or None.
 
-    A weight-2 return path exists iff the pair automaton admits two distinct
-    parallel runs q -> q over the same word: track (run1 state, run2 state,
-    diverged?) and ask for (q, q, diverged) reachable from (q, q, plain).
-    Both runs stay in SCC(q), so the product is cut to SCC(q) x SCC(q), and
-    a heavy cycle at one state of an SCC yields one at every state of it
-    (go to q, take both loops, come back): one search per cyclic SCC
-    decides all its states.  States are scanned in declaration order; for
-    the first state with a heavy cycle the breadth-first lexicographically
-    least witness is produced.
+    A weight-2 return path exists iff two distinct runs q -> q read the same
+    word.  Both stay in SCC(q), and a heavy cycle at one state of an SCC
+    gives one at every state of it (go to q, take both loops, come back), so
+    each cyclic SCC is decided once: heavy if it holds a step of weight at
+    least 2; else light if no state in it has two successors in it on one
+    letter, as two runs from q then never part; else heavy iff the forward
+    and the backward closure from (q, q) share a pair (p, p') with p != p'.
+    A key of both reaches q and is reached from q, so it is in SCC(q), where
+    the pairs reached from (q, q) are symmetric: a shared pair is read at
+    one key.  SCCs are met in the declaration order of their states; the
+    breadth-first lexicographically least witness is searched only for the
+    first state of the first heavy SCC.
     """
     s = _support(m)
-    light: set = set()  # SCCs already searched without a hit
+    seen: set = set()
     for q in m.states:
-        comp = s.comp[q]
-        if not s.cyclic[q] or comp in light:
+        c = s.comp[q]
+        if not s.cyclic[q] or c in seen:
             continue
-        rows = {a: {p: [r for r in row[p] if r in comp] for p in comp}
-                for a, row in s.rows.items()}
+        seen.add(c)
+        if c not in s.heavy_sccs:
+            if c not in s.branching:
+                continue
+            ahead = _closure({q: s.bit[q]}, s.beside(s.rows, s.fwd[c]))
+            behind = _closure({q: s.bit[q]}, s.beside(s.back, s.bwd[c]))
+            if not any(bits & behind.get(p, 0) & ~s.bit[p]
+                       for p, bits in ahead.items()):
+                continue
 
-        def step(node, a, rows=rows):
+        def step(node, a):
             p1, p2, f = node
-            out = []
-            for r1 in rows[a][p1]:
-                w2 = p1 == p2 and (p1, a, r1) in s.heavy
-                for r2 in rows[a][p2]:
-                    out.append((r1, r2, f or r1 != r2 or w2))
+            row, out = s.rows[a], []
+            for r1 in row[p1]:
+                if r1 in c:
+                    w2 = p1 == p2 and (p1, a, r1) in s.heavy
+                    out += [(r1, r2, f or r1 != r2 or w2)
+                            for r2 in row[p2] if r2 in c]
             return out
 
-        v = _lex_bfs(s.letters, [(q, q, False)], step, (q, q, True).__eq__)
-        if v is not None:
-            return q, v
-        light.add(comp)
+        return q, _lex_bfs(s.letters, [(q, q, False)], step,
+                           (q, q, True).__eq__)
     return None
 
 
@@ -355,13 +447,17 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
     Decided by reachability in the triple product over positive-support
     transitions from (q, q, q2) to (q, q2, q2), path length >= 1.  The first
     run stays in SCC(q); the last two only visit pairs from which they can
-    still end in q2 together.
+    still end in q2 together (``behind``).  This is a search over words, for
+    a witness; ``barbell_graph`` decides barbells without one.
     """
     if q == q2:
         raise MachineError("a barbell needs two distinct states")
     s = _support(m)
-    c1, behind = s.comp[q], s.behind(q2)
-    if (q, q2) not in behind:
+    if not (s.cyclic[q] and s.cyclic[q2]):
+        return None
+    c1, c2, bit = s.comp[q], s.comp[q2], s.bit
+    behind = s.behind(c2)
+    if not behind.get(q, 0) & bit[q2]:
         return None
 
     def step(node, a):
@@ -370,11 +466,34 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
         return [
             (r1, r2, r3)
             for r1 in row[n1] if r1 in c1
-            for r2 in row[n2]
-            for r3 in row[n3] if (r2, r3) in behind
+            for r2 in row[n2] if r2 in behind
+            for r3 in row[n3] if r3 in c2 and behind[r2] & bit[r3]
         ]
 
     return _lex_bfs(s.letters, [(q, q, q2)], step, (q, q2, q2).__eq__)
+
+
+def _has_barbell(s: _Support, q, q2, behind: dict) -> bool:
+    """Whether ``find_barbell`` finds a word: a closure keyed by the first two
+    runs (r1 in SCC(q), r2), the third run's states as bits over SCC(q2)
+    kept to SCC(q2)'s ``behind``, stopping at (q, q2, q2)."""
+    c1, rows, local = s.comp[q], s.rows, s.fwd[s.comp[q2]]
+
+    def step(node, bits):
+        n1, n2 = node
+        for a in s.letters:
+            img = local[a][bits]
+            if img:
+                for r1 in rows[a][n1]:
+                    if r1 in c1:
+                        for r2 in rows[a][n2]:
+                            b = img & behind.get(r2, 0)
+                            if b:
+                                yield (r1, r2), b
+
+    goal = (q, q2), s.bit[q2]
+    reach = _closure({(q, q): s.bit[q2]}, step, goal)
+    return bool(reach.get(goal[0], 0) & goal[1])
 
 
 @dataclass(frozen=True)
@@ -395,10 +514,12 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
 
     Requires a trim automaton without heavy cycles (``classify`` has already
     searched for one).  Barbells (q, q') are then only sought between cyclic
-    states of distinct SCCs.  One pair pass per q (first run in SCC(q)) finds
-    the q' that some word takes q to while returning to q, one backward pair
-    pass per q' (``behind``) the q that can end in q' while q' returns to
-    itself; for pairs passing both, ``find_barbell`` decides.
+    states of distinct SCCs.  One forward closure per SCC of q gives the q'
+    that some word takes q to while returning to q, one backward closure
+    per SCC of q' the q that can end in q' while q' returns to itself
+    (``behind``); for pairs passing both, a triple closure decides
+    (``_has_barbell``), with no witness word.  One SCC's targets are held
+    at a time; the barbells are put in declaration order at the end.
 
     Heights are monotone along reachability and the same across an SCC, so
     they are found per SCC in one pass over the component DAG in topological
@@ -409,22 +530,37 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
     """
     s = _support(m)
     pos = {q: i for i, q in enumerate(m.states)}
-    barbells: dict = {}
-    for q in m.states:
-        if not s.cyclic[q]:
-            continue
-        ahead = s.pairs((q, q), s.rows, s.comp[q], s.states)
-        for q2 in sorted((p2 for p1, p2 in ahead if p1 == q and s.cyclic[p2]),
-                         key=pos.__getitem__):
-            key = (s.comp[q], s.comp[q2])
-            if (key not in barbells and key[0] is not key[1]
-                    and find_barbell(m, q, q2) is not None):
-                barbells[key] = (q, q2)
+    found = []
+    for c in s.fwd:  # the cyclic SCCs
+        # by number of q in c, the cyclic q2 outside c with (q, q2) reached
+        # from (q, q), one closure for every state of c
+        targets = [[] for _ in c]
+        ahead = _closure({q: s.bit[q] for q in c}, s.beside(s.rows, s.fwd[c]))
+        for p2, bits in ahead.items():
+            if not s.cyclic[p2] or s.comp[p2] is c:
+                continue
+            while bits:
+                low = bits & -bits
+                targets[low.bit_length() - 1].append(p2)
+                bits ^= low
+        first: set = set()
+        for q in sorted(c, key=pos.__getitem__):
+            for q2 in sorted(targets[s.bit[q].bit_length() - 1],
+                             key=pos.__getitem__):
+                c2 = s.comp[q2]
+                if c2 in first:
+                    continue
+                behind = s.behind(c2)
+                if behind.get(q, 0) & s.bit[q2] and _has_barbell(
+                        s, q, q2, behind):
+                    first.add(c2)
+                    found.append((pos[q], pos[q2], (c, c2), (q, q2)))
+    barbells = {key: pair for _i, _j, key, pair in sorted(found)}
     starts: dict = {}
     for c, c2 in barbells:
         starts.setdefault(c2, []).append(c)
     height: dict = {}
-    for c in reversed(s.sccs):  # each SCC after every SCC that reaches it
+    for c in s.sccs:  # each SCC after every SCC that reaches it
         height[c] = max([height[s.comp[p]] for q in c for p in s.pred[q]
                          if s.comp[p] is not c]
                         + [height[c1] + 1 for c1 in starts.get(c, ())],

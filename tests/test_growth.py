@@ -662,3 +662,88 @@ def test_component_pruned_search_matches_unpruned_reference():
         assert list(g.barbells.items()) == list(first.items())
     assert kinds["exponential"] >= 15 and kinds["polynomial"] >= 40, kinds
     assert kinds["degree>=2"] >= 15, kinds
+
+
+# ---------------------------------------------------------------------------
+# Components wider than one machine word
+# ---------------------------------------------------------------------------
+
+
+def wide_chains(count, seed, heavy=False):
+    """(automaton, blocks): SCCs joined in a chain, one of 61-90 states, and
+    the lists of their states, bottom first.
+
+    Letter a turns each block around its cycle, and b loops on every state
+    and links one state of each block to one of the next, so each link is a
+    barbell (b reads the loop, the link and the loop) and the degree is the
+    number of links.  Inside a block every state has one successor on each
+    letter, so no run splits there and no cycle is heavy; a few random
+    steps from a block to later ones add barbells but no longer chain.
+    With ``heavy``, letter c loops on every state and also swaps two states
+    of the wide block, whose cycle then has two paths over cc.  The masks of
+    the wide block span several CPython digits.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        sizes.insert(rng.randint(0, len(sizes)), rng.randint(61, 90))
+        names = ["w%d" % i for i in range(sum(sizes))]
+        rng.shuffle(names)
+        blocks, i = [], 0
+        for size in sizes:
+            blocks.append(names[i:i + size])
+            i += size
+        letters = ("a", "b", "c") if heavy else ("a", "b")
+        mats = {a: {} for a in letters}
+        for bi, block in enumerate(blocks):
+            for j, p in enumerate(block):
+                mats["a"][(p, block[(j + 1) % len(block)])] = 1
+                mats["b"][(p, p)] = 1
+                if heavy:
+                    mats["c"][(p, p)] = 1
+                for later in blocks[bi + 1:]:
+                    if rng.random() < 0.02:
+                        mats[rng.choice(letters)][(p, rng.choice(later))] = 1
+            if bi + 1 < len(blocks):
+                mats["b"][(rng.choice(block), rng.choice(blocks[bi + 1]))] = 1
+        if heavy:
+            wide = max(blocks, key=len)
+            u, v = rng.sample(wide, 2)
+            mats["c"][(u, v)] = mats["c"][(v, u)] = 1
+        states = tuple(sorted(names, key=lambda s: int(s[1:])))
+        t = NAutomaton(letters, states, {blocks[0][0]: 1},
+                       {blocks[-1][0]: 1}, mats)
+        assert trim(t) == t
+        yield t, blocks
+
+
+def test_wide_components_keep_the_chain_degree():
+    for t, blocks in wide_chains(6, seed=61):
+        assert has_heavy_cycle(t) is None
+        rep = classify(t)
+        assert rep.kind == "polynomial" and rep.degree == len(blocks) - 1
+        g = barbell_graph(t)
+        assert g.heights == {q: i for i, block in enumerate(blocks)
+                             for q in block}
+        # the first barbell of each pair of SCCs, by one word search a pair
+        comp, first = _components(t), {}
+        for q in t.states:
+            for q2 in t.states:
+                key = (comp[q], comp[q2])
+                if (key[0] != key[1] and key not in first
+                        and find_barbell(t, q, q2) is not None):
+                    first[key] = (q, q2)
+        assert list(g.barbells.items()) == list(first.items())
+        for p in range(1, 4):
+            assert eval_nautomaton(t, witness_word(rep, p)) >= p ** rep.degree
+
+
+def test_wide_component_heavy_variant():
+    for t, blocks in wide_chains(4, seed=62, heavy=True):
+        wide = max(blocks, key=len)
+        q, _v = has_heavy_cycle(t)
+        assert q == next(p for p in t.states if p in wide)
+        rep = classify(t)
+        assert rep.kind == "exponential" and rep.witness["state"] == q
+        for p in range(1, 4):
+            assert eval_nautomaton(t, witness_word(rep, p)) >= 2 ** p
