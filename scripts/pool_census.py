@@ -25,6 +25,13 @@ each check, so a limit that ends one of the checks keeps the sizes: the row
 is the child's last complete line, and each check it did not reach reads
 "killed" with the reason.
 
+A marble row (``--marble``) is of ``marble_to_sst`` and ``minimize_marbles``
+instead: ``states``, ``registers``, ``size`` and ``sha256`` of the SST that
+``marble_to_sst`` writes, with ``convert_s``, the CPU seconds it took; then
+``outcome`` ("marble", "exponential", a refusal, or "killed" when a limit
+ended ``minimize_marbles``) and, for a marble outcome, ``k_min`` and
+``walker_states``, the state count of the rebuilt marble machine.
+
 Usage:
   pool_census.py [FIRST [LAST]]
       the benchmark pool, ``perfbench.gen.pool_machine("opt_sst", i)`` for
@@ -33,6 +40,9 @@ Usage:
       the size ladder, ``perfbench.gen.layered_sst(
       random.Random("ladder:S:R:L:seed"), S, R, L)`` for seeds 1..N
       (default 6); rows carry ``shape`` [S, R, L] and ``seed``
+  pool_census.py --marble [FIRST [LAST]]
+      the marble pool, ``perfbench.gen.pool_machine("opt_marble", i)`` for
+      members i = FIRST..LAST (default 0..39); rows carry ``member``
 """
 
 import hashlib
@@ -54,23 +64,52 @@ EQUIV_LENGTH = 6
 
 
 def source(spec: list):
-    """The machine of ``spec``: ["member", i] or ["ladder", S, R, L, seed]."""
+    """The machine of ``spec``: ["member", i], ["marble", i] or
+    ["ladder", S, R, L, seed]."""
     from perfbench.gen import layered_sst, pool_machine
 
-    if spec[0] == "member":
-        return pool_machine("opt_sst", spec[1])
+    if spec[0] != "ladder":
+        return pool_machine("opt_sst" if spec[0] == "member" else "opt_marble", spec[1])
     s, r, l, seed = spec[1:]
     return layered_sst(random.Random("ladder:%d:%d:%d:%d" % (s, r, l, seed)),
                        s, r, l)
 
 
 def label(spec: list) -> dict:
-    if spec[0] == "member":
+    if spec[0] != "ladder":
         return {"member": spec[1]}
     return {"shape": spec[1:4], "seed": spec[4]}
 
 
 CHECKS = ("equiv", "out_degree")   # keys of the checks run on a layered output
+
+
+def marble_census(spec: list, emit) -> None:
+    """Convert one marble machine in this process and ``emit`` its row: once
+    when ``marble_to_sst`` returns and again when ``minimize_marbles`` does."""
+    from xducer.layering import minimize_marbles
+    from xducer.machine_io import dumps_machine
+    from xducer.machines import MachineError
+    from xducer.mt2sst import marble_to_sst
+
+    row = label(spec)
+    m = source(spec)
+    try:
+        start = time.process_time()
+        sst = marble_to_sst(m)
+        row.update(states=len(sst.states), registers=len(sst.registers),
+                   size=len(sst.states) * len(sst.registers),
+                   sha256=hashlib.sha256(dumps_machine(sst).encode()).hexdigest(),
+                   convert_s=round(time.process_time() - start, 4))
+        emit(row)
+        res = minimize_marbles(m)
+    except MachineError as err:
+        row["outcome"] = str(err)
+    else:
+        row["outcome"] = res.kind
+        if res.kind == "marble":
+            row.update(k_min=res.k, walker_states=len(res.machine.states))
+    emit(row)
 
 
 def census(spec: list, emit) -> None:
@@ -133,13 +172,16 @@ def child_cpu_s() -> float:
 
 
 def specs(argv) -> list:
-    if argv and argv[0] == "--shape":
+    kind = "member"
+    if argv and argv[0] == "--marble":
+        kind, argv = "marble", argv[1:]
+    elif argv and argv[0] == "--shape":
         shape = [int(v) for v in argv[1:4]]
         seeds = int(argv[5]) if argv[4:5] == ["--seeds"] else 6
         return [["ladder"] + shape + [seed] for seed in range(1, seeds + 1)]
     first = int(argv[0]) if argv else 0
     last = int(argv[1]) if len(argv) > 1 else (first if argv else 39)
-    return [["member", index] for index in range(first, last + 1)]
+    return [[kind, index] for index in range(first, last + 1)]
 
 
 def row_of(spec: list, returncode: int, stdout: str, stderr: str) -> dict:
@@ -160,14 +202,16 @@ def row_of(spec: list, returncode: int, stdout: str, stderr: str) -> dict:
         reason = "killed (%s)" % (tail[-1] if tail else "exit %d" % returncode)
     if row is None:
         return dict(label(spec), outcome=reason)
-    for check in CHECKS:
+    for check in ("outcome",) if spec[0] == "marble" else CHECKS:
         row.setdefault(check, reason)
     return row
 
 
 def main(argv) -> int:
     if argv and argv[0] == "--child":
-        census(json.loads(argv[1]), lambda row: print(json.dumps(row), flush=True))
+        spec = json.loads(argv[1])
+        (marble_census if spec[0] == "marble" else census)(
+            spec, lambda row: print(json.dumps(row), flush=True))
         return 0
     for spec in specs(argv):
         before = child_cpu_s()

@@ -840,12 +840,11 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
 
     The steps of a run are summed, so its verdict under the budget comes out
     exactly: an accept after at most ``budget`` steps, a reject or a
-    ``MachineError`` met after fewer, and otherwise the budget.  A summary
-    keeps seen sets of its own, so it finds a loop no earlier than a run
-    from ⊢, whose frames also remember what came before: a loop found within
-    the budget is a loop of that run, and a word whose loop is found past
-    its budget is run again from ⊢ by ``_marble_walk``, which alone tells
-    that loop from the budget.  So is a word whose output is too long for
+    ``MachineError`` met after fewer, and otherwise the budget.  Summaries
+    find a loop no earlier than a run from ⊢ (``_crossing``): a loop found
+    within the budget is a loop of that run, and a word whose loop is found
+    past its budget is run again from ⊢ by ``_marble_walk``, which alone
+    tells that loop from the budget.  So is a word whose output is too long for
     ``_flat``.  Outputs are shared as ``_Cat`` nodes, as register values
     are, and flattened only when a word is yielded.  An error is kept as the
     outcome of the summary that met it, and raised by the first word whose
@@ -937,22 +936,32 @@ def _joined(u, v):
 
 
 def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
-    """The crossing summary of a cell holding symbol code ``sym``, right of
-    the prefix ``parent`` (a ``_Prefix``, None left of ⊢), entered in state
-    ``q`` with no marble on it.  It is (state, steps, output) for the state
-    in which the head next steps right off the cell, with the steps and
-    output on the way, or (verdict, steps, None) if the run ends first,
-    with REJECT, LOOP or the ``MachineError`` it met (not raised) as the
-    verdict.  It is stored in ``memo``, the cell's ``_Prefix``, under ``q``,
-    unless ``memo`` is None.
+    """The crossing summary of a cell holding symbol code ``sym``, entered
+    in state ``q`` with no marble on it: (state, steps, output) for the
+    state in which the head next steps right off the cell, with the steps
+    and output on the way, or (verdict, steps, None) if the run ends first,
+    with REJECT, LOOP or the ``MachineError`` it met (not raised).
 
-    Only the head's moves on this cell are simulated; a left move is
-    answered by ``parent``'s summary, so each summary costs its own cell.
-    A summary that is not yet in its node is computed then, on an
-    explicit stack of suspended cells, whatever the length of the prefix.
-    On ⊣, which ``_marble_verdict`` passes with no memo, the run accepts in
-    a final state with no marble, as ``_marble_walk`` does, and a right move
-    rejects.
+    Only the head's moves on this cell are simulated.  A left move is
+    answered by ``parent``, which maps a state to the summary of the cell to
+    the left entered in it (None left of ⊢: the move rejects).
+    ``marble_outputs`` passes a ``_Prefix``, whose missing summaries are
+    computed when asked for, on an explicit stack of suspended cells;
+    ``mt2sst.marble_to_sst`` a dict over every state, whose outputs are
+    registers.  On ⊣ the run accepts in a final state with no marble, as
+    ``_marble_walk`` does, and a right move rejects.
+
+    ``memo`` (None, or the cell's summaries by entry state) shares chain
+    suffixes.  The rest of a run that stands on the cell with no marble in
+    state p depends on p alone, so at each such p not seen before, a
+    summary stored under p ends the simulation.  At the end the summary is
+    stored under its entry and, unless it is LOOP, under each such p, with
+    what is left from p.  A stored summary other than LOOP is exact: the run
+    from p repeated no state, and a run entered in p, which remembers less,
+    makes the same moves.  A LOOP is found no earlier than a run from ⊢
+    finds it, as the summaries' seen sets hold only configurations which
+    that run holds at the same step; this is what ``marble_outputs``'
+    budget rule needs.
 
     The cell's seen sets are of states: one for the frame the summary starts
     in, and a fresh one for each marble dropped on the cell, the only marble
@@ -964,86 +973,114 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
     table, codes, _names, colours, finals, _q0, stride = tables
     get = table.get
     right = codes[RIGHT_END]
-    entry, steps, parts, shared, col, seen, below, sub = q, 0, [], False, 0, {q}, None, None
+    # ``marks``: (state, steps, len(parts)) at each state met after the
+    # entry with no marble on the cell; ``shared``: the index in ``parts``
+    # of the last piece kept by reference, or -1.
+    entry, steps, parts, shared, col, seen, below, marks = q, 0, [], -1, 0, {q}, None, []
+    sub = hit = None
     frames = []
     while True:
-        done = None
-        if sub is not None:  # the head is back from the cells left of this one
-            if type(sub[0]) is int:
-                q = sub[0]
-                steps += sub[1]
-                value = sub[2]
-                if type(value) is _Cat or len(value) > SHARE_MIN:
-                    parts.append(value)
-                    shared = True
-                else:
-                    parts += value
-            else:
-                done = sub[0], steps + sub[1], None
-            sub = None
+        if sub is not None:  # back from the cells left of this one, or, with
+            done, more, value = sub  # ``hit``, at a stored summary that ends this one
+            steps += more
+            if type(value) is _Cat or value is not None and len(value) > SHARE_MIN:
+                shared = len(parts)
+                parts.append(value)
+            elif value:
+                parts += value
+            if type(done) is int and not hit:
+                q, done = done, None
+            sub = hit = None
         elif sym == right and below is None and q in finals:
-            done = ACCEPT, steps, _Cat(parts) if shared or len(parts) > SHARE_MIN else tuple(parts)
+            done = ACCEPT
         else:
+            done = None
             move = get(q * stride + sym + col)
             if move is None:
-                done = REJECT, steps, None
+                done = REJECT
             else:
                 q2, _base, act, c, out = move
                 if act == _LEFT:
                     if parent is None:
-                        done = REJECT, steps, None
+                        done = REJECT
                     else:
                         steps += 1
                         parts += out
                         sub = parent.get(q2)
                         if sub is None:  # suspend this cell, and summarize the parent's
-                            frames.append((parent, sym, memo, entry, steps, parts,
-                                           shared, col, seen, below))
+                            frames.append((parent, sym, memo, entry, steps, parts, shared,
+                                           col, seen, below, marks))
                             parent, sym, memo = parent.parent, parent.code, parent
                             entry = q = q2
-                            steps, parts, shared, col, seen, below = 0, [], False, 0, {q2}, None
+                            steps, parts, shared, col, seen, below, marks = (
+                                0, [], -1, 0, {q2}, None, [])
                         continue
                 elif act == _RIGHT:
                     if col:
-                        done = MachineError("invalid machine: move right over a marble"), steps, None
+                        done = MachineError("invalid machine: move right over a marble")
                     elif sym == right:
-                        done = REJECT, steps, None
+                        done = REJECT
                     elif below is not None:
-                        done = (MachineError("marble %r below the reading head" % (colours[col],)),
-                                steps, None)
+                        done = MachineError("marble %r below the reading head" % (colours[col],))
                     else:
+                        steps += 1
                         parts += out
-                        done = q2, steps + 1, (_Cat(parts) if shared or len(parts) > SHARE_MIN
-                                               else tuple(parts))
+                        done = q2
                 elif act == _DROP:
                     if col:
-                        done = MachineError("invalid machine: drop on a marbled position"), steps, None
+                        done = MachineError("invalid machine: drop on a marbled position")
                     elif below is not None:
-                        done = MachineError("marble stack positions not strictly increasing"), steps, None
+                        done = MachineError("marble stack positions not strictly increasing")
                     else:
                         below, seen, col = seen, set(), c
                 elif act == _LIFT:
                     if col:
                         seen, below, col = below, None, 0
                     else:
-                        done = MachineError("invalid machine: lift without a marble"), steps, None
+                        done = MachineError("invalid machine: lift without a marble")
                 else:
-                    done = MachineError("invalid action %r" % (c,)), steps, None
+                    done = MachineError("invalid action %r" % (c,))
                 if done is None:
                     steps += 1
                     parts += out
                     q = q2
         if done is None:
-            if q not in seen:
+            if q in seen:
+                done = LOOP
+            elif col or memo is None or q not in memo:
                 seen.add(q)
+                if not col and memo is not None:
+                    marks.append((q, steps, len(parts)))
                 continue
-            done = LOOP, steps, None
+            else:
+                sub, hit = memo[q], True
+                continue
+        # the summary, stored under the entry and, unless it is LOOP, with
+        # what is left of it under each mark
+        keep = type(done) is int or done == ACCEPT
+        if memo is not None and done != LOOP:
+            for p, at, start in marks:
+                piece = parts[start:]
+                memo[p] = done, steps - at, None if not keep else (
+                    _Cat(piece) if shared >= start or len(piece) > SHARE_MIN else tuple(piece))
+        done = done, steps, None if not keep else (
+            _Cat(parts) if shared >= 0 or len(parts) > SHARE_MIN else tuple(parts))
         if memo is not None:
             memo[entry] = done
         if not frames:
             return done
         sub = done
-        parent, sym, memo, entry, steps, parts, shared, col, seen, below = frames.pop()
+        parent, sym, memo, entry, steps, parts, shared, col, seen, below, marks = frames.pop()
+
+
+def _summaries(tables: tuple, parent, sym: int, entries) -> list:
+    """``_crossing``'s summary of the cell ``sym`` for each state number of
+    ``entries``, sharing one memo."""
+    memo: dict = {}
+    for q in entries:
+        if q not in memo:
+            _crossing(tables, parent, sym, memo, q)
+    return [memo[q] for q in entries]
 
 
 def run_sstf(m: SST, w, registry: FunctionRegistry, trace: bool = False) -> RunResult:

@@ -23,6 +23,7 @@ from xducer.semantics import (  # noqa: E402
     eval_fun,
     run_sst,
 )
+from xducer.oracle import words_up_to  # noqa: E402
 
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -169,6 +170,21 @@ def reference_run(t, w, budget=None, trace: bool = False) -> RunResult:
         if (state, pos) in seen:
             return result(LOOP)
         seen.add((state, pos))
+
+
+def assert_runs_agree(sst, t, maxlen: int, budget=None) -> None:
+    """``run_sst(sst, w)`` against ``reference_run(t, w, budget)`` on every
+    word of at most ``maxlen`` letters: the same output where ``t``
+    accepts, a reject where it rejects or loops, and no run of ``t`` cut by
+    its budget.  A check of ``marble_to_sst(t)`` apart from ``equiv_check``,
+    whose marble side reads the crossing summaries the conversion is built
+    from (``semantics._crossing``)."""
+    for w in words_up_to(t.input_alphabet, maxlen):
+        ref = reference_run(t, w, budget)
+        assert ref.verdict != BUDGET, w
+        got = run_sst(sst, w)
+        assert (got.verdict, got.output) == (
+            (ACCEPT, ref.output) if ref.accepted else (REJECT, None)), w
 
 
 # ---------------------------------------------------------------------------

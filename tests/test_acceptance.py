@@ -42,7 +42,7 @@ from xducer.semantics import (
 )
 from xducer.sst2mt import layered_to_marble, lookbehind_step, sst_to_marble
 
-from conftest import corpus_path, load
+from conftest import assert_runs_agree, corpus_path, load
 
 
 def report(number, text):
@@ -98,8 +98,10 @@ def test_criterion_02_conversion_round_trips():
         ("pow2", load("pow2_marble")),
     ]
     for name, machine in marble_sources:
-        verdict = equiv_check(marble_to_sst(machine), machine, 5)
+        converted = marble_to_sst(machine)
+        verdict = equiv_check(converted, machine, 5)
         assert verdict.equivalent, (name, verdict.counterexample)
+        assert_runs_agree(converted, machine, 5)
     sst_sources = [
         ("exp", load("exp_sst")),
         ("reverse", load("reverse_sst")),

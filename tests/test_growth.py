@@ -123,6 +123,18 @@ def test_heavy_cycle_from_ambiguity_without_weights():
     assert cur.get((q, q), 0) >= 2
 
 
+def test_branching_scc_whose_runs_never_meet_is_light():
+    # p has two successors on a, but the runs through r1 and r2 read b and c
+    # on the way back, so no two runs p -> p read the same word
+    a = nauto(
+        ("p", "r1", "r2"), ("a", "b", "c"), {"p": 1}, {"p": 1},
+        {"a": {("p", "r1"): 1, ("p", "r2"): 1},
+         "b": {("r1", "p"): 1}, "c": {("r2", "p"): 1}},
+    )
+    assert has_heavy_cycle(a) is None
+    assert classify(a).degree == brute_degree(a, 6)
+
+
 def test_find_barbell():
     assert find_barbell(load("chain_flow"), "x", "y") == ("a",)
     assert find_barbell(load("chain_flow"), "y", "x") is None

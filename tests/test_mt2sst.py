@@ -9,22 +9,17 @@ from xducer.machines import (
     LEFT_END,
     MachineError,
     MarbleTransducer,
+    RIGHT_END,
+    Reg,
     act_drop,
     check_copyless,
     validate,
 )
-from xducer.mt2sst import (
-    CALL,
-    CONST,
-    crossing_fixpoint,
-    exit_fixpoint,
-    marble_to_sst,
-    two_way_to_marble,
-)
+from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import run_sst
+from xducer.semantics import LOOP, REJECT, _flat, _summaries, _tables, run_sst
 
-from conftest import corpus_path, load, marble_step
+from conftest import assert_runs_agree, corpus_path, load, marble_step
 
 
 def fragment(transitions, states, colors=("c",), finals=()):
@@ -39,12 +34,33 @@ def fragment(transitions, states, colors=("c",), finals=()):
     )
 
 
+def nx(q):
+    return Reg("nx_%s" % q)
+
+
+def summaries(t, sym, f=None, entries=None):
+    """The crossing summary of each entry state (all, or ``entries``) of a
+    cell holding ``sym``, right of a prefix whose summary ``f`` maps each
+    entry state to its exit state or None (no prefix left of ⊢): the exit
+    state and the output on the way, letters and a register nx_p for each
+    left move into p, or the verdict and None where the head never steps
+    right off the cell (an accept on ⊣ keeps its output).  The prefix is
+    given to ``_crossing`` as ``marble_to_sst`` gives it."""
+    tables = _tables(t)
+    number = {q: i for i, q in enumerate(t.states)}
+    left = None if f is None else {
+        number[q]: (REJECT, 0, None) if e is None else (number[e], 0, (nx(q),))
+        for q, e in f.items()}
+    entries = t.states if entries is None else entries
+    got = _summaries(tables, left, tables[1][sym], [number[q] for q in entries])
+    return {q: (t.states[e] if type(e) is int else e, out if out is None else _flat(out))
+            for q, (e, _steps, out) in zip(entries, got)}
+
+
 def test_crossing_trivial_right_move():
     t = fragment({("q", "a", None): ("q2", ACT_RIGHT, ("o1",))},
                  states=("q", "q2"))
-    deriv = crossing_fixpoint(t, {"q": None, "q2": None}, "a")
-    assert deriv["q", None][0] == "q2"
-    assert deriv["q", None][1] == ((CONST, ("o1",)),)
+    assert summaries(t, "a", {"q": None, "q2": None})["q"] == ("q2", ("o1",))
 
 
 def test_crossing_stitched_run_uses_two_calls():
@@ -60,20 +76,16 @@ def test_crossing_stitched_run_uses_two_calls():
     t = fragment(trans, states)
     f = {s: None for s in states}
     f["q2"] = "fq2"
-    deriv = crossing_fixpoint(t, f, "a")
-    assert deriv["q", None][0] == "qq"
-    assert deriv["q", None][1] == (
-        (CONST, ("o1",)), (CONST, ("o2",)), (CALL, "q2"),
-        (CONST, ("o3",)), (CONST, ("o4",)), (CALL, "q2"),
-        (CONST, ("o5",)),
-    )
+    deriv = summaries(t, "a", f)
+    assert deriv["q"] == ("qq", ("o1", "o2", nx("q2"), "o3", "o4", nx("q2"), "o5"))
+    # the states met on the way with no marble share the rest of the chain
+    assert deriv["q3"] == ("qq", ("o4", nx("q2"), "o5"))
+    assert deriv["fq2"] == ("qq", ("o5",))
 
 
 def test_crossing_dead_continuation_is_bottom():
     t = fragment({("q", "a", None): ("q", ACT_LEFT, ())}, states=("q",))
-    deriv = crossing_fixpoint(t, {"q": None}, "a")
-    assert deriv["q", None][0] is None
-    assert deriv["q", None][1] == ()
+    assert summaries(t, "a", {"q": None})["q"] == (REJECT, None)
 
 
 def test_crossing_follows_long_chains():
@@ -87,43 +99,34 @@ def test_crossing_follows_long_chains():
         trans[(states[i + 1], "a", "c")] = (states[i + 2], ACT_LIFT, ())
     trans[(states[n], "a", None)] = (states[n + 1], ACT_RIGHT, ("o2",))
     f = {q: None for q in states}
-    deriv = crossing_fixpoint(fragment(trans, states), f, "a")
-    assert deriv["q0", None][0] == states[n + 1]
-    assert deriv["q0", None][1] == ((CONST, ("o1",)),) * (n // 2) + (
-        (CONST, ("o2",)),)
+    deriv = summaries(fragment(trans, states), "a", f, entries=("q0", states[n - 2]))
+    assert deriv == {"q0": (states[n + 1], ("o1",) * (n // 2) + ("o2",)),
+                     states[n - 2]: (states[n + 1], ("o1", "o2"))}
     trans[(states[n], "a", None)] = (states[1], act_drop("c"), ())
-    deriv = crossing_fixpoint(fragment(trans, states), f, "a")
-    assert deriv["q0", None][0] is None
-    assert deriv[states[n], None][0] is None
+    deriv = summaries(fragment(trans, states), "a", f, entries=("q0", states[n]))
+    assert deriv == {"q0": (LOOP, None), states[n]: (LOOP, None)}
 
 
 def test_crossing_cycle_is_bottom():
     # left move whose continuation loops back to the same entry
     t = fragment({("q", "a", None): ("q", ACT_LEFT, ())}, states=("q",))
-    deriv = crossing_fixpoint(t, {"q": "q"}, "a")
-    assert deriv["q", None][0] is None
+    assert summaries(t, "a", {"q": "q"})["q"] == (LOOP, None)
 
 
-def test_exit_fixpoint_accepts_finals_immediately():
+def test_exit_summary_accepts_finals_immediately():
     t = fragment({}, states=("q",), finals=("q",))
-    deriv = exit_fixpoint(t, {"q": None})
-    assert deriv["q", None] == ("q", ())
-
-
-def boundary(t):
-    """The first crossing from ⊢ to position 1 of every entry state."""
-    return crossing_fixpoint(t, {q: None for q in t.states}, LEFT_END)
+    assert summaries(t, RIGHT_END, {"q": None})["q"] == ("accept", ())
 
 
 def test_boundary_summary():
     t = load("exp_marble")
-    assert boundary(t)["s0", None] == ("s1", ())
+    assert summaries(t, LEFT_END)["s0"] == ("s1", ())
     looper = fragment({("q", LEFT_END, None): ("q2", act_drop("c"), ()),
                        ("q2", LEFT_END, "c"): ("q", ACT_LIFT, ())},
                       states=("q", "q2"))
-    assert boundary(looper)["q", None] == (None, ())
+    assert summaries(looper, LEFT_END)["q"] == (LOOP, None)
     blocked = fragment({("q", LEFT_END, None): ("q", ACT_LEFT, ())}, states=("q",))
-    assert boundary(blocked)["q", None] == (None, ())
+    assert summaries(blocked, LEFT_END)["q"] == (REJECT, None)
 
 
 CORPUS_MARBLE = [
@@ -142,6 +145,7 @@ def test_marble_to_sst_equivalence(name, build, maxlen):
     assert validate(converted) == []
     verdict = equiv_check(converted, source, maxlen)
     assert verdict.equivalent, (name, verdict.counterexample)
+    assert_runs_agree(converted, source, maxlen)
 
 
 def test_crossing_sst_of_a_two_way_machine_is_copyless():
@@ -220,10 +224,11 @@ def first_crossing(t, w, cfg, target, budget=20000):
     ("exp", "exp_marble"), ("mul", "mul_marble"), ("pow2", "pow2_marble"),
 ])
 def test_crossing_summaries_match_interpreter(name, file):
-    """Each derivation entry predicts the first crossing of the next cell."""
+    """Each summary of an entry with no marble predicts the first crossing
+    of the next cell."""
     t = load(file)
     words = [w for w in words_up_to(t.input_alphabet, 3, cap=200)]
-    start = boundary(t)
+    start = summaries(t, LEFT_END)
     for w in words:
         for m in range(len(w)):
             f = {}
@@ -232,23 +237,17 @@ def test_crossing_summaries_match_interpreter(name, file):
                 got = first_crossing(t, w, (q, m, ()), m + 1)
                 f[q], outputs[q] = got if got else (None, ())
                 if m == 0:
-                    res, toks = start[q, None]
-                    assert (res, tuple(b for _k, p in toks for b in p)) \
-                        == (f[q], outputs[q]), (name, q)
-            deriv = crossing_fixpoint(t, f, w[m])
+                    expected = (f[q], outputs[q]) if got else (start[q][0], None)
+                    assert start[q] == expected, (name, q)
+            deriv = summaries(t, w[m], f)
             for q in t.states:
-                for c in (None,) + tuple(t.colors):
-                    stack = ((c, m + 1),) if c else ()
-                    got = first_crossing(t, w, (q, m + 1, stack), m + 2)
-                    res, toks = deriv[q, c]
-                    if res is None:
-                        assert got is None, (name, w, m, q, c)
-                        continue
-                    assert got is not None, (name, w, m, q, c)
-                    expected = []
-                    for kind, payload in toks:
-                        if kind == CONST:
-                            expected.extend(payload)
-                        else:
-                            expected.extend(outputs[payload])
-                    assert got == (res, tuple(expected)), (name, w, m, q, c)
+                got = first_crossing(t, w, (q, m + 1, ()), m + 2)
+                res, out = deriv[q]
+                if out is None:
+                    assert got is None, (name, w, m, q)
+                    continue
+                assert got is not None, (name, w, m, q)
+                expected = []
+                for x in out:
+                    expected.extend(outputs[x.name[3:]] if type(x) is Reg else (x,))
+                assert got == (res, tuple(expected)), (name, w, m, q)

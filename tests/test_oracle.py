@@ -576,6 +576,25 @@ def test_marble_outputs_are_not_bounded_by_the_register_output_limit(monkeypatch
     assert got == reference_outputs(t, 4) and len(got[0][-1][1]) == 8
 
 
+def test_marble_outputs_join_long_outputs_before_and_after_the_right_end():
+    """A machine that writes each letter six times on its way right and
+    again on its way back from ⊣: from three letters on, what it wrote
+    before its head first stood on ⊣ and what it wrote after are joined as
+    a node (``_joined``)."""
+    moves = {("r", LEFT_END): ("r", ACT_RIGHT), ("r", RIGHT_END): ("l", ACT_LEFT),
+             ("l", LEFT_END): ("f", ACT_RIGHT)}
+    for a in "ab":
+        moves.update({("r", a): ("r", ACT_RIGHT), ("l", a): ("l", ACT_LEFT),
+                      ("f", a): ("f", ACT_RIGHT)})
+    rules = {(q, a, None): move for (q, a), move in moves.items()}
+    out = {key: (key[1],) * 6 if key[0] != "f" and key[1] in "ab" else () for key in rules}
+    t = MarbleTransducer(("a", "b"), ("a", "b"), ("r", "l", "f"), "r", frozenset({"f"}),
+                         (), rules, out)
+    got = walked_outputs(t, 4)
+    assert got == reference_outputs(t, 4)
+    assert got[0][-1] == (ACCEPT, ("b",) * 48) and 48 > SHARE_MIN
+
+
 def optimized_two_way(name):
     """The ``optimize`` output of a two-way corpus machine."""
     return minimize_marbles(marble_of(load(name))).machine
@@ -598,22 +617,31 @@ def test_marble_outputs_match_the_reference_on_optimized_two_way_machines(name, 
 
 
 def test_an_invalid_move_raises_at_the_same_word():
-    """A move right over a marble raises the error a run from the left end
-    raises, at the first word that takes it, in ``marble_outputs`` and in
-    ``equiv_check``."""
+    """A move right over a marble, a drop on one, a lift where there is
+    none and an unknown action each raise the error that ``run_marble`` and
+    a run from the left end raise, at the first word that takes it, in
+    ``marble_outputs`` and in ``equiv_check``."""
     m = load("mul_marble")
-    broken = replace(m, delta={**m.delta, ("m3", "0", "m"): ("m4", ACT_RIGHT)},
-                     out={**m.out, ("m3", "0", "m"): ()})
-    got, error = walked_outputs(broken, 4)
-    assert (got, error) == reference_outputs(broken, 4)
-    assert error == "invalid machine: move right over a marble" and len(got) > 5
-    for pair in ((broken, m), (m, broken), (load("mul_sst"), broken)):
-        errors = []
-        for check in (reference_equiv, equiv_check):
-            with pytest.raises(MachineError) as err:
-                check(*pair, 4)
-            errors.append(str(err.value))
-        assert errors[0] == errors[1] == error
+    faults = [(("m3", "0", "m"), ("m4", ACT_RIGHT), "invalid machine: move right over a marble"),
+              (("m3", "0", "m"), ("m4", act_drop("m")), "invalid machine: drop on a marbled position"),
+              (("m7", "0", None), ("m2", ACT_LIFT), "invalid machine: lift without a marble"),
+              (("m3", "0", "m"), ("m4", ("jump", None)), "invalid action ('jump', None)")]
+    for key, move, expected in faults:
+        broken = replace(m, delta={**m.delta, key: move}, out={**m.out, key: ()})
+        got, error = walked_outputs(broken, 4)
+        assert (got, error) == reference_outputs(broken, 4)
+        assert error == expected and len(got) > 5
+        first = list(words_up_to(m.input_alphabet, 4))[len(got)]
+        with pytest.raises(MachineError) as err:
+            run_marble(broken, first)
+        assert str(err.value) == error
+        for pair in ((broken, m), (m, broken), (load("mul_sst"), broken)):
+            errors = []
+            for check in (reference_equiv, equiv_check):
+                with pytest.raises(MachineError) as err:
+                    check(*pair, 4)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1] == error
 
 
 @pytest.mark.parametrize("letter,error", [

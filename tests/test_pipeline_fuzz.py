@@ -41,7 +41,7 @@ from xducer.semantics import (
 )
 from xducer.sst2mt import layered_to_marble
 
-from conftest import assert_allocated, check_stack, marble_step, reference_run
+from conftest import assert_allocated, assert_runs_agree, check_stack, marble_step, reference_run
 
 
 def random_sst(rng) -> SST:
@@ -257,6 +257,7 @@ def test_random_marble_machines_convert_to_ssts():
             assert check_copyless(sst) == [], trial
         verdict = equiv_check(sst, m, 4, budget=200000)
         assert verdict.equivalent, (trial, verdict)
+        assert_runs_agree(sst, m, 4, budget=200000)
     assert (converted, colourless) == (60, 17)
 
 

@@ -79,6 +79,24 @@ def test_pool_census_keeps_the_sizes_of_a_row_whose_checks_are_killed():
     assert census.row_of(["member", 0], 0, "\n".join(lines), "") == rows[-1]
 
 
+def test_pool_census_reports_a_marble_member():
+    # member 2 of the marble pool: the crossing SST, byte for byte, and the
+    # least mark count and walker that optimize rebuilds from it
+    rows = [json.loads(line) for line in
+            run_script("pool_census.py", "--marble", "2").splitlines()]
+    assert [(row["member"], row["outcome"]) for row in rows] == [(2, "marble")]
+    row = rows[0]
+    assert (row["states"], row["registers"], row["size"]) == (2, 2, 4)
+    assert row["sha256"][:16] == "3ab8b0ae300e27e5"
+    assert (row["k_min"], row["walker_states"]) == (0, 4)
+    assert row["convert_s"] >= 0 and row["cpu_s"] >= 0
+    # a kill after the conversion's line keeps its sizes
+    lines = run_script("pool_census.py", "--child", '["marble", 2]').splitlines()
+    census = load_file("pool_census", os.path.join(SCRIPTS, "pool_census.py"))
+    assert census.row_of(["marble", 2], -9, lines[0], "") == dict(
+        json.loads(lines[0]), outcome="killed (SIGKILL)")
+
+
 def test_pool_census_climbs_the_size_ladder():
     rows = [json.loads(line) for line in
             run_script("pool_census.py", "--shape", "2", "4", "2", "--seeds", "2").splitlines()]
