@@ -1,16 +1,17 @@
 """Growth analysis of weighted automata and register transducers.
 
-Builds flow automata from simple register machines and classifies the
-asymptotic growth of the computed counting function as exponential or
-k-polynomial, producing machine-checkable witnesses and the height
-partition of the states.
+Classifies the growth of an automaton weighted over the nonnegative
+integers, or of a transducer's output length through its register flow
+(``flow_graph``), as exponential or k-polynomial, with machine-checkable
+witnesses and the height partition of the states (named only in reports).
 
-Every pattern question is asked of one search structure per automaton
+Every pattern question is asked of one search structure per graph
 (``_Support``): the per-letter successor rows of the support graph (the
-positive-weight transitions) and its strongly connected components (SCCs),
-after Weber & Seidl (1991, *On the degree of ambiguity of finite automata*),
-who reduce such questions to the SCCs of that graph.  Three facts let the
-searches skip most of the automaton without changing any answer.
+positive-weight transitions) on the nodes of alpha-to-beta paths, and its
+strongly connected components (SCCs), after Weber & Seidl (1991, *On the
+degree of ambiguity of finite automata*), who reduce such questions to the
+SCCs of that graph.  Three facts let the searches skip most of the graph
+without changing any answer.
 
 * A heavy cycle at q (two distinct paths q -> q over one word) only visits
   SCC(q), so acyclic states have none and the pair-product search stays
@@ -37,48 +38,25 @@ Only the witness words a report prints are searched for word by word
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .machines import (
-    MachineError,
-    NAutomaton,
-    Reg,
-    SST,
-    explore,
-)
+from .machines import MachineError, NAutomaton, Reg, SST, explore
 
 Word = tuple
 
 
 # ---------------------------------------------------------------------------
-# Support-graph helpers
+# The search structure
 # ---------------------------------------------------------------------------
 
 
-def _support_edges(m: NAutomaton) -> dict:
-    """state -> sorted tuple of states reachable by one positive-weight step."""
-    succ = {q: set() for q in m.states}
-    for mat in m.mats.values():
-        for (p, q), w in mat.items():
-            if w > 0:
-                succ[p].add(q)
-    return {q: tuple(sorted(s)) for q, s in succ.items()}
-
-
-def _reachable(succ: dict, sources) -> set:
-    return set(explore(sources, succ.__getitem__, len(succ), "reachability"))
-
-
-def _components(states, succ: dict) -> list:
-    """The SCCs as frozensets (Tarjan's algorithm, without recursion), in the
-    order they finish: each after every SCC it reaches."""
-    index: dict = {}
-    low: dict = {}
-    comp: dict = {}
-    sccs: list = []
-    stack: list = []
-    for root in states:
+def _components(nodes, succ: dict) -> tuple:
+    """The SCCs as sorted lists in the order they finish, each after every SCC
+    it reaches (Tarjan's, without recursion), and each node's SCC number."""
+    index, low, comp, sccs, stack = {}, {}, {}, [], []
+    for root in nodes:
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -101,12 +79,12 @@ def _components(states, succ: dict) -> list:
                     low[u] = min(low[u], low[v])
                 if low[v] == index[v]:
                     i = stack.index(v)
-                    c = frozenset(stack[i:])
+                    c = sorted(stack[i:])
                     del stack[i:]
                     for w in c:
-                        comp[w] = c
+                        comp[w] = len(sccs)
                     sccs.append(c)
-    return sccs
+    return sccs, comp
 
 
 class _Image(dict):
@@ -157,70 +135,88 @@ def _closure(start: dict, step, goal=(None, 0)) -> dict:
 
 
 class _Support:
-    """The search structure of one automaton, shared by every pattern query.
+    """The search structure of one flow graph, shared by every pattern query.
 
-    ``rows[a][p]`` lists the states p reaches by one positive step on a and
-    ``back[a][r]`` the states that reach r so, ``pred[r]`` on any letter;
-    ``heavy`` holds the (p, a, r) steps of weight at least 2; ``sccs``
-    lists the SCCs, each after every SCC that reaches it, and ``comp`` maps
-    a state to its SCC; ``cyclic`` marks states on some cycle.
-
-    ``bit[q]`` is 1 << q's number inside its SCC, in declaration order.  For
-    a cyclic SCC c, ``fwd[c][a]`` and ``bwd[c][a]`` are the images
-    (``_Image``) of the successors and the predecessors on a inside c.
-    ``heavy_sccs`` and ``branching`` hold the SCCs with, inside, a step of
-    weight at least 2 and a state with two successors on one letter.
-    Coreachable sets and ``behind`` maps are computed on first use.
+    Nodes are numbers, named by ``names`` in reports.  ``alpha`` and
+    ``beta`` hold the nodes of positive initial and final weight, and
+    ``mats`` each letter's positive weights {(p, r): w}.  Two searches keep
+    the nodes of alpha-to-beta paths: ``keep``, in order ``states``;
+    ``alpha`` and ``beta`` are cut to them.  ``rows[a][p]`` lists the kept nodes p reaches
+    by one step on a and ``back[a][r]`` those that reach r so; ``heavy``
+    holds the (p, a, r) steps of weight at least 2.  ``sccs`` lists the SCCs,
+    each after every SCC that reaches it; ``comp`` maps a node to its SCC's
+    number, ``up[c]`` holds the other SCCs with an edge into c and
+    ``cyclic[c]`` whether c holds a cycle.  ``bit[q]`` is 1 << q's position
+    in its SCC.  For a cyclic SCC c, ``fwd[c][a]`` and ``bwd[c][a]`` are the
+    images (``_Image``) of the successors and the predecessors on a inside
+    c.  ``heavy_sccs`` and ``branching`` hold the SCCs with, inside, a step
+    of weight at least 2 and a state with two successors on one letter.
+    ``coreach`` masks and ``behind`` maps are made on first use.
     """
 
-    def __init__(self, m: NAutomaton):
-        self.letters = letters = tuple(sorted(m.input_alphabet))
-        self.rows = {a: {p: [] for p in m.states} for a in letters}
-        self.back = {a: {p: [] for p in m.states} for a in letters}
+    def __init__(self, names, alpha, beta, mats: dict):
+        self.letters = letters = tuple(sorted(mats))
+        self.names = names
+        out, into = [[] for _ in names], [[] for _ in names]
+        for mat in mats.values():
+            for p, r in mat:
+                out[p].append(r)
+                into[r].append(p)
+        keep = set(explore(alpha, out.__getitem__, len(names), "reachability"))
+        self.keep = keep = keep.intersection(
+            explore(beta, into.__getitem__, len(names), "reachability"))
+        self.states = states = sorted(keep)
+        self.alpha = [v for v in alpha if v in keep]
+        self.beta = [v for v in beta if v in keep]
+        pred = {r: {p for p in into[r] if p in keep} for r in states}
+        self.rows = {a: {p: [] for p in states} for a in letters}
+        self.back = {a: {p: [] for p in states} for a in letters}
         self.heavy = set()
-        self.pred = pred = {p: set() for p in m.states}
         for a in letters:
             rows, back = self.rows[a], self.back[a]
-            for (p, r), w in m.mats.get(a, {}).items():
-                if w > 0:
+            for (p, r), w in mats[a].items():
+                if p in keep and r in keep:
                     rows[p].append(r)
                     back[r].append(p)
-                    pred[r].add(p)
                     if w >= 2:
                         self.heavy.add((p, a, r))
-        self.sccs = _components(m.states, pred)
-        self.comp = comp = {q: c for c in self.sccs for q in c}
-        self.cyclic = {q: len(comp[q]) > 1 or q in pred[q] for q in m.states}
-        num, size = {}, {}
-        for q in m.states:
-            num[q] = size.get(comp[q], 0)
-            size[comp[q]] = num[q] + 1
-        self.bit = bit = {q: 1 << n for q, n in num.items()}
+        self.sccs, self.comp = sccs, comp = _components(states, pred)
+        self.cyclic = [len(c) > 1 or c[0] in pred[c[0]] for c in sccs]
+        self.up = [{comp[p] for q in c for p in pred[q]} - {i}
+                   for i, c in enumerate(sccs)]
+        self.bit = bit = {q: 1 << j for c in sccs for j, q in enumerate(c)}
         self.fwd, self.bwd, self.branching = {}, {}, set()
-        for c in self.sccs:
-            if not self.cyclic[next(iter(c))]:
+        for i, c in enumerate(sccs):
+            if not self.cyclic[i]:
                 continue
-            self.fwd[c] = {a: _Image(len(c)) for a in letters}
-            self.bwd[c] = {a: _Image(len(c)) for a in letters}
+            self.fwd[i] = {a: _Image(len(c)) for a in letters}
+            self.bwd[i] = {a: _Image(len(c)) for a in letters}
             for a in letters:
-                fwd, bwd = self.fwd[c][a].rows, self.bwd[c][a].rows
-                for p in c:
-                    for r in self.rows[a][p]:
-                        if comp[r] is c:
-                            if fwd[num[p]]:
-                                self.branching.add(c)
-                            fwd[num[p]] |= bit[r]
-                            bwd[num[r]] |= bit[p]
-        self.heavy_sccs = {comp[p] for p, _a, r in self.heavy
-                           if comp[p] is comp[r]}
-        self._coreach: dict = {}
+                fwd, bwd, rows = self.fwd[i][a].rows, self.bwd[i][a].rows, self.rows[a]
+                for j, p in enumerate(c):
+                    for r in rows[p]:
+                        if comp[r] == i:
+                            if fwd[j]:
+                                self.branching.add(i)
+                            fwd[j] |= bit[r]
+                            bwd[bit[r].bit_length() - 1] |= 1 << j
+        self.heavy_sccs = {comp[p] for p, _a, r in self.heavy if comp[p] == comp[r]}
+        self._coreach: list = []
         self._behind: dict = {}
 
-    def coreach(self, q) -> set:
-        """The states that reach q."""
-        if q not in self._coreach:
-            self._coreach[q] = _reachable(self.pred, [q])
-        return self._coreach[q]
+    def coreach(self, q) -> int:
+        """The SCCs that reach q, a mask over SCC numbers.  All are made at
+        once, each the union of those of its ``up``, in the order of ``sccs``."""
+        masks = self._coreach
+        for c, up in enumerate(self.up if not masks else ()):
+            masks.append(functools.reduce(int.__or__, map(masks.__getitem__, up), 1 << c))
+        return masks[self.comp[q]]
+
+    def word(self, sources, targets) -> Optional[Word]:
+        """Lexicographically least shortest word v with mats(v) positive from
+        some source to some target (the empty word counts when the sets meet)."""
+        return _lex_bfs(self.letters, sources, lambda q, a: self.rows[a][q],
+                        set(targets).__contains__)
 
     def beside(self, rows, local):
         """The closure step of a key run over ``rows`` and a bit run over
@@ -243,23 +239,71 @@ class _Support:
         c, so one closure from every diagonal pair of c serves them all.
         """
         if c not in self._behind:
-            self._behind[c] = _closure({q: self.bit[q] for q in c},
+            self._behind[c] = _closure({q: self.bit[q] for q in self.sccs[c]},
                                        self.beside(self.back, self.bwd[c]))
         return self._behind[c]
 
 
-def _support(m: NAutomaton) -> _Support:
-    """The search structure of ``m``, built on first use and kept on ``m``.
-
-    Automata are immutable, so every question asked of one automaton shares
-    one structure.  It is stored in the instance dictionary, as
-    ``functools.cached_property`` does, so it is no dataclass field and
-    takes no part in equality or printing.
+def _support(m) -> _Support:
+    """``m`` if it is a search structure, else that of automaton ``m``, its
+    states numbered by position, built on first use and kept on ``m`` (which
+    is immutable) in the instance dictionary, as ``cached_property`` does,
+    so it is no dataclass field and takes no part in equality or printing.
     """
-    s = m.__dict__.get("_support")
-    if s is None:
-        s = m.__dict__["_support"] = _Support(m)
-    return s
+    if type(m) is _Support:
+        return m
+    if "_support" not in m.__dict__:
+        num = {q: i for i, q in enumerate(m.states)}
+        m.__dict__["_support"] = _Support(
+            m.states, [num[q] for q in m.states if m.alpha.get(q, 0) > 0],
+            [num[q] for q in m.states if m.beta.get(q, 0) > 0],
+            {a: {(num[p], num[r]): w for (p, r), w in m.mats.get(a, {}).items()
+                 if w > 0} for a in m.input_alphabet})
+    return m.__dict__["_support"]
+
+
+def _flow(m: SST, consts=()) -> tuple:
+    """(alpha, beta, letter matrices) of a machine's register flow: the
+    weights of ``layering.to_simple(m)``, built without it.  Node
+    i * width + j is the j-th of the i-th state's registers, ``m.registers``
+    and then a constant for each letter of ``consts``, which keeps its
+    letter and is read in place of it.  Entry (u, v) counts the occurrences
+    of u in the update of v, so a word's evaluation is the stored length of
+    each register at the state it reaches.
+    """
+    if m.funs:
+        raise MachineError("cannot simplify a machine with external functions")
+    reg = {x: j for j, x in enumerate(m.registers)}
+    lit = {b: len(reg) + j for j, b in enumerate(consts)}
+    at = {q: i * (len(reg) + len(lit)) for i, q in enumerate(m.states)}
+    start = at[m.initial]
+    alpha = {start + j: len(m.init_valuation[x])
+             for x, j in reg.items() if m.init_valuation[x]}
+    alpha.update((start + j, 1) for j in lit.values())
+    beta: dict = {}
+    for q in m.states:
+        for t in m.output[q]:
+            v = at[q] + (reg[t.name] if type(t) is Reg else lit[t.sym])
+            beta[v] = beta.get(v, 0) + 1
+    mats: dict = {a: {} for a in m.input_alphabet}
+    for (p, a), q in m.delta.items():
+        mat, src, dst = mats[a], at[p], at[q]
+        for x, rhs in m.update[(p, a)].items():
+            v = dst + reg[x]
+            for t in rhs:
+                key = src + (reg[t.name] if type(t) is Reg else lit[t.sym]), v
+                mat[key] = mat.get(key, 0) + 1
+        for j in lit.values():
+            mat[src + j, dst + j] = 1
+    return alpha, beta, mats
+
+
+def flow_graph(m: SST) -> _Support:
+    """The search structure of a total machine's flow, named by _simple_names."""
+    from .layering import _simple_names
+
+    names, const = _simple_names(m)
+    return _Support(tuple(names.values()), *_flow(m, tuple(const)))
 
 
 def _lex_bfs(letters, starts, step, is_target) -> Optional[Word]:
@@ -301,45 +345,23 @@ def _lex_bfs(letters, starts, step, is_target) -> Optional[Word]:
     return last if hit(last) else None
 
 
-def shortest_connecting_word(m: NAutomaton, sources, targets) -> Optional[Word]:
-    """Lexicographically least shortest word v with mats(v) positive from
-    some source to some target (the empty word counts when the sets meet)."""
-    s = _support(m)
-    targets = set(targets)
-    return _lex_bfs(s.letters, sorted(set(sources)),
-                    lambda q, a: s.rows[a].get(q, ()), targets.__contains__)
-
-
 # ---------------------------------------------------------------------------
 # Trimming and flow automata
 # ---------------------------------------------------------------------------
 
 
 def trim(m: NAutomaton) -> NAutomaton:
-    """Drop states not on any positive alpha-to-beta path.
-
-    Evaluation is preserved; the empty automaton denotes the constant-zero
-    function.
-    """
-    succ = _support_edges(m)
-    pred = {q: set() for q in m.states}
-    for p, ss in succ.items():
-        for q in ss:
-            pred[q].add(p)
-    fwd = _reachable(succ, [q for q in m.states if m.alpha.get(q, 0) > 0])
-    bwd = _reachable(pred, [q for q in m.states if m.beta.get(q, 0) > 0])
-    keep = fwd & bwd
-    states = tuple(q for q in m.states if q in keep)
-    mats = {}
-    for a, mat in m.mats.items():
-        mats[a] = {(p, q): w for (p, q), w in mat.items()
-                   if w > 0 and p in keep and q in keep}
-    return NAutomaton(
-        input_alphabet=m.input_alphabet, states=states,
-        alpha={q: m.alpha[q] for q in states if m.alpha.get(q, 0) > 0},
-        beta={q: m.beta[q] for q in states if m.beta.get(q, 0) > 0},
-        mats=mats,
-    )
+    """``m`` cut to its states on some positive alpha-to-beta path, those its
+    search structure keeps: evaluation is preserved, and the empty automaton
+    denotes the constant-zero function."""
+    states = tuple(m.states[q] for q in _support(m).states)
+    kept = set(states)
+    return NAutomaton(m.input_alphabet, states,
+                      {q: m.alpha[q] for q in states if m.alpha.get(q, 0) > 0},
+                      {q: m.beta[q] for q in states if m.beta.get(q, 0) > 0},
+                      {a: {(p, q): w for (p, q), w in mat.items()
+                           if w > 0 and p in kept and q in kept}
+                       for a, mat in m.mats.items()})
 
 
 def is_simple(m: SST) -> bool:
@@ -347,54 +369,33 @@ def is_simple(m: SST) -> bool:
     if len(m.states) != 1 or m.funs:
         return False
     q = m.states[0]
-    if q not in m.output:
+    if q not in m.output or any((q, a) not in m.delta for a in m.input_alphabet):
         return False
-    if any(not isinstance(t, Reg) for t in m.output[q]):
-        return False
-    for a in m.input_alphabet:
-        if (q, a) not in m.delta:
-            return False
-        for rhs in m.update[(q, a)].values():
-            if any(not isinstance(t, Reg) for t in rhs):
-                return False
-    return True
+    return all(type(t) is Reg for rhs in (m.output[q], *(
+        r for a in m.input_alphabet for r in m.update[(q, a)].values())) for t in rhs)
 
 
 def flow_automaton(m: SST) -> NAutomaton:
-    """The register-flow automaton of a simple machine.
-
-    States are the registers; entry (y, x) of a letter matrix counts the
-    occurrences of y in that letter's update of x, so the evaluation of a
-    word equals the stored length of each register after reading it.
-    """
+    """The register-flow automaton of a simple machine: ``_flow`` of its one
+    state, with the registers as states, so the evaluation of a word equals
+    the stored length of each register after reading it."""
     if not is_simple(m):
         raise MachineError("flow automata require a simple machine")
-    q = m.states[0]
-    alpha = {x: len(m.init_valuation[x]) for x in m.registers
-             if m.init_valuation[x]}
-    beta: dict = {}
-    for tok in m.output[q]:
-        beta[tok.name] = beta.get(tok.name, 0) + 1
-    mats = {}
-    for a in m.input_alphabet:
-        mat: dict = {}
-        for x, rhs in m.update[(q, a)].items():
-            for tok in rhs:
-                key = (tok.name, x)
-                mat[key] = mat.get(key, 0) + 1
-        mats[a] = mat
-    return NAutomaton(
-        input_alphabet=m.input_alphabet, states=m.registers,
-        alpha=alpha, beta=beta, mats=mats,
-    )
+    alpha, beta, mats = _flow(m)
+    x = m.registers
+    return NAutomaton(m.input_alphabet, x, {x[v]: w for v, w in alpha.items()},
+                      {x[v]: w for v, w in beta.items()},
+                      {a: {(x[p], x[r]): w for (p, r), w in mat.items()}
+                       for a, mat in mats.items()})
 
 
 # ---------------------------------------------------------------------------
-# Pattern detection
+# Pattern detection: of an automaton's trimmed part in state names, or of a
+# search structure in node numbers
 # ---------------------------------------------------------------------------
 
 
-def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
+def has_heavy_cycle(m) -> Optional[tuple]:
     """Some (q, v) with mats(v)(q, q) >= 2, or None.
 
     A weight-2 return path exists iff two distinct runs q -> q read the same
@@ -412,9 +413,9 @@ def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
     """
     s = _support(m)
     seen: set = set()
-    for q in m.states:
+    for q in s.states:
         c = s.comp[q]
-        if not s.cyclic[q] or c in seen:
+        if not s.cyclic[c] or c in seen:
             continue
         seen.add(c)
         if c not in s.heavy_sccs:
@@ -430,18 +431,18 @@ def has_heavy_cycle(m: NAutomaton) -> Optional[tuple]:
             p1, p2, f = node
             row, out = s.rows[a], []
             for r1 in row[p1]:
-                if r1 in c:
+                if s.comp[r1] == c:
                     w2 = p1 == p2 and (p1, a, r1) in s.heavy
                     out += [(r1, r2, f or r1 != r2 or w2)
-                            for r2 in row[p2] if r2 in c]
+                            for r2 in row[p2] if s.comp[r2] == c]
             return out
 
-        return q, _lex_bfs(s.letters, [(q, q, False)], step,
-                           (q, q, True).__eq__)
+        v = _lex_bfs(s.letters, [(q, q, False)], step, (q, q, True).__eq__)
+        return (q if s is m else s.names[q]), v
     return None
 
 
-def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
+def find_barbell(m, q, q2) -> Optional[Word]:
     """Shortest v with positive weights on q->q, q->q2 and q2->q2 at once.
 
     Decided by reachability in the triple product over positive-support
@@ -453,9 +454,11 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
     if q == q2:
         raise MachineError("a barbell needs two distinct states")
     s = _support(m)
-    if not (s.cyclic[q] and s.cyclic[q2]):
+    if s is not m:
+        q, q2 = m.states.index(q), m.states.index(q2)
+    if not ({q, q2} <= s.keep and s.cyclic[s.comp[q]] and s.cyclic[s.comp[q2]]):
         return None
-    c1, c2, bit = s.comp[q], s.comp[q2], s.bit
+    c1, c2, bit, comp = s.comp[q], s.comp[q2], s.bit, s.comp
     behind = s.behind(c2)
     if not behind.get(q, 0) & bit[q2]:
         return None
@@ -465,9 +468,9 @@ def find_barbell(m: NAutomaton, q: str, q2: str) -> Optional[Word]:
         n1, n2, n3 = node
         return [
             (r1, r2, r3)
-            for r1 in row[n1] if r1 in c1
+            for r1 in row[n1] if comp[r1] == c1
             for r2 in row[n2] if r2 in behind
-            for r3 in row[n3] if r3 in c2 and behind[r2] & bit[r3]
+            for r3 in row[n3] if comp[r3] == c2 and behind[r2] & bit[r3]
         ]
 
     return _lex_bfs(s.letters, [(q, q, q2)], step, (q, q2, q2).__eq__)
@@ -477,7 +480,7 @@ def _has_barbell(s: _Support, q, q2, behind: dict) -> bool:
     """Whether ``find_barbell`` finds a word: a closure keyed by the first two
     runs (r1 in SCC(q), r2), the third run's states as bits over SCC(q2)
     kept to SCC(q2)'s ``behind``, stopping at (q, q2, q2)."""
-    c1, rows, local = s.comp[q], s.rows, s.fwd[s.comp[q2]]
+    c1, comp, rows, local = s.comp[q], s.comp, s.rows, s.fwd[s.comp[q2]]
 
     def step(node, bits):
         n1, n2 = node
@@ -485,7 +488,7 @@ def _has_barbell(s: _Support, q, q2, behind: dict) -> bool:
             img = local[a][bits]
             if img:
                 for r1 in rows[a][n1]:
-                    if r1 in c1:
+                    if comp[r1] == c1:
                         for r2 in rows[a][n2]:
                             b = img & behind.get(r2, 0)
                             if b:
@@ -503,23 +506,23 @@ class BarbellGraph:
     A state's height is the length of the longest chain of barbells leading
     to it, each barbell's start reached from the previous one's end.
     """
-    # (SCC, SCC') -> (q, q'): the first barbell in declaration order with q
-    # in SCC and q' in SCC'
-    barbells: dict
+    barbells: dict   # (SCC, SCC') -> the first barbell (q in SCC, q' in SCC')
     heights: dict    # state -> height, minimal states at height 0
 
 
-def barbell_graph(m: NAutomaton) -> BarbellGraph:
+def barbell_graph(m) -> BarbellGraph:
     """The first barbell of each pair of SCCs, and the height of each state.
 
-    Requires a trim automaton without heavy cycles (``classify`` has already
+    Requires a graph without heavy cycles (``classify`` has already
     searched for one).  Barbells (q, q') are then only sought between cyclic
     states of distinct SCCs.  One forward closure per SCC of q gives the q'
     that some word takes q to while returning to q, one backward closure
     per SCC of q' the q that can end in q' while q' returns to itself
     (``behind``); for pairs passing both, a triple closure decides
     (``_has_barbell``), with no witness word.  One SCC's targets are held
-    at a time; the barbells are put in declaration order at the end.
+    at a time; the barbells are put in declaration order at the end.  Of an
+    automaton, SCCs are frozensets of state names; of a search structure,
+    SCC numbers.
 
     Heights are monotone along reachability and the same across an SCC, so
     they are found per SCC in one pass over the component DAG in topological
@@ -529,24 +532,24 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
     graph of barbells is acyclic by construction and needs no cycle check.
     """
     s = _support(m)
-    pos = {q: i for i, q in enumerate(m.states)}
     found = []
     for c in s.fwd:  # the cyclic SCCs
-        # by number of q in c, the cyclic q2 outside c with (q, q2) reached
-        # from (q, q), one closure for every state of c
-        targets = [[] for _ in c]
-        ahead = _closure({q: s.bit[q] for q in c}, s.beside(s.rows, s.fwd[c]))
+        # by position of q in c, the cyclic q2 outside c with (q, q2)
+        # reached from (q, q), one closure for every state of c
+        members = s.sccs[c]
+        targets = [[] for _ in members]
+        ahead = _closure({q: s.bit[q] for q in members},
+                         s.beside(s.rows, s.fwd[c]))
         for p2, bits in ahead.items():
-            if not s.cyclic[p2] or s.comp[p2] is c:
+            if not s.cyclic[s.comp[p2]] or s.comp[p2] == c:
                 continue
             while bits:
                 low = bits & -bits
                 targets[low.bit_length() - 1].append(p2)
                 bits ^= low
         first: set = set()
-        for q in sorted(c, key=pos.__getitem__):
-            for q2 in sorted(targets[s.bit[q].bit_length() - 1],
-                             key=pos.__getitem__):
+        for q in members:
+            for q2 in sorted(targets[s.bit[q].bit_length() - 1]):
                 c2 = s.comp[q2]
                 if c2 in first:
                     continue
@@ -554,18 +557,21 @@ def barbell_graph(m: NAutomaton) -> BarbellGraph:
                 if behind.get(q, 0) & s.bit[q2] and _has_barbell(
                         s, q, q2, behind):
                     first.add(c2)
-                    found.append((pos[q], pos[q2], (c, c2), (q, q2)))
-    barbells = {key: pair for _i, _j, key, pair in sorted(found)}
+                    found.append((q, q2, c, c2))
+    barbells = {(c, c2): (q, q2) for q, q2, c, c2 in sorted(found)}
     starts: dict = {}
     for c, c2 in barbells:
         starts.setdefault(c2, []).append(c)
-    height: dict = {}
-    for c in s.sccs:  # each SCC after every SCC that reaches it
-        height[c] = max([height[s.comp[p]] for q in c for p in s.pred[q]
-                         if s.comp[p] is not c]
-                        + [height[c1] + 1 for c1 in starts.get(c, ())],
-                        default=0)
-    return BarbellGraph(barbells, {q: height[s.comp[q]] for q in m.states})
+    height: list = []
+    for c, up in enumerate(s.up):  # each SCC after every SCC that reaches it
+        height.append(max([height[u] for u in up]
+                          + [height[c1] + 1 for c1 in starts.get(c, ())],
+                          default=0))
+    if s is m:
+        return BarbellGraph(barbells, {q: height[s.comp[q]] for q in s.states})
+    x, scc = s.names, [frozenset(s.names[q] for q in c) for c in s.sccs]
+    return BarbellGraph({(scc[c], scc[c2]): (x[q], x[q2]) for (c, c2), (q, q2)
+                         in barbells.items()}, {x[q]: height[s.comp[q]] for q in s.states})
 
 
 # ---------------------------------------------------------------------------
@@ -610,61 +616,64 @@ class GrowthReport:
         return doc
 
 
-def classify(m: NAutomaton) -> GrowthReport:
+def classify(m) -> GrowthReport:
     """Exponential (with a pumpable heavy-cycle witness) or polynomial
-    of the maximal barbell-chain length, with the height partition."""
-    t = trim(m)
-    kept = set(t.states)
-    removed = tuple(q for q in m.states if q not in kept)
-    if not t.states:
+    of the maximal barbell-chain length, with the height partition, of an
+    automaton or a search structure (``flow_graph``)."""
+    s = _support(m)
+    names = s.names
+    removed = tuple(q for i, q in enumerate(names) if i not in s.keep)
+    if not s.states:
         return GrowthReport("polynomial", 0, (), {}, removed)
-    hc = has_heavy_cycle(t)  # the only heavy-cycle search of the run
+    hc = has_heavy_cycle(s)  # the only heavy-cycle search of the run
     if hc is not None:
         q, v = hc
-        u = shortest_connecting_word(
-            t, [p for p in t.states if t.alpha.get(p, 0) > 0], [q])
-        z = shortest_connecting_word(
-            t, [q], [p for p in t.states if t.beta.get(p, 0) > 0])
+        u = s.word(s.alpha, [q])
+        z = s.word([q], s.beta)
         return GrowthReport(
             "exponential", None, (),
-            {"state": q, "u": u, "v": v, "z": z}, removed,
+            {"state": names[q], "u": u, "v": v, "z": z}, removed,
         )
-    g = barbell_graph(t)
+    g = barbell_graph(s)
     h = g.heights
     k = max(h.values())
     partition = tuple(
-        tuple(q for q in t.states if h[q] == i) for i in range(k + 1)
+        tuple(names[q] for q in s.states if h[q] == i) for i in range(k + 1)
     )
-    witness = _polynomial_witness(t, g, k)
+    witness = _polynomial_witness(s, g, k)
     return GrowthReport("polynomial", k, partition, witness, removed)
 
 
-def _polynomial_witness(t: NAutomaton, g: BarbellGraph, k: int) -> dict:
+def _polynomial_witness(s: _Support, g: BarbellGraph, k: int) -> dict:
     if k == 0:
         return {"left": (), "loops": [], "links": [], "right": ()}
-    s, h = _support(t), g.heights
-    # Walk down from the first top state.  Each step goes to the least state
-    # p one height lower that reaches the start of a barbell whose end
-    # reaches the current state, through the first such barbell.
-    path = [next(q for q in t.states if h[q] == k)]
+    h = g.heights
+    # Walk down from the first top state.  Each step goes to the state p
+    # one height lower, least by name, that reaches the start of a barbell
+    # whose end reaches the current state, through the first such barbell;
+    # reaching is read off the SCCs' ``coreach`` masks.
+    path = [next(q for q in s.states if h[q] == k)]
     used = []
     while h[path[0]] > 0:
-        into = [b for b in g.barbells.values() if b[1] in s.coreach(path[0])]
-        p = min(p for q, _ in into for p in s.coreach(q)
-                if h[p] + 1 == h[path[0]])
+        here = s.coreach(path[0])
+        into = [b for b in g.barbells.values() if here >> s.comp[b[1]] & 1]
+        below = 0
+        for q, _ in into:
+            below |= s.coreach(q)
+        p = min((p for c, members in enumerate(s.sccs) if below >> c & 1
+                 for p in members if h[p] + 1 == h[path[0]]),
+                key=s.names.__getitem__)
         path.insert(0, p)
-        used.insert(0, next(b for b in into if p in s.coreach(b[0])))
+        used.insert(0, next(b for b in into if s.coreach(b[0]) >> s.comp[p] & 1))
     # path[0] .. path[k], one barbell per step; words only for these k
     loops, lefts, rights = [], [], []
     for i, (q, q2) in enumerate(used):
-        loops.append(find_barbell(t, q, q2))
-        lefts.append(shortest_connecting_word(t, [path[i]], [q]))
-        rights.append(shortest_connecting_word(t, [q2], [path[i + 1]]))
+        loops.append(find_barbell(s, q, q2))
+        lefts.append(s.word([path[i]], [q]))
+        rights.append(s.word([q2], [path[i + 1]]))
     links = [rights[i] + lefts[i + 1] for i in range(k - 1)]
-    left = shortest_connecting_word(
-        t, [p for p in t.states if t.alpha.get(p, 0) > 0], [path[0]])
-    right = shortest_connecting_word(
-        t, [path[k]], [p for p in t.states if t.beta.get(p, 0) > 0])
+    left = s.word(s.alpha, [path[0]])
+    right = s.word([path[k]], s.beta)
     return {
         "left": left + lefts[0],
         "loops": loops,
@@ -692,10 +701,10 @@ def witness_word(report: GrowthReport, pumps: int) -> Word:
 def classify_function(m: SST) -> GrowthReport:
     """Growth class of the length of a register transducer's output.
 
-    The machine is totalized and simplified first, and the report is that
-    of its flow automaton.
+    The machine is totalized first, and the report is that of its register
+    flow (``flow_graph``).
     """
-    from .layering import make_total, to_simple
+    from .layering import make_total
 
     total, _dfa = make_total(m)
-    return classify(flow_automaton(to_simple(total)))
+    return classify(flow_graph(total))

@@ -1,49 +1,35 @@
 """Copy-layer minimization pipeline for register transducers.
 
-The chain runs: totalize; build the single-state, letter-free form in one
-pass from the total machine (register x at state q becomes q.x, and each
-output letter b a constant register k.b) and partition its registers by
-height; drop the bounded bottom class into the states of the total
-machine, with one register per register and higher class; and, only where
-check_layered rejects those layers, convert the top layer from
-per-word-bounded copying to copyless when its own updates copy (a copyless
-one is kept as it is) and splice the recursively processed lower layers,
-each register's value machine under the same rule, back in as a parallel
-product; every result leaves through the register allocator,
-prune_sst_registers.  The copyless step guesses
+The chain runs: totalize; partition the nodes of the total machine's
+register flow (growth.flow_graph: register x at state q is node q.x, and
+each output letter b a constant k.b) by height; drop the bounded bottom
+class into the states of the total machine, with one register per
+register and higher class; and, only where check_layered rejects those
+layers, convert the top layer from per-word-bounded copying to copyless
+when its own updates copy (a copyless one is kept as it is) and splice the
+recursively processed lower layers, each register's value machine under
+the same rule, back in as a parallel product; every result leaves through
+the register allocator, prune_sst_registers.  The copyless step guesses
 occurrence profiles in an unambiguous nondeterministic machine, built
 backward from the output, and determinizes it by tracking the alive forest
 of its runs: one tree, its slots numbered in pre-order, its branches
 composed with subst_apply and split into skeleton and boundary words by
-decompose_copyless.  Both are sized by
-what they build: a register has as many copies as its largest profile
-entry, and the slots are those of the widest forest explored.
+decompose_copyless.  Both are sized by what they build: a register has as
+many copies as its largest profile entry, and the slots are those of the
+widest forest explored.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from typing import Optional, Sequence
 
-from .growth import GrowthReport, classify, flow_automaton, is_simple
+from .growth import GrowthReport, classify, flow_graph, is_simple
 from .machines import (
-    DFA,
-    Fun,
-    Lit,
-    MachineError,
-    NSSTF,
-    Reg,
-    SST,
-    Substitution,
-    check_layer_order,
-    check_layered,
-    compose_substitutions,
-    explore,
-    subst_apply,
-)
+    DFA, Fun, Lit, MachineError, NSSTF, Reg, SST, Substitution, check_layer_order,
+    check_layered, compose_substitutions, explore, subst_apply)
 
 SINK = "__sink"
 
@@ -54,6 +40,8 @@ PROFILE_LIMIT = 200000
 # determinize_nsstf: states x slot registers built so far, since every state
 # carries a substitution of all slot registers.
 DETERMINIZATION_SIZE_LIMIT = 10 ** 6
+# _lockstep (product_ssts, splice_layers, reimpose_domain): product states
+PRODUCT_STATE_LIMIT = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +98,8 @@ def _fresh(base: str, taken) -> str:
 
 
 def _simple_names(m: SST) -> tuple:
-    """Register names of ``to_simple(m)``, shared with remove_bounded_layer.
+    """Names of the nodes of ``growth.flow_graph(m)``, which are the registers
+    of ``to_simple(m)``; remove_bounded_layer reads a partition through them.
 
     Returns ``(names, const)``: ``const`` maps each letter b that ``m``
     writes to a fresh constant register, k.b unless a register took that
@@ -128,9 +117,9 @@ def _simple_names(m: SST) -> tuple:
         const[b] = _fresh("k.%s" % b, taken)
         taken.add(const[b])
     pairs = [(q, x) for q in m.states for x in m.registers + tuple(const.values())]
-    taken, seen, names = {"%s.%s" % pair for pair in pairs}, set(), {}
-    for pair in pairs:
-        name = "%s.%s" % pair
+    plain = ["%s.%s" % pair for pair in pairs]
+    taken, seen, names = set(plain), set(), {}
+    for pair, name in zip(pairs, plain):
         if name in seen:
             name = _fresh(name, taken)
             taken.add(name)
@@ -149,7 +138,8 @@ def to_simple(m: SST) -> SST:
     (q, x) on a concatenates x's update at (p, a) over the sorted
     predecessors p of q, with Reg(y) read as (p, y) and Lit(b) as (p, k.b);
     at most one term is nonempty along a run.  The output and the initial
-    valuation are built the same way.
+    valuation are built the same way.  It is the reference for
+    growth.flow_graph, which counts the same flow without building it.
     """
     if m.funs:
         raise MachineError("cannot simplify a machine with external functions")
@@ -810,8 +800,7 @@ def _lockstep(parts: Sequence, name, update_of, output_of, **fields) -> SST:
                 yield nxt
 
     order = explore([tuple(p.initial for p in parts)], successors,
-                    math.prod(len(p.states) for p in parts),
-                    "synchronized product")
+                    PRODUCT_STATE_LIMIT, "synchronized product")
     states = tuple(name(c) for c in order)
     return SST(input_alphabet=parts[0].input_alphabet, states=states,
                initial=states[0], delta=delta, update=update, output=output,
@@ -1010,9 +999,9 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
         raise MachineError("layer minimization expects a plain machine")
     total, dfa = make_total(m)
     _dump(dump, "total", total)
-    simple = to_simple(total)
-    _dump(dump, "simple", simple)
-    report = classify(flow_automaton(simple))
+    if dump is not None:
+        _dump(dump, "simple", to_simple(total))
+    report = classify(flow_graph(total))
     if report.kind == "exponential":
         return LayeredResult("exponential", report)
     machine, layers = remove_bounded_layer(total, report.partition)

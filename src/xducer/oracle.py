@@ -7,7 +7,8 @@ from itertools import islice, product
 from typing import Optional
 
 from .machines import (
-    FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, SST, TwoWayTransducer)
+    FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, SST, TwoWayTransducer,
+    explore)
 from .semantics import (
     ACCEPT, BUDGET, marble_of, marble_outputs, run_machine, sst_outputs)
 
@@ -206,17 +207,8 @@ def brute_degree(m: NAutomaton, maxlen: int) -> Optional[int]:
             if w > 0:
                 succ[p].add(q)
 
-    def reach(src):
-        seen, stack = {src}, [src]
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    reach_map = {q: reach(q) for q in m.states}
+    reach_map = {q: set(explore([q], succ.__getitem__, len(succ), "reachability"))
+                 for q in m.states}
     edges = set()
     for (q, q2, _v) in found.barbells:
         for q1 in m.states:

@@ -126,10 +126,11 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     A left or right move back into its own state, keyed with no marble under
     the head, is a sweep entry when every such move of that (state,
     direction) outputs one-character symbols only.  In place of the dropped
-    colour it holds the matcher they share: (the ``match`` of a regex
-    ``[...]*`` over the characters ``chr(code)`` of the symbols that continue
-    the sweep, a ``str.translate`` table from each code to its output joined,
-    or None if none of them outputs).
+    colour it holds the matcher they share, [match, outputs, cells]: the
+    ``match`` of a regex ``[...]*`` over the characters ``chr(code)`` of the
+    symbols that continue the sweep and a ``str.translate`` table from each
+    code to its output joined (None if none outputs), both made from
+    ``cells``, each code's output, by the first walk that takes the sweep.
     """
     colours = {None: 0}
     for c in (*t.colors, *(k[2] for k in t.delta),
@@ -155,13 +156,19 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     for cells in sweeps.values():
         if any(len(sym) != 1 for key in cells.values() for sym in table[key][4]):
             continue  # outputs str.translate cannot write symbol by symbol
-        outs = {code: "".join(table[key][4]) for code, key in cells.items()}
-        chars = re.escape("".join(map(chr, sorted(cells))))
-        matcher = (re.compile("[%s]*" % chars).match, outs if any(outs.values()) else None)
+        matcher = [None, None, {code: table[key][4] for code, key in cells.items()}]
         for key in cells.values():
             table[key] = (*table[key][:3], matcher, table[key][4])
     return (table, codes, tuple(states), tuple(colours),
             {states[q] for q in t.finals if q in states}, states[t.initial], stride)
+
+
+def _compile_sweep(c: list) -> None:
+    """Fill in the match and the outputs of sweep matcher ``c``, shared by
+    all its entries, from its cells."""
+    outs = {code: "".join(out) for code, out in c[2].items()}
+    c[:2] = (re.compile("[%s]*" % re.escape("".join(map(chr, sorted(outs))))).match,
+             outs if any(outs.values()) else None)
 
 
 def _tables(t: MarbleTransducer) -> tuple:
@@ -252,6 +259,8 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
             return REJECT, None, steps, depth
         q, base, act, c, out = move
         if c and act < _LIFT and tr is None:  # a sweep entry: c is its matcher
+            if c[0] is None:
+                _compile_sweep(c)
             if fwd is None:
                 fwd = "".join(map(chr, tape))
                 rev = fwd[::-1]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import xducer.growth as growth
 from xducer.growth import (
     GrowthReport,
     barbell_graph,
@@ -9,6 +10,7 @@ from xducer.growth import (
     classify_function,
     find_barbell,
     flow_automaton,
+    flow_graph,
     has_heavy_cycle,
     trim,
     witness_word,
@@ -27,7 +29,7 @@ from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.oracle import brute_degree, brute_pattern_search
 from xducer.semantics import eval_nautomaton
 
-from conftest import load
+from conftest import CORPUS_NAMES, load
 
 
 def nauto(states, alphabet, alpha, beta, mats):
@@ -759,3 +761,81 @@ def test_wide_component_heavy_variant():
         assert rep.kind == "exponential" and rep.witness["state"] == q
         for p in range(1, 4):
             assert eval_nautomaton(t, witness_word(rep, p)) >= 2 ** p
+
+
+# ---------------------------------------------------------------------------
+# The flow graph built from the total machine, against the reference build
+# ---------------------------------------------------------------------------
+
+
+def named_flow(total):
+    """``flow_graph(total)`` mapped back to names: its kept nodes, with their
+    alpha, beta and letter weights as ``growth._flow`` counts them."""
+    from xducer.layering import _simple_names
+
+    s = flow_graph(total)
+    alpha, beta, mats = growth._flow(total, tuple(_simple_names(total)[1]))
+    x, keep = s.names, s.keep
+    # the structure's rows and heavy steps are the support of those weights
+    for a, mat in mats.items():
+        assert {(p, r) for p in s.states for r in s.rows[a][p]} == {
+            (p, r) for p, r in mat if p in keep and r in keep}
+    assert s.heavy == {(p, a, r) for a, mat in mats.items()
+                       for (p, r), w in mat.items()
+                       if w >= 2 and p in keep and r in keep}
+    return NAutomaton(
+        total.input_alphabet, tuple(x[v] for v in s.states),
+        {x[v]: w for v, w in alpha.items() if v in keep},
+        {x[v]: w for v, w in beta.items() if v in keep},
+        {a: {(x[p], x[r]): w for (p, r), w in mat.items()
+             if p in keep and r in keep} for a, mat in mats.items()})
+
+
+def reference_sources():
+    from perfbench.gen import pool_machine
+
+    for name in CORPUS_NAMES:
+        m = load(name)
+        if isinstance(m, (MarbleTransducer, TwoWayTransducer)):
+            m = marble_to_sst(m if isinstance(m, MarbleTransducer)
+                              else two_way_to_marble(m))
+        if isinstance(m, SST) and not m.funs:
+            yield name, m
+    for pool, count in (("ana_sst", 120), ("opt_sst", 60)):
+        for i in range(count):
+            yield "%s %d" % (pool, i), pool_machine(pool, i)
+
+
+def test_flow_graph_matches_the_reference_build():
+    # the graph the pipeline classifies is trim(flow_automaton(to_simple(...)))
+    # node for node, and so is its report, without either automaton
+    seen = 0
+    for name, m in reference_sources():
+        total = make_total(m)[0]
+        reference = flow_automaton(to_simple(total))
+        assert named_flow(total) == trim(reference), name
+        assert classify_function(m) == classify(reference), name
+        seen += 1
+    assert seen >= 180 + 10
+
+
+def test_witness_walk_chooses_by_name_not_declaration():
+    # Declared z, yb, ya, sb, sa, u: each step of the walk down from z has
+    # two candidates one height lower (ya and yb, then sa and sb, with u),
+    # declared in the opposite order to their names.  The walk takes the
+    # least name each time, so both loops read a; declaration order would
+    # give b, b.  The report was pinned before nodes became numbers.
+    loops = {(q, q): 1 for q in ("ya", "yb", "z")}
+    a = nauto(("z", "yb", "ya", "sb", "sa", "u"), ("a", "b", "c"),
+              {"u": 1}, {"z": 1},
+              {"a": {**loops, ("sa", "sa"): 1, ("sa", "ya"): 1,
+                     ("sa", "yb"): 1, ("ya", "z"): 1},
+               "b": {**loops, ("sb", "sb"): 1, ("sb", "ya"): 1,
+                     ("sb", "yb"): 1, ("yb", "z"): 1},
+               "c": {("u", "sa"): 1, ("u", "sb"): 1}})
+    assert classify(a).to_json() == {
+        "class": "polynomial", "degree": 2,
+        "partition": [["sb", "sa", "u"], ["yb", "ya"], ["z"]],
+        "trim_removed": [],
+        "witness": {"left": ["c"], "loops": [["a"], ["a"]], "links": [[]],
+                    "right": []}}

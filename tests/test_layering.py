@@ -543,6 +543,30 @@ def test_splice_timing_on_running_prefix():
         assert got == want, n
 
 
+def test_product_state_limit(monkeypatch):
+    # mul_sst's three total states in lockstep with the parity of the a's
+    m = make_total(load("mul_sst"))[0]
+    x = (Reg("x"),)
+    parity = SST(
+        input_alphabet=m.input_alphabet, output_alphabet=m.output_alphabet,
+        states=("e", "o"), registers=("x",), initial="e",
+        init_valuation={"x": ()},
+        delta={(q, a): q if a != "a" else "o" if q == "e" else "e"
+               for q in ("e", "o") for a in m.input_alphabet},
+        update={(q, a): {"x": x} for q in ("e", "o") for a in m.input_alphabet},
+        output={"e": x, "o": ()})
+    components = {"m": (m, (m.registers,)), "p": (parity, (("x",),))}
+    product = product_ssts(components)[0]
+    size = len(product.states)
+    assert size > len(m.states)
+    monkeypatch.setattr(layering, "PRODUCT_STATE_LIMIT", size)
+    assert product_ssts(components)[0] == product
+    monkeypatch.setattr(layering, "PRODUCT_STATE_LIMIT", size - 1)
+    with pytest.raises(MachineError, match=r"^synchronized product exceeded "
+                       r"%d states$" % (size - 1)):
+        product_ssts(components)
+
+
 def test_splice_empty_registry_returns_top():
     m = load("bounded_pair_sst")
     out, layers = splice_layers(m, m, (), {})

@@ -27,7 +27,7 @@ from xducer.machines import (
     TwoWayTransducer,
     act_drop,
 )
-from xducer.mt2sst import two_way_to_marble
+from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.oracle import words_up_to
 from xducer.semantics import (
     LOOP,
@@ -448,6 +448,8 @@ def scan_lengths(t):
     for key, (q, base, act, c, out) in table.items():
         if act in (semantics._LEFT, semantics._RIGHT) and c:
             if id(c) not in wrapped:
+                semantics._compile_sweep(c)
+
                 def match(s, i, j, _match=c[0], _act=act):
                     found = _match(s, i, j)
                     scans.append((_act, found.end() - i))
@@ -516,6 +518,24 @@ def sweeper(**changes) -> MarbleTransducer:
         finals=frozenset({"s5"}), colors=("c",),
         delta={key: rule[:2] for key, rule in rules.items()},
         out={key: rule[2] for key, rule in rules.items()})
+
+
+def test_marble_to_sst_compiles_no_sweep_matcher(monkeypatch):
+    # the sweep matchers are made by the first walk that takes each sweep:
+    # a machine that is only converted compiles none, and its runs still
+    # sweep, with the single steps' results
+    compiled, compile_regex = [], re.compile
+    monkeypatch.setattr(re, "compile", lambda *a: compiled.append(a) or compile_regex(*a))
+    t = sweeper()
+    marble_to_sst(t)
+    matchers = {id(e[3]): e[3] for e in semantics._tables(t)[0].values()
+                if e[2] < semantics._LIFT and e[3]}
+    assert matchers and compiled == []
+    assert all(c[:2] == [None, None] for c in matchers.values())
+    r = assert_matches_reference(t, "a" * 30 + "b")
+    assert r.output_text == "x" * 30 + "a" * 30 + "y" * 60
+    assert len(compiled) == len(matchers)
+    assert all(c[0] is not None for c in matchers.values())
 
 
 def test_sweeps_with_and_without_output_match_the_reference():
