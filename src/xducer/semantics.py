@@ -110,6 +110,12 @@ def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
 _LEFT, _RIGHT, _LIFT, _DROP, _BAD = range(5)
 _ACTIONS = {"left": _LEFT, "right": _RIGHT, "lift": _LIFT, "drop": _DROP}
 
+# The message of each (action, marble under the head) that its key makes
+# invalid: a right move or a drop on a marble, a lift on none.
+_FAULTS = {(_RIGHT, True): "invalid machine: move right over a marble",
+           (_DROP, True): "invalid machine: drop on a marbled position",
+           (_LIFT, False): "invalid machine: lift without a marble"}
+
 # ``top`` of the bottom frame, which holds no marble: above every cell of
 # every tape.
 _NO_MARBLE = 1 << 62
@@ -121,7 +127,13 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     States and colours are numbered (colour 0: no marble); a symbol's code is
     its number times the number of colours.  ``table`` maps ``state * stride
     + symbol code + colour`` to (next state, next state * stride, action code,
-    dropped colour, output); an unknown action keeps itself as the colour.
+    dropped colour, output).  Raises if the input alphabet holds ⊢ or ⊣.
+
+    The table decides every step outcome its key fixes.  A left move on ⊢
+    and a right move on ⊣ with no marble have no entry: they reject as a
+    missing move does, with no step counted.  A right move or a drop on a
+    marble (off ⊣ too), a lift on none and an unknown action are ``_BAD``
+    entries, with their error message in place of the colour.
 
     A left or right move back into its own state, keyed with no marble under
     the head, is a sweep entry when every such move of that (state,
@@ -132,6 +144,9 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     code to its output joined (None if none outputs), both made from
     ``cells``, each code's output, by the first walk that takes the sweep.
     """
+    for s in (LEFT_END, RIGHT_END):
+        if s in t.input_alphabet:
+            raise MachineError("input alphabet contains reserved endmarker %r" % s)
     colours = {None: 0}
     for c in (*t.colors, *(k[2] for k in t.delta),
               *(act[1] for _q, act in t.delta.values() if act[0] == "drop")):
@@ -145,14 +160,17 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
         states.setdefault(q, len(states))
     table, sweeps = {}, {}
     for (q, a, c), (q2, (kind, c2)) in t.delta.items():
-        if a in codes:
-            act = _ACTIONS.get(kind, _BAD)
-            key = states[q] * stride + codes[a] + colours[c]
-            table[key] = (
-                states[q2], states[q2] * stride, act,
-                (kind, c2) if act == _BAD else colours.get(c2, 0), tuple(t.out[q, a, c]))
-            if act < _LIFT and q2 == q and c is None:
-                sweeps.setdefault((q, act), {})[codes[a]] = key
+        act = _ACTIONS.get(kind, _BAD)
+        if a not in codes or act == _LEFT and a == LEFT_END or (
+                act == _RIGHT and a == RIGHT_END and c is None):
+            continue
+        fault = ("invalid action %r" % ((kind, c2),) if act == _BAD
+                 else _FAULTS.get((act, c is not None)))
+        key = states[q] * stride + codes[a] + colours[c]
+        table[key] = (states[q2], states[q2] * stride, _BAD if fault else act,
+                      fault or colours.get(c2, 0), tuple(t.out[q, a, c]))
+        if act < _LIFT and q2 == q and c is None:
+            sweeps.setdefault((q, act), {})[codes[a]] = key
     for cells in sweeps.values():
         if any(len(sym) != 1 for key in cells.values() for sym in table[key][4]):
             continue  # outputs str.translate cannot write symbol by symbol
@@ -213,18 +231,21 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
     looping run repeats the configuration of least height on its cycle
     within one open frame, so every loop is found.  ``stack`` keeps, top
     last, the (top marble position, colour, seen set, swept) each drop
-    saved; the bottom frame's ``top`` is ``_NO_MARBLE``.  A right move and a
-    drop, the only steps that could put a marble below the head or out of
-    order, check that they do not.
+    saved; the bottom frame's ``top`` is ``_NO_MARBLE``.  The table decides
+    what a step's key fixes (``_compile_tables``): a missing entry rejects
+    and a ``_BAD`` one raises its message.  The loop checks only what
+    depends on the stack: that a right move puts no marble below the head
+    and that a drop keeps the marbles in order.
 
     An untraced run that takes a sweep entry crosses the whole run of cells
     its matcher accepts with one regex scan of the tape as a string of
     ``chr(code)`` (and its reverse for left sweeps), made on the first sweep,
     and writes their outputs with one ``str.translate``.  A right sweep reads
-    no cell at or past the top marble or ⊣, a left sweep none at ⊢, and none
-    goes past the budget, so the step that ends it runs through the guards
-    below.  A sweep of fewer than 2 cells is stepped singly, and so is every
-    step of a traced run.
+    no cell at or past the top marble, none goes past the budget, and none
+    crosses an endmarker, as a move off the tape has no entry; so the step
+    that ends it is a single step, with its entry and guards.  A sweep of
+    fewer than 2 cells is stepped singly, and so is every step of a traced
+    run.
 
     A sweep in state q over the cells [lo, hi] adds no keys to the seen set:
     it records the interval in its frame's ``swept``, which maps q to the
@@ -253,8 +274,7 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
             return ACCEPT, tuple(emitted), steps, depth
         if steps >= budget:
             return BUDGET, None, steps, depth
-        col = topc if top == pos else 0
-        move = get(base + tape[pos] + col)
+        move = get(base + tape[pos] + (topc if top == pos else 0))
         if move is None:
             return REJECT, None, steps, depth
         q, base, act, c, out = move
@@ -266,7 +286,7 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
                 rev = fwd[::-1]
             if act == _RIGHT:
                 cells, start = fwd, pos
-                k = c[0](fwd, pos, min(end, top)).end() - pos
+                k = c[0](fwd, pos, top).end() - pos
             else:
                 cells, start = rev, end - pos
                 k = c[0](rev, start, end).end() - start
@@ -296,31 +316,21 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
                 pos = land
                 continue
         if act == _LEFT:
-            if not pos:
-                return REJECT, None, steps, depth
             pos -= 1
         elif act == _RIGHT:
-            if col:
-                raise MachineError("invalid machine: move right over a marble")
-            if pos == end:
-                return REJECT, None, steps, depth
             pos += 1
             if top < pos:
                 raise MachineError("marble %r below the reading head" % (colours[topc],))
         elif act == _DROP:
-            if col:
-                raise MachineError("invalid machine: drop on a marbled position")
             if top <= pos:
                 raise MachineError("marble stack positions not strictly increasing")
             stack.append((top, topc, seen, swept))
             top, topc, seen, swept = pos, c, set(), {}
             depth = max(depth, len(stack))
         elif act == _LIFT:
-            if not col:
-                raise MachineError("invalid machine: lift without a marble")
             top, topc, seen, swept = stack.pop()
-        else:
-            raise MachineError("invalid action %r" % (c,))
+        else:  # a _BAD entry: c is its message
+            raise MachineError(c)
         steps += 1
         if out:
             emitted += out
@@ -555,9 +565,8 @@ def _output_word(prog, val: tuple) -> Word:
     ``OUTPUT_LETTER_LIMIT`` once; a list with a node among its pieces is
     flattened whole by ``_flat``, as one node over its nonempty pieces.
     Outputs hold no function tokens (``validate`` refuses them), so no word
-    or registry is passed; ``sst_outputs`` reads the composed last steps of
-    a machine without functions here, and evaluates those that carry an
-    update's functions with ``_update`` itself."""
+    or registry is passed; ``sst_outputs`` also reads here the composed
+    last steps of a machine without functions (``_last_steps``)."""
     if type(prog) is not list:
         return _flat(val[prog] if type(prog) is int else prog)
     word = ()
@@ -744,12 +753,13 @@ def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None
     (state, valuation, word) for each word of length n - 1, with state None
     once the run has died; the word itself is carried only for a machine
     with functions, as ``Fun`` tokens read it.  Each entry is extended by
-    each letter, so each update is applied once per word.  Below ``maxlen`` a
-    word's valuation is built for the next length and its output read from
-    it; at ``maxlen`` no valuation is built, and the output is read from the
-    parent's valuation by the composed program of the last step
-    (``_last_steps``).  So valuations are kept for one length (and the next
-    while it is built), at most |alphabet|^(maxlen-1) of them, a number
+    each letter, so each update is applied once per word.  A word's
+    valuation is built for the next length and its output read from it.
+    At ``maxlen``, for a machine without functions, no valuation is built:
+    the output is read from the parent's valuation by the composed program
+    of the last step (``_last_steps``).  So valuations are kept for one
+    length (and the next while it is built), at most |alphabet|^(maxlen-1)
+    of them without functions and |alphabet|^maxlen with, a number
     ``equiv``'s word cap bounds.  The registry check runs once.
     """
     letters = sorted(m.input_alphabet)
@@ -762,7 +772,7 @@ def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None
     out = outputs.get(m.initial)
     yield rejected if out is None else (ACCEPT, _output_word(out, val))
     level = [(m.initial, val, ())]
-    for n in range(1, maxlen):
+    for n in range(1, maxlen + 1 if funs else maxlen):
         children = []
         append = children.append
         for q, val, w in level:
@@ -778,49 +788,35 @@ def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None
                 out = outputs.get(step[0])
                 yield rejected if out is None else (ACCEPT, _output_word(out, child))
         level = children
-    if maxlen < 1:
+    if funs or maxlen < 1:
         return
     last = _last_steps(m)
-    for q, val, w in level:
+    for q, val, _w in level:
         for a in letters:
-            step = last.get((q, a))
-            if step is None:
-                yield rejected
-            elif funs:  # ``_update`` evaluates each function of the step once
-                value = _update(step[1], val, w + (a,), maxlen, registry)[0]
-                yield rejected if step[0] == REJECT else (ACCEPT, _flat(value))
-            else:
-                yield ACCEPT, _output_word(step[1][0], val)
+            out = last.get((q, a))
+            yield rejected if out is None else (ACCEPT, _output_word(out, val))
 
 
 def _last_steps(m: SST) -> dict:
-    """(verdict, update program) per (state, letter) for the last letter of
-    a word, composed from ``_programs(m)`` on each call.
-
-    The first right-hand side is the output program of the state entered,
-    with each register it reads replaced by the register's program in the
-    step's update (a constant ``_Cat`` spliced in as its letters).  Each
-    ``Fun`` of the update it leaves out follows as a program of its own, so
-    every function of the step is still evaluated once per word.  Where the
-    state has no output the verdict is REJECT and only those functions
-    remain; a REJECT step without any is left out.
+    """The output program of the last letter of a word, per (state, letter)
+    of a machine without functions whose step enters a state with output:
+    that state's output program, with each register it reads replaced by
+    the register's program in the step's update (a constant ``_Cat``
+    spliced in as its letters).  Composed from ``_programs(m)`` on each
+    call.
     """
     steps, outputs = _programs(m)
     last = {}
     for key, (q2, prog) in steps.items():
         out = outputs.get(q2)
+        if out is None:
+            continue
         pieces: list = []
-        for p in () if out is None else out if type(out) is list else (out,):
+        for p in out if type(out) is list else (out,):
             rhs = prog[p] if type(p) is int else p
             pieces += [tuple(x) if type(x) is _Cat else x
                        for x in (rhs if type(rhs) is list else (rhs,))]
-        rest = tuple([f] for f in dict.fromkeys(
-            p for rhs in prog if type(rhs) is list for p in rhs
-            if type(p) is Fun and p not in pieces))
-        if out is not None:
-            last[key] = ACCEPT, (_program(pieces),) + rest
-        elif rest:
-            last[key] = REJECT, rest
+        last[key] = _program(pieces)
     return last
 
 
@@ -953,12 +949,13 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
 
     Only the head's moves on this cell are simulated.  A left move is
     answered by ``parent``, which maps a state to the summary of the cell to
-    the left entered in it (None left of ⊢: the move rejects).
+    the left entered in it (None left of ⊢, where no left move has an
+    entry).
     ``marble_outputs`` passes a ``_Prefix``, whose missing summaries are
     computed when asked for, on an explicit stack of suspended cells;
     ``mt2sst.marble_to_sst`` a dict over every state, whose outputs are
     registers.  On ⊣ the run accepts in a final state with no marble, as
-    ``_marble_walk`` does, and a right move rejects.
+    ``_marble_walk`` does.
 
     ``memo`` (None, or the cell's summaries by entry state) shares chain
     suffixes.  The rest of a run that stands on the cell with no marble in
@@ -974,10 +971,12 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
 
     The cell's seen sets are of states: one for the frame the summary starts
     in, and a fresh one for each marble dropped on the cell, the only marble
-    the head can meet there.  Steps, verdicts and error texts are those of
-    ``_marble_walk``, from the same table.  Outputs are joined under the
-    ``SHARE_MIN`` rule of ``_update``: a piece of at most ``SHARE_MIN``
-    letters is copied, a longer one or a node referenced.
+    the head can meet there.  The outcomes a step's key fixes come from
+    ``_marble_walk``'s table: a missing entry rejects, a ``_BAD`` one ends
+    the summary with its message.  A right move off the cell, or a drop on
+    it, raises while a marble of no colour lies there.  Outputs are joined
+    under the ``SHARE_MIN`` rule of ``_update``: a piece of at most
+    ``SHARE_MIN`` letters is copied, a longer one or a node referenced.
     """
     table, codes, _names, colours, finals, _q0, stride = tables
     get = table.get
@@ -1009,50 +1008,31 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
                 done = REJECT
             else:
                 q2, _base, act, c, out = move
-                if act == _LEFT:
-                    if parent is None:
-                        done = REJECT
-                    else:
-                        steps += 1
-                        parts += out
+                if act == _BAD:
+                    done = MachineError(c)
+                elif below is not None and act == _RIGHT:
+                    done = MachineError("marble %r below the reading head" % (colours[col],))
+                elif below is not None and act == _DROP:
+                    done = MachineError("marble stack positions not strictly increasing")
+                else:
+                    steps += 1
+                    parts += out
+                    q = q2
+                    if act == _RIGHT:
+                        done = q2
+                    elif act == _DROP:
+                        below, seen, col = seen, set(), c
+                    elif act == _LIFT:
+                        seen, below, col = below, None, 0
+                    else:  # a left move, answered by the cell on the left
                         sub = parent.get(q2)
                         if sub is None:  # suspend this cell, and summarize the parent's
                             frames.append((parent, sym, memo, entry, steps, parts, shared,
                                            col, seen, below, marks))
-                            parent, sym, memo = parent.parent, parent.code, parent
-                            entry = q = q2
+                            parent, sym, memo, entry = parent.parent, parent.code, parent, q2
                             steps, parts, shared, col, seen, below, marks = (
                                 0, [], -1, 0, {q2}, None, [])
                         continue
-                elif act == _RIGHT:
-                    if col:
-                        done = MachineError("invalid machine: move right over a marble")
-                    elif sym == right:
-                        done = REJECT
-                    elif below is not None:
-                        done = MachineError("marble %r below the reading head" % (colours[col],))
-                    else:
-                        steps += 1
-                        parts += out
-                        done = q2
-                elif act == _DROP:
-                    if col:
-                        done = MachineError("invalid machine: drop on a marbled position")
-                    elif below is not None:
-                        done = MachineError("marble stack positions not strictly increasing")
-                    else:
-                        below, seen, col = seen, set(), c
-                elif act == _LIFT:
-                    if col:
-                        seen, below, col = below, None, 0
-                    else:
-                        done = MachineError("invalid machine: lift without a marble")
-                else:
-                    done = MachineError("invalid action %r" % (c,))
-                if done is None:
-                    steps += 1
-                    parts += out
-                    q = q2
         if done is None:
             if q in seen:
                 done = LOOP

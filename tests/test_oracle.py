@@ -29,8 +29,8 @@ from xducer.oracle import (
     words_up_to,
 )
 from xducer.semantics import (
-    ACCEPT, BUDGET, LOOP, REJECT, SHARE_MIN, marble_of, marble_outputs, run_machine,
-    run_marble, run_sst, run_sstf, sst_outputs)
+    ACCEPT, BUDGET, LOOP, REJECT, SHARE_MIN, RunResult, marble_of, marble_outputs,
+    run_machine, run_marble, run_sst, run_sstf, sst_outputs)
 from xducer.sst2mt import layered_to_marble
 
 from conftest import CORPUS_NAMES, corpus_path, load, reference_run
@@ -664,6 +664,59 @@ def test_a_marble_of_no_colour_acts_as_in_a_run(letter, error):
     got = walked_outputs(t, 3)
     assert got == reference_outputs(t, 3) and got[1] == error
     assert {v for v, _o in got[0]} == {REJECT}
+
+
+# s steps off ⊢ into p, which rejects on ⊣ and steps right over the first
+# a into q, which walks to ⊣; there d stands on a marble or on none.
+ENDMARKER_PRECEDENCE = [
+    # a marble dropped on ⊣, then a right move: the move over the marble
+    # raises, although it would also step off the tape
+    ({("q", RIGHT_END, None): ("d", act_drop("m")), ("d", RIGHT_END, "m"): ("e", ACT_RIGHT)},
+     1, "invalid machine: move right over a marble"),
+    # a marble dropped on ⊢, then a left move: a reject, the move uncounted
+    ({("s", LEFT_END, None): ("d", act_drop("m")), ("d", LEFT_END, "m"): ("e", ACT_LEFT)},
+     0, None),
+    # a marble of no colour on ⊣ reads as no marble: the right move steps
+    # off the tape and rejects before it could leave the marble behind
+    ({("q", RIGHT_END, None): ("d", act_drop(None)), ("d", RIGHT_END, None): ("e", ACT_RIGHT)},
+     1, None),
+]
+
+
+@pytest.mark.parametrize("rules,rejects_before,error", ENDMARKER_PRECEDENCE)
+def test_endmarker_steps_keep_their_precedence(rules, rejects_before, error):
+    """What the step table decides on the endmarkers: ``run_marble``,
+    traced and not, and ``marble_outputs`` give what a run from ⊢ gives."""
+    rules = {("s", LEFT_END, None): ("p", ACT_RIGHT), ("p", "a", None): ("q", ACT_RIGHT),
+             ("q", "a", None): ("q", ACT_RIGHT), **rules}
+    states = ("s", "p", "q", "d", "e", "f")  # each move emits the state it leaves
+    t = MarbleTransducer(("a",), states, states, "s", frozenset({"f"}), ("m",), rules,
+                         {k: (k[0],) for k in rules})
+    got = walked_outputs(t, 3)
+    assert got == reference_outputs(t, 3)
+    assert got == ([(REJECT, None)] * (rejects_before if error else 4), error)
+    for w in words_up_to(t.input_alphabet, 3):
+        for trace in (False, True):
+            if error is None:
+                assert run_marble(t, w, trace=trace) == reference_run(t, w, trace=trace), w
+            elif w:
+                with pytest.raises(MachineError, match="^%s$" % error):
+                    run_marble(t, w, trace=trace)
+                with pytest.raises(MachineError, match="^%s$" % error):
+                    reference_run(t, w, trace=trace)
+    if ("d", LEFT_END, "m") in rules:
+        assert run_marble(t, "aa") == RunResult(REJECT, None, 1, 1)  # the drop alone
+
+
+def test_an_endmarker_in_the_input_alphabet_is_refused():
+    for end in (LEFT_END, RIGHT_END):
+        t = MarbleTransducer(("a", end), ("a",), ("q",), "q", frozenset({"q"}), (),
+                             {("q", "a", None): ("q", ACT_RIGHT)}, {("q", "a", None): ()})
+        message = "^input alphabet contains reserved endmarker %r$" % end
+        with pytest.raises(MachineError, match=message):
+            run_marble(t, "a")
+        with pytest.raises(MachineError, match=message):
+            list(marble_outputs(t, 2))
 
 
 def mutated_marble(rng, t):
