@@ -164,7 +164,9 @@ class MarbleTransducer:
 
     ``delta`` maps (state, symbol, color-or-None) to (state, action); the
     color component is the mark sitting at the head position, None if there is
-    none.  When a color is present the action must be ACT_LEFT or ACT_LIFT.
+    none.  On a color the action must be ACT_LEFT or ACT_LIFT, on none it is
+    not ACT_LIFT, and every dropped marble has a declared color (never None):
+    runs refuse, before any step, a machine that ``validate`` refuses.
     """
 
     input_alphabet: tuple
@@ -409,7 +411,7 @@ def _validate_marble(m: MarbleTransducer, report: list) -> None:
         if akind not in ("left", "right", "lift", "drop"):
             faults.append("bad action %r" % (action,))
         else:
-            if akind == "drop" and acolor not in colors:
+            if akind == "drop" and (acolor is None or acolor not in colors):
                 faults.append("drops undeclared color %r" % (acolor,))
             if c is not None and akind == "right":
                 faults.append("move right on marble")

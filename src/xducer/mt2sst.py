@@ -22,7 +22,6 @@ from .machines import (
     SST,
     TwoWayTransducer,
     explore,
-    validate,
 )
 from .layering import prune_sst_registers
 
@@ -44,13 +43,9 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
     crossing.  The output map stitches the run at the right endmarker.  The
     machine is returned through the register allocator, as one layer: an
     excursion register is dead wherever no later crossing calls it, so few
-    registers remain.
+    registers remain.  A machine ``validate`` refuses raises (``_tables``).
     """
     from .semantics import ACCEPT, REJECT, _flat, _summaries, _tables
-
-    problems = validate(t)
-    if problems:
-        raise MachineError("invalid marble transducer: %s" % problems[0])
 
     tables = _tables(t)
     codes = tables[1]
@@ -129,8 +124,7 @@ def two_way_to_marble(t) -> MarbleTransducer:
     """Embed a two-way transducer as a marble transducer with no colors."""
     if not isinstance(t, TwoWayTransducer):
         raise MachineError("expected a two-way transducer")
-    delta = {(q, a, None): (q2, ("left", None) if move == "left" else ("right", None))
-             for (q, a), (q2, move) in t.delta.items()}
+    delta = {(q, a, None): (q2, (move, None)) for (q, a), (q2, move) in t.delta.items()}
     out = {(q, a, None): t.out[q, a] for q, a in t.delta}
     return MarbleTransducer(
         input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,

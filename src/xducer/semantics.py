@@ -23,6 +23,7 @@ from .machines import (
     TwoWayTransducer,
     Word,
     as_word,
+    validate,
 )
 from .mt2sst import two_way_to_marble
 
@@ -107,14 +108,8 @@ def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
 
 
 # Action codes of the step tables.
-_LEFT, _RIGHT, _LIFT, _DROP, _BAD = range(5)
+_LEFT, _RIGHT, _LIFT, _DROP = range(4)
 _ACTIONS = {"left": _LEFT, "right": _RIGHT, "lift": _LIFT, "drop": _DROP}
-
-# The message of each (action, marble under the head) that its key makes
-# invalid: a right move or a drop on a marble, a lift on none.
-_FAULTS = {(_RIGHT, True): "invalid machine: move right over a marble",
-           (_DROP, True): "invalid machine: drop on a marbled position",
-           (_LIFT, False): "invalid machine: lift without a marble"}
 
 # ``top`` of the bottom frame, which holds no marble: above every cell of
 # every tape.
@@ -124,16 +119,15 @@ _NO_MARBLE = 1 << 62
 def _compile_tables(t: MarbleTransducer) -> tuple:
     """(table, symbol codes, state names, colours, finals, initial, stride).
 
-    States and colours are numbered (colour 0: no marble); a symbol's code is
-    its number times the number of colours.  ``table`` maps ``state * stride
-    + symbol code + colour`` to (next state, next state * stride, action code,
-    dropped colour, output).  Raises if the input alphabet holds ⊢ or ⊣.
-
-    The table decides every step outcome its key fixes.  A left move on ⊢
-    and a right move on ⊣ with no marble have no entry: they reject as a
-    missing move does, with no step counted.  A right move or a drop on a
-    marble (off ⊣ too), a lift on none and an unknown action are ``_BAD``
-    entries, with their error message in place of the colour.
+    Raises for a machine that ``validate`` refuses, so every entry is a step
+    the stack discipline allows: no right move or drop on a marble, no lift
+    without one, and every dropped marble of a declared colour.  States are
+    numbered as ``t.states`` and colours as ``(None, *t.colors)`` (colour 0:
+    no marble); a symbol's code is its number times the number of colours.
+    ``table`` maps ``state * stride + symbol code + colour`` to (next state,
+    next state * stride, action code, dropped colour, output).  A left move
+    on ⊢ and a right move on ⊣ with no marble have no entry: they reject as
+    a missing move does, with no step counted.
 
     A left or right move back into its own state, keyed with no marble under
     the head, is a sweep entry when every such move of that (state,
@@ -144,31 +138,22 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     code to its output joined (None if none outputs), both made from
     ``cells``, each code's output, by the first walk that takes the sweep.
     """
-    for s in (LEFT_END, RIGHT_END):
-        if s in t.input_alphabet:
-            raise MachineError("input alphabet contains reserved endmarker %r" % s)
-    colours = {None: 0}
-    for c in (*t.colors, *(k[2] for k in t.delta),
-              *(act[1] for _q, act in t.delta.values() if act[0] == "drop")):
-        colours.setdefault(c, len(colours))
+    problems = validate(t)
+    if problems:
+        raise MachineError("invalid marble transducer: %s" % problems[0])
+    colours = {c: i for i, c in enumerate(dict.fromkeys((None, *t.colors)))}
     codes = {a: i * len(colours)
              for i, a in enumerate((LEFT_END, *t.input_alphabet, RIGHT_END))}
     stride = (len(t.input_alphabet) + 2) * len(colours)
-    states: dict = {}
-    for q in (*t.states, t.initial, *(k[0] for k in t.delta),
-              *(v[0] for v in t.delta.values())):
-        states.setdefault(q, len(states))
+    states = {q: i for i, q in enumerate(t.states)}
     table, sweeps = {}, {}
     for (q, a, c), (q2, (kind, c2)) in t.delta.items():
-        act = _ACTIONS.get(kind, _BAD)
-        if a not in codes or act == _LEFT and a == LEFT_END or (
-                act == _RIGHT and a == RIGHT_END and c is None):
+        act = _ACTIONS[kind]
+        if act == _LEFT and a == LEFT_END or act == _RIGHT and a == RIGHT_END and c is None:
             continue
-        fault = ("invalid action %r" % ((kind, c2),) if act == _BAD
-                 else _FAULTS.get((act, c is not None)))
         key = states[q] * stride + codes[a] + colours[c]
-        table[key] = (states[q2], states[q2] * stride, _BAD if fault else act,
-                      fault or colours.get(c2, 0), tuple(t.out[q, a, c]))
+        table[key] = (states[q2], states[q2] * stride, act,
+                      colours[c2] if act == _DROP else 0, tuple(t.out[q, a, c]))
         if act < _LIFT and q2 == q and c is None:
             sweeps.setdefault((q, act), {})[codes[a]] = key
     for cells in sweeps.values():
@@ -178,7 +163,7 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
         for key in cells.values():
             table[key] = (*table[key][:3], matcher, table[key][4])
     return (table, codes, tuple(states), tuple(colours),
-            {states[q] for q in t.finals if q in states}, states[t.initial], stride)
+            {states[q] for q in t.finals}, states[t.initial], stride)
 
 
 def _compile_sweep(c: list) -> None:
@@ -231,11 +216,9 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
     looping run repeats the configuration of least height on its cycle
     within one open frame, so every loop is found.  ``stack`` keeps, top
     last, the (top marble position, colour, seen set, swept) each drop
-    saved; the bottom frame's ``top`` is ``_NO_MARBLE``.  The table decides
-    what a step's key fixes (``_compile_tables``): a missing entry rejects
-    and a ``_BAD`` one raises its message.  The loop checks only what
-    depends on the stack: that a right move puts no marble below the head
-    and that a drop keeps the marbles in order.
+    saved; the bottom frame's ``top`` is ``_NO_MARBLE``.  A missing entry
+    rejects, and every entry is a step the stack discipline allows
+    (``_compile_tables``), so the loop checks nothing of the stack.
 
     An untraced run that takes a sweep entry crosses the whole run of cells
     its matcher accepts with one regex scan of the tape as a string of
@@ -243,7 +226,7 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
     and writes their outputs with one ``str.translate``.  A right sweep reads
     no cell at or past the top marble, none goes past the budget, and none
     crosses an endmarker, as a move off the tape has no entry; so the step
-    that ends it is a single step, with its entry and guards.  A sweep of
+    that ends it is a single step, with its own entry.  A sweep of
     fewer than 2 cells is stepped singly, and so is every step of a traced
     run.
 
@@ -319,18 +302,12 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
             pos -= 1
         elif act == _RIGHT:
             pos += 1
-            if top < pos:
-                raise MachineError("marble %r below the reading head" % (colours[topc],))
         elif act == _DROP:
-            if top <= pos:
-                raise MachineError("marble stack positions not strictly increasing")
             stack.append((top, topc, seen, swept))
             top, topc, seen, swept = pos, c, set(), {}
             depth = max(depth, len(stack))
-        elif act == _LIFT:
+        else:
             top, topc, seen, swept = stack.pop()
-        else:  # a _BAD entry: c is its message
-            raise MachineError(c)
         steps += 1
         if out:
             emitted += out
@@ -844,16 +821,16 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
     the word (``_marble_verdict``).
 
     The steps of a run are summed, so its verdict under the budget comes out
-    exactly: an accept after at most ``budget`` steps, a reject or a
-    ``MachineError`` met after fewer, and otherwise the budget.  Summaries
-    find a loop no earlier than a run from ⊢ (``_crossing``): a loop found
-    within the budget is a loop of that run, and a word whose loop is found
-    past its budget is run again from ⊢ by ``_marble_walk``, which alone
-    tells that loop from the budget.  So is a word whose output is too long for
-    ``_flat``.  Outputs are shared as ``_Cat`` nodes, as register values
-    are, and flattened only when a word is yielded.  An error is kept as the
-    outcome of the summary that met it, and raised by the first word whose
-    run reaches it.
+    exactly: an accept after at most ``budget`` steps, a reject after fewer,
+    and otherwise the budget.  Summaries find a loop no earlier than a run
+    from ⊢ (``_crossing``): a loop found within the budget is a loop of that
+    run, and a word whose loop is found past its budget is run again from ⊢
+    by ``_marble_walk``, which alone tells that loop from the budget.  So is
+    a word whose output is too long for ``_flat``.  Outputs are shared as
+    ``_Cat`` nodes, as register values are, and flattened only when a word
+    is yielded.  A machine that ``validate`` refuses raises before the first
+    word, as ``run_marble`` raises before the first step
+    (``_compile_tables``).
     """
     tables = _tables(t)
     codes = tables[1]
@@ -910,7 +887,8 @@ def _marble_verdict(tables: tuple, node: _Prefix, q, steps: int, out, budget: in
     """``(verdict, output)`` of ``run_marble`` under ``budget`` on the word
     of ``node``, whose run first stood on ⊣ in state ``q`` after ``steps``
     steps and output ``out``, or on any extension of it, if its run ended
-    before with verdict ``q`` (``marble_outputs``)."""
+    before with verdict ``q`` (``marble_outputs``).  A run ends in ACCEPT,
+    REJECT or LOOP; no summary ends in an error."""
     right = tables[1][RIGHT_END]
     if type(q) is int:  # the head first stands on ⊣ in state q
         q, more, tail = _crossing(tables, node, right, None, q)
@@ -925,9 +903,7 @@ def _marble_verdict(tables: tuple, node: _Prefix, q, steps: int, out, budget: in
             return ACCEPT, _flat(out)
         except MachineError:  # longer than _flat writes; a run has no such limit
             return ACCEPT, _marble_walk(tables, node.tape(right), budget, None)[1]
-    if q == REJECT or q == LOOP:
-        return q, None
-    raise q
+    return q, None
 
 
 def _joined(u, v):
@@ -944,8 +920,8 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
     """The crossing summary of a cell holding symbol code ``sym``, entered
     in state ``q`` with no marble on it: (state, steps, output) for the
     state in which the head next steps right off the cell, with the steps
-    and output on the way, or (verdict, steps, None) if the run ends first,
-    with REJECT, LOOP or the ``MachineError`` it met (not raised).
+    and output on the way, or (verdict, steps, None) if the run ends first:
+    ACCEPT, REJECT or LOOP.
 
     Only the head's moves on this cell are simulated.  A left move is
     answered by ``parent``, which maps a state to the summary of the cell to
@@ -972,13 +948,13 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
     The cell's seen sets are of states: one for the frame the summary starts
     in, and a fresh one for each marble dropped on the cell, the only marble
     the head can meet there.  The outcomes a step's key fixes come from
-    ``_marble_walk``'s table: a missing entry rejects, a ``_BAD`` one ends
-    the summary with its message.  A right move off the cell, or a drop on
-    it, raises while a marble of no colour lies there.  Outputs are joined
-    under the ``SHARE_MIN`` rule of ``_update``: a piece of at most
-    ``SHARE_MIN`` letters is copied, a longer one or a node referenced.
+    ``_marble_walk``'s table: a missing entry rejects.  Every entry is a
+    legal step (``_compile_tables``), so no summary ends in an error.
+    Outputs are joined under the ``SHARE_MIN`` rule of ``_update``: a piece
+    of at most ``SHARE_MIN`` letters is copied, a longer one or a node
+    referenced.
     """
-    table, codes, _names, colours, finals, _q0, stride = tables
+    table, codes, _names, _colours, finals, _q0, stride = tables
     get = table.get
     right = codes[RIGHT_END]
     # ``marks``: (state, steps, len(parts)) at each state met after the
@@ -1007,32 +983,24 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
             if move is None:
                 done = REJECT
             else:
-                q2, _base, act, c, out = move
-                if act == _BAD:
-                    done = MachineError(c)
-                elif below is not None and act == _RIGHT:
-                    done = MachineError("marble %r below the reading head" % (colours[col],))
-                elif below is not None and act == _DROP:
-                    done = MachineError("marble stack positions not strictly increasing")
-                else:
-                    steps += 1
-                    parts += out
-                    q = q2
-                    if act == _RIGHT:
-                        done = q2
-                    elif act == _DROP:
-                        below, seen, col = seen, set(), c
-                    elif act == _LIFT:
-                        seen, below, col = below, None, 0
-                    else:  # a left move, answered by the cell on the left
-                        sub = parent.get(q2)
-                        if sub is None:  # suspend this cell, and summarize the parent's
-                            frames.append((parent, sym, memo, entry, steps, parts, shared,
-                                           col, seen, below, marks))
-                            parent, sym, memo, entry = parent.parent, parent.code, parent, q2
-                            steps, parts, shared, col, seen, below, marks = (
-                                0, [], -1, 0, {q2}, None, [])
-                        continue
+                q, _base, act, c, out = move
+                steps += 1
+                parts += out
+                if act == _RIGHT:
+                    done = q
+                elif act == _DROP:
+                    below, seen, col = seen, set(), c
+                elif act == _LIFT:
+                    seen, below, col = below, None, 0
+                else:  # a left move, answered by the cell on the left
+                    sub = parent.get(q)
+                    if sub is None:  # suspend this cell, and summarize the parent's
+                        frames.append((parent, sym, memo, entry, steps, parts, shared,
+                                       col, seen, below, marks))
+                        parent, sym, memo, entry = parent.parent, parent.code, parent, q
+                        steps, parts, shared, col, seen, below, marks = (
+                            0, [], -1, 0, {q}, None, [])
+                    continue
         if done is None:
             if q in seen:
                 done = LOOP

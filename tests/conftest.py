@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 from dataclasses import replace
 from itertools import chain
@@ -9,8 +10,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.machines import (  # noqa: E402
-    Fun, LEFT_END, Lit, MachineError, NSSTF, Reg, RIGHT_END, SST, subst_apply,
+    Fun, LEFT_END, Lit, MachineError, NSSTF, Reg, RIGHT_END, SST, subst_apply, validate,
     _check_alphabet, _check_distinct, _check_tokens)
+from xducer.mt2sst import marble_to_sst  # noqa: E402
 from xducer.semantics import (  # noqa: E402
     ACCEPT,
     BUDGET,
@@ -21,9 +23,11 @@ from xducer.semantics import (  # noqa: E402
     _Cat,
     default_budget,
     eval_fun,
+    marble_outputs,
+    run_marble,
     run_sst,
 )
-from xducer.oracle import words_up_to  # noqa: E402
+from xducer.oracle import equiv_check, words_up_to  # noqa: E402
 
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -170,6 +174,31 @@ def reference_run(t, w, budget=None, trace: bool = False) -> RunResult:
         if (state, pos) in seen:
             return result(LOOP)
         seen.add((state, pos))
+
+
+def refusal(t) -> str:
+    """The message with which every marble run refuses ``t``, a marble
+    machine that ``validate`` refuses."""
+    problems = validate(t)
+    assert problems, "a valid machine"
+    return "invalid marble transducer: %s" % problems[0]
+
+
+def assert_refused(t, words) -> None:
+    """Marble machine ``t`` is refused with ``refusal(t)`` before any step:
+    by ``run_marble`` on each of ``words``, traced and not, and by
+    ``marble_outputs``, ``equiv_check`` and ``marble_to_sst``.  No tables
+    are kept on it, so the next use refuses it again."""
+    message = "^%s$" % re.escape(refusal(t))
+    for w in words:
+        for trace in (False, True):
+            with pytest.raises(MachineError, match=message):
+                run_marble(t, w, trace=trace)
+    for use in (lambda: next(marble_outputs(t, 2)), lambda: equiv_check(t, t, 2),
+                lambda: marble_to_sst(t)):
+        with pytest.raises(MachineError, match=message):
+            use()
+    assert "_tables" not in t.__dict__
 
 
 def assert_runs_agree(sst, t, maxlen: int, budget=None) -> None:

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from xducer.machines import (
     FunctionRegistry,
     LEFT_END,
     Lit,
+    MOVE_RIGHT,
     MachineError,
     MarbleTransducer,
     RIGHT_END,
@@ -22,6 +24,7 @@ from xducer.machines import (
     SST,
     TwoWayTransducer,
     act_drop,
+    validate,
 )
 from xducer.oracle import (
     brute_pattern_search,
@@ -30,10 +33,12 @@ from xducer.oracle import (
 )
 from xducer.semantics import (
     ACCEPT, BUDGET, LOOP, REJECT, SHARE_MIN, RunResult, marble_of, marble_outputs,
-    run_machine, run_marble, run_sst, run_sstf, sst_outputs)
+    run_machine, run_marble, run_sst, run_sstf, run_two_way, sst_outputs)
+from xducer.mt2sst import marble_to_sst
 from xducer.sst2mt import layered_to_marble
 
-from conftest import CORPUS_NAMES, corpus_path, load, reference_run
+from conftest import (
+    CORPUS_NAMES, assert_refused, corpus_path, load, reference_run, refusal)
 
 
 def test_words_up_to_order_and_cap():
@@ -618,9 +623,9 @@ def test_marble_outputs_match_the_reference_on_optimized_two_way_machines(name, 
 
 def test_an_invalid_move_raises_at_the_same_word():
     """A move right over a marble, a drop on one, a lift where there is
-    none and an unknown action each raise the error that ``run_marble`` and
-    a run from the left end raise, at the first word that takes it, in
-    ``marble_outputs`` and in ``equiv_check``."""
+    none and an unknown action: a run from the left end raises at the first
+    word that takes it, while ``marble_outputs``, ``run_marble`` and
+    ``equiv_check`` raise one refusal at the first word of all."""
     m = load("mul_marble")
     faults = [(("m3", "0", "m"), ("m4", ACT_RIGHT), "invalid machine: move right over a marble"),
               (("m3", "0", "m"), ("m4", act_drop("m")), "invalid machine: drop on a marbled position"),
@@ -628,20 +633,18 @@ def test_an_invalid_move_raises_at_the_same_word():
               (("m3", "0", "m"), ("m4", ("jump", None)), "invalid action ('jump', None)")]
     for key, move, expected in faults:
         broken = replace(m, delta={**m.delta, key: move}, out={**m.out, key: ()})
-        got, error = walked_outputs(broken, 4)
-        assert (got, error) == reference_outputs(broken, 4)
+        got, error = reference_outputs(broken, 4)
         assert error == expected and len(got) > 5
+        assert walked_outputs(broken, 4) == ([], refusal(broken))
         first = list(words_up_to(m.input_alphabet, 4))[len(got)]
-        with pytest.raises(MachineError) as err:
-            run_marble(broken, first)
-        assert str(err.value) == error
+        assert_refused(broken, ["", first])
         for pair in ((broken, m), (m, broken), (load("mul_sst"), broken)):
             errors = []
             for check in (reference_equiv, equiv_check):
                 with pytest.raises(MachineError) as err:
                     check(*pair, 4)
                 errors.append(str(err.value))
-            assert errors[0] == errors[1] == error
+            assert errors[0] == errors[1] == refusal(broken)
 
 
 @pytest.mark.parametrize("letter,error", [
@@ -650,9 +653,10 @@ def test_an_invalid_move_raises_at_the_same_word():
     ("c", None)])
 def test_a_marble_of_no_colour_acts_as_in_a_run(letter, error):
     """A machine that ``validate`` refuses, built in code, drops a marble of
-    colour None: the head reads the cell as unmarked and cannot lift it, and
-    moving right off it or dropping again raises, in the walk as in a run
-    from ⊢.  On ⊣ it keeps f, a final state, from accepting."""
+    colour None.  In a run from ⊢ the head reads the cell as unmarked and
+    cannot lift it, moving right off it or dropping again raises, and on ⊣
+    it keeps f, a final state, from accepting.  Every marble run refuses the
+    machine before its first step."""
     rules = {("q", LEFT_END, None): ("q", ACT_RIGHT), ("q", "a", None): ("d", act_drop(None)),
              ("d", "a", None): ("q", ACT_RIGHT), ("q", "b", None): ("d", act_drop(None)),
              ("d", "b", None): ("q", act_drop(None)), ("q", "c", None): ("q", ACT_RIGHT),
@@ -661,23 +665,25 @@ def test_a_marble_of_no_colour_acts_as_in_a_run(letter, error):
     rules = {k: v for k, v in rules.items() if k[1] in (letter, LEFT_END, RIGHT_END)}
     t = MarbleTransducer(("a", "b", "c"), ("a",), ("q", "d", "f", "g", "h"), "q",
                          frozenset({"f"}), (), rules, {k: () for k in rules})
-    got = walked_outputs(t, 3)
-    assert got == reference_outputs(t, 3) and got[1] == error
-    assert {v for v, _o in got[0]} == {REJECT}
+    got = reference_outputs(t, 3)
+    assert got[1] == error and {v for v, _o in got[0]} == {REJECT}
+    assert walked_outputs(t, 3) == ([], refusal(t))
+    assert_refused(t, ["", letter, letter * 3])
 
 
 # s steps off ⊢ into p, which rejects on ⊣ and steps right over the first
 # a into q, which walks to ⊣; there d stands on a marble or on none.
 ENDMARKER_PRECEDENCE = [
-    # a marble dropped on ⊣, then a right move: the move over the marble
-    # raises, although it would also step off the tape
+    # a marble dropped on ⊣, then a right move: a run from ⊢ raises for the
+    # move over the marble, although it would also step off the tape
     ({("q", RIGHT_END, None): ("d", act_drop("m")), ("d", RIGHT_END, "m"): ("e", ACT_RIGHT)},
      1, "invalid machine: move right over a marble"),
     # a marble dropped on ⊢, then a left move: a reject, the move uncounted
     ({("s", LEFT_END, None): ("d", act_drop("m")), ("d", LEFT_END, "m"): ("e", ACT_LEFT)},
      0, None),
-    # a marble of no colour on ⊣ reads as no marble: the right move steps
-    # off the tape and rejects before it could leave the marble behind
+    # a marble of no colour on ⊣ reads as no marble in a run from ⊢: the
+    # right move steps off the tape and rejects before it could leave the
+    # marble behind
     ({("q", RIGHT_END, None): ("d", act_drop(None)), ("d", RIGHT_END, None): ("e", ACT_RIGHT)},
      1, None),
 ]
@@ -686,24 +692,24 @@ ENDMARKER_PRECEDENCE = [
 @pytest.mark.parametrize("rules,rejects_before,error", ENDMARKER_PRECEDENCE)
 def test_endmarker_steps_keep_their_precedence(rules, rejects_before, error):
     """What the step table decides on the endmarkers: ``run_marble``,
-    traced and not, and ``marble_outputs`` give what a run from ⊢ gives."""
+    traced and not, and ``marble_outputs`` give what a run from ⊢ gives.
+    The machines with a move over a marble or a marble of no colour are
+    refused on every word."""
     rules = {("s", LEFT_END, None): ("p", ACT_RIGHT), ("p", "a", None): ("q", ACT_RIGHT),
              ("q", "a", None): ("q", ACT_RIGHT), **rules}
     states = ("s", "p", "q", "d", "e", "f")  # each move emits the state it leaves
     t = MarbleTransducer(("a",), states, states, "s", frozenset({"f"}), ("m",), rules,
                          {k: (k[0],) for k in rules})
-    got = walked_outputs(t, 3)
-    assert got == reference_outputs(t, 3)
+    got = reference_outputs(t, 3)
     assert got == ([(REJECT, None)] * (rejects_before if error else 4), error)
+    if validate(t):
+        assert walked_outputs(t, 3) == ([], refusal(t))
+        assert_refused(t, list(words_up_to(t.input_alphabet, 3)))
+        return
+    assert walked_outputs(t, 3) == got
     for w in words_up_to(t.input_alphabet, 3):
         for trace in (False, True):
-            if error is None:
-                assert run_marble(t, w, trace=trace) == reference_run(t, w, trace=trace), w
-            elif w:
-                with pytest.raises(MachineError, match="^%s$" % error):
-                    run_marble(t, w, trace=trace)
-                with pytest.raises(MachineError, match="^%s$" % error):
-                    reference_run(t, w, trace=trace)
+            assert run_marble(t, w, trace=trace) == reference_run(t, w, trace=trace), w
     if ("d", LEFT_END, "m") in rules:
         assert run_marble(t, "aa") == RunResult(REJECT, None, 1, 1)  # the drop alone
 
@@ -712,11 +718,78 @@ def test_an_endmarker_in_the_input_alphabet_is_refused():
     for end in (LEFT_END, RIGHT_END):
         t = MarbleTransducer(("a", end), ("a",), ("q",), "q", frozenset({"q"}), (),
                              {("q", "a", None): ("q", ACT_RIGHT)}, {("q", "a", None): ()})
-        message = "^input alphabet contains reserved endmarker %r$" % end
+        message = "^invalid marble transducer: input alphabet contains reserved endmarker %r$" % end
         with pytest.raises(MachineError, match=message):
             run_marble(t, "a")
         with pytest.raises(MachineError, match=message):
             list(marble_outputs(t, 2))
+
+
+def test_a_colourless_marble_is_refused_on_every_word():
+    """s drops a marble of no colour on ⊢ after an aa prefix sends the head
+    back; b alone never reaches that drop, and its run accepts in f.  A run
+    of b and the crossing summaries of ⊢, which ab shares, must agree: both
+    refuse the machine."""
+    rules = {("p", LEFT_END, None): ("p", ACT_RIGHT), ("s", LEFT_END, None): ("q1", act_drop(None)),
+             ("q1", LEFT_END, None): ("q1", ACT_RIGHT),
+             ("p", "a", None): ("pa", ACT_RIGHT), ("pa", "a", None): ("s1", ACT_LEFT),
+             ("s1", "a", None): ("s", ACT_LEFT),
+             ("p", "b", None): ("pb", ACT_RIGHT), ("t", "b", None): ("q1", ACT_LEFT),
+             ("q1", "b", None): ("f", ACT_RIGHT), ("pb", RIGHT_END, None): ("t", ACT_LEFT)}
+    t = MarbleTransducer(("a", "b"), ("a",), ("p", "pa", "pb", "s", "s1", "q1", "t", "f"),
+                         "p", frozenset({"f"}), (), rules, {k: () for k in rules})
+    assert refusal(t) == "invalid marble transducer: delta[s,⊢,None]: drops undeclared color None"
+    assert reference_run(t, "b").accepted
+    assert_refused(t, ["b", "aa", "ab", ""])
+
+
+def test_a_two_way_move_that_is_neither_left_nor_right_is_refused():
+    """``two_way_to_marble`` keeps a two-way move as the marble action, so
+    a move ``validate`` calls bad is refused, not run as a right move."""
+    t = TwoWayTransducer(("a",), ("a",), ("q",), "q", frozenset({"q"}),
+                         {("q", LEFT_END): ("q", MOVE_RIGHT), ("q", "a"): ("q", "up")},
+                         {("q", LEFT_END): (), ("q", "a"): ()})
+    assert validate(t) == ["delta[q,a]: bad move 'up'"]
+    message = "invalid marble transducer: delta[q,a,None]: bad action ('up', None)"
+    assert refusal(marble_of(t)) == message
+    for w in ("", "a", "aa"):
+        with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
+            run_two_way(t, w)
+    for pair in ((t, t), (load("identity_sst", "a"), t)):
+        with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
+            equiv_check(*pair, 2)
+    assert_refused(marble_of(t), ["", "a", "aa"])
+
+
+def test_a_mutant_is_refused_exactly_when_validate_refuses_it():
+    """Generated marble machines with one transition given another action
+    (an undeclared or absent colour, a right move or a drop on a marble, a
+    lift on none, an unknown kind) or an undeclared target: every consumer
+    refuses the mutant if ``validate`` reports a problem, and runs it
+    otherwise."""
+    from perfbench.gen import random_marble as generated_marble
+
+    rng = random.Random(38)
+    refused = 0
+    for trial in range(300):
+        t = generated_marble(rng)
+        key = rng.choice(sorted(t.delta, key=repr))
+        q2, action = t.delta[key]
+        if rng.random() < 0.1:
+            q2 = "undeclared"
+        else:
+            action = rng.choice([ACT_LEFT, ACT_RIGHT, ACT_LIFT, ("jump", None), act_drop(None),
+                                 act_drop("z"), *map(act_drop, t.colors)])
+        t = replace(t, delta={**t.delta, key: (q2, action)})
+        if validate(t):
+            refused += 1
+            assert_refused(t, list(words_up_to(t.input_alphabet, 2)))
+            continue
+        runs = [run_marble(t, w) for w in words_up_to(t.input_alphabet, 3)]
+        assert list(marble_outputs(t, 3)) == [(r.verdict, r.output) for r in runs], trial
+        assert equiv_check(t, t, 3).status != oracle.COUNTEREXAMPLE
+        marble_to_sst(t)
+    assert 50 < refused < 250
 
 
 def mutated_marble(rng, t):

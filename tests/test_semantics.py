@@ -43,7 +43,7 @@ from xducer.semantics import (
     run_two_way,
 )
 
-from conftest import load, reference_run, reference_update
+from conftest import assert_refused, load, reference_run, reference_update
 
 
 def test_reverse_two_way():
@@ -122,7 +122,8 @@ def _with_transitions(m, transitions):
                    out={**m.out, **{key: () for key in transitions}})
 
 
-# mul_marble drops its marble in m2 on a 0 and stands on it in m3.
+# mul_marble drops its marble in m2 on a 0 and stands on it in m3.  Each
+# message is what a run from the left end raises when it takes the change.
 @pytest.mark.parametrize("transitions,message", [
     ({("m3", "0", "m"): ("m4", ACT_RIGHT)},
      "invalid machine: move right over a marble"),
@@ -142,11 +143,14 @@ def _with_transitions(m, transitions):
      "marble stack positions not strictly increasing"),
 ])
 def test_marble_runtime_errors_raise_when_taken(transitions, message):
+    """The reference run meets the bad transition on ab#00; every run
+    refuses the machine before its first step, on ab too, which never
+    reaches a 0."""
     broken = _with_transitions(load("mul_marble"), transitions)
-    for trace in (False, True):
-        with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
-            run_marble(broken, "ab#00", trace=trace)
-    assert run_marble(broken, "ab").verdict == REJECT  # never reaches a 0
+    with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
+        reference_run(broken, "ab#00")
+    assert reference_run(broken, "ab").verdict == REJECT
+    assert_refused(broken, ["ab#00", "ab", ""])
 
 
 def test_marble_invalid_transitions_never_taken_are_harmless():
@@ -157,9 +161,11 @@ def test_marble_invalid_transitions_never_taken_are_harmless():
         ("m3", "0", None): ("m3", ACT_LIFT),
         ("m7", "0", "m"): ("m7", ACT_RIGHT),
     })
-    r = run_marble(m, "ab#00")
+    # a run from the left end takes none of them, but the machine is refused
+    r = reference_run(m, "ab#00")
     assert r.accepted and r.output_text == "ab#ab#"
     assert r == run_marble(load("mul_marble"), "ab#00")
+    assert_refused(m, ["ab#00", "ab"])
 
 
 @pytest.mark.parametrize("name", ["exp_marble", "pow2_marble_wasteful",
@@ -566,8 +572,8 @@ def test_budget_runs_out_inside_sweeps():
     ({"s3 b c": ("s4", ACT_RIGHT, ())}, "invalid machine: move right over a marble"),
     ({"s3 b c": ("s4", act_drop("c"), ())}, "invalid machine: drop on a marbled position"),
     ({"s3 b c": ("s4", ("jump", None), ())}, "invalid action ('jump', None)"),
-    # a colourless marble on the b reads as no marble: s3 sweeps up to it
-    # and then steps over it, drops on it or lifts nothing
+    # a colourless marble on the b reads as no marble in the reference run:
+    # s3 sweeps up to it and then steps over it, drops on it or lifts nothing
     ({"s0 b -": ("s1", ("drop", None), ()), "s1 b -": ("s2", ACT_LEFT, ()),
       "s3 b -": ("s3", ACT_RIGHT, ())}, "marble None below the reading head"),
     ({"s0 b -": ("s1", ("drop", None), ()), "s1 b -": ("s2", ACT_LEFT, ()),
@@ -578,12 +584,14 @@ def test_budget_runs_out_inside_sweeps():
     ({"s2 L -": ("s3", ACT_LIFT, ())}, "invalid machine: lift without a marble"),
 ])
 def test_guards_raise_on_the_step_after_a_sweep(changes, message):
+    """A run from the left end sweeps and then meets the change, raising
+    ``message``; the machine is refused before any sweep is compiled."""
     t = sweeper(**changes)
-    scans = scan_lengths(t)
     with pytest.raises(MachineError, match="^%s$" % re.escape(message)):
-        run_marble(t, "a" * 20 + "b")
-    assert any(n > 1 for _act, n in scans)
-    assert_matches_reference(t, "a" * 20 + "b")
+        reference_run(t, "a" * 20 + "b")
+    assert_refused(t, ["a" * 20 + "b", "a", ""])
+    with pytest.raises(MachineError):
+        scan_lengths(t)
 
 
 @pytest.mark.parametrize("changes", [
@@ -599,14 +607,29 @@ def test_sweeps_that_end_in_a_reject(changes):
 
 
 def test_colourless_marble_ends_a_right_sweep():
-    # s3 sweeps over the a's to the colourless marble and turns there
+    # in a run from the left end s3 sweeps over the a's to the colourless
+    # marble and turns there; a marble must have a colour, so every run
+    # refuses the machine
     t = sweeper(**{"s0 b -": ("s1", ("drop", None), ()),
                    "s1 b -": ("s2", ACT_LEFT, ()),
                    "s3 b -": ("s3", ACT_LEFT, ("b",))})
-    scans = scan_lengths(t)
-    r = assert_matches_reference(t, "a" * 20 + "b")
+    r = reference_run(t, "a" * 20 + "b")
     assert r.verdict == LOOP and r.max_stack_depth == 1
-    assert any(act == semantics._RIGHT and n == 20 for act, n in scans)
+    assert_refused(t, ["a" * 20 + "b", "a" * 20, ""])
+
+
+def test_a_move_that_names_a_colour_runs_as_the_plain_move():
+    # validate accepts a colour on a left or right action; the step table
+    # keeps only a drop's colour, so the sweeps of q and r run as plain moves
+    rules = {("q", LEFT_END, None): ("q", ("right", "c")), ("q", "a", None): ("q", ("right", "c")),
+             ("q", RIGHT_END, None): ("r", ("left", "c")), ("r", "a", None): ("r", ("left", "c")),
+             ("r", LEFT_END, None): ("f", ACT_RIGHT), ("f", "a", None): ("f", ACT_RIGHT)}
+    t = MarbleTransducer(("a",), ("a",), ("q", "r", "f"), "q", frozenset({"f"}), ("c",),
+                         rules, {k: ("a",) if k[0] == "q" and k[1] == "a" else () for k in rules})
+    scans = scan_lengths(t)
+    for n in range(22):
+        assert assert_matches_reference(t, "a" * n).output_text == "a" * n
+    assert swept_both_ways(scans)
 
 
 def test_loop_inside_a_sweep_is_reported_at_the_repeating_step():
