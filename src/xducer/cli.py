@@ -17,6 +17,7 @@ from .machines import (
     NAutomaton,
     SST,
     TwoWayTransducer,
+    foreign_symbol,
     validate,
 )
 from .mt2sst import marble_to_sst, two_way_to_marble
@@ -50,14 +51,17 @@ def _separator(alphabet) -> str:
     return "," if any(len(sym) > 1 for sym in alphabet) else ""
 
 
-def _parse_word(text: str, alphabet) -> tuple:
+def _parse_word(text: str, alphabet):
+    """The word ``text`` writes over ``alphabet`` (``_separator``): the
+    tuple of its comma-separated symbols, or else ``text`` itself, which the
+    interpreters read one symbol per character."""
     if text == "":
         return ()
-    symbols = tuple(text.split(",") if _separator(alphabet) else text)
-    if not set(symbols).issubset(alphabet):
-        bad = next(s for s in symbols if s not in alphabet)
+    word = tuple(text.split(",")) if _separator(alphabet) else text
+    bad = foreign_symbol(word, alphabet)
+    if bad is not None:
         raise MachineError("symbol %r is not in the machine alphabet" % bad)
-    return symbols
+    return word
 
 
 def _count(text: str) -> int:

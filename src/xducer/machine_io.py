@@ -30,7 +30,7 @@ from .machines import (
     SST,
     TwoWayTransducer,
     kind_of,
-    validate,
+    validate_once,
 )
 
 KINDS = ("two-way", "marble", "sst", "sstf", "nsstf", "nautomaton")
@@ -358,7 +358,9 @@ def parse_machine(path: str, check: bool = True):
     """Load a machine file; returns (machine, layers-or-None).
 
     Structural invariants are verified after parsing unless ``check`` is
-    disabled (the validate subcommand reports them itself).
+    disabled (the validate subcommand reports them itself), by
+    ``validate_once``: a machine that passes is not validated again when it
+    is run.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -371,7 +373,7 @@ def parse_machine(path: str, check: bool = True):
         layers = tuple(_word(layer, ("%s.layers[%d]", "$", i))
                        for i, layer in enumerate(_need(doc, "layers", list, "$")))
     if check:
-        problems = validate(machine)
+        problems = validate_once(machine)
         if problems:
             raise MachineFileError("%s: %s" % (path, "; ".join(problems)))
     return machine, layers

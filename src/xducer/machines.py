@@ -71,6 +71,20 @@ def as_word(w) -> Word:
     return tuple(w)
 
 
+def foreign_symbol(w, alphabet):
+    """The first symbol of word ``w`` that is not in ``alphabet``, or None.
+
+    A ``str`` word is read one symbol per character, by one ``str.translate``
+    that deletes the alphabet's one-character symbols: what is left starts
+    with the first foreign character."""
+    if isinstance(w, str):
+        rest = w.translate(dict.fromkeys([ord(a) for a in alphabet if len(a) == 1]))
+        return rest[0] if rest else None
+    if set(w).issubset(alphabet):
+        return None
+    return next(a for a in w if a not in alphabet)
+
+
 @dataclass(frozen=True)
 class Lit:
     """An output letter inside a substitution or output expression."""
@@ -165,8 +179,9 @@ class MarbleTransducer:
     ``delta`` maps (state, symbol, color-or-None) to (state, action); the
     color component is the mark sitting at the head position, None if there is
     none.  On a color the action must be ACT_LEFT or ACT_LIFT, on none it is
-    not ACT_LIFT, and every dropped marble has a declared color (never None):
-    runs refuse, before any step, a machine that ``validate`` refuses.
+    not ACT_LIFT, every dropped marble has a declared color (never None), and
+    no other action names a color: runs refuse, before any step, a machine
+    that ``validate`` refuses.
     """
 
     input_alphabet: tuple
@@ -354,6 +369,26 @@ def validate(m: MachineDescription) -> list:
     return report
 
 
+def validate_once(m: MachineDescription) -> list:
+    """``validate(m)``, which a machine it found well formed does not run
+    again: such a machine is marked (kept off the fields, as the
+    interpreters keep their tables), and ``mark_valid`` passes the mark on
+    to a machine built from it that is well formed by construction."""
+    if "_valid" in m.__dict__:
+        return []
+    problems = validate(m)
+    if not problems:
+        m.__dict__["_valid"] = True
+    return problems
+
+
+def mark_valid(source, m):
+    """``m``, marked as ``validate_once`` marks it if ``source`` is marked."""
+    if "_valid" in source.__dict__:
+        m.__dict__["_valid"] = True
+    return m
+
+
 def _validate_tape_machine(m, report: list) -> tuple:
     """Checks shared by two-way and marble machines; returns the declared
     states, the tape symbols and the output alphabet, as sets."""
@@ -413,6 +448,8 @@ def _validate_marble(m: MarbleTransducer, report: list) -> None:
         else:
             if akind == "drop" and (acolor is None or acolor not in colors):
                 faults.append("drops undeclared color %r" % (acolor,))
+            if akind != "drop" and acolor is not None:
+                faults.append("%s action names color %r" % (akind, acolor))
             if c is not None and akind == "right":
                 faults.append("move right on marble")
             if c is not None and akind == "drop":

@@ -22,6 +22,7 @@ from .machines import (
     SST,
     TwoWayTransducer,
     explore,
+    mark_valid,
 )
 from .layering import prune_sst_registers
 
@@ -121,13 +122,15 @@ def marble_to_sst(t: MarbleTransducer) -> SST:
 
 
 def two_way_to_marble(t) -> MarbleTransducer:
-    """Embed a two-way transducer as a marble transducer with no colors."""
+    """Embed a two-way transducer as a marble transducer with no colors,
+    marked valid if ``t`` is (``machines.mark_valid``): every move of a
+    well-formed two-way machine is a legal marble move."""
     if not isinstance(t, TwoWayTransducer):
         raise MachineError("expected a two-way transducer")
     delta = {(q, a, None): (q2, (move, None)) for (q, a), (q2, move) in t.delta.items()}
     out = {(q, a, None): t.out[q, a] for q, a in t.delta}
-    return MarbleTransducer(
+    return mark_valid(t, MarbleTransducer(
         input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,
         states=t.states, initial=t.initial, finals=t.finals,
         colors=(), delta=delta, out=out, marble_bound=0,
-    )
+    ))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain, product
@@ -23,7 +24,8 @@ from .machines import (
     TwoWayTransducer,
     Word,
     as_word,
-    validate,
+    foreign_symbol,
+    validate_once,
 )
 from .mt2sst import two_way_to_marble
 
@@ -62,10 +64,29 @@ def default_budget(n_states: int, word_len: int) -> int:
     return min(raw, BUDGET_CAP)
 
 
-def _check_alphabet(m, w: Word) -> None:
-    if not set(w).issubset(m.input_alphabet):
-        bad = next(a for a in w if a not in m.input_alphabet)
+def _check_alphabet(m, w) -> None:
+    bad = foreign_symbol(w, m.input_alphabet)
+    if bad is not None:
         raise MachineError("input symbol %r not in the machine alphabet" % bad)
+
+
+def _coder(codes: dict) -> tuple:
+    """What ``_code_string`` reads: the character ``chr(code)`` of each
+    symbol of ``codes``, and the ``str.translate`` table of those of one
+    character (``str.maketrans`` takes no longer key)."""
+    chars = {a: chr(code) for a, code in codes.items()}
+    return chars, str.maketrans({a: c for a, c in chars.items() if len(a) == 1})
+
+
+def _code_string(w, coder: tuple) -> str:
+    """Word ``w`` as the string of its symbols' code characters (``_coder``),
+    built in C: by ``str.translate`` of a ``str`` word, one symbol per
+    character, and by a join of a tuple.  Every symbol is in the alphabet
+    (``_check_alphabet``)."""
+    chars, table = coder
+    if isinstance(w, str):
+        return w.translate(table)
+    return "".join(map(chars.__getitem__, w))
 
 
 def _result(verdict, output, steps, depth, tr) -> RunResult:
@@ -115,15 +136,22 @@ _ACTIONS = {"left": _LEFT, "right": _RIGHT, "lift": _LIFT, "drop": _DROP}
 # every tape.
 _NO_MARBLE = 1 << 62
 
+# The codec whose bytes are a code string's characters as native 32-bit
+# unsigned ints, the items of a memoryview cast to "I".
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
 
 def _compile_tables(t: MarbleTransducer) -> tuple:
-    """(table, symbol codes, state names, colours, finals, initial, stride).
+    """(table, symbol codes, state names, colours, finals, initial, stride,
+    coder).
 
-    Raises for a machine that ``validate`` refuses, so every entry is a step
-    the stack discipline allows: no right move or drop on a marble, no lift
-    without one, and every dropped marble of a declared colour.  States are
-    numbered as ``t.states`` and colours as ``(None, *t.colors)`` (colour 0:
-    no marble); a symbol's code is its number times the number of colours.
+    Raises for a machine that ``validate`` refuses (``validate_once``), so
+    every entry is a step the stack discipline allows: no right move or drop
+    on a marble, no lift without one, every dropped marble of a declared
+    colour and no colour on any other action.  States are numbered as
+    ``t.states`` and colours as ``(None, *t.colors)`` (colour 0: no marble);
+    a symbol's code is its number times the number of colours, and
+    ``coder`` is ``_coder`` of the codes.
     ``table`` maps ``state * stride + symbol code + colour`` to (next state,
     next state * stride, action code, dropped colour, output).  A left move
     on ⊢ and a right move on ⊣ with no marble have no entry: they reject as
@@ -138,7 +166,7 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     code to its output joined (None if none outputs), both made from
     ``cells``, each code's output, by the first walk that takes the sweep.
     """
-    problems = validate(t)
+    problems = validate_once(t)
     if problems:
         raise MachineError("invalid marble transducer: %s" % problems[0])
     colours = {c: i for i, c in enumerate(dict.fromkeys((None, *t.colors)))}
@@ -153,7 +181,7 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
             continue
         key = states[q] * stride + codes[a] + colours[c]
         table[key] = (states[q2], states[q2] * stride, act,
-                      colours[c2] if act == _DROP else 0, tuple(t.out[q, a, c]))
+                      colours[c2], tuple(t.out[q, a, c]))
         if act < _LIFT and q2 == q and c is None:
             sweeps.setdefault((q, act), {})[codes[a]] = key
     for cells in sweeps.values():
@@ -163,7 +191,7 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
         for key in cells.values():
             table[key] = (*table[key][:3], matcher, table[key][4])
     return (table, codes, tuple(states), tuple(colours),
-            {states[q] for q in t.finals}, states[t.initial], stride)
+            {states[q] for q in t.finals}, states[t.initial], stride, _coder(codes))
 
 
 def _compile_sweep(c: list) -> None:
@@ -186,29 +214,36 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
     """Simulate the stack-disciplined transition relation.
 
     Accepts on the first configuration (q, |w|+1, empty stack) with q final.
-    Every run ends in accept, reject, loop or budget.  The run is
-    ``_marble_walk`` over the tables of ``_compile_tables``, which crosses
-    long sweeps with one regex scan, so a single long word costs its sweeps
+    Every run ends in accept, reject, loop or budget.  A ``str`` word is read
+    as it is, one symbol per character; any other is made a tuple.  Once
+    the word is checked against the alphabet, and before any step, the
+    tables of ``_compile_tables`` are built and the tape made, in C, as one
+    string: the code characters of ⊢, of the word (``_code_string``) and of
+    ⊣.  The run is ``_marble_walk`` of that string, which crosses long
+    sweeps with one regex scan of it, so a single long word costs its sweeps
     and not their cells.  ``marble_outputs`` gives the same verdicts and
     outputs for every word up to a length from crossing summaries.
     ``detect_loops`` is accepted for compatibility and has no effect.
     """
-    w = as_word(w)
+    if not isinstance(w, str):
+        w = as_word(w)
     _check_alphabet(t, w)
     if budget is None:
         budget = default_budget(len(t.states), len(w))
     tables = _tables(t)
-    codes = tables[1]
-    tape = [codes[LEFT_END], *map(codes.__getitem__, w), codes[RIGHT_END]]
+    chars = tables[7][0]
+    tape = chars[LEFT_END] + _code_string(w, tables[7]) + chars[RIGHT_END]
     tr = [(0, t.initial, 0, (), ())] if trace else None
     verdict, output, steps, depth = _marble_walk(tables, tape, budget, tr)
     return _result(verdict, output, steps, depth, tr)
 
 
-def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
-    """The one marble loop: run ``tape``, a list of symbol codes from ⊢ to ⊣,
-    from the initial state on ⊢, appending trace entries to ``tr`` unless
-    it is None.  Returns (verdict, output, steps, max stack depth).
+def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
+    """The one marble loop: run ``fwd``, the tape as the string of its
+    cells' code characters from ⊢ to ⊣, from the initial state on ⊢,
+    appending trace entries to ``tr`` unless it is None.  Returns (verdict,
+    output, steps, max stack depth).  Single steps index the list of the
+    codes, read from ``fwd`` in one call.
 
     Each stack frame keeps a seen set of (state, head) pairs, as ints
     ``head * |states| + state``, and the intervals its sweeps crossed: a
@@ -221,9 +256,9 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
     (``_compile_tables``), so the loop checks nothing of the stack.
 
     An untraced run that takes a sweep entry crosses the whole run of cells
-    its matcher accepts with one regex scan of the tape as a string of
-    ``chr(code)`` (and its reverse for left sweeps), made on the first sweep,
-    and writes their outputs with one ``str.translate``.  A right sweep reads
+    its matcher accepts with one regex scan of ``fwd`` (of its reverse for
+    a left sweep, made on the first one), and writes their outputs with one
+    ``str.translate``.  A right sweep reads
     no cell at or past the top marble, none goes past the budget, and none
     crosses an endmarker, as a move off the tape has no entry; so the step
     that ends it is a single step, with its own entry.  A sweep of
@@ -244,14 +279,15 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
     when its frame holds some for its state.  A frame's memory is thus its
     single-step keys plus one interval per sweep.
     """
-    table, _codes, names, colours, finals, q, stride = tables
+    table, _codes, names, colours, finals, q, stride, _coding = tables
     get = table.get
     n = len(names)
+    tape = memoryview(fwd.encode(_UTF32, "surrogatepass")).cast("I").tolist()
     end = len(tape) - 1
     pos = steps = depth = 0
     seen, swept, emitted = {q}, {}, []
     base, top, topc, stack = q * stride, _NO_MARBLE, 0, []
-    fwd = rev = None
+    rev = None
     while True:
         if pos == end and not stack and q in finals:
             return ACCEPT, tuple(emitted), steps, depth
@@ -264,13 +300,12 @@ def _marble_walk(tables: tuple, tape: list, budget: int, tr) -> tuple:
         if c and act < _LIFT and tr is None:  # a sweep entry: c is its matcher
             if c[0] is None:
                 _compile_sweep(c)
-            if fwd is None:
-                fwd = "".join(map(chr, tape))
-                rev = fwd[::-1]
             if act == _RIGHT:
                 cells, start = fwd, pos
                 k = c[0](fwd, pos, top).end() - pos
             else:
+                if rev is None:
+                    rev = fwd[::-1]
                 cells, start = rev, end - pos
                 k = c[0](rev, start, end).end() - start
             if k > budget - steps:
@@ -629,22 +664,23 @@ def _sweep_entry(loops: list, n: int, code: dict):
 
 
 def _sweeps(m: SST) -> tuple:
-    """(letter codes, sweep entry per state) of an SST, built on its first
+    """(letter coder, sweep entry per state) of an SST, built on its first
     untraced run and kept on the machine object next to ``_programs``.
 
-    A letter's code is ``chr`` of its index in the input alphabet; a state's
-    entry is ``_sweep_entry`` of its self-loops.  ``_programs`` does not
-    build this, so the ``equiv`` walk (``sst_outputs``) never pays for it.
+    A letter's code is its index in the input alphabet, and the coder is
+    ``_coder`` of those codes; a state's entry is ``_sweep_entry`` of its
+    self-loops.  ``_programs`` does not build this, so the ``equiv`` walk
+    (``sst_outputs``) never pays for it.
     """
     if "_sweeps" not in m.__dict__:
-        code = {a: chr(i) for i, a in enumerate(m.input_alphabet)}
+        coder = _coder({a: i for i, a in enumerate(m.input_alphabet)})
         loops: dict = {}
         for (q, a), (q2, prog) in _programs(m)[0].items():
             if q2 == q:
                 loops.setdefault(q, []).append((a, prog))
-        entries = {q: _sweep_entry(progs, len(m.registers), code)
+        entries = {q: _sweep_entry(progs, len(m.registers), coder[0])
                    for q, progs in loops.items()}
-        m.__dict__["_sweeps"] = code, {q: e for q, e in entries.items() if e}
+        m.__dict__["_sweeps"] = coder, {q: e for q, e in entries.items() if e}
     return m.__dict__["_sweeps"]
 
 
@@ -682,19 +718,22 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
     Register values are shared (``_update``), so the run takes time linear
     in ``w`` plus the output length; ``RunResult.output`` is flat.
 
-    An untraced run standing in a state with a sweep (``_sweeps``) on a
-    letter of its class, followed by another, finds the whole run of class
-    letters with one regex scan of the word as a string of letter codes
-    (made on the first sweep) and applies them at once (``_sweep``).  A
-    sweep loops on its state, so the result is that of single steps; runs of
-    one letter and every step of a traced run step singly.
+    A ``str`` word is read as it is, one symbol per character; any other is
+    made a tuple.  An untraced run standing in a state with a sweep
+    (``_sweeps``) on a letter of its class, followed by another, finds the
+    whole run of class letters with one regex scan of the word's string of
+    letter codes, made in C on the first sweep (``_code_string``), and
+    applies them at once (``_sweep``).  A sweep loops on its state, so the
+    result is that of single steps; runs of one letter and every step of a
+    traced run step singly.
     """
-    w = as_word(w)
+    if not isinstance(w, str):
+        w = as_word(w)
     _check_alphabet(m, w)
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
     steps, outputs = _programs(m)
-    code, sweeps = ({}, {}) if trace else _sweeps(m)
+    coder, sweeps = (None, {}) if trace else _sweeps(m)
     q, val = m.initial, _valuation(m.init_valuation, m.registers)
     tr = [(0, q, 0, (), ())] if trace else None
     i, n, text = 0, len(w), None
@@ -706,7 +745,7 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
         entry = sweeps.get(q)
         if entry is not None and a in entry[0] and i + 1 < n and w[i + 1] in entry[0]:
             if text is None:
-                text = "".join(map(code.__getitem__, w))
+                text = _code_string(w, coder)
             j = entry[1](text, i).end()
             val = _sweep(entry, val, w[i:j])
             i = j
@@ -874,13 +913,14 @@ class _Prefix(dict):
     def __init__(self, parent, code: int):
         self.parent, self.code = parent, code
 
-    def tape(self, right: int) -> list:
-        """The prefix's cells from ⊢, then ``right`` (⊣)."""
+    def tape(self, right: int) -> str:
+        """The prefix's cells from ⊢, then ``right`` (⊣), as the string of
+        their code characters that ``_marble_walk`` runs."""
         cells, node = [right], self
         while node is not None:
             cells.append(node.code)
             node = node.parent
-        return cells[::-1]
+        return "".join(map(chr, reversed(cells)))
 
 
 def _marble_verdict(tables: tuple, node: _Prefix, q, steps: int, out, budget: int) -> tuple:
@@ -954,7 +994,7 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
     of at most ``SHARE_MIN`` letters is copied, a longer one or a node
     referenced.
     """
-    table, codes, _names, _colours, finals, _q0, stride = tables
+    table, codes, _names, _colours, finals, _q0, stride, _coding = tables
     get = table.get
     right = codes[RIGHT_END]
     # ``marks``: (state, steps, len(parts)) at each state met after the

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import sys
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -24,6 +25,8 @@ from xducer.machine_io import (
 )
 from xducer.machines import (
     ACT_LEFT,
+    ACT_LIFT,
+    ACT_RIGHT,
     Fun,
     LEFT_END,
     Lit,
@@ -37,6 +40,7 @@ from xducer.machines import (
     SST,
     TwoWayTransducer,
     act_drop,
+    validate,
 )
 from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.semantics import run_machine
@@ -75,6 +79,50 @@ def test_emit_parse_identity(tmp_path):
         emit_machine(machine, str(target))
         reparsed, _layers = parse_machine(str(target))
         assert dumps_machine(reparsed) == dumps_machine(machine), name
+
+
+def test_every_valid_action_form_survives_a_dump_and_a_parse():
+    # left and right with no marble, left and lift on each colour, and a
+    # drop of each colour: every action ``validate`` accepts
+    delta, out = {}, {}
+    for i, (c, action) in enumerate([(None, ACT_LEFT), (None, ACT_RIGHT),
+                                     (None, act_drop("c")), (None, act_drop("d")),
+                                     ("c", ACT_LEFT), ("c", ACT_LIFT), ("d", ACT_LIFT)]):
+        key = ("q%d" % (i % 3), ("a", "b", LEFT_END, RIGHT_END)[i % 4], c)
+        delta[key], out[key] = ("q%d" % ((i + 1) % 3), action), ("x",) * (i % 2)
+    built = MarbleTransducer(("a", "b"), ("x",), ("q0", "q1", "q2"), "q0",
+                             frozenset({"q1"}), ("c", "d"), delta, out)
+    rng = random.Random(83)
+    for m in [built] + [random_marble(rng) for _ in range(100)]:
+        assert validate(m) == []
+        assert machine_from_json(json.loads(dumps_machine(m))) == m
+
+
+def test_each_loaded_machine_is_validated_once(capsys, monkeypatch):
+    """A marble file is validated when it is parsed and not again when its
+    step tables are built; a two-way file's marble form inherits its check.
+    Both are run through the CLI, traced and not, and once through equiv."""
+    from xducer import machines
+    calls = []
+    check = machines.validate
+
+    def counted(m):
+        calls.append(type(m).__name__)
+        return check(m)
+    for module in list(sys.modules.values()):  # every module that binds it
+        if module.__name__.startswith("xducer") and vars(module).get("validate") is check:
+            monkeypatch.setattr(module, "validate", counted)
+    for name, kind in (("mul_marble", "MarbleTransducer"),
+                       ("reverse_two_way", "TwoWayTransducer")):
+        for command in ("run", "trace"):
+            del calls[:]
+            assert main([command, corpus_path(name), "ab"]) in (0, 2)
+            assert calls == [kind], (name, command)
+    del calls[:]
+    assert main(["equiv", corpus_path("pow2_marble"), corpus_path("pow2_marble_wasteful"),
+                 "--maxlen", "4"]) == 0
+    assert calls == ["MarbleTransducer", "MarbleTransducer"]
+    capsys.readouterr()
 
 
 def test_schema_error_names_field(tmp_path):

@@ -29,12 +29,13 @@ LENGTH_CAP = 3000
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The letters of every sweep taken, in order."""
+    """The letters of every sweep taken, in order, each run as a tuple (the
+    run of a ``str`` word is a slice of it)."""
     taken = []
     sweep = semantics._sweep
 
     def counted(entry, val, run):
-        taken.append(run)
+        taken.append(tuple(run))
         return sweep(entry, val, run)
     monkeypatch.setattr(semantics, "_sweep", counted)
     return taken

@@ -26,6 +26,7 @@ from xducer.machines import (
     SST,
     TwoWayTransducer,
     act_drop,
+    validate,
 )
 from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.oracle import words_up_to
@@ -618,18 +619,20 @@ def test_colourless_marble_ends_a_right_sweep():
     assert_refused(t, ["a" * 20 + "b", "a" * 20, ""])
 
 
-def test_a_move_that_names_a_colour_runs_as_the_plain_move():
-    # validate accepts a colour on a left or right action; the step table
-    # keeps only a drop's colour, so the sweeps of q and r run as plain moves
+def test_a_move_that_names_a_colour_is_refused():
+    # only a drop names a colour: a left or right action naming one is
+    # refused before any step, as a file could not write it (a coloured
+    # action is written as a drop)
     rules = {("q", LEFT_END, None): ("q", ("right", "c")), ("q", "a", None): ("q", ("right", "c")),
              ("q", RIGHT_END, None): ("r", ("left", "c")), ("r", "a", None): ("r", ("left", "c")),
              ("r", LEFT_END, None): ("f", ACT_RIGHT), ("f", "a", None): ("f", ACT_RIGHT)}
     t = MarbleTransducer(("a",), ("a",), ("q", "r", "f"), "q", frozenset({"f"}), ("c",),
                          rules, {k: ("a",) if k[0] == "q" and k[1] == "a" else () for k in rules})
-    scans = scan_lengths(t)
-    for n in range(22):
-        assert assert_matches_reference(t, "a" * n).output_text == "a" * n
-    assert swept_both_ways(scans)
+    assert validate(t) == ["delta[q,⊢,None]: right action names color 'c'",
+                           "delta[q,a,None]: right action names color 'c'",
+                           "delta[q,⊣,None]: left action names color 'c'",
+                           "delta[r,a,None]: left action names color 'c'"]
+    assert_refused(t, ["", "a", "a" * 21])
 
 
 def test_loop_inside_a_sweep_is_reported_at_the_repeating_step():
