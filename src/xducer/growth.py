@@ -169,6 +169,7 @@ class _Support:
         self.alpha = [v for v in alpha if v in keep]
         self.beta = [v for v in beta if v in keep]
         pred = {r: {p for p in into[r] if p in keep} for r in states}
+        del out, into  # every node's lists; the kept rows below replace them
         self.rows = {a: {p: [] for p in states} for a in letters}
         self.back = {a: {p: [] for p in states} for a in letters}
         self.heavy = set()

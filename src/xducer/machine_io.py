@@ -5,12 +5,21 @@ sort_keys=True, indent=2, ensure_ascii=False)``.  On CPython 3.11 any
 ``indent`` makes ``json.dumps`` fall back to its pure-Python encoder;
 ``pretty_json`` quotes strings with the C ``encode_basestring`` and writes
 each one-key token object (``{"lit": ...}`` and the like) from one format
-string.
+string.  ``dumps_machine`` writes an SST's transitions, the bulk of its
+file, itself (``_transitions_text``): each distinct token's text is made
+once per call.
 
 One loader, ``machine_from_json``, keeps each path into the document as a
 tuple and writes it out only when a malformed entry raises (``_err``), and
 builds one token object per distinct (kind, payload) of a file: tokens are
-frozen, so the machine may share them.
+frozen, so the machine may share them.  An SST or SST-F is read in one walk
+over its document (``_register_machine``), which builds the machine,
+compiles the register programs ``semantics._programs`` keeps and tallies
+the checks ``validate`` makes, checking each distinct token once; a machine
+the tally passes is marked as ``validate_once`` marks it.  Its type tests
+are inline, and the helpers that word a fault (``_need``, ``_word``,
+``_tokens``, ``_err``) run only once a test has failed, so every message
+and the order of the checks are those of the helpers alone.
 """
 
 from __future__ import annotations
@@ -19,13 +28,16 @@ import json
 from json.encoder import encode_basestring as _quote
 from typing import Optional
 
+from . import semantics
 from .machines import (
     Fun,
+    LEFT_END,
     Lit,
     MachineError,
     MarbleTransducer,
     NAutomaton,
     NSSTF,
+    RIGHT_END,
     Reg,
     SST,
     TwoWayTransducer,
@@ -136,7 +148,230 @@ def _action(value, path) -> tuple:
     _err(path, "bad action %r" % (value,))
 
 
+def _strings(value) -> bool:
+    """Whether ``value`` is a list of strings, as ``_word`` takes it."""
+    if type(value) is not list:
+        return False
+    try:
+        "".join(value)  # a TypeError: some item is not a string
+    except TypeError:
+        return False
+    return True
+
+
+def _symbols(doc: dict, field: str, path) -> tuple:
+    """``doc[field]``, a list of symbols, as a tuple; ``_need`` and ``_word``
+    name a fault."""
+    value = doc.get(field)
+    if _strings(value):
+        return tuple(value)
+    return _word(_need(doc, field, list, path), ("%s.%s", path, field))
+
+
+def _transition(ent, where, delta: dict) -> tuple:
+    """State, letter, target and update of an SST transition ``ent``, read
+    by the helpers, which name the first fault."""
+    q = _need(ent, "state", str, where)
+    a = _need(ent, "symbol", str, where)
+    _put(delta, (q, a), _need(ent, "to", str, where), where)
+    return q, a, delta[(q, a)], _need(ent, "update", dict, where)
+
+
+def _token_entry(kind: str, payload, pools: dict, index: dict):
+    """The entry of a token met for the first time, kept in ``pools[kind]``
+    under its payload: (token, program piece, the token as a token list,
+    that list's program).  A register's piece is its number, or None if it
+    is undeclared, which the walk's tally refuses.  None if the payload is
+    no string."""
+    if not isinstance(payload, str):
+        return None
+    tok = _TOKENS[kind](payload)
+    piece = (payload,) if kind == "lit" else index.get(payload) if kind == "reg" else tok
+    # the one-token list's program, as ``semantics._program([piece])`` makes it
+    pools[kind][payload] = entry = tok, piece, (tok,), [tok] if kind == "fun" else piece
+    return entry
+
+
+def _token_lists(value: dict, pools: dict, index: dict):
+    """(tokens, programs) of ``value``, a map of token lists (an update or
+    the output map): the token tuples by key, and their programs in the
+    order of the keys.  None at a fault, which ``_substitution`` names.
+
+    A token object is read as its one key and that key's payload, and each
+    distinct token once, into ``pools`` (``_token_entry``).  A program is
+    ``semantics._program`` of the pieces, as ``_compile_rhs`` makes it
+    from the tokens: a list of one token takes its entry's program, and
+    pieces are merged as they are read, so that ``_program`` is left only
+    a list of at most one piece to finish."""
+    toks, progs = {}, []
+    # A KeyError is an unknown token kind; a TypeError or a ValueError, no
+    # object of one key or a payload that is no string.
+    try:
+        for x, rhs in value.items():
+            if not isinstance(rhs, list):
+                return None
+            if len(rhs) == 1:
+                (tok,) = rhs
+                (kind,) = tok
+                entry = pools[kind].get(tok[kind]) or _token_entry(kind, tok[kind], pools, index)
+                toks[x] = entry[2]
+                progs.append(entry[3])
+            elif rhs:
+                row, prog, last = [], [], None
+                for tok in rhs:
+                    (kind,) = tok
+                    entry = pools[kind].get(tok[kind]) \
+                        or _token_entry(kind, tok[kind], pools, index)
+                    row.append(entry[0])
+                    piece = entry[1]
+                    if type(piece) is tuple is type(last):  # letters merge
+                        last = prog[-1] = last + piece
+                    else:
+                        prog.append(piece)
+                        last = piece
+                toks[x] = tuple(row)
+                progs.append(prog if len(prog) > 1 or type(last) is Fun
+                             else semantics._program(prog))
+            else:
+                toks[x] = ()
+                progs.append(())
+    except (KeyError, TypeError, ValueError):
+        return None
+    return toks, progs
+
+
+def _alphabet_ok(symbols: tuple, distinct: set) -> bool:
+    """Whether ``machines._check_alphabet`` finds no fault in ``symbols``,
+    whose set is ``distinct``."""
+    return bool(symbols) and len(distinct) == len(symbols) \
+        and LEFT_END not in distinct and RIGHT_END not in distinct
+
+
+def _register_machine(doc: dict, path, kind: str, input_alphabet: tuple,
+                      states: tuple, output_alphabet: tuple) -> SST:
+    """The SST (or SST-F) of ``doc``, read in one walk that also compiles
+    its register programs and tallies what ``machines._validate_sst``
+    checks.  Each distinct token is read and checked once
+    (``_token_lists``).  A machine the tally finds well formed is marked,
+    as ``validate_once`` marks it, and keeps its programs as
+    ``semantics._programs`` keeps them; any other is built unmarked, for
+    ``validate`` to word its faults.
+    """
+    registers = _symbols(doc, "registers", path)
+    regs, letters, stateset = set(registers), set(output_alphabet), set(states)
+    symbols = set(input_alphabet)
+    index = {x: i for i, x in enumerate(registers)}
+    raw = doc.get("initial_valuation")
+    if type(raw) is not dict:
+        raw = _need(doc, "initial_valuation", dict, path)
+    init_val = {x: tuple(w) if _strings(w) else
+                _word(w, ("%s.initial_valuation.%s", path, x)) for x, w in raw.items()}
+    ok = init_val.keys() == regs and all(map(letters.issuperset, init_val.values()))
+    pools: dict = {"lit": {}, "reg": {}, "fun": {}}  # kind -> payload -> entry
+    delta, update, steps = {}, {}, {}
+    entries = doc.get("transitions")
+    if type(entries) is not list:
+        entries = _need(doc, "transitions", list, path)
+    for i, ent in enumerate(entries):
+        try:
+            q, a, q2, upd = ent["state"], ent["symbol"], ent["to"], ent["update"]
+            fast = type(q) is str and type(a) is str and type(q2) is str \
+                and (q, a) not in delta and type(upd) is dict
+        except (KeyError, TypeError):  # a missing field, or no object
+            fast = False
+        if not fast:
+            q, a, q2, upd = _transition(ent, ("%s.transitions[%d]", path, i), delta)
+        key = q, a
+        delta[key] = q2
+        read = _token_lists(upd, pools, index)
+        if read is None:
+            _substitution(upd, ("%s.update", ("%s.transitions[%d]", path, i)), {})
+        update[key], progs = read
+        if q not in stateset or q2 not in stateset or a not in symbols:
+            ok = False
+        if tuple(upd) != registers:  # keys out of register order, or not total
+            if upd.keys() != regs:
+                ok = False
+                continue
+            progs = map(dict(zip(upd, progs)).__getitem__, registers)
+        steps[key] = q2, tuple(progs)
+    raw = doc.get("output")
+    if type(raw) is not dict:
+        raw = _need(doc, "output", dict, path)
+    read = _token_lists(raw, pools, index)
+    if read is None:
+        _substitution(raw, ("%s.output", path), {})
+    output, progs = read
+    funs = ()
+    if kind == "sstf":
+        funs = doc.get("functions", [])
+        funs = tuple(funs) if _strings(funs) else _word(funs, ("%s.functions", path))
+    initial = doc.get("initial")
+    if type(initial) is not str:
+        initial = _need(doc, "initial", str, path)
+    m = SST(input_alphabet, output_alphabet, states, registers, initial, init_val,
+            delta, update, output, funs)
+    if ok and initial in stateset and stateset.issuperset(output) \
+            and len(stateset) == len(states) and len(regs) == len(registers) \
+            and _alphabet_ok(input_alphabet, symbols) \
+            and _alphabet_ok(output_alphabet, letters) \
+            and letters.issuperset(pools["lit"]) and regs.issuperset(pools["reg"]) \
+            and set(funs).issuperset(pools["fun"]) \
+            and not (pools["fun"] and any(Fun in map(type, rhs) for rhs in output.values())):
+        m.__dict__["_valid"] = True  # as validate_once marks it
+        m.__dict__["_programs"] = steps, dict(zip(output, progs))
+    return m
+
+
+def _register_json(m: SST) -> dict:
+    """The document of SST ``m`` but its transitions."""
+    doc = {"kind": kind_of(m), "input_alphabet": list(m.input_alphabet),
+           "output_alphabet": list(m.output_alphabet), "states": list(m.states),
+           "initial": m.initial, "registers": list(m.registers),
+           "initial_valuation": {x: list(w) for x, w in sorted(m.init_valuation.items())},
+           "output": {q: [_token_json(t) for t in rhs] for q, rhs in sorted(m.output.items())}}
+    if m.funs:
+        doc["functions"] = list(m.funs)
+    return doc
+
+
+def _transitions_text(m: SST) -> str:
+    """``pretty_json(machine_to_json(m)["transitions"], "  ")`` for SST
+    ``m``: its transitions as they stand in its document, each token
+    written once per call and its text reused (``texts``)."""
+    texts: dict = {}
+    rows = []
+    for key in sorted(m.delta):
+        sub = m.update[key]
+        lines = []
+        for x in sorted(sub):
+            items = []
+            for tok in sub[x]:
+                text = texts.get(tok)
+                if text is None:
+                    (kind, payload), = _token_json(tok).items()
+                    text = texts[tok] = '{\n            "%s": %s\n          }' % (
+                        kind, _quote(payload))
+                items.append(text)
+            lines.append("%s: %s" % (_quote(x), "[\n          %s\n        ]" % (
+                ",\n          ".join(items)) if items else "[]"))
+        rows.append('{\n      "state": %s,\n      "symbol": %s,\n      "to": %s,'
+                    '\n      "update": %s\n    }' % (
+                        _quote(key[0]), _quote(key[1]), _quote(m.delta[key]),
+                        "{\n        %s\n      }" % ",\n        ".join(lines) if lines else "{}"))
+    return "[\n    %s\n  ]" % ",\n    ".join(rows) if rows else "[]"
+
+
 def machine_to_json(m) -> dict:
+    if isinstance(m, SST):
+        doc = _register_json(m)
+        doc["transitions"] = [
+            {"state": q, "symbol": a, "to": m.delta[(q, a)],
+             "update": {x: [_token_json(t) for t in rhs]
+                        for x, rhs in sorted(m.update[(q, a)].items())}}
+            for (q, a) in sorted(m.delta)
+        ]
+        return doc
     kind = kind_of(m)
     doc = {"kind": kind}
     if kind == "nautomaton":
@@ -174,20 +409,6 @@ def machine_to_json(m) -> dict:
             for (q, s, c), (q2, (akind, pay)) in sorted(
                 m.delta.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or ""))
         ]
-    elif kind in ("sst", "sstf"):
-        doc["initial"] = m.initial
-        doc["registers"] = list(m.registers)
-        doc["initial_valuation"] = {x: list(w) for x, w in sorted(m.init_valuation.items())}
-        doc["transitions"] = [
-            {"state": q, "symbol": a, "to": m.delta[(q, a)],
-             "update": {x: [_token_json(t) for t in rhs]
-                        for x, rhs in sorted(m.update[(q, a)].items())}}
-            for (q, a) in sorted(m.delta)
-        ]
-        doc["output"] = {q: [_token_json(t) for t in rhs]
-                         for q, rhs in sorted(m.output.items())}
-        if kind == "sstf":
-            doc["functions"] = list(m.funs)
     elif kind == "nsstf":
         doc["registers"] = list(m.registers)
         doc["functions"] = list(m.funs)
@@ -210,9 +431,8 @@ def machine_from_json(doc, path: str = "$"):
     kind = _need(doc, "kind", str, path)
     if kind not in KINDS:
         _err(("%s.kind", path), "unknown machine kind %r" % kind)
-    input_alphabet = tuple(_word(_need(doc, "input_alphabet", list, path),
-                                 ("%s.input_alphabet", path)))
-    states = tuple(_word(_need(doc, "states", list, path), ("%s.states", path)))
+    input_alphabet = _symbols(doc, "input_alphabet", path)
+    states = _symbols(doc, "states", path)
     if kind == "nautomaton":
         alpha = _weights(_need(doc, "alpha", dict, path), ("%s.alpha", path))
         beta = _weights(_need(doc, "beta", dict, path), ("%s.beta", path))
@@ -234,8 +454,7 @@ def machine_from_json(doc, path: str = "$"):
                                         ("%s.weight", at)), at)
             mats[a] = mat
         return NAutomaton(input_alphabet, states, alpha, beta, mats)
-    output_alphabet = tuple(_word(_need(doc, "output_alphabet", list, path),
-                                  ("%s.output_alphabet", path)))
+    output_alphabet = _symbols(doc, "output_alphabet", path)
     pool: dict = {}  # (kind, payload) -> token, for _tokens
     if kind == "two-way":
         delta, out = {}, {}
@@ -274,25 +493,8 @@ def machine_from_json(doc, path: str = "$"):
             delta, out, None if bound is None else _integer(
                 bound, ("%s.declared_marble_bound", path)))
     if kind in ("sst", "sstf"):
-        registers = tuple(_word(_need(doc, "registers", list, path),
-                                ("%s.registers", path)))
-        init_val = {x: _word(w, ("%s.initial_valuation.%s", path, x))
-                    for x, w in _need(doc, "initial_valuation", dict, path).items()}
-        delta, update = {}, {}
-        for i, ent in enumerate(_need(doc, "transitions", list, path)):
-            where = ("%s.transitions[%d]", path, i)
-            q = _need(ent, "state", str, where)
-            a = _need(ent, "symbol", str, where)
-            _put(delta, (q, a), _need(ent, "to", str, where), where)
-            update[(q, a)] = _substitution(_need(ent, "update", dict, where),
-                                           ("%s.update", where), pool)
-        output = {q: _tokens(rhs, ("%s.output.%s", path, q), pool)
-                  for q, rhs in _need(doc, "output", dict, path).items()}
-        funs = _word(doc.get("functions", []), ("%s.functions", path)) \
-            if kind == "sstf" else ()
-        return SST(input_alphabet, output_alphabet, states, registers,
-                   _need(doc, "initial", str, path), init_val, delta, update,
-                   output, funs)
+        return _register_machine(doc, path, kind, input_alphabet, states,
+                                 output_alphabet)
     # nsstf
     registers = tuple(_word(_need(doc, "registers", list, path),
                             ("%s.registers", path)))
@@ -343,10 +545,17 @@ def pretty_json(v, pad: str = "") -> str:
 
 
 def dumps_machine(m, layers: Optional[tuple] = None) -> str:
-    doc = machine_to_json(m)
+    """The file of machine ``m`` (with ``layers``): ``pretty_json`` of its
+    document, but for an SST's transitions, which ``_transitions_text``
+    writes.  Their key sorts after every other of the document, so their
+    text ends it."""
+    sst = isinstance(m, SST)
+    doc = _register_json(m) if sst else machine_to_json(m)
     if layers is not None:
         doc["layers"] = [list(layer) for layer in layers]
-    return pretty_json(doc) + "\n"
+    if not sst:
+        return pretty_json(doc) + "\n"
+    return '%s,\n  "transitions": %s\n}\n' % (pretty_json(doc)[:-2], _transitions_text(m))
 
 
 def emit_machine(m, path: str, layers: Optional[tuple] = None) -> None:
@@ -360,7 +569,8 @@ def parse_machine(path: str, check: bool = True):
     Structural invariants are verified after parsing unless ``check`` is
     disabled (the validate subcommand reports them itself), by
     ``validate_once``: a machine that passes is not validated again when it
-    is run.
+    is run, and an SST or SST-F whose loading walk found no fault is
+    marked already, so it is not validated at all.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -370,7 +580,8 @@ def parse_machine(path: str, check: bool = True):
     machine = machine_from_json(doc)
     layers = None
     if doc.get("layers") is not None:
-        layers = tuple(_word(layer, ("%s.layers[%d]", "$", i))
+        layers = tuple(tuple(layer) if _strings(layer) else
+                       _word(layer, ("%s.layers[%d]", "$", i))
                        for i, layer in enumerate(_need(doc, "layers", list, "$")))
     if check:
         problems = validate_once(machine)

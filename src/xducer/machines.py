@@ -373,7 +373,10 @@ def validate_once(m: MachineDescription) -> list:
     """``validate(m)``, which a machine it found well formed does not run
     again: such a machine is marked (kept off the fields, as the
     interpreters keep their tables), and ``mark_valid`` passes the mark on
-    to a machine built from it that is well formed by construction."""
+    to a machine built from it that is well formed by construction.  The
+    SST loader (``machine_io``) marks a machine whose walk over its file
+    found none of the faults ``validate`` reports, so such a file is never
+    validated."""
     if "_valid" in m.__dict__:
         return []
     problems = validate(m)

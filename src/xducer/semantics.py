@@ -412,8 +412,10 @@ def _compile_rhs(rhs, index: dict):
 
 
 def _programs(m) -> tuple:
-    """(steps, outputs) of an SST or NSST-F, compiled on its first run and
-    kept on the machine object.
+    """(steps, outputs) of an SST or NSST-F, kept on the machine object:
+    stored there by the loader for a well-formed SST read from a file
+    (``machine_io``, which builds them from its pooled tokens), and
+    otherwise compiled here on the machine's first run.
 
     Registers are numbered in ``m.registers`` order and a valuation is a
     tuple.  An update program is a tuple of ``_compile_rhs`` programs, one
@@ -818,9 +820,11 @@ def _last_steps(m: SST) -> dict:
     of a machine without functions whose step enters a state with output:
     that state's output program, with each register it reads replaced by
     the register's program in the step's update (a constant ``_Cat``
-    spliced in as its letters).  Composed from ``_programs(m)`` on each
-    call.
+    spliced in as its letters).  Composed from ``_programs(m)`` on the
+    first call and kept on the machine object next to them.
     """
+    if "_last_steps" in m.__dict__:
+        return m.__dict__["_last_steps"]
     steps, outputs = _programs(m)
     last = {}
     for key, (q2, prog) in steps.items():
@@ -833,6 +837,7 @@ def _last_steps(m: SST) -> dict:
             pieces += [tuple(x) if type(x) is _Cat else x
                        for x in (rhs if type(rhs) is list else (rhs,))]
         last[key] = _program(pieces)
+    m.__dict__["_last_steps"] = last
     return last
 
 

@@ -102,22 +102,34 @@ def test_equiv_builds_step_tables_once_per_side(monkeypatch, sides, builds):
     ("reverse_sst_copyful", "reverse_two_way"),
 ])
 def test_equiv_compiles_register_programs_once_per_side(monkeypatch, sides):
-    """Each right-hand side of an SST side is compiled once, and a second
-    check on the same machines compiles nothing."""
-    compile_rhs = semantics._compile_rhs
-    compiled = []
+    """Each right-hand side of an SST side is compiled once, when its file
+    is loaded, so no check compiles one; and the last steps are composed
+    on the first check only."""
+    compile_rhs, program = semantics._compile_rhs, semantics._program
+    compiled, composed = [], []
 
     def counting(rhs, index):
         compiled.append(rhs)
         return compile_rhs(rhs, index)
 
+    def composing(pieces):
+        composed.append(pieces)
+        return program(pieces)
+
     monkeypatch.setattr(semantics, "_compile_rhs", counting)
     m1, m2 = load(sides[0]), load(sides[1])
+    ssts = [m for m in (m1, m2) if isinstance(m, SST)]
+    stored = [m.__dict__["_programs"] for m in ssts]
+    assert [sum(len(prog) for _q2, prog in steps.values()) + len(outputs)
+            for steps, outputs in stored] == [
+        len(m.delta) * len(m.registers) + len(m.output) for m in ssts]
+    monkeypatch.setattr(semantics, "_program", composing)
     assert equiv_check(m1, m2, 5).equivalent
-    bound = sum(len(m.delta) * len(m.registers) + len(m.output)
-                for m in (m1, m2) if isinstance(m, SST))
-    assert len(compiled) == bound
-    assert equiv_check(m1, m2, 5).equivalent and len(compiled) == bound
+    assert compiled == [] and [m.__dict__["_programs"] for m in ssts] == stored
+    first = len(composed)
+    assert first == sum(len(semantics._last_steps(m)) for m in ssts) > 0
+    assert equiv_check(m1, m2, 5).equivalent
+    assert compiled == [] and len(composed) == first
 
 
 def test_equiv_alphabet_mismatch():

@@ -117,7 +117,8 @@ def test_pool_census_climbs_the_size_ladder():
 
 def test_interp_rate_reports_each_machine():
     lines = run_script("interp_rate.py", "1000").splitlines()
-    rows = [json.loads(line) for line in lines if '"maxlen"' not in line]
+    rows = [json.loads(line) for line in lines
+            if '"maxlen"' not in line and '"load_cpu_s"' not in line]
     assert [row["machine"] for row in rows] == [
         "reverse_two_way", "copy_two_way", "mul_marble", "pow2_marble",
         "identity_sst", "reverse_sst", "mul_sst", "exp_sst"]
@@ -141,6 +142,13 @@ def test_interp_rate_reports_each_machine():
         assert row["words"] == sum(k ** n for n in range(maxlen[k] + 1)), row
         assert row["cpu_s"] > 0 and row["words_per_s"] > 0, row
         assert row["cpu_ref_s"] > 0 and row["words_per_ref_s"] > 0, row
+    # one load row per corpus file: parse_machine against json.load of it
+    rows = [json.loads(line) for line in lines if '"load_cpu_s"' in line]
+    assert [row["machine"] for row in rows] == CORPUS_NAMES
+    for row in rows:
+        assert row["load_cpu_s"] > 0 and row["json_cpu_s"] > 0, row
+        assert abs(row["ratio"] - row["load_cpu_s"] / row["json_cpu_s"]) <= 1e-3, row
+        assert row["load_ref_s"] > 0 and row["json_ref_s"] > 0, row
 
 
 def load_file(name: str, path: str):
