@@ -18,7 +18,7 @@ from .machines import (
     SST,
     TwoWayTransducer,
     foreign_symbol,
-    validate,
+    validate_once,
 )
 from .mt2sst import marble_to_sst, two_way_to_marble
 from .oracle import equiv_check
@@ -93,7 +93,7 @@ def _load(path: str):
 
 def cmd_validate(args) -> int:
     machine, _layers = parse_machine(args.file, check=False)
-    problems = validate(machine)
+    problems = validate_once(machine)
     _print_json({"valid": not problems, "violations": problems}, args.pretty)
     return 0 if not problems else 1
 

@@ -1018,7 +1018,8 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
 
 
 def minimize_marbles(t, dump=None) -> LayeredResult:
-    """Rebuild a marble transducer with the least possible mark count.
+    """Rebuild a marble transducer, or a two-way one (``marble_to_sst``
+    takes it as its marble form), with the least possible mark count.
 
     Returns the exponential result of to_k_layered unchanged, or a "marble"
     result whose ``k`` is that least count.

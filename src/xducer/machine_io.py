@@ -13,13 +13,14 @@ One loader, ``machine_from_json``, keeps each path into the document as a
 tuple and writes it out only when a malformed entry raises (``_err``), and
 builds one token object per distinct (kind, payload) of a file: tokens are
 frozen, so the machine may share them.  An SST or SST-F is read in one walk
-over its document (``_register_machine``), which builds the machine,
-compiles the register programs ``semantics._programs`` keeps and tallies
-the checks ``validate`` makes, checking each distinct token once; a machine
-the tally passes is marked as ``validate_once`` marks it.  Its type tests
-are inline, and the helpers that word a fault (``_need``, ``_word``,
-``_tokens``, ``_err``) run only once a test has failed, so every message
-and the order of the checks are those of the helpers alone.
+over its document (``_register_machine``), which builds the machine and
+the register programs ``semantics._programs`` keeps, reading each distinct
+token once.  Whether the machine is well formed is ``validate``'s to say,
+as for every kind: the walk keeps the programs only for a machine that
+``validate_once`` marks.  Its type tests are inline, and the helpers that
+word a fault (``_need``, ``_word``, ``_tokens``, ``_err``) run only once a
+test has failed, so every message and the order of the checks are those of
+the helpers alone.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from typing import Optional
 from . import semantics
 from .machines import (
     Fun,
-    LEFT_END,
     Lit,
     MachineError,
     MarbleTransducer,
     NAutomaton,
     NSSTF,
-    RIGHT_END,
     Reg,
     SST,
     TwoWayTransducer,
@@ -181,8 +180,8 @@ def _token_entry(kind: str, payload, pools: dict, index: dict):
     """The entry of a token met for the first time, kept in ``pools[kind]``
     under its payload: (token, program piece, the token as a token list,
     that list's program).  A register's piece is its number, or None if it
-    is undeclared, which the walk's tally refuses.  None if the payload is
-    no string."""
+    is undeclared, which ``validate`` refuses.  None if the payload is no
+    string."""
     if not isinstance(payload, str):
         return None
     tok = _TOKENS[kind](payload)
@@ -240,33 +239,22 @@ def _token_lists(value: dict, pools: dict, index: dict):
     return toks, progs
 
 
-def _alphabet_ok(symbols: tuple, distinct: set) -> bool:
-    """Whether ``machines._check_alphabet`` finds no fault in ``symbols``,
-    whose set is ``distinct``."""
-    return bool(symbols) and len(distinct) == len(symbols) \
-        and LEFT_END not in distinct and RIGHT_END not in distinct
-
-
 def _register_machine(doc: dict, path, kind: str, input_alphabet: tuple,
                       states: tuple, output_alphabet: tuple) -> SST:
     """The SST (or SST-F) of ``doc``, read in one walk that also compiles
-    its register programs and tallies what ``machines._validate_sst``
-    checks.  Each distinct token is read and checked once
-    (``_token_lists``).  A machine the tally finds well formed is marked,
-    as ``validate_once`` marks it, and keeps its programs as
-    ``semantics._programs`` keeps them; any other is built unmarked, for
-    ``validate`` to word its faults.
+    its register programs.  Each distinct token is read once
+    (``_token_lists``).  The machine keeps its programs, as
+    ``semantics._programs`` keeps them, only if ``validate_once`` finds it
+    well formed, which marks it; any other is built without them, and a
+    run refuses it.
     """
     registers = _symbols(doc, "registers", path)
-    regs, letters, stateset = set(registers), set(output_alphabet), set(states)
-    symbols = set(input_alphabet)
     index = {x: i for i, x in enumerate(registers)}
     raw = doc.get("initial_valuation")
     if type(raw) is not dict:
         raw = _need(doc, "initial_valuation", dict, path)
     init_val = {x: tuple(w) if _strings(w) else
                 _word(w, ("%s.initial_valuation.%s", path, x)) for x, w in raw.items()}
-    ok = init_val.keys() == regs and all(map(letters.issuperset, init_val.values()))
     pools: dict = {"lit": {}, "reg": {}, "fun": {}}  # kind -> payload -> entry
     delta, update, steps = {}, {}, {}
     entries = doc.get("transitions")
@@ -287,13 +275,8 @@ def _register_machine(doc: dict, path, kind: str, input_alphabet: tuple,
         if read is None:
             _substitution(upd, ("%s.update", ("%s.transitions[%d]", path, i)), {})
         update[key], progs = read
-        if q not in stateset or q2 not in stateset or a not in symbols:
-            ok = False
-        if tuple(upd) != registers:  # keys out of register order, or not total
-            if upd.keys() != regs:
-                ok = False
-                continue
-            progs = map(dict(zip(upd, progs)).__getitem__, registers)
+        if tuple(upd) != registers:  # keys out of order, or a fault validate refuses
+            progs = map(dict(zip(upd, progs)).get, registers)
         steps[key] = q2, tuple(progs)
     raw = doc.get("output")
     if type(raw) is not dict:
@@ -311,14 +294,7 @@ def _register_machine(doc: dict, path, kind: str, input_alphabet: tuple,
         initial = _need(doc, "initial", str, path)
     m = SST(input_alphabet, output_alphabet, states, registers, initial, init_val,
             delta, update, output, funs)
-    if ok and initial in stateset and stateset.issuperset(output) \
-            and len(stateset) == len(states) and len(regs) == len(registers) \
-            and _alphabet_ok(input_alphabet, symbols) \
-            and _alphabet_ok(output_alphabet, letters) \
-            and letters.issuperset(pools["lit"]) and regs.issuperset(pools["reg"]) \
-            and set(funs).issuperset(pools["fun"]) \
-            and not (pools["fun"] and any(Fun in map(type, rhs) for rhs in output.values())):
-        m.__dict__["_valid"] = True  # as validate_once marks it
+    if not validate_once(m):
         m.__dict__["_programs"] = steps, dict(zip(output, progs))
     return m
 
@@ -569,8 +545,8 @@ def parse_machine(path: str, check: bool = True):
     Structural invariants are verified after parsing unless ``check`` is
     disabled (the validate subcommand reports them itself), by
     ``validate_once``: a machine that passes is not validated again when it
-    is run, and an SST or SST-F whose loading walk found no fault is
-    marked already, so it is not validated at all.
+    is run.  An SST or SST-F was validated by its loading walk
+    (``_register_machine``) already.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 LEFT_END = "⊢"   # left endmarker, position 0
@@ -318,20 +319,28 @@ def kind_of(m: MachineDescription) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_alphabet(name: str, symbols: tuple, report: list) -> None:
+def _check_alphabet(name: str, symbols: tuple, report: list) -> set:
+    """Report an empty alphabet, a duplicate or an endmarker in ``symbols``;
+    returns their set."""
+    distinct = set(symbols)
     if not symbols:
         report.append("%s is empty" % name)
-    if len(set(symbols)) != len(symbols):
+    if len(distinct) != len(symbols):
         report.append("%s has duplicate symbols" % name)
     for s in (LEFT_END, RIGHT_END):
-        if s in symbols:
+        if s in distinct:
             report.append("%s contains reserved endmarker %r" % (name, s))
+    return distinct
 
 
-def _check_distinct(kind: str, names: tuple, report: list) -> None:
-    for x, n in Counter(names).items():
-        if n > 1:
-            report.append("%s %r declared %d times" % (kind, x, n))
+def _check_distinct(kind: str, names: tuple, report: list) -> set:
+    """Report each name declared more than once; returns their set."""
+    distinct = set(names)
+    if len(distinct) != len(names):
+        for x, n in Counter(names).items():
+            if n > 1:
+                report.append("%s %r declared %d times" % (kind, x, n))
+    return distinct
 
 
 def _check_tokens(where: str, tokens, m, report: list) -> None:
@@ -373,10 +382,11 @@ def validate_once(m: MachineDescription) -> list:
     """``validate(m)``, which a machine it found well formed does not run
     again: such a machine is marked (kept off the fields, as the
     interpreters keep their tables), and ``mark_valid`` passes the mark on
-    to a machine built from it that is well formed by construction.  The
-    SST loader (``machine_io``) marks a machine whose walk over its file
-    found none of the faults ``validate`` reports, so such a file is never
-    validated."""
+    to a machine built from it that is well formed by construction.  It is
+    the one gate of every run: the marble and register interpreters and
+    ``eval_nautomaton`` refuse, before any step, a machine it refuses, and
+    the SST loader (``machine_io``) keeps the register programs it compiled
+    only for a machine it marks."""
     if "_valid" in m.__dict__:
         return []
     problems = validate(m)
@@ -395,10 +405,9 @@ def mark_valid(source, m):
 def _validate_tape_machine(m, report: list) -> tuple:
     """Checks shared by two-way and marble machines; returns the declared
     states, the tape symbols and the output alphabet, as sets."""
-    _check_alphabet("input alphabet", m.input_alphabet, report)
-    _check_alphabet("output alphabet", m.output_alphabet, report)
-    _check_distinct("state", m.states, report)
-    states = set(m.states)
+    symbols = _check_alphabet("input alphabet", m.input_alphabet, report)
+    letters = _check_alphabet("output alphabet", m.output_alphabet, report)
+    states = _check_distinct("state", m.states, report)
     if m.initial not in states:
         report.append("initial state %r not declared" % m.initial)
     for q in m.finals:
@@ -406,8 +415,7 @@ def _validate_tape_machine(m, report: list) -> tuple:
             report.append("final state %r not declared" % q)
     if set(m.delta) != set(m.out):
         report.append("transition and output maps have different domains")
-    symbols = set(m.input_alphabet) | {LEFT_END, RIGHT_END}
-    return states, symbols, set(m.output_alphabet)
+    return states, symbols | {LEFT_END, RIGHT_END}, letters
 
 
 def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
@@ -432,8 +440,7 @@ def _validate_two_way(m: TwoWayTransducer, report: list) -> None:
 
 def _validate_marble(m: MarbleTransducer, report: list) -> None:
     states, symbols, letters = _validate_tape_machine(m, report)
-    _check_distinct("color", m.colors, report)
-    colors = set(m.colors)
+    colors = _check_distinct("color", m.colors, report)
     if m.marble_bound is not None and m.marble_bound < 0:
         report.append("declared marble bound %d is negative" % m.marble_bound)
     for key, (q2, action) in m.delta.items():
@@ -488,24 +495,25 @@ def _known(rhs, letters: set, registers: set, funs) -> bool:
 def _check_updates(m, where: str, report: list, registers: set, letters: set) -> None:
     """Report each update of an SST or NSST-F that is not total on the
     registers, and each right-hand side with a token ``_known`` refuses;
-    ``where % key`` names the update of transition ``key``, formatted only
-    on a fault."""
+    ``where % key`` names the update of transition ``key``.  One ``_known``
+    call reads all the right-hand sides of an update, and only an update it
+    refuses is read again, one right-hand side at a time, and worded."""
     funs = set(m.funs)
     for key, s in m.update.items():
         if s.keys() != registers:
             report.append("%s: not total on the register set" % (where % key))
+        if _known(chain.from_iterable(s.values()), letters, registers, funs):
+            continue
         for x, rhs in s.items():
             if not _known(rhs, letters, registers, funs):
                 _check_tokens("%s(%s)" % (where % key, x), rhs, m, report)
 
 
 def _validate_sst(m: SST, report: list) -> None:
-    _check_alphabet("input alphabet", m.input_alphabet, report)
-    _check_alphabet("output alphabet", m.output_alphabet, report)
-    _check_distinct("state", m.states, report)
-    _check_distinct("register", m.registers, report)
-    states, registers = set(m.states), set(m.registers)
-    letters, symbols = set(m.output_alphabet), set(m.input_alphabet)
+    symbols = _check_alphabet("input alphabet", m.input_alphabet, report)
+    letters = _check_alphabet("output alphabet", m.output_alphabet, report)
+    states = _check_distinct("state", m.states, report)
+    registers = _check_distinct("register", m.registers, report)
     if m.initial not in states:
         report.append("initial state %r not declared" % m.initial)
     if m.delta.keys() != m.update.keys():
@@ -539,12 +547,10 @@ def _check_outputs(m, report: list, states: set, registers: set, letters: set) -
 
 
 def _validate_nsstf(m: NSSTF, report: list) -> None:
-    _check_alphabet("input alphabet", m.input_alphabet, report)
-    _check_alphabet("output alphabet", m.output_alphabet, report)
-    _check_distinct("state", m.states, report)
-    _check_distinct("register", m.registers, report)
-    states, registers = set(m.states), set(m.registers)
-    letters, symbols = set(m.output_alphabet), set(m.input_alphabet)
+    symbols = _check_alphabet("input alphabet", m.input_alphabet, report)
+    letters = _check_alphabet("output alphabet", m.output_alphabet, report)
+    states = _check_distinct("state", m.states, report)
+    registers = _check_distinct("register", m.registers, report)
     if m.update.keys() != set(m.transitions):
         report.append("update map domain differs from the transition relation")
     for q, val in m.initial.items():
@@ -563,16 +569,16 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
 
 def _validate_nautomaton(m: NAutomaton, report: list) -> None:
     _check_alphabet("input alphabet", m.input_alphabet, report)
-    _check_distinct("state", m.states, report)
+    states = _check_distinct("state", m.states, report)
     for a in m.input_alphabet:
         if a not in m.mats:
             report.append("letter %r has no matrix" % a)
     for q in list(m.alpha) + list(m.beta):
-        if q not in m.states:
+        if q not in states:
             report.append("vector entry for undeclared state %r" % q)
     for a, mat in m.mats.items():
         for (p, q), v in mat.items():
-            if p not in m.states or q not in m.states:
+            if p not in states or q not in states:
                 report.append("matrix %r: undeclared state in entry (%s,%s)" % (a, p, q))
             if v < 0:
                 report.append("matrix %r: negative weight at (%s,%s)" % (a, p, q))

@@ -35,8 +35,9 @@ def _next_reg(q: str) -> str:
     return "nx_%s" % q
 
 
-def marble_to_sst(t: MarbleTransducer) -> SST:
-    """Equivalent one-way register transducer for a marble transducer.
+def marble_to_sst(t) -> SST:
+    """Equivalent one-way register transducer for a marble transducer, or
+    for a two-way one as its marble form (``semantics._tables``).
 
     States are the reachable crossing summaries (first-crossing state plus
     the per-entry next-crossing map); registers hold the outputs produced

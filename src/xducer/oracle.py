@@ -10,7 +10,7 @@ from .machines import (
     FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, SST, TwoWayTransducer,
     explore)
 from .semantics import (
-    ACCEPT, BUDGET, marble_of, marble_outputs, run_machine, sst_outputs)
+    ACCEPT, BUDGET, marble_outputs, run_machine, sst_outputs)
 
 EQUIVALENT = "equivalent"
 COUNTEREXAMPLE = "counterexample"
@@ -60,15 +60,12 @@ def _word_at(letters: list, index: int) -> tuple:
 def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
              budget: Optional[int]):
     """``(verdict, output)`` of one side for every word of ``words_up_to``,
-    in its order: an SST by ``sst_outputs``, a marble machine by
-    ``marble_outputs``, a two-way machine by ``marble_outputs`` of its
-    conversion (``marble_of``), any other machine by one run per word."""
+    in its order: an SST by ``sst_outputs``, a marble or two-way machine by
+    ``marble_outputs``, any other machine by one run per word."""
     if isinstance(m, SST):
         return sst_outputs(m, maxlen, registry)
-    if isinstance(m, MarbleTransducer):
+    if isinstance(m, (MarbleTransducer, TwoWayTransducer)):
         return marble_outputs(m, maxlen, budget)
-    if isinstance(m, TwoWayTransducer):
-        return marble_outputs(marble_of(m), maxlen, budget)
     return ((r.verdict, r.output) for r in (
         run_machine(m, w, registry=registry, budget=budget)
         for w in words_up_to(m.input_alphabet, maxlen)))

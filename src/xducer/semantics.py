@@ -124,8 +124,8 @@ def marble_of(t: TwoWayTransducer) -> MarbleTransducer:
 def run_two_way(t: TwoWayTransducer, w, budget: Optional[int] = None,
                 trace: bool = False) -> RunResult:
     """Run a two-way transducer as the marble machine that drops no marbles
-    (``marble_of``)."""
-    return run_marble(marble_of(t), w, budget=budget, trace=trace)
+    (``marble_of``), as ``run_marble`` runs it."""
+    return run_marble(t, w, budget=budget, trace=trace)
 
 
 # Action codes of the step tables.
@@ -202,8 +202,12 @@ def _compile_sweep(c: list) -> None:
              outs if any(outs.values()) else None)
 
 
-def _tables(t: MarbleTransducer) -> tuple:
-    """``_compile_tables(t)``, built on the first run and kept on ``t``."""
+def _tables(t) -> tuple:
+    """``_compile_tables(t)``, built on the first run and kept on ``t``; a
+    two-way ``t`` is taken as its marble form (``marble_of``), which keeps
+    them."""
+    if isinstance(t, TwoWayTransducer):
+        t = marble_of(t)
     if "_tables" not in t.__dict__:  # kept off the fields, like growth._support
         t.__dict__["_tables"] = _compile_tables(t)
     return t.__dict__["_tables"]
@@ -211,7 +215,8 @@ def _tables(t: MarbleTransducer) -> tuple:
 
 def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
                trace: bool = False, detect_loops: bool = True) -> RunResult:
-    """Simulate the stack-disciplined transition relation.
+    """Simulate the stack-disciplined transition relation of a marble
+    machine, or of a two-way one as its marble form (``_tables``).
 
     Accepts on the first configuration (q, |w|+1, empty stack) with q final.
     Every run ends in accept, reject, loop or budget.  A ``str`` word is read
@@ -415,7 +420,10 @@ def _programs(m) -> tuple:
     """(steps, outputs) of an SST or NSST-F, kept on the machine object:
     stored there by the loader for a well-formed SST read from a file
     (``machine_io``, which builds them from its pooled tokens), and
-    otherwise compiled here on the machine's first run.
+    otherwise compiled here on the machine's first run.  Every register run
+    and summary reads them here, so each refuses a machine that ``validate``
+    refuses (``validate_once``) before its first step, on every word, with
+    that machine's first problem: no programs are kept for it.
 
     Registers are numbered in ``m.registers`` order and a valuation is a
     tuple.  An update program is a tuple of ``_compile_rhs`` programs, one
@@ -426,6 +434,9 @@ def _programs(m) -> tuple:
     ``sst_outputs`` and NSST-F runs never build them.
     """
     if "_programs" not in m.__dict__:  # kept off the fields, like _tables
+        problems = validate_once(m)
+        if problems:
+            raise MachineError("invalid register transducer: %s" % problems[0])
         index = {x: i for i, x in enumerate(m.registers)}
         steps = {key: tuple(_compile_rhs(s[x], index) for x in m.registers)
                  for key, s in m.update.items()}
@@ -844,7 +855,8 @@ def _last_steps(m: SST) -> dict:
 def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = None):
     """``(verdict, output)``, as ``run_marble(t, w, budget)`` gives them, for
     every word ``w`` of length at most ``maxlen``: by length, then
-    lexicographically over the sorted input alphabet.
+    lexicographically over the sorted input alphabet.  ``t`` is a marble or
+    a two-way machine (``_tables``).
 
     A marble machine, like a two-way one, keeps a stack discipline: a marble
     is dropped under the head and the head never moves right past it.  So
@@ -1145,13 +1157,15 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
 
 
 def eval_nautomaton_vector(m: NAutomaton, w) -> dict:
-    """Row vector alpha . mats(w), with exact integer arithmetic."""
+    """Row vector alpha . mats(w), with exact integer arithmetic.  A machine
+    that ``validate`` refuses is refused before the first letter."""
     w = as_word(w)
     _check_alphabet(m, w)
+    problems = validate_once(m)
+    if problems:
+        raise MachineError("invalid N-automaton: %s" % problems[0])
     vec = {q: m.alpha.get(q, 0) for q in m.states}
     for a in w:
-        if a not in m.mats:
-            raise MachineError("letter %r has no weight matrix" % a)
         mat = m.mats[a]
         new = {q: 0 for q in m.states}
         for (p, q), weight in mat.items():
@@ -1177,9 +1191,7 @@ def run_machine(m, w, registry: Optional[FunctionRegistry] = None,
     """Run any word-to-word machine description on a word.
 
     An NSST-F has no single run, so asking to trace one raises."""
-    if isinstance(m, TwoWayTransducer):
-        return run_two_way(m, w, budget=budget, trace=trace)
-    if isinstance(m, MarbleTransducer):
+    if isinstance(m, (TwoWayTransducer, MarbleTransducer)):
         return run_marble(m, w, budget=budget, trace=trace)
     if isinstance(m, SST):
         return run_sst(m, w, registry=registry, trace=trace)

@@ -10,8 +10,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.machines import (  # noqa: E402
-    Fun, LEFT_END, Lit, MachineError, NSSTF, Reg, RIGHT_END, SST, subst_apply, validate,
-    _check_alphabet, _check_distinct, _check_tokens)
+    Fun, FunctionRegistry, LEFT_END, Lit, MachineError, NSSTF, Reg, RIGHT_END, SST,
+    subst_apply, validate, _check_alphabet, _check_distinct, _check_tokens)
 from xducer.mt2sst import marble_to_sst  # noqa: E402
 from xducer.semantics import (  # noqa: E402
     ACCEPT,
@@ -22,10 +22,14 @@ from xducer.semantics import (  # noqa: E402
     RunResult,
     _Cat,
     default_budget,
+    enumerate_nsstf_runs,
     eval_fun,
     marble_outputs,
+    run_machine,
     run_marble,
     run_sst,
+    run_sstf,
+    sst_outputs,
 )
 from xducer.oracle import equiv_check, words_up_to  # noqa: E402
 
@@ -199,6 +203,43 @@ def assert_refused(t, words) -> None:
         with pytest.raises(MachineError, match=message):
             use()
     assert "_tables" not in t.__dict__
+
+
+def register_refusal(m) -> str:
+    """The message with which every register run refuses ``m``, an SST,
+    SST-F or NSST-F that ``validate`` refuses."""
+    problems = validate(m)
+    assert problems, "a valid machine"
+    return "invalid register transducer: %s" % problems[0]
+
+
+def assert_register_refused(m, words) -> None:
+    """Register machine ``m`` is refused with ``register_refusal(m)`` before
+    any step: on each of ``words`` by ``run_machine`` and, for an SST or
+    SST-F, by ``run_sst``, traced and not, and ``run_sstf``, or, for an
+    NSST-F, by ``enumerate_nsstf_runs``; and by ``equiv_check`` and, for an
+    SST or SST-F, ``sst_outputs``.  Each of its functions is registered as
+    a callable that records its calls, and none is called.  No programs are
+    kept on it, so the next use refuses it again."""
+    message = "^%s$" % re.escape(register_refusal(m))
+    calls: list = []
+    registry = FunctionRegistry({f: lambda w: calls.append(w) or () for f in m.funs})
+    uses = [lambda: equiv_check(m, m, 2, registry, registry)]
+    for w in words:
+        uses.append(lambda w=w: run_machine(m, w, registry=registry))
+        if isinstance(m, SST):
+            uses += [lambda w=w: run_sst(m, w, registry),
+                     lambda w=w: run_sst(m, w, registry, trace=True),
+                     lambda w=w: run_sstf(m, w, registry)]
+        else:
+            uses.append(lambda w=w: enumerate_nsstf_runs(m, w, registry))
+    if isinstance(m, SST):
+        uses.append(lambda: next(sst_outputs(m, 2, registry)))
+    for use in uses:
+        with pytest.raises(MachineError, match=message):
+            use()
+    assert calls == []
+    assert not {"_valid", "_programs", "_sweeps", "_last_steps"} & set(m.__dict__)
 
 
 def assert_runs_agree(sst, t, maxlen: int, budget=None) -> None:

@@ -125,6 +125,26 @@ def test_each_loaded_machine_is_validated_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_each_loaded_register_machine_is_validated_once(capsys, monkeypatch):
+    """An SST file is validated by its loading walk, and not again by the
+    ``validate``, ``run``, ``trace`` or ``equiv`` command that loaded it."""
+    from xducer import machines
+    calls = []
+    check = machines.validate
+    monkeypatch.setattr(machines, "validate",
+                        lambda m: calls.append(type(m).__name__) or check(m))
+    for argv in (["validate", corpus_path("mul_sst")], ["run", corpus_path("mul_sst"), "ab#0"],
+                 ["trace", corpus_path("mul_sst"), "ab#0"]):
+        del calls[:]
+        assert main(argv) == 0
+        assert calls == ["SST"], argv
+    del calls[:]
+    assert main(["equiv", corpus_path("reverse_sst"), corpus_path("reverse_sst_copyful"),
+                 "--maxlen", "4"]) == 0
+    assert calls == ["SST", "SST"]
+    capsys.readouterr()
+
+
 def test_schema_error_names_field(tmp_path):
     doc = json.load(open(corpus_path("mul_marble")))
     doc["transitions"][0]["action"] = "sideways"

@@ -2,6 +2,8 @@ import pytest
 
 from xducer import mt2sst
 from xducer.cli import main
+from xducer.layering import minimize_marbles
+from xducer.machine_io import dumps_machine
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -17,7 +19,8 @@ from xducer.machines import (
 )
 from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.oracle import equiv_check, words_up_to
-from xducer.semantics import LOOP, REJECT, _flat, _summaries, _tables, run_sst
+from xducer.semantics import (
+    LOOP, REJECT, _flat, _summaries, _tables, marble_outputs, run_marble, run_sst)
 
 from conftest import assert_runs_agree, corpus_path, load, marble_step
 
@@ -153,6 +156,25 @@ def test_crossing_sst_of_a_two_way_machine_is_copyless():
         assert check_copyless(marble_to_sst(two_way_to_marble(load(name)))) == []
     # machines that drop marbles copy: mul_marble in two updates
     assert len(check_copyless(marble_to_sst(load("mul_marble")))) == 2
+
+
+def test_marble_routes_take_a_two_way_machine():
+    """A two-way machine is taken as its marble form by ``marble_to_sst``,
+    ``minimize_marbles``, ``run_marble`` and ``marble_outputs``: each gives
+    what it gives for the explicit conversion."""
+    for name in ("reverse_two_way", "copy_two_way"):
+        t = load(name)
+        marble = two_way_to_marble(t)
+        sst = marble_to_sst(t)
+        assert sst == marble_to_sst(marble)
+        assert equiv_check(sst, t, 5).equivalent
+        res, ref = minimize_marbles(t), minimize_marbles(marble)
+        assert (res.kind, res.k, res.report) == (ref.kind, ref.k, ref.report) == (
+            "marble", 0, ref.report)
+        assert dumps_machine(res.machine) == dumps_machine(ref.machine)
+        assert list(marble_outputs(t, 4)) == list(marble_outputs(marble, 4))
+        for w in words_up_to(t.input_alphabet, 3):
+            assert run_marble(t, w, trace=True) == run_marble(marble, w, trace=True)
 
 
 def test_crossing_state_limit(monkeypatch, capsys):

@@ -188,7 +188,7 @@ def mutated(rng, m):
     if kind == 0:
         update = dict(m.update)
         x = rng.choice(m.registers)
-        update[key] = dict(update[key], **{x: update[key][x] + (Lit("b"),)})
+        update[key] = dict(update[key], **{x: update[key][x] + (Lit(m.output_alphabet[-1]),)})
         return replace(m, update=update)
     if kind == 1:
         delta, update = dict(m.delta), dict(m.update)

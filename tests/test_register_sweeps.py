@@ -182,7 +182,9 @@ def test_reject_right_after_a_sweep_and_undefined_output(sweeps):
     # rejects on the letter right after a sweep: p has no move on b, and
     # neither has q once its only move is on a
     assert assert_matches_reference(m, "aaaa" + "c" + "aa" + "b").steps == 7
-    r = assert_matches_reference(replace(m, delta={("q", "a"): "q"}), "aaaa" + "b" + "aa")
+    r = assert_matches_reference(replace(m, delta={("q", "a"): "q"},
+                                         update={("q", "a"): m.update[("q", "a")]}),
+                                 "aaaa" + "b" + "aa")
     assert (r.verdict, r.steps) == (REJECT, 4) and sweeps[-1] == ("a",) * 4
 
 

@@ -20,6 +20,7 @@ from xducer.machines import (
     MOVE_RIGHT,
     MachineError,
     MarbleTransducer,
+    NAutomaton,
     NSSTF,
     RIGHT_END,
     Reg,
@@ -44,7 +45,8 @@ from xducer.semantics import (
     run_two_way,
 )
 
-from conftest import assert_refused, load, reference_run, reference_update
+from conftest import (
+    assert_refused, assert_register_refused, load, reference_run, reference_update)
 
 
 def test_reverse_two_way():
@@ -358,6 +360,85 @@ def test_nsstf_runs_on_long_words(monkeypatch):
     with pytest.raises(MachineError,
                        match=r"^NSST-F run enumeration exceeded 4001 partial runs$"):
         enumerate_nsstf_runs(nsst, w)
+
+
+def _copier(kind: str):
+    """A machine over a and b with registers x and y that writes x·y: x
+    gains an a on each a and y one on each b (an SST-F or NSST-F: the word
+    of its function f).  ``kind`` is "sst", "sstf" or "nsstf"."""
+    x, y = Reg("x"), Reg("y")
+    funs = () if kind == "sst" else ("f",)
+    updates = {"a": {"x": (x, Lit("a")), "y": (y,)},
+               "b": {"x": (x,), "y": (Fun("f") if funs else Lit("a"), y)}}
+    if kind == "nsstf":
+        return NSSTF(("a", "b"), ("a",), ("q",), ("x", "y"), funs, {"q": {"x": (), "y": ()}},
+                     (("q", "a", "q"), ("q", "b", "q")),
+                     {("q", a, "q"): s for a, s in updates.items()}, {"q": (x, y)})
+    return SST(("a", "b"), ("a",), ("q",), ("x", "y"), "q", {"x": (), "y": ()},
+               {("q", "a"): "q", ("q", "b"): "q"},
+               {("q", a): s for a, s in updates.items()}, {"q": (x, y)}, funs)
+
+
+def _broken_on_b(m, defect: str):
+    """``m``, a ``_copier``, with one defect on its transition on b."""
+    nondeterministic = isinstance(m, NSSTF)
+    key = ("q", "b", "q") if nondeterministic else ("q", "b")
+    update = dict(m.update)
+    s = update[key] = dict(update[key])
+    if defect == "unknown register":
+        s["x"] = (Reg("z"),)
+    elif defect == "foreign letter":
+        s["x"] = (Reg("x"), Lit("b"))
+    elif defect == "update missing a register":
+        del s["y"]
+    elif nondeterministic:  # an undeclared target
+        update[("q", "b", "p")] = update.pop(key)
+        return replace(m, transitions=tuple(sorted(update)), update=update)
+    else:
+        return replace(m, delta={**m.delta, key: "p"})
+    return replace(m, update=update)
+
+
+@pytest.mark.parametrize("kind", ["sst", "sstf", "nsstf"])
+@pytest.mark.parametrize("defect, sst_problem, nsstf_problem", [
+    ("unknown register", "update[q,b](x): unknown register 'z'",
+     "update[q,b,q](x): unknown register 'z'"),
+    ("foreign letter", "update[q,b](x): unknown output letter 'b'",
+     "update[q,b,q](x): unknown output letter 'b'"),
+    ("update missing a register", "update[q,b]: not total on the register set",
+     "update[q,b,q]: not total on the register set"),
+    ("undeclared target", "delta[q,b]: undeclared state",
+     "transition (q,b,p): undeclared state"),
+])
+def test_register_runs_refuse_what_validate_refuses(kind, defect, sst_problem,
+                                                    nsstf_problem):
+    """A defect on the transition on b: every register run refuses the
+    machine with ``validate``'s first problem, before any step and on every
+    word, words with no b included; without it the machine runs."""
+    m = _copier(kind)
+    registry = FunctionRegistry({"f": lambda prefix: ("a",)})
+    assert run_machine(m, "aab", registry=registry).output_text == "aaa"
+    broken = _broken_on_b(m, defect)
+    assert validate(broken)[0] == (nsstf_problem if kind == "nsstf" else sst_problem)
+    assert_register_refused(broken, ["", "a", "aa", "ab", "ba"])
+
+
+def test_eval_nautomaton_refuses_what_validate_refuses():
+    """Before the first letter, on every word: a letter with no matrix is
+    refused on words that do not read it too."""
+    good = NAutomaton(("a", "b"), ("p",), {"p": 1}, {"p": 1},
+                      {"a": {("p", "p"): 2}, "b": {("p", "p"): 1}})
+    assert eval_nautomaton(good, "aba") == 4
+    for broken, problem in [
+            (replace(good, mats={"a": good.mats["a"]}), "letter 'b' has no matrix"),
+            (replace(good, mats=dict(good.mats, b={("p", "r"): 1})),
+             "matrix 'b': undeclared state in entry (p,r)")]:
+        assert validate(broken)[0] == problem
+        for w in ("", "a", "ab"):
+            with pytest.raises(MachineError,
+                               match="^%s$" % re.escape("invalid N-automaton: " + problem)):
+                eval_nautomaton(broken, w)
+        assert "_valid" not in broken.__dict__
 
 
 def test_run_determinism():
