@@ -42,7 +42,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .machines import MachineError, NAutomaton, Reg, SST, explore
+from .machines import MachineError, NAutomaton, Reg, SST, explore, require_valid
 
 Word = tuple
 
@@ -250,10 +250,13 @@ def _support(m) -> _Support:
     states numbered by position, built on first use and kept on ``m`` (which
     is immutable) in the instance dictionary, as ``cached_property`` does,
     so it is no dataclass field and takes no part in equality or printing.
+    An automaton that ``validate`` refuses raises first (``require_valid``),
+    so ``classify`` and the searches refuse it before reading it.
     """
     if type(m) is _Support:
         return m
     if "_support" not in m.__dict__:
+        require_valid(m)
         num = {q: i for i, q in enumerate(m.states)}
         m.__dict__["_support"] = _Support(
             m.states, [num[q] for q in m.states if m.alpha.get(q, 0) > 0],
@@ -703,9 +706,11 @@ def classify_function(m: SST) -> GrowthReport:
     """Growth class of the length of a register transducer's output.
 
     The machine is totalized first, and the report is that of its register
-    flow (``flow_graph``).
+    flow (``flow_graph``).  A machine that ``validate`` refuses raises
+    first (``require_valid``).
     """
     from .layering import make_total
 
+    require_valid(m)
     total, _dfa = make_total(m)
     return classify(flow_graph(total))

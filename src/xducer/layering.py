@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .growth import GrowthReport, classify, flow_graph, is_simple
 from .machines import (
     DFA, Fun, Lit, MachineError, NSSTF, Reg, SST, Substitution, check_layer_order,
-    check_layered, compose_substitutions, explore, subst_apply)
+    check_layered, compose_substitutions, explore, require_valid, subst_apply)
 
 SINK = "__sink"
 
@@ -968,7 +968,7 @@ def _bounded_to_layered(m: SST, layers: tuple, dump=None) -> tuple:
     lower = tuple(x for layer in layers[:-1] for x in layer)
     components = {}
     for fname in sorted(binding):
-        sub = to_k_layered(value_sst(m, binding[fname], lower))
+        sub = _to_k_layered(value_sst(m, binding[fname], lower))
         if sub.kind != "layered":
             raise MachineError("lower-layer value machine classified exponential")
         components[fname] = (sub.machine, sub.layers)
@@ -993,8 +993,15 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
     and the growth report.  The copyless construction runs only when
     check_layered rejects the bounded machine; otherwise, degree 0 included,
     that machine is the result.  At the end the original domain is re-imposed
-    and the registers are allocated by prune_sst_registers.
+    and the registers are allocated by prune_sst_registers.  A machine that
+    ``validate`` refuses raises first (``require_valid``); the value machines
+    of the lower layers, built here, go through ``_to_k_layered`` unchecked.
     """
+    require_valid(m)
+    return _to_k_layered(m, dump)
+
+
+def _to_k_layered(m: SST, dump=None) -> LayeredResult:
     if m.funs:
         raise MachineError("layer minimization expects a plain machine")
     total, dfa = make_total(m)

@@ -395,6 +395,17 @@ def validate_once(m: MachineDescription) -> list:
     return problems
 
 
+def require_valid(m: MachineDescription) -> None:
+    """Raise ``MachineError("invalid <kind>: <first problem>")`` if
+    ``validate_once`` refuses ``m``: the refusal of every run and of every
+    pipeline entry point, before the machine is read."""
+    problems = validate_once(m)
+    if problems:
+        kind = {TwoWayTransducer: "two-way transducer", MarbleTransducer: "marble transducer",
+                NAutomaton: "N-automaton"}.get(type(m), "register transducer")
+        raise MachineError("invalid %s: %s" % (kind, problems[0]))
+
+
 def mark_valid(source, m):
     """``m``, marked as ``validate_once`` marks it if ``source`` is marked."""
     if "_valid" in source.__dict__:

@@ -45,7 +45,10 @@ def marble_to_sst(t) -> SST:
     crossing.  The output map stitches the run at the right endmarker.  The
     machine is returned through the register allocator, as one layer: an
     excursion register is dead wherever no later crossing calls it, so few
-    registers remain.  A machine ``validate`` refuses raises (``_tables``).
+    registers remain.  A machine ``validate`` refuses raises (``_tables``);
+    the result is marked valid if ``t`` is (``machines.mark_valid``), as the
+    crossing construction only builds well-formed machines (a test checks
+    ``validate`` on it for the corpus and for random marble machines).
     """
     from .semantics import ACCEPT, REJECT, _flat, _summaries, _tables
 
@@ -119,7 +122,7 @@ def marble_to_sst(t) -> SST:
         initial="cs0", init_valuation=init_valuation,
         delta=delta, update=update, output=output,
     )
-    return prune_sst_registers(crossing, (registers,))[0]
+    return mark_valid(t, prune_sst_registers(crossing, (registers,))[0])
 
 
 def two_way_to_marble(t) -> MarbleTransducer:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import compress, count, islice, product
+from operator import ne
 from typing import Optional
 
 from .machines import (
     FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, SST, TwoWayTransducer,
-    explore)
+    explore, require_valid)
 from .semantics import (
     ACCEPT, BUDGET, marble_outputs, run_machine, sst_outputs)
 
@@ -57,18 +58,26 @@ def _word_at(letters: list, index: int) -> tuple:
     return tuple(reversed(word))
 
 
+# The item of a word whose run hit its step budget: NaN is unequal to
+# everything, itself included, so the comparison stops there.
+_BUDGET_WORD = float("nan")
+
+
 def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
              budget: Optional[int]):
-    """``(verdict, output)`` of one side for every word of ``words_up_to``,
-    in its order: an SST by ``sst_outputs``, a marble or two-way machine by
-    ``marble_outputs``, any other machine by one run per word."""
+    """One side's item for every word of ``words_up_to``, in its order: the
+    output of an accepting run, None for any other run, ``_BUDGET_WORD`` for
+    one that hit its budget.  An SST gives these itself (``sst_outputs``),
+    and so does an NSST-F's run of each word, which only accepts with an
+    output or rejects with none; a marble or two-way machine's pairs
+    (``marble_outputs``) are mapped to them."""
     if isinstance(m, SST):
         return sst_outputs(m, maxlen, registry)
     if isinstance(m, (MarbleTransducer, TwoWayTransducer)):
-        return marble_outputs(m, maxlen, budget)
-    return ((r.verdict, r.output) for r in (
-        run_machine(m, w, registry=registry, budget=budget)
-        for w in words_up_to(m.input_alphabet, maxlen)))
+        return (o if v == ACCEPT else _BUDGET_WORD if v == BUDGET else None
+                for v, o in marble_outputs(m, maxlen, budget))
+    return (run_machine(m, w, registry=registry, budget=budget).output
+            for w in words_up_to(m.input_alphabet, maxlen))
 
 
 def equiv_check(m1, m2, maxlen: int,
@@ -78,12 +87,17 @@ def equiv_check(m1, m2, maxlen: int,
     """Compare domains and outputs on every word of length up to ``maxlen``.
 
     Words come in the order of ``words_up_to``: by length, then
-    lexicographically.  Each side gives its verdicts and outputs as one
-    stream in that order, and the check compares the two streams pair by
-    pair.  It stops after ``WORD_CAP`` words and, if more are left, raises
-    the cap error of ``words_up_to`` at the same word, before either side
-    runs it.  A word is rebuilt from its position only for a counterexample
-    or an inconclusive word.
+    lexicographically.  Each side gives one item per word in that order
+    (``_outputs``): the output if its run accepts, None if it does not,
+    and a marker unequal to everything if it hit its step budget.  The
+    check finds the position of the first pair of unequal items in C
+    (``map``, ``compress`` and ``count``: the comparison runs no Python code
+    per word), over at most ``WORD_CAP`` words; if more are left, it raises the cap error
+    of ``words_up_to`` at the same word, before either side runs it.  Only
+    the word at that position is rebuilt (``_word_at``) and run again on
+    each side (``run_machine``, with the same registry and budget), which
+    tells an inconclusive word, whose run on either side hit its budget,
+    from a counterexample, reported with both runs' outputs.
 
     An SST side walks one length at a time (``sst_outputs``): each word of
     length n extends the kept state and valuation of its prefix by one
@@ -96,9 +110,10 @@ def equiv_check(m1, m2, maxlen: int,
     amount of work on top of its prefix, plus its output; the extensions of
     a word whose run ended before its head stood on ⊣ take its verdict with
     no work.  An NSST-F side runs each word on the programs its machine
-    compiled once.  The first mismatch in length-lexicographic order is
-    reported.  A run hitting its step budget makes the verdict inconclusive
-    for that word.
+    compiled once.  So the first difference in length-lexicographic order
+    is reported, no word past the cap is run, and each function of an SST-F
+    side is called once per word of its stream (and again on the one word
+    reported, when it is run again).
     """
     if tuple(sorted(m1.input_alphabet)) != tuple(sorted(m2.input_alphabet)):
         raise MachineError("machines have different input alphabets")
@@ -108,15 +123,17 @@ def equiv_check(m1, m2, maxlen: int,
         total += len(letters) ** n
         if total > WORD_CAP:
             break
-    pairs = zip(_outputs(m1, maxlen, registry1, budget),
-                _outputs(m2, maxlen, registry2, budget))
-    for i, ((v1, o1), (v2, o2)) in enumerate(islice(pairs, min(total, WORD_CAP))):
-        if BUDGET in (v1, v2):
-            return EquivalenceVerdict(INCONCLUSIVE, maxlen,
-                                      inconclusive_word=_word_at(letters, i))
-        if (v1 == ACCEPT) != (v2 == ACCEPT) or o1 != o2:
-            return EquivalenceVerdict(COUNTEREXAMPLE, maxlen,
-                                      counterexample=(_word_at(letters, i), o1, o2))
+    differ = map(ne, _outputs(m1, maxlen, registry1, budget),
+                 _outputs(m2, maxlen, registry2, budget))
+    i = next(compress(count(), islice(differ, min(total, WORD_CAP))), None)
+    if i is not None:
+        word = _word_at(letters, i)
+        r1 = run_machine(m1, word, registry=registry1, budget=budget)
+        r2 = run_machine(m2, word, registry=registry2, budget=budget)
+        if BUDGET in (r1.verdict, r2.verdict):
+            return EquivalenceVerdict(INCONCLUSIVE, maxlen, inconclusive_word=word)
+        return EquivalenceVerdict(COUNTEREXAMPLE, maxlen,
+                                  counterexample=(word, r1.output, r2.output))
     if total > WORD_CAP:
         raise MachineError("word enumeration cap exceeded (%d)" % WORD_CAP)
     return EquivalenceVerdict(EQUIVALENT, maxlen)
@@ -157,8 +174,10 @@ def brute_pattern_search(m: NAutomaton, maxlen: int) -> PatternSearch:
     """All heavy cycles and barbells witnessed by words up to ``maxlen``.
 
     Computes the weight matrix of every word explicitly, so this is the
-    independent oracle the pattern detectors are validated against.
+    independent oracle the pattern detectors are validated against.  A
+    machine that ``validate`` refuses raises first (``require_valid``).
     """
+    require_valid(m)
     letters = sorted(m.input_alphabet)
     heavy, barbells = [], []
     mats = {(): {(q, q): 1 for q in m.states}}

@@ -25,7 +25,7 @@ from .machines import (
     Word,
     as_word,
     foreign_symbol,
-    validate_once,
+    require_valid,
 )
 from .mt2sst import two_way_to_marble
 
@@ -145,7 +145,7 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     """(table, symbol codes, state names, colours, finals, initial, stride,
     coder).
 
-    Raises for a machine that ``validate`` refuses (``validate_once``), so
+    Raises for a machine that ``validate`` refuses (``require_valid``), so
     every entry is a step the stack discipline allows: no right move or drop
     on a marble, no lift without one, every dropped marble of a declared
     colour and no colour on any other action.  States are numbered as
@@ -166,9 +166,7 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     code to its output joined (None if none outputs), both made from
     ``cells``, each code's output, by the first walk that takes the sweep.
     """
-    problems = validate_once(t)
-    if problems:
-        raise MachineError("invalid marble transducer: %s" % problems[0])
+    require_valid(t)
     colours = {c: i for i, c in enumerate(dict.fromkeys((None, *t.colors)))}
     codes = {a: i * len(colours)
              for i, a in enumerate((LEFT_END, *t.input_alphabet, RIGHT_END))}
@@ -422,7 +420,7 @@ def _programs(m) -> tuple:
     (``machine_io``, which builds them from its pooled tokens), and
     otherwise compiled here on the machine's first run.  Every register run
     and summary reads them here, so each refuses a machine that ``validate``
-    refuses (``validate_once``) before its first step, on every word, with
+    refuses (``require_valid``) before its first step, on every word, with
     that machine's first problem: no programs are kept for it.
 
     Registers are numbered in ``m.registers`` order and a valuation is a
@@ -434,9 +432,7 @@ def _programs(m) -> tuple:
     ``sst_outputs`` and NSST-F runs never build them.
     """
     if "_programs" not in m.__dict__:  # kept off the fields, like _tables
-        problems = validate_once(m)
-        if problems:
-            raise MachineError("invalid register transducer: %s" % problems[0])
+        require_valid(m)
         index = {x: i for i, x in enumerate(m.registers)}
         steps = {key: tuple(_compile_rhs(s[x], index) for x in m.registers)
                  for key, s in m.update.items()}
@@ -774,56 +770,64 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
 
 
 def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None):
-    """``(verdict, output)``, as ``run_sst(m, w, registry)`` gives them, for
-    every word ``w`` of length at most ``maxlen``: by length, then
-    lexicographically over the sorted input alphabet.
+    """The output of ``run_sst(m, w, registry)`` if it accepts, else None (an
+    SST run only accepts or rejects), for every word ``w`` of length at most
+    ``maxlen``: by length, then lexicographically over the sorted input
+    alphabet.
 
     The walk goes one length at a time.  It keeps, in lex order, an entry
     (state, valuation, word) for each word of length n - 1, with state None
     once the run has died; the word itself is carried only for a machine
     with functions, as ``Fun`` tokens read it.  Each entry is extended by
-    each letter, so each update is applied once per word.  A word's
-    valuation is built for the next length and its output read from it.
-    At ``maxlen``, for a machine without functions, no valuation is built:
-    the output is read from the parent's valuation by the composed program
-    of the last step (``_last_steps``).  So valuations are kept for one
-    length (and the next while it is built), at most |alphabet|^(maxlen-1)
-    of them without functions and |alphabet|^maxlen with, a number
-    ``equiv``'s word cap bounds.  The registry check runs once.
+    each letter through its state's row, built once per call: per letter in
+    sorted order, None or (next state, update program, the next state's
+    output program or None, the letter as a word), so each update is
+    applied once per word and a step looks up no (state, letter) key.  A
+    word's valuation is built for the next length and its output read from
+    it.  At ``maxlen``, for a machine without functions, no valuation is
+    built: the output is read from the parent's valuation by the composed
+    program of the last step (``_last_steps``), also read by row.  So
+    valuations are kept for one length (and the next while it is built),
+    at most |alphabet|^(maxlen-1) of them without functions and
+    |alphabet|^maxlen with, a number ``equiv``'s word cap bounds.  The
+    registry check runs once.
     """
     letters = sorted(m.input_alphabet)
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
     steps, outputs = _programs(m)
     funs = bool(m.funs)
-    rejected, dead = (REJECT, None), (None, None, ())
+    rows = {None: [None] * len(letters)}  # the dead entries' row
+    for q in m.states:
+        rows[q] = [(s[0], s[1], outputs.get(s[0]), (a,))
+                   if (s := steps.get((q, a))) else None for a in letters]
+    dead = (None, None, ())
     val = _valuation(m.init_valuation, m.registers)
     out = outputs.get(m.initial)
-    yield rejected if out is None else (ACCEPT, _output_word(out, val))
+    yield None if out is None else _output_word(out, val)
     level = [(m.initial, val, ())]
     for n in range(1, maxlen + 1 if funs else maxlen):
         children = []
         append = children.append
         for q, val, w in level:
-            for a in letters:
-                step = steps.get((q, a))
+            for step in rows[q]:
                 if step is None:
                     append(dead)
-                    yield rejected
+                    yield None
                     continue
-                wa = w + (a,) if funs else w
-                child = _update(step[1], val, wa, n, registry)
-                append((step[0], child, wa))
-                out = outputs.get(step[0])
-                yield rejected if out is None else (ACCEPT, _output_word(out, child))
+                q2, prog, out, a = step
+                wa = w + a if funs else w
+                child = _update(prog, val, wa, n, registry)
+                append((q2, child, wa))
+                yield None if out is None else _output_word(out, child)
         level = children
     if funs or maxlen < 1:
         return
     last = _last_steps(m)
+    rows = {q: [last.get((q, a)) for a in letters] for q in rows}
     for q, val, _w in level:
-        for a in letters:
-            out = last.get((q, a))
-            yield rejected if out is None else (ACCEPT, _output_word(out, val))
+        for out in rows[q]:
+            yield None if out is None else _output_word(out, val)
 
 
 def _last_steps(m: SST) -> dict:
@@ -871,10 +875,13 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
     ``sst_outputs`` does, and keeps each word's node and its first arrival
     on ⊣: the state, steps and output when the head first stood there, or
     how and after how many steps the run ended before.  A word u·a arrives
-    where u arrived, extended by the summary of its last cell; an ended run
-    passes to every extension with no work.  On ⊣ the word's run goes on by
-    ``_crossing`` of ⊣, whose every left move is answered by a summary of
-    the word (``_marble_verdict``).
+    where u arrived, extended by the summary of its last cell; where the
+    step table enters that cell with a right move, the summary is that one
+    step, read straight from the table and stored in u·a's node as
+    ``_crossing`` would store it.  An ended run passes to every extension
+    with no work.  On ⊣ the word's run goes on by ``_crossing`` of ⊣, whose
+    every left move is answered by a summary of the word
+    (``_marble_verdict``).
 
     The steps of a run are summed, so its verdict under the budget comes out
     exactly: an accept after at most ``budget`` steps, a reject after fewer,
@@ -889,7 +896,7 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
     (``_compile_tables``).
     """
     tables = _tables(t)
-    codes = tables[1]
+    get, codes, stride = tables[0].get, tables[1], tables[6]
     letters = [codes[a] for a in sorted(t.input_alphabet)]
     n_states = len(t.states)
     root = _Prefix(None, codes[LEFT_END])
@@ -913,7 +920,13 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
             if n < maxlen:
                 for a in letters:
                     child = _Prefix(node, a)
-                    q2, more, tail = _crossing(tables, node, a, child, q)
+                    move = get(q * stride + a)
+                    if move is not None and move[2] == _RIGHT:  # the summary is this step
+                        emitted = move[4]
+                        child[q] = q2, more, tail = (
+                            move[0], 1, _Cat(emitted) if len(emitted) > SHARE_MIN else emitted)
+                    else:
+                        q2, more, tail = _crossing(tables, node, a, child, q)
                     children.append((child, q2, steps + more,
                                      tail if tail is None else _joined(out, tail), 1))
         level = children
@@ -1161,9 +1174,7 @@ def eval_nautomaton_vector(m: NAutomaton, w) -> dict:
     that ``validate`` refuses is refused before the first letter."""
     w = as_word(w)
     _check_alphabet(m, w)
-    problems = validate_once(m)
-    if problems:
-        raise MachineError("invalid N-automaton: %s" % problems[0])
+    require_valid(m)
     vec = {q: m.alpha.get(q, 0) for q in m.states}
     for a in w:
         mat = m.mats[a]

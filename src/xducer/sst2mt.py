@@ -32,6 +32,7 @@ from .machines import (
     act_drop,
     check_layered,
     explore,
+    require_valid,
 )
 from .layering import make_total
 
@@ -253,7 +254,9 @@ def sst_to_marble(m: SST) -> MarbleTransducer:
 
     The input's domain is checked by a leading one-way pass over its domain
     automaton before the evaluation walk starts from the right endmarker.
+    A machine that ``validate`` refuses raises first (``require_valid``).
     """
+    require_valid(m)
     total, dom = make_total(m)
     return _build_walker(total, dom, layer_of=None, bound=None)
 

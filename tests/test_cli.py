@@ -145,6 +145,31 @@ def test_each_loaded_register_machine_is_validated_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_optimize_and_analyze_validate_each_loaded_machine_once(capsys, monkeypatch, tmp_path):
+    """``optimize`` and ``analyze`` of every corpus file (but mul_marble,
+    whose walker takes seconds) validate the machine their file loads and
+    nothing the pipeline builds from it: a crossing SST is marked valid as
+    its source is, and the value machines of lower layers, which some of
+    these files build, take the unchecked entry of ``to_k_layered``."""
+    from xducer import layering, machines
+    calls, values = [], []
+    check, value_sst = machines.validate, layering.value_sst
+    monkeypatch.setattr(machines, "validate",
+                        lambda m: calls.append(type(m).__name__) or check(m))
+    monkeypatch.setattr(layering, "value_sst",
+                        lambda *args: values.append(args) or value_sst(*args))
+    for name in CORPUS_NAMES:
+        if name == "mul_marble":
+            continue
+        for argv in (["optimize", corpus_path(name), "-o", str(tmp_path / "out.json")],
+                     ["analyze", corpus_path(name)]):
+            del calls[:]
+            assert main(argv) in (0, 1, 4), argv
+            assert len(calls) == 1, argv
+    assert values
+    capsys.readouterr()
+
+
 def test_schema_error_names_field(tmp_path):
     doc = json.load(open(corpus_path("mul_marble")))
     doc["transitions"][0]["action"] = "sideways"

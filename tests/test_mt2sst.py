@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from xducer import mt2sst
@@ -13,6 +15,7 @@ from xducer.machines import (
     MarbleTransducer,
     RIGHT_END,
     Reg,
+    TwoWayTransducer,
     act_drop,
     check_copyless,
     validate,
@@ -22,7 +25,9 @@ from xducer.oracle import equiv_check, words_up_to
 from xducer.semantics import (
     LOOP, REJECT, _flat, _summaries, _tables, marble_outputs, run_marble, run_sst)
 
-from conftest import assert_runs_agree, corpus_path, load, marble_step
+from conftest import CORPUS_NAMES, assert_runs_agree, corpus_path, load, marble_step
+from test_oracle import random_marble as random_looping_marble
+from test_pipeline_fuzz import random_marble
 
 
 def fragment(transitions, states, colors=("c",), finals=()):
@@ -175,6 +180,29 @@ def test_marble_routes_take_a_two_way_machine():
         assert list(marble_outputs(t, 4)) == list(marble_outputs(marble, 4))
         for w in words_up_to(t.input_alphabet, 3):
             assert run_marble(t, w, trace=True) == run_marble(marble, w, trace=True)
+
+
+def test_crossing_ssts_are_well_formed():
+    """``validate`` accepts the crossing SST of every corpus marble and
+    two-way machine and of seeded random marble machines, those of both
+    test generators, so ``marble_to_sst`` claims nothing ``validate`` would
+    refuse when it marks its result valid as its source is."""
+    rng = random.Random(42)
+    machines = [t for t in map(load, CORPUS_NAMES)
+                if isinstance(t, (MarbleTransducer, TwoWayTransducer))]
+    assert len(machines) == 6
+    machines += [make(rng) for make in (random_marble, random_looping_marble) for _ in range(150)]
+    built = 0
+    for t in machines:
+        if validate(t):
+            continue
+        sst = marble_to_sst(t)
+        assert validate(sst) == [] and "_valid" in sst.__dict__
+        built += 1
+    assert built >= 250
+    fresh = load("reverse_two_way")
+    fresh.__dict__.pop("_valid")
+    assert "_valid" not in marble_to_sst(fresh).__dict__
 
 
 def test_crossing_state_limit(monkeypatch, capsys):

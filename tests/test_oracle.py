@@ -218,6 +218,13 @@ def random_marble(rng):
                             colors, delta, out)
 
 
+def assert_outputs_only(runs):
+    """An SST run accepts with an output or rejects with none, so its output
+    alone, as ``sst_outputs`` gives it, tells its verdict."""
+    for r in runs:
+        assert r.verdict in (ACCEPT, REJECT) and (r.output is None) == (r.verdict == REJECT)
+
+
 def test_sst_outputs_match_word_by_word_runs():
     """The walk against one run per word, on partial SSTs whose runs die
     on prefixes of every length."""
@@ -228,10 +235,10 @@ def test_sst_outputs_match_word_by_word_runs():
         if m.delta:
             m = mutated(rng, m)
         got = list(sst_outputs(m, 5))
-        want = [(r.verdict, r.output) for r in
-                (run_sst(m, w) for w in words_up_to(("a", "b"), 5))]
-        assert got == want
-        rejected += sum(v != ACCEPT for v, _ in got)
+        runs = [run_sst(m, w) for w in words_up_to(("a", "b"), 5)]
+        assert_outputs_only(runs)
+        assert got == [r.output for r in runs]
+        rejected += sum(r.verdict != ACCEPT for r in runs)
     assert rejected >= 1000
 
 
@@ -264,11 +271,11 @@ def test_sst_outputs_match_runs_over_alphabets_lengths_and_shapes():
                 funs = ("f",) if rng.random() < 0.5 else ()
                 m = with_long_constants(rng, random_sst(rng, funs, letters))
                 got = list(sst_outputs(m, maxlen, registry))
-                want = [(r.verdict, r.output) for r in
-                        (run_sstf(m, w, registry) for w in words_up_to(letters, maxlen))]
-                assert got == want
-                long_outputs += sum(o is not None and len(o) > SHARE_MIN for _v, o in got)
-                with_funs += bool(funs) and any(v == ACCEPT for v, _o in got)
+                runs = [run_sstf(m, w, registry) for w in words_up_to(letters, maxlen)]
+                assert_outputs_only(runs)
+                assert got == [r.output for r in runs]
+                long_outputs += sum(o is not None and len(o) > SHARE_MIN for o in got)
+                with_funs += bool(funs) and any(r.verdict == ACCEPT for r in runs)
                 moves += any(len(rhs) == 1 and type(rhs[0]) is Reg for rhs in m.output.values())
     assert long_outputs >= 1000 and with_funs >= 30 and moves >= 30
 
@@ -299,8 +306,11 @@ def test_last_step_functions_see_the_whole_word_once():
         got = list(sst_outputs(m, maxlen, registry))
         words = list(words_up_to(("a", "b"), maxlen))
         assert calls == {"f": words[1:], "g": words[1:]}
-        assert got == [(r.verdict, r.output) for r in (run_sstf(m, w, registry) for w in words)]
-    assert got[-2] == (ACCEPT, ("a", "a") + tuple("bbbba") + ("a", "a"))  # word bbbba
+        runs = [run_sstf(m, w, registry) for w in words]
+        assert_outputs_only(runs)
+        assert got == [r.output for r in runs]
+    assert runs[-2].verdict == ACCEPT
+    assert got[-2] == ("a", "a") + tuple("bbbba") + ("a", "a")  # word bbbba
 
 
 def test_prefix_sharing_keeps_sst_verdicts():
@@ -846,6 +856,76 @@ def test_marble_pairs_keep_the_word_by_word_verdicts():
     assert statuses.count("inconclusive") >= 20
     assert statuses.count("counterexample") >= 60
     assert statuses.count("equivalent") >= 120
+
+
+def spy_runs(monkeypatch) -> list:
+    """Record each (machine, word) that ``equiv_check`` runs through
+    ``run_machine``."""
+    runs, run = [], oracle.run_machine
+    monkeypatch.setattr(oracle, "run_machine",
+                        lambda m, w, **kw: runs.append((m, tuple(w))) or run(m, w, **kw))
+    return runs
+
+
+@pytest.mark.parametrize("a,b,maxlen", [
+    ("mul_sst", "mul_sst_copyful", 5), ("reverse_sst", "reverse_two_way", 6),
+    ("mul_marble", "mul_sst", 5), ("pow2_marble", "pow2_marble_wasteful", 6)])
+def test_equivalent_pairs_run_no_word_again(monkeypatch, a, b, maxlen):
+    """An SST/SST, SST/marble, marble/SST or marble/marble pair that is
+    equivalent runs no word through ``run_machine``."""
+    runs = spy_runs(monkeypatch)
+    assert equiv_check(load(a), load(b), maxlen).equivalent
+    assert runs == []
+
+
+def test_a_counterexample_or_inconclusive_word_is_run_once_per_side(monkeypatch):
+    """Only the word reported is run again, once on each side, whether it is
+    a counterexample of two SSTs or of an SST and a two-way machine, or a
+    word that hits the budget on a marble side; the verdict is that of the
+    word-by-word reference."""
+    cases = [(load("identity_sst"), _differs_on(tuple("abb")), {}),
+             (_differs_on(tuple("abb")), load("identity_sst"), {}),
+             (load("identity_sst"), load("reverse_two_way", ("a", "b")), {}),
+             (load("exp_marble"), load("exp_marble"), {"budget": 5}),
+             (load("exp_sst"), load("exp_marble"), {"budget": 5})]
+    statuses = []
+    for m1, m2, kwargs in cases:
+        runs = spy_runs(monkeypatch)
+        verdict = equiv_check(m1, m2, 5, **kwargs)
+        monkeypatch.undo()
+        word = verdict.inconclusive_word or verdict.counterexample[0]
+        assert runs == [(m1, word), (m2, word)]
+        assert (verdict.status, word if verdict.inconclusive_word else
+                verdict.counterexample) == reference_equiv(m1, m2, 5, **kwargs)
+        statuses.append(verdict.status)
+    assert statuses == ["counterexample"] * 3 + ["inconclusive"] * 2
+
+
+def test_no_stream_gives_a_word_past_the_cap(monkeypatch):
+    """With ``WORD_CAP`` below the words up to ``maxlen``, each side's stream
+    (an SST's, a marble machine's or an NSST-F's runs) gives exactly the
+    capped words before the cap error, and no word is run again."""
+    given = []
+
+    def counted(stream):
+        def walk(*args):
+            for item in stream(*args):
+                given.append(args[0])
+                yield item
+        return walk
+
+    monkeypatch.setattr(oracle, "sst_outputs", counted(oracle.sst_outputs))
+    monkeypatch.setattr(oracle, "marble_outputs", counted(oracle.marble_outputs))
+    runs = spy_runs(monkeypatch)
+    monkeypatch.setattr(oracle, "WORD_CAP", 20)
+    total, _ = make_total(load("bounded_pair_sst"))
+    nsst = bounded_sstf_to_unambiguous(total)
+    for m1, m2, maxlen in ((load("mul_sst"), load("mul_marble"), 5), (nsst, total, 30)):
+        del given[:], runs[:]
+        with pytest.raises(MachineError, match=r"^word enumeration cap exceeded \(20\)$"):
+            equiv_check(m1, m2, maxlen)
+        streams = given + [m for m, _w in runs]
+        assert [streams.count(m1), streams.count(m2)] == [20, 20]
 
 
 def test_nsstf_sides_keep_the_word_by_word_verdicts():

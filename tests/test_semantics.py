@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from xducer import semantics
-from xducer.growth import flow_automaton
-from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_simple
+from xducer.growth import classify, classify_function, flow_automaton
+from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_k_layered, to_simple
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -30,7 +30,7 @@ from xducer.machines import (
     validate,
 )
 from xducer.mt2sst import marble_to_sst, two_way_to_marble
-from xducer.oracle import words_up_to
+from xducer.oracle import brute_pattern_search, words_up_to
 from xducer.semantics import (
     LOOP,
     REJECT,
@@ -44,9 +44,11 @@ from xducer.semantics import (
     run_sstf,
     run_two_way,
 )
+from xducer.sst2mt import sst_to_marble
 
 from conftest import (
-    assert_refused, assert_register_refused, load, reference_run, reference_update)
+    assert_refused, assert_register_refused, load, reference_run, reference_update,
+    register_refusal)
 
 
 def test_reverse_two_way():
@@ -438,6 +440,36 @@ def test_eval_nautomaton_refuses_what_validate_refuses():
             with pytest.raises(MachineError,
                                match="^%s$" % re.escape("invalid N-automaton: " + problem)):
                 eval_nautomaton(broken, w)
+        assert "_valid" not in broken.__dict__
+
+
+def test_pipeline_entry_points_refuse_what_validate_refuses():
+    """``to_k_layered``, ``classify_function`` and ``sst_to_marble`` refuse
+    an SST whose update reads an undeclared register, ``classify`` an
+    N-automaton with an entry into an undeclared state and
+    ``brute_pattern_search`` one with no matrix for b, each with
+    ``validate``'s first problem and without marking it; without the
+    defect each of them runs."""
+    good = _copier("sst")
+    broken = _broken_on_b(good, "unknown register")
+    message = "^%s$" % re.escape(register_refusal(broken))
+    for use in (to_k_layered, classify_function, sst_to_marble):
+        use(good)
+        with pytest.raises(MachineError, match=message):
+            use(broken)
+    assert "_valid" not in broken.__dict__
+    automaton = NAutomaton(("a", "b"), ("p",), {"p": 1}, {"p": 1},
+                           {"a": {("p", "p"): 2}, "b": {("p", "p"): 1}})
+    for use, broken, problem in [
+            (classify, replace(automaton, mats=dict(automaton.mats, b={("p", "r"): 1})),
+             "matrix 'b': undeclared state in entry (p,r)"),
+            (lambda m: brute_pattern_search(m, 2), replace(automaton, mats={"a": automaton.mats["a"]}),
+             "letter 'b' has no matrix")]:
+        use(replace(automaton))
+        assert validate(broken)[0] == problem
+        with pytest.raises(MachineError,
+                           match="^%s$" % re.escape("invalid N-automaton: " + problem)):
+            use(broken)
         assert "_valid" not in broken.__dict__
 
 

@@ -192,7 +192,7 @@ def test_output_limit_is_exact_with_empty_pieces(monkeypatch):
     w = "a" * 100
     monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", len(w))
     assert run_sst(m, w).output == tuple(w)
-    assert list(sst_outputs(m, 100))[-1] == (ACCEPT, tuple(w))
+    assert list(sst_outputs(m, 100))[-1] == tuple(w)
     monkeypatch.setattr(semantics, "OUTPUT_LETTER_LIMIT", len(w) - 1)
     for run in (lambda: run_sst(m, w), lambda: list(sst_outputs(m, 100))):
         with pytest.raises(MachineError, match=r"\(it has 100\)$"):
