@@ -1032,13 +1032,13 @@ def minimize_marbles(t, dump=None) -> LayeredResult:
     result whose ``k`` is that least count.
     """
     from .mt2sst import marble_to_sst
-    from .sst2mt import layered_to_marble
+    from .sst2mt import _layered_to_marble
 
     sst = marble_to_sst(t)
     _dump(dump, "crossing-sst", sst)
     res = to_k_layered(sst, dump=dump)
     if res.kind == "exponential":
         return res
-    machine = layered_to_marble(res.machine, res.layers)
+    machine = _layered_to_marble(res.machine, res.layers)
     _dump(dump, "marble", machine)
     return LayeredResult("marble", res.report, k=res.k, machine=machine)

@@ -12,15 +12,14 @@ once per call.
 One loader, ``machine_from_json``, keeps each path into the document as a
 tuple and writes it out only when a malformed entry raises (``_err``), and
 builds one token object per distinct (kind, payload) of a file: tokens are
-frozen, so the machine may share them.  An SST or SST-F is read in one walk
-over its document (``_register_machine``), which builds the machine and
-the register programs ``semantics._programs`` keeps, reading each distinct
-token once.  Whether the machine is well formed is ``validate``'s to say,
-as for every kind: the walk keeps the programs only for a machine that
-``validate_once`` marks.  Its type tests are inline, and the helpers that
-word a fault (``_need``, ``_word``, ``_tokens``, ``_err``) run only once a
-test has failed, so every message and the order of the checks are those of
-the helpers alone.
+frozen, so the machine may share them.  Every field is read by the helpers
+that word its fault (``_need``, ``_word``, ``_put``).  An SST, SST-F or
+NSST-F is read in one walk over its document (``_register_machine``), and
+its token lists by one reader (``_token_lists``), which builds the tokens
+and the register programs ``semantics._programs`` keeps, reading each
+distinct token once, and names a fault through ``_tokens``.  Whether the
+machine is well formed is ``validate``'s to say, as for every kind: the
+walk keeps the programs only for a machine that ``validate_once`` marks.
 """
 
 from __future__ import annotations
@@ -75,9 +74,15 @@ def _need(doc: dict, field: str, kind, path):
 
 
 def _word(value, path) -> tuple:
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        _err(path, "expected a list of symbols")
-    return tuple(value)
+    """``value``, a list of symbols (strings), as a tuple."""
+    if isinstance(value, list):
+        try:
+            "".join(value)  # a TypeError: some item is not a string
+        except TypeError:
+            pass
+        else:
+            return tuple(value)
+    _err(path, "expected a list of symbols")
 
 
 def _integer(value, path) -> int:
@@ -100,30 +105,19 @@ def _weights(value: dict, path) -> dict:
 _TOKENS = {"lit": Lit, "reg": Reg, "fun": Fun}
 
 
-def _tokens(value, path, pool: dict) -> tuple:
-    """The tokens of a token list.  ``pool`` maps each (kind, payload) item
-    met so far in the file to its token, so a file holds one object per
-    distinct token (tokens are frozen)."""
+def _tokens(value, path) -> None:
+    """Name the first fault of token list ``value``, if it has one."""
     if not isinstance(value, list):
         _err(path, "expected a token list")
-    out = []
-    for tok in value:
-        if isinstance(tok, dict) and len(tok) == 1:
-            (item,) = tok.items()
-            if isinstance(item[1], str):
-                t = pool.get(item)
-                if t is None and item[0] in _TOKENS:
-                    t = pool[item] = _TOKENS[item[0]](item[1])
-                if t is not None:
-                    out.append(t)
-                    continue
-        where = ("%s[%d]", path, len(out))
+    for j, tok in enumerate(value):
+        where = ("%s[%d]", path, j)
         if not isinstance(tok, dict) or len(tok) != 1:
             _err(where, "expected an object with one of lit/reg/fun")
         (key, payload), = tok.items()
-        _err(where, "token payload must be a string" if not isinstance(payload, str)
-             else "unknown token kind %r" % key)
-    return tuple(out)
+        if not isinstance(payload, str):
+            _err(where, "token payload must be a string")
+        if key not in _TOKENS:
+            _err(where, "unknown token kind %r" % key)
 
 
 def _token_json(tok) -> dict:
@@ -134,10 +128,6 @@ def _token_json(tok) -> dict:
     return {"fun": tok.name}
 
 
-def _substitution(value: dict, path, pool: dict) -> dict:
-    return {x: _tokens(rhs, ("%s.%s", path, x), pool) for x, rhs in value.items()}
-
-
 def _action(value, path) -> tuple:
     if value in ("left", "right", "lift"):
         return (value, None)
@@ -145,35 +135,6 @@ def _action(value, path) -> tuple:
             and isinstance(value["drop"], str):
         return ("drop", value["drop"])
     _err(path, "bad action %r" % (value,))
-
-
-def _strings(value) -> bool:
-    """Whether ``value`` is a list of strings, as ``_word`` takes it."""
-    if type(value) is not list:
-        return False
-    try:
-        "".join(value)  # a TypeError: some item is not a string
-    except TypeError:
-        return False
-    return True
-
-
-def _symbols(doc: dict, field: str, path) -> tuple:
-    """``doc[field]``, a list of symbols, as a tuple; ``_need`` and ``_word``
-    name a fault."""
-    value = doc.get(field)
-    if _strings(value):
-        return tuple(value)
-    return _word(_need(doc, field, list, path), ("%s.%s", path, field))
-
-
-def _transition(ent, where, delta: dict) -> tuple:
-    """State, letter, target and update of an SST transition ``ent``, read
-    by the helpers, which name the first fault."""
-    q = _need(ent, "state", str, where)
-    a = _need(ent, "symbol", str, where)
-    _put(delta, (q, a), _need(ent, "to", str, where), where)
-    return q, a, delta[(q, a)], _need(ent, "update", dict, where)
 
 
 def _token_entry(kind: str, payload, pools: dict, index: dict):
@@ -191,10 +152,11 @@ def _token_entry(kind: str, payload, pools: dict, index: dict):
     return entry
 
 
-def _token_lists(value: dict, pools: dict, index: dict):
+def _token_lists(value: dict, path, pools: dict, index: dict) -> tuple:
     """(tokens, programs) of ``value``, a map of token lists (an update or
-    the output map): the token tuples by key, and their programs in the
-    order of the keys.  None at a fault, which ``_substitution`` names.
+    the output map) at ``path``: the token tuples by key, and their
+    programs in the order of the keys.  A fault raises the message
+    ``_tokens`` gives it.
 
     A token object is read as its one key and that key's payload, and each
     distinct token once, into ``pools`` (``_token_entry``).  A program is
@@ -204,11 +166,11 @@ def _token_lists(value: dict, pools: dict, index: dict):
     a list of at most one piece to finish."""
     toks, progs = {}, []
     # A KeyError is an unknown token kind; a TypeError or a ValueError, no
-    # object of one key or a payload that is no string.
+    # token list, no object of one key or a payload that is no string.
     try:
         for x, rhs in value.items():
             if not isinstance(rhs, list):
-                return None
+                raise TypeError
             if len(rhs) == 1:
                 (tok,) = rhs
                 (kind,) = tok
@@ -235,65 +197,60 @@ def _token_lists(value: dict, pools: dict, index: dict):
                 toks[x] = ()
                 progs.append(())
     except (KeyError, TypeError, ValueError):
-        return None
+        for x, rhs in value.items():
+            _tokens(rhs, ("%s.%s", path, x))
     return toks, progs
 
 
 def _register_machine(doc: dict, path, kind: str, input_alphabet: tuple,
-                      states: tuple, output_alphabet: tuple) -> SST:
-    """The SST (or SST-F) of ``doc``, read in one walk that also compiles
-    its register programs.  Each distinct token is read once
+                      states: tuple, output_alphabet: tuple):
+    """The SST, SST-F or NSST-F of ``doc``, read in one walk that also
+    compiles its register programs.  Each distinct token is read once
     (``_token_lists``).  The machine keeps its programs, as
     ``semantics._programs`` keeps them, only if ``validate_once`` finds it
     well formed, which marks it; any other is built without them, and a
     run refuses it.
     """
-    registers = _symbols(doc, "registers", path)
+    nsstf = kind == "nsstf"
+    registers = _word(_need(doc, "registers", list, path), ("%s.registers", path))
     index = {x: i for i, x in enumerate(registers)}
-    raw = doc.get("initial_valuation")
-    if type(raw) is not dict:
-        raw = _need(doc, "initial_valuation", dict, path)
-    init_val = {x: tuple(w) if _strings(w) else
-                _word(w, ("%s.initial_valuation.%s", path, x)) for x, w in raw.items()}
+    if nsstf:  # an initial valuation per initial state
+        init = {}
+        for q, val in _need(doc, "initial", dict, path).items():
+            where = ("%s.initial.%s", path, q)
+            if not isinstance(val, dict):
+                _err(where, "expected an object")
+            init[q] = {x: _word(w, ("%s.%s", where, x)) for x, w in val.items()}
+    else:
+        init = {x: _word(w, ("%s.initial_valuation.%s", path, x))
+                for x, w in _need(doc, "initial_valuation", dict, path).items()}
     pools: dict = {"lit": {}, "reg": {}, "fun": {}}  # kind -> payload -> entry
     delta, update, steps = {}, {}, {}
-    entries = doc.get("transitions")
-    if type(entries) is not list:
-        entries = _need(doc, "transitions", list, path)
-    for i, ent in enumerate(entries):
-        try:
-            q, a, q2, upd = ent["state"], ent["symbol"], ent["to"], ent["update"]
-            fast = type(q) is str and type(a) is str and type(q2) is str \
-                and (q, a) not in delta and type(upd) is dict
-        except (KeyError, TypeError):  # a missing field, or no object
-            fast = False
-        if not fast:
-            q, a, q2, upd = _transition(ent, ("%s.transitions[%d]", path, i), delta)
-        key = q, a
-        delta[key] = q2
-        read = _token_lists(upd, pools, index)
-        if read is None:
-            _substitution(upd, ("%s.update", ("%s.transitions[%d]", path, i)), {})
-        update[key], progs = read
+    for i, ent in enumerate(_need(doc, "transitions", list, path)):
+        where = ("%s.transitions[%d]", path, i)
+        q = _need(ent, "from" if nsstf else "state", str, where)
+        a = _need(ent, "symbol", str, where)
+        q2 = _need(ent, "to", str, where)
+        if nsstf:
+            key = q, a, q2
+        else:  # an SST's second entry for a key is named before its update is read
+            key = q, a
+            _put(delta, key, q2, where)
+        upd = _need(ent, "update", dict, where)
+        toks, progs = _token_lists(upd, ("%s.update", where), pools, index)
+        _put(update, key, toks, where)
         if tuple(upd) != registers:  # keys out of order, or a fault validate refuses
             progs = map(dict(zip(upd, progs)).get, registers)
-        steps[key] = q2, tuple(progs)
-    raw = doc.get("output")
-    if type(raw) is not dict:
-        raw = _need(doc, "output", dict, path)
-    read = _token_lists(raw, pools, index)
-    if read is None:
-        _substitution(raw, ("%s.output", path), {})
-    output, progs = read
-    funs = ()
-    if kind == "sstf":
-        funs = doc.get("functions", [])
-        funs = tuple(funs) if _strings(funs) else _word(funs, ("%s.functions", path))
-    initial = doc.get("initial")
-    if type(initial) is not str:
-        initial = _need(doc, "initial", str, path)
-    m = SST(input_alphabet, output_alphabet, states, registers, initial, init_val,
-            delta, update, output, funs)
+        steps[key] = tuple(progs) if nsstf else (q2, tuple(progs))
+    output, progs = _token_lists(_need(doc, "output", dict, path), ("%s.output", path),
+                                 pools, index)
+    funs = () if kind == "sst" else _word(doc.get("functions", []), ("%s.functions", path))
+    if nsstf:
+        m = NSSTF(input_alphabet, output_alphabet, states, registers, funs, init,
+                  tuple(sorted(update)), update, output)
+    else:
+        m = SST(input_alphabet, output_alphabet, states, registers,
+                _need(doc, "initial", str, path), init, delta, update, output, funs)
     if not validate_once(m):
         m.__dict__["_programs"] = steps, dict(zip(output, progs))
     return m
@@ -407,8 +364,9 @@ def machine_from_json(doc, path: str = "$"):
     kind = _need(doc, "kind", str, path)
     if kind not in KINDS:
         _err(("%s.kind", path), "unknown machine kind %r" % kind)
-    input_alphabet = _symbols(doc, "input_alphabet", path)
-    states = _symbols(doc, "states", path)
+    input_alphabet = _word(_need(doc, "input_alphabet", list, path),
+                           ("%s.input_alphabet", path))
+    states = _word(_need(doc, "states", list, path), ("%s.states", path))
     if kind == "nautomaton":
         alpha = _weights(_need(doc, "alpha", dict, path), ("%s.alpha", path))
         beta = _weights(_need(doc, "beta", dict, path), ("%s.beta", path))
@@ -430,8 +388,8 @@ def machine_from_json(doc, path: str = "$"):
                                         ("%s.weight", at)), at)
             mats[a] = mat
         return NAutomaton(input_alphabet, states, alpha, beta, mats)
-    output_alphabet = _symbols(doc, "output_alphabet", path)
-    pool: dict = {}  # (kind, payload) -> token, for _tokens
+    output_alphabet = _word(_need(doc, "output_alphabet", list, path),
+                            ("%s.output_alphabet", path))
     if kind == "two-way":
         delta, out = {}, {}
         for i, ent in enumerate(_need(doc, "transitions", list, path)):
@@ -465,33 +423,10 @@ def machine_from_json(doc, path: str = "$"):
             input_alphabet, output_alphabet, states,
             _need(doc, "initial", str, path),
             frozenset(_word(_need(doc, "finals", list, path), ("%s.finals", path))),
-            tuple(_word(_need(doc, "colors", list, path), ("%s.colors", path))),
+            _word(_need(doc, "colors", list, path), ("%s.colors", path)),
             delta, out, None if bound is None else _integer(
                 bound, ("%s.declared_marble_bound", path)))
-    if kind in ("sst", "sstf"):
-        return _register_machine(doc, path, kind, input_alphabet, states,
-                                 output_alphabet)
-    # nsstf
-    registers = tuple(_word(_need(doc, "registers", list, path),
-                            ("%s.registers", path)))
-    initial = {}
-    for q, val in _need(doc, "initial", dict, path).items():
-        where = ("%s.initial.%s", path, q)
-        if not isinstance(val, dict):
-            _err(where, "expected an object")
-        initial[q] = {x: _word(w, ("%s.%s", where, x)) for x, w in val.items()}
-    update = {}
-    for i, ent in enumerate(_need(doc, "transitions", list, path)):
-        where = ("%s.transitions[%d]", path, i)
-        key = (_need(ent, "from", str, where), _need(ent, "symbol", str, where),
-               _need(ent, "to", str, where))
-        _put(update, key, _substitution(_need(ent, "update", dict, where),
-                                        ("%s.update", where), pool), where)
-    output = {q: _tokens(rhs, ("%s.output.%s", path, q), pool)
-              for q, rhs in _need(doc, "output", dict, path).items()}
-    return NSSTF(input_alphabet, output_alphabet, states, registers,
-                 _word(doc.get("functions", []), ("%s.functions", path)), initial,
-                 tuple(sorted(update)), update, output)
+    return _register_machine(doc, path, kind, input_alphabet, states, output_alphabet)
 
 
 def pretty_json(v, pad: str = "") -> str:
@@ -545,7 +480,7 @@ def parse_machine(path: str, check: bool = True):
     Structural invariants are verified after parsing unless ``check`` is
     disabled (the validate subcommand reports them itself), by
     ``validate_once``: a machine that passes is not validated again when it
-    is run.  An SST or SST-F was validated by its loading walk
+    is run.  An SST, SST-F or NSST-F was validated by its loading walk
     (``_register_machine``) already.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -556,8 +491,7 @@ def parse_machine(path: str, check: bool = True):
     machine = machine_from_json(doc)
     layers = None
     if doc.get("layers") is not None:
-        layers = tuple(tuple(layer) if _strings(layer) else
-                       _word(layer, ("%s.layers[%d]", "$", i))
+        layers = tuple(_word(layer, ("%s.layers[%d]", "$", i))
                        for i, layer in enumerate(_need(doc, "layers", list, "$")))
     if check:
         problems = validate_once(machine)

@@ -385,8 +385,8 @@ def validate_once(m: MachineDescription) -> list:
     to a machine built from it that is well formed by construction.  It is
     the one gate of every run: the marble and register interpreters and
     ``eval_nautomaton`` refuse, before any step, a machine it refuses, and
-    the SST loader (``machine_io``) keeps the register programs it compiled
-    only for a machine it marks."""
+    the register-machine loader (``machine_io``) keeps the register
+    programs it compiled only for a machine it marks."""
     if "_valid" in m.__dict__:
         return []
     problems = validate(m)

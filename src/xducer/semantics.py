@@ -416,9 +416,9 @@ def _compile_rhs(rhs, index: dict):
 
 def _programs(m) -> tuple:
     """(steps, outputs) of an SST or NSST-F, kept on the machine object:
-    stored there by the loader for a well-formed SST read from a file
-    (``machine_io``, which builds them from its pooled tokens), and
-    otherwise compiled here on the machine's first run.  Every register run
+    stored there by the loader for a well-formed SST, SST-F or NSST-F read
+    from a file (``machine_io``, which builds them from its pooled tokens),
+    and otherwise compiled here on the machine's first run.  Every register run
     and summary reads them here, so each refuses a machine that ``validate``
     refuses (``require_valid``) before its first step, on every word, with
     that machine's first problem: no programs are kept for it.

@@ -266,7 +266,15 @@ def layered_to_marble(m: SST, layers: Sequence[Sequence[str]]) -> MarbleTransduc
 
     Only references that descend to a lower layer park a mark, so the stack
     never holds more than ``len(layers) - 1`` marks, at every input length.
+    A machine that ``validate`` refuses raises first (``require_valid``);
+    the layered results the pipeline builds go through
+    ``_layered_to_marble`` unchecked.
     """
+    require_valid(m)
+    return _layered_to_marble(m, layers)
+
+
+def _layered_to_marble(m: SST, layers: Sequence[Sequence[str]]) -> MarbleTransducer:
     bad = check_layered(m, layers)
     if bad:
         raise MachineError("not layered: %s" % bad[0])

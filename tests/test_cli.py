@@ -340,6 +340,18 @@ def test_nsstf_token_faults_read_as_for_an_sst(tmp_path, capsys, where, rhs, vio
         assert [v.split(": ", 1)[1] for v in violations] == [violation], name
 
 
+def test_run_and_equiv_refuse_an_sstf_without_a_registry(tmp_path, capsys):
+    """The CLI has no registry for external functions: ``run`` and ``equiv``
+    of an SST-F file exit 1 and say so."""
+    path = tmp_path / "sstf.json"
+    path.write_text(json.dumps(_document("sstf")))
+    message = "machine uses external functions; a registry is required\n"
+    for argv in (["run", str(path), "ab#0"],
+                 ["equiv", str(path), corpus_path("mul_sst"), "--maxlen", "3"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", message), argv
+
+
 def test_trace_refuses_an_nsstf(tmp_path, capsys):
     path = tmp_path / "nsstf.json"
     path.write_text(json.dumps(_document("nsstf")))
@@ -1190,6 +1202,20 @@ def _set_first_transition(field, value):
     return change
 
 
+_MISSING = object()  # a field taken out of the document
+
+# The top-level fields of each register kind and the type each must have.
+_SST_FIELDS = (("input_alphabet", "list"), ("states", "list"), ("registers", "list"),
+               ("initial_valuation", "dict"), ("transitions", "list"),
+               ("output", "dict"), ("initial", "str"))
+_REGISTER_FIELDS = {
+    "exp_sst": _SST_FIELDS,
+    "sstf": _SST_FIELDS,
+    "nsstf": (("input_alphabet", "list"), ("states", "list"), ("registers", "list"),
+              ("initial", "dict"), ("transitions", "list"), ("output", "dict")),
+}
+
+
 @pytest.mark.parametrize("name,field,value,message", [
     ("exp_sst", "kind", "tape", "$.kind: unknown machine kind 'tape'"),
     ("chain_flow", "matrices", {"a": 5}, "$.matrices.a: expected a list of entries"),
@@ -1197,11 +1223,17 @@ def _set_first_transition(field, value):
      "$.transitions[0].move: bad move 'up'"),
     ("mul_marble", "transitions", _set_first_transition("color", 3),
      "$.transitions[0].color: expected a string or null"),
-])
+] + [(name, field, value, message)
+     for name, types in _REGISTER_FIELDS.items() for field, expected in types
+     for value, message in ((_MISSING, "$: missing field %r" % field),
+                            (5, "$.%s: expected %s" % (field, expected)))])
 def test_malformed_fields_of_each_kind_name_their_path(tmp_path, name, field, value,
                                                        message):
     doc = _document(name)
-    doc[field] = value(doc[field]) if callable(value) else value
+    if value is _MISSING:
+        del doc[field]
+    else:
+        doc[field] = value(doc[field]) if callable(value) else value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(MachineFileError) as err:

@@ -1,20 +1,24 @@
 """The register-machine loader and writer of ``machine_io``.
 
-An SST or SST-F file is read in one walk that builds the machine, compiles
-its register programs and tallies its structural checks.  These tests hold
-that walk to a plain reading of the document, to ``semantics._programs``
-and to ``validate``, and the writer to ``json.dumps``.
+An SST, SST-F or NSST-F file is read in one walk that builds the machine
+and compiles its register programs, and keeps them only for a machine that
+``validate`` accepts.  These tests hold that walk to a plain reading of the
+document, to ``semantics._programs`` and to ``validate``, and the writer to
+``json.dumps``.
 """
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from xducer import semantics
+from xducer.layering import bounded_sstf_to_unambiguous, make_total
 from xducer.machine_io import MachineFileError, dumps_machine, machine_from_json, parse_machine
-from xducer.machines import Fun, LEFT_END, Lit, Reg, RIGHT_END, SST, validate
+from xducer.machines import (
+    Fun, LEFT_END, Lit, NSSTF, Reg, RIGHT_END, SST, check_bounded, validate,
+)
 
 from conftest import CORPUS_NAMES, corpus_path
 from test_oracle import random_sst as random_register_sst, with_long_constants
@@ -23,29 +27,46 @@ from test_pipeline_fuzz import random_sst
 TOKENS = {"lit": Lit, "reg": Reg, "fun": Fun}
 
 
+def plain_tokens(rhs) -> tuple:
+    return tuple(TOKENS[kind](payload) for tok in rhs for kind, payload in tok.items())
+
+
 def plain_build(doc: dict) -> SST:
     """The SST a well-formed document describes, read field by field with
     no checks and no pooling."""
-    def tokens(rhs):
-        return tuple(TOKENS[kind](payload) for tok in rhs for kind, payload in tok.items())
     steps = doc["transitions"]
     return SST(tuple(doc["input_alphabet"]), tuple(doc["output_alphabet"]),
                tuple(doc["states"]), tuple(doc["registers"]), doc["initial"],
                {x: tuple(w) for x, w in doc["initial_valuation"].items()},
                {(t["state"], t["symbol"]): t["to"] for t in steps},
-               {(t["state"], t["symbol"]): {x: tokens(rhs) for x, rhs in t["update"].items()}
+               {(t["state"], t["symbol"]): {x: plain_tokens(rhs)
+                                            for x, rhs in t["update"].items()}
                 for t in steps},
-               {q: tokens(rhs) for q, rhs in doc["output"].items()},
+               {q: plain_tokens(rhs) for q, rhs in doc["output"].items()},
                tuple(doc.get("functions", [])) if doc["kind"] == "sstf" else ())
 
 
-def pinned(m: SST) -> tuple:
-    """``m``'s fields with every map as its list of items, so that key order
-    counts as well."""
-    return tuple(list(v.items()) if type(v) is dict else v for v in (
-        m.input_alphabet, m.output_alphabet, m.states, m.registers, m.initial,
-        m.init_valuation, m.delta,
-        [(key, list(s.items())) for key, s in m.update.items()], m.output, m.funs))
+def plain_nsstf(doc: dict) -> NSSTF:
+    """The NSST-F a well-formed document describes, read as ``plain_build``
+    reads an SST."""
+    update = {(t["from"], t["symbol"], t["to"]): {x: plain_tokens(rhs)
+                                                  for x, rhs in t["update"].items()}
+              for t in doc["transitions"]}
+    return NSSTF(tuple(doc["input_alphabet"]), tuple(doc["output_alphabet"]),
+                 tuple(doc["states"]), tuple(doc["registers"]),
+                 tuple(doc.get("functions", [])),
+                 {q: {x: tuple(w) for x, w in val.items()}
+                  for q, val in doc["initial"].items()},
+                 tuple(sorted(update)), update,
+                 {q: plain_tokens(rhs) for q, rhs in doc["output"].items()})
+
+
+def pinned(m) -> tuple:
+    """``m``'s fields with every map, nested ones too, as its list of items,
+    so that key order counts as well."""
+    def items(v):
+        return [(k, items(x)) for k, x in v.items()] if type(v) is dict else v
+    return tuple(items(getattr(m, f.name)) for f in fields(m))
 
 
 def shape(v):
@@ -58,15 +79,28 @@ def shape(v):
     return type(v).__name__, v
 
 
-def documents():
+def _variants(rng, name: str, m):
+    """(name, document) of ``m`` and, if it has two registers or more, of
+    ``m`` with its registers declared in a random order."""
+    yield name, json.loads(dumps_machine(m))
+    if len(m.registers) > 1:
+        shuffled = replace(m, registers=tuple(rng.sample(m.registers, len(m.registers))))
+        yield name + " shuffled", json.loads(dumps_machine(shuffled))
+
+
+def documents(nsstf: bool = False):
     """(name, document) of every corpus SST and SST-F, and of seeded random
     and pool machines, some with registers declared out of sorted order so
-    that an update's keys are not in register order."""
+    that an update's keys are not in register order.  With ``nsstf``, also
+    NSST-F documents: ``bounded_sstf_to_unambiguous(make_total(m))`` of
+    each of these machines m whose copies are bounded (at most 4)."""
     from perfbench.gen import pool_machine
+    sources = []
     for name in CORPUS_NAMES:
         with open(corpus_path(name), encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc["kind"] in ("sst", "sstf"):
+            sources.append((name, machine_from_json(doc)))
             yield name, doc
     rng = random.Random(4040)
     machines = [("fuzz %d" % i, random_sst(rng)) for i in range(40)]
@@ -75,10 +109,13 @@ def documents():
                  for i in range(40)]
     machines += [("member %d" % i, pool_machine("opt_sst", i)) for i in range(0, 60, 3)]
     for name, m in machines:
-        yield name, json.loads(dumps_machine(m))
-        if len(m.registers) > 1:
-            shuffled = replace(m, registers=tuple(rng.sample(m.registers, len(m.registers))))
-            yield name + " shuffled", json.loads(dumps_machine(shuffled))
+        yield from _variants(rng, name, m)
+    if nsstf:
+        rng = random.Random(4042)
+        for name, m in sources + machines:
+            total, _ = make_total(m)
+            if check_bounded(total, (total.registers,), 4).bounded:
+                yield from _variants(rng, name + " nsstf", bounded_sstf_to_unambiguous(total))
 
 
 def test_loaded_registers_machines_match_a_plain_reading():
@@ -90,14 +127,27 @@ def test_loaded_registers_machines_match_a_plain_reading():
     assert count > 100
 
 
+def test_loaded_nsstf_machines_match_a_plain_reading():
+    count = 0
+    for name, doc in documents(nsstf=True):
+        if doc["kind"] == "nsstf":
+            m = machine_from_json(doc)
+            assert pinned(m) == pinned(plain_nsstf(doc)), name
+            count += 1
+    assert count > 60
+
+
 def test_loaded_programs_are_those_compiled_on_a_first_run():
-    for name, doc in documents():
+    kinds = set()
+    for name, doc in documents(nsstf=True):
         m = machine_from_json(doc)
         assert validate(m) == [], name
         assert "_valid" in m.__dict__ and "_programs" in m.__dict__, name
         fresh = replace(m)  # the same fields, with nothing kept on the object
         assert "_programs" not in fresh.__dict__
         assert shape(m.__dict__["_programs"]) == shape(semantics._programs(fresh)), name
+        kinds.add((doc["kind"], bool(m.funs)))
+    assert kinds == {("sst", False), ("sstf", True), ("nsstf", False), ("nsstf", True)}
 
 
 def _rhs_places(doc):

@@ -44,7 +44,7 @@ from xducer.semantics import (
     run_sstf,
     run_two_way,
 )
-from xducer.sst2mt import sst_to_marble
+from xducer.sst2mt import layered_to_marble, sst_to_marble
 
 from conftest import (
     assert_refused, assert_register_refused, load, reference_run, reference_update,
@@ -444,16 +444,17 @@ def test_eval_nautomaton_refuses_what_validate_refuses():
 
 
 def test_pipeline_entry_points_refuse_what_validate_refuses():
-    """``to_k_layered``, ``classify_function`` and ``sst_to_marble`` refuse
-    an SST whose update reads an undeclared register, ``classify`` an
-    N-automaton with an entry into an undeclared state and
-    ``brute_pattern_search`` one with no matrix for b, each with
+    """``to_k_layered``, ``classify_function``, ``sst_to_marble`` and
+    ``layered_to_marble`` refuse an SST whose update reads an undeclared
+    register, ``classify`` an N-automaton with an entry into an undeclared
+    state and ``brute_pattern_search`` one with no matrix for b, each with
     ``validate``'s first problem and without marking it; without the
     defect each of them runs."""
     good = _copier("sst")
     broken = _broken_on_b(good, "unknown register")
     message = "^%s$" % re.escape(register_refusal(broken))
-    for use in (to_k_layered, classify_function, sst_to_marble):
+    for use in (to_k_layered, classify_function, sst_to_marble,
+                lambda m: layered_to_marble(m, (m.registers,))):
         use(good)
         with pytest.raises(MachineError, match=message):
             use(broken)
