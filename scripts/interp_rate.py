@@ -12,7 +12,11 @@ as ``RunResult.steps`` counts them), ``letters`` (of output), ``cpu_s``,
 invocations, so each row also gives ``cpu_ref_s``, ``steps_per_ref_s`` and
 ``letters_per_ref_s``: the same figures at ``perfbench/speed.py``'s
 ``REFERENCE_S``, scaled by the median of ``PROBES`` speed probes taken
-before the row and as many after it.
+before the row and as many after it.  Next to them, ``cli_cpu_s`` and
+``cli_cpu_ref_s`` give the least CPU time of ``xducer run`` on the same
+file and word through ``cli.main``, with its stdout captured in memory:
+reading the file, the run and writing the output, so the difference from
+``cpu_s`` is what the command adds to the interpreter.
 
 A size is the output length, as in the benchmark's ``run`` ladder: the
 one-way and two-way machines read words of about that many letters, while
@@ -40,6 +44,8 @@ machine, and for an SST compiling its register programs), ``json_cpu_s``
 Usage: interp_rate.py [SIZE ...]   (default 1000 4000 16000)
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -52,6 +58,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from speed import at_reference, probe  # noqa: E402
+from xducer.cli import main as cli_main  # noqa: E402
 from xducer.machine_io import parse_machine  # noqa: E402
 from xducer.oracle import equiv_check  # noqa: E402
 from xducer.semantics import run_machine  # noqa: E402
@@ -88,22 +95,38 @@ def least_cpu(run) -> tuple:
     return max(best, 1e-9), result
 
 
+def cli_run(path: str, w: str) -> str:
+    """What ``xducer run path w`` prints, run through ``cli.main``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if cli_main(["run", path, w]) != 0:
+            raise SystemExit("xducer run %s fails on its %d-letter word" % (path, len(w)))
+    return out.getvalue()
+
+
 def rate(name: str, size: int) -> dict:
-    machine, _layers = parse_machine(os.path.join(ROOT, "corpus", "%s.json" % name))
+    path = os.path.join(ROOT, "corpus", "%s.json" % name)
+    machine, _layers = parse_machine(path)
     w = word(name, size, random.Random("%s:%d" % (name, size)))
     probes = [probe() for _ in range(PROBES)]
     best, res = least_cpu(lambda: run_machine(machine, w))
     if not res.accepted:
         raise SystemExit("%s rejects its %d-letter word" % (name, len(w)))
+    cli, printed = least_cpu(lambda: cli_run(path, w))
+    if printed != res.output_text + "\n":
+        raise SystemExit("xducer run %s prints another output than run_machine" % name)
     probes += [probe() for _ in range(PROBES)]
     ref = at_reference(best, probes)
+    letters = len(res.output)
     return {"machine": name, "size": size, "input": len(w), "steps": res.steps,
-            "letters": len(res.output), "cpu_s": round(best, 6),
+            "letters": letters, "cpu_s": round(best, 6),
             "steps_per_s": round(res.steps / best),
-            "letters_per_s": round(len(res.output) / best),
+            "letters_per_s": round(letters / best),
             "cpu_ref_s": round(ref, 6),
             "steps_per_ref_s": round(res.steps / ref),
-            "letters_per_ref_s": round(len(res.output) / ref)}
+            "letters_per_ref_s": round(letters / ref),
+            "cli_cpu_s": round(cli, 6),
+            "cli_cpu_ref_s": round(at_reference(cli, probes), 6)}
 
 
 def equiv_rate(name: str, size: int) -> dict:

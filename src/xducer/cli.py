@@ -107,7 +107,7 @@ def cmd_run(args, trace: bool = False) -> int:
         print(format_trace(result, sep))
     if result.verdict == ACCEPT:
         if not trace:
-            print(sep.join(result.output))
+            print(sep.join(result.output) if sep else result.output_text)
         return 0
     if result.verdict == BUDGET:
         print("step budget exhausted", file=sys.stderr)

@@ -59,8 +59,15 @@ def make_total(m: SST) -> tuple:
 
     The completed machine outputs the empty word where undefined; the domain
     automaton recognizes exactly the original domain, so the pair jointly
-    determines the original function.
+    determines the original function.  A machine that ``validate`` refuses
+    raises first (``require_valid``); the machines the pipeline builds go
+    through ``_make_total`` unchecked.
     """
+    require_valid(m)
+    return _make_total(m)
+
+
+def _make_total(m: SST) -> tuple:
     need_sink = any((q, a) not in m.delta
                     for q in m.states for a in m.input_alphabet)
     states = m.states + ((SINK,) if need_sink else ())
@@ -190,8 +197,15 @@ def prune_sst_registers(m: SST, layers: tuple) -> tuple:
     dead at a state are dropped.  Unreachable states are dropped too; a
     machine with every register live at every state comes back as it is.
     Returns the machine and its layers, as many as before, so an emptied
-    layer stays.
+    layer stays.  A machine that ``validate`` refuses raises first
+    (``require_valid``); the machines the pipeline builds go through
+    ``_prune_sst_registers`` unchecked.
     """
+    require_valid(m)
+    return _prune_sst_registers(m, layers)
+
+
+def _prune_sst_registers(m: SST, layers: tuple) -> tuple:
     bit = {x: 1 << i for i, x in enumerate(m.registers)}
     full = (1 << len(m.registers)) - 1
     # each transition once: (target, registers given a letter, [(x, registers x reads)])
@@ -1004,7 +1018,7 @@ def to_k_layered(m: SST, dump=None) -> LayeredResult:
 def _to_k_layered(m: SST, dump=None) -> LayeredResult:
     if m.funs:
         raise MachineError("layer minimization expects a plain machine")
-    total, dfa = make_total(m)
+    total, dfa = _make_total(m)
     _dump(dump, "total", total)
     if dump is not None:
         _dump(dump, "simple", to_simple(total))
@@ -1015,7 +1029,7 @@ def _to_k_layered(m: SST, dump=None) -> LayeredResult:
     _dump(dump, "bounded", machine, layers)
     if check_layered(machine, layers):
         machine, layers = _bounded_to_layered(machine, layers, dump=dump)
-    machine, layers = prune_sst_registers(reimpose_domain(machine, dfa), layers)
+    machine, layers = _prune_sst_registers(reimpose_domain(machine, dfa), layers)
     _dump(dump, "layered", machine, layers)
     bad = check_layered(machine, layers)
     if bad:

@@ -137,22 +137,25 @@ def _action(value, path) -> tuple:
     _err(path, "bad action %r" % (value,))
 
 
-def _token_entry(kind: str, payload, pools: dict, index: dict):
+def _token_entry(kind: str, payload, pools: dict, index: dict, code: Optional[dict]):
     """The entry of a token met for the first time, kept in ``pools[kind]``
     under its payload: (token, program piece, the token as a token list,
-    that list's program).  A register's piece is its number, or None if it
-    is undeclared, which ``validate`` refuses.  None if the payload is no
-    string."""
+    that list's program).  A letter's piece is its text under ``code``
+    (``semantics._spell``), a register's its number in ``index``; None for
+    a letter or register that is undeclared, which ``validate`` refuses.
+    None if the payload is no string."""
     if not isinstance(payload, str):
         return None
     tok = _TOKENS[kind](payload)
-    piece = (payload,) if kind == "lit" else index.get(payload) if kind == "reg" else tok
+    piece = (tok if kind == "fun" else index.get(payload) if kind == "reg"
+             else payload if code is None else code.get(payload))
     # the one-token list's program, as ``semantics._program([piece])`` makes it
     pools[kind][payload] = entry = tok, piece, (tok,), [tok] if kind == "fun" else piece
     return entry
 
 
-def _token_lists(value: dict, path, pools: dict, index: dict) -> tuple:
+def _token_lists(value: dict, path, pools: dict, index: dict,
+                 code: Optional[dict]) -> tuple:
     """(tokens, programs) of ``value``, a map of token lists (an update or
     the output map) at ``path``: the token tuples by key, and their
     programs in the order of the keys.  A fault raises the message
@@ -174,7 +177,8 @@ def _token_lists(value: dict, path, pools: dict, index: dict) -> tuple:
             if len(rhs) == 1:
                 (tok,) = rhs
                 (kind,) = tok
-                entry = pools[kind].get(tok[kind]) or _token_entry(kind, tok[kind], pools, index)
+                entry = pools[kind].get(tok[kind]) \
+                    or _token_entry(kind, tok[kind], pools, index, code)
                 toks[x] = entry[2]
                 progs.append(entry[3])
             elif rhs:
@@ -182,10 +186,10 @@ def _token_lists(value: dict, path, pools: dict, index: dict) -> tuple:
                 for tok in rhs:
                     (kind,) = tok
                     entry = pools[kind].get(tok[kind]) \
-                        or _token_entry(kind, tok[kind], pools, index)
+                        or _token_entry(kind, tok[kind], pools, index, code)
                     row.append(entry[0])
                     piece = entry[1]
-                    if type(piece) is tuple is type(last):  # letters merge
+                    if type(piece) is str is type(last):  # letters merge
                         last = prog[-1] = last + piece
                     else:
                         prog.append(piece)
@@ -195,7 +199,7 @@ def _token_lists(value: dict, path, pools: dict, index: dict) -> tuple:
                              else semantics._program(prog))
             else:
                 toks[x] = ()
-                progs.append(())
+                progs.append("")
     except (KeyError, TypeError, ValueError):
         for x, rhs in value.items():
             _tokens(rhs, ("%s.%s", path, x))
@@ -214,6 +218,7 @@ def _register_machine(doc: dict, path, kind: str, input_alphabet: tuple,
     nsstf = kind == "nsstf"
     registers = _word(_need(doc, "registers", list, path), ("%s.registers", path))
     index = {x: i for i, x in enumerate(registers)}
+    code = semantics._spell(output_alphabet)
     if nsstf:  # an initial valuation per initial state
         init = {}
         for q, val in _need(doc, "initial", dict, path).items():
@@ -237,13 +242,13 @@ def _register_machine(doc: dict, path, kind: str, input_alphabet: tuple,
             key = q, a
             _put(delta, key, q2, where)
         upd = _need(ent, "update", dict, where)
-        toks, progs = _token_lists(upd, ("%s.update", where), pools, index)
+        toks, progs = _token_lists(upd, ("%s.update", where), pools, index, code)
         _put(update, key, toks, where)
         if tuple(upd) != registers:  # keys out of order, or a fault validate refuses
             progs = map(dict(zip(upd, progs)).get, registers)
         steps[key] = tuple(progs) if nsstf else (q2, tuple(progs))
     output, progs = _token_lists(_need(doc, "output", dict, path), ("%s.output", path),
-                                 pools, index)
+                                 pools, index, code)
     funs = () if kind == "sst" else _word(doc.get("functions", []), ("%s.functions", path))
     if nsstf:
         m = NSSTF(input_alphabet, output_alphabet, states, registers, funs, init,

@@ -24,7 +24,7 @@ from .machines import (
     explore,
     mark_valid,
 )
-from .layering import prune_sst_registers
+from .layering import _prune_sst_registers
 
 FIRST_REG = "first"
 # Reachable crossing summaries marble_to_sst may build.
@@ -50,19 +50,23 @@ def marble_to_sst(t) -> SST:
     crossing construction only builds well-formed machines (a test checks
     ``validate`` on it for the corpus and for random marble machines).
     """
-    from .semantics import ACCEPT, REJECT, _flat, _summaries, _tables
+    from .semantics import ACCEPT, REJECT, _decoded, _flat, _summaries, _tables
 
     tables = _tables(t)
-    codes = tables[1]
+    codes, spelling = tables[1], tables[8]
     entries = range(len(t.states))  # the state numbers of the tables
-    calls = [(Reg(_next_reg(q)),) for q in t.states]
-    registers = (FIRST_REG,) + tuple(call[0].name for call in calls)
+    registers = (FIRST_REG,) + tuple(_next_reg(q) for q in t.states)
     first_reg = Reg(FIRST_REG)
-    lits = {b: Lit(b) for b in t.output_alphabet}
+    # Outputs are texts (``semantics._spell``), one character per letter;
+    # each excursion register is written as one more, that no letter has.
+    token_of = {b if spelling is None else spelling[b]: Lit(b) for b in t.output_alphabet}
+    calls = [c for c in map(chr, range(len(token_of) + len(t.states)))
+             if c not in token_of][:len(t.states)]
+    token_of.update((c, Reg(x)) for c, x in zip(calls, registers[1:]))
     never = (REJECT, 0, None)
 
-    def tokens(word) -> tuple:
-        return tuple([lits[x] if type(x) is str else x for x in word])
+    def tokens(text: str) -> tuple:
+        return tuple(map(token_of.__getitem__, text))
 
     def prefix(exits) -> dict:
         """``_crossing``'s parent from a crossing summary: a left move into
@@ -70,11 +74,11 @@ def marble_to_sst(t) -> SST:
         return {p: never if e is None else (e, 0, calls[p]) for p, e in enumerate(exits)}
 
     def cell(left, sym) -> tuple:
-        """The exit (a state number, or None) and the output (a flat word of
+        """The exit (a state number, or None) and the output (a text of
         letters and registers) of each entry state of the cell ``sym``."""
         found = _summaries(tables, left, sym, entries)
         return (tuple([e if type(e) is int else None for e, _steps, _out in found]),
-                [() if out is None else out if type(out) is tuple else _flat(out)
+                ["" if out is None else out if type(out) is str else _flat(out)
                  for _e, _steps, out in found])
 
     # The summary before any letter: first crossings from ⊢ to position 1,
@@ -82,7 +86,8 @@ def marble_to_sst(t) -> SST:
     exits0, outs0 = cell(None, codes[LEFT_END])
     q0 = tables[5]
     init_state = (exits0[q0], exits0)
-    init_valuation = dict(zip(registers, [outs0[q0], *outs0]))
+    init_valuation = dict(zip(registers, [_decoded(out, spelling)
+                                          for out in (outs0[q0], *outs0)]))
 
     names = {init_state: "cs0"}
     letters = sorted(t.input_alphabet)
@@ -122,7 +127,7 @@ def marble_to_sst(t) -> SST:
         initial="cs0", init_valuation=init_valuation,
         delta=delta, update=update, output=output,
     )
-    return mark_valid(t, prune_sst_registers(crossing, (registers,))[0])
+    return mark_valid(t, _prune_sst_registers(crossing, (registers,))[0])
 
 
 def two_way_to_marble(t) -> MarbleTransducer:

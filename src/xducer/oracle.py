@@ -8,10 +8,10 @@ from operator import ne
 from typing import Optional
 
 from .machines import (
-    FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, SST, TwoWayTransducer,
-    explore, require_valid)
+    FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, NSSTF, SST,
+    TwoWayTransducer, explore, require_valid)
 from .semantics import (
-    ACCEPT, BUDGET, marble_outputs, run_machine, sst_outputs)
+    ACCEPT, BUDGET, _decoded, _marble_texts, _nsstf_output, _spell, _sst_texts, run_machine)
 
 EQUIVALENT = "equivalent"
 COUNTEREXAMPLE = "counterexample"
@@ -64,20 +64,32 @@ _BUDGET_WORD = float("nan")
 
 
 def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
-             budget: Optional[int]):
-    """One side's item for every word of ``words_up_to``, in its order: the
-    output of an accepting run, None for any other run, ``_BUDGET_WORD`` for
-    one that hit its budget.  An SST gives these itself (``sst_outputs``),
-    and so does an NSST-F's run of each word, which only accepts with an
-    output or rejects with none; a marble or two-way machine's pairs
-    (``marble_outputs``) are mapped to them."""
+             budget: Optional[int]) -> tuple:
+    """(items, code): one side's item for every word of ``words_up_to``, in
+    its order, and how its texts write its output symbols
+    (``semantics._spell``).  An item is the output of an accepting run as
+    text, None for any other run, ``_BUDGET_WORD`` for one that hit its
+    budget.  An SST gives these itself (``_sst_texts``), and so does an
+    NSST-F's run of each word (``_nsstf_output``), which only accepts with
+    an output or rejects with none; a marble or two-way machine's pairs
+    (``_marble_texts``) are mapped to them.  For any other machine,
+    ``run_machine`` raises at the first word."""
     if isinstance(m, SST):
-        return sst_outputs(m, maxlen, registry)
-    if isinstance(m, (MarbleTransducer, TwoWayTransducer)):
-        return (o if v == ACCEPT else _BUDGET_WORD if v == BUDGET else None
-                for v, o in marble_outputs(m, maxlen, budget))
-    return (run_machine(m, w, registry=registry, budget=budget).output
-            for w in words_up_to(m.input_alphabet, maxlen))
+        items = _sst_texts(m, maxlen, registry)
+    elif isinstance(m, (MarbleTransducer, TwoWayTransducer)):
+        items = (o if v == ACCEPT else _BUDGET_WORD if v == BUDGET else None
+                 for v, o in _marble_texts(m, maxlen, budget))
+    elif isinstance(m, NSSTF):
+        items = (_nsstf_output(m, w, registry) for w in words_up_to(m.input_alphabet, maxlen))
+    else:
+        return (run_machine(m, w, registry=registry, budget=budget).output
+                for w in words_up_to(m.input_alphabet, maxlen)), None
+    return items, _spell(m.output_alphabet)
+
+
+def _symbols(items, code: Optional[dict]):
+    """``_outputs``' items with each text decoded under ``code``."""
+    return (_decoded(o, code) if type(o) is str else o for o in items)
 
 
 def equiv_check(m1, m2, maxlen: int,
@@ -90,21 +102,25 @@ def equiv_check(m1, m2, maxlen: int,
     lexicographically.  Each side gives one item per word in that order
     (``_outputs``): the output if its run accepts, None if it does not,
     and a marker unequal to everything if it hit its step budget.  The
-    check finds the position of the first pair of unequal items in C
-    (``map``, ``compress`` and ``count``: the comparison runs no Python code
-    per word), over at most ``WORD_CAP`` words; if more are left, it raises the cap error
-    of ``words_up_to`` at the same word, before either side runs it.  Only
+    outputs are compared as the interpreters' texts, with no conversion,
+    when both sides write their output symbols alike (``semantics._spell``:
+    always, when every symbol of both is one character), and else as
+    tuples of symbols.  The check finds the position of the first pair of
+    unequal items in C (``map``, ``compress`` and ``count``: the comparison
+    runs no Python code per word), over at most ``WORD_CAP`` words; if more
+    are left, it raises the cap error of ``words_up_to`` at the same word,
+    before either side runs it.  Only
     the word at that position is rebuilt (``_word_at``) and run again on
     each side (``run_machine``, with the same registry and budget), which
     tells an inconclusive word, whose run on either side hit its budget,
     from a counterexample, reported with both runs' outputs.
 
-    An SST side walks one length at a time (``sst_outputs``): each word of
+    An SST side walks one length at a time (``_sst_texts``): each word of
     length n extends the kept state and valuation of its prefix by one
     update, and the words of length ``maxlen`` read their outputs through
     their last step without building a valuation, so one length of
     valuations is kept, bounded by the word cap.  A marble or two-way side
-    also walks one length at a time (``marble_outputs``): a word's run is
+    also walks one length at a time (``_marble_texts``): a word's run is
     composed from crossing summaries, each simulated once per prefix and
     entry state and shared by every extension, so a word costs a constant
     amount of work on top of its prefix, plus its output; the extensions of
@@ -123,8 +139,11 @@ def equiv_check(m1, m2, maxlen: int,
         total += len(letters) ** n
         if total > WORD_CAP:
             break
-    differ = map(ne, _outputs(m1, maxlen, registry1, budget),
-                 _outputs(m2, maxlen, registry2, budget))
+    items1, code1 = _outputs(m1, maxlen, registry1, budget)
+    items2, code2 = _outputs(m2, maxlen, registry2, budget)
+    if code1 != code2:
+        items1, items2 = _symbols(items1, code1), _symbols(items2, code2)
+    differ = map(ne, items1, items2)
     i = next(compress(count(), islice(differ, min(total, WORD_CAP))), None)
     if i is not None:
         word = _word_at(letters, i)

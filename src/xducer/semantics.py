@@ -6,7 +6,6 @@ import re
 import sys
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import chain, product
 from typing import Optional
 
 from .machines import (
@@ -38,13 +37,46 @@ BUDGET_CAP = 10 ** 7
 NSSTF_BRANCH_LIMIT = 100000   # partial runs enumerate_nsstf_runs may explore
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
+    """A run's verdict, output, steps, stack depth and trace.
+
+    ``output`` is a tuple of symbols.  An output given as a ``str`` is held
+    as that text, one symbol per character, and the tuple is built on first
+    access (``__getattr__``); ``output_text`` gives the text itself.  The
+    interpreters give their outputs so whenever every symbol is one
+    character (``_result``), so a run printed as text never builds the
+    tuple.  Results are equal when their fields are, the texts compared as
+    they are held.
+    """
+
     verdict: str
     output: Optional[Word]
     steps: int
     max_stack_depth: int
     trace: Optional[tuple] = None
+
+    def __post_init__(self):
+        if type(self.output) is str:
+            self.__dict__["_text"] = self.__dict__.pop("output")
+
+    def __getattr__(self, name):  # a missing attribute: the output of a text
+        if name != "output" or "_text" not in self.__dict__:
+            raise AttributeError(name)
+        output = self.__dict__["output"] = tuple(self.__dict__["_text"])
+        return output
+
+    def __eq__(self, other):
+        if type(other) is not RunResult:
+            return NotImplemented
+        mine, theirs = self.__dict__.get("_text"), other.__dict__.get("_text")
+        return ((self.verdict, self.steps, self.max_stack_depth, self.trace)
+                == (other.verdict, other.steps, other.max_stack_depth, other.trace)
+                and (mine == theirs if mine is not None and theirs is not None
+                     else self.output == other.output))
+
+    def __hash__(self):
+        return hash((self.verdict, self.output, self.steps, self.max_stack_depth, self.trace))
 
     @property
     def accepted(self) -> bool:
@@ -52,8 +84,9 @@ class RunResult:
 
     @property
     def output_text(self) -> Optional[str]:
-        if self.output is None:
-            return None
+        text = self.__dict__.get("_text")
+        if text is not None or self.output is None:
+            return text
         return "".join(self.output)
 
 
@@ -89,7 +122,45 @@ def _code_string(w, coder: tuple) -> str:
     return "".join(map(chars.__getitem__, w))
 
 
-def _result(verdict, output, steps, depth, tr) -> RunResult:
+def _spell(alphabet) -> Optional[dict]:
+    """How the interpreters write words over output ``alphabet``: as text,
+    one character per symbol.  None when every symbol is one character,
+    written as itself; else a map from each symbol, in sorted order, to the
+    character ``chr`` of its number, and the text is decoded
+    (``_decoded``) only where a word leaves the interpreters."""
+    if {1}.issuperset(map(len, alphabet)):
+        return None
+    return {b: chr(i) for i, b in enumerate(sorted(alphabet))}
+
+
+def _text(word, code: Optional[dict]) -> str:
+    """The symbols ``word`` as text under ``code`` (``_spell``).  Raises for
+    a symbol that has no character there, as a function may return one."""
+    if code is None:
+        text = "".join(word)
+        if len(text) == len(word):
+            return text
+        bad = next(b for b in word if len(b) != 1)
+    else:
+        try:
+            return "".join([code[b] for b in word])
+        except KeyError as exc:
+            bad = exc.args[0]
+    raise MachineError("output symbol %r is not in the output alphabet" % (bad,))
+
+
+def _decoded(text: str, code: Optional[dict]) -> Word:
+    """The symbols of ``text`` under ``code`` (``_spell``)."""
+    if code is None:
+        return tuple(text)
+    symbols = list(code)
+    return tuple([symbols[ord(c)] for c in text])
+
+
+def _result(verdict, text, steps, depth, tr, code: Optional[dict]) -> RunResult:
+    """The result of a run whose output is None or ``text`` under ``code``:
+    held as text if each symbol is its own character, else decoded."""
+    output = text if text is None or code is None else _decoded(text, code)
     return RunResult(verdict, output, steps, depth, None if tr is None else tuple(tr))
 
 
@@ -143,7 +214,7 @@ _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
 def _compile_tables(t: MarbleTransducer) -> tuple:
     """(table, symbol codes, state names, colours, finals, initial, stride,
-    coder).
+    coder, output code).
 
     Raises for a machine that ``validate`` refuses (``require_valid``), so
     every entry is a step the stack discipline allows: no right move or drop
@@ -151,20 +222,21 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     colour and no colour on any other action.  States are numbered as
     ``t.states`` and colours as ``(None, *t.colors)`` (colour 0: no marble);
     a symbol's code is its number times the number of colours, and
-    ``coder`` is ``_coder`` of the codes.
+    ``coder`` is ``_coder`` of the codes.  The output code is ``_spell`` of
+    the output alphabet.
     ``table`` maps ``state * stride + symbol code + colour`` to (next state,
-    next state * stride, action code, dropped colour, output).  A left move
-    on ⊢ and a right move on ⊣ with no marble have no entry: they reject as
-    a missing move does, with no step counted.
+    next state * stride, action code, dropped colour, output text).  A left
+    move on ⊢ and a right move on ⊣ with no marble have no entry: they
+    reject as a missing move does, with no step counted.
 
     A left or right move back into its own state, keyed with no marble under
-    the head, is a sweep entry when every such move of that (state,
-    direction) outputs one-character symbols only.  In place of the dropped
-    colour it holds the matcher they share, [match, outputs, cells]: the
-    ``match`` of a regex ``[...]*`` over the characters ``chr(code)`` of the
-    symbols that continue the sweep and a ``str.translate`` table from each
-    code to its output joined (None if none outputs), both made from
-    ``cells``, each code's output, by the first walk that takes the sweep.
+    the head, is a sweep entry.  In place of the dropped colour it holds the
+    matcher that the moves of its (state, direction) share, [match,
+    outputs, cells]: the ``match`` of a regex ``[...]*`` over the characters
+    ``chr(code)`` of the symbols that continue the sweep and a
+    ``str.translate`` table from each code to its output text, both made
+    from ``cells``, each code's output, by the first walk that takes the
+    sweep (``_compile_sweep``).
     """
     require_valid(t)
     colours = {c: i for i, c in enumerate(dict.fromkeys((None, *t.colors)))}
@@ -172,6 +244,10 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
              for i, a in enumerate((LEFT_END, *t.input_alphabet, RIGHT_END))}
     stride = (len(t.input_alphabet) + 2) * len(colours)
     states = {q: i for i, q in enumerate(t.states)}
+    spelling = _spell(t.output_alphabet)
+    # each symbol of a valid machine is in its alphabet, so one join spells
+    # a word whose symbols are each one character
+    write = "".join if spelling is None else lambda out: _text(out, spelling)
     table, sweeps = {}, {}
     for (q, a, c), (q2, (kind, c2)) in t.delta.items():
         act = _ACTIONS[kind]
@@ -179,23 +255,24 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
             continue
         key = states[q] * stride + codes[a] + colours[c]
         table[key] = (states[q2], states[q2] * stride, act,
-                      colours[c2], tuple(t.out[q, a, c]))
+                      colours[c2], write(t.out[q, a, c]))
         if act < _LIFT and q2 == q and c is None:
             sweeps.setdefault((q, act), {})[codes[a]] = key
     for cells in sweeps.values():
-        if any(len(sym) != 1 for key in cells.values() for sym in table[key][4]):
-            continue  # outputs str.translate cannot write symbol by symbol
         matcher = [None, None, {code: table[key][4] for code, key in cells.items()}]
         for key in cells.values():
             table[key] = (*table[key][:3], matcher, table[key][4])
-    return (table, codes, tuple(states), tuple(colours),
-            {states[q] for q in t.finals}, states[t.initial], stride, _coder(codes))
+    return (table, codes, tuple(states), tuple(colours), {states[q] for q in t.finals},
+            states[t.initial], stride, _coder(codes), spelling)
 
 
 def _compile_sweep(c: list) -> None:
     """Fill in the match and the outputs of sweep matcher ``c``, shared by
-    all its entries, from its cells."""
-    outs = {code: "".join(out) for code, out in c[2].items()}
+    all its entries, from its cells.  A code that outputs nothing maps to
+    None, a deletion: ``str.translate`` leaves its fast path for ASCII text
+    at the first code mapped to a string of other than one character, the
+    empty one too."""
+    outs = {code: out or None for code, out in c[2].items()}
     c[:2] = (re.compile("[%s]*" % re.escape("".join(map(chr, sorted(outs))))).match,
              outs if any(outs.values()) else None)
 
@@ -238,15 +315,17 @@ def run_marble(t: MarbleTransducer, w, budget: Optional[int] = None,
     tape = chars[LEFT_END] + _code_string(w, tables[7]) + chars[RIGHT_END]
     tr = [(0, t.initial, 0, (), ())] if trace else None
     verdict, output, steps, depth = _marble_walk(tables, tape, budget, tr)
-    return _result(verdict, output, steps, depth, tr)
+    return _result(verdict, output, steps, depth, tr, tables[8])
 
 
 def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
     """The one marble loop: run ``fwd``, the tape as the string of its
     cells' code characters from ⊢ to ⊣, from the initial state on ⊢,
-    appending trace entries to ``tr`` unless it is None.  Returns (verdict,
-    output, steps, max stack depth).  Single steps index the list of the
-    codes, read from ``fwd`` in one call.
+    appending trace entries to ``tr`` unless it is None, each with the
+    symbols its step output.  Returns (verdict, output text, steps, max
+    stack depth); the output is the join of the texts of its steps and
+    sweeps, kept in a list.  Single steps index the list of the codes, read
+    from ``fwd`` in one call.
 
     Each stack frame keeps a seen set of (state, head) pairs, as ints
     ``head * |states| + state``, and the intervals its sweeps crossed: a
@@ -282,7 +361,7 @@ def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
     when its frame holds some for its state.  A frame's memory is thus its
     single-step keys plus one interval per sweep.
     """
-    table, _codes, names, colours, finals, q, stride, _coding = tables
+    table, _codes, names, colours, finals, q, stride, _coding, spelling = tables
     get = table.get
     n = len(names)
     tape = memoryview(fwd.encode(_UTF32, "surrogatepass")).cast("I").tolist()
@@ -293,7 +372,7 @@ def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
     rev = None
     while True:
         if pos == end and not stack and q in finals:
-            return ACCEPT, tuple(emitted), steps, depth
+            return ACCEPT, "".join(emitted), steps, depth
         if steps >= budget:
             return BUDGET, None, steps, depth
         move = get(base + tape[pos] + (topc if top == pos else 0))
@@ -332,7 +411,7 @@ def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
                 i = bisect(bounds, lo)
                 bounds[i:i] = lo, hi + 1
                 if c[1] is not None:
-                    emitted += cells[start:start + k].translate(c[1])
+                    emitted.append(cells[start:start + k].translate(c[1]))
                 steps += k
                 pos = land
                 continue
@@ -348,10 +427,11 @@ def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
             top, topc, seen, swept = stack.pop()
         steps += 1
         if out:
-            emitted += out
+            emitted.append(out)
         if tr is not None:
             marbles = [(top, topc)] + [f[:2] for f in stack[:0:-1]] if stack else []
-            tr.append((steps, names[q], pos, tuple((colours[i], p) for p, i in marbles), out))
+            tr.append((steps, names[q], pos, tuple((colours[i], p) for p, i in marbles),
+                       _decoded(out, spelling)))
         key = pos * n + q
         if key in seen or q in swept and bisect(swept[q], pos) & 1:
             return LOOP, None, steps, depth
@@ -378,40 +458,39 @@ def eval_fun(registry: Optional[FunctionRegistry], name: str, prefix: Word) -> W
     return res.output
 
 
-# Register values up to this length are flat tuples; longer ones are _Cat
-# nodes that share the values they were built from instead of copying them.
+# A register value is text (``_spell``), or a _Cat node that shares the
+# values it was built from: a value of at most this many letters is copied
+# into the values built from it, a longer one referenced.
 SHARE_MIN = 32
 
 
 class _Cat(tuple):
-    """A register value longer than ``SHARE_MIN``: the concatenation of its
-    items, each a letter, a flat word or another node."""
+    """A register value that references a longer one: the concatenation of
+    its items, each a nonempty text piece (its letters) or another node."""
 
     __slots__ = ()
 
 
 def _program(pieces):
     """The register program of a sequence of pieces (register numbers,
-    letter tuples, ``Fun`` tokens): a register number (a move), a constant
-    value, or a list of pieces with adjacent letter tuples merged."""
+    texts, ``Fun`` tokens): a register number (a move), a constant text, or
+    a list of pieces with adjacent texts merged and empty ones dropped."""
     merged: list = []
     for p in pieces:
-        if type(p) is tuple and merged and type(merged[-1]) is tuple:
+        if type(p) is str and merged and type(merged[-1]) is str:
             merged[-1] += p
-        else:
+        elif p != "":
             merged.append(p)
     if len(merged) > 1 or merged and type(merged[0]) is Fun:
         return merged
-    word = merged[0] if merged else ()
-    if type(word) is int:
-        return word
-    return _Cat(word) if len(word) > SHARE_MIN else word
+    return merged[0] if merged else ""
 
 
-def _compile_rhs(rhs, index: dict):
-    """The register program (``_program``) of a right-hand side."""
-    return _program([(tok.sym,) if type(tok) is Lit else index[tok.name] if type(tok) is Reg
-                     else tok for tok in rhs])
+def _compile_rhs(rhs, index: dict, code: Optional[dict]):
+    """The register program (``_program``) of a right-hand side, its
+    letters written under ``code`` (``_spell``)."""
+    return _program([(tok.sym if code is None else code[tok.sym]) if type(tok) is Lit
+                     else index[tok.name] if type(tok) is Reg else tok for tok in rhs])
 
 
 def _programs(m) -> tuple:
@@ -425,7 +504,8 @@ def _programs(m) -> tuple:
 
     Registers are numbered in ``m.registers`` order and a valuation is a
     tuple.  An update program is a tuple of ``_compile_rhs`` programs, one
-    per register.  ``steps`` maps an SST's (state, letter) to (next state,
+    per register, with letters written under ``_spell`` of the output
+    alphabet.  ``steps`` maps an SST's (state, letter) to (next state,
     update program) and an NSST-F transition to its update program;
     ``outputs`` maps a state to its output program.  Untraced ``run_sst``
     derives its sweeps from these programs in ``_sweeps``, not here, so
@@ -434,34 +514,39 @@ def _programs(m) -> tuple:
     if "_programs" not in m.__dict__:  # kept off the fields, like _tables
         require_valid(m)
         index = {x: i for i, x in enumerate(m.registers)}
-        steps = {key: tuple(_compile_rhs(s[x], index) for x in m.registers)
+        code = _spell(m.output_alphabet)
+        steps = {key: tuple(_compile_rhs(s[x], index, code) for x in m.registers)
                  for key, s in m.update.items()}
         if isinstance(m, SST):
             steps = {key: (q2, steps[key]) for key, q2 in m.delta.items()}
         m.__dict__["_programs"] = steps, {
-            q: _compile_rhs(rhs, index) for q, rhs in m.output.items()}
+            q: _compile_rhs(rhs, index, code) for q, rhs in m.output.items()}
     return m.__dict__["_programs"]
 
 
-def _valuation(init: dict, registers: tuple) -> tuple:
-    return tuple(tuple(init[x]) for x in registers)
+def _valuation(init: dict, registers: tuple, code: Optional[dict]) -> tuple:
+    return tuple(_text(init[x], code) for x in registers)
 
 
 def _update(prog: tuple, val: tuple, w, read: int,
-            registry: Optional[FunctionRegistry]) -> tuple:
+            registry: Optional[FunctionRegistry], code: Optional[dict]) -> tuple:
     """Valuation after update program ``prog``.
 
-    Values of at most ``SHARE_MIN`` letters are copied into the new value;
-    a longer value or a node is referenced, so ``x := y·a·z`` costs the
-    length of its right-hand side and not of its result, and a run takes
-    time linear in the input (``_flat`` pays for the output once).  Fun
-    tokens are evaluated once per update, in register order, on
-    ``w[:read]``, the input read so far including the current letter.
+    A value of at most ``SHARE_MIN`` letters is copied into the new value,
+    and adjacent copies make one text piece; a longer value or a node is
+    referenced, so ``x := y·a·z`` costs the length of its right-hand side
+    and not of its result, and a run takes time linear in the input
+    (``_flat`` pays for the output once).  A new value is a node if it
+    references one value and has other pieces, or references two or more;
+    else it is the one value it references, or its text.  Fun tokens are
+    evaluated once per update, in register order, on ``w[:read]``, the
+    input read so far including the current letter, and their words
+    written under ``code`` (``_text``).
 
-    A list right-hand side is first joined by tuple concatenation while
-    every piece is a flat tuple; a join of at most ``SHARE_MIN`` letters is
-    the value, as the piece-by-piece loop below would build it.  Any other
-    list (a node, a ``Fun``, a longer join) goes through that loop.
+    A list right-hand side is first joined while every piece is a text of
+    at most ``SHARE_MIN`` letters, which is the value, as the loop below
+    would build it.  Any other list (a node, a ``Fun``, a longer text) goes
+    through that loop.
     """
     new, funs = [], {}
     append = new.append
@@ -469,36 +554,37 @@ def _update(prog: tuple, val: tuple, w, read: int,
         if type(rhs) is not list:
             append(val[rhs] if type(rhs) is int else rhs)
             continue
-        value = ()
+        text = ""
         for p in rhs:
             v = val[p] if type(p) is int else p
-            if type(v) is not tuple:
+            if type(v) is not str or len(v) > SHARE_MIN:
                 break
-            value += v
+            text += v
         else:
-            if len(value) <= SHARE_MIN:
-                append(value)
-                continue
+            append(text)
+            continue
         parts: list = []
-        shared = False
+        text = ""
         for p in rhs:
             kind = type(p)
             if kind is int:
                 v = val[p]
-            elif kind is tuple:
-                parts += p
-                continue
+            elif kind is str:
+                v = p
             else:
                 if p.name not in funs:
-                    funs[p.name] = eval_fun(registry, p.name, tuple(w[:read]))
+                    funs[p.name] = _text(eval_fun(registry, p.name, tuple(w[:read])), code)
                 v = funs[p.name]
-            if len(v) > SHARE_MIN or type(v) is _Cat:
+            if type(v) is _Cat or len(v) > SHARE_MIN:
+                if text:
+                    parts.append(text)
+                    text = ""
                 parts.append(v)
-                shared = True
             else:
-                parts += v
-        append(parts[0] if shared and len(parts) == 1 else
-               _Cat(parts) if shared or len(parts) > SHARE_MIN else tuple(parts))
+                text += v
+        if text:
+            parts.append(text)
+        append(_Cat(parts) if len(parts) > 1 else parts[0] if parts else "")
     return tuple(new)
 
 
@@ -513,7 +599,8 @@ def _too_long(length: int):
 
 
 def _length(value: _Cat) -> int:
-    """Letters of a node, counted once per node of its DAG."""
+    """Letters of a node, counted once per node of its DAG: a text piece
+    has ``len`` letters."""
     sizes: dict = {}
     stack = [value]
     while stack:
@@ -526,24 +613,27 @@ def _length(value: _Cat) -> int:
             stack += todo
             continue
         stack.pop()
-        sizes[id(node)] = sum(sizes[id(item)] if type(item) is _Cat else
-                              len(item) if type(item) is tuple else 1 for item in node)
+        sizes[id(node)] = sum(len(item) if type(item) is str else sizes[id(item)]
+                              for item in node)
     return sizes[id(value)]
 
 
-def _flat(value) -> Word:
-    """The word a register value stands for.
+def _flat(value) -> str:
+    """The text a register value stands for.
 
-    An iterative walk: a node met again is copied from the span of the output
-    that its first visit wrote, so a shared DAG costs what its output costs.
-    Raises if the word is longer than ``OUTPUT_LETTER_LIMIT``, before the
-    walk holds more letters than that.  Every item of a node writes at least
-    one letter, so ``need``, the letters written plus one for each item not
-    yet written, never exceeds the word's length; it is checked before each
-    span copy, extend and node entered, and a letter leaves it as it is.
-    Only on refusal is the length counted (``_length``), for the message.
+    An iterative walk that writes the text pieces in a list and joins them
+    once.  A node met again is written as one piece, the join of the span
+    of pieces its first visit wrote, made at its second visit and kept for
+    later ones; so a shared DAG costs what its output costs, and the kept
+    joins hold no more letters than the output.  Raises if the text is
+    longer than ``OUTPUT_LETTER_LIMIT``, before the walk holds more letters
+    than that.  Every item of a node has at least one letter, so ``need``,
+    the letters written plus one for each item not yet written, never
+    exceeds the text's length; it is checked before each piece is written
+    and each node entered.  Only on refusal is the length counted
+    (``_length``), for the message.
     """
-    if type(value) is not _Cat:
+    if type(value) is str:
         if len(value) > OUTPUT_LETTER_LIMIT:
             _too_long(len(value))
         return value
@@ -551,49 +641,47 @@ def _flat(value) -> Word:
     if need > OUTPUT_LETTER_LIMIT:
         _too_long(_length(value))
     out: list = []
-    spans: dict = {}
+    done: dict = {}  # id of a node -> the span its visit wrote, or that span's join
     stack = [(value, 0, iter(value))]
     while stack:
         node, start, items = stack[-1]
         for item in items:
-            kind = type(item)
-            if kind is _Cat:
-                span = spans.get(id(item))
-                need += (len(item) if span is None else span[1] - span[0]) - 1
-                if need > OUTPUT_LETTER_LIMIT:
-                    _too_long(_length(value))
+            if type(item) is not str:
+                span = done.get(id(item))
                 if span is None:
+                    need += len(item) - 1
+                    if need > OUTPUT_LETTER_LIMIT:
+                        _too_long(_length(value))
                     stack.append((item, len(out), iter(item)))
                     break
-                out += out[span[0]:span[1]]
-            elif kind is tuple:
-                need += len(item) - 1
-                if need > OUTPUT_LETTER_LIMIT:
-                    _too_long(_length(value))
-                out += item
-            else:
-                out.append(item)
+                if type(span) is tuple:
+                    span = done[id(item)] = "".join(out[span[0]:span[1]])
+                item = span
+            need += len(item) - 1
+            if need > OUTPUT_LETTER_LIMIT:
+                _too_long(_length(value))
+            out.append(item)
         else:
             stack.pop()
-            spans[id(node)] = (start, len(out))
-    return tuple(out)
+            done[id(node)] = (start, len(out))
+    return "".join(out)
 
 
-def _output_word(prog, val: tuple) -> Word:
-    """Value of an output program, flattened.  The pieces of a list program
-    are joined by tuple concatenation while all of them are flat, whatever
-    their total length, and the join is checked against
-    ``OUTPUT_LETTER_LIMIT`` once; a list with a node among its pieces is
-    flattened whole by ``_flat``, as one node over its nonempty pieces.
-    Outputs hold no function tokens (``validate`` refuses them), so no word
-    or registry is passed; ``sst_outputs`` also reads here the composed
-    last steps of a machine without functions (``_last_steps``)."""
+def _output_word(prog, val: tuple) -> str:
+    """Value of an output program, as text.  The pieces of a list program
+    are joined while all of them are texts, whatever their total length,
+    and the join is checked against ``OUTPUT_LETTER_LIMIT`` once; a list
+    with a node among its pieces is flattened whole by ``_flat``, as one
+    node over its nonempty pieces.  Outputs hold no function tokens
+    (``validate`` refuses them), so no word or registry is passed;
+    ``sst_outputs`` also reads here the composed last steps of a machine
+    without functions (``_last_steps``)."""
     if type(prog) is not list:
         return _flat(val[prog] if type(prog) is int else prog)
-    word = ()
+    word = ""
     for p in prog:
         v = val[p] if type(p) is int else p
-        if type(v) is not tuple:
+        if type(v) is not str:
             return _flat(_Cat([v for v in (val[p] if type(p) is int else p for p in prog) if v]))
         word += v
     if len(word) > OUTPUT_LETTER_LIMIT:
@@ -693,31 +781,35 @@ def _sweeps(m: SST) -> tuple:
     return m.__dict__["_sweeps"]
 
 
-def _sweep(entry: tuple, val: tuple, run: tuple) -> tuple:
+def _sweep(entry: tuple, val: tuple, run) -> tuple:
     """Valuation after the letters ``run`` of ``entry``'s class.
 
     Each grown register gains one chunk: the increments of the letters of
     ``run`` (reversed for a left grower), evaluated once per class letter on
-    ``val``, since every register they read is frozen.  An increment of at
-    most ``SHARE_MIN`` letters is spliced in and a longer one referenced, as
-    ``_update`` does; a chunk that references one is a node, any other a flat
-    tuple.  The sweep program then joins each chunk to its register.
+    ``val``, since every register they read is frozen.  A chunk of letters
+    whose increments include one longer than ``SHARE_MIN`` or a node is a
+    node over their nonempty increments, as ``_update`` would reference
+    them; any other chunk is the text of its increments, written in C: by
+    ``str.translate`` of a ``str`` run, one letter per character, and by a
+    join of a tuple.  The sweep program then joins each chunk to its
+    register.
     """
     _cls, _match, prog, incs, lefts = entry
-    incs = {a: _update(p, val, (), 0, None) for a, p in incs.items()}
+    incs = {a: _update(p, val, (), 0, None, None) for a, p in incs.items()}
     chunks = []
     for k, left in enumerate(lefts):
-        pieces, shared = {}, set()
-        for a, vals in incs.items():
-            v = vals[k]
-            if type(v) is _Cat or len(v) > SHARE_MIN:
-                pieces[a] = (v,)
-                shared.add(a)
-            else:
-                pieces[a] = v
-        items = tuple(chain.from_iterable(map(pieces.__getitem__, run[::-1] if left else run)))
-        chunks.append(_Cat(items) if shared and not shared.isdisjoint(run) else items)
-    return _update(prog, val + tuple(chunks), (), 0, None)
+        gains = {a: vals[k] for a, vals in incs.items()}
+        letters = run[::-1] if left else run
+        shared = {a for a, v in gains.items() if type(v) is _Cat or len(v) > SHARE_MIN}
+        if shared and not shared.isdisjoint(letters):
+            chunks.append(_Cat([v for v in map(gains.__getitem__, letters) if v]))
+        elif type(letters) is str:
+            chunks.append(letters.translate(
+                {ord(a): v or None for a, v in gains.items()
+                 if len(a) == 1 and a not in shared}))
+        else:
+            chunks.append("".join(map(gains.__getitem__, letters)))
+    return _update(prog, val + tuple(chunks), (), 0, None, None)
 
 
 def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
@@ -725,7 +817,8 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
     """One-way run; accepts iff defined everywhere and final state has output.
 
     Register values are shared (``_update``), so the run takes time linear
-    in ``w`` plus the output length; ``RunResult.output`` is flat.
+    in ``w`` plus the output length; the output is made text once, by
+    ``_flat``, and goes to the result as text (``_result``).
 
     A ``str`` word is read as it is, one symbol per character; any other is
     made a tuple.  An untraced run standing in a state with a sweep
@@ -742,15 +835,16 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
     steps, outputs = _programs(m)
+    code = _spell(m.output_alphabet)
     coder, sweeps = (None, {}) if trace else _sweeps(m)
-    q, val = m.initial, _valuation(m.init_valuation, m.registers)
+    q, val = m.initial, _valuation(m.init_valuation, m.registers, code)
     tr = [(0, q, 0, (), ())] if trace else None
     i, n, text = 0, len(w), None
     while i < n:
         a = w[i]
         step = steps.get((q, a))
         if step is None:
-            return _result(REJECT, None, i, 0, tr)
+            return _result(REJECT, None, i, 0, tr, code)
         entry = sweeps.get(q)
         if entry is not None and a in entry[0] and i + 1 < n and w[i + 1] in entry[0]:
             if text is None:
@@ -761,19 +855,27 @@ def run_sst(m: SST, w, registry: Optional[FunctionRegistry] = None,
             continue
         q, prog = step
         i += 1
-        val = _update(prog, val, w, i, registry)
+        val = _update(prog, val, w, i, registry, code)
         if trace:
             tr.append((i, q, i, (), ()))
     if q not in outputs:
-        return _result(REJECT, None, n, 0, tr)
-    return _result(ACCEPT, _output_word(outputs[q], val), n, 0, tr)
+        return _result(REJECT, None, n, 0, tr, code)
+    return _result(ACCEPT, _output_word(outputs[q], val), n, 0, tr, code)
 
 
 def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None):
     """The output of ``run_sst(m, w, registry)`` if it accepts, else None (an
     SST run only accepts or rejects), for every word ``w`` of length at most
     ``maxlen``: by length, then lexicographically over the sorted input
-    alphabet.
+    alphabet.  These are the texts of ``_sst_texts``, decoded."""
+    code = _spell(m.output_alphabet)
+    for text in _sst_texts(m, maxlen, registry):
+        yield None if text is None else _decoded(text, code)
+
+
+def _sst_texts(m: SST, maxlen: int, registry: Optional[FunctionRegistry]):
+    """``sst_outputs``' items as the interpreters' text (``_spell``), which
+    ``equiv`` compares.
 
     The walk goes one length at a time.  It keeps, in lex order, an entry
     (state, valuation, word) for each word of length n - 1, with state None
@@ -796,13 +898,14 @@ def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None
     if m.funs and registry is None:
         raise MachineError("machine uses external functions; a registry is required")
     steps, outputs = _programs(m)
+    code = _spell(m.output_alphabet)
     funs = bool(m.funs)
     rows = {None: [None] * len(letters)}  # the dead entries' row
     for q in m.states:
         rows[q] = [(s[0], s[1], outputs.get(s[0]), (a,))
                    if (s := steps.get((q, a))) else None for a in letters]
     dead = (None, None, ())
-    val = _valuation(m.init_valuation, m.registers)
+    val = _valuation(m.init_valuation, m.registers, code)
     out = outputs.get(m.initial)
     yield None if out is None else _output_word(out, val)
     level = [(m.initial, val, ())]
@@ -817,7 +920,7 @@ def sst_outputs(m: SST, maxlen: int, registry: Optional[FunctionRegistry] = None
                     continue
                 q2, prog, out, a = step
                 wa = w + a if funs else w
-                child = _update(prog, val, wa, n, registry)
+                child = _update(prog, val, wa, n, registry, code)
                 append((q2, child, wa))
                 yield None if out is None else _output_word(out, child)
         level = children
@@ -834,9 +937,9 @@ def _last_steps(m: SST) -> dict:
     """The output program of the last letter of a word, per (state, letter)
     of a machine without functions whose step enters a state with output:
     that state's output program, with each register it reads replaced by
-    the register's program in the step's update (a constant ``_Cat``
-    spliced in as its letters).  Composed from ``_programs(m)`` on the
-    first call and kept on the machine object next to them.
+    the register's program in the step's update.  Composed from
+    ``_programs(m)`` on the first call and kept on the machine object next
+    to them.
     """
     if "_last_steps" in m.__dict__:
         return m.__dict__["_last_steps"]
@@ -849,8 +952,7 @@ def _last_steps(m: SST) -> dict:
         pieces: list = []
         for p in out if type(out) is list else (out,):
             rhs = prog[p] if type(p) is int else p
-            pieces += [tuple(x) if type(x) is _Cat else x
-                       for x in (rhs if type(rhs) is list else (rhs,))]
+            pieces += rhs if type(rhs) is list else (rhs,)
         last[key] = _program(pieces)
     m.__dict__["_last_steps"] = last
     return last
@@ -860,7 +962,16 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
     """``(verdict, output)``, as ``run_marble(t, w, budget)`` gives them, for
     every word ``w`` of length at most ``maxlen``: by length, then
     lexicographically over the sorted input alphabet.  ``t`` is a marble or
-    a two-way machine (``_tables``).
+    a two-way machine (``_tables``).  These are the pairs of
+    ``_marble_texts``, their texts decoded."""
+    code = _spell(t.output_alphabet)
+    for verdict, text in _marble_texts(t, maxlen, budget):
+        yield verdict, None if text is None else _decoded(text, code)
+
+
+def _marble_texts(t, maxlen: int, budget: Optional[int]):
+    """``marble_outputs``' pairs with their outputs as the interpreters'
+    text (``_spell``), which ``equiv`` compares.
 
     A marble machine, like a two-way one, keeps a stack discipline: a marble
     is dropped under the head and the head never moves right past it.  So
@@ -889,10 +1000,10 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
     from ⊢ (``_crossing``): a loop found within the budget is a loop of that
     run, and a word whose loop is found past its budget is run again from ⊢
     by ``_marble_walk``, which alone tells that loop from the budget.  So is
-    a word whose output is too long for ``_flat``.  Outputs are shared as
-    ``_Cat`` nodes, as register values are, and flattened only when a word
-    is yielded.  A machine that ``validate`` refuses raises before the first
-    word, as ``run_marble`` raises before the first step
+    a word whose output is too long for ``_flat``.  Outputs are texts,
+    shared as ``_Cat`` nodes as register values are, and joined only when a
+    word is yielded.  A machine that ``validate`` refuses raises before the
+    first word, as ``run_marble`` raises before the first step
     (``_compile_tables``).
     """
     tables = _tables(t)
@@ -922,9 +1033,7 @@ def marble_outputs(t: MarbleTransducer, maxlen: int, budget: Optional[int] = Non
                     child = _Prefix(node, a)
                     move = get(q * stride + a)
                     if move is not None and move[2] == _RIGHT:  # the summary is this step
-                        emitted = move[4]
-                        child[q] = q2, more, tail = (
-                            move[0], 1, _Cat(emitted) if len(emitted) > SHARE_MIN else emitted)
+                        child[q] = q2, more, tail = move[0], 1, move[4]
                     else:
                         q2, more, tail = _crossing(tables, node, a, child, q)
                     children.append((child, q2, steps + more,
@@ -977,11 +1086,11 @@ def _marble_verdict(tables: tuple, node: _Prefix, q, steps: int, out, budget: in
 
 
 def _joined(u, v):
-    """The word u·v of two outputs, flat while it has at most ``SHARE_MIN``
+    """The word u·v of two outputs, text while it has at most ``SHARE_MIN``
     letters, else a node."""
     if not u or not v:
         return u or v
-    if type(u) is tuple and type(v) is tuple and len(u) + len(v) <= SHARE_MIN:
+    if type(u) is str and type(v) is str and len(u) + len(v) <= SHARE_MIN:
         return u + v
     return _Cat((u, v))
 
@@ -1020,11 +1129,12 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
     the head can meet there.  The outcomes a step's key fixes come from
     ``_marble_walk``'s table: a missing entry rejects.  Every entry is a
     legal step (``_compile_tables``), so no summary ends in an error.
-    Outputs are joined under the ``SHARE_MIN`` rule of ``_update``: a piece
-    of at most ``SHARE_MIN`` letters is copied, a longer one or a node
-    referenced.
+    Outputs are texts, kept as a list of pieces and joined under the
+    ``SHARE_MIN`` rule of ``_update``: a summary's output is the join of
+    its pieces, or a node over them if it references a longer one or a
+    node.
     """
-    table, codes, _names, _colours, finals, _q0, stride, _coding = tables
+    table, codes, _names, _colours, finals, _q0, stride, _coding, _spelling = tables
     get = table.get
     right = codes[RIGHT_END]
     # ``marks``: (state, steps, len(parts)) at each state met after the
@@ -1037,11 +1147,10 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
         if sub is not None:  # back from the cells left of this one, or, with
             done, more, value = sub  # ``hit``, at a stored summary that ends this one
             steps += more
-            if type(value) is _Cat or value is not None and len(value) > SHARE_MIN:
-                shared = len(parts)
+            if value:
+                if type(value) is _Cat or len(value) > SHARE_MIN:
+                    shared = len(parts)
                 parts.append(value)
-            elif value:
-                parts += value
             if type(done) is int and not hit:
                 q, done = done, None
             sub = hit = None
@@ -1055,7 +1164,8 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
             else:
                 q, _base, act, c, out = move
                 steps += 1
-                parts += out
+                if out:
+                    parts.append(out)
                 if act == _RIGHT:
                     done = q
                 elif act == _DROP:
@@ -1089,9 +1199,9 @@ def _crossing(tables: tuple, parent, sym: int, memo, q: int) -> tuple:
             for p, at, start in marks:
                 piece = parts[start:]
                 memo[p] = done, steps - at, None if not keep else (
-                    _Cat(piece) if shared >= start or len(piece) > SHARE_MIN else tuple(piece))
+                    _Cat(piece) if shared >= start else "".join(piece))
         done = done, steps, None if not keep else (
-            _Cat(parts) if shared >= 0 or len(parts) > SHARE_MIN else tuple(parts))
+            _Cat(parts) if shared >= 0 else "".join(parts))
         if memo is not None:
             memo[entry] = done
         if not frames:
@@ -1122,13 +1232,23 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
     """All accepting runs with their outputs, by exhaustive branching.
 
     Returns a list of (state sequence, output word) pairs, ordered by the
-    lexicographic state sequence.  Partial runs are explored depth first
+    lexicographic state sequence: those of ``_nsstf_runs``, their texts
+    decoded.
+    """
+    code = _spell(m.output_alphabet)
+    return [(states, _decoded(text, code)) for states, text in _nsstf_runs(m, w, registry)]
+
+
+def _nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry]) -> list:
+    """``enumerate_nsstf_runs``' pairs with their outputs as the
+    interpreters' text (``_spell``).  Partial runs are explored depth first
     from an explicit stack, so words of any length are safe; raises once the
     number of explored partial runs exceeds ``NSSTF_BRANCH_LIMIT``.
     """
     w = as_word(w)
     _check_alphabet(m, w)
     steps, outputs = _programs(m)
+    code = _spell(m.output_alphabet)
     succ: dict = {}
     for (q, a, q2) in m.transitions:
         succ.setdefault((q, a), []).append(q2)
@@ -1138,13 +1258,13 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
     explored = 0
     # A partial run is (state, letters read, its states as a (last, rest)
     # chain, the valuation it extends, the transition still to apply or None).
-    stack = [(q0, 0, (q0, None), _valuation(m.initial[q0], m.registers), None)
+    stack = [(q0, 0, (q0, None), _valuation(m.initial[q0], m.registers, code), None)
              for q0 in sorted(m.initial)]
     stack.reverse()
     while stack:
         q, i, trail, val, step = stack.pop()
         if step is not None:
-            val = _update(steps[step], val, w, i, registry)
+            val = _update(steps[step], val, w, i, registry, code)
         explored += 1
         if explored > NSSTF_BRANCH_LIMIT:
             raise MachineError("NSST-F run enumeration exceeded %d partial runs"
@@ -1162,6 +1282,15 @@ def enumerate_nsstf_runs(m: NSSTF, w, registry: Optional[FunctionRegistry] = Non
             stack.append((q2, i + 1, (q2, trail), val, (q, a, q2)))
     results.sort(key=lambda rv: rv[0])
     return results
+
+
+def _nsstf_output(m: NSSTF, w, registry: Optional[FunctionRegistry]) -> Optional[str]:
+    """The text of the one output of NSST-F ``m`` on ``w``, or None if no
+    run accepts; raises if two runs give different outputs."""
+    outs = {text for _states, text in _nsstf_runs(m, w, registry)}
+    if len(outs) > 1:
+        raise MachineError("ambiguous machine: several outputs for one word")
+    return outs.pop() if outs else None
 
 
 # ---------------------------------------------------------------------------
@@ -1209,10 +1338,7 @@ def run_machine(m, w, registry: Optional[FunctionRegistry] = None,
     if isinstance(m, NSSTF):
         if trace:
             raise MachineError("an NSST-F has no single run to trace")
-        runs = enumerate_nsstf_runs(m, w, registry=registry)
-        if not runs:
-            return RunResult(REJECT, None, len(as_word(w)), 0, None)
-        if len({out for _, out in runs}) > 1:
-            raise MachineError("ambiguous machine: several outputs for one word")
-        return RunResult(ACCEPT, runs[0][1], len(as_word(w)), 0, None)
+        text = _nsstf_output(m, w, registry)
+        return _result(REJECT if text is None else ACCEPT, text, len(as_word(w)), 0, None,
+                       _spell(m.output_alphabet))
     raise MachineError("cannot run machine of type %s" % type(m).__name__)

@@ -34,7 +34,7 @@ from .machines import (
     explore,
     require_valid,
 )
-from .layering import make_total
+from .layering import _make_total, make_total
 
 # Walker states _build_walker may create; the size depends on the machine
 # only: 3,772 for a 17-state × 17-register layered machine, 5,711 for
@@ -278,7 +278,7 @@ def _layered_to_marble(m: SST, layers: Sequence[Sequence[str]]) -> MarbleTransdu
     bad = check_layered(m, layers)
     if bad:
         raise MachineError("not layered: %s" % bad[0])
-    total, dom = make_total(m)
+    total, dom = _make_total(m)
     level = {x: i for i, layer in enumerate(layers) for x in layer}
     return _build_walker(total, dom, layer_of=level, bound=len(layers) - 1)
 

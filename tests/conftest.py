@@ -286,35 +286,36 @@ def reference_sst_run(m, w, registry=None) -> RunResult:
 
 def reference_update(prog: tuple, val: tuple, w, read: int, registry) -> tuple:
     """``semantics._update``'s valuation, built piece by piece for every
-    list right-hand side: a letter tuple is spliced in, a value of at most
-    ``SHARE_MIN`` letters copied and a longer one or a node referenced; the
-    result is a node if it references one or has more than ``SHARE_MIN``
-    letters.  Fun tokens are evaluated once per update on ``w[:read]``."""
+    list right-hand side: a value of at most ``SHARE_MIN`` letters is
+    copied, and adjacent copies make one text piece; a longer one or a node
+    is referenced.  The result is the text if nothing is referenced, the
+    one piece if there is one, and else a node over the pieces.  Fun tokens
+    are evaluated once per update on ``w[:read]``, their words joined."""
     new, funs = [], {}
     for rhs in prog:
         if type(rhs) is not list:
             new.append(val[rhs] if type(rhs) is int else rhs)
             continue
         parts: list = []
-        shared = False
         for p in rhs:
             kind = type(p)
             if kind is int:
                 v = val[p]
-            elif kind is tuple:
-                parts += p
-                continue
+            elif kind is str:
+                v = p
             else:
                 if p.name not in funs:
-                    funs[p.name] = eval_fun(registry, p.name, tuple(w[:read]))
+                    funs[p.name] = "".join(eval_fun(registry, p.name, tuple(w[:read])))
                 v = funs[p.name]
             if len(v) > SHARE_MIN or type(v) is _Cat:
                 parts.append(v)
-                shared = True
-            else:
-                parts += v
-        new.append(parts[0] if shared and len(parts) == 1 else
-                   _Cat(parts) if shared or len(parts) > SHARE_MIN else tuple(parts))
+            elif v:
+                if parts and type(parts[-1]) is list:
+                    parts[-1].append(v)
+                else:
+                    parts.append([v])
+        parts = ["".join(p) if type(p) is list else p for p in parts]
+        new.append(_Cat(parts) if len(parts) > 1 else parts[0] if parts else "")
     return tuple(new)
 
 

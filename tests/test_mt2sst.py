@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 
@@ -53,15 +54,22 @@ def summaries(t, sym, f=None, entries=None):
     state and the output on the way, letters and a register nx_p for each
     left move into p, or the verdict and None where the head never steps
     right off the cell (an accept on ⊣ keeps its output).  The prefix is
-    given to ``_crossing`` as ``marble_to_sst`` gives it."""
+    given to ``_crossing`` as ``marble_to_sst`` gives it: each register
+    nx_p as one character of the output text that no letter has."""
     tables = _tables(t)
     number = {q: i for i, q in enumerate(t.states)}
+    spelling = tables[8]
+    symbol = {b if spelling is None else spelling[b]: b for b in t.output_alphabet}
+    free = (chr(i) for i in count() if chr(i) not in symbol)
+    call = {q: next(free) for q in t.states}
+    symbol.update((c, nx(q)) for q, c in call.items())
     left = None if f is None else {
-        number[q]: (REJECT, 0, None) if e is None else (number[e], 0, (nx(q),))
+        number[q]: (REJECT, 0, None) if e is None else (number[e], 0, call[q])
         for q, e in f.items()}
     entries = t.states if entries is None else entries
     got = _summaries(tables, left, tables[1][sym], [number[q] for q in entries])
-    return {q: (t.states[e] if type(e) is int else e, out if out is None else _flat(out))
+    return {q: (t.states[e] if type(e) is int else e,
+                out if out is None else tuple(map(symbol.__getitem__, _flat(out))))
             for q, (e, _steps, out) in zip(entries, got)}
 
 

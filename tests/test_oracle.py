@@ -914,8 +914,11 @@ def test_no_stream_gives_a_word_past_the_cap(monkeypatch):
                 yield item
         return walk
 
-    monkeypatch.setattr(oracle, "sst_outputs", counted(oracle.sst_outputs))
-    monkeypatch.setattr(oracle, "marble_outputs", counted(oracle.marble_outputs))
+    nsstf_output = oracle._nsstf_output
+    monkeypatch.setattr(oracle, "_sst_texts", counted(oracle._sst_texts))
+    monkeypatch.setattr(oracle, "_marble_texts", counted(oracle._marble_texts))
+    monkeypatch.setattr(oracle, "_nsstf_output",
+                        lambda m, *args: given.append(m) or nsstf_output(m, *args))
     runs = spy_runs(monkeypatch)
     monkeypatch.setattr(oracle, "WORD_CAP", 20)
     total, _ = make_total(load("bounded_pair_sst"))

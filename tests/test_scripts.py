@@ -128,6 +128,7 @@ def test_interp_rate_reports_each_machine():
         assert row["steps_per_s"] > 0 and row["letters_per_s"] > 0, row
         assert row["cpu_ref_s"] > 0 and row["steps_per_ref_s"] > 0, row
         assert row["letters_per_ref_s"] > 0, row
+        assert row["cli_cpu_s"] > 0 and row["cli_cpu_ref_s"] > 0, row
     # reverse_two_way: a pass right, a pass back and a pass right again
     assert rows[0]["steps"] == 3 * 1000 + 3
     # one equiv row per corpus transducer, at the longest length of at most

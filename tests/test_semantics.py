@@ -7,7 +7,8 @@ import pytest
 
 from xducer import semantics
 from xducer.growth import classify, classify_function, flow_automaton
-from xducer.layering import bounded_sstf_to_unambiguous, make_total, to_k_layered, to_simple
+from xducer.layering import (
+    bounded_sstf_to_unambiguous, make_total, prune_sst_registers, to_k_layered, to_simple)
 from xducer.machines import (
     ACT_LEFT,
     ACT_LIFT,
@@ -47,8 +48,8 @@ from xducer.semantics import (
 from xducer.sst2mt import layered_to_marble, sst_to_marble
 
 from conftest import (
-    assert_refused, assert_register_refused, load, reference_run, reference_update,
-    register_refusal)
+    CORPUS_NAMES, assert_refused, assert_register_refused, load, reference_run,
+    reference_update, register_refusal)
 
 
 def test_reverse_two_way():
@@ -444,9 +445,9 @@ def test_eval_nautomaton_refuses_what_validate_refuses():
 
 
 def test_pipeline_entry_points_refuse_what_validate_refuses():
-    """``to_k_layered``, ``classify_function``, ``sst_to_marble`` and
-    ``layered_to_marble`` refuse an SST whose update reads an undeclared
-    register, ``classify`` an N-automaton with an entry into an undeclared
+    """``to_k_layered``, ``classify_function``, ``sst_to_marble``,
+    ``layered_to_marble``, ``make_total`` and ``prune_sst_registers``
+    refuse an SST whose update reads an undeclared register, ``classify`` an N-automaton with an entry into an undeclared
     state and ``brute_pattern_search`` one with no matrix for b, each with
     ``validate``'s first problem and without marking it; without the
     defect each of them runs."""
@@ -454,7 +455,8 @@ def test_pipeline_entry_points_refuse_what_validate_refuses():
     broken = _broken_on_b(good, "unknown register")
     message = "^%s$" % re.escape(register_refusal(broken))
     for use in (to_k_layered, classify_function, sst_to_marble,
-                lambda m: layered_to_marble(m, (m.registers,))):
+                lambda m: layered_to_marble(m, (m.registers,)), make_total,
+                lambda m: prune_sst_registers(m, (m.registers,))):
         use(good)
         with pytest.raises(MachineError, match=message):
             use(broken)
@@ -669,6 +671,36 @@ def test_sweeps_with_and_without_output_match_the_reference():
         assert assert_matches_reference(sweeper(), "a" * n + "b").accepted
 
 
+def test_no_sweep_table_maps_a_code_to_the_empty_string():
+    """A code whose move outputs nothing is deleted (None) by its sweep's
+    ``str.translate`` table, never mapped to "": on ASCII text the C fast
+    path stops at the first code mapped to a string of other than one
+    character.  Every sweep of the corpus tape machines, of ``sweeper`` and
+    of seeded random marble machines; copy_two_way's first right sweep
+    starts on ⊢, which outputs nothing."""
+    from perfbench.gen import random_marble
+
+    rng = random.Random(4404)
+    tape = {name: load(name) for name in CORPUS_NAMES}
+    tape = {name: m for name, m in tape.items()
+            if isinstance(m, (MarbleTransducer, TwoWayTransducer))}
+    machines = [*tape.values(), sweeper()] + [random_marble(rng) for _ in range(100)]
+    deleted = 0
+    for t in machines:
+        for entry in semantics._tables(t)[0].values():
+            c = entry[3]
+            if entry[2] < semantics._LIFT and c:
+                semantics._compile_sweep(c)
+                if c[1] is not None:
+                    assert "" not in c[1].values(), c[1]
+                    deleted += None in c[1].values()
+    assert deleted >= 20
+    table, codes, *_ = semantics._tables(tape["copy_two_way"])
+    first = [e[3] for e in table.values() if e[2] == semantics._RIGHT and e[3]
+             and codes[LEFT_END] in e[3][2]]
+    assert first and all(c[1][codes[LEFT_END]] is None for c in first)
+
+
 def test_budget_runs_out_inside_sweeps():
     t = sweeper()
     w = "a" * 12 + "b"
@@ -858,9 +890,9 @@ def test_sweeps_over_regex_metacharacters():
     assert {ord(ch) for ch in "-[\\]^"} <= set(codes)
 
 
-def test_outputs_of_several_characters_are_stepped_singly():
-    # str.translate writes characters, so a sweep whose symbols are longer
-    # than one character is not taken
+def test_outputs_of_several_characters_sweep():
+    # the output text writes each symbol as one character (``_spell``), so
+    # a sweep whose symbols are longer than one character is taken too
     copier = two_way_to_marble(TwoWayTransducer(
         input_alphabet=("xy", "z"), output_alphabet=("xy", "z"), states=("q",),
         initial="q", finals=frozenset({"q"}),
@@ -869,26 +901,27 @@ def test_outputs_of_several_characters_are_stepped_singly():
         out={("q", LEFT_END): (), ("q", "xy"): ("xy",), ("q", "z"): ("z",)}))
     scans = scan_lengths(copier)
     w = ("xy", "z") * 10
-    assert assert_matches_reference(copier, w).output == w and scans == []
+    assert assert_matches_reference(copier, w).output == w
+    assert scans == [(semantics._RIGHT, len(w) + 1)]
 
 
 # ---------------------------------------------------------------------------
 # The update evaluator against its piece-by-piece reference
 # ---------------------------------------------------------------------------
 
-# Value lengths around SHARE_MIN, so that flat joins land on SHARE_MIN and
-# SHARE_MIN + 1 letters; 40 stands for a long flat initial value.
+# Value lengths around SHARE_MIN, so that text joins land on SHARE_MIN and
+# SHARE_MIN + 1 letters; 40 stands for a long text initial value.
 VALUE_LENGTHS = (0, 1, 2, 15, 16, 17, SHARE_MIN - 1, SHARE_MIN, SHARE_MIN + 1, 40)
 
 
 def random_value(rng, depth=0):
-    """A register value: a flat word of a length from ``VALUE_LENGTHS`` or,
-    now and then, a node over letters, flat words and nodes."""
+    """A register value: a text of a length from ``VALUE_LENGTHS`` or, now
+    and then, a node over letters, nonempty texts and nodes."""
     if depth < 2 and rng.random() < 0.2:
         items = [rng.choice("ab") if rng.random() < 0.3 else
                  random_value(rng, depth + 1) for _ in range(rng.randint(1, 4))]
-        return semantics._Cat(items + [("a",) * (SHARE_MIN + 1)])
-    return tuple(rng.choice("ab") for _ in range(rng.choice(VALUE_LENGTHS)))
+        return semantics._Cat([v for v in items if v] + ["a" * (SHARE_MIN + 1)])
+    return "".join(rng.choice("ab") for _ in range(rng.choice(VALUE_LENGTHS)))
 
 
 def random_rhs(rng, registers):
@@ -909,10 +942,10 @@ def random_rhs(rng, registers):
 
 
 def test_update_matches_the_piece_by_piece_reference():
-    """``_update`` gives every register the value and the type (flat tuple
-    or node) the piece-by-piece loop gives it, and ``_output_word`` the word
-    of that value, on random programs over valuations of flat words around
-    ``SHARE_MIN``, long flat words and nodes, with function calls."""
+    """``_update`` gives every register the value and the type (text or
+    node) the piece-by-piece loop gives it, and ``_output_word`` the text
+    of that value, on random programs over valuations of texts around
+    ``SHARE_MIN``, long texts and nodes, with function calls."""
     registry = FunctionRegistry({"f": lambda w: ("a",) * len(w),
                                  "g": lambda w: ("b",) * (SHARE_MIN - len(w) % 3)})
     rng = random.Random(29)
@@ -921,11 +954,11 @@ def test_update_matches_the_piece_by_piece_reference():
         registers = tuple("r%d" % i for i in range(rng.randint(1, 4)))
         index = {x: i for i, x in enumerate(registers)}
         val = tuple(random_value(rng) for _ in registers)
-        prog = tuple(semantics._compile_rhs(random_rhs(rng, registers), index)
+        prog = tuple(semantics._compile_rhs(random_rhs(rng, registers), index, None)
                      for _ in registers)
         w = tuple(rng.choice("ab") for _ in range(rng.choice(VALUE_LENGTHS)))
         read = rng.randint(0, len(w))
-        got = semantics._update(prog, val, w, read, registry)
+        got = semantics._update(prog, val, w, read, registry, None)
         want = reference_update(prog, val, w, read, registry)
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
@@ -937,14 +970,14 @@ def test_update_matches_the_piece_by_piece_reference():
             else:
                 assert semantics._output_word(rhs, val) == semantics._flat(value)
                 pieces = [val[p] if type(p) is int else p for p in rhs]
-                if all(type(p) is tuple for p in pieces):
-                    joins[min(len(value), SHARE_MIN + 1)] += 1
+                if all(type(p) is str for p in pieces):
+                    joins[min(len(semantics._flat(value)), SHARE_MIN + 1)] += 1
                 else:
                     joins["node"] += 1
         for rhs in prog:
             if type(rhs) is not list:
                 assert semantics._output_word(rhs, val) == semantics._flat(
                     reference_update((rhs,), val, (), 0, None)[0])
-    # every kind of right-hand side, and flat joins on both sides of SHARE_MIN
-    assert min(joins[k] for k in ("int", "tuple", "_Cat", "fun", "node",
+    # every kind of right-hand side, and text joins on both sides of SHARE_MIN
+    assert min(joins[k] for k in ("int", "str", "fun", "node",
                                   SHARE_MIN, SHARE_MIN + 1)) >= 20, joins
