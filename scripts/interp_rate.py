@@ -27,7 +27,11 @@ sweep, and ``exp_sst``, whose ``x := x·x`` has none, steps every letter.
 
 Then it prints one ``equiv`` row per corpus transducer and size:
 ``machine``, ``size``, ``maxlen``, ``words`` (up to ``maxlen``), ``cpu_s``,
-``words_per_s``, ``cpu_ref_s`` and ``words_per_ref_s``, measured as above.
+``words_per_s``, ``cpu_ref_s`` and ``words_per_ref_s``, measured as above,
+and ``route``, how the check read each side, first then second:
+``crossing-sst`` for a marble or two-way side read through its crossing SST,
+``walk`` for one whose word tree was walked, and ``sst`` for a register
+machine, read as it is.
 A row runs ``equiv_check(m, m, L)``, where L is the largest length whose
 words number at most ``size``, so the rows show how the check scales in
 its length, which the benchmark's fixed lengths (6-8) cannot.
@@ -60,7 +64,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from speed import at_reference, probe  # noqa: E402
 from xducer.cli import main as cli_main  # noqa: E402
 from xducer.machine_io import parse_machine  # noqa: E402
-from xducer.oracle import equiv_check  # noqa: E402
+from xducer.machines import MarbleTransducer, TwoWayTransducer  # noqa: E402
+from xducer.oracle import WORD_CAP, _crossing_sst, equiv_check  # noqa: E402
 from xducer.semantics import run_machine  # noqa: E402
 
 MIN_CPU_S = 0.2
@@ -129,6 +134,16 @@ def rate(name: str, size: int) -> dict:
             "cli_cpu_ref_s": round(at_reference(cli, probes), 6)}
 
 
+def route(m, maxlen: int, words: int) -> str:
+    """How ``equiv_check`` with no budget reads side ``m`` at ``maxlen``,
+    over ``words`` words (``_crossing_sst``)."""
+    if not isinstance(m, (MarbleTransducer, TwoWayTransducer)):
+        return "sst"
+    if _crossing_sst(m, maxlen, min(words, WORD_CAP), None) is None:
+        return "walk"
+    return "crossing-sst"
+
+
 def equiv_rate(name: str, size: int) -> dict:
     machine, _layers = parse_machine(os.path.join(ROOT, "corpus", "%s.json" % name))
     k = len(machine.input_alphabet)
@@ -144,7 +159,8 @@ def equiv_rate(name: str, size: int) -> dict:
     ref = at_reference(best, probes)
     return {"machine": name, "size": size, "maxlen": maxlen, "words": words,
             "cpu_s": round(best, 6), "words_per_s": round(words / best),
-            "cpu_ref_s": round(ref, 6), "words_per_ref_s": round(words / ref)}
+            "cpu_ref_s": round(ref, 6), "words_per_ref_s": round(words / ref),
+            "route": [route(machine, maxlen, words)] * 2}
 
 
 def load_rate(name: str) -> dict:

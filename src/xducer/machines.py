@@ -569,6 +569,10 @@ def _validate_nsstf(m: NSSTF, report: list) -> None:
             report.append("initial[%s]: undeclared state" % q)
         if set(val) != registers:
             report.append("initial[%s]: valuation not total" % q)
+        for x, w in val.items():
+            if not letters.issuperset(w):
+                report.extend("initial[%s][%s]: unknown output letter %r" % (q, x, b)
+                              for b in w if b not in letters)
     for (q, a, q2) in m.transitions:
         if q not in states or q2 not in states:
             report.append("transition (%s,%s,%s): undeclared state" % (q, a, q2))

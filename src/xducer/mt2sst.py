@@ -35,7 +35,7 @@ def _next_reg(q: str) -> str:
     return "nx_%s" % q
 
 
-def marble_to_sst(t) -> SST:
+def marble_to_sst(t, limit=None) -> SST:
     """Equivalent one-way register transducer for a marble transducer, or
     for a two-way one as its marble form (``semantics._tables``).
 
@@ -49,6 +49,9 @@ def marble_to_sst(t) -> SST:
     the result is marked valid if ``t`` is (``machines.mark_valid``), as the
     crossing construction only builds well-formed machines (a test checks
     ``validate`` on it for the corpus and for random marble machines).
+    Once more than ``limit`` crossing states are found (by default
+    ``CROSSING_STATE_LIMIT``), it raises the MachineError of ``explore``,
+    which names the crossing-state space and the limit.
     """
     from .semantics import ACCEPT, REJECT, _decoded, _flat, _summaries, _tables
 
@@ -119,8 +122,8 @@ def marble_to_sst(t) -> SST:
             update[(here, a)] = sub
             yield target
 
-    order = explore([init_state], successors, CROSSING_STATE_LIMIT,
-                    "crossing-state space")
+    order = explore([init_state], successors,
+                    CROSSING_STATE_LIMIT if limit is None else limit, "crossing-state space")
     crossing = SST(
         input_alphabet=t.input_alphabet, output_alphabet=t.output_alphabet,
         states=tuple(names[s] for s in order), registers=registers,

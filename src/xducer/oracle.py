@@ -10,8 +10,10 @@ from typing import Optional
 from .machines import (
     FunctionRegistry, MachineError, MarbleTransducer, NAutomaton, NSSTF, SST,
     TwoWayTransducer, explore, require_valid)
+from .mt2sst import marble_to_sst
 from .semantics import (
-    ACCEPT, BUDGET, _decoded, _marble_texts, _nsstf_output, _spell, _sst_texts, run_machine)
+    ACCEPT, BUDGET, _decoded, _marble_texts, _nsstf_output, _spell, _sst_texts,
+    default_budget, run_machine)
 
 EQUIVALENT = "equivalent"
 COUNTEREXAMPLE = "counterexample"
@@ -63,7 +65,46 @@ def _word_at(letters: list, index: int) -> tuple:
 _BUDGET_WORD = float("nan")
 
 
-def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
+def _crossing_sst(m, maxlen: int, words: int, budget: Optional[int]) -> Optional[SST]:
+    """The crossing SST (``marble_to_sst``) through which ``_outputs`` reads
+    marble or two-way side ``m`` in place of its word tree, or None.
+
+    Only a side with no marble colours qualifies, and only with no step
+    budget given and ``default_budget(|Q|, maxlen) >= |Q|·(maxlen + 2)``.
+    Then both routes give the same items:
+
+    - with no marble, a configuration is a state and a head position, so a
+      run on a word of length n that does not loop takes fewer than
+      |Q|·(n + 2) steps, and one that loops repeats a configuration within
+      that many; the default budget of every length n up to ``maxlen`` is
+      at least |Q|·(n + 2) (ten times it below ``BUDGET_CAP``, and the cap
+      covers the bound at ``maxlen``), so the walk never reports BUDGET;
+    - a loop and a reject both give None;
+    - crossing summaries decide loops exactly, so the SST has no output
+      where the run loops or rejects, and the run's output where it
+      accepts.
+
+    The construction summarizes every entry state of a cell per crossing
+    state and letter, the walk about one cell per word, so it is tried only
+    while |Q| times the crossing states stays below the words: with a limit
+    of ``words // (2·|Q|)`` crossing states, ``words`` being the words the
+    check reads (at most ``WORD_CAP``), and only if that is at least 1.  A
+    side whose construction passes the limit, or raises for any other
+    reason, walks (``_marble_texts`` raises again for an invalid machine).
+    """
+    if budget is not None or isinstance(m, MarbleTransducer) and m.colors:
+        return None
+    n = len(m.states)
+    limit = words // (2 * n)
+    if limit < 1 or default_budget(n, maxlen) < n * (maxlen + 2):
+        return None
+    try:
+        return marble_to_sst(m, limit)
+    except MachineError:
+        return None
+
+
+def _outputs(m, maxlen: int, words: int, registry: Optional[FunctionRegistry],
              budget: Optional[int]) -> tuple:
     """(items, code): one side's item for every word of ``words_up_to``, in
     its order, and how its texts write its output symbols
@@ -71,14 +112,20 @@ def _outputs(m, maxlen: int, registry: Optional[FunctionRegistry],
     text, None for any other run, ``_BUDGET_WORD`` for one that hit its
     budget.  An SST gives these itself (``_sst_texts``), and so does an
     NSST-F's run of each word (``_nsstf_output``), which only accepts with
-    an output or rejects with none; a marble or two-way machine's pairs
-    (``_marble_texts``) are mapped to them.  For any other machine,
-    ``run_machine`` raises at the first word."""
+    an output or rejects with none.  A marble or two-way side is read
+    through its crossing SST when ``_crossing_sst`` builds one within its
+    limit, whose items are the same; else its pairs (``_marble_texts``) are
+    mapped to them.  For any other machine, ``run_machine`` raises at the
+    first word.  ``words`` is the number of words the check reads."""
     if isinstance(m, SST):
         items = _sst_texts(m, maxlen, registry)
     elif isinstance(m, (MarbleTransducer, TwoWayTransducer)):
-        items = (o if v == ACCEPT else _BUDGET_WORD if v == BUDGET else None
-                 for v, o in _marble_texts(m, maxlen, budget))
+        crossing = _crossing_sst(m, maxlen, words, budget)
+        if crossing is not None:
+            items = _sst_texts(crossing, maxlen, None)
+        else:
+            items = (o if v == ACCEPT else _BUDGET_WORD if v == BUDGET else None
+                     for v, o in _marble_texts(m, maxlen, budget))
     elif isinstance(m, NSSTF):
         items = (_nsstf_output(m, w, registry) for w in words_up_to(m.input_alphabet, maxlen))
     else:
@@ -125,7 +172,12 @@ def equiv_check(m1, m2, maxlen: int,
     entry state and shared by every extension, so a word costs a constant
     amount of work on top of its prefix, plus its output; the extensions of
     a word whose run ended before its head stood on ⊣ take its verdict with
-    no work.  An NSST-F side runs each word on the programs its machine
+    no work.  A side with no marble colours, checked with no step budget,
+    is read through its crossing SST instead, as an SST side, when
+    ``marble_to_sst`` builds one within a limit that keeps it cheaper than
+    the word tree (``_crossing_sst``, which says why the items are the
+    same); then each cell is summarized once per crossing state, not once
+    per prefix.  An NSST-F side runs each word on the programs its machine
     compiled once.  So the first difference in length-lexicographic order
     is reported, no word past the cap is run, and each function of an SST-F
     side is called once per word of its stream (and again on the one word
@@ -139,8 +191,9 @@ def equiv_check(m1, m2, maxlen: int,
         total += len(letters) ** n
         if total > WORD_CAP:
             break
-    items1, code1 = _outputs(m1, maxlen, registry1, budget)
-    items2, code2 = _outputs(m2, maxlen, registry2, budget)
+    words = min(total, WORD_CAP)
+    items1, code1 = _outputs(m1, maxlen, words, registry1, budget)
+    items2, code2 = _outputs(m2, maxlen, words, registry2, budget)
     if code1 != code2:
         items1, items2 = _symbols(items1, code1), _symbols(items2, code2)
     differ = map(ne, items1, items2)

@@ -233,10 +233,9 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
     the head, is a sweep entry.  In place of the dropped colour it holds the
     matcher that the moves of its (state, direction) share, [match,
     outputs, cells]: the ``match`` of a regex ``[...]*`` over the characters
-    ``chr(code)`` of the symbols that continue the sweep and a
-    ``str.translate`` table from each code to its output text, both made
-    from ``cells``, each code's output, by the first walk that takes the
-    sweep (``_compile_sweep``).
+    ``chr(code)`` of the symbols that continue the sweep and how the sweep
+    writes its cells' outputs, both made from ``cells``, each code's output,
+    by the first walk that takes the sweep (``_compile_sweep``).
     """
     require_valid(t)
     colours = {c: i for i, c in enumerate(dict.fromkeys((None, *t.colors)))}
@@ -268,13 +267,17 @@ def _compile_tables(t: MarbleTransducer) -> tuple:
 
 def _compile_sweep(c: list) -> None:
     """Fill in the match and the outputs of sweep matcher ``c``, shared by
-    all its entries, from its cells.  A code that outputs nothing maps to
+    all its entries, from its cells.  The outputs are None if no cell
+    outputs anything, the text itself if every cell outputs the same
+    nonempty one (a sweep of k cells writes it k times), and else a
+    ``str.translate`` table, in which a code that outputs nothing maps to
     None, a deletion: ``str.translate`` leaves its fast path for ASCII text
     at the first code mapped to a string of other than one character, the
     empty one too."""
     outs = {code: out or None for code, out in c[2].items()}
+    texts = set(outs.values())
     c[:2] = (re.compile("[%s]*" % re.escape("".join(map(chr, sorted(outs))))).match,
-             outs if any(outs.values()) else None)
+             None if texts == {None} else texts.pop() if len(texts) == 1 else outs)
 
 
 def _tables(t) -> tuple:
@@ -340,12 +343,12 @@ def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
     An untraced run that takes a sweep entry crosses the whole run of cells
     its matcher accepts with one regex scan of ``fwd`` (of its reverse for
     a left sweep, made on the first one), and writes their outputs with one
-    ``str.translate``.  A right sweep reads
-    no cell at or past the top marble, none goes past the budget, and none
-    crosses an endmarker, as a move off the tape has no entry; so the step
-    that ends it is a single step, with its own entry.  A sweep of
-    fewer than 2 cells is stepped singly, and so is every step of a traced
-    run.
+    ``str.translate``, or as one repeat of the text every cell writes.  A
+    right sweep reads no cell at or past the top marble, none goes past the
+    budget, and none crosses an endmarker, as a move off the tape has no
+    entry; so the step that ends it is a single step, with its own entry.
+    A sweep of fewer than 2 cells is stepped singly, and so is every step of
+    a traced run.
 
     A sweep in state q over the cells [lo, hi] adds no keys to the seen set:
     it records the interval in its frame's ``swept``, which maps q to the
@@ -410,7 +413,9 @@ def _marble_walk(tables: tuple, fwd: str, budget: int, tr) -> tuple:
                     return LOOP, None, steps, depth
                 i = bisect(bounds, lo)
                 bounds[i:i] = lo, hi + 1
-                if c[1] is not None:
+                if type(c[1]) is str:
+                    emitted.append(c[1] * k)
+                elif c[1] is not None:
                     emitted.append(cells[start:start + k].translate(c[1]))
                 steps += k
                 pos = land

@@ -381,6 +381,10 @@ def _reference_nsstf(m, report: list) -> None:
             report.append("initial[%s]: undeclared state" % q)
         if set(val) != set(m.registers):
             report.append("initial[%s]: valuation not total" % q)
+        for x, w in val.items():
+            for b in w:
+                if b not in m.output_alphabet:
+                    report.append("initial[%s][%s]: unknown output letter %r" % (q, x, b))
     for (q, a, q2) in m.transitions:
         if q not in m.states or q2 not in m.states:
             report.append("transition (%s,%s,%s): undeclared state" % (q, a, q2))

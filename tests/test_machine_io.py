@@ -9,6 +9,7 @@ document, to ``semantics._programs`` and to ``validate``, and the writer to
 
 import json
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -17,8 +18,9 @@ from xducer import semantics
 from xducer.layering import bounded_sstf_to_unambiguous, make_total
 from xducer.machine_io import MachineFileError, dumps_machine, machine_from_json, parse_machine
 from xducer.machines import (
-    Fun, LEFT_END, Lit, NSSTF, Reg, RIGHT_END, SST, check_bounded, validate,
+    Fun, LEFT_END, Lit, MachineError, NSSTF, Reg, RIGHT_END, SST, check_bounded, validate,
 )
+from xducer.semantics import run_machine
 
 from conftest import CORPUS_NAMES, corpus_path
 from test_oracle import random_sst as random_register_sst, with_long_constants
@@ -237,6 +239,35 @@ def test_structural_faults_are_reported_as_validate_lists_them(tmp_path):
     for name, doc in documents():
         m = machine_from_json(doc)
         assert ("_valid" in m.__dict__) == (validate(m) == []), name
+
+
+@pytest.mark.parametrize("letters", [("a", "b"), ("aa", "bb")])
+def test_an_nsstf_initial_value_of_a_foreign_letter_is_refused(tmp_path, letters):
+    """An NSST-F's initial values are checked against the output alphabet,
+    as an SST's initial valuation is: ``validate`` lists the letter, the
+    loader refuses the file and a run refuses the machine before its first
+    step."""
+    a, b = letters
+    m = NSSTF(("a",), letters, ("q",), ("x", "y"), (),
+              {"q": {"x": (a,), "y": ("z", b, "w")}},
+              (("q", "a", "q"),), {("q", "a", "q"): {"x": (Reg("x"), Lit(a)),
+                                                    "y": (Reg("y"),)}},
+              {"q": (Reg("x"), Reg("y"))})
+    problems = ["initial[q][y]: unknown output letter 'z'",
+                "initial[q][y]: unknown output letter 'w'"]
+    assert validate(m) == problems
+    path = tmp_path / "nsstf.json"
+    path.write_text(dumps_machine(m), encoding="utf-8")
+    with pytest.raises(MachineFileError) as err:
+        parse_machine(str(path))
+    assert str(err.value) == "%s: %s" % (path, "; ".join(problems))
+    for w in ("", "a", "aa"):
+        with pytest.raises(MachineError, match=r"^invalid register transducer: %s$"
+                           % re.escape(problems[0])):
+            run_machine(m, w)
+    assert "_programs" not in m.__dict__
+    fixed = replace(m, initial={"q": {"x": (a,), "y": (b,)}})
+    assert validate(fixed) == [] and run_machine(fixed, "a").output == (a, a, b)
 
 
 def _indented(doc) -> str:

@@ -16,6 +16,7 @@ from xducer.machines import (
     FunctionRegistry,
     LEFT_END,
     Lit,
+    MOVE_LEFT,
     MOVE_RIGHT,
     MachineError,
     MarbleTransducer,
@@ -34,7 +35,7 @@ from xducer.oracle import (
 from xducer.semantics import (
     ACCEPT, BUDGET, LOOP, REJECT, SHARE_MIN, RunResult, marble_of, marble_outputs,
     run_machine, run_marble, run_sst, run_sstf, run_two_way, sst_outputs)
-from xducer.mt2sst import marble_to_sst
+from xducer.mt2sst import marble_to_sst, two_way_to_marble
 from xducer.sst2mt import layered_to_marble
 
 from conftest import (
@@ -104,19 +105,26 @@ def test_equiv_builds_step_tables_once_per_side(monkeypatch, sides, builds):
 def test_equiv_compiles_register_programs_once_per_side(monkeypatch, sides):
     """Each right-hand side of an SST side is compiled once, when its file
     is loaded, so no check compiles one; and the last steps are composed
-    on the first check only."""
+    on the first check only.  A two-way side read through its crossing SST
+    compiles that SST's programs, and composes its last steps, on each
+    check."""
     compile_rhs, program = semantics._compile_rhs, semantics._program
-    compiled, composed = [], []
+    compiled, composed, crossing = [], [], []
 
-    def counting(rhs, index):
-        compiled.append(rhs)
-        return compile_rhs(rhs, index)
+    def counting(*args):
+        compiled.append(args[0])
+        return compile_rhs(*args)
 
     def composing(pieces):
         composed.append(pieces)
         return program(pieces)
 
+    def converting(t, limit):
+        crossing.append(marble_to_sst(t, limit))
+        return crossing[-1]
+
     monkeypatch.setattr(semantics, "_compile_rhs", counting)
+    monkeypatch.setattr(oracle, "marble_to_sst", converting)
     m1, m2 = load(sides[0]), load(sides[1])
     ssts = [m for m in (m1, m2) if isinstance(m, SST)]
     stored = [m.__dict__["_programs"] for m in ssts]
@@ -125,11 +133,20 @@ def test_equiv_compiles_register_programs_once_per_side(monkeypatch, sides):
         len(m.delta) * len(m.registers) + len(m.output) for m in ssts]
     monkeypatch.setattr(semantics, "_program", composing)
     assert equiv_check(m1, m2, 5).equivalent
-    assert compiled == [] and [m.__dict__["_programs"] for m in ssts] == stored
+    assert [m.__dict__["_programs"] for m in ssts] == stored
+    assert len(compiled) == sum(len(c.delta) * len(c.registers) + len(c.output)
+                                for c in crossing)
+    assert len(crossing) == (sides[1] == "reverse_two_way")
+    # each compiled right-hand side is composed once too
     first = len(composed)
-    assert first == sum(len(semantics._last_steps(m)) for m in ssts) > 0
+    assert first - len(compiled) == sum(
+        len(semantics._last_steps(m)) for m in ssts + crossing) > 0
+    del compiled[:], crossing[:]
     assert equiv_check(m1, m2, 5).equivalent
-    assert compiled == [] and len(composed) == first
+    assert len(compiled) == sum(len(c.delta) * len(c.registers) + len(c.output)
+                                for c in crossing)
+    assert len(composed) - first - len(compiled) == sum(
+        len(semantics._last_steps(c)) for c in crossing)
 
 
 def test_equiv_alphabet_mismatch():
@@ -1024,6 +1041,222 @@ def test_budget_cap_boundary(monkeypatch, capsys):
     assert "step budget exhausted" in capsys.readouterr().err
     assert main(equiv_args) == 3
     assert '"inconclusive"' in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Colourless sides read through their crossing SSTs
+# ---------------------------------------------------------------------------
+
+
+def random_two_way(rng):
+    """A two-way machine over ``ab`` of 1-4 states that may reject or loop."""
+    states = tuple("q%d" % i for i in range(rng.randint(1, 4)))
+    delta, out = {}, {}
+    for q in states:
+        for s in ("a", "b", LEFT_END, RIGHT_END):
+            if rng.random() < 0.85:
+                delta[q, s] = rng.choice(states), rng.choice((MOVE_LEFT, MOVE_RIGHT, MOVE_RIGHT))
+                out[q, s] = tuple(rng.choices("ab", k=rng.randint(0, 2)))
+    finals = frozenset(q for q in states if rng.random() < 0.6)
+    return TwoWayTransducer(("a", "b"), ("a", "b"), states, states[0], finals, delta, out)
+
+
+def colourless_corpus_sides():
+    """Per colourless corpus file (the two-way ones), the machine, its
+    marble form and its ``optimize`` walker."""
+    groups = []
+    for name in CORPUS_NAMES:
+        m = load(name)
+        if isinstance(m, TwoWayTransducer):
+            walker = minimize_marbles(m).machine
+            assert walker.colors == ()
+            groups.append([m, two_way_to_marble(m), walker])
+    assert len(groups) == 2
+    return groups
+
+
+def spy_crossing(monkeypatch, walk=False) -> list:
+    """Record each side ``equiv_check`` asks ``marble_to_sst`` for, as
+    (machine, limit, SST or the MachineError raised).  With ``walk`` every
+    side walks (``_marble_texts``), as before the crossing route, and none
+    is converted."""
+    calls = []
+
+    def converting(t, limit):
+        try:
+            calls.append((t, limit, marble_to_sst(t, limit)))
+        except MachineError as err:
+            calls.append((t, limit, err))
+            raise
+        return calls[-1][2]
+
+    monkeypatch.setattr(oracle, "marble_to_sst", converting)
+    if walk:
+        monkeypatch.setattr(oracle, "_crossing_sst", lambda *args: None)
+    return calls
+
+
+def expected_limit(t, maxlen, budget):
+    """The crossing-state limit with which ``equiv_check`` converts
+    colourless side ``t``, or None if the side walks."""
+    n = len(t.states)
+    words = min(sum(len(t.input_alphabet) ** i for i in range(maxlen + 1)), oracle.WORD_CAP)
+    if budget is not None or words // (2 * n) < 1 \
+            or semantics.default_budget(n, maxlen) < n * (maxlen + 2):
+        return None
+    return words // (2 * n)
+
+
+def assert_route_keeps_the_walk(monkeypatch, pairs, maxlens, budgets) -> list:
+    """``equiv_check`` of each pair, both ways, at each length and budget
+    gives the verdict that walking both sides gives, and converts exactly
+    the sides the rule picks, with the rule's limit.  Returns the
+    verdicts."""
+    verdicts = []
+    for m1, m2 in pairs:
+        for maxlen in maxlens:
+            for budget in budgets:
+                for a, b in ((m1, m2), (m2, m1)):
+                    with monkeypatch.context() as patch:
+                        spy_crossing(patch, walk=True)
+                        walked = equiv_check(a, b, maxlen, budget=budget)
+                    with monkeypatch.context() as patch:
+                        calls = spy_crossing(patch)
+                        got = equiv_check(a, b, maxlen, budget=budget)
+                    assert got == walked, (maxlen, budget)
+                    want = [(t, expected_limit(t, maxlen, budget)) for t in (a, b)]
+                    assert [(t, limit) for t, limit, _ in calls] == [
+                        (t, limit) for t, limit in want if limit is not None]
+                    verdicts.append((got, [r for _t, _l, r in calls]))
+    return verdicts
+
+
+def assert_some_built(verdicts, least: int) -> None:
+    """More than ``least`` constructions answered, and some passed their
+    limit, each with the limit error."""
+    results = [r for _got, rs in verdicts for r in rs]
+    assert sum(isinstance(r, SST) for r in results) > least
+    refused = [r for r in results if not isinstance(r, SST)]
+    assert refused and all(re.fullmatch(r"crossing-state space exceeded \d+ states", str(r))
+                           for r in refused)
+
+
+def test_corpus_sides_through_crossing_ssts_keep_the_walk_verdicts(monkeypatch):
+    """The colourless corpus machines, in their three forms, against one
+    another and against random two-way machines over their alphabet."""
+    rng = random.Random(4501)
+    pairs = []
+    for group in colourless_corpus_sides():
+        pairs += [(a, b) for i, a in enumerate(group) for b in group[i:]]
+        if group[0].input_alphabet == ("a", "b"):
+            pairs += [(t, random_two_way(rng)) for t in group]
+    verdicts = assert_route_keeps_the_walk(monkeypatch, pairs, range(8), (None, 3, 10 ** 6))
+    statuses = {got.status for got, _results in verdicts}
+    assert statuses == {"equivalent", "counterexample", "inconclusive"}
+    assert_some_built(verdicts, 100)
+
+
+def test_random_two_way_sides_through_crossing_ssts_keep_the_walk_verdicts(monkeypatch):
+    """Seeded random two-way machines, which reject and loop, against
+    mutants of themselves, other random machines and their marble forms; a
+    few constructions pass their limit and walk."""
+    rng = random.Random(4502)
+    pairs = []
+    for trial in range(60):
+        t = random_two_way(rng)
+        other = random_two_way(rng)
+        pairs += [(t, two_way_to_marble(t)), (t, other)]
+    verdicts = assert_route_keeps_the_walk(monkeypatch, pairs, (0, 1, 3, 5, 7), (None, 4, 10 ** 6))
+    statuses = [got.status for got, _results in verdicts]
+    for status in ("equivalent", "counterexample", "inconclusive"):
+        assert statuses.count(status) >= 20, status
+    assert_some_built(verdicts, 500)
+
+
+def test_coloured_sides_and_budgeted_checks_never_convert(monkeypatch):
+    """A side with marble colours walks, and so does every side of a check
+    given a step budget, by argument or by ``XDUCER_BUDGET``."""
+    from perfbench.gen import random_marble as generated_marble
+
+    calls = spy_crossing(monkeypatch)
+    coloured = [load(name) for name in ("mul_marble", "pow2_marble",
+                                        "pow2_marble_wasteful", "exp_marble")]
+    coloured += [minimize_marbles(t).machine for t in coloured[:3]]
+    rng = random.Random(4503)
+    while len(coloured) < 60:
+        t = random_marble(rng) if len(coloured) % 2 else generated_marble(rng)
+        if t.colors:
+            coloured.append(t)
+    assert all(t.colors for t in coloured)
+    for t in coloured:
+        for maxlen in (2, 5):
+            equiv_check(t, t, maxlen)
+    assert calls == []
+    for group in colourless_corpus_sides():
+        for t in group:
+            for budget in (1, 40, 10 ** 6):
+                equiv_check(t, t, 6, budget=budget)
+    assert calls == []
+    args = ["equiv", corpus_path("copy_two_way"), corpus_path("copy_two_way"),
+            "--maxlen", "6"]
+    assert main(args + ["--budget", "40"]) == 0 and calls == []
+    monkeypatch.setenv("XDUCER_BUDGET", "40")
+    assert main(args) == 0 and calls == []
+    monkeypatch.delenv("XDUCER_BUDGET")
+    assert main(args) == 0 and len(calls) == 2
+
+
+@pytest.mark.parametrize("member", [57, 94, 140, 142])
+def test_large_walkers_never_convert(monkeypatch, member):
+    """A walker of many states walks: its limit, |words| // (2·|Q|), is 0."""
+    from perfbench.gen import pool_machine
+
+    res = to_k_layered(pool_machine("opt_sst", member))
+    walker = layered_to_marble(res.machine, res.layers)
+    assert res.k == 0 and walker.colors == () and len(walker.states) > 127
+    calls = spy_crossing(monkeypatch)
+    assert equiv_check(walker, walker, 6).equivalent
+    assert calls == []
+
+
+def test_crossing_state_limit_boundary_of_the_route(monkeypatch):
+    """At its exact crossing-state count a side's construction answers;
+    one less raises the named limit error, and the side walks."""
+    for group in colourless_corpus_sides():
+        for t in group:
+            m = marble_to_sst(t)
+            size = len(m.states)
+            assert marble_to_sst(t, size) == m
+            with pytest.raises(MachineError, match=r"^crossing-state space exceeded "
+                               r"%d states$" % (size - 1)):
+                marble_to_sst(t, size - 1)
+            # the word cap sets the limit once it is below the word count
+            need, maxlen = 2 * len(t.states) * size, 0
+            while sum(len(t.input_alphabet) ** n for n in range(maxlen + 1)) < need:
+                maxlen += 1
+            for cap, built in ((need, True), (need - 1, False)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "WORD_CAP", cap)
+                    calls = spy_crossing(patch)
+                    with pytest.raises(MachineError, match="word enumeration cap"):
+                        equiv_check(t, t, maxlen)
+                limits = [limit for _t, limit, _r in calls]
+                assert limits == [cap // (2 * len(t.states))] * 2
+                assert all(isinstance(r, SST) == built for _t, _l, r in calls)
+
+
+def test_default_budget_boundary_of_the_route(monkeypatch):
+    """A side converts only while the default budget of its longest words
+    covers |Q|·(maxlen + 2) steps, which no run that does not loop takes."""
+    t = load("copy_two_way")
+    maxlen = 4
+    bound = len(t.states) * (maxlen + 2)
+    for cap, converts in ((bound, True), (bound - 1, False)):
+        with monkeypatch.context() as patch:
+            patch.setattr(semantics, "BUDGET_CAP", cap)
+            calls = spy_crossing(patch)
+            assert equiv_check(t, marble_of(t), maxlen).equivalent
+            assert len(calls) == 2 * converts
 
 
 def test_brute_pattern_search_exp():

@@ -143,6 +143,14 @@ def test_interp_rate_reports_each_machine():
         assert row["words"] == sum(k ** n for n in range(maxlen[k] + 1)), row
         assert row["cpu_s"] > 0 and row["words_per_s"] > 0, row
         assert row["cpu_ref_s"] > 0 and row["words_per_ref_s"] > 0, row
+    # the two-way files are read through their crossing SSTs, and the marble
+    # files, which have colours, walk
+    route = {row["machine"]: row["route"] for row in rows}
+    for name in ("copy_two_way", "reverse_two_way"):
+        assert route[name] == ["crossing-sst"] * 2, name
+    for name in ("mul_marble", "pow2_marble", "exp_marble"):
+        assert route[name] == ["walk"] * 2, name
+    assert route["identity_sst"] == ["sst"] * 2
     # one load row per corpus file: parse_machine against json.load of it
     rows = [json.loads(line) for line in lines if '"load_cpu_s"' in line]
     assert [row["machine"] for row in rows] == CORPUS_NAMES

@@ -671,6 +671,24 @@ def test_sweeps_with_and_without_output_match_the_reference():
         assert assert_matches_reference(sweeper(), "a" * n + "b").accepted
 
 
+@pytest.mark.parametrize("name", ["pow2_marble", "pow2_marble_wasteful"])
+def test_constant_output_sweeps_match_single_steps_on_long_unary_words(name):
+    """A sweep whose cells all write the same text writes it once per cell
+    in one repeat: pow2_marble's sweeps write "a" and "aa" per cell.  An
+    untraced run, which sweeps, gives the traced run's output and steps,
+    which steps every cell singly."""
+    t = load(name)
+    scans = scan_lengths(t)
+    for n in (*range(6), 31, 32, 33, 90, 125, 126, 127, 128):
+        r = run_marble(t, "a" * n)
+        assert r.accepted and r.output_text == "a" * n * n
+        assert r == replace(run_marble(t, "a" * n, trace=True), trace=None), n
+    outputs = [e[3][1] for e in semantics._tables(t)[0].values()
+               if e[2] < semantics._LIFT and e[3]]
+    constant = {text for text in outputs if type(text) is str}
+    assert constant == {"a", "aa"} and swept_both_ways(scans)
+
+
 def test_no_sweep_table_maps_a_code_to_the_empty_string():
     """A code whose move outputs nothing is deleted (None) by its sweep's
     ``str.translate`` table, never mapped to "": on ASCII text the C fast
@@ -691,7 +709,7 @@ def test_no_sweep_table_maps_a_code_to_the_empty_string():
             c = entry[3]
             if entry[2] < semantics._LIFT and c:
                 semantics._compile_sweep(c)
-                if c[1] is not None:
+                if type(c[1]) is dict:
                     assert "" not in c[1].values(), c[1]
                     deleted += None in c[1].values()
     assert deleted >= 20
